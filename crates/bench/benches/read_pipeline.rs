@@ -1,12 +1,10 @@
 //! Layered read pipeline bench — repeated region reads over a
 //! many-fragment store on a simulated disk (`SimulatedDisk::lustre_like`:
-//! 2 GiB/s, 250 µs/op), comparing four read paths:
+//! 2 GiB/s, 250 µs/op), comparing these read paths:
 //!
 //! * `pre-refactor` — the old engine's read, emulated faithfully: every
 //!   read lists the device, peeks every fragment header for bbox
 //!   pruning, then fetches matched fragments whole, sequentially;
-//! * `legacy-fetch` — the catalog plans in memory, but fragments are
-//!   still fetched whole and scanned sequentially;
 //! * `pipeline`     — the default configuration: catalog planning plus
 //!   parallel per-fragment range fetches (index section, then only the
 //!   matched value records);
@@ -139,13 +137,7 @@ fn bench_read_pipeline(c: &mut Criterion) {
         });
     }
 
-    let configs: [(&str, EngineConfig); 4] = [
-        (
-            "legacy-fetch",
-            EngineConfig::default()
-                .with_read_parallelism(1)
-                .with_range_fetch(false),
-        ),
+    let configs: [(&str, EngineConfig); 3] = [
         (
             "pipeline",
             EngineConfig::default().with_read_parallelism(FRAGMENTS),

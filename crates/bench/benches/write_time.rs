@@ -9,7 +9,7 @@
 use artsparse_core::FormatKind;
 use artsparse_metrics::OpCounter;
 use artsparse_patterns::{Dataset, Pattern, PatternParams, Scale};
-use artsparse_storage::{CommitMode, EngineConfig, MemBackend, StorageEngine};
+use artsparse_storage::{MemBackend, StorageEngine};
 use artsparse_tensor::value::pack;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -44,38 +44,6 @@ fn bench_write(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_commit_modes(c: &mut Criterion) {
-    // Overhead of the crash-safe staged commit (stage + tombstone-free
-    // rename) against the direct `put_atomic` publish, on the write hot
-    // path the `commit_mode` knob covers.
-    let mut group = c.benchmark_group("commit_mode_write");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(600));
-    let ds = Dataset::for_scale(Pattern::Gsp, 3, Scale::Smoke, PatternParams::default());
-    let payload = pack(&ds.values());
-    for (label, mode) in [
-        ("staged", CommitMode::Staged),
-        ("direct", CommitMode::Direct),
-    ] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let engine = StorageEngine::open_with(
-                    MemBackend::new(),
-                    FormatKind::GcsrPP,
-                    ds.shape.clone(),
-                    8,
-                    EngineConfig::default().with_commit_mode(mode),
-                )
-                .unwrap();
-                engine.write(&ds.coords, &payload).unwrap()
-            });
-        });
-    }
-    group.finish();
-}
-
 fn bench_build_only(c: &mut Criterion) {
     // The Table III "Build" phase in isolation: organization construction
     // without device or payload handling.
@@ -95,5 +63,5 @@ fn bench_build_only(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_write, bench_commit_modes, bench_build_only);
+criterion_group!(benches, bench_write, bench_build_only);
 criterion_main!(benches);

@@ -60,10 +60,6 @@ pub struct Config {
     pub sim_bandwidth_mib: f64,
     /// Simulated-device per-operation latency in microseconds.
     pub sim_latency_us: u64,
-    /// Publish fragments directly (`put_atomic`, no staging rename)
-    /// instead of the default crash-safe staged commit. Exposed so the
-    /// write-time experiments can quantify the protocol's overhead.
-    pub direct_commit: bool,
     /// Collect runtime telemetry (span traces, I/O accounting, latency
     /// histograms) during matrix cells and print a per-cell digest.
     pub telemetry: bool,
@@ -111,7 +107,6 @@ impl Default for Config {
             out_dir: None,
             sim_bandwidth_mib: 2048.0,
             sim_latency_us: 250,
-            direct_commit: false,
             telemetry: false,
             telemetry_out: None,
             threads: 0,
@@ -126,15 +121,6 @@ impl Default for Config {
 }
 
 impl Config {
-    /// The engine commit mode this configuration selects.
-    pub fn commit_mode(&self) -> artsparse_storage::CommitMode {
-        if self.direct_commit {
-            artsparse_storage::CommitMode::Direct
-        } else {
-            artsparse_storage::CommitMode::Staged
-        }
-    }
-
     /// Whether telemetry should be collected (either flag).
     pub fn telemetry_enabled(&self) -> bool {
         self.telemetry || self.telemetry_out.is_some()
@@ -154,11 +140,10 @@ impl Config {
         }
     }
 
-    /// The engine configuration a matrix cell runs under: commit mode,
-    /// telemetry, and the `--threads` parallelism knobs.
+    /// The engine configuration a matrix cell runs under: telemetry and
+    /// the `--threads` parallelism knobs.
     pub fn engine_config(&self) -> artsparse_storage::EngineConfig {
         let mut ec = artsparse_storage::EngineConfig::default()
-            .with_commit_mode(self.commit_mode())
             .with_telemetry(self.telemetry_enabled())
             .with_threads(self.threads);
         if self.threads > 0 {
@@ -205,12 +190,6 @@ mod tests {
         assert_eq!(c.patterns.len(), 3);
         assert_eq!(c.ndims, vec![2, 3, 4]);
         assert_eq!(c.label(), "medium/sim");
-        assert_eq!(c.commit_mode(), artsparse_storage::CommitMode::Staged);
-        let direct = Config {
-            direct_commit: true,
-            ..Config::default()
-        };
-        assert_eq!(direct.commit_mode(), artsparse_storage::CommitMode::Direct);
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //!   --seed N                     generator seed
 //!   --out DIR                    write JSON/CSV artifacts
 //!   --formats A,B,…              organizations       (default: paper five)
-//!   --commit-mode staged|direct  fragment publish    (default: staged)
 //!   --telemetry                  collect + print per-cell telemetry
 //!   --telemetry-out DIR          write per-cell telemetry JSON documents
 //!   --adaptive                   advisor-driven re-organization at
@@ -66,7 +65,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: artsparse-bench <experiment>... [--scale paper|medium|smoke] \
          [--backend mem|fs|sim] [--seed N] [--out DIR] [--formats A,B,..] \
-         [--commit-mode staged|direct] [--telemetry] [--telemetry-out DIR] \
+         [--telemetry] [--telemetry-out DIR] \
          [--threads N] [--adaptive] [--profile balanced|write-heavy|read-heavy] \
          [--ingest-batch N] [--ingest-flush-points N] [--load-rate N] \
          [--load-tenants N]\n\
@@ -109,20 +108,18 @@ fn scrub(args: &[String]) -> Result<()> {
     }
     let mut checked = 0usize;
     let mut healthy = 0usize;
-    let mut legacy = 0usize;
     let mut damaged = 0usize;
     let mut bytes = 0u64;
     for store in &stores {
         let report = scrub_store(store)?;
         checked += report.fragments_checked;
         healthy += report.healthy;
-        legacy += report.legacy_unverified;
         damaged += report.findings.len();
         bytes += report.bytes_verified;
     }
     println!(
-        "scrub: {dir}: {} store(s), {checked} fragment(s) checked, {healthy} healthy \
-         ({legacy} pre-checksum), {damaged} damaged, {bytes} bytes verified",
+        "scrub: {dir}: {} store(s), {checked} fragment(s) checked, {healthy} healthy, \
+         {damaged} damaged, {bytes} bytes verified",
         stores.len()
     );
     if damaged > 0 {
@@ -418,14 +415,6 @@ fn parse_args() -> (Vec<String>, Config) {
                     .split(',')
                     .map(|s| FormatKind::parse(s.trim()).unwrap_or_else(|| usage()))
                     .collect();
-            }
-            "--commit-mode" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                cfg.direct_commit = match v.to_ascii_lowercase().as_str() {
-                    "staged" => false,
-                    "direct" => true,
-                    _ => usage(),
-                };
             }
             "--telemetry" => cfg.telemetry = true,
             "--adaptive" => cfg.adaptive = true,

@@ -43,6 +43,8 @@ pub use recorder::{NoopRecorder, Recorder, TelemetryRecorder, DEFAULT_EVENT_CAPA
 pub use registry::{Counter, Gauge, MetricKind, MetricSample, MetricsRegistry, RegistrySnapshot};
 pub use report::Table;
 pub use score::{overall_scores, ranking, Measurement, ScoreError};
-pub use span::{charge, current_trace_id, now_ns, IoStats, Span, SpanKind, SpanRecord};
+pub use span::{
+    charge, current_trace_id, now_ns, IoStats, Span, SpanContext, SpanKind, SpanRecord,
+};
 pub use stats::{repeat_measure, Summary};
 pub use stopwatch::{time_it, PhaseTimer, WriteBreakdown, WritePhase};

@@ -14,10 +14,14 @@
 //!   is the *innermost* open span on its thread; nothing propagates to
 //!   parents. Summing any one span kind therefore never double-counts,
 //!   and the sum over *all* kinds equals the global total.
-//! * **Per-thread stacks.** Worker threads (`std::thread::scope` fragment
-//!   readers) open spans on their own stacks at depth 0; the recorder is
-//!   the only cross-thread rendezvous. Nesting depth is informational,
-//!   not a tree encoding.
+//! * **Per-thread stacks.** Every thread has its own stack; the recorder
+//!   is the only cross-thread rendezvous. A fan-out worker joins the
+//!   operation that spawned it by adopting a [`SpanContext`]: a base frame
+//!   under its spans catches whatever the worker charges outside them,
+//!   and the spawner merges that frame back into its own innermost span
+//!   after the join — so the totals of an operation do not depend on how
+//!   many threads ran it. Nesting depth is informational, not a tree
+//!   encoding.
 //!
 //! When the recorder is disabled, [`Span::enter`] returns an inert guard
 //! and [`charge`] finds an empty stack: the whole layer reduces to one
@@ -30,9 +34,10 @@
 //! it is live inherit it. One `engine.ingest` or `engine.consolidate`
 //! call therefore stamps its whole span tree — WAL append, flush, commit,
 //! advise, convert — with a single id, which the event journal uses to
-//! correlate events back to the operation that caused them. Spans opened
-//! on *other* threads (fan-out workers) start traces of their own: the
-//! stack, and with it the trace, is strictly per-thread.
+//! correlate events back to the operation that caused them. A fan-out
+//! worker that adopts its spawner's [`SpanContext`] stamps its spans with
+//! the spawner's id; a thread that adopts nothing starts traces of its
+//! own.
 //! [`current_trace_id`] exposes the live id (0 when no span is open) so
 //! synthesized records and journal events can join the trace.
 
@@ -332,6 +337,42 @@ pub fn charge(f: impl FnOnce(&mut IoStats)) {
     });
 }
 
+/// The span context of an operation, captured on the thread that runs it
+/// and adopted by the worker threads it fans out to. `Copy`, so one
+/// capture serves every worker.
+#[derive(Debug, Clone, Copy)]
+pub struct SpanContext {
+    trace_id: u64,
+}
+
+impl SpanContext {
+    /// The calling thread's context, or `None` when no span is open on it
+    /// (telemetry off, or no operation in flight) — in which case workers
+    /// have nothing to inherit and pay nothing.
+    pub fn current() -> Option<SpanContext> {
+        let open = STACK.with(|stack| !stack.borrow().is_empty());
+        open.then(|| SpanContext {
+            trace_id: current_trace_id(),
+        })
+    }
+
+    /// Run `f` on a worker thread inside this context: spans `f` opens
+    /// carry the captured trace id, and charges `f` makes outside any span
+    /// of its own land in the returned frame instead of vanishing. The
+    /// spawner hands that frame to [`charge`] (`io.merge(..)`) after the
+    /// join.
+    pub fn run<R>(self, f: impl FnOnce() -> R) -> (R, IoStats) {
+        STACK.with(|stack| stack.borrow_mut().push(IoStats::default()));
+        let outer_trace = TRACE.with(|t| t.replace(self.trace_id));
+        let out = f();
+        TRACE.with(|t| t.set(outer_trace));
+        let io = STACK
+            .with(|stack| stack.borrow_mut().pop())
+            .unwrap_or_default();
+        (out, io)
+    }
+}
+
 /// RAII guard for one traced operation. See the module docs.
 #[must_use = "a span measures the scope it is alive for"]
 pub struct Span {
@@ -571,6 +612,45 @@ mod tests {
             .find(|e| e.kind == SpanKind::ReadFetch)
             .unwrap();
         assert_ne!(read.trace_id, fetch.trace_id);
+    }
+
+    #[test]
+    fn workers_adopting_a_context_join_the_trace_and_return_their_charges() {
+        let (t, r) = telemetry();
+        let main_trace;
+        {
+            let _outer = Span::enter(&r, SpanKind::Read);
+            main_trace = current_trace_id();
+            let ctx = SpanContext::current().expect("a span is open");
+            let worker_io = std::thread::scope(|s| {
+                let r = &r;
+                s.spawn(move || {
+                    ctx.run(|| {
+                        // Outside any worker span: lands in the base frame.
+                        charge(|io| io.fragments_quarantined += 1);
+                        let _fetch = Span::enter(r, SpanKind::ReadFetch);
+                        assert_eq!(current_trace_id(), main_trace);
+                        charge(|io| io.bytes_fetched += 7);
+                    })
+                    .1
+                })
+                .join()
+                .unwrap()
+            });
+            assert_eq!(worker_io.fragments_quarantined, 1);
+            assert_eq!(worker_io.bytes_fetched, 0, "span-local charges stay local");
+            charge(|io| io.merge(&worker_io));
+        }
+        let report = t.report();
+        let read = report.span(SpanKind::Read).unwrap();
+        let fetch = report.span(SpanKind::ReadFetch).unwrap();
+        assert_eq!(read.io.fragments_quarantined, 1);
+        assert_eq!(fetch.io.bytes_fetched, 7);
+        assert_eq!(report.totals.fragments_quarantined, 1);
+        assert_ne!(main_trace, 0);
+        assert!(report.events.iter().all(|e| e.trace_id == main_trace));
+        // No span open, nothing to inherit.
+        assert!(SpanContext::current().is_none());
     }
 
     #[test]

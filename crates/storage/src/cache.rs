@@ -224,7 +224,11 @@ mod tests {
                 index_codec: crate::codec::Codec::None,
                 value_codec: crate::codec::Codec::None,
                 version: crate::fragment::FRAGMENT_VERSION,
-                checksums: None,
+                checksums: crate::fragment::FragmentChecksums {
+                    index: 0,
+                    value: 0,
+                    header: 0,
+                },
             },
             index: vec![0; index_len],
             values: vec![0; value_len],

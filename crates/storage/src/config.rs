@@ -1,26 +1,10 @@
-//! Tuning knobs for the engine's read pipeline, commit protocol, and
-//! fault tolerance.
+//! Tuning knobs for the engine's read pipeline, ingest path, and fault
+//! tolerance.
 
 use artsparse_core::advisor::AccessProfile;
 use artsparse_core::FormatKind;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
-
-/// How WRITE publishes a fragment to the device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CommitMode {
-    /// Two-phase publish (the default): stage the fragment under a
-    /// `.tmp` name invisible to discovery, then rename-commit it. A
-    /// crash anywhere in the window leaves only an orphaned temp blob
-    /// that recovery sweeps at the next open — never a torn fragment.
-    #[default]
-    Staged,
-    /// Publish directly under the final name with one `put_atomic`.
-    /// Skips the staging rename — the legacy write path, kept as a
-    /// benchmark baseline and for devices where rename is expensive.
-    /// Crash safety then rests entirely on the device's `put_atomic`.
-    Direct,
-}
 
 /// Bounded exponential backoff for transient read faults.
 ///
@@ -385,10 +369,10 @@ impl Default for HealthConfig {
 }
 
 /// Configuration of the catalog → plan → fetch → decode → merge read
-/// pipeline and of the fragment commit protocol. The default reproduces
+/// pipeline and of the write path around it. The default reproduces
 /// Algorithm 3's semantics exactly while fetching only the bytes a query
 /// needs and publishing crash-safely; the knobs trade memory, concurrency,
-/// commit overhead, and fault tolerance for latency.
+/// and fault tolerance for latency.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Budget (in decoded payload bytes) for the decoded-fragment LRU
@@ -400,15 +384,6 @@ pub struct EngineConfig {
     /// Zero (the default) uses the host's available parallelism; one
     /// forces the sequential reference path.
     pub read_parallelism: usize,
-    /// Fetch fragment sections (index first, then only the value records
-    /// the query matched) instead of whole blobs. On by default; turn it
-    /// off to reproduce the legacy whole-fragment fetch, e.g. as a
-    /// baseline in benchmarks.
-    pub range_fetch: bool,
-    /// How WRITE publishes fragments. Consolidation always uses the
-    /// staged, tombstone-protected protocol regardless of this setting —
-    /// the knob only covers the plain write hot path.
-    pub commit_mode: CommitMode,
     /// Collect runtime telemetry (span traces, per-operation I/O
     /// accounting, latency histograms). Off by default: the disabled path
     /// is a no-op recorder that adds no events and no measurable cost.
@@ -470,8 +445,6 @@ impl Default for EngineConfig {
         EngineConfig {
             cache_capacity_bytes: 0,
             read_parallelism: 0,
-            range_fetch: true,
-            commit_mode: CommitMode::Staged,
             telemetry: false,
             threads: 0,
             parallel_cutoff: artsparse_tensor::par::DEFAULT_CUTOFF,
@@ -507,18 +480,6 @@ impl EngineConfig {
     /// Builder-style parallelism override.
     pub fn with_read_parallelism(mut self, threads: usize) -> Self {
         self.read_parallelism = threads;
-        self
-    }
-
-    /// Builder-style range-fetch toggle.
-    pub fn with_range_fetch(mut self, enabled: bool) -> Self {
-        self.range_fetch = enabled;
-        self
-    }
-
-    /// Builder-style commit-mode override.
-    pub fn with_commit_mode(mut self, mode: CommitMode) -> Self {
-        self.commit_mode = mode;
         self
     }
 
@@ -604,8 +565,6 @@ mod tests {
         let c = EngineConfig::default();
         assert_eq!(c.cache_capacity_bytes, 0);
         assert_eq!(c.read_parallelism, 0);
-        assert!(c.range_fetch);
-        assert_eq!(c.commit_mode, CommitMode::Staged);
         assert!(!c.telemetry);
         assert_eq!(c.threads, 0);
         assert_eq!(c.parallel_cutoff, artsparse_tensor::par::DEFAULT_CUTOFF);
@@ -624,8 +583,6 @@ mod tests {
         let c = EngineConfig::default()
             .with_cache_capacity(1 << 20)
             .with_read_parallelism(2)
-            .with_range_fetch(false)
-            .with_commit_mode(CommitMode::Direct)
             .with_telemetry(true)
             .with_threads(3)
             .with_parallel_cutoff(128)
@@ -639,8 +596,6 @@ mod tests {
             .with_strict_reads(false);
         assert_eq!(c.cache_capacity_bytes, 1 << 20);
         assert_eq!(c.effective_parallelism(), 2);
-        assert!(!c.range_fetch);
-        assert_eq!(c.commit_mode, CommitMode::Direct);
         assert!(c.telemetry);
         assert_eq!(c.retry.attempts(), 1);
         assert_eq!(c.write_retry.attempts(), 1);

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! magic       u32 = "ASFR"
-//! version     u16 = 3 (2 still read)
+//! version     u16 = 3 (the only layout; anything else is rejected)
 //! format      u16 — FormatKind id of the embedded index
 //! ndim        u16
 //! flags       u16 — bit 0: bounding box present (0 for empty tensors)
@@ -19,9 +19,9 @@
 //! shape       ndim × u64 — the global tensor shape
 //! bbox lo     ndim × u64 — fragment bounding box (zeros when absent)
 //! bbox hi     ndim × u64
-//! index_crc   u32 — CRC32C of the stored index bytes        (v3+)
-//! value_crc   u32 — CRC32C of the stored value bytes        (v3+)
-//! header_crc  u32 — CRC32C of every preceding header byte   (v3+)
+//! index_crc   u32 — CRC32C of the stored index bytes
+//! value_crc   u32 — CRC32C of the stored value bytes
+//! header_crc  u32 — CRC32C of every preceding header byte
 //! index       index_len bytes (self-describing, see artsparse-core codec)
 //! values      value_len bytes (reorganized by the build's map)
 //! ```
@@ -32,13 +32,16 @@
 //! truncated fragments produce [`StorageError::CorruptFragment`], never
 //! panics.
 //!
-//! v3 adds end-to-end integrity: the checksums cover the *stored* bytes,
+//! Integrity is end to end: the checksums cover the *stored* bytes,
 //! so a fetch can be verified before any decompression or organization
 //! decode runs — corruption surfaces as a typed
 //! [`StorageError::ChecksumMismatch`] naming the fragment and section.
 //! The header CRC is last in the header so it covers the section CRCs
 //! too; a flipped bit anywhere in the header fails verification before
-//! any field is trusted.
+//! any field is trusted. There is exactly one layout version: a header
+//! whose version field is not [`FRAGMENT_VERSION`] is rejected as
+//! [`StorageError::CorruptFragment`] before anything else is read, so no
+//! bit flip can route a fragment around its checksums.
 
 use crate::codec::Codec;
 use crate::error::{FragmentSection, Result, StorageError};
@@ -49,21 +52,19 @@ use bytes::{Buf, BufMut};
 
 /// `"ASFR"` as a little-endian u32.
 pub const FRAGMENT_MAGIC: u32 = u32::from_le_bytes(*b"ASFR");
-/// Current fragment layout version (checksummed sections).
+/// The fragment layout version (checksummed sections).
 pub const FRAGMENT_VERSION: u16 = 3;
-/// Oldest layout version this build still reads (pre-checksum).
-pub const FRAGMENT_VERSION_MIN: u16 = 2;
 
 const FLAG_HAS_BBOX: u16 = 1;
 const INDEX_CODEC_SHIFT: u16 = 1;
 const VALUE_CODEC_SHIFT: u16 = 4;
 const CODEC_MASK: u16 = 0b111;
 
-/// Bytes the v3 layout appends to the v2 header: index, value, and
-/// header CRC32C values.
+/// Bytes of the header's checksum trailer: index, value, and header
+/// CRC32C values.
 const CHECKSUM_TRAILER_LEN: usize = 3 * 4;
 
-/// The per-section CRC32C values a v3 header carries.
+/// The per-section CRC32C values a header carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FragmentChecksums {
     /// CRC32C of the stored (possibly compressed) index bytes.
@@ -101,42 +102,26 @@ pub struct FragmentMeta {
     pub index_codec: Codec,
     /// Codec applied to the value payload.
     pub value_codec: Codec,
-    /// Section checksums (`None` for pre-v3 fragments).
-    pub checksums: Option<FragmentChecksums>,
+    /// Section and header checksums.
+    pub checksums: FragmentChecksums,
 }
 
 impl FragmentMeta {
-    /// Byte length of a current-version header for `ndim` dimensions.
-    /// Discovery peeks use this; older fragments have shorter headers,
-    /// which over-peeking tolerates (backends clamp, `decode_meta`
-    /// ignores trailing bytes).
+    /// Byte length of the header for `ndim` dimensions (what a discovery
+    /// peek fetches).
     pub fn header_len(ndim: usize) -> usize {
-        Self::header_len_for(FRAGMENT_VERSION, ndim)
-    }
-
-    /// Byte length of the header for a specific layout version.
-    pub fn header_len_for(version: u16, ndim: usize) -> usize {
-        let base = 4 + 2 + 2 + 2 + 2 + 8 + 4 + 8 + 8 + 8 + 8 + 3 * ndim * 8;
-        if version >= 3 {
-            base + CHECKSUM_TRAILER_LEN
-        } else {
-            base
-        }
-    }
-
-    /// Header length of *this* fragment (version-aware).
-    pub fn own_header_len(&self) -> usize {
-        Self::header_len_for(self.version, self.shape.ndim())
+        4 + 2 + 2 + 2 + 2 + 8 + 4 + 8 + 8 + 8 + 8 + 3 * ndim * 8 + CHECKSUM_TRAILER_LEN
     }
 
     /// Total fragment size this metadata describes.
     pub fn total_len(&self) -> u64 {
-        self.own_header_len() as u64 + self.index_len + self.value_len
+        self.value_offset() + self.value_len
     }
 
-    /// Byte offset of the stored index section within the fragment.
+    /// Byte offset of the stored index section within the fragment (the
+    /// header's length).
     pub fn index_offset(&self) -> u64 {
-        self.own_header_len() as u64
+        Self::header_len(self.shape.ndim()) as u64
     }
 
     /// Byte offset of the stored value section within the fragment.
@@ -145,8 +130,8 @@ impl FragmentMeta {
     }
 }
 
-/// Verify a fetched stored section against the header's length and (for
-/// v3 fragments) its CRC32C — without decompressing or decoding anything.
+/// Verify a fetched stored section against the header's length and its
+/// CRC32C — without decompressing or decoding anything.
 /// This is the integrity gate every read and scrub passes through.
 pub fn verify_section_checksum(
     name: &str,
@@ -155,31 +140,19 @@ pub fn verify_section_checksum(
     bytes: &[u8],
 ) -> Result<()> {
     let (want_len, want_crc) = match section {
-        FragmentSection::Index => (meta.index_len, meta.checksums.map(|c| c.index)),
-        FragmentSection::Value => (meta.value_len, meta.checksums.map(|c| c.value)),
+        FragmentSection::Index => (meta.index_len, meta.checksums.index),
+        FragmentSection::Value => (meta.value_len, meta.checksums.value),
         FragmentSection::Header => {
             // Header integrity is established by `decode_meta`; re-verify
             // the serialized prefix directly.
-            let hl = meta.own_header_len();
+            let hl = meta.index_offset() as usize;
             if bytes.len() < hl {
                 return Err(StorageError::corrupt(
                     name,
                     format!("header is {} bytes, layout says {hl}", bytes.len()),
                 ));
             }
-            if let Some(c) = meta.checksums {
-                let found = crc32c(&bytes[..hl - 4]);
-                if found != c.header {
-                    artsparse_metrics::charge(|io| io.checksum_failures += 1);
-                    return Err(StorageError::checksum_mismatch(
-                        name,
-                        FragmentSection::Header,
-                        c.header,
-                        found,
-                    ));
-                }
-            }
-            return Ok(());
+            return check_crc(name, section, meta.checksums.header, &bytes[..hl - 4]);
         }
     };
     if bytes.len() != want_len as usize {
@@ -191,21 +164,25 @@ pub fn verify_section_checksum(
             ),
         ));
     }
-    if let Some(expected) = want_crc {
-        let found = crc32c(bytes);
-        if found != expected {
-            artsparse_metrics::charge(|io| io.checksum_failures += 1);
-            return Err(StorageError::checksum_mismatch(
-                name, section, expected, found,
-            ));
-        }
+    check_crc(name, section, want_crc, bytes)
+}
+
+/// Compare the CRC32C of `bytes` with the recorded one; a mismatch is
+/// charged to telemetry and typed with the section it damaged.
+fn check_crc(name: &str, section: FragmentSection, expected: u32, bytes: &[u8]) -> Result<()> {
+    let found = crc32c(bytes);
+    if found != expected {
+        artsparse_metrics::charge(|io| io.checksum_failures += 1);
+        return Err(StorageError::checksum_mismatch(
+            name, section, expected, found,
+        ));
     }
     Ok(())
 }
 
 /// Decode the stored index section (as fetched from
 /// [`FragmentMeta::index_offset`]) into the uncompressed index payload.
-/// Verifies the section checksum (v3+) before decompressing; a short
+/// Verifies the section checksum before decompressing; a short
 /// section means the device returned fewer bytes than the header
 /// promised — a truncated or externally modified fragment.
 pub fn decode_index_section(name: &str, meta: &FragmentMeta, section: &[u8]) -> Result<Vec<u8>> {
@@ -217,7 +194,7 @@ pub fn decode_index_section(name: &str, meta: &FragmentMeta, section: &[u8]) -> 
 
 /// Decode the stored value section (as fetched from
 /// [`FragmentMeta::value_offset`]) into the uncompressed value payload.
-/// Verifies the section checksum (v3+) before decompressing.
+/// Verifies the section checksum before decompressing.
 pub fn decode_value_section(name: &str, meta: &FragmentMeta, section: &[u8]) -> Result<Vec<u8>> {
     verify_section_checksum(name, meta, FragmentSection::Value, section)?;
     meta.value_codec
@@ -238,49 +215,14 @@ pub fn encode_fragment(
     index_codec: Codec,
     value_codec: Codec,
 ) -> Vec<u8> {
-    encode_fragment_versioned(
-        FRAGMENT_VERSION,
-        kind,
-        shape,
-        n,
-        elem_size,
-        bbox,
-        index,
-        values,
-        index_codec,
-        value_codec,
-    )
-}
-
-/// Assemble a fragment in a specific layout version. Only exposed so
-/// back-compat tests can mint pre-checksum (v2) fragments; production
-/// writes always use [`encode_fragment`].
-#[doc(hidden)]
-#[allow(clippy::too_many_arguments)]
-pub fn encode_fragment_versioned(
-    version: u16,
-    kind: FormatKind,
-    shape: &Shape,
-    n: u64,
-    elem_size: u32,
-    bbox: Option<&Region>,
-    index: &[u8],
-    values: &[u8],
-    index_codec: Codec,
-    value_codec: Codec,
-) -> Vec<u8> {
-    assert!(
-        (FRAGMENT_VERSION_MIN..=FRAGMENT_VERSION).contains(&version),
-        "unsupported fragment version {version}"
-    );
     let ndim = shape.ndim();
     let stored_index = index_codec.compress(index);
     let stored_values = value_codec.compress(values);
     let mut buf = Vec::with_capacity(
-        FragmentMeta::header_len_for(version, ndim) + stored_index.len() + stored_values.len(),
+        FragmentMeta::header_len(ndim) + stored_index.len() + stored_values.len(),
     );
     buf.put_u32_le(FRAGMENT_MAGIC);
-    buf.put_u16_le(version);
+    buf.put_u16_le(FRAGMENT_VERSION);
     buf.put_u16_le(kind.id());
     buf.put_u16_le(ndim as u16);
     let mut flags = 0u16;
@@ -314,65 +256,51 @@ pub fn encode_fragment_versioned(
             }
         }
     }
-    if version >= 3 {
-        buf.put_u32_le(crc32c(&stored_index));
-        buf.put_u32_le(crc32c(&stored_values));
-        // The header CRC is computed over everything written so far,
-        // section CRCs included, and appended last.
-        let header_crc = crc32c(&buf);
-        buf.put_u32_le(header_crc);
-    }
+    buf.put_u32_le(crc32c(&stored_index));
+    buf.put_u32_le(crc32c(&stored_values));
+    // The header CRC is computed over everything written so far, section
+    // CRCs included, and appended last.
+    let header_crc = crc32c(&buf);
+    buf.put_u32_le(header_crc);
     buf.extend_from_slice(&stored_index);
     buf.extend_from_slice(&stored_values);
     buf
 }
 
 /// Decode and validate a fragment header. `bytes` may be just the header
-/// prefix (for discovery peeks) or the whole file. For v3 headers the
-/// header CRC is verified *before* any field beyond the version/ndim is
-/// trusted, so a flipped bit in the header surfaces as
+/// prefix (for discovery peeks) or the whole file. The header CRC is
+/// verified *before* any field beyond the version/ndim is trusted, so a
+/// flipped bit in the header surfaces as
 /// [`StorageError::ChecksumMismatch`] rather than a misleading semantic
-/// error (or, worse, a silently wrong plan).
+/// error (or, worse, a silently wrong plan); a version other than
+/// [`FRAGMENT_VERSION`] is [`StorageError::CorruptFragment`].
 pub fn decode_meta(name: &str, bytes: &[u8]) -> Result<FragmentMeta> {
     let corrupt = |reason: &str| StorageError::corrupt(name, reason);
     let mut cur = bytes;
-    if cur.remaining() < FragmentMeta::header_len_for(FRAGMENT_VERSION_MIN, 0) {
+    if cur.remaining() < FragmentMeta::header_len(0) {
         return Err(corrupt("header truncated"));
     }
     if cur.get_u32_le() != FRAGMENT_MAGIC {
         return Err(corrupt("bad magic"));
     }
     let version = cur.get_u16_le();
-    if !(FRAGMENT_VERSION_MIN..=FRAGMENT_VERSION).contains(&version) {
+    if version != FRAGMENT_VERSION {
         return Err(corrupt(&format!("unsupported version {version}")));
     }
     let format = cur.get_u16_le();
     let ndim = cur.get_u16_le() as usize;
-    let header_len = FragmentMeta::header_len_for(version, ndim);
+    let header_len = FragmentMeta::header_len(ndim);
     if bytes.len() < header_len {
         return Err(corrupt("header dims truncated"));
     }
-    let checksums = if version >= 3 {
-        let crc_at = header_len - 4;
-        let expected = u32::from_le_bytes(bytes[crc_at..header_len].try_into().unwrap());
-        let found = crc32c(&bytes[..crc_at]);
-        if found != expected {
-            artsparse_metrics::charge(|io| io.checksum_failures += 1);
-            return Err(StorageError::checksum_mismatch(
-                name,
-                FragmentSection::Header,
-                expected,
-                found,
-            ));
-        }
-        let trailer = &bytes[header_len - CHECKSUM_TRAILER_LEN..];
-        Some(FragmentChecksums {
-            index: u32::from_le_bytes(trailer[0..4].try_into().unwrap()),
-            value: u32::from_le_bytes(trailer[4..8].try_into().unwrap()),
-            header: expected,
-        })
-    } else {
-        None
+    let crc_at = header_len - 4;
+    let expected = u32::from_le_bytes(bytes[crc_at..header_len].try_into().unwrap());
+    check_crc(name, FragmentSection::Header, expected, &bytes[..crc_at])?;
+    let trailer = &bytes[header_len - CHECKSUM_TRAILER_LEN..];
+    let checksums = FragmentChecksums {
+        index: u32::from_le_bytes(trailer[0..4].try_into().unwrap()),
+        value: u32::from_le_bytes(trailer[4..8].try_into().unwrap()),
+        header: expected,
     };
     let kind = FormatKind::from_id(format)
         .ok_or_else(|| corrupt(&format!("unknown format id {format}")))?;
@@ -439,11 +367,11 @@ pub fn decode_meta(name: &str, bytes: &[u8]) -> Result<FragmentMeta> {
 }
 
 /// Decode a whole fragment into `(meta, index, values)`, verifying the
-/// section checksums (v3+) and decompressing the payloads if codecs were
+/// section checksums and decompressing the payloads if codecs were
 /// applied.
 pub fn decode_fragment(name: &str, bytes: &[u8]) -> Result<(FragmentMeta, Vec<u8>, Vec<u8>)> {
     let meta = decode_meta(name, bytes)?;
-    let header = meta.own_header_len();
+    let header = meta.index_offset() as usize;
     let need = meta.total_len() as usize;
     if bytes.len() != need {
         return Err(StorageError::corrupt(
@@ -495,7 +423,6 @@ mod tests {
         assert_eq!(index, &[1, 2, 3, 4]);
         assert_eq!(values.len(), 24);
         assert_eq!(meta.total_len() as usize, bytes.len());
-        assert!(meta.checksums.is_some());
     }
 
     #[test]
@@ -650,37 +577,6 @@ mod tests {
             Codec::None,
         );
         assert!(decode_meta("t", &bytes).is_err());
-    }
-
-    #[test]
-    fn v2_fragments_still_decode_without_checksums() {
-        let shape = Shape::new(vec![8, 8]).unwrap();
-        let bbox = Region::from_corners(&[1, 1], &[5, 6]).unwrap();
-        let bytes = encode_fragment_versioned(
-            2,
-            FormatKind::Linear,
-            &shape,
-            3,
-            8,
-            Some(&bbox),
-            &[1, 2, 3, 4],
-            &[7u8; 24],
-            Codec::None,
-            Codec::Rle,
-        );
-        let (meta, index, values) = decode_fragment("legacy", &bytes).unwrap();
-        assert_eq!(meta.version, 2);
-        assert!(meta.checksums.is_none());
-        assert_eq!(meta.own_header_len(), FragmentMeta::header_len(2) - 12);
-        assert_eq!(index, &[1, 2, 3, 4]);
-        assert_eq!(values, vec![7u8; 24]);
-        // The v3 discovery peek over-reads a v2 header harmlessly.
-        let peeked = decode_meta(
-            "legacy",
-            &bytes[..FragmentMeta::header_len(2).min(bytes.len())],
-        )
-        .unwrap();
-        assert_eq!(peeked, meta);
     }
 
     #[test]

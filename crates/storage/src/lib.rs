@@ -16,12 +16,12 @@
 //! * [`cache`] — a bytes-bounded LRU of decoded fragments for
 //!   repeat-read workloads;
 //! * [`config`] — tuning knobs for the read pipeline (cache budget,
-//!   per-fragment parallelism, range fetch), the compute-parallel layer
-//!   (`threads`, `parallel_cutoff` — DESIGN.md §12), and the fragment
-//!   commit protocol;
+//!   per-fragment parallelism), the compute-parallel layer (`threads`,
+//!   `parallel_cutoff` — DESIGN.md §12), retries, health, and ingest;
 //! * [`engine`] — Algorithm 3's WRITE (with the Table III phase
 //!   breakdown, published through a crash-safe staged commit) and READ
-//!   as a layered catalog → plan → fetch → decode → merge pipeline;
+//!   as a layered catalog → plan → fetch → decode → merge pipeline, one
+//!   type split into modules along DESIGN.md's sections;
 //! * [`faults`] — a failure-injecting backend wrapper for driving the
 //!   commit protocol into its crash windows (and reads into transient
 //!   faults, latency, and bit-flip corruption) under test;
@@ -67,8 +67,8 @@ pub use cache::{CacheStats, DecodedFragment, FragmentCache};
 pub use catalog::{CatalogEntry, FragmentCatalog, ReadPlan};
 pub use codec::Codec;
 pub use config::{
-    AdaptiveReorg, CommitMode, EngineConfig, HealthConfig, IngestConfig, ObservabilityConfig,
-    ReorgProfile, RetryPolicy, SchedulerConfig,
+    AdaptiveReorg, EngineConfig, HealthConfig, IngestConfig, ObservabilityConfig, ReorgProfile,
+    RetryPolicy, SchedulerConfig,
 };
 pub use engine::{
     ConsolidateReport, HealthState, ReadHit, ReadOutcome, ReadResult, RecoveryReport, ScrubFinding,

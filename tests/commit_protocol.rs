@@ -8,7 +8,7 @@
 //! collisions between concurrent engines.
 
 use artsparse::storage::{
-    AdaptiveReorg, CommitMode, EngineConfig, FailingBackend, FsBackend, MemBackend, SimulatedDisk,
+    AdaptiveReorg, EngineConfig, FailingBackend, FsBackend, MemBackend, SimulatedDisk,
     StorageBackend, StorageEngine, StripedBackend,
 };
 use artsparse::{CoordBuffer, FormatKind, Shape};
@@ -81,29 +81,6 @@ fn failed_write_cleans_up_its_staging_blob() {
         .filter(|n| !n.starts_with("epoch-"))
         .collect();
     assert_eq!(leftovers, Vec::<String>::new());
-}
-
-/// Direct commit mode leans on `put_atomic`: an interrupted write
-/// publishes nothing at all, not even a staging blob.
-#[test]
-fn direct_mode_interrupted_write_publishes_nothing() {
-    let engine = StorageEngine::open_with(
-        FailingBackend::new(MemBackend::new()),
-        FormatKind::Linear,
-        shape(),
-        8,
-        EngineConfig::default().with_commit_mode(CommitMode::Direct),
-    )
-    .unwrap();
-    engine.backend().fail_after_write_bytes(10);
-    assert!(engine.write_points::<f64>(&pts(&[[2, 2]]), &[2.0]).is_err());
-    engine.backend().disarm();
-    assert!(engine
-        .backend()
-        .list()
-        .unwrap()
-        .iter()
-        .all(|n| n.starts_with("epoch-")));
 }
 
 /// A consolidation that dies before its rename-commit changes nothing:

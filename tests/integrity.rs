@@ -6,7 +6,7 @@
 
 use artsparse::metrics::OpCounter;
 use artsparse::storage::engine::StorageEngine;
-use artsparse::storage::fragment::{encode_fragment, encode_fragment_versioned};
+use artsparse::storage::fragment::encode_fragment;
 use artsparse::storage::{
     injected_fault, Codec, EngineConfig, FailingBackend, FragmentSection, FsBackend, MemBackend,
     RetryPolicy, StorageBackend, StorageError,
@@ -198,42 +198,64 @@ fn retry_exhaustion_reports_attempts_and_preserves_the_fault_chain() {
     assert!(err.chain_string().contains("injected"));
 }
 
+/// There is one fragment layout. Flipping bit 0 of the version field
+/// (3 → 2) must not route a fragment around its checksums: read, scrub,
+/// refresh and open all reject it as a corrupt fragment naming the
+/// unsupported version, before any organization decoder sees a byte — and
+/// a degraded read routes around it like any other damaged fragment.
 #[test]
-fn pre_checksum_v2_fragments_still_read_and_scrub_as_legacy() {
-    let shape = shape();
-    let pts = coords(&[[7, 7], [8, 8]]);
-    let counter = OpCounter::new();
-    let built = FormatKind::Linear
-        .create()
-        .build(&pts, &shape, &counter)
+fn version_field_bit_flip_is_rejected_typed() {
+    let flip_version_bit = |backend: &MemBackend, name: &str| {
+        let mut bytes = backend.get(name).unwrap();
+        bytes[4] ^= 0x01;
+        backend.put(name, &bytes).unwrap();
+    };
+    let rejected = |e: StorageError, name: &str| {
+        assert!(
+            matches!(&e, StorageError::CorruptFragment { name: n, .. } if n == name),
+            "{e}"
+        );
+        assert!(e.to_string().contains("unsupported version 2"), "{e}");
+    };
+    for kind in FormatKind::PAPER_FIVE {
+        let e = StorageEngine::open(MemBackend::new(), kind, shape(), 8).unwrap();
+        e.write_points::<f64>(&coords(&[[1, 1], [5, 9]]), &[1.0, 2.0])
+            .unwrap();
+        let victim = e.fragments().unwrap()[0].clone();
+        flip_version_bit(e.backend(), &victim);
+        let ops_before = e.counter().snapshot().total();
+
+        rejected(e.read(&coords(&[[1, 1]])).unwrap_err(), &victim);
+        rejected(e.refresh().unwrap_err(), &victim);
+        let report = e.scrub().unwrap();
+        assert_eq!((report.fragments_checked, report.healthy), (1, 0), "{kind}");
+        assert_eq!(report.findings[0].fragment, victim);
+        assert!(report.findings[0].newly_quarantined);
+        assert!(report.findings[0].error.contains("unsupported version 2"));
+        // No organization decoder was reached on any of those paths.
+        assert_eq!(e.counter().snapshot().total(), ops_before, "{kind}");
+        match StorageEngine::open(e.into_backend(), kind, shape(), 8) {
+            Err(err) => rejected(err, &victim),
+            Ok(_) => panic!("{kind}: opened a store holding a version-2 header"),
+        }
+
+        // Degraded reads treat it as damage to route around.
+        let e = StorageEngine::open_with(
+            MemBackend::new(),
+            kind,
+            shape(),
+            8,
+            EngineConfig::default().with_strict_reads(false),
+        )
         .unwrap();
-    let values = built.reorganize_values(&[1u8; 16], 8);
-    let v2 = encode_fragment_versioned(
-        2,
-        FormatKind::Linear,
-        &shape,
-        2,
-        8,
-        pts.bounding_box().as_ref(),
-        &built.index,
-        &values,
-        Codec::None,
-        Codec::None,
-    );
-    let backend = MemBackend::new();
-    backend.put("frag-00000001-00000001.asf", &v2).unwrap();
-    let e = StorageEngine::open(backend, FormatKind::Linear, shape, 8).unwrap();
-    let vals = e.read_values::<u64>(&coords(&[[7, 7]])).unwrap();
-    assert_eq!(vals, vec![Some(u64::from_le_bytes([1; 8]))]);
-    let report = e.scrub().unwrap();
-    assert!(report.is_clean());
-    assert_eq!(report.healthy, 1);
-    assert_eq!(report.legacy_unverified, 1);
-    // New fragments written next to it carry checksums.
-    e.write_points::<f64>(&coords(&[[9, 9]]), &[9.0]).unwrap();
-    let report = e.scrub().unwrap();
-    assert_eq!(report.healthy, 2);
-    assert_eq!(report.legacy_unverified, 1);
+        e.write_points::<f64>(&coords(&[[1, 1]]), &[1.0]).unwrap();
+        e.write_points::<f64>(&coords(&[[3, 3]]), &[3.0]).unwrap();
+        let victim = e.fragments().unwrap()[0].clone();
+        flip_version_bit(e.backend(), &victim);
+        let r = e.read(&coords(&[[1, 1], [3, 3]])).unwrap();
+        assert_eq!(r.outcome.quarantined, vec![victim]);
+        assert_eq!(r.to_values::<f64>(2).unwrap(), vec![None, Some(3.0)]);
+    }
 }
 
 /// Seeded chaos: with every device read corrupting one bit, the engine
