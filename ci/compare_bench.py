@@ -14,9 +14,16 @@ while scheduler noise on a shared 1–2 core CI runner moves wall clocks
 by tens of percent. Time statistics (`min_ns`/`mean_ns`/`max_ns`)
 remain available as a coarse backstop with a generous threshold.
 
+With `--ratio NUM/DEN` no baseline is read: the statistic of benchmark
+NUM divided by that of DEN, both from CURRENT — the same run on the same
+machine, so the runner's speed divides out — must not exceed
+`--max-ratio`. This is how wall time is gated (ROADMAP 1c).
+
 Usage:
     ci/compare_bench.py CURRENT BASELINE [--ids a,b] [--threshold 0.05]
                         [--stat bytes|min_ns|mean_ns|max_ns]
+    ci/compare_bench.py CURRENT --ratio NUM/DEN --max-ratio 1.10
+                        [--stat min_ns]
 """
 
 import argparse
@@ -30,10 +37,43 @@ def load(path):
     return {b["id"]: b for b in doc["benchmarks"]}
 
 
+def check_ratio(current, ratio, stat, max_ratio):
+    num_id, _, den_id = ratio.partition("/")
+    for bench_id in (num_id, den_id):
+        if bench_id not in current or stat not in current[bench_id]:
+            print(f"FAIL: {bench_id or ratio!r} has no '{stat}' statistic")
+            return 1
+    num, den = current[num_id][stat], current[den_id][stat]
+    if not den:
+        print(f"FAIL: {den_id} {stat} is zero")
+        return 1
+    value = num / den
+    verdict = "ok" if value <= max_ratio else f"REGRESSION (> {max_ratio:.2f})"
+    print(f"{num_id} / {den_id}  {stat} {num} / {den} = {value:.3f}  {verdict}")
+    return 0 if value <= max_ratio else 1
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("current", help="freshly produced BENCH_<group>.json")
-    ap.add_argument("baseline", help="recorded baseline BENCH_<group>.json")
+    ap.add_argument(
+        "baseline",
+        nargs="?",
+        help="recorded baseline BENCH_<group>.json (not used with --ratio)",
+    )
+    ap.add_argument(
+        "--ratio",
+        default=None,
+        metavar="NUM/DEN",
+        help="gate CURRENT's NUM statistic over its DEN statistic instead "
+        "of comparing with a baseline",
+    )
+    ap.add_argument(
+        "--max-ratio",
+        type=float,
+        default=1.10,
+        help="largest allowed --ratio (default 1.10)",
+    )
     ap.add_argument(
         "--ids",
         default=None,
@@ -58,6 +98,10 @@ def main():
     args = ap.parse_args()
 
     current = load(args.current)
+    if args.ratio:
+        return check_ratio(current, args.ratio, args.stat, args.max_ratio)
+    if not args.baseline:
+        ap.error("BASELINE is required unless --ratio is given")
     baseline = load(args.baseline)
     if args.ids:
         ids = [i.strip() for i in args.ids.split(",") if i.strip()]

@@ -23,12 +23,19 @@
 //! count still overlap usefully (they block in I/O, not on the CPU).
 //! Besides wall time, the bench prints the simulated disk's transferred
 //! bytes per read — the numbers EXPERIMENTS.md records.
+//!
+//! A second group, `read_point_get`, times the opposite shape at memory
+//! speed: a one-cell read over one 16 384-point COO fragment plus three
+//! 64-point ones (a served store between consolidations), at
+//! `read_parallelism` auto and 1. Nothing in that plan can overlap, so
+//! the engine should plan one worker and `point-get-auto` should cost
+//! what `point-get-sequential` costs; CI gates the same-run ratio.
 
 use artsparse_core::FormatKind;
 use artsparse_metrics::OpCounter;
 use artsparse_patterns::rng::SplitMix64;
 use artsparse_storage::fragment::{decode_fragment, decode_meta, FragmentMeta};
-use artsparse_storage::{EngineConfig, SimulatedDisk, StorageBackend, StorageEngine};
+use artsparse_storage::{EngineConfig, MemBackend, SimulatedDisk, StorageBackend, StorageEngine};
 use artsparse_tensor::{CoordBuffer, Region, Shape};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::time::Duration;
@@ -181,5 +188,48 @@ fn bench_read_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_read_pipeline);
+/// One large COO fragment and three small ones on an in-memory device.
+fn point_get_store(config: EngineConfig) -> StorageEngine<MemBackend> {
+    let shape = Shape::new(vec![512, 512]).unwrap();
+    let engine =
+        StorageEngine::open_with(MemBackend::new(), FormatKind::Coo, shape, 8, config).unwrap();
+    let mut rng = SplitMix64::new(11);
+    for points in [16_384usize, 64, 64, 64] {
+        let mut coords = CoordBuffer::new(2);
+        for _ in 0..points {
+            coords
+                .push(&[rng.next_below(512), rng.next_below(512)])
+                .unwrap();
+        }
+        let values = vec![0x5Au8; points * 8];
+        engine.write(&coords, &values).unwrap();
+    }
+    engine
+}
+
+fn bench_point_get(c: &mut Criterion) {
+    let mut group = c.benchmark_group("read_point_get");
+    group
+        .sample_size(30)
+        .warm_up_time(Duration::from_millis(300))
+        .measurement_time(Duration::from_secs(2));
+    let query = CoordBuffer::from_points(2, &[[255u64, 255]]).unwrap();
+    let configs = [
+        ("point-get-auto", EngineConfig::default()),
+        (
+            "point-get-sequential",
+            EngineConfig::default().with_read_parallelism(1),
+        ),
+    ];
+    for (label, config) in configs {
+        let engine = point_get_store(config);
+        assert_eq!(engine.read(&query).unwrap().fragments_matched, 4);
+        group.bench_function(label, |b| {
+            b.iter(|| engine.read(&query).unwrap());
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_read_pipeline, bench_point_get);
 criterion_main!(benches);

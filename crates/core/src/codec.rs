@@ -21,6 +21,12 @@
 //! All integers are little-endian. Decoding is fully validated: truncated
 //! or corrupted buffers produce [`FormatError`]s, never panics — the
 //! failure-injection integration tests depend on this.
+//!
+//! A section can be taken two ways, through the same bounds checks:
+//! [`IndexDecoder::words`] borrows it in place as a [`Words`] view — what
+//! `Organization::read` uses, so a lookup materialises nothing — and
+//! [`IndexDecoder::section`] copies it out into a `Vec<u64>`, for
+//! `build`/`enumerate`/`convert`, which rearrange the words anyway.
 
 use crate::error::{FormatError, Result};
 use artsparse_tensor::Shape;
@@ -132,8 +138,11 @@ impl<'a> IndexDecoder<'a> {
         Ok((IndexHeader { format, n, shape }, IndexDecoder { rest: cur }))
     }
 
-    /// Read the next length-prefixed u64 section.
-    pub fn section(&mut self, what: &'static str) -> Result<Vec<u64>> {
+    /// Borrow the next length-prefixed u64 section in place: the length
+    /// prefix is read and checked against what is left of the buffer,
+    /// and nothing is copied. This is the one place a section's bounds
+    /// are validated; [`section`](Self::section) is this plus a copy.
+    pub fn words(&mut self, what: &'static str) -> Result<Words<'a>> {
         if self.rest.remaining() < 8 {
             return Err(FormatError::UnexpectedEof { reading: what });
         }
@@ -146,16 +155,14 @@ impl<'a> IndexDecoder<'a> {
         if self.rest.remaining() < bytes_needed {
             return Err(FormatError::UnexpectedEof { reading: what });
         }
-        let mut out = Vec::with_capacity(len_usize);
-        for _ in 0..len_usize {
-            out.push(self.rest.get_u64_le());
-        }
-        Ok(out)
+        let (section, rest) = self.rest.split_at(bytes_needed);
+        self.rest = rest;
+        Ok(Words { bytes: section })
     }
 
-    /// Read a section whose length must equal `expect`.
-    pub fn section_exact(&mut self, what: &'static str, expect: usize) -> Result<Vec<u64>> {
-        let s = self.section(what)?;
+    /// Borrow a section whose length must equal `expect`.
+    pub fn words_exact(&mut self, what: &'static str, expect: usize) -> Result<Words<'a>> {
+        let s = self.words(what)?;
         if s.len() != expect {
             return Err(FormatError::corrupt(format!(
                 "{what} has {} entries, expected {expect}",
@@ -163,6 +170,16 @@ impl<'a> IndexDecoder<'a> {
             )));
         }
         Ok(s)
+    }
+
+    /// Read the next length-prefixed u64 section into an owned vector.
+    pub fn section(&mut self, what: &'static str) -> Result<Vec<u64>> {
+        Ok(self.words(what)?.to_vec())
+    }
+
+    /// Read a section whose length must equal `expect`.
+    pub fn section_exact(&mut self, what: &'static str, expect: usize) -> Result<Vec<u64>> {
+        Ok(self.words_exact(what, expect)?.to_vec())
     }
 
     /// Assert the buffer is fully consumed.
@@ -175,6 +192,87 @@ impl<'a> IndexDecoder<'a> {
                 self.rest.len()
             )))
         }
+    }
+}
+
+/// A borrowed section of an encoded index: little-endian `u64` words read
+/// in place from the bytes a fetch returned (the stored `pos`/`crd`
+/// arrays of a level format), so a lookup touches only the words it
+/// compares. Obtained from [`IndexDecoder::words`], which has already
+/// checked the section's length against the buffer; indexing past
+/// [`len`](Self::len) panics, as it does on a slice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Words<'a> {
+    /// The section body, a whole number of 8-byte words.
+    bytes: &'a [u8],
+}
+
+impl<'a> Words<'a> {
+    /// View `bytes` as words; `None` unless it is a whole number of them.
+    pub fn new(bytes: &'a [u8]) -> Option<Self> {
+        bytes.len().is_multiple_of(8).then_some(Words { bytes })
+    }
+
+    /// Number of words.
+    pub fn len(&self) -> usize {
+        self.bytes.len() / 8
+    }
+
+    /// Whether the section holds no words.
+    pub fn is_empty(&self) -> bool {
+        self.bytes.is_empty()
+    }
+
+    /// Word `i`.
+    #[inline]
+    pub fn get(&self, i: usize) -> u64 {
+        let at = i * 8;
+        u64::from_le_bytes(self.bytes[at..at + 8].try_into().expect("8-byte word"))
+    }
+
+    /// The words `lo..hi`.
+    pub fn slice(&self, lo: usize, hi: usize) -> Words<'a> {
+        Words {
+            bytes: &self.bytes[lo * 8..hi * 8],
+        }
+    }
+
+    /// Every word in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = u64> + 'a {
+        self.bytes
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte word")))
+    }
+
+    /// Every adjacent pair `(w[i], w[i + 1])`, for order checks.
+    pub fn pairs(&self) -> impl Iterator<Item = (u64, u64)> + 'a {
+        self.iter().zip(self.iter().skip(1))
+    }
+
+    /// The section's bytes as stored (little-endian words).
+    pub fn as_bytes(&self) -> &'a [u8] {
+        self.bytes
+    }
+
+    /// Copy the words out.
+    pub fn to_vec(&self) -> Vec<u64> {
+        self.iter().collect()
+    }
+
+    /// Index of the first word for which `pred` is false, assuming the
+    /// section is partitioned by it (as `[T]::partition_point`): a binary
+    /// search over the stored bytes.
+    pub fn partition_point(&self, mut pred: impl FnMut(u64) -> bool) -> usize {
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if pred(self.get(mid)) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
     }
 }
 

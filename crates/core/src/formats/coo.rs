@@ -60,23 +60,37 @@ impl Organization for Coo {
             .into());
         }
         let n = header.n as usize;
-        let flat = dec.section_exact(
+        let flat = dec.words_exact(
             "coords",
             n.checked_mul(d)
                 .ok_or_else(|| crate::error::FormatError::corrupt("n*d overflows"))?,
         )?;
         dec.expect_end()?;
+        // The stored coordinates are little-endian words; encode the
+        // queries the same way once, and every comparison is a byte
+        // compare in place.
+        let stored = flat.as_bytes();
+        let encoded: Vec<u8> = queries
+            .as_flat()
+            .iter()
+            .flat_map(|c| c.to_le_bytes())
+            .collect();
 
         // Every query performs a full linear scan (no sorting, §II.A),
         // stopping at the first match. Queries shard across threads; shard
         // order preserves input order in the output.
         let out: Vec<Option<u64>> = par::par_map(queries.len(), Parallelism::current(), |qi| {
-            let q = queries.point(qi);
+            let q = &encoded[qi * d * 8..(qi + 1) * d * 8];
+            // One coordinate comparison per stored point: the first
+            // dimension as one inlined word compare (it settles nearly
+            // every mismatch), the rest only behind a first-dimension
+            // match.
+            let first: [u8; 8] = q[..8].try_into().expect("d >= 1");
             let mut compares = 0u64;
             let mut found = None;
-            for (j, p) in flat.chunks_exact(d).enumerate() {
+            for (j, p) in stored.chunks_exact(d * 8).enumerate() {
                 compares += 1;
-                if p == q {
+                if p[..8] == first && p[8..] == q[8..] {
                     found = Some(j as u64);
                     break;
                 }

@@ -15,8 +15,9 @@
 //! paper highlights in Fig. 4. Reads descend the tree once per query; each
 //! level's child range is sorted, so a binary search locates the branch.
 
-use crate::codec::{IndexDecoder, IndexEncoder};
+use crate::codec::{IndexDecoder, IndexEncoder, Words};
 use crate::error::{FormatError, Result};
+use crate::formats::csr2d::validate_ptr_words;
 use crate::traits::{BuildOutput, FormatKind, Organization};
 use artsparse_metrics::{OpCounter, OpKind};
 use artsparse_tensor::par::{self, Parallelism};
@@ -103,13 +104,51 @@ impl CsfTree {
         enc.finish()
     }
 
-    /// Decode and validate every structural invariant.
+    /// Decode and validate every structural invariant, copying the tree
+    /// out of the index. Reads look the tree up in place (`CsfView`); this
+    /// owning form serves enumeration, conversion and white-box tests.
     pub fn decode(index: &[u8]) -> Result<(CsfTree, u64)> {
+        let view = CsfView::decode(index)?;
+        Ok((
+            CsfTree {
+                shape: view.shape,
+                order: view.order,
+                nfibs: view.nfibs,
+                fids: view.fids.iter().map(Words::to_vec).collect(),
+                fptr: view.fptr.iter().map(Words::to_vec).collect(),
+            },
+            view.n,
+        ))
+    }
+
+    /// Total payload words (the quantity Fig. 4 measures for CSF).
+    pub fn payload_words(&self) -> u64 {
+        let fids: u64 = self.fids.iter().map(|f| f.len() as u64).sum();
+        let fptr: u64 = self.fptr.iter().map(|p| p.len() as u64).sum();
+        self.order.len() as u64 + self.nfibs.len() as u64 + fids + fptr
+    }
+}
+
+/// A CSF tree read in place from an encoded index: the per-level `fids`
+/// and `fptr` arrays stay in the fetched bytes, so a lookup touches only
+/// the words its binary searches compare. Decoding validates exactly what
+/// [`CsfTree::decode`] promises (it *is* that function's validation).
+struct CsfView<'a> {
+    shape: Shape,
+    order: Vec<usize>,
+    nfibs: Vec<u64>,
+    fids: Vec<Words<'a>>,
+    fptr: Vec<Words<'a>>,
+    /// Point count from the index header.
+    n: u64,
+}
+
+impl<'a> CsfView<'a> {
+    fn decode(index: &'a [u8]) -> Result<CsfView<'a>> {
         let (header, mut dec) = IndexDecoder::new(index, Some(FormatKind::Csf.id()))?;
         let d = header.shape.ndim();
-        let order_w = dec.section_exact("order", d)?;
         let mut order = Vec::with_capacity(d);
-        for &w in &order_w {
+        for w in dec.words_exact("order", d)?.iter() {
             let o = usize::try_from(w)
                 .ok()
                 .filter(|&o| o < d)
@@ -119,18 +158,18 @@ impl CsfTree {
         if !artsparse_tensor::permute::is_permutation(&order) {
             return Err(FormatError::corrupt("dimension order is not a permutation"));
         }
-        let nfibs = dec.section_exact("nfibs", d)?;
+        let nfibs = dec.words_exact("nfibs", d)?.to_vec();
         let mut fids = Vec::with_capacity(d);
         for &nf in &nfibs {
             let want =
                 usize::try_from(nf).map_err(|_| FormatError::corrupt("nfibs entry too large"))?;
-            fids.push(dec.section_exact("fids", want)?);
+            fids.push(dec.words_exact("fids", want)?);
         }
         let mut fptr = Vec::with_capacity(d - 1);
         for i in 0..d - 1 {
             let want = nfibs[i] as usize + 1;
-            let p = dec.section_exact("fptr", want)?;
-            crate::formats::csr2d::validate_ptr(&p, nfibs[i + 1], "fptr level")?;
+            let p = dec.words_exact("fptr", want)?;
+            validate_ptr_words(p.iter(), nfibs[i + 1], "fptr level")?;
             fptr.push(p);
         }
         dec.expect_end()?;
@@ -141,23 +180,14 @@ impl CsfTree {
                 header.n
             )));
         }
-        Ok((
-            CsfTree {
-                shape: header.shape,
-                order,
-                nfibs,
-                fids,
-                fptr,
-            },
-            header.n,
-        ))
-    }
-
-    /// Total payload words (the quantity Fig. 4 measures for CSF).
-    pub fn payload_words(&self) -> u64 {
-        let fids: u64 = self.fids.iter().map(|f| f.len() as u64).sum();
-        let fptr: u64 = self.fptr.iter().map(|p| p.len() as u64).sum();
-        self.order.len() as u64 + self.nfibs.len() as u64 + fids + fptr
+        Ok(CsfView {
+            shape: header.shape,
+            order,
+            nfibs,
+            fids,
+            fptr,
+            n: header.n,
+        })
     }
 
     /// Descend the tree for one (already dimension-permuted) query point.
@@ -172,7 +202,7 @@ impl CsfTree {
         for (i, &q) in qp.iter().enumerate().take(d) {
             visits += 1;
             // Children of one node are sorted ascending: binary search.
-            let seg = &self.fids[i][lo..hi];
+            let seg = self.fids[i].slice(lo, hi);
             let (pos, cmp) = binary_search_counted(seg, q);
             compares += cmp;
             match pos {
@@ -182,8 +212,8 @@ impl CsfTree {
                     if i == d - 1 {
                         found = Some(fi as u64);
                     } else {
-                        lo = self.fptr[i][fi] as usize;
-                        hi = self.fptr[i][fi + 1] as usize;
+                        lo = self.fptr[i].get(fi) as usize;
+                        hi = self.fptr[i].get(fi + 1) as usize;
                     }
                 }
             }
@@ -196,14 +226,14 @@ impl CsfTree {
 
 /// Binary search returning `(position, comparisons)`. For runs of equal
 /// values, returns the first.
-fn binary_search_counted(seg: &[u64], target: u64) -> (Option<usize>, u64) {
+fn binary_search_counted(seg: Words<'_>, target: u64) -> (Option<usize>, u64) {
     let mut lo = 0usize;
     let mut hi = seg.len();
     let mut compares = 0u64;
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
         compares += 1;
-        if seg[mid] < target {
+        if seg.get(mid) < target {
             lo = mid + 1;
         } else {
             hi = mid;
@@ -211,7 +241,7 @@ fn binary_search_counted(seg: &[u64], target: u64) -> (Option<usize>, u64) {
     }
     if lo < seg.len() {
         compares += 1;
-        if seg[lo] == target {
+        if seg.get(lo) == target {
             return (Some(lo), compares);
         }
     }
@@ -302,7 +332,7 @@ impl Organization for Csf {
         queries: &CoordBuffer,
         counter: &OpCounter,
     ) -> Result<Vec<Option<u64>>> {
-        let (tree, _n) = CsfTree::decode(index)?;
+        let tree = CsfView::decode(index)?;
         let d = tree.shape.ndim();
         if queries.ndim() != d {
             return Err(artsparse_tensor::TensorError::DimensionMismatch {
@@ -529,12 +559,16 @@ mod tests {
 
     #[test]
     fn binary_search_counts_and_finds_first() {
-        let seg = [2u64, 4, 4, 4, 9];
-        let (pos, _) = binary_search_counted(&seg, 4);
+        let bytes: Vec<u8> = [2u64, 4, 4, 4, 9]
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .collect();
+        let seg = Words::new(&bytes).unwrap();
+        let (pos, _) = binary_search_counted(seg, 4);
         assert_eq!(pos, Some(1));
-        let (pos, _) = binary_search_counted(&seg, 5);
+        let (pos, _) = binary_search_counted(seg, 5);
         assert_eq!(pos, None);
-        let (pos, _) = binary_search_counted(&[], 1);
+        let (pos, _) = binary_search_counted(Words::new(&[]).unwrap(), 1);
         assert_eq!(pos, None);
     }
 }

@@ -7,6 +7,7 @@
 //! CSR, column for CSC) plus one, and an `ind` array holding the other
 //! 2D coordinate of each point in bucket-sorted order.
 
+use crate::codec::Words;
 use crate::error::{FormatError, Result};
 use artsparse_tensor::Shape;
 
@@ -69,36 +70,50 @@ pub fn build_ptr(buckets: impl Iterator<Item = u64>, num_buckets: usize) -> Vec<
 
 /// Validate a decoded `ptr` array: monotone, starts at 0, ends at `n`.
 pub fn validate_ptr(ptr: &[u64], n: u64, what: &str) -> Result<()> {
-    if ptr.is_empty() {
+    validate_ptr_words(ptr.iter().copied(), n, what)
+}
+
+/// [`validate_ptr`] over any word sequence — one pass, so a borrowed
+/// [`Words`] section is checked in place.
+pub(crate) fn validate_ptr_words(
+    mut ptr: impl Iterator<Item = u64>,
+    n: u64,
+    what: &str,
+) -> Result<()> {
+    let Some(first) = ptr.next() else {
         return Err(FormatError::corrupt(format!("{what} is empty")));
-    }
-    if ptr[0] != 0 {
+    };
+    if first != 0 {
         return Err(FormatError::corrupt(format!("{what} does not start at 0")));
     }
-    if ptr.windows(2).any(|w| w[0] > w[1]) {
-        return Err(FormatError::corrupt(format!("{what} is not monotone")));
+    let mut last = first;
+    for p in ptr {
+        if last > p {
+            return Err(FormatError::corrupt(format!("{what} is not monotone")));
+        }
+        last = p;
     }
-    if *ptr.last().unwrap() != n {
+    if last != n {
         return Err(FormatError::corrupt(format!(
-            "{what} ends at {} instead of n={n}",
-            ptr.last().unwrap()
+            "{what} ends at {last} instead of n={n}"
         )));
     }
     Ok(())
 }
 
 /// Linearly scan one bucket's segment of `ind` for `target`, counting
-/// comparisons. Returns `(absolute position, comparisons)`.
+/// comparisons. Returns `(absolute position, comparisons)`. Both arrays
+/// are read in place from the encoded index.
 ///
 /// Both GCSR++ and GCSC++ read this way (Algorithm 1 lines 8–9) — the
 /// paper deliberately does *not* sort within a bucket, yielding the
 /// `O(n / min{m_i})` per-query scan of Table I.
 #[inline]
-pub fn scan_bucket(ind: &[u64], ptr: &[u64], bucket: u64, target: u64) -> (Option<u64>, u64) {
-    let lo = ptr[bucket as usize] as usize;
-    let hi = ptr[bucket as usize + 1] as usize;
+pub fn scan_bucket(ind: Words<'_>, ptr: Words<'_>, bucket: u64, target: u64) -> (Option<u64>, u64) {
+    let lo = ptr.get(bucket as usize) as usize;
+    let hi = ptr.get(bucket as usize + 1) as usize;
     let mut compares = 0u64;
-    for (off, &v) in ind[lo..hi].iter().enumerate() {
+    for (off, v) in ind.slice(lo, hi).iter().enumerate() {
         compares += 1;
         if v == target {
             return (Some((lo + off) as u64), compares);
@@ -362,6 +377,10 @@ mod csr_matrix_tests {
 mod tests {
     use super::*;
 
+    fn le_bytes(words: &[u64]) -> Vec<u8> {
+        words.iter().flat_map(|w| w.to_le_bytes()).collect()
+    }
+
     #[test]
     fn gcsr_remap_uses_min_dim_as_rows() {
         let s = Shape::new(vec![128, 8, 64]).unwrap();
@@ -415,23 +434,24 @@ mod tests {
 
     #[test]
     fn scan_bucket_finds_and_counts() {
-        let ind = vec![7u64, 3, 9, 1, 4];
-        let ptr = vec![0u64, 3, 5];
-        let (pos, cmp) = scan_bucket(&ind, &ptr, 0, 9);
+        let ind = le_bytes(&[7, 3, 9, 1, 4]);
+        let ptr = le_bytes(&[0, 3, 5]);
+        let (ind, ptr) = (Words::new(&ind).unwrap(), Words::new(&ptr).unwrap());
+        let (pos, cmp) = scan_bucket(ind, ptr, 0, 9);
         assert_eq!(pos, Some(2));
         assert_eq!(cmp, 3);
-        let (pos, cmp) = scan_bucket(&ind, &ptr, 1, 99);
+        let (pos, cmp) = scan_bucket(ind, ptr, 1, 99);
         assert_eq!(pos, None);
         assert_eq!(cmp, 2);
-        let (pos, _) = scan_bucket(&ind, &ptr, 1, 1);
+        let (pos, _) = scan_bucket(ind, ptr, 1, 1);
         assert_eq!(pos, Some(3));
     }
 
     #[test]
     fn empty_bucket_scans_zero() {
-        let ind: Vec<u64> = vec![];
-        let ptr = vec![0u64, 0, 0];
-        let (pos, cmp) = scan_bucket(&ind, &ptr, 0, 5);
+        let ptr = le_bytes(&[0, 0, 0]);
+        let (ind, ptr) = (Words::new(&[]).unwrap(), Words::new(&ptr).unwrap());
+        let (pos, cmp) = scan_bucket(ind, ptr, 0, 5);
         assert_eq!(pos, None);
         assert_eq!(cmp, 0);
     }

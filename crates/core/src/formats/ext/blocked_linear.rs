@@ -115,8 +115,9 @@ impl BlockedLinear {
         let global_dims = dec.section_exact("global dims", d)?;
         let block_dims = dec.section_exact("block dims", d)?;
         let n = header.n as usize;
-        let blocks = dec.section_exact("block ids", n)?;
-        let locals = dec.section_exact("local addrs", n)?;
+        // The two per-point arrays are searched in place.
+        let blocks = dec.words_exact("block ids", n)?;
+        let locals = dec.words_exact("local addrs", n)?;
         dec.expect_end()?;
         let grid = BlockGrid::new(&global_dims, &block_dims)?;
         if grid.grid_dims() != header.shape.dims() {
@@ -129,7 +130,7 @@ impl BlockedLinear {
             }
             .into());
         }
-        let pair_at = |i: usize| (blocks[i], locals[i]);
+        let pair_at = |i: usize| (blocks.get(i), locals.get(i));
         if (1..n).any(|i| pair_at(i - 1) > pair_at(i)) {
             return Err(FormatError::corrupt("blocked-LINEAR pairs not sorted"));
         }

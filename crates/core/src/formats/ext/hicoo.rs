@@ -13,9 +13,9 @@
 //! `block_ids` (`#blocks`, sorted ascending), `locals` (packed `n·d`
 //! bytes, 8 per word).
 
-use crate::codec::{IndexDecoder, IndexEncoder};
+use crate::codec::{IndexDecoder, IndexEncoder, Words};
 use crate::error::{FormatError, Result};
-use crate::formats::csr2d::validate_ptr;
+use crate::formats::csr2d::{validate_ptr, validate_ptr_words};
 use crate::traits::{BuildOutput, FormatKind, Organization};
 use artsparse_metrics::{OpCounter, OpKind};
 use artsparse_tensor::par::{self, Parallelism};
@@ -69,6 +69,16 @@ fn pack_locals(locals: &[u8]) -> Vec<u64> {
             u64::from_le_bytes(w)
         })
         .collect()
+}
+
+/// The first `n_bytes` packed local offsets of a borrowed locals section
+/// — [`unpack_locals`] without the copy: [`pack_locals`] wrote the bytes
+/// in order into little-endian words, so the stored bytes are the bytes.
+fn packed_locals(words: Words<'_>, n_bytes: usize) -> Result<&[u8]> {
+    if words.len() != n_bytes.div_ceil(8) {
+        return Err(FormatError::corrupt("locals section has wrong length"));
+    }
+    Ok(&words.as_bytes()[..n_bytes])
 }
 
 fn unpack_locals(words: &[u64], n_bytes: usize) -> Result<Vec<u8>> {
@@ -174,15 +184,17 @@ impl Organization for HiCoo {
         if !(1..=256).contains(&side) {
             return Err(FormatError::corrupt("block side out of byte range"));
         }
-        let bptr = dec.section("bptr")?;
+        // The three arrays are read in place; the byte-wide local offsets
+        // are the locals section's stored bytes as they are.
+        let bptr = dec.words("bptr")?;
         let nblocks = bptr.len().saturating_sub(1);
-        let block_ids = dec.section_exact("block ids", nblocks.max(1))?;
+        let block_ids = dec.words_exact("block ids", nblocks.max(1))?;
         let n = header.n as usize;
-        let locals_words = dec.section("locals")?;
+        let locals_words = dec.words("locals")?;
         dec.expect_end()?;
-        let locals = unpack_locals(&locals_words, n * d)?;
-        validate_ptr(&bptr, header.n, "bptr")?;
-        if block_ids.windows(2).any(|w| w[0] >= w[1]) && header.n > 0 && nblocks > 1 {
+        let locals = packed_locals(locals_words, n * d)?;
+        validate_ptr_words(bptr.iter(), header.n, "bptr")?;
+        if block_ids.pairs().any(|(a, b)| a >= b) && header.n > 0 && nblocks > 1 {
             return Err(FormatError::corrupt("block ids not strictly sorted"));
         }
         let grid = HiCoo { block_side: side }.grid_for(&shape)?;
@@ -197,12 +209,12 @@ impl Organization for HiCoo {
             let addr = grid.address(q).expect("contained");
             counter.inc(OpKind::Transform);
             // Binary-search the block, then scan its run.
-            let bi = block_ids.partition_point(|&b| b < addr.block);
+            let bi = block_ids.partition_point(|b| b < addr.block);
             let mut compares = (usize::BITS - block_ids.len().leading_zeros()) as u64;
             let mut found = None;
-            if bi < nblocks && block_ids[bi] == addr.block {
+            if bi < nblocks && block_ids.get(bi) == addr.block {
                 let target: Vec<u8> = (0..d).map(|k| (q[k] % block_dims[k]) as u8).collect();
-                for j in bptr[bi] as usize..bptr[bi + 1] as usize {
+                for j in bptr.get(bi) as usize..bptr.get(bi + 1) as usize {
                     compares += 1;
                     if locals[j * d..(j + 1) * d] == target[..] {
                         found = Some(j as u64);

@@ -86,9 +86,9 @@ impl Organization for SortedCoo {
         counter: &OpCounter,
     ) -> Result<Vec<Option<u64>>> {
         let (header, mut dec) = IndexDecoder::new(index, Some(FormatKind::SortedCoo.id()))?;
-        let addrs = dec.section_exact("addresses", header.n as usize)?;
+        let addrs = dec.words_exact("addresses", header.n as usize)?;
         dec.expect_end()?;
-        if addrs.windows(2).any(|w| w[0] > w[1]) {
+        if addrs.pairs().any(|(a, b)| a > b) {
             return Err(FormatError::corrupt("sorted-COO addresses not sorted"));
         }
         let shape = header.shape;
@@ -107,13 +107,13 @@ impl Organization for SortedCoo {
             }
             let target = shape.linearize_unchecked(q);
             counter.inc(OpKind::Transform);
-            let pos = addrs.partition_point(|&a| a < target);
+            let pos = addrs.partition_point(|a| a < target);
             // log2(n)+1 comparisons for the search plus the verify.
             counter.add(
                 OpKind::Compare,
                 (usize::BITS - addrs.len().leading_zeros()) as u64 + 1,
             );
-            if pos < addrs.len() && addrs[pos] == target {
+            if pos < addrs.len() && addrs.get(pos) == target {
                 Some(pos as u64)
             } else {
                 None

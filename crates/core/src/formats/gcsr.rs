@@ -14,7 +14,7 @@
 
 use crate::codec::{IndexDecoder, IndexEncoder};
 use crate::error::Result;
-use crate::formats::csr2d::{build_ptr, scan_bucket, validate_ptr, Remap2D};
+use crate::formats::csr2d::{build_ptr, scan_bucket, validate_ptr, validate_ptr_words, Remap2D};
 use crate::traits::{BuildOutput, FormatKind, Organization};
 use artsparse_metrics::{OpCounter, OpKind};
 use artsparse_tensor::par::{self, Parallelism};
@@ -155,23 +155,22 @@ pub(crate) fn read_generalized(
     }
     let remap = remap_of(&s_l);
     let nb = bucket_count(&remap) as usize;
-    let ptr = dec.section_exact("ptr", nb + 1)?;
-    let ind = dec.section_exact("ind", header.n as usize)?;
+    // Both arrays stay where the fetch put them: validated in one pass
+    // each, then read in place.
+    let ptr = dec.words_exact("ptr", nb + 1)?;
+    let ind = dec.words_exact("ind", header.n as usize)?;
     dec.expect_end()?;
-    validate_ptr(&ptr, header.n, "ptr")?;
-    if ind.iter().any(|&v| {
-        let limit = if nb as u64 == remap.rows {
-            remap.cols
-        } else {
-            remap.rows
-        };
-        v >= limit
-    }) {
+    validate_ptr_words(ptr.iter(), header.n, "ptr")?;
+    let limit = if nb as u64 == remap.rows {
+        remap.cols
+    } else {
+        remap.rows
+    };
+    if ind.iter().any(|v| v >= limit) {
         return Err(crate::error::FormatError::corrupt(
             "ind entry out of 2D range",
         ));
     }
-
     // Lines 6–13: transform each query the same way and scan one bucket.
     // Queries shard across threads; concatenation in shard order keeps
     // the output in input order.
@@ -186,7 +185,7 @@ pub(crate) fn read_generalized(
         let (row, col) = remap.decode(l);
         let (bucket, target) = split(row, col);
         counter.inc(OpKind::Transform);
-        let (slot, compares) = scan_bucket(&ind, &ptr, bucket, target);
+        let (slot, compares) = scan_bucket(ind, ptr, bucket, target);
         counter.add(OpKind::Compare, compares);
         slot
     });

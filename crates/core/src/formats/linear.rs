@@ -53,7 +53,7 @@ impl Organization for Linear {
         counter: &OpCounter,
     ) -> Result<Vec<Option<u64>>> {
         let (header, mut dec) = IndexDecoder::new(index, Some(FormatKind::Linear.id()))?;
-        let addrs = dec.section_exact("addresses", header.n as usize)?;
+        let addrs = dec.words_exact("addresses", header.n as usize)?;
         dec.expect_end()?;
         let shape = header.shape;
         if queries.ndim() != shape.ndim() {
@@ -75,7 +75,7 @@ impl Organization for Linear {
             counter.inc(OpKind::Transform);
             let mut compares = 0u64;
             let mut found = None;
-            for (j, &a) in addrs.iter().enumerate() {
+            for (j, a) in addrs.iter().enumerate() {
                 compares += 1;
                 if a == target {
                     found = Some(j as u64);

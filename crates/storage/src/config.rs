@@ -380,9 +380,14 @@ pub struct EngineConfig {
     /// from the device, which keeps transferred-byte accounting exact
     /// for the I/O experiments. Enable it for repeat-read workloads.
     pub cache_capacity_bytes: usize,
-    /// Worker threads for per-fragment fetch → decode → read execution.
-    /// Zero (the default) uses the host's available parallelism; one
-    /// forces the sequential reference path.
+    /// Upper bound on the threads (the caller included) one read spreads
+    /// its planned fragments over for fetch → decode → lookup. Zero (the
+    /// default) bounds it by the host's available parallelism; one forces
+    /// the sequential reference path. Within the bound the engine decides
+    /// per read: it fans out only when the fragments beside the largest
+    /// one hold more work than the extra threads cost to spawn
+    /// (DESIGN.md §8), so a point read over a few small fragments runs on
+    /// the caller alone whatever this is set to.
     pub read_parallelism: usize,
     /// Collect runtime telemetry (span traces, per-operation I/O
     /// accounting, latency histograms). Off by default: the disabled path
@@ -460,14 +465,22 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// The number of worker threads the read executor will actually use.
+    /// The most threads the read executor may use: [`read_parallelism`],
+    /// or the host's available parallelism when that is zero. The host is
+    /// asked once per process — the answer costs a syscall and a walk of
+    /// the cgroup files, and a read consults this bound every time.
+    ///
+    /// [`read_parallelism`]: EngineConfig::read_parallelism
     pub fn effective_parallelism(&self) -> usize {
+        static HOST: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
         if self.read_parallelism > 0 {
             self.read_parallelism
         } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
+            *HOST.get_or_init(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
+            })
         }
     }
 

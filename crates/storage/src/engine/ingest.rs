@@ -128,17 +128,13 @@ impl<B: StorageBackend> StorageEngine<B> {
             return Ok(None);
         }
         let _span = Span::enter(&self.recorder, SpanKind::IngestFlush);
-        let mut coords = CoordBuffer::with_capacity(self.shape.ndim(), snapshot.len());
-        let mut payload = Vec::with_capacity(snapshot.len() * self.elem_size as usize);
         // The snapshot is deduplicated (the latest append per address
-        // survives) and iterates in address order — exactly what the
+        // survives) and laid out in address order — exactly what the
         // within-fragment precedence rule needs (reads take the first
         // matching slot) and what the sort-eliding builders accept.
-        for (coord, record) in snapshot.points.values() {
-            coords.push(coord)?;
-            payload.extend_from_slice(record);
-        }
-        let report = self.write_with(self.kind, &coords, &payload, None, None, true)?;
+        let coords = CoordBuffer::from_flat(self.shape.ndim(), snapshot.flat_coords().to_vec())?;
+        let payload = snapshot.flat_values();
+        let report = self.write_with(self.kind, &coords, payload, None, None, true)?;
         // The fragment is committed: retire the covered batches and their
         // WAL blobs. Retirement is cleanup, not correctness — a blob that
         // survives (crash, or a delete failure queued for retry) replays

@@ -13,10 +13,11 @@ use crate::cache::DecodedFragment;
 use crate::catalog::CatalogEntry;
 use crate::codec::Codec;
 use crate::error::{Result, StorageError};
-use crate::fragment::{decode_index_section, decode_meta, decode_value_section};
+use crate::fragment::{decode_index_section, decode_meta, decode_value_section, FragmentMeta};
 use artsparse_metrics::{charge, IoStats, Span, SpanContext, SpanKind};
 use artsparse_tensor::value::Element;
 use artsparse_tensor::{CoordBuffer, Region};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -36,6 +37,100 @@ const RUN_COALESCE_GAP_BYTES: u64 = 256;
 /// slots are so scattered that one whole-section fetch is cheaper than
 /// paying per-request latency for every little run.
 const MAX_VALUE_RUNS: usize = 16;
+
+/// What one scoped worker thread costs to spawn and join, measured on the
+/// 2-core development host (45–60 µs; DESIGN.md §8 has the measurement).
+const SPAWN_JOIN_NS: u64 = 60_000;
+
+/// An extra read worker is spawned only for at least this many times its
+/// own [`SPAWN_JOIN_NS`] of work that can run beside the caller's.
+const FAN_OUT_FACTOR: u64 = 2;
+
+/// Index bytes one core passes over per nanosecond in a lookup scan:
+/// LINEAR's rate on the development host (0.05 ns/B; COO's wider
+/// records go at 0.02 ns/B).
+const SCAN_BYTES_PER_NS: u64 = 20;
+
+/// What fetching and verifying a fragment's index costs, in scan passes
+/// over it: the range copy plus the CRC32C come to 0.14–0.2 ns/B from
+/// the in-memory backend, and more from any real device.
+const FETCH_PASSES: u64 = 4;
+
+/// How many threads (the caller included) a read should spread its
+/// planned fragments over: the pure decision in front of
+/// [`StorageEngine::execute_plan`].
+///
+/// It uses only what the catalog already knows — each planned fragment's
+/// stored index length — and the query count. A fragment is estimated at
+/// one fetch ([`FETCH_PASSES`]) plus one pass over its index per query,
+/// which is what COO and LINEAR do and an overestimate for the searched
+/// organizations (plans big enough for the difference to matter fan out
+/// on the fetch term alone). Work can only overlap beside the largest
+/// fragment, so what counts is everything *but* it, and each worker
+/// beyond the caller must be paid for [`FAN_OUT_FACTOR`] times over in
+/// [`SPAWN_JOIN_NS`]. `cap` — [`EngineConfig::effective_parallelism`] —
+/// is the upper bound; `1` is always the sequential path.
+///
+/// [`EngineConfig::effective_parallelism`]: crate::config::EngineConfig::effective_parallelism
+fn planned_workers(
+    cap: usize,
+    index_lens: impl IntoIterator<Item = u64>,
+    n_queries: usize,
+) -> usize {
+    let passes = FETCH_PASSES.saturating_add(n_queries as u64);
+    let (mut fragments, mut total_ns, mut largest_ns) = (0usize, 0u64, 0u64);
+    for len in index_lens {
+        let ns = len.saturating_mul(passes) / SCAN_BYTES_PER_NS;
+        fragments += 1;
+        total_ns = total_ns.saturating_add(ns);
+        largest_ns = largest_ns.max(ns);
+    }
+    let affordable = (total_ns - largest_ns) / (FAN_OUT_FACTOR * SPAWN_JOIN_NS);
+    let bound = cap.min(fragments).max(1);
+    1 + affordable.min(bound as u64 - 1) as usize
+}
+
+/// A verified, decoded section that owns its bytes without having copied
+/// them: the fetched buffer itself from `start` on when the section was
+/// stored uncompressed, the decompressed payload otherwise.
+struct Payload {
+    buf: Vec<u8>,
+    start: usize,
+}
+
+/// [`decode_index_section`] or [`decode_value_section`].
+type SectionDecoder = for<'a> fn(&str, &FragmentMeta, &'a [u8]) -> Result<Cow<'a, [u8]>>;
+
+impl Payload {
+    /// Verify and decode the stored section occupying `buf[start..]`.
+    fn decode(
+        name: &str,
+        meta: &FragmentMeta,
+        decoder: SectionDecoder,
+        buf: Vec<u8>,
+        start: usize,
+    ) -> Result<Payload> {
+        let section = buf
+            .get(start..)
+            .ok_or_else(|| StorageError::corrupt(name, "fragment truncated inside the header"))?;
+        // A borrowed payload is `section` itself: keep the buffer.
+        let decompressed = match decoder(name, meta, section)? {
+            Cow::Owned(payload) => Some(payload),
+            Cow::Borrowed(_) => None,
+        };
+        Ok(decompressed.map_or(Payload { buf, start }, |buf| Payload { buf, start: 0 }))
+    }
+
+    fn bytes(&self) -> &[u8] {
+        &self.buf[self.start..]
+    }
+
+    /// The payload as its own vector (for the decoded-fragment cache).
+    fn into_vec(mut self) -> Vec<u8> {
+        self.buf.drain(..self.start);
+        self.buf
+    }
+}
 
 /// Sentinel fragment name a [`ReadHit`] carries when the hit was served
 /// from the streaming-ingest write buffer rather than a committed
@@ -165,6 +260,19 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// catalog, fetch/decode matched fragments (in parallel), merge hits
     /// by linear address.
     pub fn read(&self, queries: &CoordBuffer) -> Result<ReadResult> {
+        self.read_with(queries, None)
+    }
+
+    /// [`read`](Self::read) with the per-fragment executor forced to
+    /// `workers` threads whatever [`planned_workers`] would decide — the
+    /// hook tests use to reach the fan-out on plans too small to earn it.
+    /// Results never depend on the width.
+    #[doc(hidden)]
+    pub fn read_at_width(&self, queries: &CoordBuffer, workers: usize) -> Result<ReadResult> {
+        self.read_with(queries, Some(workers))
+    }
+
+    fn read_with(&self, queries: &CoordBuffer, forced_width: Option<usize>) -> Result<ReadResult> {
         let mut result = ReadResult::default();
         if queries.is_empty() {
             return Ok(result);
@@ -224,9 +332,17 @@ impl<B: StorageBackend> StorageEngine<B> {
                 }
             }
 
-            // Fetch → decode → per-fragment read, in parallel; outcomes
-            // come back in fragment (write) order.
-            let per_fragment = self.execute_plan(&plan.fragments, queries)?;
+            // Fetch → decode → per-fragment read, on as many threads as
+            // the plan can pay for; outcomes come back in fragment
+            // (write) order.
+            let workers = forced_width.unwrap_or_else(|| {
+                planned_workers(
+                    self.config.effective_parallelism(),
+                    plan.fragments.iter().map(|entry| entry.meta.index_len),
+                    queries.len(),
+                )
+            });
+            let per_fragment = self.execute_plan(&plan.fragments, queries, workers)?;
             let vanished = per_fragment
                 .iter()
                 .filter(|o| matches!(o, FragmentOutcome::Vanished))
@@ -266,12 +382,12 @@ impl<B: StorageBackend> StorageEngine<B> {
                 let mut overlay: Vec<ReadHit> = Vec::new();
                 for qi in 0..queries.len() {
                     let addr = self.shape.linearize(queries.point(qi))?;
-                    if let Some((coord, record)) = buffered.points.get(&addr) {
+                    if let Some((coord, record)) = buffered.get(addr) {
                         overlay.push(ReadHit {
                             query_index: qi,
                             addr,
-                            coord: coord.clone(),
-                            value: record.clone(),
+                            coord: coord.to_vec(),
+                            value: record.to_vec(),
                             fragment: BUFFER_FRAGMENT.to_string(),
                         });
                     }
@@ -304,13 +420,14 @@ impl<B: StorageBackend> StorageEngine<B> {
         self.read(&region.to_coords())
     }
 
-    /// Run `read_fragment` over the planned fragments, spreading them
-    /// across worker threads, and return each fragment's outcome in plan
-    /// (write) order. Errors surface deterministically: the first failed
-    /// fragment in plan order wins regardless of thread timing.
+    /// Run `read_fragment` over the planned fragments on `workers` threads
+    /// — the calling thread and `workers − 1` scoped ones, all draining
+    /// one queue — and return each fragment's outcome in plan (write)
+    /// order. Errors surface deterministically: the first failed fragment
+    /// in plan order wins regardless of thread timing.
     ///
-    /// Workers inherit the read's span context: their spans carry its
-    /// trace id, and whatever they charge outside a span of their own
+    /// Spawned workers inherit the read's span context: their spans carry
+    /// its trace id, and whatever they charge outside a span of their own
     /// (a quarantine, say) is merged into the read's innermost frame after
     /// the join — the read's telemetry does not depend on the thread
     /// count. With telemetry off there is no context and no extra work.
@@ -318,19 +435,16 @@ impl<B: StorageBackend> StorageEngine<B> {
         &self,
         fragments: &[Arc<CatalogEntry>],
         queries: &CoordBuffer,
+        workers: usize,
     ) -> Result<Vec<FragmentOutcome>> {
-        let threads = self
-            .config
-            .effective_parallelism()
-            .min(fragments.len())
-            .max(1);
-        if threads == 1 {
+        let workers = workers.min(fragments.len()).max(1);
+        if workers == 1 {
             return fragments
                 .iter()
                 .map(|entry| self.read_fragment_or_skip(entry, queries))
                 .collect();
         }
-        // Per-fragment result slot: None until its worker fills it.
+        // Per-fragment result slot: None until a thread fills it.
         type Slot = parking_lot::Mutex<Option<Result<FragmentOutcome>>>;
         let next = AtomicUsize::new(0);
         let outputs: Vec<Slot> = (0..fragments.len())
@@ -344,7 +458,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         let context = SpanContext::current();
         let worker_io = parking_lot::Mutex::new(IoStats::default());
         std::thread::scope(|scope| {
-            for _ in 0..threads {
+            for _ in 1..workers {
                 scope.spawn(|| match context {
                     Some(context) => {
                         let ((), io) = context.run(drain_queue);
@@ -353,6 +467,8 @@ impl<B: StorageBackend> StorageEngine<B> {
                     None => drain_queue(),
                 });
             }
+            // The caller is a worker too, charging its own open frames.
+            drain_queue();
         });
         if context.is_some() {
             charge(|io| io.merge(&worker_io.into_inner()));
@@ -416,9 +532,10 @@ impl<B: StorageBackend> StorageEngine<B> {
             self.cache.get(name)
         };
         if decoded.is_none() && self.cache.is_enabled() {
-            // Decode the whole fragment once so the next read is free.
+            // Decode the whole fragment once so the next read is free
+            // (the probe above was this read's one cache lookup).
             let _fetch = Span::enter(&self.recorder, SpanKind::ReadFetch);
-            decoded = Some(self.fetch_decoded(entry)?);
+            decoded = Some(self.fetch_into_cache(entry)?);
         }
         if let Some(decoded) = decoded {
             let _decode = Span::enter(&self.recorder, SpanKind::ReadDecode);
@@ -434,7 +551,8 @@ impl<B: StorageBackend> StorageEngine<B> {
         let matched: Vec<(usize, u64)> = {
             let _decode = Span::enter(&self.recorder, SpanKind::ReadDecode);
             let org = meta.kind.create();
-            let slots = self.observed_parallel(|| org.read(&index, queries, &self.counter))?;
+            let slots =
+                self.observed_parallel(|| org.read(index.bytes(), queries, &self.counter))?;
             slots
                 .into_iter()
                 .enumerate()
@@ -501,12 +619,8 @@ impl<B: StorageBackend> StorageEngine<B> {
         slots.dedup();
 
         let whole_section = |records: &mut HashMap<u64, Vec<u8>>| -> Result<()> {
-            let values = self.retry_read(name, || {
-                let section =
-                    self.backend
-                        .get_range(name, meta.value_offset(), meta.value_len as usize)?;
-                decode_value_section(name, meta, &section)
-            })?;
+            let values = self.fetch_value_section(entry)?;
+            let values = values.bytes();
             for &slot in &slots {
                 let start = slot as usize * elem;
                 records.insert(slot, values[start..start + elem].to_vec());
@@ -604,8 +718,9 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// request, re-validating the on-device header against the catalog —
     /// a blob mutated behind the engine's back (corruption, an external
     /// rewrite) must fail the read, not silently serve stale or garbage
-    /// metadata.
-    fn fetch_validated_index(&self, entry: &CatalogEntry) -> Result<Vec<u8>> {
+    /// metadata. An uncompressed index is handed back inside the fetched
+    /// buffer, not copied out of it.
+    fn fetch_validated_index(&self, entry: &CatalogEntry) -> Result<Payload> {
         let name = &entry.name;
         let meta = &entry.meta;
         let head_len = meta.index_offset() + meta.index_len;
@@ -618,10 +733,20 @@ impl<B: StorageBackend> StorageEngine<B> {
                     "header on device no longer matches the catalog",
                 ));
             }
-            let section = head.get(meta.index_offset() as usize..).ok_or_else(|| {
-                StorageError::corrupt(name, "fragment truncated inside the header")
-            })?;
-            decode_index_section(name, meta, section)
+            let at = meta.index_offset() as usize;
+            Payload::decode(name, meta, decode_index_section, head, at)
+        })
+    }
+
+    /// Fetch, verify and decode the fragment's whole value section.
+    fn fetch_value_section(&self, entry: &CatalogEntry) -> Result<Payload> {
+        let name = &entry.name;
+        let meta = &entry.meta;
+        self.retry_read(name, || {
+            let section =
+                self.backend
+                    .get_range(name, meta.value_offset(), meta.value_len as usize)?;
+            Payload::decode(name, meta, decode_value_section, section, 0)
         })
     }
 
@@ -629,24 +754,21 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// nothing, a miss transfers both sections and makes the decode
     /// resident (if the cache is enabled and it fits).
     pub(super) fn fetch_decoded(&self, entry: &CatalogEntry) -> Result<Arc<DecodedFragment>> {
-        let name = &entry.name;
-        if let Some(decoded) = self.cache.get(name) {
-            return Ok(decoded);
+        match self.cache.get(&entry.name) {
+            Some(decoded) => Ok(decoded),
+            None => self.fetch_into_cache(entry),
         }
-        let meta = &entry.meta;
-        let index = self.fetch_validated_index(entry)?;
-        let values = self.retry_read(name, || {
-            let vsec =
-                self.backend
-                    .get_range(name, meta.value_offset(), meta.value_len as usize)?;
-            decode_value_section(name, meta, &vsec)
-        })?;
+    }
+
+    /// The miss half of [`Self::fetch_decoded`], for a caller that has
+    /// already probed the cache: fetch both sections, decode, insert.
+    fn fetch_into_cache(&self, entry: &CatalogEntry) -> Result<Arc<DecodedFragment>> {
         let decoded = Arc::new(DecodedFragment {
-            index,
-            values,
-            meta: meta.clone(),
+            index: self.fetch_validated_index(entry)?.into_vec(),
+            values: self.fetch_value_section(entry)?.into_vec(),
+            meta: entry.meta.clone(),
         });
-        self.cache.insert(name, decoded.clone());
+        self.cache.insert(&entry.name, decoded.clone());
         Ok(decoded)
     }
 }
@@ -772,14 +894,91 @@ mod tests {
     }
 
     #[test]
+    fn planned_workers_fans_out_only_when_it_pays() {
+        const KB: u64 = 1024;
+        let paper_matrix = [170 * KB; 32];
+        // (what, cap, planned index lengths, queries, expected workers)
+        let table: [(&str, usize, &[u64], usize, usize); 9] = [
+            ("empty plan", 8, &[], 1, 1),
+            ("one fragment", 8, &[262 * KB], 256, 1),
+            // serve-query's GET: everything but the big fragment is 3 KB.
+            ("point get", 8, &[262 * KB, KB, KB, KB], 1, 1),
+            (
+                "point get, order irrelevant",
+                8,
+                &[KB, KB, 262 * KB, KB],
+                1,
+                1,
+            ),
+            // paper-matrix's batch: 31 × 170 KB can overlap.
+            ("batch over 32 fragments", 2, &paper_matrix, 256, 2),
+            (
+                "batch over 32 fragments, wide host",
+                64,
+                &paper_matrix,
+                256,
+                32,
+            ),
+            // 256 cells over small fragments is real scanning work.
+            (
+                "box over small fragments",
+                2,
+                &[262 * KB, 8 * KB, 8 * KB, 8 * KB],
+                256,
+                2,
+            ),
+            ("the cap is an upper bound", 1, &paper_matrix, 256, 1),
+            ("a zero cap still reads", 0, &paper_matrix, 256, 1),
+        ];
+        for (what, cap, lens, queries, want) in table {
+            assert_eq!(
+                planned_workers(cap, lens.iter().copied(), queries),
+                want,
+                "{what}"
+            );
+        }
+        // Two equal fragments: one of them is overlappable work, and it
+        // takes FAN_OUT_FACTOR × SPAWN_JOIN_NS of it to buy the thread.
+        let break_even = FAN_OUT_FACTOR * SPAWN_JOIN_NS * SCAN_BYTES_PER_NS / (FETCH_PASSES + 1);
+        assert_eq!(planned_workers(2, [break_even; 2], 1), 2);
+        assert_eq!(
+            planned_workers(2, [break_even - SCAN_BYTES_PER_NS; 2], 1),
+            1
+        );
+    }
+
+    #[test]
+    fn a_cold_cached_read_probes_the_cache_once() {
+        let e = StorageEngine::open_with(
+            MemBackend::new(),
+            FormatKind::GcsrPP,
+            Shape::new(vec![16, 16]).unwrap(),
+            8,
+            EngineConfig::default().with_cache_capacity(1 << 20),
+        )
+        .unwrap();
+        e.write_points::<f64>(&coords(&[[1, 2], [5, 5]]), &[1.0, 2.0])
+            .unwrap();
+        let q = coords(&[[5, 5]]);
+        e.read(&q).unwrap();
+        let cold = e.cache().stats();
+        assert_eq!((cold.hits, cold.misses), (0, 1), "one fragment, one miss");
+        e.read(&q).unwrap();
+        let warm = e.cache().stats();
+        assert_eq!((warm.hits, warm.misses), (1, 1));
+    }
+
+    #[test]
     fn parallel_and_sequential_reads_agree() {
         // The same store with one corrupted fragment, read degraded on 1
-        // and on 4 fetch threads. The hits agree, and so does the
+        // and on 4 fetch threads (forced: six 8-point fragments are far
+        // too little work for `planned_workers` to fan out on its own).
+        // The hits agree, and so does the
         // telemetry: whatever a worker charges (the quarantine, the
         // retries of the checksum mismatch, bytes fetched, coalesced
         // ranges) lands in the read's totals wherever the fragment was
         // read, and worker spans stay in the read's trace.
-        let read_on = |read_parallelism: usize| {
+        let read_on = |width: usize| {
             let e = StorageEngine::open_with(
                 MemBackend::new(),
                 FormatKind::Linear,
@@ -788,7 +987,6 @@ mod tests {
                 EngineConfig::default()
                     .with_telemetry(true)
                     .with_strict_reads(false)
-                    .with_read_parallelism(read_parallelism)
                     .with_retry(crate::config::RetryPolicy {
                         max_attempts: 3,
                         base_backoff: Duration::ZERO,
@@ -809,7 +1007,7 @@ mod tests {
             bytes[at] ^= 0x10;
             e.backend().put(&victim, &bytes).unwrap();
             let q = Region::from_corners(&[0, 0], &[31, 7]).unwrap().to_coords();
-            let r = e.read(&q).unwrap();
+            let r = e.read_at_width(&q, width).unwrap();
             assert_eq!(r.outcome.quarantined, vec![victim]);
             (r, e.telemetry_report().unwrap())
         };

@@ -49,6 +49,7 @@ use crate::integrity::crc32c;
 use artsparse_core::FormatKind;
 use artsparse_tensor::{Region, Shape};
 use bytes::{Buf, BufMut};
+use std::borrow::Cow;
 
 /// `"ASFR"` as a little-endian u32.
 pub const FRAGMENT_MAGIC: u32 = u32::from_le_bytes(*b"ASFR");
@@ -184,22 +185,41 @@ fn check_crc(name: &str, section: FragmentSection, expected: u32, bytes: &[u8]) 
 /// [`FragmentMeta::index_offset`]) into the uncompressed index payload.
 /// Verifies the section checksum before decompressing; a short
 /// section means the device returned fewer bytes than the header
-/// promised — a truncated or externally modified fragment.
-pub fn decode_index_section(name: &str, meta: &FragmentMeta, section: &[u8]) -> Result<Vec<u8>> {
+/// promised — a truncated or externally modified fragment. An
+/// uncompressed section ([`Codec::None`]) is returned borrowed: the
+/// verified bytes *are* the payload.
+pub fn decode_index_section<'a>(
+    name: &str,
+    meta: &FragmentMeta,
+    section: &'a [u8],
+) -> Result<Cow<'a, [u8]>> {
     verify_section_checksum(name, meta, FragmentSection::Index, section)?;
-    meta.index_codec
-        .decompress(section, meta.index_raw_len as usize)
+    decompress_section(meta.index_codec, section, meta.index_raw_len)
         .map_err(|e| StorageError::corrupt(name, format!("index payload: {e}")))
 }
 
 /// Decode the stored value section (as fetched from
 /// [`FragmentMeta::value_offset`]) into the uncompressed value payload.
-/// Verifies the section checksum before decompressing.
-pub fn decode_value_section(name: &str, meta: &FragmentMeta, section: &[u8]) -> Result<Vec<u8>> {
+/// Verifies the section checksum before decompressing; borrows when the
+/// section is uncompressed, like [`decode_index_section`].
+pub fn decode_value_section<'a>(
+    name: &str,
+    meta: &FragmentMeta,
+    section: &'a [u8],
+) -> Result<Cow<'a, [u8]>> {
     verify_section_checksum(name, meta, FragmentSection::Value, section)?;
-    meta.value_codec
-        .decompress(section, meta.value_raw_len as usize)
+    decompress_section(meta.value_codec, section, meta.value_raw_len)
         .map_err(|e| StorageError::corrupt(name, format!("value payload: {e}")))
+}
+
+/// A verified stored section as its payload: the bytes themselves when no
+/// codec was applied and the length is the raw length the header
+/// promises, a decompressed (and length-checked) copy otherwise.
+fn decompress_section(codec: Codec, section: &[u8], raw_len: u64) -> Result<Cow<'_, [u8]>> {
+    if codec == Codec::None && section.len() as u64 == raw_len {
+        return Ok(Cow::Borrowed(section));
+    }
+    codec.decompress(section, raw_len as usize).map(Cow::Owned)
 }
 
 /// Assemble a fragment file, applying the codecs to the payloads.
@@ -381,8 +401,8 @@ pub fn decode_fragment(name: &str, bytes: &[u8]) -> Result<(FragmentMeta, Vec<u8
     }
     let stored_index = &bytes[header..header + meta.index_len as usize];
     let stored_values = &bytes[header + meta.index_len as usize..];
-    let index = decode_index_section(name, &meta, stored_index)?;
-    let values = decode_value_section(name, &meta, stored_values)?;
+    let index = decode_index_section(name, &meta, stored_index)?.into_owned();
+    let values = decode_value_section(name, &meta, stored_values)?.into_owned();
     Ok((meta, index, values))
 }
 
@@ -464,8 +484,8 @@ mod tests {
                 [meta.index_offset() as usize..(meta.index_offset() + meta.index_len) as usize];
             let vsec = &bytes
                 [meta.value_offset() as usize..(meta.value_offset() + meta.value_len) as usize];
-            assert_eq!(decode_index_section("t", &meta, isec).unwrap(), index);
-            assert_eq!(decode_value_section("t", &meta, vsec).unwrap(), values);
+            assert_eq!(*decode_index_section("t", &meta, isec).unwrap(), index[..]);
+            assert_eq!(*decode_value_section("t", &meta, vsec).unwrap(), values[..]);
             assert_eq!(meta.value_offset() + meta.value_len, meta.total_len());
         }
     }

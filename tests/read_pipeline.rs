@@ -87,17 +87,19 @@ proptest! {
             .map(|q| model.get(&shape.linearize(q).unwrap()).and_then(|v| v.last().copied()))
             .collect();
         for kind in [FormatKind::Linear, FormatKind::Coo, FormatKind::Csf] {
+            // Stores this small never earn a fan-out on their own (the
+            // engine plans one worker), so the configurations that are
+            // here for the parallel executor force its width.
             let configs = [
-                EngineConfig::default(), // parallel section/range fetch, no cache
-                EngineConfig::default().with_read_parallelism(3),
-                EngineConfig::default().with_cache_capacity(1 << 20),
-                EngineConfig::default()
-                    .with_read_parallelism(2)
-                    .with_cache_capacity(512), // cache under eviction pressure
+                (EngineConfig::default(), None), // section/range fetch, no cache
+                (EngineConfig::default(), Some(3)),
+                (EngineConfig::default().with_cache_capacity(1 << 20), None),
+                // cache under eviction pressure
+                (EngineConfig::default().with_cache_capacity(512), Some(2)),
             ];
 
             let mut backend = populate(&shape, kind, &fragments);
-            for config in configs {
+            for (config, width) in configs {
                 let e = StorageEngine::open_with(
                     backend,
                     kind,
@@ -108,13 +110,25 @@ proptest! {
                 .unwrap();
                 // Twice: the second read exercises any cache hits.
                 for pass in 0..2 {
-                    let got = e.read(&queries).unwrap();
+                    let got = match width {
+                        Some(width) => e.read_at_width(&queries, width),
+                        None => e.read(&queries),
+                    }
+                    .unwrap();
                     let hits: Vec<(u64, f64)> = got
                         .hits
                         .iter()
                         .map(|h| (h.addr, f64::from_le_bytes(h.value.as_slice().try_into().unwrap())))
                         .collect();
-                    prop_assert_eq!(&hits, &expected_hits, "{} {:?} pass {}", kind, config, pass);
+                    prop_assert_eq!(
+                        &hits,
+                        &expected_hits,
+                        "{} {:?} width {:?} pass {}",
+                        kind,
+                        config,
+                        width,
+                        pass
+                    );
                     prop_assert_eq!(
                         &got.to_values::<f64>(queries.len()).unwrap(),
                         &expected_values
