@@ -7,10 +7,7 @@
 //!   metrics per organization;
 //! * `complexity` — Table I cost-model scaling checks;
 //! * `ablation` — encoding ablations (delta/varint/prefix toggles);
-//! * `read_pipeline` — fragment read path (cache, batching, retries);
-//! * `par_scaling` — build and batched-read throughput at 1/2/4/8
-//!   compute threads through `artsparse_tensor::par` (see
-//!   EXPERIMENTS.md for the recorded table and the single-core caveat).
+//! * `read_pipeline` — fragment read path (cache, batching, retries).
 //!
 //! Set `BENCH_JSON_DIR` to make the vendored Criterion shim write one
 //! `BENCH_<group>.json` summary per group.

@@ -35,10 +35,8 @@ use crate::formats::ext::sorted_coo::build_sorted_coo_presorted;
 use crate::formats::gcsr::build_gcsr_presorted;
 use crate::traits::{BuildOutput, FormatKind};
 use artsparse_metrics::{OpCounter, OpKind};
-use artsparse_tensor::par::{self, Parallelism};
-use artsparse_tensor::permute::invert_permutation;
+use artsparse_tensor::permute::{argsort_by, invert_permutation};
 use artsparse_tensor::{CoordBuffer, Shape};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The result of re-encoding an index in another organization.
 #[derive(Debug, Clone)]
@@ -209,14 +207,14 @@ fn linear_to_sorted_coo(
     }
     let n = addrs.len();
     // The exact sort the target build would run (same comparator, same
-    // deterministic parallel sort), minus the delinearize/relinearize
-    // round-trip on either side of it.
-    let sort_compares = AtomicU64::new(0);
-    let perm = par::sort_indices_by(n, Parallelism::current(), |a, b| {
-        sort_compares.fetch_add(1, Ordering::Relaxed);
+    // argsort), minus the delinearize/relinearize round-trip on either
+    // side of it.
+    let mut sort_compares = 0u64;
+    let perm = argsort_by(n, |a, b| {
+        sort_compares += 1;
         addrs[a].cmp(&addrs[b]).then_with(|| a.cmp(&b))
     });
-    counter.add(OpKind::SortCompare, sort_compares.into_inner());
+    counter.add(OpKind::SortCompare, sort_compares);
     let sorted: Vec<u64> = perm.iter().map(|&i| addrs[i]).collect();
     counter.add(OpKind::Emit, n as u64);
     let mut enc = crate::codec::IndexEncoder::new(FormatKind::SortedCoo.id(), shape, n as u64);
@@ -264,17 +262,17 @@ fn gcsr_to_csf(index: &[u8], shape: &Shape, counter: &OpCounter) -> Result<Optio
     // stable per-bucket address sorts concatenate to the global stable
     // lexicographic sort — the narrowing that makes this routine direct.
     let mut perm: Vec<usize> = Vec::with_capacity(n);
-    let sort_compares = AtomicU64::new(0);
+    let mut sort_compares = 0u64;
     for b in 0..nb {
         let (lo, hi) = (ptr[b] as usize, ptr[b + 1] as usize);
         let mut seg: Vec<usize> = (lo..hi).collect();
         seg.sort_by(|&a, &b| {
-            sort_compares.fetch_add(1, Ordering::Relaxed);
+            sort_compares += 1;
             addrs[a].cmp(&addrs[b]).then_with(|| a.cmp(&b))
         });
         perm.extend(seg);
     }
-    counter.add(OpKind::SortCompare, sort_compares.into_inner());
+    counter.add(OpKind::SortCompare, sort_compares);
 
     let mut coords = CoordBuffer::with_capacity(s_l_src.ndim(), n);
     let mut coord = vec![0u64; s_l_src.ndim()];

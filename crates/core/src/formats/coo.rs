@@ -11,7 +11,6 @@ use crate::codec::{IndexDecoder, IndexEncoder};
 use crate::error::Result;
 use crate::traits::{BuildOutput, FormatKind, Organization};
 use artsparse_metrics::{OpCounter, OpKind};
-use artsparse_tensor::par::{self, Parallelism};
 use artsparse_tensor::{CoordBuffer, Shape};
 
 /// The COO organization.
@@ -77,10 +76,8 @@ impl Organization for Coo {
             .collect();
 
         // Every query performs a full linear scan (no sorting, §II.A),
-        // stopping at the first match. Queries shard across threads; shard
-        // order preserves input order in the output.
-        let out: Vec<Option<u64>> = par::par_map(queries.len(), Parallelism::current(), |qi| {
-            let q = &encoded[qi * d * 8..(qi + 1) * d * 8];
+        // stopping at the first match.
+        let scan = |q: &[u8]| {
             // One coordinate comparison per stored point: the first
             // dimension as one inlined word compare (it settles nearly
             // every mismatch), the rest only behind a first-dimension
@@ -97,8 +94,8 @@ impl Organization for Coo {
             }
             counter.add(OpKind::Compare, compares);
             found
-        });
-        Ok(out)
+        };
+        Ok(encoded.chunks_exact(d * 8).map(scan).collect())
     }
 
     fn predicted_index_words(&self, n: u64, shape: &Shape) -> u64 {

@@ -20,7 +20,6 @@ use crate::error::{FormatError, Result};
 use crate::formats::csr2d::validate_ptr_words;
 use crate::traits::{BuildOutput, FormatKind, Organization};
 use artsparse_metrics::{OpCounter, OpKind};
-use artsparse_tensor::par::{self, Parallelism};
 use artsparse_tensor::sort::sort_lexicographic;
 use artsparse_tensor::{CoordBuffer, Shape};
 
@@ -310,8 +309,8 @@ impl Organization for Csf {
         counter.add(
             OpKind::SortCompare,
             // Lexicographic sort comparisons ≈ n log2 n (counted
-            // analytically: the comparator lives inside the parallel
-            // sort in `artsparse_tensor::par`).
+            // analytically: `sort_lexicographic`'s comparator is not
+            // instrumented).
             approx_sort_compares(n),
         );
         // Lines 8–18: build the tree level by level.
@@ -341,8 +340,7 @@ impl Organization for Csf {
             }
             .into());
         }
-        let out: Vec<Option<u64>> = par::par_map(queries.len(), Parallelism::current(), |qi| {
-            let q = queries.point(qi);
+        let lookup = |q: &[u64]| {
             if !tree.shape.contains(q) {
                 counter.inc(OpKind::Compare);
                 return None;
@@ -351,8 +349,8 @@ impl Organization for Csf {
             counter.inc(OpKind::Transform);
             let qp: Vec<u64> = tree.order.iter().map(|&k| q[k]).collect();
             tree.lookup(&qp, counter)
-        });
-        Ok(out)
+        };
+        Ok(queries.iter().map(lookup).collect())
     }
 
     fn enumerate(&self, index: &[u8], counter: &OpCounter) -> Result<CoordBuffer> {

@@ -23,10 +23,8 @@ use crate::error::{FormatError, Result};
 use crate::formats::csr2d::validate_ptr;
 use crate::traits::{BuildOutput, FormatKind, Organization};
 use artsparse_metrics::{OpCounter, OpKind};
-use artsparse_tensor::par::{self, Parallelism};
-use artsparse_tensor::permute::invert_permutation;
+use artsparse_tensor::permute::{argsort_by, invert_permutation};
 use artsparse_tensor::{BlockGrid, CoordBuffer, Shape};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Fixed block side: small enough that any ≤8-D block's bitmap stays
 /// cache-resident (8⁴ bits = 512 B) and local offsets fit one byte.
@@ -91,19 +89,21 @@ impl Organization for Adaptive {
         let d = shape.ndim();
         let grid = grid_for(shape)?;
 
-        let parallelism = Parallelism::current();
-        let addrs: Vec<(u64, u64)> = par::par_map(n, parallelism, |i| {
-            let a = grid.address(coords.point(i)).expect("validated");
-            (a.block, a.local)
-        });
+        let addrs: Vec<(u64, u64)> = coords
+            .iter()
+            .map(|p| {
+                let a = grid.address(p).expect("validated");
+                (a.block, a.local)
+            })
+            .collect();
         counter.add(OpKind::Transform, n as u64);
 
-        let sort_compares = AtomicU64::new(0);
-        let perm = par::sort_indices_by(n, parallelism, |a, b| {
-            sort_compares.fetch_add(1, Ordering::Relaxed);
+        let mut sort_compares = 0u64;
+        let perm = argsort_by(n, |a, b| {
+            sort_compares += 1;
             addrs[a].cmp(&addrs[b]).then_with(|| a.cmp(&b))
         });
-        counter.add(OpKind::SortCompare, sort_compares.into_inner());
+        counter.add(OpKind::SortCompare, sort_compares);
         let map = invert_permutation(&perm);
 
         // Per block: choose list vs bitmap by encoded size. Note
@@ -190,8 +190,7 @@ impl Organization for Adaptive {
             }
             .into());
         }
-        let out: Vec<Option<u64>> = par::par_map(queries.len(), Parallelism::current(), |qi| {
-            let q = queries.point(qi);
+        let lookup = |q: &[u64]| {
             if !decoded.shape.contains(q) {
                 counter.inc(OpKind::Compare);
                 return None;
@@ -209,8 +208,8 @@ impl Organization for Adaptive {
             };
             counter.add(OpKind::Compare, compares);
             found
-        });
-        Ok(out)
+        };
+        Ok(queries.iter().map(lookup).collect())
     }
 
     fn predicted_index_words(&self, n: u64, shape: &Shape) -> u64 {

@@ -19,10 +19,8 @@ use crate::codec::{IndexDecoder, IndexEncoder};
 use crate::error::{FormatError, Result};
 use crate::traits::{BuildOutput, FormatKind, Organization};
 use artsparse_metrics::{OpCounter, OpKind};
-use artsparse_tensor::par::{self, Parallelism};
-use artsparse_tensor::permute::invert_permutation;
+use artsparse_tensor::permute::{argsort_by, invert_permutation};
 use artsparse_tensor::{BlockGrid, CoordBuffer, Shape};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// LINEAR over a block grid.
 #[derive(Debug, Clone, Copy)]
@@ -77,12 +75,12 @@ impl BlockedLinear {
         }
         counter.add(OpKind::Transform, n as u64);
 
-        let sort_compares = AtomicU64::new(0);
-        let perm = par::sort_indices_by(n, Parallelism::current(), |a, b| {
-            sort_compares.fetch_add(1, Ordering::Relaxed);
+        let mut sort_compares = 0u64;
+        let perm = argsort_by(n, |a, b| {
+            sort_compares += 1;
             pairs[a].cmp(&pairs[b]).then_with(|| a.cmp(&b))
         });
-        counter.add(OpKind::SortCompare, sort_compares.into_inner());
+        counter.add(OpKind::SortCompare, sort_compares);
 
         let blocks: Vec<u64> = perm.iter().map(|&i| pairs[i].0).collect();
         let locals: Vec<u64> = perm.iter().map(|&i| pairs[i].1).collect();
@@ -135,8 +133,7 @@ impl BlockedLinear {
             return Err(FormatError::corrupt("blocked-LINEAR pairs not sorted"));
         }
 
-        let out: Vec<Option<u64>> = par::par_map(queries.len(), Parallelism::current(), |qi| {
-            let q = queries.point(qi);
+        let lookup = |q: &[u64]| {
             let addr = match grid.address(q) {
                 Ok(a) => a,
                 Err(_) => {
@@ -166,8 +163,8 @@ impl BlockedLinear {
             };
             counter.add(OpKind::Compare, compares);
             found
-        });
-        Ok(out)
+        };
+        Ok(queries.iter().map(lookup).collect())
     }
 }
 

@@ -18,10 +18,8 @@ use crate::error::{FormatError, Result};
 use crate::formats::csr2d::{validate_ptr, validate_ptr_words};
 use crate::traits::{BuildOutput, FormatKind, Organization};
 use artsparse_metrics::{OpCounter, OpKind};
-use artsparse_tensor::par::{self, Parallelism};
-use artsparse_tensor::permute::invert_permutation;
+use artsparse_tensor::permute::{argsort_by, invert_permutation};
 use artsparse_tensor::{BlockGrid, CoordBuffer, Shape};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The HiCOO-style organization.
 #[derive(Debug, Clone, Copy)]
@@ -110,20 +108,22 @@ impl Organization for HiCoo {
         let grid = self.grid_for(shape)?;
 
         // Two-level addresses for every point.
-        let parallelism = Parallelism::current();
-        let addrs: Vec<(u64, u64)> = par::par_map(n, parallelism, |i| {
-            let a = grid.address(coords.point(i)).expect("validated above");
-            (a.block, a.local)
-        });
+        let addrs: Vec<(u64, u64)> = coords
+            .iter()
+            .map(|p| {
+                let a = grid.address(p).expect("validated above");
+                (a.block, a.local)
+            })
+            .collect();
         counter.add(OpKind::Transform, n as u64);
 
         // Sort points by (block, local) — the HiCOO grouping.
-        let sort_compares = AtomicU64::new(0);
-        let perm = par::sort_indices_by(n, parallelism, |a, b| {
-            sort_compares.fetch_add(1, Ordering::Relaxed);
+        let mut sort_compares = 0u64;
+        let perm = argsort_by(n, |a, b| {
+            sort_compares += 1;
             addrs[a].cmp(&addrs[b]).then_with(|| a.cmp(&b))
         });
-        counter.add(OpKind::SortCompare, sort_compares.into_inner());
+        counter.add(OpKind::SortCompare, sort_compares);
         let map = invert_permutation(&perm);
 
         // Emit per-block runs and byte-wide local offsets.
@@ -200,8 +200,7 @@ impl Organization for HiCoo {
         let grid = HiCoo { block_side: side }.grid_for(&shape)?;
         let block_dims = grid.block_dims().to_vec();
 
-        let out: Vec<Option<u64>> = par::par_map(queries.len(), Parallelism::current(), |qi| {
-            let q = queries.point(qi);
+        let lookup = |q: &[u64]| {
             if !shape.contains(q) {
                 counter.inc(OpKind::Compare);
                 return None;
@@ -224,8 +223,8 @@ impl Organization for HiCoo {
             }
             counter.add(OpKind::Compare, compares);
             found
-        });
-        Ok(out)
+        };
+        Ok(queries.iter().map(lookup).collect())
     }
 
     fn predicted_index_words(&self, n: u64, shape: &Shape) -> u64 {

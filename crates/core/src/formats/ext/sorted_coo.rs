@@ -11,10 +11,8 @@ use crate::codec::{IndexDecoder, IndexEncoder};
 use crate::error::{FormatError, Result};
 use crate::traits::{BuildOutput, FormatKind, Organization};
 use artsparse_metrics::{OpCounter, OpKind};
-use artsparse_tensor::par::{self, Parallelism};
-use artsparse_tensor::permute::invert_permutation;
+use artsparse_tensor::permute::{argsort_by, invert_permutation};
 use artsparse_tensor::{CoordBuffer, Shape};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// COO sorted by row-major linear address.
 #[derive(Debug, Clone, Copy, Default)]
@@ -61,12 +59,12 @@ impl Organization for SortedCoo {
         let addrs = coords.linearize_all(shape)?;
         counter.add(OpKind::Transform, n as u64);
 
-        let sort_compares = AtomicU64::new(0);
-        let perm = par::sort_indices_by(n, Parallelism::current(), |a, b| {
-            sort_compares.fetch_add(1, Ordering::Relaxed);
+        let mut sort_compares = 0u64;
+        let perm = argsort_by(n, |a, b| {
+            sort_compares += 1;
             addrs[a].cmp(&addrs[b]).then_with(|| a.cmp(&b))
         });
-        counter.add(OpKind::SortCompare, sort_compares.into_inner());
+        counter.add(OpKind::SortCompare, sort_compares);
 
         let sorted: Vec<u64> = perm.iter().map(|&i| addrs[i]).collect();
         counter.add(OpKind::Emit, n as u64);
@@ -99,8 +97,7 @@ impl Organization for SortedCoo {
             }
             .into());
         }
-        let out: Vec<Option<u64>> = par::par_map(queries.len(), Parallelism::current(), |qi| {
-            let q = queries.point(qi);
+        let lookup = |q: &[u64]| {
             if !shape.contains(q) {
                 counter.inc(OpKind::Compare);
                 return None;
@@ -118,8 +115,8 @@ impl Organization for SortedCoo {
             } else {
                 None
             }
-        });
-        Ok(out)
+        };
+        Ok(queries.iter().map(lookup).collect())
     }
 
     fn predicted_index_words(&self, n: u64, _shape: &Shape) -> u64 {

@@ -17,10 +17,8 @@ use crate::error::Result;
 use crate::formats::csr2d::{build_ptr, scan_bucket, validate_ptr, validate_ptr_words, Remap2D};
 use crate::traits::{BuildOutput, FormatKind, Organization};
 use artsparse_metrics::{OpCounter, OpKind};
-use artsparse_tensor::par::{self, Parallelism};
-use artsparse_tensor::permute::{gather, invert_permutation};
+use artsparse_tensor::permute::{argsort_by, gather, invert_permutation};
 use artsparse_tensor::{CoordBuffer, Shape};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The GCSR++ organization.
 #[derive(Debug, Clone, Copy, Default)]
@@ -51,23 +49,25 @@ pub(crate) fn build_generalized(
 
     // Lines 7–11: transform each point to (bucket, ind) through its linear
     // address. Two transforms per point — the `2×n` term of Table I.
-    let parallelism = Parallelism::current();
-    let pairs: Vec<(u64, u64)> = par::par_map(n, parallelism, |i| {
-        let l = s_l.linearize_unchecked(coords.point(i));
-        let (row, col) = remap.decode(l);
-        split(row, col)
-    });
+    let pairs: Vec<(u64, u64)> = coords
+        .iter()
+        .map(|p| {
+            let (row, col) = remap.decode(s_l.linearize_unchecked(p));
+            split(row, col)
+        })
+        .collect();
     counter.add(OpKind::Transform, 2 * n as u64);
 
     // Line 12: stable sort by bucket, recording the provenance map. The
-    // index tie-break makes the comparator a total order, so the chunked
-    // parallel sort reproduces the sequential permutation exactly.
-    let sort_compares = AtomicU64::new(0);
-    let perm = par::sort_indices_by(n, parallelism, |a, b| {
-        sort_compares.fetch_add(1, Ordering::Relaxed);
+    // index tie-break cannot change a stable sort's result; it stays (here
+    // and in the other sorting builds) because it shapes which pairs the
+    // sort compares, and the recorded Table I counts were taken with it.
+    let mut sort_compares = 0u64;
+    let perm = argsort_by(n, |a, b| {
+        sort_compares += 1;
         pairs[a].0.cmp(&pairs[b].0).then_with(|| a.cmp(&b))
     });
-    counter.add(OpKind::SortCompare, sort_compares.into_inner());
+    counter.add(OpKind::SortCompare, sort_compares);
     let map = invert_permutation(&perm);
 
     // Line 13: package with classic CSR/CSC.
@@ -109,10 +109,10 @@ pub(crate) fn build_gcsr_presorted(
     let remap = Remap2D::for_gcsr(&s_l);
     let nb = remap.rows as usize;
 
-    let pairs: Vec<(u64, u64)> = par::par_map(n, Parallelism::current(), |i| {
-        let l = s_l.linearize_unchecked(coords.point(i));
-        remap.decode(l)
-    });
+    let pairs: Vec<(u64, u64)> = coords
+        .iter()
+        .map(|p| remap.decode(s_l.linearize_unchecked(p)))
+        .collect();
     counter.add(OpKind::Transform, 2 * n as u64);
     debug_assert!(
         pairs.windows(2).all(|w| w[0].0 <= w[1].0),
@@ -172,10 +172,7 @@ pub(crate) fn read_generalized(
         ));
     }
     // Lines 6–13: transform each query the same way and scan one bucket.
-    // Queries shard across threads; concatenation in shard order keeps
-    // the output in input order.
-    let out: Vec<Option<u64>> = par::par_map(queries.len(), Parallelism::current(), |qi| {
-        let q = queries.point(qi);
+    let lookup = |q: &[u64]| {
         // Outside the local boundary ⇒ cannot be present.
         if !s_l.contains(q) {
             counter.inc(OpKind::Compare);
@@ -188,8 +185,8 @@ pub(crate) fn read_generalized(
         let (slot, compares) = scan_bucket(ind, ptr, bucket, target);
         counter.add(OpKind::Compare, compares);
         slot
-    });
-    Ok(out)
+    };
+    Ok(queries.iter().map(lookup).collect())
 }
 
 /// Shared enumeration logic: walk every bucket's segment, reconstruct the

@@ -12,7 +12,6 @@ use crate::codec::{IndexDecoder, IndexEncoder};
 use crate::error::Result;
 use crate::traits::{BuildOutput, FormatKind, Organization};
 use artsparse_metrics::{OpCounter, OpKind};
-use artsparse_tensor::par::{self, Parallelism};
 use artsparse_tensor::{CoordBuffer, Shape};
 
 /// The LINEAR organization.
@@ -64,8 +63,7 @@ impl Organization for Linear {
             .into());
         }
 
-        let out: Vec<Option<u64>> = par::par_map(queries.len(), Parallelism::current(), |qi| {
-            let q = queries.point(qi);
+        let scan = |q: &[u64]| {
             // A query outside the build shape cannot be stored.
             if !shape.contains(q) {
                 counter.inc(OpKind::Compare);
@@ -84,8 +82,8 @@ impl Organization for Linear {
             }
             counter.add(OpKind::Compare, compares);
             found
-        });
-        Ok(out)
+        };
+        Ok(queries.iter().map(scan).collect())
     }
 
     fn predicted_index_words(&self, n: u64, _shape: &Shape) -> u64 {

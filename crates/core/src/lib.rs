@@ -16,9 +16,10 @@
 //! ([`formats::ext`]) and its stated future work, the automatic
 //! organization [`advisor`].
 //!
-//! Sorting builds and batched reads route their hot loops through
-//! `artsparse_tensor::par` — sequential below the configured cutoff,
-//! chunk-sorted/sharded above it, bit-identical either way.
+//! Every build and every per-query loop runs on the calling thread: the
+//! bytes and the operation counts an organization produces depend on its
+//! input alone (threading is the storage engine's decision, DESIGN.md
+//! §12).
 //!
 //! Quick start:
 //!

@@ -67,11 +67,11 @@ pub struct Config {
     /// (`telemetry-<format>-<pattern>-<ndim>D.json`). Setting it implies
     /// `telemetry`.
     pub telemetry_out: Option<PathBuf>,
-    /// Compute threads for format builds and batched reads (`--threads`):
-    /// `0` (the default) uses the host's available parallelism, `1`
-    /// forces the sequential reference path. An explicit value also pins
-    /// the engine's per-fragment read parallelism so `--threads 1` is
-    /// fully sequential end to end.
+    /// Cap on the threads one read fans its planned fragments out over
+    /// (`--threads`, the engine's `read_parallelism`): `0` (the default)
+    /// bounds it by the host's available parallelism, `1` forces the
+    /// sequential reference path. Builds and per-query loops run on one
+    /// thread whatever this is.
     pub threads: usize,
     /// Enable live adaptive re-organization (`--adaptive`): consolidation
     /// characterizes the merged region, consults the advisor under
@@ -141,14 +141,11 @@ impl Config {
     }
 
     /// The engine configuration a matrix cell runs under: telemetry and
-    /// the `--threads` parallelism knobs.
+    /// the `--threads` read fan-out cap.
     pub fn engine_config(&self) -> artsparse_storage::EngineConfig {
         let mut ec = artsparse_storage::EngineConfig::default()
             .with_telemetry(self.telemetry_enabled())
-            .with_threads(self.threads);
-        if self.threads > 0 {
-            ec = ec.with_read_parallelism(self.threads);
-        }
+            .with_read_parallelism(self.threads);
         if self.adaptive {
             ec = ec
                 .with_adaptive_reorg(artsparse_storage::AdaptiveReorg::with_profile(self.profile));

@@ -21,7 +21,7 @@
 //! | `observe` | live observability overhead (beyond the paper) | [`experiments::observe`] |
 //!
 //! Shared plumbing: [`config::Config`] (scale, backend, formats,
-//! `--threads` compute width), [`matrix`] (the measurement grid Fig.
+//! `--threads` read fan-out cap), [`matrix`] (the measurement grid Fig.
 //! 3/4/5 and Tables III/IV reuse), [`telemetry`] (per-cell JSON
 //! documents + schema validation), and [`watch`] (the live ASCII
 //! dashboard over a store's exported metrics + journal).

@@ -359,7 +359,7 @@ mod tests {
         let (_, reports) = crate::matrix::run_matrix_with_telemetry(&cfg).unwrap();
         let (format, pattern, ndim, report) = &reports[0];
         let doc = cell_document(&cfg, format, pattern, *ndim, report);
-        assert!(doc["telemetry"]["version"].as_u64().unwrap() >= 6);
+        assert!(doc["telemetry"]["version"].as_u64().unwrap() >= 7);
         let events = doc["telemetry"]["events"].as_array().unwrap();
         assert!(!events.is_empty());
         assert!(

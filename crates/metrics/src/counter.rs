@@ -3,8 +3,8 @@
 //! The paper states asymptotic build/read bounds per organization; the
 //! `table1` experiment validates them by counting the dominant abstract
 //! operations while running each algorithm and fitting the counts against
-//! the predicted growth. Counters are relaxed atomics so instrumented code
-//! can run under rayon; hot loops accumulate locally and flush once per
+//! the predicted growth. Counters are relaxed atomics so the engine's read
+//! workers can share one; hot loops accumulate locally and flush once per
 //! point via [`OpCounter::add`].
 
 use serde::{Deserialize, Serialize};

@@ -18,11 +18,12 @@ use serde::Serialize;
 /// Schema version stamped into every exported document. Version 2 added
 /// the integrity counters (`retries`, `checksum_failures`,
 /// `fragments_quarantined`) and the `engine.scrub` span kinds. Version 3
-/// added the `par_tasks_spawned` counter and the `engine.par.shard` span
-/// kind emitted by the compute-parallel execution layer. Version 4 added
-/// the adaptive re-organization span kinds (`engine.consolidate.advise`,
-/// `engine.consolidate.convert`) and migration counters
-/// (`fragments_migrated`, `conversions_direct`, `conversions_fallback`).
+/// added the spawned-task counter and the per-shard span kind of the
+/// compute-parallel layer (both removed again in version 7). Version 4
+/// added the adaptive re-organization span kinds
+/// (`engine.consolidate.advise`, `engine.consolidate.convert`) and
+/// migration counters (`fragments_migrated`, `conversions_direct`,
+/// `conversions_fallback`).
 /// Version 5 added the streaming-ingest span kinds (`engine.ingest`,
 /// `engine.ingest.wal`, `engine.ingest.flush`, `engine.ingest.replay`,
 /// `engine.scheduler.run`) and the ingest counters (`wal_bytes`,
@@ -30,8 +31,10 @@ use serde::Serialize;
 /// stamped on every raw span event (correlating each child span with its
 /// top-level operation) and the live-observability registry-snapshot
 /// document written by the metrics exporter; v5 documents — identical
-/// minus the optional `trace_id` — still validate.
-pub const TELEMETRY_VERSION: u32 = 6;
+/// minus the optional `trace_id` — still validate. Version 7 removed
+/// version 3's counter and span kind: format builds and per-query loops
+/// are single-threaded, so there is nothing to count.
+pub const TELEMETRY_VERSION: u32 = 7;
 
 /// Aggregated view of one span kind.
 #[derive(Debug, Clone, Serialize)]
@@ -284,7 +287,7 @@ mod tests {
         let report = sample_report();
         let v = serde_json::to_value(&report).unwrap();
         assert_eq!(v["version"].as_u64(), Some(u64::from(TELEMETRY_VERSION)));
-        assert_eq!(TELEMETRY_VERSION, 6);
+        assert_eq!(TELEMETRY_VERSION, 7);
         let events = v["events"].as_array().unwrap();
         assert!(events.iter().all(|e| e["trace_id"].as_u64().is_some()));
         let spans = v["spans"].as_array().unwrap();

@@ -31,7 +31,6 @@ pub mod registry;
 pub mod report;
 pub mod score;
 pub mod span;
-pub mod stats;
 pub mod stopwatch;
 
 pub use counter::{OpCounter, OpCounts, OpKind};
@@ -46,5 +45,4 @@ pub use score::{overall_scores, ranking, Measurement, ScoreError};
 pub use span::{
     charge, current_trace_id, now_ns, IoStats, Span, SpanContext, SpanKind, SpanRecord,
 };
-pub use stats::{repeat_measure, Summary};
 pub use stopwatch::{time_it, PhaseTimer, WriteBreakdown, WritePhase};

@@ -77,9 +77,6 @@ pub enum SpanKind {
     Recover,
     Scrub,
     ScrubFragment,
-    /// One shard of compute-parallel format work (chunked sort or batched
-    /// query scan), synthesized by the engine from per-shard timings.
-    ParShard,
     /// One streaming-ingest append: validate, WAL, buffer (and possibly a
     /// threshold-triggered group commit).
     Ingest,
@@ -119,7 +116,6 @@ impl SpanKind {
             SpanKind::Recover => "engine.recover",
             SpanKind::Scrub => "engine.scrub",
             SpanKind::ScrubFragment => "engine.scrub.fragment",
-            SpanKind::ParShard => "engine.par.shard",
             SpanKind::Ingest => "engine.ingest",
             SpanKind::IngestWal => "engine.ingest.wal",
             SpanKind::IngestFlush => "engine.ingest.flush",
@@ -151,7 +147,6 @@ impl SpanKind {
             SpanKind::Recover,
             SpanKind::Scrub,
             SpanKind::ScrubFragment,
-            SpanKind::ParShard,
             SpanKind::Ingest,
             SpanKind::IngestWal,
             SpanKind::IngestFlush,
@@ -206,9 +201,6 @@ pub struct IoStats {
     pub checksum_failures: u64,
     /// Fragments newly quarantined (first observations only).
     pub fragments_quarantined: u64,
-    /// Worker threads spawned for compute-parallel format work (sorts,
-    /// batched query scans). Zero on sequential paths.
-    pub par_tasks_spawned: u64,
     /// Source fragments whose organization differed from the adaptive
     /// consolidation's output organization (i.e. fragments migrated to a
     /// new format).
@@ -257,9 +249,6 @@ impl IoStats {
         self.fragments_quarantined = self
             .fragments_quarantined
             .saturating_add(other.fragments_quarantined);
-        self.par_tasks_spawned = self
-            .par_tasks_spawned
-            .saturating_add(other.par_tasks_spawned);
         self.fragments_migrated = self
             .fragments_migrated
             .saturating_add(other.fragments_migrated);
@@ -660,6 +649,6 @@ mod tests {
             assert!(k.name().starts_with("engine."), "{}", k.name());
             assert!(seen.insert(k.name()), "duplicate name {}", k.name());
         }
-        assert_eq!(seen.len(), 26);
+        assert_eq!(seen.len(), 25);
     }
 }

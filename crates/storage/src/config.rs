@@ -395,22 +395,6 @@ pub struct EngineConfig {
     /// When on, `StorageEngine::telemetry_report()` snapshots the
     /// aggregated report for export.
     pub telemetry: bool,
-    /// Worker threads for compute-parallel format work: the chunked
-    /// lexicographic sorts inside sorting builds and the sharded batched
-    /// point-query scans. Zero (the default) uses the host's available
-    /// parallelism; one forces the sequential reference path. Independent
-    /// of [`read_parallelism`], which governs per-*fragment* pipeline
-    /// concurrency.
-    ///
-    /// [`read_parallelism`]: EngineConfig::read_parallelism
-    pub threads: usize,
-    /// Minimum element count (points to sort, queries to execute) before
-    /// format work fans out across [`threads`]. Below this the sequential
-    /// path always runs — parallelism never pays for tiny inputs. The
-    /// default is [`artsparse_tensor::par::DEFAULT_CUTOFF`].
-    ///
-    /// [`threads`]: EngineConfig::threads
-    pub parallel_cutoff: usize,
     /// Retry policy for backend fetches (see [`RetryPolicy`]).
     pub retry: RetryPolicy,
     /// Retry policy for backend mutations — WAL appends, staged puts,
@@ -445,14 +429,20 @@ pub struct EngineConfig {
     pub observability: Option<ObservabilityConfig>,
 }
 
+/// Return type of the [`EngineConfig::parallelism`] stamp shim.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ComputeThreads {
+    /// Always 1.
+    pub threads: usize,
+}
+
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             cache_capacity_bytes: 0,
             read_parallelism: 0,
             telemetry: false,
-            threads: 0,
-            parallel_cutoff: artsparse_tensor::par::DEFAULT_CUTOFF,
             retry: RetryPolicy::default(),
             write_retry: RetryPolicy::default(),
             health: HealthConfig::default(),
@@ -502,28 +492,15 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style compute-thread override (`0` = auto, `1` =
-    /// sequential).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Builder-style parallel-cutoff override.
-    pub fn with_parallel_cutoff(mut self, cutoff: usize) -> Self {
-        self.parallel_cutoff = cutoff;
-        self
-    }
-
-    /// The [`Parallelism`] the engine installs around format builds and
-    /// batched reads, derived from [`threads`] and [`parallel_cutoff`].
-    ///
-    /// [`Parallelism`]: artsparse_tensor::par::Parallelism
-    /// [`threads`]: EngineConfig::threads
-    /// [`parallel_cutoff`]: EngineConfig::parallel_cutoff
-    pub fn parallelism(&self) -> artsparse_tensor::par::Parallelism {
-        artsparse_tensor::par::Parallelism::with_threads(self.threads)
-            .with_cutoff(self.parallel_cutoff)
+    /// Threads a format build or a per-query loop runs on: always one.
+    /// Kept only because the repo benchmark stamps its runs with
+    /// `EngineConfig::default().parallelism().threads` and may not change
+    /// in the PR that removed the compute-parallel layer; the next
+    /// `benchmark/` PR deletes the stamp field and this with it
+    /// (ROADMAP item 8(d)).
+    #[doc(hidden)]
+    pub fn parallelism(&self) -> ComputeThreads {
+        ComputeThreads { threads: 1 }
     }
 
     /// Builder-style retry-policy override.
@@ -579,8 +556,6 @@ mod tests {
         assert_eq!(c.cache_capacity_bytes, 0);
         assert_eq!(c.read_parallelism, 0);
         assert!(!c.telemetry);
-        assert_eq!(c.threads, 0);
-        assert_eq!(c.parallel_cutoff, artsparse_tensor::par::DEFAULT_CUTOFF);
         assert_eq!(c.retry, RetryPolicy::default());
         assert_eq!(c.retry.max_attempts, 3);
         assert_eq!(c.write_retry, RetryPolicy::default());
@@ -597,8 +572,6 @@ mod tests {
             .with_cache_capacity(1 << 20)
             .with_read_parallelism(2)
             .with_telemetry(true)
-            .with_threads(3)
-            .with_parallel_cutoff(128)
             .with_retry(RetryPolicy::none())
             .with_write_retry(RetryPolicy::none())
             .with_health(HealthConfig {
@@ -614,9 +587,6 @@ mod tests {
         assert_eq!(c.write_retry.attempts(), 1);
         assert_eq!(c.health.read_only_after, 2);
         assert!(!c.strict_reads);
-        let p = c.parallelism();
-        assert_eq!(p.threads, 3);
-        assert_eq!(p.cutoff, 128);
     }
 
     #[test]

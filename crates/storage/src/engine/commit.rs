@@ -137,26 +137,20 @@ impl<B: StorageBackend> StorageEngine<B> {
 
         // -- Build: construct the organization -------------------------
         let built = timer.time(WritePhase::Build, || {
-            self.observed_parallel(|| {
-                if presorted {
-                    let (built, direct) = convert::build_from_address_sorted(
-                        kind,
-                        coords,
-                        &self.shape,
-                        &self.counter,
-                    )?;
-                    charge(|io| {
-                        if direct {
-                            io.conversions_direct += 1;
-                        } else {
-                            io.conversions_fallback += 1;
-                        }
-                    });
-                    Ok(built)
-                } else {
-                    kind.create().build(coords, &self.shape, &self.counter)
-                }
-            })
+            if presorted {
+                let (built, direct) =
+                    convert::build_from_address_sorted(kind, coords, &self.shape, &self.counter)?;
+                charge(|io| {
+                    if direct {
+                        io.conversions_direct += 1;
+                    } else {
+                        io.conversions_fallback += 1;
+                    }
+                });
+                Ok(built)
+            } else {
+                kind.create().build(coords, &self.shape, &self.counter)
+            }
         })?;
 
         // -- Reorg: permute values by the map ---------------------------

@@ -62,10 +62,9 @@ use crate::error::{Result, StorageError};
 use crate::observe::RecordingBackend;
 use artsparse_core::FormatKind;
 use artsparse_metrics::{
-    charge, current_trace_id, now_ns, IoStats, NoopRecorder, ObservabilityPlane, ObservedRecorder,
-    OpCounter, Recorder, Span, SpanKind, SpanRecord, TelemetryRecorder, TelemetryReport,
+    charge, NoopRecorder, ObservabilityPlane, ObservedRecorder, OpCounter, Recorder, Span,
+    SpanKind, TelemetryRecorder, TelemetryReport,
 };
-use artsparse_tensor::par;
 use artsparse_tensor::value::Element;
 use artsparse_tensor::{CoordBuffer, Shape};
 use std::collections::HashSet;
@@ -404,34 +403,6 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// to the scheduler's size-tiered consolidation trigger.
     pub fn fragment_sizes(&self) -> Vec<u64> {
         self.catalog.snapshot().iter().map(|e| e.size).collect()
-    }
-
-    /// Run `f` under the configured compute [`Parallelism`], then feed the
-    /// observation back into telemetry: spawned worker counts are charged
-    /// to the innermost open span and each worker shard becomes one
-    /// synthesized `engine.par.shard` span. Sequential runs (threads = 1,
-    /// or inputs below the cutoff) observe nothing and record nothing.
-    ///
-    /// [`Parallelism`]: artsparse_tensor::par::Parallelism
-    pub(super) fn observed_parallel<R>(&self, f: impl FnOnce() -> R) -> R {
-        let op_start = now_ns();
-        let (out, report) = par::observed(self.config.parallelism(), f);
-        if report.tasks_spawned > 0 {
-            charge(|io| io.par_tasks_spawned += report.tasks_spawned);
-        }
-        if self.recorder.enabled() {
-            for shard in &report.shards {
-                self.recorder.record_span(&SpanRecord {
-                    kind: SpanKind::ParShard,
-                    trace_id: current_trace_id(),
-                    start_ns: op_start + shard.start_offset_ns,
-                    dur_ns: shard.dur_ns,
-                    depth: 0,
-                    io: IoStats::default(),
-                });
-            }
-        }
-        out
     }
 
     /// Reject a typed call whose element size disagrees with the record

@@ -551,9 +551,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         let matched: Vec<(usize, u64)> = {
             let _decode = Span::enter(&self.recorder, SpanKind::ReadDecode);
             let org = meta.kind.create();
-            let slots =
-                self.observed_parallel(|| org.read(index.bytes(), queries, &self.counter))?;
-            slots
+            org.read(index.bytes(), queries, &self.counter)?
                 .into_iter()
                 .enumerate()
                 .filter_map(|(qi, slot)| slot.map(|s| (qi, s)))
@@ -697,7 +695,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         queries: &CoordBuffer,
     ) -> Result<Vec<ReadHit>> {
         let org = decoded.meta.kind.create();
-        let slots = self.observed_parallel(|| org.read(&decoded.index, queries, &self.counter))?;
+        let slots = org.read(&decoded.index, queries, &self.counter)?;
         let elem = decoded.meta.elem_size as usize;
         let mut hits = Vec::new();
         for (qi, slot) in slots.into_iter().enumerate() {

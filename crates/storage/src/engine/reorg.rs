@@ -243,15 +243,13 @@ impl<B: StorageBackend> StorageEngine<B> {
         let id = FragmentId::replacing(&sources, self.epoch)?;
 
         let convert_span = Span::enter(&self.recorder, SpanKind::ConsolidateConvert);
-        let conv = self.observed_parallel(|| {
-            convert::convert(
-                source_kind,
-                &decoded.index,
-                target,
-                &self.shape,
-                &self.counter,
-            )
-        })?;
+        let conv = convert::convert(
+            source_kind,
+            &decoded.index,
+            target,
+            &self.shape,
+            &self.counter,
+        )?;
         let scattered = conv.map.as_ref().map(|map| {
             artsparse_tensor::permute::scatter_bytes(&decoded.values, self.elem_size as usize, map)
         });

@@ -16,8 +16,8 @@
 //! * [`cache`] — a bytes-bounded LRU of decoded fragments for
 //!   repeat-read workloads;
 //! * [`config`] — tuning knobs for the read pipeline (cache budget,
-//!   per-fragment parallelism), the compute-parallel layer (`threads`,
-//!   `parallel_cutoff` — DESIGN.md §12), retries, health, and ingest;
+//!   per-fragment fan-out — the engine's one threading knob, DESIGN.md
+//!   §12), retries, health, and ingest;
 //! * [`engine`] — Algorithm 3's WRITE (with the Table III phase
 //!   breakdown, published through a crash-safe staged commit) and READ
 //!   as a layered catalog → plan → fetch → decode → merge pipeline, one

@@ -154,17 +154,12 @@ impl CoordBuffer {
         Shape::new(dims).ok()
     }
 
-    /// Linearize every point against `shape` (row-major), in parallel.
+    /// Linearize every point against `shape` (row-major).
     ///
-    /// This is the bulk transform behind the LINEAR build (`O(n·d)`);
-    /// width and cutoff come from [`Parallelism::current`](crate::par::Parallelism::current).
+    /// This is the bulk transform behind the LINEAR build (`O(n·d)`).
     pub fn linearize_all(&self, shape: &Shape) -> Result<Vec<u64>> {
         self.check_against(shape)?;
-        Ok(crate::par::par_map(
-            self.len(),
-            crate::par::Parallelism::current(),
-            |i| shape.linearize_unchecked(self.point(i)),
-        ))
+        Ok(self.iter().map(|p| shape.linearize_unchecked(p)).collect())
     }
 
     /// Reorder points so that output point `j` is input point `perm[j]`.

@@ -14,8 +14,6 @@
 //!   queries, and the MSP dense region;
 //! * [`sort`] / [`permute`] — sorting with provenance (`map`) vectors, as
 //!   every sorting build must return one for value reorganization;
-//! * [`par`] — the scoped parallel execution layer (chunked sorts,
-//!   sharded batched queries) every compute-parallel path runs through;
 //! * [`value`] — opaque fixed-size value payloads;
 //! * [`BlockGrid`] — blocked addressing, the paper's linear-address
 //!   overflow mitigation.
@@ -29,7 +27,6 @@ pub mod blocked;
 pub mod coord;
 pub mod dense;
 pub mod error;
-pub mod par;
 pub mod permute;
 pub mod region;
 pub mod shape;
@@ -40,7 +37,6 @@ pub use blocked::{BlockAddr, BlockGrid};
 pub use coord::CoordBuffer;
 pub use dense::DenseTensor;
 pub use error::{Result, TensorError};
-pub use par::Parallelism;
 pub use region::Region;
 pub use shape::Shape;
 pub use sort::SortedCoords;

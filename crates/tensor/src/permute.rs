@@ -12,30 +12,30 @@
 //!
 //! They are inverses of each other.
 
-use crate::par::{self, Parallelism};
 use std::cmp::Ordering;
 
-/// Stable argsort of `0..n` under a comparator, in parallel.
+/// Stable argsort of `0..n` under a comparator — the workspace's one
+/// argsort, behind every sorting build.
 ///
 /// Returns the gather permutation: `perm[j]` is the input index that sorts
-/// into position `j`. Appending an index tie-break makes the comparator a
-/// total order, so the parallel chunked sort in [`par`] produces exactly
-/// the sequential (stable) permutation at every thread count. Width and
-/// cutoff come from [`Parallelism::current`].
-pub fn argsort_by<F>(n: usize, cmp: F) -> Vec<usize>
+/// into position `j`; ties keep input order. The comparator may count its
+/// own calls (the builds charge them to an `OpCounter`): the sort is one
+/// sequential standard-library `sort_by`, so that count depends on the
+/// input alone.
+pub fn argsort_by<F>(n: usize, mut cmp: F) -> Vec<usize>
 where
-    F: Fn(usize, usize) -> Ordering + Sync,
+    F: FnMut(usize, usize) -> Ordering,
 {
-    par::sort_indices_by(n, Parallelism::current(), |a, b| {
-        cmp(a, b).then_with(|| a.cmp(&b))
-    })
+    let mut perm: Vec<usize> = (0..n).collect();
+    perm.sort_by(|&a, &b| cmp(a, b));
+    perm
 }
 
-/// Stable argsort of `0..n` by a key function, in parallel.
-pub fn argsort_by_key<K, F>(n: usize, key: F) -> Vec<usize>
+/// Stable argsort of `0..n` by a key function.
+pub fn argsort_by_key<K, F>(n: usize, mut key: F) -> Vec<usize>
 where
-    K: Ord + Send,
-    F: Fn(usize) -> K + Sync,
+    K: Ord,
+    F: FnMut(usize) -> K,
 {
     argsort_by(n, |a, b| key(a).cmp(&key(b)))
 }

@@ -3,9 +3,8 @@
 //! All sorting builds in the paper (GCSR++ line 12, CSF line 7) both sort
 //! the coordinate buffer *and* return a `map` recording where each original
 //! point went, so values can be reorganized to match. These helpers provide
-//! that pattern over [`CoordBuffer`]; the sorts run through the scoped
-//! parallel layer in [`crate::par`] and fall back to a sequential stable
-//! sort below the configured cutoff.
+//! that pattern over [`CoordBuffer`], each as one stable
+//! [`argsort_by`].
 
 use crate::coord::CoordBuffer;
 use crate::permute::{argsort_by, argsort_by_key, invert_permutation};

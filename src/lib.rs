@@ -17,11 +17,13 @@
 //! * [`metrics`] — op counters, phase timers, telemetry, the Table IV score;
 //! * [`harness`] — the per-table/per-figure experiment runners.
 //!
-//! Format builds and batched point reads run through a dependency-free
-//! compute-parallel layer ([`tensor::par`]); thread count and the
-//! sequential-fallback cutoff are engine knobs
-//! ([`storage::EngineConfig::with_threads`]), and parallel execution is
-//! bit-identical to the sequential reference (see `DESIGN.md` §12).
+//! Format builds and per-query loops are single-threaded, so stored bytes
+//! and Table I operation counts never depend on the host. The one
+//! threading decision is the engine's: a read fans its planned fragments
+//! out over at most
+//! [`read_parallelism`](storage::EngineConfig::with_read_parallelism)
+//! threads when the plan holds enough work to pay for them (`DESIGN.md`
+//! §12).
 //!
 //! ## Quick start
 //!

@@ -1,12 +1,11 @@
 //! Property tests for the direct format-to-format conversion layer:
 //! `convert(A→B)` must equal the decode-to-COO-and-rebuild oracle
 //! byte-for-byte — index bytes and value order — for every ordered pair
-//! of organizations, sequentially and under forced parallelism.
+//! of organizations.
 
 use artsparse::core::convert::convert;
 use artsparse::core::BuildOutput;
 use artsparse::metrics::OpCounter;
-use artsparse::tensor::par::{self, Parallelism};
 use artsparse::tensor::permute::scatter_bytes;
 use artsparse::{CoordBuffer, FormatKind, Shape};
 use proptest::prelude::*;
@@ -40,8 +39,8 @@ fn oracle(from: FormatKind, index: &[u8], to: FormatKind, shape: &Shape) -> Buil
     to.create().build(&coords, shape, &c).unwrap()
 }
 
-/// Check one ordered pair under the ambient parallelism: identical index
-/// bytes and identical value payload after applying the slot maps.
+/// Check one ordered pair: identical index bytes and identical value
+/// payload after applying the slot maps.
 fn check_pair(from: FormatKind, to: FormatKind, shape: &Shape, coords: &CoordBuffer) {
     let c = OpCounter::new();
     let src = from.create().build(coords, shape, &c).unwrap();
@@ -61,40 +60,25 @@ fn check_pair(from: FormatKind, to: FormatKind, shape: &Shape, coords: &CoordBuf
     assert_eq!(got_values, want_values, "{from}→{to} value order differs");
 }
 
-fn check_all_pairs(shape: &Shape, coords: &CoordBuffer, threads: usize) {
-    let p = if threads <= 1 {
-        Parallelism::sequential()
-    } else {
-        Parallelism::with_threads(threads).with_cutoff(1)
-    };
-    par::with(p, || {
-        for from in FormatKind::ALL {
-            for to in FormatKind::ALL {
-                check_pair(from, to, shape, coords);
-            }
+fn check_all_pairs(shape: &Shape, coords: &CoordBuffer) {
+    for from in FormatKind::ALL {
+        for to in FormatKind::ALL {
+            check_pair(from, to, shape, coords);
         }
-    });
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Every ordered pair, sequential execution.
+    /// Every ordered pair.
     #[test]
     fn convert_matches_rebuild_sequential((shape, coords) in tensor_strategy(32)) {
-        check_all_pairs(&shape, &coords, 1);
-    }
-
-    /// Every ordered pair under forced 4-way parallelism: conversions are
-    /// bit-identical to the sequential reference.
-    #[test]
-    fn convert_matches_rebuild_parallel((shape, coords) in tensor_strategy(32)) {
-        check_all_pairs(&shape, &coords, 4);
+        check_all_pairs(&shape, &coords);
     }
 }
 
-/// Degenerate fragments — empty and single-point — through every pair
-/// and both thread counts.
+/// Degenerate fragments — empty and single-point — through every pair.
 #[test]
 fn empty_and_single_point_fragments_all_pairs() {
     let shape = Shape::new(vec![7, 5, 2]).unwrap();
@@ -102,8 +86,6 @@ fn empty_and_single_point_fragments_all_pairs() {
         CoordBuffer::new(3),
         CoordBuffer::from_points(3, &[[6u64, 4, 1]]).unwrap(),
     ] {
-        for threads in [1usize, 4] {
-            check_all_pairs(&shape, &coords, threads);
-        }
+        check_all_pairs(&shape, &coords);
     }
 }
