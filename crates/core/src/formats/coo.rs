@@ -9,9 +9,10 @@
 
 use crate::codec::{IndexDecoder, IndexEncoder};
 use crate::error::Result;
+use crate::formats::{check_scan_region, lowest_slot_per_cell};
 use crate::traits::{BuildOutput, FormatKind, Organization};
 use artsparse_metrics::{OpCounter, OpKind};
-use artsparse_tensor::{CoordBuffer, Shape};
+use artsparse_tensor::{CoordBuffer, Region, Shape};
 
 /// The COO organization.
 #[derive(Debug, Clone, Copy, Default)]
@@ -96,6 +97,47 @@ impl Organization for Coo {
             found
         };
         Ok(encoded.chunks_exact(d * 8).map(scan).collect())
+    }
+
+    /// One pass over the list: `n` coordinate comparisons whatever the
+    /// region's size, against `read`'s `n` per cell.
+    fn scan(
+        &self,
+        index: &[u8],
+        region: &Region,
+        counter: &OpCounter,
+    ) -> Result<Vec<(usize, u64)>> {
+        let (header, mut dec) = IndexDecoder::new(index, Some(FormatKind::Coo.id()))?;
+        let d = header.shape.ndim();
+        check_scan_region(region, d)?;
+        let n = header.n as usize;
+        let flat = dec.words_exact(
+            "coords",
+            n.checked_mul(d)
+                .ok_or_else(|| crate::error::FormatError::corrupt("n*d overflows"))?,
+        )?;
+        dec.expect_end()?;
+
+        // Per dimension the box's lower corner and its extent: one
+        // wrapping subtract and one compare settle `lo <= c <= hi`, and
+        // the difference is the coordinate's digit of the cell's rank.
+        let (lo, hi) = (region.lo(), region.hi());
+        let spans: Vec<u64> = lo.iter().zip(hi).map(|(l, h)| h - l).collect();
+        let mut matches = Vec::new();
+        'points: for (j, p) in flat.as_bytes().chunks_exact(d * 8).enumerate() {
+            let mut rank = 0u64;
+            for (k, word) in p.chunks_exact(8).enumerate() {
+                let c = u64::from_le_bytes(word.try_into().expect("8-byte word"));
+                let offset = c.wrapping_sub(lo[k]);
+                if offset > spans[k] {
+                    continue 'points;
+                }
+                rank = rank * (spans[k] + 1) + offset;
+            }
+            matches.push((rank as usize, j as u64));
+        }
+        counter.add(OpKind::Compare, n as u64);
+        Ok(lowest_slot_per_cell(matches))
     }
 
     fn predicted_index_words(&self, n: u64, shape: &Shape) -> u64 {

@@ -18,10 +18,11 @@
 use crate::codec::{IndexDecoder, IndexEncoder, Words};
 use crate::error::{FormatError, Result};
 use crate::formats::csr2d::validate_ptr_words;
+use crate::formats::{check_scan_region, lowest_slot_per_cell};
 use crate::traits::{BuildOutput, FormatKind, Organization};
 use artsparse_metrics::{OpCounter, OpKind};
 use artsparse_tensor::sort::sort_lexicographic;
-use artsparse_tensor::{CoordBuffer, Shape};
+use artsparse_tensor::{CoordBuffer, Region, Shape};
 
 /// The CSF organization.
 #[derive(Debug, Clone, Copy, Default)]
@@ -221,6 +222,48 @@ impl<'a> CsfView<'a> {
         counter.add(OpKind::NodeVisit, visits);
         found
     }
+
+    /// Walk the subtrees inside `inside` (a box within the tree's shape),
+    /// depth-first: at each level the children whose coordinate lies in
+    /// the box's interval there are one sorted sub-range, found by two
+    /// binary searches; nothing outside it is visited. Calls `emit` with
+    /// each leaf's coordinate (original dimension order) and slot.
+    fn walk_box(&self, inside: &Region, counter: &OpCounter, mut emit: impl FnMut(&[u64], u64)) {
+        let d = self.shape.ndim();
+        let (mut compares, mut visits) = (0u64, 0u64);
+        // The children of `lo..hi` at `lvl` inside the box's interval.
+        let mut children = |lvl: usize, lo: usize, hi: usize| {
+            let seg = self.fids[lvl].slice(lo, hi);
+            let (min, max) = (inside.lo()[self.order[lvl]], inside.hi()[self.order[lvl]]);
+            let from = seg.partition_point(|c| c < min);
+            let to = seg.partition_point(|c| c <= max);
+            compares += 2 * (usize::BITS - seg.len().leading_zeros()) as u64;
+            lo + from..lo + to
+        };
+        let mut coord = vec![0u64; d];
+        // Stack of (level, node index), first child on top.
+        let mut stack: Vec<(usize, usize)> = children(0, 0, self.nfibs[0] as usize)
+            .rev()
+            .map(|node| (0, node))
+            .collect();
+        while let Some((lvl, node)) = stack.pop() {
+            visits += 1;
+            let (dim, c) = (self.order[lvl], self.fids[lvl].get(node));
+            if c < inside.lo()[dim] || c > inside.hi()[dim] {
+                continue; // only an unsorted (damaged) level gets here
+            }
+            coord[dim] = c;
+            if lvl == d - 1 {
+                emit(&coord, node as u64);
+            } else {
+                let lo = self.fptr[lvl].get(node) as usize;
+                let hi = self.fptr[lvl].get(node + 1) as usize;
+                stack.extend(children(lvl + 1, lo, hi).rev().map(|c| (lvl + 1, c)));
+            }
+        }
+        counter.add(OpKind::Compare, compares);
+        counter.add(OpKind::NodeVisit, visits);
+    }
 }
 
 /// Binary search returning `(position, comparisons)`. For runs of equal
@@ -351,6 +394,27 @@ impl Organization for Csf {
             tree.lookup(&qp, counter)
         };
         Ok(queries.iter().map(lookup).collect())
+    }
+
+    /// One descent for the whole box: only children whose coordinate lies
+    /// in the box's interval at their level are entered.
+    fn scan(
+        &self,
+        index: &[u8],
+        region: &Region,
+        counter: &OpCounter,
+    ) -> Result<Vec<(usize, u64)>> {
+        let tree = CsfView::decode(index)?;
+        check_scan_region(region, tree.shape.ndim())?;
+        // Outside the local boundary ⇒ cannot be present.
+        let Some(inside) = region.within(&tree.shape) else {
+            return Ok(Vec::new());
+        };
+        let mut matches = Vec::new();
+        tree.walk_box(&inside, counter, |coord, slot| {
+            matches.push((region.rank(coord) as usize, slot));
+        });
+        Ok(lowest_slot_per_cell(matches))
     }
 
     fn enumerate(&self, index: &[u8], counter: &OpCounter) -> Result<CoordBuffer> {

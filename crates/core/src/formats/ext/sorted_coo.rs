@@ -9,10 +9,11 @@
 
 use crate::codec::{IndexDecoder, IndexEncoder};
 use crate::error::{FormatError, Result};
+use crate::formats::{check_scan_region, lowest_slot_per_cell};
 use crate::traits::{BuildOutput, FormatKind, Organization};
 use artsparse_metrics::{OpCounter, OpKind};
 use artsparse_tensor::permute::{argsort_by, invert_permutation};
-use artsparse_tensor::{CoordBuffer, Shape};
+use artsparse_tensor::{CoordBuffer, Region, Shape};
 
 /// COO sorted by row-major linear address.
 #[derive(Debug, Clone, Copy, Default)]
@@ -119,6 +120,54 @@ impl Organization for SortedCoo {
         Ok(queries.iter().map(lookup).collect())
     }
 
+    /// The box is a set of address runs, one per row of it, and the list
+    /// is sorted: walk the stored addresses from the box's first cell,
+    /// and whenever one falls between two runs binary-search ahead to the
+    /// next run's start. At most one search per run and per gap.
+    fn scan(
+        &self,
+        index: &[u8],
+        region: &Region,
+        counter: &OpCounter,
+    ) -> Result<Vec<(usize, u64)>> {
+        let (header, mut dec) = IndexDecoder::new(index, Some(FormatKind::SortedCoo.id()))?;
+        let addrs = dec.words_exact("addresses", header.n as usize)?;
+        dec.expect_end()?;
+        if addrs.pairs().any(|(a, b)| a > b) {
+            return Err(FormatError::corrupt("sorted-COO addresses not sorted"));
+        }
+        let shape = header.shape;
+        check_scan_region(region, shape.ndim())?;
+        let Some(inside) = region.within(&shape) else {
+            return Ok(Vec::new());
+        };
+        let end = shape.linearize_unchecked(inside.hi());
+        let search_compares = (usize::BITS - addrs.len().leading_zeros()) as u64;
+
+        let mut matches = Vec::new();
+        let mut coord = vec![0u64; shape.ndim()];
+        let (mut compares, mut transforms) = (search_compares, 0u64);
+        let mut at = addrs.partition_point(|a| a < shape.linearize_unchecked(inside.lo()));
+        while at < addrs.len() && addrs.get(at) <= end {
+            compares += 1;
+            transforms += 1;
+            shape.delinearize_into(addrs.get(at), &mut coord);
+            if inside.contains(&coord) {
+                matches.push((region.rank(&coord) as usize, at as u64));
+                at += 1;
+            } else if next_cell_inside(&inside, &mut coord) {
+                let target = shape.linearize_unchecked(&coord);
+                at += addrs.slice(at, addrs.len()).partition_point(|a| a < target);
+                compares += search_compares;
+            } else {
+                break;
+            }
+        }
+        counter.add(OpKind::Compare, compares);
+        counter.add(OpKind::Transform, transforms);
+        Ok(lowest_slot_per_cell(matches))
+    }
+
     fn predicted_index_words(&self, n: u64, _shape: &Shape) -> u64 {
         n
     }
@@ -143,6 +192,29 @@ impl Organization for SortedCoo {
         counter.add(OpKind::Transform, addrs.len() as u64);
         Ok(coords)
     }
+}
+
+/// Advance `coord`, a cell outside `inside`, to the first cell of
+/// `inside` after it in row-major order; `false` when there is none.
+fn next_cell_inside(inside: &Region, coord: &mut [u64]) -> bool {
+    let (lo, hi) = (inside.lo(), inside.hi());
+    // The first dimension that leaves the box decides: below it, the box
+    // resumes in this very row; above it, in the next row of an earlier
+    // dimension that still has one.
+    let Some(out) = (0..coord.len()).find(|&k| coord[k] < lo[k] || coord[k] > hi[k]) else {
+        return true;
+    };
+    let from = if coord[out] < lo[out] {
+        out
+    } else {
+        let Some(carry) = (0..out).rev().find(|&k| coord[k] < hi[k]) else {
+            return false;
+        };
+        coord[carry] += 1;
+        carry + 1
+    };
+    coord[from..].copy_from_slice(&lo[from..]);
+    true
 }
 
 #[cfg(test)]

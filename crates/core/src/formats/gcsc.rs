@@ -12,10 +12,10 @@
 
 use crate::error::Result;
 use crate::formats::csr2d::Remap2D;
-use crate::formats::gcsr::{build_generalized, read_generalized};
+use crate::formats::gcsr::{build_generalized, read_generalized, scan_generalized};
 use crate::traits::{BuildOutput, FormatKind, Organization};
 use artsparse_metrics::OpCounter;
-use artsparse_tensor::{CoordBuffer, Shape};
+use artsparse_tensor::{CoordBuffer, Region, Shape};
 
 /// The GCSC++ organization.
 #[derive(Debug, Clone, Copy, Default)]
@@ -57,6 +57,31 @@ impl Organization for GcscPP {
             |r| r.cols,
             index,
             queries,
+            counter,
+        )
+    }
+
+    fn scan(
+        &self,
+        index: &[u8],
+        region: &Region,
+        counter: &OpCounter,
+    ) -> Result<Vec<(usize, u64)>> {
+        scan_generalized(
+            FormatKind::GcscPP,
+            Remap2D::for_gcsc,
+            |row, col| (col, row),
+            |r| r.cols,
+            // Column buckets repeat every `cols` addresses.
+            |r, first, last, met| {
+                if last - first >= r.cols - 1 {
+                    met.fill(true);
+                } else {
+                    (first..=last).for_each(|l| met[(l % r.cols) as usize] = true);
+                }
+            },
+            index,
+            region,
             counter,
         )
     }

@@ -12,13 +12,14 @@
 //! follows the algorithm, and the unit tests pin the values the algorithm
 //! actually produces for the Fig. 1 tensor.
 
-use crate::codec::{IndexDecoder, IndexEncoder};
+use crate::codec::{IndexDecoder, IndexEncoder, Words};
 use crate::error::Result;
 use crate::formats::csr2d::{build_ptr, scan_bucket, validate_ptr, validate_ptr_words, Remap2D};
+use crate::formats::{check_scan_region, lowest_slot_per_cell, BoxAddresses};
 use crate::traits::{BuildOutput, FormatKind, Organization};
 use artsparse_metrics::{OpCounter, OpKind};
 use artsparse_tensor::permute::{argsort_by, gather, invert_permutation};
-use artsparse_tensor::{CoordBuffer, Shape};
+use artsparse_tensor::{CoordBuffer, Region, Shape};
 
 /// The GCSR++ organization.
 #[derive(Debug, Clone, Copy, Default)]
@@ -133,30 +134,31 @@ pub(crate) fn build_gcsr_presorted(
     })
 }
 
-/// Shared read logic for GCSR++ and GCSC++.
-pub(crate) fn read_generalized(
+/// A GCSR++/GCSC++ index validated and borrowed in place.
+struct Packed2D<'a> {
+    /// The local boundary shape the transforms were computed against.
+    s_l: Shape,
+    remap: Remap2D,
+    ptr: Words<'a>,
+    ind: Words<'a>,
+}
+
+/// The front shared by [`read_generalized`] and [`scan_generalized`]:
+/// decode the header (Algorithm 1 line 5), let the caller check what it
+/// asks against the index's arity, then validate both arrays in one pass
+/// each. They stay where the fetch put them and are read in place.
+fn decode_generalized<'a>(
     format: FormatKind,
     remap_of: fn(&Shape) -> Remap2D,
-    split: fn(u64, u64) -> (u64, u64),
     bucket_count: fn(&Remap2D) -> u64,
-    index: &[u8],
-    queries: &CoordBuffer,
-    counter: &OpCounter,
-) -> Result<Vec<Option<u64>>> {
-    // Line 5: extract metadata from the fragment.
+    index: &'a [u8],
+    check_asked: impl FnOnce(usize) -> Result<()>,
+) -> Result<Packed2D<'a>> {
     let (header, mut dec) = IndexDecoder::new(index, Some(format.id()))?;
     let s_l = header.shape;
-    if queries.ndim() != s_l.ndim() {
-        return Err(artsparse_tensor::TensorError::DimensionMismatch {
-            expected: s_l.ndim(),
-            got: queries.ndim(),
-        }
-        .into());
-    }
+    check_asked(s_l.ndim())?;
     let remap = remap_of(&s_l);
     let nb = bucket_count(&remap) as usize;
-    // Both arrays stay where the fetch put them: validated in one pass
-    // each, then read in place.
     let ptr = dec.words_exact("ptr", nb + 1)?;
     let ind = dec.words_exact("ind", header.n as usize)?;
     dec.expect_end()?;
@@ -171,6 +173,39 @@ pub(crate) fn read_generalized(
             "ind entry out of 2D range",
         ));
     }
+    Ok(Packed2D {
+        s_l,
+        remap,
+        ptr,
+        ind,
+    })
+}
+
+/// Shared read logic for GCSR++ and GCSC++.
+pub(crate) fn read_generalized(
+    format: FormatKind,
+    remap_of: fn(&Shape) -> Remap2D,
+    split: fn(u64, u64) -> (u64, u64),
+    bucket_count: fn(&Remap2D) -> u64,
+    index: &[u8],
+    queries: &CoordBuffer,
+    counter: &OpCounter,
+) -> Result<Vec<Option<u64>>> {
+    let Packed2D {
+        s_l,
+        remap,
+        ptr,
+        ind,
+    } = decode_generalized(format, remap_of, bucket_count, index, |d| {
+        if queries.ndim() != d {
+            return Err(artsparse_tensor::TensorError::DimensionMismatch {
+                expected: d,
+                got: queries.ndim(),
+            }
+            .into());
+        }
+        Ok(())
+    })?;
     // Lines 6–13: transform each query the same way and scan one bucket.
     let lookup = |q: &[u64]| {
         // Outside the local boundary ⇒ cannot be present.
@@ -187,6 +222,70 @@ pub(crate) fn read_generalized(
         slot
     };
     Ok(queries.iter().map(lookup).collect())
+}
+
+/// Shared scan logic for GCSR++ and GCSC++: after `read`'s validation,
+/// mark the buckets the box's 2-D image meets — the box is a set of
+/// address runs, one per row of it, and `mark_run` knows which buckets a
+/// run of addresses falls in — then walk those buckets once each, mapping
+/// every entry back to its coordinate. Comparisons are the sizes of the
+/// buckets met, not `cells × bucket size`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn scan_generalized(
+    format: FormatKind,
+    remap_of: fn(&Shape) -> Remap2D,
+    // `(row, col) → (bucket, ind)` and, being its own inverse, back.
+    split: fn(u64, u64) -> (u64, u64),
+    bucket_count: fn(&Remap2D) -> u64,
+    // Set `met[b]` for every bucket `b` holding an address of `first..=last`.
+    mark_run: fn(&Remap2D, u64, u64, &mut [bool]),
+    index: &[u8],
+    region: &Region,
+    counter: &OpCounter,
+) -> Result<Vec<(usize, u64)>> {
+    let Packed2D {
+        s_l,
+        remap,
+        ptr,
+        ind,
+    } = decode_generalized(format, remap_of, bucket_count, index, |d| {
+        check_scan_region(region, d)
+    })?;
+    // Outside the local boundary ⇒ cannot be present.
+    let Some(mut cells) = BoxAddresses::new(region, &s_l) else {
+        return Ok(Vec::new());
+    };
+    // The box's address runs: dimensions it spans whole, from the last
+    // one up, are contiguous with the one before them, so a run covers
+    // them and the box's extent in dimension `k`; one run per cell of the
+    // dimensions before `k`.
+    let (lo, hi) = (cells.inside.lo(), cells.inside.hi());
+    let whole = |j: usize| lo[j] == 0 && hi[j] == s_l.dim(j) - 1;
+    let k = (1..s_l.ndim()).rev().find(|&j| !whole(j)).unwrap_or(0);
+    let run_end = [&lo[..k], &hi[k..]].concat();
+    let run = s_l.linearize_unchecked(&run_end) - s_l.linearize_unchecked(lo);
+    let last_start = [&hi[..k], &lo[k..]].concat();
+    let mut met = vec![false; ptr.len() - 1];
+    for start in Region::from_corners(lo, &last_start)?.iter_cells() {
+        let first = s_l.linearize_unchecked(&start);
+        mark_run(&remap, first, first + run, &mut met);
+    }
+
+    let mut matches = Vec::new();
+    let mut compares = 0u64;
+    for bucket in (0..met.len()).filter(|&b| met[b]) {
+        let (lo, hi) = (ptr.get(bucket) as usize, ptr.get(bucket + 1) as usize);
+        compares += (hi - lo) as u64;
+        for (off, v) in ind.slice(lo, hi).iter().enumerate() {
+            let (row, col) = split(bucket as u64, v);
+            if let Some(rank) = cells.rank_of(row * remap.cols + col) {
+                matches.push((rank, (lo + off) as u64));
+            }
+        }
+    }
+    counter.add(OpKind::Compare, compares);
+    counter.add(OpKind::Transform, cells.transforms);
+    Ok(lowest_slot_per_cell(matches))
 }
 
 /// Shared enumeration logic: walk every bucket's segment, reconstruct the
@@ -266,6 +365,27 @@ impl Organization for GcsrPP {
             |r| r.rows,
             index,
             queries,
+            counter,
+        )
+    }
+
+    fn scan(
+        &self,
+        index: &[u8],
+        region: &Region,
+        counter: &OpCounter,
+    ) -> Result<Vec<(usize, u64)>> {
+        scan_generalized(
+            FormatKind::GcsrPP,
+            Remap2D::for_gcsr,
+            |row, col| (row, col),
+            |r| r.rows,
+            // Row buckets are `cols` consecutive addresses each.
+            |r, first, last, met| {
+                met[(first / r.cols) as usize..=(last / r.cols) as usize].fill(true)
+            },
+            index,
+            region,
             counter,
         )
     }

@@ -10,9 +10,10 @@
 
 use crate::codec::{IndexDecoder, IndexEncoder};
 use crate::error::Result;
+use crate::formats::{check_scan_region, lowest_slot_per_cell, BoxAddresses};
 use crate::traits::{BuildOutput, FormatKind, Organization};
 use artsparse_metrics::{OpCounter, OpKind};
-use artsparse_tensor::{CoordBuffer, Shape};
+use artsparse_tensor::{CoordBuffer, Region, Shape};
 
 /// The LINEAR organization.
 #[derive(Debug, Clone, Copy, Default)]
@@ -84,6 +85,35 @@ impl Organization for Linear {
             found
         };
         Ok(queries.iter().map(scan).collect())
+    }
+
+    /// One pass over the addresses: `n` comparisons against the address
+    /// interval the box spans, and a transform back to coordinates only
+    /// for the addresses inside it (the box's rows, end to end).
+    fn scan(
+        &self,
+        index: &[u8],
+        region: &Region,
+        counter: &OpCounter,
+    ) -> Result<Vec<(usize, u64)>> {
+        let (header, mut dec) = IndexDecoder::new(index, Some(FormatKind::Linear.id()))?;
+        let addrs = dec.words_exact("addresses", header.n as usize)?;
+        dec.expect_end()?;
+        let shape = header.shape;
+        check_scan_region(region, shape.ndim())?;
+        // A cell outside the build shape cannot be stored.
+        let Some(mut cells) = BoxAddresses::new(region, &shape) else {
+            return Ok(Vec::new());
+        };
+        let mut matches = Vec::new();
+        for (j, a) in addrs.iter().enumerate() {
+            if let Some(rank) = cells.rank_of(a) {
+                matches.push((rank, j as u64));
+            }
+        }
+        counter.add(OpKind::Compare, addrs.len() as u64);
+        counter.add(OpKind::Transform, cells.transforms);
+        Ok(lowest_slot_per_cell(matches))
     }
 
     fn predicted_index_words(&self, n: u64, _shape: &Shape) -> u64 {

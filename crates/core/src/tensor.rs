@@ -164,15 +164,22 @@ impl EncodedTensor {
     }
 
     /// Read every stored point inside `region`, in row-major coordinate
-    /// order — the paper's evaluation read (§III): the query enumerates
-    /// every cell of the region and keeps the hits.
+    /// order — the paper's evaluation read (§III) asks for every cell of
+    /// the region and keeps the hits; [`Organization::scan`] answers that
+    /// in one pass over the index.
+    ///
+    /// [`Organization::scan`]: crate::traits::Organization::scan
     pub fn read_region<V: Element>(&self, region: &Region) -> Result<Vec<(Vec<u64>, V)>> {
-        let queries = region.to_coords();
-        let hits = self.get_many::<V>(&queries)?;
-        Ok(queries
-            .iter()
-            .zip(hits)
-            .filter_map(|(c, v)| v.map(|v| (c.to_vec(), v)))
+        let org = self.kind.create();
+        let matched = org.scan(&self.index, region, &OpCounter::new())?;
+        let mut cell = vec![0u64; region.ndim()];
+        Ok(matched
+            .into_iter()
+            .filter_map(|(rank, slot)| {
+                let value = get_packed::<V>(&self.values, slot as usize)?;
+                region.cell_into(rank as u64, &mut cell);
+                Some((cell.clone(), value))
+            })
             .collect())
     }
 }

@@ -3,7 +3,7 @@
 
 use crate::error::Result;
 use artsparse_metrics::OpCounter;
-use artsparse_tensor::{CoordBuffer, Shape};
+use artsparse_tensor::{CoordBuffer, Region, Shape};
 use serde::{Deserialize, Serialize};
 
 /// Identifier of a storage organization.
@@ -175,6 +175,35 @@ pub trait Organization: Send + Sync {
         queries: &CoordBuffer,
         counter: &OpCounter,
     ) -> Result<Vec<Option<u64>>>;
+
+    /// Every stored point inside `region`, as `(query_index, slot)` pairs:
+    /// exactly the `Some` entries of
+    /// [`read`](Self::read)`(index, &region.to_coords(), ..)`, in the same
+    /// order — `query_index` is the row-major rank of the cell inside
+    /// `region` ([`Region::rank`]), ascending, and among duplicate
+    /// coordinates the lowest slot is reported, as `read` does. The region
+    /// may reach outside the index's shape (those cells hold nothing); one
+    /// of more than `u64::MAX` cells is refused.
+    ///
+    /// This default *is* that expression — the reference the native
+    /// implementations are tested against, and the path of the
+    /// organizations that have none. A native `scan` makes one bounded
+    /// pass over the index instead of one lookup per cell, after the same
+    /// structural validation `read` performs.
+    fn scan(
+        &self,
+        index: &[u8],
+        region: &Region,
+        counter: &OpCounter,
+    ) -> Result<Vec<(usize, u64)>> {
+        region.checked_volume()?;
+        let slots = self.read(index, &region.to_coords(), counter)?;
+        Ok(slots
+            .into_iter()
+            .enumerate()
+            .filter_map(|(qi, slot)| slot.map(|s| (qi, s)))
+            .collect())
+    }
 
     /// Predicted index size in 8-byte words per Table I's space complexity
     /// (upper bound for CSF, exact for the others, excluding the codec

@@ -7,7 +7,9 @@
 //! outside: on every truncation of an index and every damaged section
 //! length prefix, for each of the nine organizations, the in-place read
 //! returns the verdict the owning decode returns — the same `Ok`, or the
-//! same typed [`FormatError`] — and never panics.
+//! same typed [`FormatError`] — and never panics. `Organization::scan`,
+//! the region read's one bounded pass over the same views, is held to the
+//! same verdicts.
 
 use artsparse_core::codec::{IndexDecoder, IndexEncoder, Words, FIXED_HEADER_BYTES};
 use artsparse_core::{FormatError, FormatKind};
@@ -71,7 +73,10 @@ fn damaged(index: &[u8]) -> Vec<(String, Vec<u8>)> {
 #[test]
 fn read_through_views_fails_like_the_owning_decoder() {
     let (shape, coords) = fixture();
-    let queries = Region::full(&shape).to_coords();
+    let full = Region::full(&shape);
+    let queries = full.to_coords();
+    // A box that cuts rows, buckets and subtrees instead of taking all.
+    let inner = Region::from_corners(&[0, 1, 1], &[3, 2, 6]).unwrap();
     let counter = OpCounter::new();
     for kind in FormatKind::ALL {
         let org = kind.create();
@@ -99,6 +104,10 @@ fn read_through_views_fails_like_the_owning_decoder() {
             let viewed = org.read(&bad, &queries, &counter).map(|_| ());
             let owned = org.enumerate(&bad, &counter).map(|_| ());
             assert_eq!(viewed, owned, "{kind}, {what}");
+            for region in [&full, &inner] {
+                let scanned = org.scan(&bad, region, &counter).map(|_| ());
+                assert_eq!(scanned, viewed, "{kind}, {what}: scan of {region}");
+            }
             if bad.len() < built.index.len() {
                 assert!(viewed.is_err(), "{kind}, {what}: decoded");
             }

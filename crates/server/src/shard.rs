@@ -750,4 +750,56 @@ mod tests {
         drop(tx);
         handle.join().unwrap();
     }
+
+    #[test]
+    fn scan_past_the_extent_answers_the_same_flushed_or_buffered() {
+        let (tx, rx) = mpsc::channel();
+        let handle = spawn_shard(0, Arc::new(MemFactory), EngineConfig::default(), None, rx);
+        ask(&tx, |reply| ShardCmd::Create {
+            key: "t/d".into(),
+            dims: vec![16, 16],
+            reply,
+        });
+        let write = |ingest: bool, cell: [u64; 2], value: f64| {
+            ask(&tx, |reply| ShardCmd::Write {
+                key: "t/d".into(),
+                ingest,
+                ndim: 2,
+                flat: cell.to_vec(),
+                values: vec![value],
+                reply,
+            })
+        };
+        let scan = |lo: [u64; 2], hi: [u64; 2]| {
+            let r = ask(&tx, |reply| ShardCmd::Scan {
+                key: "t/d".into(),
+                lo: lo.to_vec(),
+                hi: hi.to_vec(),
+                limit: 1000,
+                reply,
+            });
+            match r {
+                ShardReply::Points { rows, truncated } => (rows, truncated),
+                other => panic!("unexpected {other:?}"),
+            }
+        };
+        write(false, [3, 3], 1.0);
+        write(false, [15, 15], 2.0);
+        // 0:19 × 0:19 reaches past the 16×16 extent; the cells beyond it
+        // hold nothing, and a region wholly beyond it is simply empty.
+        let stored = vec![(vec![3u64, 3], 1.0), (vec![15, 15], 2.0)];
+        assert_eq!(scan([0, 0], [19, 19]), (stored.clone(), false));
+        assert_eq!(scan([16, 16], [19, 19]), (vec![], false));
+        // The same two replies once the ingest buffer holds a point (the
+        // overlay used to fail the first with CoordOutOfBounds) …
+        write(true, [9, 9], 3.0);
+        assert_eq!(scan([16, 16], [19, 19]), (vec![], false));
+        assert_eq!(scan([10, 10], [19, 19]), (stored[1..].to_vec(), false));
+        // … and the buffered point itself is served from a straddling box.
+        let mut all = stored;
+        all.insert(1, (vec![9, 9], 3.0));
+        assert_eq!(scan([0, 0], [19, 19]), (all, false));
+        drop(tx);
+        handle.join().unwrap();
+    }
 }

@@ -2,6 +2,11 @@
 //! fetch and decode the planned fragments (in parallel), merge hits by
 //! linear address, overlay the write buffer.
 //!
+//! The pipeline is one function over *what is asked* ([`Asked`]): a list
+//! of coordinates, looked up one by one in each fragment, or a box,
+//! answered by one bounded pass over each fragment
+//! (`Organization::scan`) without ever listing its cells.
+//!
 //! There is one uncached fetch path: the header and index section in one
 //! range request (re-validated against the catalog), then only the value
 //! records the index matched. With the decoded-fragment cache enabled a
@@ -9,16 +14,18 @@
 
 use super::StorageEngine;
 use crate::backend::StorageBackend;
+use crate::buffer::BufferSnapshot;
 use crate::cache::DecodedFragment;
 use crate::catalog::CatalogEntry;
 use crate::codec::Codec;
 use crate::error::{Result, StorageError};
 use crate::fragment::{decode_index_section, decode_meta, decode_value_section, FragmentMeta};
-use artsparse_metrics::{charge, IoStats, Span, SpanContext, SpanKind};
+use artsparse_core::Organization;
+use artsparse_metrics::{charge, IoStats, OpCounter, Span, SpanContext, SpanKind};
 use artsparse_tensor::value::Element;
-use artsparse_tensor::{CoordBuffer, Region};
+use artsparse_tensor::{CoordBuffer, Region, Shape};
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -61,23 +68,21 @@ const FETCH_PASSES: u64 = 4;
 /// [`StorageEngine::execute_plan`].
 ///
 /// It uses only what the catalog already knows — each planned fragment's
-/// stored index length — and the query count. A fragment is estimated at
-/// one fetch ([`FETCH_PASSES`]) plus one pass over its index per query,
-/// which is what COO and LINEAR do and an overestimate for the searched
-/// organizations (plans big enough for the difference to matter fan out
-/// on the fetch term alone). Work can only overlap beside the largest
-/// fragment, so what counts is everything *but* it, and each worker
-/// beyond the caller must be paid for [`FAN_OUT_FACTOR`] times over in
-/// [`SPAWN_JOIN_NS`]. `cap` — [`EngineConfig::effective_parallelism`] —
-/// is the upper bound; `1` is always the sequential path.
+/// stored index length — and how many `passes` over an index the read
+/// makes ([`Asked::passes`]): one per queried point, one in all for a
+/// region. A fragment is estimated at one fetch ([`FETCH_PASSES`]) plus
+/// those passes, which is what COO and LINEAR do and an overestimate for
+/// the searched organizations (plans big enough for the difference to
+/// matter fan out on the fetch term alone). Work can only overlap beside
+/// the largest fragment, so what counts is everything *but* it, and each
+/// worker beyond the caller must be paid for [`FAN_OUT_FACTOR`] times
+/// over in [`SPAWN_JOIN_NS`]. `cap` —
+/// [`EngineConfig::effective_parallelism`] — is the upper bound; `1` is
+/// always the sequential path.
 ///
 /// [`EngineConfig::effective_parallelism`]: crate::config::EngineConfig::effective_parallelism
-fn planned_workers(
-    cap: usize,
-    index_lens: impl IntoIterator<Item = u64>,
-    n_queries: usize,
-) -> usize {
-    let passes = FETCH_PASSES.saturating_add(n_queries as u64);
+fn planned_workers(cap: usize, index_lens: impl IntoIterator<Item = u64>, passes: u64) -> usize {
+    let passes = FETCH_PASSES.saturating_add(passes);
     let (mut fragments, mut total_ns, mut largest_ns) = (0usize, 0u64, 0u64);
     for len in index_lens {
         let ns = len.saturating_mul(passes) / SCAN_BYTES_PER_NS;
@@ -88,6 +93,143 @@ fn planned_workers(
     let affordable = (total_ns - largest_ns) / (FAN_OUT_FACTOR * SPAWN_JOIN_NS);
     let bound = cap.min(fragments).max(1);
     1 + affordable.min(bound as u64 - 1) as usize
+}
+
+/// What a read asks for. Everything else about a read — the buffer
+/// snapshot, the plan, the fan-out, the merge, the overlay — is the same
+/// pipeline ([`StorageEngine::read_asked`]); the two differ only in the
+/// methods below.
+enum Asked<'a> {
+    /// These coordinates; `query_index` is the position in the buffer.
+    Points(&'a CoordBuffer),
+    /// Every cell of `asked`; `query_index` is the cell's row-major rank
+    /// in it. Only `inside`, its part within the tensor's shape, can
+    /// hold a point (`None`: they do not meet) — what lies outside is a
+    /// miss, exactly as a buffered-or-not out-of-shape point is.
+    Region {
+        asked: &'a Region,
+        inside: Option<Region>,
+    },
+}
+
+impl<'a> Asked<'a> {
+    /// A region of a tensor of `shape`; its cells must be countable.
+    fn region(asked: &'a Region, shape: &Shape) -> Result<Asked<'a>> {
+        asked.checked_volume()?;
+        let inside = asked.within(shape);
+        Ok(Asked::Region { asked, inside })
+    }
+
+    /// The box the catalog is planned against; `None` asks for nothing.
+    fn bbox(&self) -> Option<Cow<'a, Region>> {
+        match self {
+            Asked::Points(queries) => queries.bounding_box().map(Cow::Owned),
+            Asked::Region { asked, .. } => Some(Cow::Borrowed(asked)),
+        }
+    }
+
+    /// Passes over a fragment's index this read makes, as
+    /// [`planned_workers`] counts work: a lookup per point, one scan per
+    /// region.
+    fn passes(&self) -> u64 {
+        match self {
+            Asked::Points(queries) => queries.len() as u64,
+            Asked::Region { .. } => 1,
+        }
+    }
+
+    /// The per-fragment match step: `(query_index, slot)` of every asked
+    /// cell the fragment's `index` holds, by ascending query index.
+    fn matches(
+        &self,
+        org: &dyn Organization,
+        index: &[u8],
+        counter: &OpCounter,
+    ) -> Result<Vec<(usize, u64)>> {
+        match self {
+            Asked::Points(queries) => Ok(org
+                .read(index, queries, counter)?
+                .into_iter()
+                .enumerate()
+                .filter_map(|(qi, slot)| slot.map(|s| (qi, s)))
+                .collect()),
+            Asked::Region { inside: None, .. } => Ok(Vec::new()),
+            Asked::Region {
+                asked,
+                inside: Some(inside),
+            } => {
+                let mut matched = org.scan(index, inside, counter)?;
+                if inside != *asked {
+                    // Ranked within `inside`: re-rank within what was asked.
+                    let mut cell = vec![0u64; inside.ndim()];
+                    for (rank, _) in &mut matched {
+                        inside.cell_into(*rank as u64, &mut cell);
+                        *rank = asked.rank(&cell) as usize;
+                    }
+                }
+                Ok(matched)
+            }
+        }
+    }
+
+    /// The coordinate `query_index` stands for.
+    fn coord(&self, query_index: usize) -> Vec<u64> {
+        match self {
+            Asked::Points(queries) => queries.point(query_index).to_vec(),
+            Asked::Region { asked, .. } => {
+                let mut cell = vec![0u64; asked.ndim()];
+                asked.cell_into(query_index as u64, &mut cell);
+                cell
+            }
+        }
+    }
+
+    /// The asked cells the write buffer holds, as hits. A region walks
+    /// whichever is shorter, the snapshot or its own cells.
+    fn buffered_hits(&self, shape: &Shape, buffered: &BufferSnapshot) -> Vec<ReadHit> {
+        let hit = |query_index: usize, addr: u64, coord: &[u64], record: &[u8]| ReadHit {
+            query_index,
+            addr,
+            coord: coord.to_vec(),
+            value: record.to_vec(),
+            fragment: BUFFER_FRAGMENT.to_string(),
+        };
+        // A cell outside the shape has no address and holds nothing.
+        let lookup = |query_index: usize, cell: &[u64]| {
+            let addr = shape
+                .contains(cell)
+                .then(|| shape.linearize_unchecked(cell))?;
+            let (coord, record) = buffered.get(addr)?;
+            Some(hit(query_index, addr, coord, record))
+        };
+        match self {
+            Asked::Points(queries) => {
+                let each = queries.iter().enumerate();
+                each.filter_map(|(qi, q)| lookup(qi, q)).collect()
+            }
+            Asked::Region { inside: None, .. } => Vec::new(),
+            Asked::Region {
+                asked,
+                inside: Some(inside),
+            } => {
+                if (buffered.len() as u64) < inside.volume() {
+                    return (buffered.iter())
+                        .filter(|(_, coord, _)| inside.contains(coord))
+                        .map(|(addr, coord, record)| {
+                            hit(asked.rank(coord) as usize, addr, coord, record)
+                        })
+                        .collect();
+                }
+                let mut cell = vec![0u64; inside.ndim()];
+                (0..inside.volume())
+                    .filter_map(|rank| {
+                        inside.cell_into(rank, &mut cell);
+                        lookup(asked.rank(&cell) as usize, &cell)
+                    })
+                    .collect()
+            }
+        }
+    }
 }
 
 /// A verified, decoded section that owns its bytes without having copied
@@ -205,7 +347,7 @@ fn quarantines(e: &StorageError) -> bool {
 }
 
 /// Outcome of one READ call.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReadResult {
     /// Hits sorted by linear address (ties: fragment write order).
     pub hits: Vec<ReadHit>,
@@ -260,7 +402,7 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// catalog, fetch/decode matched fragments (in parallel), merge hits
     /// by linear address.
     pub fn read(&self, queries: &CoordBuffer) -> Result<ReadResult> {
-        self.read_with(queries, None)
+        self.read_asked(&Asked::Points(queries), None)
     }
 
     /// [`read`](Self::read) with the per-fragment executor forced to
@@ -269,14 +411,31 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// Results never depend on the width.
     #[doc(hidden)]
     pub fn read_at_width(&self, queries: &CoordBuffer, workers: usize) -> Result<ReadResult> {
-        self.read_with(queries, Some(workers))
+        self.read_asked(&Asked::Points(queries), Some(workers))
     }
 
-    fn read_with(&self, queries: &CoordBuffer, forced_width: Option<usize>) -> Result<ReadResult> {
+    /// Read every stored point in `region` (the §III evaluation read):
+    /// the [`ReadResult`] of [`read`](Self::read) asked for the region's
+    /// cells in row-major order — `query_index` is the cell's rank among
+    /// them — from one pass over each overlapping fragment instead of
+    /// one lookup per cell, and without listing the cells. The part of
+    /// `region` outside the tensor's shape holds nothing.
+    pub fn read_region(&self, region: &Region) -> Result<ReadResult> {
+        self.read_asked(&Asked::region(region, &self.shape)?, None)
+    }
+
+    /// [`read_region`](Self::read_region) at a forced executor width, as
+    /// [`read_at_width`](Self::read_at_width) is to `read`.
+    #[doc(hidden)]
+    pub fn read_region_at_width(&self, region: &Region, workers: usize) -> Result<ReadResult> {
+        self.read_asked(&Asked::region(region, &self.shape)?, Some(workers))
+    }
+
+    fn read_asked(&self, asked: &Asked<'_>, forced_width: Option<usize>) -> Result<ReadResult> {
         let mut result = ReadResult::default();
-        if queries.is_empty() {
-            return Ok(result);
-        }
+        let Some(qbbox) = asked.bbox() else {
+            return Ok(result); // nothing asked
+        };
         let _span = Span::enter(&self.recorder, SpanKind::Read);
         // Snapshot the write buffer BEFORE the catalog plan. A group
         // commit racing this read moves buffered points into a fragment
@@ -287,9 +446,6 @@ impl<B: StorageBackend> StorageEngine<B> {
         // order loses acked, previously-visible points: the plan misses
         // the fragment and the late snapshot finds the buffer drained.
         let buffered = self.buffer.snapshot();
-        let qbbox = queries
-            .bounding_box()
-            .expect("non-empty queries have a bbox");
 
         // A planned fragment can vanish mid-read when a concurrent
         // delete or consolidation removes it between plan and fetch.
@@ -339,10 +495,10 @@ impl<B: StorageBackend> StorageEngine<B> {
                 planned_workers(
                     self.config.effective_parallelism(),
                     plan.fragments.iter().map(|entry| entry.meta.index_len),
-                    queries.len(),
+                    asked.passes(),
                 )
             });
-            let per_fragment = self.execute_plan(&plan.fragments, queries, workers)?;
+            let per_fragment = self.execute_plan(&plan.fragments, asked, workers)?;
             let vanished = per_fragment
                 .iter()
                 .filter(|o| matches!(o, FragmentOutcome::Vanished))
@@ -378,23 +534,12 @@ impl<B: StorageBackend> StorageEngine<B> {
             // than every committed fragment at that instant (a plain
             // write group-commits the buffer first), so on a shared
             // address the buffer's record replaces the fragments' hits.
+            // (Every hit's cell was asked for, so a hit is shadowed
+            // exactly when the snapshot holds its address.)
             if !buffered.is_empty() {
-                let mut overlay: Vec<ReadHit> = Vec::new();
-                for qi in 0..queries.len() {
-                    let addr = self.shape.linearize(queries.point(qi))?;
-                    if let Some((coord, record)) = buffered.get(addr) {
-                        overlay.push(ReadHit {
-                            query_index: qi,
-                            addr,
-                            coord: coord.to_vec(),
-                            value: record.to_vec(),
-                            fragment: BUFFER_FRAGMENT.to_string(),
-                        });
-                    }
-                }
+                let overlay = asked.buffered_hits(&self.shape, &buffered);
                 if !overlay.is_empty() {
-                    let shadowed: HashSet<u64> = overlay.iter().map(|h| h.addr).collect();
-                    result.hits.retain(|h| !shadowed.contains(&h.addr));
+                    result.hits.retain(|h| buffered.get(h.addr).is_none());
                     result.hits.extend(overlay);
                 }
             }
@@ -414,12 +559,6 @@ impl<B: StorageBackend> StorageEngine<B> {
         self.read(queries)?.to_values(queries.len())
     }
 
-    /// Read every stored point in `region` (the §III evaluation read: the
-    /// query enumerates all cells of the region).
-    pub fn read_region(&self, region: &Region) -> Result<ReadResult> {
-        self.read(&region.to_coords())
-    }
-
     /// Run `read_fragment` over the planned fragments on `workers` threads
     /// — the calling thread and `workers − 1` scoped ones, all draining
     /// one queue — and return each fragment's outcome in plan (write)
@@ -434,26 +573,25 @@ impl<B: StorageBackend> StorageEngine<B> {
     fn execute_plan(
         &self,
         fragments: &[Arc<CatalogEntry>],
-        queries: &CoordBuffer,
+        asked: &Asked<'_>,
         workers: usize,
     ) -> Result<Vec<FragmentOutcome>> {
         let workers = workers.min(fragments.len()).max(1);
         if workers == 1 {
             return fragments
                 .iter()
-                .map(|entry| self.read_fragment_or_skip(entry, queries))
+                .map(|entry| self.read_fragment_or_skip(entry, asked))
                 .collect();
         }
-        // Per-fragment result slot: None until a thread fills it.
-        type Slot = parking_lot::Mutex<Option<Result<FragmentOutcome>>>;
+        // The queue hands each plan position to exactly one thread, which
+        // files the outcome under it; the scope joins every thread.
         let next = AtomicUsize::new(0);
-        let outputs: Vec<Slot> = (0..fragments.len())
-            .map(|_| parking_lot::Mutex::new(None))
-            .collect();
+        let done = parking_lot::Mutex::new(Vec::with_capacity(fragments.len()));
         let drain_queue = || loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             let Some(entry) = fragments.get(i) else { break };
-            *outputs[i].lock() = Some(self.read_fragment_or_skip(entry, queries));
+            let outcome = self.read_fragment_or_skip(entry, asked);
+            done.lock().push((i, outcome));
         };
         let context = SpanContext::current();
         let worker_io = parking_lot::Mutex::new(IoStats::default());
@@ -473,10 +611,9 @@ impl<B: StorageBackend> StorageEngine<B> {
         if context.is_some() {
             charge(|io| io.merge(&worker_io.into_inner()));
         }
-        outputs
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("every fragment slot is filled"))
-            .collect()
+        let mut done = done.into_inner();
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, outcome)| outcome).collect()
     }
 
     /// [`Self::read_fragment`], downgrading two kinds of failure:
@@ -493,9 +630,9 @@ impl<B: StorageBackend> StorageEngine<B> {
     fn read_fragment_or_skip(
         &self,
         entry: &CatalogEntry,
-        queries: &CoordBuffer,
+        asked: &Asked<'_>,
     ) -> Result<FragmentOutcome> {
-        match self.read_fragment(entry, queries) {
+        match self.read_fragment(entry, asked) {
             Ok(hits) => Ok(FragmentOutcome::Hits(hits)),
             Err(e) if e.is_not_found() && self.catalog.get(&entry.name).is_none() => {
                 Ok(FragmentOutcome::Vanished)
@@ -525,7 +662,7 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// Fetch, decode, and query one fragment: from the cache when it is
     /// resident, through a cache fill when caching is on, otherwise over
     /// the section/range fetch path.
-    fn read_fragment(&self, entry: &CatalogEntry, queries: &CoordBuffer) -> Result<Vec<ReadHit>> {
+    fn read_fragment(&self, entry: &CatalogEntry, asked: &Asked<'_>) -> Result<Vec<ReadHit>> {
         let name = &entry.name;
         let mut decoded = {
             let _fetch = Span::enter(&self.recorder, SpanKind::ReadFetch);
@@ -539,7 +676,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         }
         if let Some(decoded) = decoded {
             let _decode = Span::enter(&self.recorder, SpanKind::ReadDecode);
-            return self.hits_from_payload(name, &decoded, queries);
+            return self.hits_from_payload(name, &decoded, asked);
         }
         // Range path: header + index section first; values only if slots
         // matched.
@@ -550,12 +687,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         };
         let matched: Vec<(usize, u64)> = {
             let _decode = Span::enter(&self.recorder, SpanKind::ReadDecode);
-            let org = meta.kind.create();
-            org.read(index.bytes(), queries, &self.counter)?
-                .into_iter()
-                .enumerate()
-                .filter_map(|(qi, slot)| slot.map(|s| (qi, s)))
-                .collect()
+            asked.matches(meta.kind.create().as_ref(), index.bytes(), &self.counter)?
         };
         if matched.is_empty() {
             return Ok(Vec::new());
@@ -579,17 +711,17 @@ impl<B: StorageBackend> StorageEngine<B> {
         matched
             .into_iter()
             .map(|(qi, slot)| {
-                let record = records
-                    .get(&slot)
-                    .expect("fetch_value_records covers every matched slot");
-                self.hit(name, queries, qi, record)
+                let record = records.get(&slot).ok_or_else(|| {
+                    StorageError::corrupt(name, format!("no record fetched for value slot {slot}"))
+                })?;
+                self.hit(name, asked, qi, record)
             })
             .collect()
     }
 
-    /// One hit: query `qi` matched `record` in fragment `name`.
-    fn hit(&self, name: &str, queries: &CoordBuffer, qi: usize, record: &[u8]) -> Result<ReadHit> {
-        let coord = queries.point(qi).to_vec();
+    /// One hit: asked cell `qi` matched `record` in fragment `name`.
+    fn hit(&self, name: &str, asked: &Asked<'_>, qi: usize, record: &[u8]) -> Result<ReadHit> {
+        let coord = asked.coord(qi);
         Ok(ReadHit {
             query_index: qi,
             addr: self.shape.linearize(&coord)?,
@@ -678,7 +810,9 @@ impl<B: StorageBackend> StorageEngine<B> {
                 .iter()
                 .rev()
                 .find(|(run_lo, _)| *run_lo <= lo)
-                .expect("every slot falls inside a coalesced run");
+                .ok_or_else(|| {
+                    StorageError::corrupt(name, format!("value slot {slot} in no fetched run"))
+                })?;
             let at = (lo - run_lo) as usize;
             records.insert(slot, bytes[at..at + elem].to_vec());
         }
@@ -686,20 +820,18 @@ impl<B: StorageBackend> StorageEngine<B> {
     }
 
     /// The decode layer of the cached paths (hit or fill):
-    /// run the organization's read over a decoded payload and gather
-    /// hits.
+    /// run the match step over a decoded payload and gather hits.
     fn hits_from_payload(
         &self,
         name: &str,
         decoded: &DecodedFragment,
-        queries: &CoordBuffer,
+        asked: &Asked<'_>,
     ) -> Result<Vec<ReadHit>> {
         let org = decoded.meta.kind.create();
-        let slots = org.read(&decoded.index, queries, &self.counter)?;
+        let matched = asked.matches(org.as_ref(), &decoded.index, &self.counter)?;
         let elem = decoded.meta.elem_size as usize;
-        let mut hits = Vec::new();
-        for (qi, slot) in slots.into_iter().enumerate() {
-            let Some(slot) = slot else { continue };
+        let mut hits = Vec::with_capacity(matched.len());
+        for (qi, slot) in matched {
             let start = slot as usize * elem;
             let Some(record) = decoded.values.get(start..start + elem) else {
                 return Err(StorageError::corrupt(
@@ -707,7 +839,7 @@ impl<B: StorageBackend> StorageEngine<B> {
                     format!("value slot {slot} beyond payload"),
                 ));
             };
-            hits.push(self.hit(name, queries, qi, record)?);
+            hits.push(self.hit(name, asked, qi, record)?);
         }
         Ok(hits)
     }
@@ -778,7 +910,7 @@ mod tests {
     use crate::config::EngineConfig;
     use crate::engine::test_support::{coords, engine};
     use artsparse_core::FormatKind;
-    use artsparse_tensor::Shape;
+    use artsparse_tensor::TensorError;
     use std::time::Duration;
 
     #[test]
@@ -825,6 +957,69 @@ mod tests {
         let r = e.read_region(&region).unwrap();
         let found: Vec<Vec<u64>> = r.hits.iter().map(|h| h.coord.clone()).collect();
         assert_eq!(found, vec![vec![2, 2], vec![3, 9]]);
+    }
+
+    #[test]
+    fn out_of_shape_cells_miss_whatever_the_buffer_holds() {
+        // A query reaching past the 16×16 shape used to succeed while the
+        // ingest buffer was empty and fail `CoordOutOfBounds` as soon as
+        // one point was buffered (the overlay linearized every cell).
+        for kind in FormatKind::ALL {
+            let e = engine(kind);
+            e.write_points::<f64>(&coords(&[[3, 3], [15, 15]]), &[1.0, 2.0])
+                .unwrap();
+            let straddling = Region::from_corners(&[2, 2], &[18, 18]).unwrap();
+            let outside = Region::from_corners(&[16, 0], &[20, 20]).unwrap();
+            let points = coords(&[[15, 15], [16, 2], [3, 3], [2, 40]]);
+            let ask = || {
+                (
+                    e.read_region(&straddling).unwrap(),
+                    e.read_region(&outside).unwrap(),
+                    e.read(&points).unwrap(),
+                )
+            };
+
+            let flushed = ask();
+            // `query_index` is the rank in the region as asked, 17 wide.
+            let ranks =
+                |r: &ReadResult| -> Vec<usize> { r.hits.iter().map(|h| h.query_index).collect() };
+            assert_eq!(ranks(&flushed.0), vec![17 + 1, 13 * 17 + 13], "{kind}");
+            assert_eq!(
+                flushed.0,
+                e.read(&straddling.to_coords()).unwrap(),
+                "{kind}"
+            );
+            assert!(flushed.1.hits.is_empty(), "{kind}");
+            assert_eq!(flushed.1.fragments_scanned, 1, "{kind}");
+            assert_eq!(ranks(&flushed.2), vec![2, 0], "{kind}");
+
+            // A buffered point none of the three asks for changes nothing.
+            e.ingest_points::<f64>(&coords(&[[0, 0]]), &[7.0]).unwrap();
+            assert_eq!(ask(), flushed, "{kind}: buffer non-empty");
+
+            // One they do ask for is one more hit, not an error.
+            e.ingest_points::<f64>(&coords(&[[15, 2]]), &[8.0]).unwrap();
+            let buffered = e.read_region(&straddling).unwrap();
+            assert_eq!(ranks(&buffered), vec![18, 13 * 17, 13 * 17 + 13], "{kind}");
+            assert_eq!(buffered.hits[1].fragment, BUFFER_FRAGMENT, "{kind}");
+            assert_eq!(buffered, e.read(&straddling.to_coords()).unwrap(), "{kind}");
+        }
+    }
+
+    #[test]
+    fn a_region_too_large_to_rank_is_refused() {
+        let e = engine(FormatKind::Coo);
+        let everything = Region::from_corners(&[0, 0], &[u64::MAX, u64::MAX]).unwrap();
+        assert!(matches!(
+            e.read_region(&everything),
+            Err(StorageError::Tensor(TensorError::AddressOverflow { .. }))
+        ));
+        // Far larger than the tensor, but countable: clipped, not listed.
+        let huge = Region::from_corners(&[0, 0], &[1 << 30, 1 << 30]).unwrap();
+        e.write_points::<f64>(&coords(&[[4, 5]]), &[1.0]).unwrap();
+        let hits = e.read_region(&huge).unwrap().hits;
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].query_index, 4 * ((1 << 30) + 1) + 5);
     }
 
     #[test]
@@ -895,8 +1090,8 @@ mod tests {
     fn planned_workers_fans_out_only_when_it_pays() {
         const KB: u64 = 1024;
         let paper_matrix = [170 * KB; 32];
-        // (what, cap, planned index lengths, queries, expected workers)
-        let table: [(&str, usize, &[u64], usize, usize); 9] = [
+        // (what, cap, planned index lengths, passes, expected workers)
+        let table: [(&str, usize, &[u64], u64, usize); 11] = [
             ("empty plan", 8, &[], 1, 1),
             ("one fragment", 8, &[262 * KB], 256, 1),
             // serve-query's GET: everything but the big fragment is 3 KB.
@@ -917,20 +1112,35 @@ mod tests {
                 256,
                 32,
             ),
-            // 256 cells over small fragments is real scanning work.
+            // 256 point lookups over small fragments is real scanning work.
             (
-                "box over small fragments",
+                "batch over small fragments",
                 2,
                 &[262 * KB, 8 * KB, 8 * KB, 8 * KB],
                 256,
                 2,
             ),
+            // The same 256 cells asked for as one box are one pass each:
+            // serve-query's SCAN has nothing to overlap …
+            (
+                "box over small fragments",
+                2,
+                &[262 * KB, 10 * KB, 10 * KB, 10 * KB],
+                1,
+                1,
+            ),
+            // … and paper-matrix's still has 31 fetches to.
+            ("box over 32 fragments", 2, &paper_matrix, 1, 2),
             ("the cap is an upper bound", 1, &paper_matrix, 256, 1),
             ("a zero cap still reads", 0, &paper_matrix, 256, 1),
         ];
-        for (what, cap, lens, queries, want) in table {
+        let sixteen_square = Region::from_corners(&[0, 0], &[15, 15]).unwrap();
+        let shape = Shape::new(vec![64, 64]).unwrap();
+        assert_eq!(Asked::region(&sixteen_square, &shape).unwrap().passes(), 1);
+        assert_eq!(Asked::Points(&sixteen_square.to_coords()).passes(), 256);
+        for (what, cap, lens, passes, want) in table {
             assert_eq!(
-                planned_workers(cap, lens.iter().copied(), queries),
+                planned_workers(cap, lens.iter().copied(), passes),
                 want,
                 "{what}"
             );

@@ -120,9 +120,24 @@ impl Region {
     pub fn volume(&self) -> u64 {
         let mut v: u128 = 1;
         for (&l, &h) in self.lo.iter().zip(&self.hi) {
-            v = v.saturating_mul((h - l + 1) as u128);
+            v = v.saturating_mul((h - l) as u128 + 1);
         }
         v.min(u64::MAX as u128) as u64
+    }
+
+    /// The cell count when it fits in a `u64` — what [`rank`](Self::rank),
+    /// [`cell_into`](Self::cell_into) and [`to_coords`](Self::to_coords)
+    /// need of a region — and [`TensorError::AddressOverflow`] of its
+    /// (saturated) sizes when it does not.
+    pub fn checked_volume(&self) -> Result<u64> {
+        match self.volume() {
+            u64::MAX => Err(TensorError::AddressOverflow {
+                shape: (self.lo.iter().zip(&self.hi))
+                    .map(|(&l, &h)| (h - l).saturating_add(1))
+                    .collect(),
+            }),
+            volume => Ok(volume),
+        }
     }
 
     /// Whether `coord` lies inside the region.
@@ -132,6 +147,32 @@ impl Region {
                 .iter()
                 .zip(self.lo.iter().zip(&self.hi))
                 .all(|(&c, (&l, &h))| c >= l && c <= h)
+    }
+
+    /// Row-major rank of `coord` among the region's cells: its index in
+    /// [`to_coords`](Self::to_coords). `coord` must lie inside the region
+    /// and the region's [`volume`](Self::volume) must fit in `u64`
+    /// (debug-asserted only, like [`Shape::linearize_unchecked`]).
+    #[inline]
+    pub fn rank(&self, coord: &[u64]) -> u64 {
+        debug_assert!(self.contains(coord), "coord {coord:?} outside {self}");
+        let mut rank = 0u64;
+        for (&c, (&l, &h)) in coord.iter().zip(self.lo.iter().zip(&self.hi)) {
+            rank = rank * (h - l + 1) + (c - l);
+        }
+        rank
+    }
+
+    /// Inverse of [`rank`](Self::rank): decode a cell's rank into a
+    /// caller-provided buffer. `rank` must be `< volume()`.
+    pub fn cell_into(&self, mut rank: u64, out: &mut [u64]) {
+        debug_assert!(rank < self.volume());
+        debug_assert_eq!(out.len(), self.ndim());
+        for i in (0..self.ndim()).rev() {
+            let size = self.hi[i] - self.lo[i] + 1;
+            out[i] = self.lo[i] + rank % size;
+            rank /= size;
+        }
     }
 
     /// Whether two regions share at least one cell.
@@ -166,6 +207,11 @@ impl Region {
             .map(|(&a, &b)| a.min(b))
             .collect();
         Some(Region { lo, hi })
+    }
+
+    /// The part of this region inside `shape`, if any.
+    pub fn within(&self, shape: &Shape) -> Option<Region> {
+        self.intersection(&Region::full(shape))
     }
 
     /// Whether this region lies entirely within `shape`.
@@ -288,6 +334,11 @@ mod tests {
         assert!(f.fits_in(&s));
         let over = Region::from_corners(&[0, 0], &[4, 4]).unwrap();
         assert!(!over.fits_in(&s));
+        assert_eq!(over.within(&s), Some(f));
+        assert_eq!(
+            Region::from_corners(&[4, 0], &[9, 9]).unwrap().within(&s),
+            None
+        );
     }
 
     #[test]
@@ -312,6 +363,17 @@ mod tests {
     }
 
     #[test]
+    fn rank_and_cell_invert_row_major_enumeration() {
+        let r = Region::from_corners(&[1, 2, 5], &[2, 4, 5]).unwrap();
+        let mut cell = [0u64; 3];
+        for (i, want) in r.iter_cells().enumerate() {
+            assert_eq!(r.rank(&want), i as u64);
+            r.cell_into(i as u64, &mut cell);
+            assert_eq!(cell.as_slice(), want);
+        }
+    }
+
+    #[test]
     fn single_cell_region_iterates_once() {
         let r = Region::from_corners(&[7, 7, 7], &[7, 7, 7]).unwrap();
         assert_eq!(r.iter_cells().count(), 1);
@@ -322,5 +384,13 @@ mod tests {
     fn volume_saturates() {
         let r = Region::from_corners(&[0, 0], &[u64::MAX - 1, u64::MAX - 1]).unwrap();
         assert_eq!(r.volume(), u64::MAX);
+        let r = Region::from_corners(&[0], &[u64::MAX]).unwrap();
+        assert_eq!(r.volume(), u64::MAX);
+        assert!(matches!(
+            r.checked_volume(),
+            Err(TensorError::AddressOverflow { shape }) if shape == [u64::MAX]
+        ));
+        let r = Region::from_corners(&[3, 0], &[4, 9]).unwrap();
+        assert_eq!(r.checked_volume(), Ok(20));
     }
 }

@@ -2,10 +2,13 @@
 
 use artsparse::core::formats::csf::CsfTree;
 use artsparse::metrics::OpCounter;
+use artsparse::storage::config::RetryPolicy;
+use artsparse::storage::{Codec, EngineConfig, MemBackend, StorageBackend, StorageEngine};
 use artsparse::tensor::permute::is_permutation;
 use artsparse::{CoordBuffer, FormatKind, Region, Shape};
 use proptest::prelude::*;
 use std::collections::HashSet;
+use std::time::Duration;
 
 /// Strategy: a small shape of 1–4 dimensions, each of size 1–12.
 fn shape_strategy() -> impl Strategy<Value = Shape> {
@@ -25,6 +28,175 @@ fn tensor_strategy(max_points: usize) -> impl Strategy<Value = (Shape, CoordBuff
             (shape.clone(), buf)
         })
     })
+}
+
+/// What [`region_read_is_the_point_read_of_its_cells`] stores and asks.
+#[derive(Debug, Clone)]
+struct RegionReadCase {
+    shape: Shape,
+    /// Written batches, one fragment each; cells repeat within a batch
+    /// and across batches (overwrites).
+    fragments: Vec<Vec<Vec<u64>>>,
+    /// Ingested last and left in the write buffer.
+    buffered: Vec<Vec<u64>>,
+    /// Boxes whose corners may lie up to two cells past the shape.
+    regions: Vec<Region>,
+}
+
+fn region_read_case() -> impl Strategy<Value = RegionReadCase> {
+    prop::collection::vec(1u64..=7, 1..=3).prop_flat_map(|dims| {
+        let point = dims.iter().map(|&m| 0u64..m).collect::<Vec<_>>();
+        let corner = dims
+            .iter()
+            .map(|&m| (0..m + 2, 0..m + 2))
+            .collect::<Vec<_>>();
+        (
+            prop::collection::vec(prop::collection::vec(point.clone(), 1..10), 1..=4),
+            prop::collection::vec(point, 0..6),
+            prop::collection::vec(corner, 1..=3),
+        )
+            .prop_map(move |(fragments, buffered, corners)| RegionReadCase {
+                shape: Shape::new(dims.clone()).unwrap(),
+                fragments,
+                buffered,
+                regions: corners
+                    .iter()
+                    .map(|c| {
+                        let lo: Vec<u64> = c.iter().map(|&(a, b)| a.min(b)).collect();
+                        let hi: Vec<u64> = c.iter().map(|&(a, b)| a.max(b)).collect();
+                        Region::from_corners(&lo, &hi).unwrap()
+                    })
+                    .collect(),
+            })
+    })
+}
+
+impl RegionReadCase {
+    fn coords(&self, pts: &[Vec<u64>]) -> CoordBuffer {
+        let mut buf = CoordBuffer::new(self.shape.ndim());
+        for p in pts {
+            buf.push(p).unwrap();
+        }
+        buf
+    }
+
+    /// An engine holding the case's fragments (values tell batch and
+    /// position apart); the buffered points are not yet ingested.
+    fn store(
+        &self,
+        kind: FormatKind,
+        index_codec: Codec,
+        config: EngineConfig,
+    ) -> StorageEngine<MemBackend> {
+        let engine =
+            StorageEngine::open_with(MemBackend::new(), kind, self.shape.clone(), 8, config)
+                .unwrap()
+                .with_compression(index_codec, Codec::None);
+        for (batch, pts) in self.fragments.iter().enumerate() {
+            let values: Vec<f64> = (0..pts.len()).map(|i| (batch * 100 + i) as f64).collect();
+            engine.write_points(&self.coords(pts), &values).unwrap();
+        }
+        engine
+    }
+
+    /// `read_region(r)` is `read(&r.to_coords())`, field for field, on
+    /// the planned width and on two forced workers.
+    fn check(&self, engine: &StorageEngine<MemBackend>, what: &str) -> Result<(), String> {
+        for region in &self.regions {
+            let cells = region.to_coords();
+            prop_assert_eq!(
+                engine.read_region(region).unwrap(),
+                engine.read(&cells).unwrap(),
+                "{}: {}",
+                what,
+                region
+            );
+            prop_assert_eq!(
+                engine.read_region_at_width(region, 2).unwrap(),
+                engine.read_at_width(&cells, 2).unwrap(),
+                "{} on two workers: {}",
+                what,
+                region
+            );
+        }
+        Ok(())
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A region read — one `Organization::scan` per fragment — returns the
+    /// `ReadResult` of the point read of the region's cells: same hits in
+    /// the same order with the same `query_index`, same plan counts, same
+    /// outcome. For all nine organizations, cache off and on, index
+    /// stored plain and delta-varint, over fragments that overwrite each
+    /// other with points still buffered, and again after consolidation.
+    #[test]
+    fn region_read_is_the_point_read_of_its_cells(case in region_read_case()) {
+        for kind in FormatKind::ALL {
+            for cache in [0, 1 << 20] {
+                for index_codec in [Codec::None, Codec::DeltaVarint] {
+                    let what = format!("{kind}, cache {cache}, index {index_codec:?}");
+                    let config = EngineConfig::default()
+                        .with_cache_capacity(cache)
+                        .with_read_parallelism(1);
+                    let engine = case.store(kind, index_codec, config);
+                    case.check(&engine, &format!("{what}, flushed"))?;
+                    if !case.buffered.is_empty() {
+                        let values: Vec<f64> =
+                            (0..case.buffered.len()).map(|i| (900 + i) as f64).collect();
+                        engine.ingest_points(&case.coords(&case.buffered), &values).unwrap();
+                        case.check(&engine, &format!("{what}, buffered"))?;
+                    }
+                    engine.consolidate().unwrap();
+                    case.check(&engine, &format!("{what}, consolidated"))?;
+                }
+            }
+        }
+    }
+
+    /// The same under degraded reads: with the first fragment's index
+    /// damaged on the device, both reads quarantine it and report the
+    /// same incomplete outcome over the survivors.
+    #[test]
+    fn region_read_degrades_like_the_point_read(case in region_read_case()) {
+        let lenient = || EngineConfig::default()
+            .with_strict_reads(false)
+            .with_read_parallelism(1)
+            .with_retry(RetryPolicy {
+                max_attempts: 2,
+                base_backoff: Duration::ZERO,
+                max_backoff: Duration::ZERO,
+                jitter_pct: 0,
+            });
+        for kind in FormatKind::ALL {
+            // Two identical damaged stores: a quarantine is sticky, so
+            // each read must meet the damage first-hand.
+            let damaged = || {
+                let engine = case.store(kind, Codec::None, lenient());
+                let victim = engine.fragments().unwrap()[0].clone();
+                let mut bytes = engine.backend().get(&victim).unwrap();
+                // The last byte of the index section (values follow it).
+                let at = bytes.len() - 8 * case.fragments[0].len() - 1;
+                bytes[at] ^= 0x10;
+                engine.backend().put(&victim, &bytes).unwrap();
+                (engine, victim)
+            };
+            for region in &case.regions {
+                let ((by_region, victim), (by_points, _)) = (damaged(), damaged());
+                let scanned = by_region.read_region(region).unwrap();
+                prop_assert_eq!(
+                    &scanned,
+                    &by_points.read(&region.to_coords()).unwrap(),
+                    "{}: {}", kind, region
+                );
+                if scanned.fragments_matched > 0 && !scanned.outcome.complete {
+                    prop_assert_eq!(&scanned.outcome.quarantined, &vec![victim]);
+                }
+            }
+        }
+    }
 }
 
 proptest! {
