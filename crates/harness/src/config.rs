@@ -87,12 +87,6 @@ pub struct Config {
     /// Group-commit flush threshold in points for the `ingest` experiment
     /// (`--ingest-flush-points`).
     pub ingest_flush_points: usize,
-    /// Open-loop request arrival rate per tenant (requests/second) for
-    /// the `load` experiment (`--load-rate`).
-    pub load_rate: u64,
-    /// Concurrent tenant sessions in the `load` experiment's multi
-    /// phase (`--load-tenants`).
-    pub load_tenants: usize,
 }
 
 impl Default for Config {
@@ -114,8 +108,6 @@ impl Default for Config {
             profile: artsparse_storage::ReorgProfile::Balanced,
             ingest_batch: 64,
             ingest_flush_points: 1024,
-            load_rate: 200,
-            load_tenants: 4,
         }
     }
 }

@@ -6,12 +6,13 @@
 //! ingest organization) and one frozen in COO. After the cycles the
 //! adaptive store must have converged to the organization an offline
 //! advisor pass recommends over the full dataset, return byte-identical
-//! reads, and beat (or match) the frozen store on warm point queries.
-//! With `--out` the warm-read timings land in `BENCH_adaptive_reorg.json`
-//! for the CI `compare_bench.py` gate.
+//! reads, and store the bytes recorded in `BENCH_adaptive_reorg.json`
+//! (written under `--out` for the exact `ci/compare_bench.py` gate). The
+//! warm point-query timings of both stores are printed and kept in
+//! `adaptive.json` as informational readings; nothing gates them.
 
 use crate::config::Config;
-use crate::experiments::ExperimentOutput;
+use crate::experiments::{write_gate_file, ByteGate, ExperimentOutput};
 use crate::Result;
 use artsparse_core::advisor::recommend_from_stats;
 use artsparse_core::stats::SparsityStats;
@@ -41,7 +42,9 @@ struct Row {
     store_organization: String,
     converged: bool,
     reads_identical: bool,
+    /// Informational: mean warm-read wall clock, gated by nothing.
     adaptive_read_ns: u64,
+    /// Informational, as `adaptive_read_ns`.
     frozen_read_ns: u64,
     adaptive_bytes: u64,
     frozen_bytes: u64,
@@ -50,38 +53,20 @@ struct Row {
     conversions_fallback: u64,
 }
 
-#[derive(Debug, Serialize)]
-struct Bench {
-    id: String,
-    samples: usize,
-    mean_ns: u64,
-    min_ns: u64,
-    max_ns: u64,
-    bytes: u64,
-}
-
-/// Time `READ_REPS` warm point-query passes; returns (mean, min, max) ns.
-fn time_reads(
-    engine: &StorageEngine<MemBackend>,
-    queries: &CoordBuffer,
-) -> Result<(u64, u64, u64)> {
+/// Time `READ_REPS` warm point-query passes; returns the mean in ns.
+fn time_reads(engine: &StorageEngine<MemBackend>, queries: &CoordBuffer) -> Result<u64> {
     engine.read(queries)?; // warm the fragment cache
-    let mut samples = Vec::with_capacity(READ_REPS);
+    let start = Instant::now();
     for _ in 0..READ_REPS {
-        let start = Instant::now();
         let r = engine.read(queries)?;
-        samples.push(start.elapsed().as_nanos() as u64);
         assert!(!r.hits.is_empty(), "queries sample stored points");
     }
-    let mean = samples.iter().sum::<u64>() / samples.len() as u64;
-    let min = *samples.iter().min().unwrap();
-    let max = *samples.iter().max().unwrap();
-    Ok((mean, min, max))
+    Ok(start.elapsed().as_nanos() as u64 / READ_REPS as u64)
 }
 
 /// Drive one pattern through the cycles; returns the comparison row plus
-/// the two bench records.
-fn run_pattern(cfg: &Config, pattern: Pattern) -> Result<(Row, Vec<Bench>)> {
+/// the two gate rows.
+fn run_pattern(cfg: &Config, pattern: Pattern) -> Result<(Row, Vec<ByteGate>)> {
     let ndim = 3;
     let ds = Dataset::for_scale(pattern, ndim, cfg.scale, cfg.params);
     let values = ds.values();
@@ -150,8 +135,8 @@ fn run_pattern(cfg: &Config, pattern: Pattern) -> Result<(Row, Vec<Bench>)> {
     for coord in ds.coords.iter().step_by(stride) {
         queries.push(coord)?;
     }
-    let (a_mean, a_min, a_max) = time_reads(&adaptive, &queries)?;
-    let (f_mean, f_min, f_max) = time_reads(&frozen, &queries)?;
+    let adaptive_read_ns = time_reads(&adaptive, &queries)?;
+    let frozen_read_ns = time_reads(&frozen, &queries)?;
 
     let f_stats = frozen.stats()?;
     let telemetry = adaptive.telemetry_report();
@@ -173,21 +158,13 @@ fn run_pattern(cfg: &Config, pattern: Pattern) -> Result<(Row, Vec<Bench>)> {
     }
 
     let slug = pattern.name().to_ascii_lowercase();
-    let benches = vec![
-        Bench {
+    let gates = vec![
+        ByteGate {
             id: format!("adaptive-{slug}"),
-            samples: READ_REPS,
-            mean_ns: a_mean,
-            min_ns: a_min,
-            max_ns: a_max,
             bytes: a_stats.total_bytes,
         },
-        Bench {
+        ByteGate {
             id: format!("frozen-coo-{slug}"),
-            samples: READ_REPS,
-            mean_ns: f_mean,
-            min_ns: f_min,
-            max_ns: f_max,
             bytes: f_stats.total_bytes,
         },
     ];
@@ -203,31 +180,31 @@ fn run_pattern(cfg: &Config, pattern: Pattern) -> Result<(Row, Vec<Bench>)> {
             .join("+"),
         converged,
         reads_identical,
-        adaptive_read_ns: a_mean,
-        frozen_read_ns: f_mean,
+        adaptive_read_ns,
+        frozen_read_ns,
         adaptive_bytes: a_stats.total_bytes,
         frozen_bytes: f_stats.total_bytes,
         fragments_migrated: totals.fragments_migrated,
         conversions_direct: totals.conversions_direct,
         conversions_fallback: totals.conversions_fallback,
     };
-    Ok((row, benches))
+    Ok((row, gates))
 }
 
 /// Run the adaptive-vs-frozen comparison for MSP and GSP at 3D.
 pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
     let mut rows = Vec::new();
-    let mut benches = Vec::new();
+    let mut gates = Vec::new();
     for pattern in [Pattern::Msp, Pattern::Gsp] {
         eprintln!(
             "[adaptive] {} 3D, profile {}, {CYCLES} write→consolidate cycles",
             pattern.name(),
             cfg.profile.name()
         );
-        let (row, b) = run_pattern(cfg, pattern)?;
+        let (row, g) = run_pattern(cfg, pattern)?;
         eprintln!(
             "[adaptive]   advisor {} | store {} | converged {} | reads identical {} | \
-             warm read {} ns vs frozen-COO {} ns",
+             warm read {} ns vs frozen-COO {} ns (informational)",
             row.offline_recommendation,
             row.store_organization,
             row.converged,
@@ -236,7 +213,7 @@ pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
             row.frozen_read_ns
         );
         rows.push(row);
-        benches.extend(b);
+        gates.extend(g);
     }
 
     let mut table = Table::new(
@@ -272,14 +249,8 @@ pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
         ]);
     }
 
-    // The compare_bench.py gate compares `bytes`, which is deterministic
-    // on the in-memory backend; the ns columns document the warm-read win.
     if let Some(dir) = &cfg.out_dir {
-        std::fs::create_dir_all(dir)?;
-        let doc = serde_json::json!({ "group": "adaptive_reorg", "benchmarks": benches });
-        let path = dir.join("BENCH_adaptive_reorg.json");
-        std::fs::write(&path, serde_json::to_string_pretty(&doc)?)?;
-        eprintln!("[adaptive] bench -> {}", path.display());
+        write_gate_file(dir, "adaptive_reorg", &gates)?;
     }
 
     Ok(ExperimentOutput {
@@ -289,7 +260,8 @@ pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
             "adaptive (advisor-driven re-organization, COO ingest) vs frozen COO.".into(),
             "`converged` means the store holds exactly one fragment in the offline".into(),
             "advisor's recommended organization; `identical` means both stores export".into(),
-            "the same coordinates and payload bytes after migration.".into(),
+            "the same coordinates and payload bytes after migration. The ns".into(),
+            "columns are informational wall-clock readings; the gate is bytes.".into(),
         ],
         tables: vec![table],
         json: serde_json::json!({
@@ -297,7 +269,7 @@ pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
             "profile": cfg.profile.name(),
             "cycles": CYCLES,
             "rows": rows,
-            "benchmarks": benches,
+            "benchmarks": gates,
         }),
     })
 }

@@ -1,34 +1,25 @@
-//! Streaming ingest — sustained writes under concurrent reads.
+//! Streaming ingest — group-commit and WAL byte accounting.
 //!
-//! Two phases per pattern (MSP and GSP at 3D):
-//!
-//! 1. **Deterministic group-commit accounting.** The dataset is ingested
-//!    in fixed `--ingest-batch` point batches through the WAL-protected
-//!    buffer with `--ingest-flush-points` as the only self-flush trigger,
-//!    then flushed and consolidated. On the in-memory backend every byte
-//!    count — WAL bytes, group commits, final store size — is a pure
-//!    function of the dataset, so these land in `BENCH_ingest.json` for
-//!    the CI `compare_bench.py` gate (`--stat bytes`).
-//! 2. **Sustained ingest under concurrent reads.** A fresh store runs the
-//!    background [`IngestScheduler`] while the main thread re-ingests the
-//!    dataset and a reader thread hammers point queries the whole time.
-//!    Writes/sec, reads served, and the scheduler's flush/consolidation
-//!    counters are reported (informational — wall-clock, not gated).
+//! Per pattern (MSP and GSP at 3D) the dataset is ingested in fixed
+//! `--ingest-batch` point batches through the WAL-protected buffer with
+//! `--ingest-flush-points` as the only self-flush trigger, then flushed,
+//! consolidated and read back. On the in-memory backend every count —
+//! WAL bytes, group commits, final store size — is a pure function of
+//! the dataset, so WAL bytes + store size land in `BENCH_ingest.json`
+//! for the exact `ci/compare_bench.py` gate. How fast served ingest is,
+//! under concurrent reads and a live scheduler, is the repo benchmark's
+//! question (`benchmark/`, workloads `serve-ingest` and
+//! `embed-lifecycle`).
 
 use crate::config::Config;
-use crate::experiments::ExperimentOutput;
+use crate::experiments::{write_gate_file, ByteGate, ExperimentOutput};
 use crate::Result;
 use artsparse_core::FormatKind;
 use artsparse_metrics::Table;
 use artsparse_patterns::{Dataset, Pattern};
-use artsparse_storage::{
-    EngineConfig, IngestScheduler, MemBackend, SchedulerConfig, StorageEngine,
-};
+use artsparse_storage::{EngineConfig, MemBackend, StorageEngine};
 use artsparse_tensor::CoordBuffer;
 use serde::Serialize;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
 
 #[derive(Debug, Serialize)]
 struct Row {
@@ -40,26 +31,7 @@ struct Row {
     fragments_before_consolidate: usize,
     final_fragments: usize,
     total_bytes: u64,
-    ingest_ns: u64,
-    writes_per_sec: u64,
     readback_verified: bool,
-    concurrent_writes_per_sec: u64,
-    concurrent_reads: u64,
-    scheduler_runs: u64,
-    scheduler_flushes: u64,
-    scheduler_consolidations: u64,
-    scheduler_errors: u64,
-    scheduler_last_error: Option<String>,
-}
-
-#[derive(Debug, Serialize)]
-struct Bench {
-    id: String,
-    samples: usize,
-    mean_ns: u64,
-    min_ns: u64,
-    max_ns: u64,
-    bytes: u64,
 }
 
 /// Slice the dataset into `batch`-point [`CoordBuffer`]s plus their
@@ -80,8 +52,8 @@ fn batches(ds: &Dataset, values: &[f64], batch: usize) -> Result<Vec<(CoordBuffe
     Ok(out)
 }
 
-/// Phase 1: deterministic ingest → flush → consolidate with telemetry.
-fn run_deterministic(cfg: &Config, pattern: Pattern) -> Result<(Row, Bench)> {
+/// Deterministic ingest → flush → consolidate with telemetry.
+fn run_pattern(cfg: &Config, pattern: Pattern) -> Result<(Row, ByteGate)> {
     let ndim = 3;
     let ds = Dataset::for_scale(pattern, ndim, cfg.scale, cfg.params);
     let values = ds.values();
@@ -97,12 +69,10 @@ fn run_deterministic(cfg: &Config, pattern: Pattern) -> Result<(Row, Bench)> {
             .with_telemetry(true),
     )?;
 
-    let start = Instant::now();
     for (coords, vals) in &work {
         engine.ingest_points::<f64>(coords, vals)?;
     }
     engine.flush()?;
-    let ingest_ns = start.elapsed().as_nanos() as u64;
     let fragments_before = engine.fragments()?.len();
     engine.consolidate()?;
 
@@ -135,134 +105,30 @@ fn run_deterministic(cfg: &Config, pattern: Pattern) -> Result<(Row, Bench)> {
         }
     }
 
-    let n = ds.nnz();
-    let writes_per_sec = if ingest_ns == 0 {
-        0
-    } else {
-        (n as u128 * 1_000_000_000 / ingest_ns as u128) as u64
-    };
     let row = Row {
         pattern: pattern.name().to_string(),
-        n_points: n,
+        n_points: ds.nnz(),
         batches: work.len(),
         group_commits: totals.group_commits,
         wal_bytes: totals.wal_bytes,
         fragments_before_consolidate: fragments_before,
         final_fragments: engine.fragments()?.len(),
         total_bytes: stats.total_bytes,
-        ingest_ns,
-        writes_per_sec,
         readback_verified,
-        concurrent_writes_per_sec: 0, // filled by phase 2
-        concurrent_reads: 0,
-        scheduler_runs: 0,
-        scheduler_flushes: 0,
-        scheduler_consolidations: 0,
-        scheduler_errors: 0,
-        scheduler_last_error: None,
     };
-    let slug = pattern.name().to_ascii_lowercase();
-    let bench = Bench {
-        id: format!("ingest-{slug}"),
-        samples: work.len(),
-        mean_ns: ingest_ns / work.len().max(1) as u64,
-        min_ns: 0,
-        max_ns: ingest_ns,
-        // The gated statistic: WAL bytes + final store size, both pure
-        // functions of the dataset and the flush threshold.
+    let gate = ByteGate {
+        id: format!("ingest-{}", pattern.name().to_ascii_lowercase()),
+        // WAL bytes + final store size, both pure functions of the
+        // dataset and the flush threshold.
         bytes: totals.wal_bytes + stats.total_bytes,
     };
-    Ok((row, bench))
-}
-
-/// Phase 2: the same dataset under the background scheduler with a
-/// concurrent point-query reader; fills the row's concurrency columns.
-fn run_concurrent(cfg: &Config, pattern: Pattern, row: &mut Row) -> Result<()> {
-    let ndim = 3;
-    let ds = Dataset::for_scale(pattern, ndim, cfg.scale, cfg.params);
-    let values = ds.values();
-    let work = batches(&ds, &values, cfg.ingest_batch.max(1))?;
-
-    let engine = Arc::new(StorageEngine::open_with(
-        MemBackend::new(),
-        FormatKind::Coo,
-        ds.shape.clone(),
-        8,
-        EngineConfig::default().with_ingest(cfg.ingest_config()),
-    )?);
-    let mut scheduler = IngestScheduler::spawn(
-        Arc::clone(&engine),
-        SchedulerConfig {
-            tick_ms: 1,
-            ..SchedulerConfig::default()
-        },
-    );
-
-    // Reader thread: point queries over a fixed sample until the writer
-    // finishes. Every read must succeed; hit counts vary with timing.
-    let stop = Arc::new(AtomicBool::new(false));
-    let reads = Arc::new(AtomicU64::new(0));
-    let reader = {
-        let engine = Arc::clone(&engine);
-        let stop = Arc::clone(&stop);
-        let reads = Arc::clone(&reads);
-        let stride = ds.nnz().div_ceil(256).max(1);
-        let mut sample = CoordBuffer::new(ndim);
-        for coord in ds.coords.iter().step_by(stride) {
-            sample.push(coord)?;
-        }
-        std::thread::spawn(move || -> Result<()> {
-            while !stop.load(Ordering::Relaxed) {
-                engine.read(&sample)?;
-                reads.fetch_add(1, Ordering::Relaxed);
-            }
-            Ok(())
-        })
-    };
-
-    let start = Instant::now();
-    for (coords, vals) in &work {
-        engine.ingest_points::<f64>(coords, vals)?;
-    }
-    engine.flush()?;
-    let elapsed_ns = start.elapsed().as_nanos().max(1) as u64;
-    stop.store(true, Ordering::Relaxed);
-    reader.join().expect("reader thread")?;
-    scheduler.shutdown();
-    let stats = scheduler.stats();
-
-    row.concurrent_writes_per_sec = (ds.nnz() as u128 * 1_000_000_000 / elapsed_ns as u128) as u64;
-    row.concurrent_reads = reads.load(Ordering::Relaxed);
-    row.scheduler_runs = stats.runs;
-    row.scheduler_flushes = stats.flushes;
-    row.scheduler_consolidations = stats.consolidations;
-    row.scheduler_errors = stats.errors;
-    row.scheduler_last_error = stats.last_error.clone();
-    // Background errors must never be silent: the store stats carry the
-    // count plus the last error text and timestamp, and the digest
-    // repeats them whenever any occurred.
-    let store = engine.stats()?;
-    if store.scheduler_errors > 0 || cfg.telemetry_enabled() {
-        eprintln!(
-            "[ingest]   scheduler health: {} run(s), {} error(s){}",
-            store.scheduler_runs,
-            store.scheduler_errors,
-            match (
-                &store.scheduler_last_error,
-                store.scheduler_last_error_at_ms
-            ) {
-                (Some(e), Some(at)) => format!(", last at unix-ms {at}: {e}"),
-                _ => String::new(),
-            }
-        );
-    }
-    Ok(())
+    Ok((row, gate))
 }
 
 /// Run the streaming-ingest experiment for MSP and GSP at 3D.
 pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
     let mut rows = Vec::new();
-    let mut benches = Vec::new();
+    let mut gates = Vec::new();
     for pattern in [Pattern::Msp, Pattern::Gsp] {
         eprintln!(
             "[ingest] {} 3D, {}-point batches, flush at {} points",
@@ -270,37 +136,20 @@ pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
             cfg.ingest_batch,
             cfg.ingest_flush_points
         );
-        let (mut row, bench) = run_deterministic(cfg, pattern)?;
-        run_concurrent(cfg, pattern, &mut row)?;
+        let (row, gate) = run_pattern(cfg, pattern)?;
         eprintln!(
             "[ingest]   {} points in {} batches | {} group commits | {} WAL bytes | \
-             {} writes/s solo, {} writes/s under {} concurrent read passes",
-            row.n_points,
-            row.batches,
-            row.group_commits,
-            row.wal_bytes,
-            row.writes_per_sec,
-            row.concurrent_writes_per_sec,
-            row.concurrent_reads
+             {} store bytes",
+            row.n_points, row.batches, row.group_commits, row.wal_bytes, row.total_bytes
         );
         rows.push(row);
-        benches.push(bench);
+        gates.push(gate);
     }
 
     let mut table = Table::new(
-        "streaming ingest — WAL-protected group commits under concurrent reads",
+        "streaming ingest — WAL-protected group commits",
         &[
-            "pattern",
-            "points",
-            "batches",
-            "commits",
-            "WAL B",
-            "store B",
-            "writes/s",
-            "conc writes/s",
-            "read passes",
-            "sched runs",
-            "verified",
+            "pattern", "points", "batches", "commits", "WAL B", "store B", "verified",
         ],
     );
     for r in &rows {
@@ -311,32 +160,19 @@ pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
             r.group_commits.to_string(),
             r.wal_bytes.to_string(),
             r.total_bytes.to_string(),
-            r.writes_per_sec.to_string(),
-            r.concurrent_writes_per_sec.to_string(),
-            r.concurrent_reads.to_string(),
-            r.scheduler_runs.to_string(),
             r.readback_verified.to_string(),
         ]);
     }
 
-    // The compare_bench.py gate compares `bytes` (WAL + final store),
-    // which is deterministic on the in-memory backend; the writes/sec
-    // columns are wall-clock and informational.
     if let Some(dir) = &cfg.out_dir {
-        std::fs::create_dir_all(dir)?;
-        let doc = serde_json::json!({ "group": "ingest", "benchmarks": benches });
-        let path = dir.join("BENCH_ingest.json");
-        std::fs::write(&path, serde_json::to_string_pretty(&doc)?)?;
-        eprintln!("[ingest] bench -> {}", path.display());
+        write_gate_file(dir, "ingest", &gates)?;
     }
 
     Ok(ExperimentOutput {
         name: "ingest",
         notes: vec![
             "Streaming ingest: batches are WAL-acked into the write buffer and".into(),
-            "group-committed into ordinary fragments at the flush threshold;".into(),
-            "the background scheduler flushes stale buffers and keeps the".into(),
-            "fragment count plateaued via size-tiered consolidation.".into(),
+            "group-committed into ordinary fragments at the flush threshold.".into(),
             "`verified` means the consolidated store exports exactly the".into(),
             "ingested coordinate set.".into(),
         ],
@@ -346,7 +182,7 @@ pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
             "ingest_batch": cfg.ingest_batch,
             "ingest_flush_points": cfg.ingest_flush_points,
             "rows": rows,
-            "benchmarks": benches,
+            "benchmarks": gates,
         }),
     })
 }
@@ -366,12 +202,8 @@ mod tests {
             assert!(r["group_commits"].as_u64().unwrap() >= 1);
             assert!(r["wal_bytes"].as_u64().unwrap() > 0);
             assert_eq!(r["final_fragments"].as_u64(), Some(1));
-            assert!(r["scheduler_runs"].as_u64().unwrap() >= 1);
-            assert_eq!(r["scheduler_errors"].as_u64(), Some(0));
-            assert!(r["scheduler_last_error"].is_null());
         }
-        // Determinism of the gated statistic: a second run byte-matches
-        // (timing columns are wall-clock and excluded).
+        // Determinism of the gated statistic: a second run byte-matches.
         let again = run(&cfg).unwrap();
         let bytes = |o: &ExperimentOutput| -> Vec<(String, u64)> {
             o.json["benchmarks"]

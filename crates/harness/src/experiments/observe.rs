@@ -1,32 +1,29 @@
-//! Live observability overhead — the plane must cost (almost) nothing.
+//! Live observability — the plane must never change stored bytes, and
+//! what it publishes must be valid.
 //!
 //! Two phases per pattern (MSP and GSP at 3D):
 //!
-//! 1. **Timed overhead comparison.** A *deterministic* ingest → read →
-//!    flush → consolidate workload (no background threads — without the
-//!    scheduler, self-flushes trigger only on the point threshold, so
-//!    both variants do byte-identical work) runs `REPEATS` times with
-//!    the observability plane off and on. "On" means every span flows
-//!    through the [`ObservedRecorder`] into the registry and journal —
-//!    the per-operation tax the <5% CI gate holds. The reported overhead
-//!    is the ratio of *minimum* wall-clocks (min-of-N discards OS
-//!    noise).
-//! 2. **Scheduler-live artifact run (untimed).** The same dataset runs
-//!    under the background scheduler with a live
-//!    [`MetricsExporter`] publishing
+//! 1. **Plane off vs. on, byte for byte.** A *deterministic* ingest →
+//!    read → flush → consolidate workload (no background threads —
+//!    without the scheduler, self-flushes trigger only on the point
+//!    threshold) runs once with the observability plane off and once
+//!    with it on. "On" means every span flows through the
+//!    [`ObservedRecorder`] into the registry and journal. Both stores
+//!    must end byte-identical; their size is the gated statistic in
+//!    `BENCH_observability.json`, deterministic on the in-memory
+//!    backend. What the plane costs in time is the repo benchmark's
+//!    `metrics.trace_overhead_share` (`benchmark/`, every workload).
+//! 2. **Scheduler-live artifact run.** The same dataset runs under the
+//!    background scheduler with a live [`MetricsExporter`] publishing
 //!    the whole time; its directory is kept under `--out` so CI can
 //!    validate the published `metrics.prom` against the exposition
 //!    grammar and `journal.jsonl` against `schemas/journal.schema.json`
 //!    (and so `watch` has something to replay).
 //!
-//! The gated statistic in `BENCH_observability.json` is the final store
-//! size — identical across variants (observability must never change
-//! stored bytes) and deterministic on the in-memory backend.
-//!
 //! [`ObservedRecorder`]: artsparse_metrics::ObservedRecorder
 
 use crate::config::Config;
-use crate::experiments::ExperimentOutput;
+use crate::experiments::{write_gate_file, ByteGate, ExperimentOutput};
 use crate::Result;
 use artsparse_core::FormatKind;
 use artsparse_metrics::{exposition, Table};
@@ -41,23 +38,10 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Wall-clock repetitions per variant (min-of-N is reported).
-const REPEATS: usize = 7;
-
-/// Back-to-back workload executions inside each timed repetition. The
-/// smoke-scale workload alone is ~2 ms of wall clock — too short for a
-/// 5% gate on a shared runner — so each sample times `INNER` runs over
-/// pre-built engines and reports the per-run average.
-const INNER: usize = 4;
-
 #[derive(Debug, Serialize)]
 struct Row {
     pattern: String,
     n_points: usize,
-    disabled_min_ns: u64,
-    enabled_min_ns: u64,
-    /// `enabled_min_ns / disabled_min_ns` — the observability tax.
-    overhead: f64,
     store_bytes: u64,
     exporter_ticks: u64,
     exporter_errors: u64,
@@ -70,17 +54,7 @@ struct Row {
     verified: bool,
 }
 
-#[derive(Debug, Serialize)]
-struct Bench {
-    id: String,
-    samples: usize,
-    mean_ns: u64,
-    min_ns: u64,
-    max_ns: u64,
-    bytes: u64,
-}
-
-/// What the untimed scheduler-live artifact run observed.
+/// What the scheduler-live artifact run observed.
 #[derive(Debug, Default, Clone, Copy)]
 struct LiveOutcome {
     store_bytes: u64,
@@ -134,37 +108,26 @@ fn run_workload(
     Ok(())
 }
 
-/// Phase 1: one deterministic, background-thread-free timed sample —
-/// `INNER` back-to-back workload runs over pre-built engines; returns
-/// `(per_run_wall_ns, final_store_bytes)`.
-fn run_timed(cfg: &Config, ds: &Dataset, observability: bool) -> Result<(u64, u64)> {
-    let values = ds.values();
-    let mut engines = Vec::with_capacity(INNER);
-    for _ in 0..INNER {
-        let mut engine_config = EngineConfig::default().with_ingest(cfg.ingest_config());
-        if observability {
-            engine_config = engine_config.with_observability(ObservabilityConfig::default());
-        }
-        engines.push(StorageEngine::open_with(
-            MemBackend::new(),
-            FormatKind::Coo,
-            ds.shape.clone(),
-            8,
-            engine_config,
-        )?);
+/// Phase 1: the deterministic, background-thread-free workload with the
+/// plane off or on; returns the final store size.
+fn run_plain(cfg: &Config, ds: &Dataset, observability: bool) -> Result<u64> {
+    let mut engine_config = EngineConfig::default().with_ingest(cfg.ingest_config());
+    if observability {
+        engine_config = engine_config.with_observability(ObservabilityConfig::default());
     }
-    let start = Instant::now();
-    for engine in &engines {
-        run_workload(cfg, ds, &values, engine)?;
-    }
-    let wall_ns = start.elapsed().as_nanos() as u64 / INNER as u64;
-    Ok((wall_ns, engines[0].stats()?.total_bytes))
+    let engine = StorageEngine::open_with(
+        MemBackend::new(),
+        FormatKind::Coo,
+        ds.shape.clone(),
+        8,
+        engine_config,
+    )?;
+    run_workload(cfg, ds, &ds.values(), &engine)?;
+    Ok(engine.stats()?.total_bytes)
 }
 
 /// Phase 2: the same dataset under the background scheduler with a live
-/// exporter publishing into `dir` the whole time (untimed — the
-/// scheduler makes the work nondeterministic, which is exactly why the
-/// overhead gate runs phase 1 without it).
+/// exporter publishing into `dir` the whole time.
 fn run_live(cfg: &Config, ds: &Dataset, dir: &Path) -> Result<LiveOutcome> {
     let values = ds.values();
     let engine = Arc::new(StorageEngine::open_with(
@@ -221,25 +184,15 @@ fn run_live(cfg: &Config, ds: &Dataset, dir: &Path) -> Result<LiveOutcome> {
     })
 }
 
-/// Run the timed pairs and the live artifact run for one pattern.
-fn run_pattern(cfg: &Config, pattern: Pattern, live_dir: &Path) -> Result<(Row, Vec<Bench>)> {
+/// Run the plane-off / plane-on pair and the live artifact run for one
+/// pattern.
+fn run_pattern(cfg: &Config, pattern: Pattern, live_dir: &Path) -> Result<(Row, Vec<ByteGate>)> {
     let ds = Dataset::for_scale(pattern, 3, cfg.scale, cfg.params);
 
-    // Phase 1 — interleaved disabled/enabled timed pairs, no background
-    // threads. Both variants do byte-identical work, so min-of-N wall
-    // clocks isolate the per-operation recorder/registry/journal tax.
-    let mut disabled: Vec<u64> = Vec::new();
-    let mut enabled: Vec<u64> = Vec::new();
-    let mut disabled_bytes = 0u64;
-    let mut enabled_bytes = 0u64;
-    for _ in 0..REPEATS {
-        let (ns, bytes) = run_timed(cfg, &ds, false)?;
-        disabled.push(ns);
-        disabled_bytes = bytes;
-        let (ns, bytes) = run_timed(cfg, &ds, true)?;
-        enabled.push(ns);
-        enabled_bytes = bytes;
-    }
+    // Phase 1 — no background threads, so both variants do the same
+    // work and must store the same bytes.
+    let disabled_bytes = run_plain(cfg, &ds, false)?;
+    let enabled_bytes = run_plain(cfg, &ds, true)?;
 
     // Phase 2 — one scheduler-live run publishing into the kept
     // directory, so the artifacts describe exactly one run.
@@ -253,17 +206,10 @@ fn run_pattern(cfg: &Config, pattern: Pattern, live_dir: &Path) -> Result<(Row, 
         .map(|t| t.lines().count())
         .unwrap_or(0);
 
-    let min = |v: &[u64]| v.iter().copied().min().unwrap_or(0);
-    let mean = |v: &[u64]| v.iter().sum::<u64>() / v.len().max(1) as u64;
-    let disabled_min = min(&disabled).max(1);
-    let enabled_min = min(&enabled);
     let slug = pattern.name().to_ascii_lowercase();
     let row = Row {
         pattern: pattern.name().to_string(),
         n_points: ds.nnz(),
-        disabled_min_ns: disabled_min,
-        enabled_min_ns: enabled_min,
-        overhead: enabled_min as f64 / disabled_min as f64,
         store_bytes: enabled_bytes,
         exporter_ticks: live.exporter_ticks,
         exporter_errors: live.exporter_errors,
@@ -274,85 +220,63 @@ fn run_pattern(cfg: &Config, pattern: Pattern, live_dir: &Path) -> Result<(Row, 
         read_amplification: live.read_amplification,
         verified: enabled_bytes == disabled_bytes && live.store_bytes == disabled_bytes,
     };
-    let benches = vec![
-        Bench {
+    let gates = vec![
+        ByteGate {
             id: format!("observe-{slug}-disabled"),
-            samples: disabled.len(),
-            mean_ns: mean(&disabled),
-            min_ns: disabled_min,
-            max_ns: disabled.iter().copied().max().unwrap_or(0),
             bytes: disabled_bytes,
         },
-        Bench {
+        ByteGate {
             id: format!("observe-{slug}-enabled"),
-            samples: enabled.len(),
-            mean_ns: mean(&enabled),
-            min_ns: enabled_min,
-            max_ns: enabled.iter().copied().max().unwrap_or(0),
             bytes: enabled_bytes,
         },
     ];
-    Ok((row, benches))
+    Ok((row, gates))
 }
 
-/// Run the observability-overhead experiment for MSP and GSP at 3D.
+/// Run the observability experiment for MSP and GSP at 3D.
 pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
     let scratch = tempfile::tempdir()?;
     let mut rows = Vec::new();
-    let mut benches = Vec::new();
+    let mut gates = Vec::new();
     for pattern in [Pattern::Msp, Pattern::Gsp] {
         let slug = pattern.name().to_ascii_lowercase();
-        // The final enabled run's exporter directory survives under
-        // --out for CI to validate (and for `watch` to replay).
+        // The live run's exporter directory survives under --out for CI
+        // to validate (and for `watch` to replay).
         let live_dir = match &cfg.out_dir {
             Some(dir) => dir.join(format!("observe-live-{slug}")),
             None => scratch.path().join(slug),
         };
         std::fs::create_dir_all(&live_dir)?;
         eprintln!(
-            "[observe] {} 3D · {} repetition(s) per variant · exporter -> {}",
+            "[observe] {} 3D · exporter -> {}",
             pattern.name(),
-            REPEATS,
             live_dir.display()
         );
-        let (row, bench) = run_pattern(cfg, pattern, &live_dir)?;
+        let (row, gate) = run_pattern(cfg, pattern, &live_dir)?;
         eprintln!(
-            "[observe]   disabled {} ns · enabled {} ns · overhead {:.3}× | \
+            "[observe]   {} store bytes, identical off/on/live: {} | \
              {} exposition sample(s), {} journal event(s), {} scheduler run(s), {} error(s)",
-            row.disabled_min_ns,
-            row.enabled_min_ns,
-            row.overhead,
+            row.store_bytes,
+            row.verified,
             row.metrics_samples,
             row.journal_events,
             row.scheduler_runs,
             row.scheduler_errors,
         );
         rows.push(row);
-        benches.extend(bench);
+        gates.extend(gate);
     }
 
     let mut table = Table::new(
-        "live observability — enabled vs. disabled (min-of-N wall clock)",
+        "live observability — plane off vs. on vs. scheduler-live",
         &[
-            "pattern",
-            "points",
-            "disabled ns",
-            "enabled ns",
-            "overhead",
-            "store B",
-            "samples",
-            "journal",
-            "read amp",
-            "verified",
+            "pattern", "points", "store B", "samples", "journal", "read amp", "verified",
         ],
     );
     for r in &rows {
         table.push_row(vec![
             r.pattern.clone(),
             r.n_points.to_string(),
-            r.disabled_min_ns.to_string(),
-            r.enabled_min_ns.to_string(),
-            format!("{:.3}", r.overhead),
             r.store_bytes.to_string(),
             r.metrics_samples.to_string(),
             r.journal_events.to_string(),
@@ -361,36 +285,26 @@ pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
         ]);
     }
 
-    // The compare_bench.py gate compares `bytes` (final store size),
-    // deterministic on the in-memory backend and identical across
-    // variants; the ns columns are wall-clock and informational — CI
-    // gates the enabled/disabled *ratio* instead, which divides out the
-    // runner's speed.
     if let Some(dir) = &cfg.out_dir {
-        std::fs::create_dir_all(dir)?;
-        let doc = serde_json::json!({ "group": "observability", "benchmarks": benches });
-        let path = dir.join("BENCH_observability.json");
-        std::fs::write(&path, serde_json::to_string_pretty(&doc)?)?;
-        eprintln!("[observe] bench -> {}", path.display());
+        write_gate_file(dir, "observability", &gates)?;
     }
 
     Ok(ExperimentOutput {
         name: "observe",
         notes: vec![
             "Deterministic streaming ingest with mid-stream reads (no".into(),
-            "background threads), timed with the observability plane off and".into(),
-            "on; `overhead` is the min-of-N wall-clock ratio. `verified` means".into(),
-            "every variant ended with a byte-identical store — observability".into(),
-            "never changes data. A separate untimed scheduler-live run keeps".into(),
-            "its exporter directory (exposition, snapshot series, journal)".into(),
-            "under --out for validation and `watch` replay.".into(),
+            "background threads), run with the observability plane off and".into(),
+            "on. `verified` means every variant ended with a byte-identical".into(),
+            "store — observability never changes data. A separate".into(),
+            "scheduler-live run keeps its exporter directory (exposition,".into(),
+            "snapshot series, journal) under --out for validation and `watch`".into(),
+            "replay.".into(),
         ],
         tables: vec![table],
         json: serde_json::json!({
             "scale": cfg.scale,
-            "repeats": REPEATS,
             "rows": rows,
-            "benchmarks": benches,
+            "benchmarks": gates,
         }),
     })
 }
@@ -416,9 +330,8 @@ mod tests {
             assert!(r["exporter_ticks"].as_u64().unwrap() >= 1);
             assert_eq!(r["exporter_errors"].as_u64(), Some(0));
             assert!(r["read_amplification"].as_f64().unwrap() >= 1.0);
-            assert!(r["overhead"].as_f64().unwrap() > 0.0);
         }
-        // The bench file is shaped for ci/compare_bench.py.
+        // The gate file is shaped for ci/compare_bench.py.
         let doc: serde_json::Value = serde_json::from_str(
             &std::fs::read_to_string(dir.path().join("BENCH_observability.json")).unwrap(),
         )

@@ -35,7 +35,7 @@
 //! [`FailingBackend`]: artsparse_storage::FailingBackend
 
 use crate::config::Config;
-use crate::experiments::ExperimentOutput;
+use crate::experiments::{write_gate_file, ByteGate, ExperimentOutput};
 use crate::Result;
 use artsparse_core::FormatKind;
 use artsparse_metrics::Table;
@@ -94,16 +94,6 @@ struct ScheduleRow {
     store_bytes: u64,
 }
 
-#[derive(Debug, Serialize)]
-struct Bench {
-    id: String,
-    samples: usize,
-    mean_ns: u64,
-    min_ns: u64,
-    max_ns: u64,
-    bytes: u64,
-}
-
 /// What the scheduler-live overload run observed.
 #[derive(Debug, Serialize)]
 struct LiveRow {
@@ -114,6 +104,7 @@ struct LiveRow {
     /// burst — the retry tax of degraded-mode ingest.
     degraded_batch_ns: u64,
     reached_read_only: bool,
+    /// Informational: wall clock from device heal to `Healthy`.
     recovery_ns: u64,
     health_transitions: usize,
     store_bytes: u64,
@@ -207,7 +198,7 @@ fn verify_store(
 }
 
 /// Run one deterministic seeded fault schedule (phase 1).
-fn run_schedule(index: usize, base_seed: u64, ops: usize) -> Result<(ScheduleRow, Bench)> {
+fn run_schedule(index: usize, base_seed: u64, ops: usize) -> Result<ScheduleRow> {
     // SplitMix64-style finalizer so adjacent schedule indices get fully
     // decorrelated fault schedules from one base seed.
     let mut seed = base_seed ^ (index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -235,7 +226,6 @@ fn run_schedule(index: usize, base_seed: u64, ops: usize) -> Result<(ScheduleRow
     };
     let mut enospc_left = 0u32; // steps remaining in the current window
 
-    let started = Instant::now();
     for step in 0..ops {
         if enospc_left > 0 {
             enospc_left -= 1;
@@ -341,17 +331,7 @@ fn run_schedule(index: usize, base_seed: u64, ops: usize) -> Result<(ScheduleRow
     row.store_bytes = engine.stats()?.total_bytes;
     row.acked_points = acked.len();
     row.verified = true;
-
-    let wall = started.elapsed().as_nanos() as u64;
-    let bench = Bench {
-        id: format!("torture-sched{index}"),
-        samples: ops,
-        mean_ns: wall / ops.max(1) as u64,
-        min_ns: 0,
-        max_ns: wall,
-        bytes: row.store_bytes,
-    };
-    Ok((row, bench))
+    Ok(row)
 }
 
 /// Phase 2: overload and recovery against a live scheduler + exporter.
@@ -495,9 +475,9 @@ pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
     };
     let scratch = tempfile::tempdir()?;
     let mut rows = Vec::new();
-    let mut benches = Vec::new();
+    let mut gates = Vec::new();
     for index in 0..SCHEDULES {
-        let (row, bench) = run_schedule(index, cfg.params.seed, ops)?;
+        let row = run_schedule(index, cfg.params.seed, ops)?;
         eprintln!(
             "[torture] {}: {} op(s) · {} acked / {} failed / {} shed · \
              peak buffer {} B, wal {} B · recovered={} verified={}",
@@ -511,8 +491,11 @@ pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
             row.recovered,
             row.verified,
         );
+        gates.push(ByteGate {
+            id: format!("torture-sched{index}"),
+            bytes: row.store_bytes,
+        });
         rows.push(row);
-        benches.push(bench);
     }
 
     let live_dir = match &cfg.out_dir {
@@ -530,12 +513,8 @@ pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
         live.recovery_ns as f64 / 1e6,
         live.health_transitions,
     );
-    benches.push(Bench {
+    gates.push(ByteGate {
         id: "torture-live-recovery".into(),
-        samples: 1,
-        mean_ns: live.recovery_ns,
-        min_ns: live.recovery_ns,
-        max_ns: live.recovery_ns,
         bytes: live.store_bytes,
     });
 
@@ -594,15 +573,11 @@ pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
         live.verified.to_string(),
     ]);
 
-    // compare_bench.py gates `bytes` — the final store size of each
-    // seeded schedule, fully deterministic (same seed, same schedule,
-    // same acked set). The ns columns are wall-clock, informational.
+    // compare_bench.py gates the final store size of each seeded
+    // schedule, fully deterministic (same seed, same schedule, same
+    // acked set); the live row rides along ungated.
     if let Some(dir) = &cfg.out_dir {
-        std::fs::create_dir_all(dir)?;
-        let doc = serde_json::json!({ "group": "torture", "benchmarks": benches });
-        let path = dir.join("BENCH_torture.json");
-        std::fs::write(&path, serde_json::to_string_pretty(&doc)?)?;
-        eprintln!("[torture] bench -> {}", path.display());
+        write_gate_file(dir, "torture", &gates)?;
     }
 
     Ok(ExperimentOutput {
@@ -623,7 +598,7 @@ pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
             "seed": cfg.params.seed,
             "schedules": rows,
             "live": live,
-            "benchmarks": benches,
+            "benchmarks": gates,
         }),
     })
 }
@@ -666,8 +641,8 @@ mod tests {
         assert_eq!(live["reached_read_only"].as_bool(), Some(true));
         assert_eq!(live["verified"].as_bool(), Some(true));
         assert!(live["health_transitions"].as_u64().unwrap() >= 2);
-        // Bench file is shaped for ci/compare_bench.py: deterministic
-        // bytes per schedule plus the informational live recovery row.
+        // Gate file is shaped for ci/compare_bench.py: deterministic
+        // bytes per schedule plus the ungated live recovery row.
         let doc: serde_json::Value = serde_json::from_str(
             &std::fs::read_to_string(dir.path().join("BENCH_torture.json")).unwrap(),
         )
@@ -682,10 +657,9 @@ mod tests {
 
     #[test]
     fn schedules_are_deterministic() {
-        let (a, bench_a) = run_schedule(0, 42, 240).unwrap();
-        let (b, bench_b) = run_schedule(0, 42, 240).unwrap();
+        let a = run_schedule(0, 42, 240).unwrap();
+        let b = run_schedule(0, 42, 240).unwrap();
         assert_eq!(a.acked_batches, b.acked_batches);
         assert_eq!(a.store_bytes, b.store_bytes);
-        assert_eq!(bench_a.bytes, bench_b.bytes);
     }
 }

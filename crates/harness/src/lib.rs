@@ -18,7 +18,14 @@
 //! | `compress` | index-codec orthogonality (beyond the paper) | [`experiments::compress`] |
 //! | `sweep` | density sweep (beyond the paper) | [`experiments::sweep`] |
 //! | `io` | device study: mem / simulated OST / striping | [`experiments::io`] |
-//! | `observe` | live observability overhead (beyond the paper) | [`experiments::observe`] |
+//! | `adaptive` | advisor-driven re-organization vs. frozen COO | [`experiments::adaptive`] |
+//! | `ingest` | group-commit / WAL byte accounting and read-back | [`experiments::ingest`] |
+//! | `observe` | observability plane: byte-identical stores, valid live artifacts | [`experiments::observe`] |
+//! | `torture` | seeded write-fault schedules and live recovery | [`experiments::torture`] |
+//!
+//! The last four write an exact `BENCH_<group>.json` byte gate under
+//! `--out` (`ci/compare_bench.py` compares it with `results/`). None of
+//! them answers "how fast": that is `benchmark/` (BENCHMARK.json).
 //!
 //! Shared plumbing: [`config::Config`] (scale, backend, formats,
 //! `--threads` read fan-out cap), [`matrix`] (the measurement grid Fig.

@@ -4,7 +4,7 @@
 //! artsparse-bench <experiment>... [options]
 //!
 //! experiments: table1 table2 table3 table4 fig2 fig3 fig4 fig5 ablate
-//!              compress sweep adaptive ingest observe torture load all
+//!              compress sweep adaptive ingest observe torture all
 //! options:
 //!   --scale paper|medium|smoke   tensor sizes        (default: medium)
 //!   --backend mem|fs|sim         storage device      (default: sim)
@@ -21,10 +21,6 @@
 //!                                                    (default: 64)
 //!   --ingest-flush-points N      group-commit flush threshold
 //!                                                    (default: 1024)
-//!   --load-rate N                open-loop requests/second per tenant in
-//!                                the load experiment  (default: 200)
-//!   --load-tenants N             concurrent tenant sessions in the load
-//!                                experiment's multi phase (default: 4)
 //!
 //! validate-telemetry <file>... [--schema PATH]
 //!   validate telemetry documents against schemas/telemetry.schema.json
@@ -49,16 +45,16 @@
 
 use artsparse_core::FormatKind;
 use artsparse_harness::experiments::{
-    ablate, adaptive, compress, fig1, fig2, fig3, fig4, fig5, ingest, io, load, observe, sweep,
-    table1, table2, table3, table4, torture, ExperimentOutput,
+    ablate, adaptive, compress, fig1, fig2, fig3, fig4, fig5, ingest, io, observe, sweep, table1,
+    table2, table3, table4, torture, ExperimentOutput,
 };
 use artsparse_harness::{run_matrix_with_telemetry, BackendKind, Config, Result};
 use artsparse_patterns::Scale;
 use std::path::PathBuf;
 
-const EXPERIMENTS: [&str; 18] = [
+const EXPERIMENTS: [&str; 17] = [
     "table1", "table2", "table3", "table4", "fig1", "fig2", "fig3", "fig4", "fig5", "ablate",
-    "compress", "sweep", "io", "adaptive", "ingest", "observe", "torture", "load",
+    "compress", "sweep", "io", "adaptive", "ingest", "observe", "torture",
 ];
 
 fn usage() -> ! {
@@ -67,8 +63,7 @@ fn usage() -> ! {
          [--backend mem|fs|sim] [--seed N] [--out DIR] [--formats A,B,..] \
          [--telemetry] [--telemetry-out DIR] \
          [--threads N] [--adaptive] [--profile balanced|write-heavy|read-heavy] \
-         [--ingest-batch N] [--ingest-flush-points N] [--load-rate N] \
-         [--load-tenants N]\n\
+         [--ingest-batch N] [--ingest-flush-points N]\n\
          experiments: {} all\n\
          or: artsparse-bench validate-telemetry <file>... [--schema PATH]\n\
          or: artsparse-bench validate-journal <file>... [--schema PATH]\n\
@@ -426,14 +421,6 @@ fn parse_args() -> (Vec<String>, Config) {
                 let v = args.next().unwrap_or_else(|| usage());
                 cfg.ingest_flush_points = v.parse().unwrap_or_else(|_| usage());
             }
-            "--load-rate" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                cfg.load_rate = v.parse().unwrap_or_else(|_| usage());
-            }
-            "--load-tenants" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                cfg.load_tenants = v.parse().unwrap_or_else(|_| usage());
-            }
             "--profile" => {
                 let v = args.next().unwrap_or_else(|| usage());
                 cfg.profile = artsparse_storage::ReorgProfile::parse(&v).unwrap_or_else(|| usage());
@@ -556,9 +543,6 @@ fn main() -> Result<()> {
     }
     if wants("torture") {
         emit(&cfg, torture::run(&cfg)?)?;
-    }
-    if wants("load") {
-        emit(&cfg, load::run(&cfg)?)?;
     }
     Ok(())
 }

@@ -2,12 +2,20 @@
 //! parallelism and caching is configured, READ returns exactly what an
 //! engine-independent last-write-wins model of the written fragments
 //! predicts — and stays consistent under concurrent writers and readers.
+//!
+//! Two further gates pin what the pipeline costs: the exact bytes a
+//! region read moves off a simulated disk, and (the repo's one
+//! wall-clock assertion, `#[ignore]`d, run by name in CI's `telemetry`
+//! job) that a read with nothing to overlap costs what the sequential
+//! path costs.
 
-use artsparse::storage::{EngineConfig, MemBackend, StorageEngine};
+use artsparse::patterns::rng::SplitMix64;
+use artsparse::storage::{EngineConfig, MemBackend, SimulatedDisk, StorageEngine};
 use artsparse::{CoordBuffer, FormatKind, Region, Shape};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// A small shape of 2–3 dimensions, each of size 2–10.
 fn shape_strategy() -> impl Strategy<Value = Shape> {
@@ -208,4 +216,142 @@ fn concurrent_writes_and_reads_stay_consistent() {
         }
     }
     assert_eq!(found, 24 * 8);
+}
+
+/// `points` uniform random points in a `side`×`side` tensor.
+fn random_coords(rng: &mut SplitMix64, side: u64, points: usize) -> CoordBuffer {
+    let mut coords = CoordBuffer::new(2);
+    for _ in 0..points {
+        coords
+            .push(&[rng.next_below(side), rng.next_below(side)])
+            .unwrap();
+    }
+    coords
+}
+
+/// A band read over a 16-fragment SORTED-COO store on the simulated
+/// disk moves exactly the pinned bytes: each fragment's index section
+/// plus the one contiguous value run the band matches, the same with
+/// telemetry recording, and nothing once the decoded fragments are
+/// cached. One byte more *or fewer* fails — if a change means to move
+/// the numbers, re-pin them here and say why (as `fragment_golden.rs`).
+#[test]
+fn band_read_transfers_pinned_bytes() {
+    const SIDE: u64 = 256;
+    const FRAGMENTS: usize = 16;
+    const POINTS_PER_FRAGMENT: usize = 2048;
+    const ELEM_SIZE: u32 = 64;
+    let shape = Shape::new(vec![SIDE, SIDE]).unwrap();
+    let populate = || {
+        let engine = StorageEngine::open(
+            SimulatedDisk::lustre_like(),
+            FormatKind::SortedCoo,
+            shape.clone(),
+            ELEM_SIZE,
+        )
+        .unwrap();
+        let mut rng = SplitMix64::new(7);
+        for _ in 0..FRAGMENTS {
+            let coords = random_coords(&mut rng, SIDE, POINTS_PER_FRAGMENT);
+            let values = vec![0xA5u8; coords.len() * ELEM_SIZE as usize];
+            engine.write(&coords, &values).unwrap();
+        }
+        engine.into_backend()
+    };
+    // Rows 120–123, full width: one address interval, so one contiguous
+    // value run per fragment in SORTED-COO's slot order.
+    let band = Region::from_corners(&[120, 0], &[123, SIDE - 1])
+        .unwrap()
+        .to_coords();
+
+    // The fan-out is pinned to the fragment count as the plan earns it
+    // on this device; bytes do not depend on it.
+    let base = EngineConfig::default().with_read_parallelism(FRAGMENTS);
+    let configs = [
+        ("default", base.clone(), 295_936),
+        ("telemetry", base.clone().with_telemetry(true), 295_936),
+        ("warm-cached", base.with_cache_capacity(64 << 20), 0),
+    ];
+    for (label, config, pinned) in configs {
+        let engine = StorageEngine::open_with(
+            populate(),
+            FormatKind::SortedCoo,
+            shape.clone(),
+            ELEM_SIZE,
+            config,
+        )
+        .unwrap();
+        // One unmeasured read, so `warm-cached` is the steady state.
+        engine.read(&band).unwrap();
+        let before = engine.backend().bytes_read();
+        let r = engine.read(&band).unwrap();
+        let transferred = engine.backend().bytes_read() - before;
+        assert_eq!(r.fragments_matched, FRAGMENTS, "{label}");
+        assert_eq!(r.hits.len(), 480, "{label}");
+        assert_eq!(transferred, pinned, "{label}: bytes transferred per read");
+    }
+}
+
+/// A one-cell read over one large and three small COO fragments (a
+/// served store between consolidations) has nothing to overlap: the
+/// engine must plan one worker, so the default configuration may cost at
+/// most 10 % more than `read_parallelism = 1`. Both timings come from
+/// this run on this host (min of 30 samples each), so its speed divides
+/// out. `engine/read.rs::planned_workers_fans_out_only_when_it_pays` is
+/// the deterministic half; this is the wall-clock half, release only.
+#[test]
+#[ignore = "wall clock: cargo test --release --test read_pipeline -- --ignored point_get_fan_out"]
+fn point_get_fan_out_costs_nothing() {
+    const SAMPLES: usize = 30;
+    const SAMPLE_TIME: Duration = Duration::from_millis(60);
+    let store = |config: EngineConfig| {
+        let shape = Shape::new(vec![512, 512]).unwrap();
+        let engine =
+            StorageEngine::open_with(MemBackend::new(), FormatKind::Coo, shape, 8, config).unwrap();
+        let mut rng = SplitMix64::new(11);
+        for points in [16_384usize, 64, 64, 64] {
+            let coords = random_coords(&mut rng, 512, points);
+            engine.write(&coords, &vec![0x5Au8; points * 8]).unwrap();
+        }
+        engine
+    };
+    let auto = store(EngineConfig::default());
+    let sequential = store(EngineConfig::default().with_read_parallelism(1));
+    let query = CoordBuffer::from_points(2, &[[255u64, 255]]).unwrap();
+    for engine in [&auto, &sequential] {
+        assert_eq!(engine.read(&query).unwrap().fragments_matched, 4);
+    }
+
+    // Size a sample to ~SAMPLE_TIME of reads, then interleave the two
+    // engines sample by sample so a slow stretch of the host hits both.
+    let per_sample = {
+        let start = Instant::now();
+        let mut reads = 0u32;
+        while start.elapsed() < SAMPLE_TIME {
+            std::hint::black_box(sequential.read(&query).unwrap());
+            reads += 1;
+        }
+        reads.max(1)
+    };
+    let sample = |engine: &StorageEngine<MemBackend>| {
+        let start = Instant::now();
+        for _ in 0..per_sample {
+            std::hint::black_box(engine.read(std::hint::black_box(&query)).unwrap());
+        }
+        start.elapsed() / per_sample
+    };
+    let (mut auto_min, mut sequential_min) = (Duration::MAX, Duration::MAX);
+    for _ in 0..SAMPLES {
+        auto_min = auto_min.min(sample(&auto));
+        sequential_min = sequential_min.min(sample(&sequential));
+    }
+    let ratio = auto_min.as_secs_f64() / sequential_min.as_secs_f64();
+    println!(
+        "point get: auto {auto_min:?} / sequential {sequential_min:?} = {ratio:.3} \
+         (min of {SAMPLES} samples × {per_sample} reads)"
+    );
+    assert!(
+        ratio <= 1.10,
+        "default read_parallelism costs {ratio:.3}× the sequential path on a plan with nothing to overlap"
+    );
 }
