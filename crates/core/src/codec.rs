@@ -26,7 +26,7 @@
 //! [`IndexDecoder::words`] borrows it in place as a [`Words`] view — what
 //! `Organization::read` uses, so a lookup materialises nothing — and
 //! [`IndexDecoder::section`] copies it out into a `Vec<u64>`, for
-//! `build`/`enumerate`/`convert`, which rearrange the words anyway.
+//! `build`/`enumerate`, which rearrange the words anyway.
 
 use crate::error::{FormatError, Result};
 use artsparse_tensor::Shape;

@@ -46,10 +46,9 @@ pub struct CsfTree {
 
 impl CsfTree {
     /// Construct the tree from lexicographically sorted, dimension-permuted
-    /// points (Algorithm 2 lines 8–18). Crate-visible so the direct
-    /// conversion layer ([`crate::convert`]) can assemble a tree from an
-    /// already-sorted stream without re-sorting.
-    pub(crate) fn from_sorted(shape: &Shape, order: Vec<usize>, sorted: &CoordBuffer) -> CsfTree {
+    /// points (Algorithm 2 lines 8–18) — shared by the sorting build and
+    /// the presorted one, which skips the sort.
+    fn from_sorted(shape: &Shape, order: Vec<usize>, sorted: &CoordBuffer) -> CsfTree {
         let d = shape.ndim();
         let n = sorted.len();
         let mut fids: Vec<Vec<u64>> = vec![Vec::new(); d];
@@ -291,8 +290,7 @@ fn binary_search_counted(seg: Words<'_>, target: u64) -> (Option<usize>, u64) {
 }
 
 /// Build CSF from points already lexicographically sorted in *original*
-/// dimension order — the direct-conversion entry used by
-/// [`crate::convert`].
+/// dimension order — the presorted entry used by [`crate::convert`].
 ///
 /// Valid only when the local boundary's ascending-size dimension order is
 /// the identity, i.e. [`Csf::build`] would not permute dimensions and its

@@ -20,7 +20,7 @@ use artsparse_tensor::{CoordBuffer, Region, Shape};
 pub struct SortedCoo;
 
 /// Build sorted COO from points already in nondecreasing linear-address
-/// order — the direct-conversion entry used by [`crate::convert`]. The
+/// order — the presorted entry used by [`crate::convert`]. The
 /// sort would be the identity, so it is skipped; byte-identical to
 /// [`SortedCoo::build`] (`map` omitted: it would be the identity).
 pub(crate) fn build_sorted_coo_presorted(

@@ -89,8 +89,8 @@ pub(crate) fn build_generalized(
 }
 
 /// Build GCSR++ from points already in nondecreasing linear-address
-/// (equivalently: lexicographic) order — the direct-conversion entry used
-/// by [`crate::convert`].
+/// (equivalently: lexicographic) order — the presorted entry used by
+/// [`crate::convert`].
 ///
 /// Algorithm 1's sort key, the remapped 2D row `⌊l / cols⌋`, is monotone
 /// in the linear address, so for address-sorted input the stable sort is

@@ -37,7 +37,6 @@
 #![warn(missing_docs)]
 
 pub mod advisor;
-pub mod advisor_calibrated;
 pub mod codec;
 pub mod complexity;
 pub mod convert;
@@ -48,7 +47,7 @@ pub mod stats;
 pub mod tensor;
 pub mod traits;
 
-pub use convert::{build_from_address_sorted, convert, Conversion};
+pub use convert::build_from_address_sorted;
 pub use error::{FormatError, Result};
 pub use stats::{SparsityStats, SparsityStatsBuilder};
 pub use tensor::{EncodedTensor, SparseTensor};

@@ -1,7 +1,7 @@
 //! Borrowed index views fail exactly like the owning decoder.
 //!
 //! `Organization::read` looks queries up in place over [`Words`] views of
-//! the encoded index; `enumerate` (and `build`/`convert`) still copy each
+//! the encoded index; `enumerate` (and `build`) still copy each
 //! section out through `IndexDecoder::section`/`section_exact`. Both go
 //! through the same bounds checks, and this suite pins that from the
 //! outside: on every truncation of an index and every damaged section

@@ -139,8 +139,7 @@ impl Config {
             .with_telemetry(self.telemetry_enabled())
             .with_read_parallelism(self.threads);
         if self.adaptive {
-            ec = ec
-                .with_adaptive_reorg(artsparse_storage::AdaptiveReorg::with_profile(self.profile));
+            ec = ec.with_adaptive_reorg(self.profile);
         }
         ec
     }
@@ -190,9 +189,10 @@ mod tests {
             profile: artsparse_storage::ReorgProfile::ReadHeavy,
             ..Config::default()
         };
-        let ad = c.engine_config().adaptive_reorg.unwrap();
-        assert_eq!(ad.profile, artsparse_storage::ReorgProfile::ReadHeavy);
-        assert!(ad.pin.is_none());
+        assert_eq!(
+            c.engine_config().adaptive_reorg,
+            Some(artsparse_storage::ReorgProfile::ReadHeavy)
+        );
     }
 
     #[test]

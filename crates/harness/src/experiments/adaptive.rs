@@ -19,7 +19,7 @@ use artsparse_core::stats::SparsityStats;
 use artsparse_core::FormatKind;
 use artsparse_metrics::Table;
 use artsparse_patterns::{Dataset, Pattern};
-use artsparse_storage::{AdaptiveReorg, EngineConfig, MemBackend, StorageEngine};
+use artsparse_storage::{EngineConfig, MemBackend, StorageEngine};
 use artsparse_tensor::value::pack;
 use artsparse_tensor::CoordBuffer;
 use serde::Serialize;
@@ -74,14 +74,13 @@ fn run_pattern(cfg: &Config, pattern: Pattern) -> Result<(Row, Vec<ByteGate>)> {
 
     // Telemetry is always on (for the migration counters in the output);
     // both engines carry it so the warm-read comparison stays symmetric.
-    let policy = AdaptiveReorg::with_profile(cfg.profile);
     let adaptive = StorageEngine::open_with(
         MemBackend::new(),
         FormatKind::Coo,
         ds.shape.clone(),
         8,
         EngineConfig::default()
-            .with_adaptive_reorg(policy)
+            .with_adaptive_reorg(cfg.profile)
             .with_telemetry(true),
     )?;
     let frozen = StorageEngine::open_with(

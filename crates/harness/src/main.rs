@@ -40,7 +40,7 @@
 //!
 //! advise <dir> [--profile P]
 //!   characterize an existing filesystem store's sparsity and print the
-//!   advisor's cost-model ranking plus calibrated wall-clock predictions
+//!   advisor's cost-model ranking and recommendation
 //! ```
 
 use artsparse_core::FormatKind;
@@ -201,11 +201,9 @@ fn scrub_store(dir: &std::path::Path) -> Result<artsparse_storage::ScrubReport> 
 /// `advise <dir> [--profile P]`: characterize an existing store's
 /// sparsity (the same measured statistics consolidation gathers) and
 /// print the advisor's cost-model ranking under the chosen access
-/// profile, the store's current organization mix, and calibrated
-/// wall-clock predictions from a quick on-machine microbenchmark.
+/// profile next to the store's current organization mix.
 fn advise(args: &[String]) -> Result<()> {
     use artsparse_core::advisor::recommend_from_stats;
-    use artsparse_core::advisor_calibrated::Calibration;
     use artsparse_core::stats::SparsityStats;
     use artsparse_storage::ReorgProfile;
 
@@ -227,8 +225,7 @@ fn advise(args: &[String]) -> Result<()> {
     let engine = open_store(dir)?;
     let store = engine.stats()?;
     let (coords, _values) = engine.export()?;
-    let shape = engine.shape().clone();
-    let stats = SparsityStats::from_coords(&coords, &shape);
+    let stats = SparsityStats::from_coords(&coords, engine.shape());
 
     println!("advise: {} (profile {})", dir.display(), profile.name());
     let mix = store
@@ -268,28 +265,6 @@ fn advise(args: &[String]) -> Result<()> {
         );
     }
 
-    // Calibrated wall-clock predictions: per-op costs measured on this
-    // machine, scaled to the store's size and the profile's read volume.
-    let cal = Calibration::measure(&artsparse_core::FormatKind::PAPER_FIVE, 4096)?;
-    let n_read = (stats.n as f64 * profile.access_profile().reads_per_point).ceil() as u64;
-    let predictions = cal.recommend(
-        &artsparse_core::FormatKind::PAPER_FIVE,
-        stats.n,
-        n_read,
-        &shape,
-        2048.0 * (1u64 << 20) as f64,
-    );
-    println!("  calibrated wall-clock (n_read={n_read}, 2 GiB/s device):");
-    for p in &predictions {
-        println!(
-            "    {:<14} total {:.4}s  (build {:.4}s, device {:.4}s, read {:.4}s)",
-            p.kind.name(),
-            p.total_secs,
-            p.build_secs,
-            p.device_secs,
-            p.read_secs
-        );
-    }
     println!(
         "  recommendation: {} (store currently [{mix}])",
         rec.best().name()

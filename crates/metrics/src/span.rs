@@ -68,8 +68,8 @@ pub enum SpanKind {
     /// Adaptive re-organization: characterize the merged region and run
     /// the advisor's cost model to pick the output organization.
     ConsolidateAdvise,
-    /// Adaptive re-organization: re-encode the merged region (or a single
-    /// migrating fragment) in the advised organization.
+    /// Adaptive re-organization: re-encode the merged region in the
+    /// advised organization.
     ConsolidateConvert,
     ConsolidateTombstone,
     ConsolidateCommit,
@@ -205,10 +205,11 @@ pub struct IoStats {
     /// consolidation's output organization (i.e. fragments migrated to a
     /// new format).
     pub fragments_migrated: u64,
-    /// Format re-encodings that took a direct (sort-elided or
-    /// sort-narrowed) conversion routine.
+    /// Presorted builds (consolidation, group commit, WAL replay) that
+    /// elided their sort.
     pub conversions_direct: u64,
-    /// Format re-encodings that fell back to decode-to-COO-and-rebuild.
+    /// Presorted builds that ran their organization's sort anyway
+    /// (GCSC++, permuted CSF, the block organizations).
     pub conversions_fallback: u64,
     /// Bytes written to the streaming-ingest write-ahead log.
     pub wal_bytes: u64,

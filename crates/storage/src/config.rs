@@ -2,7 +2,6 @@
 //! tolerance.
 
 use artsparse_core::advisor::AccessProfile;
-use artsparse_core::FormatKind;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -96,7 +95,14 @@ fn sat_shl(x: u64, rhs: u32) -> u64 {
     }
 }
 
-/// Named access-pattern presets for adaptive re-organization.
+/// Adaptive re-organization policy: the access pattern the advisor
+/// optimizes for.
+///
+/// When set on [`EngineConfig::adaptive_reorg`], every consolidation
+/// characterizes the merged region's sparsity during its merge scan, runs
+/// the advisor's cost model over the paper's five organizations, and
+/// re-encodes the output in the winning one — instead of freezing the
+/// store's configured write format forever.
 ///
 /// These are the advisor's Table-IV weight profiles reduced to an
 /// enumerable knob: the engine configuration derives `Eq`, so it carries
@@ -141,44 +147,6 @@ impl ReorgProfile {
             ReorgProfile::Balanced => AccessProfile::balanced(),
             ReorgProfile::WriteHeavy => AccessProfile::write_heavy(),
             ReorgProfile::ReadHeavy => AccessProfile::read_heavy(),
-        }
-    }
-}
-
-/// Adaptive re-organization policy for consolidation.
-///
-/// When set on [`EngineConfig::adaptive_reorg`], every consolidation
-/// characterizes the merged region's sparsity during its existing merge
-/// scan, runs the advisor's cost model over the measured statistics, and
-/// re-encodes the output fragment in the winning organization — instead
-/// of freezing the store's configured write format forever.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct AdaptiveReorg {
-    /// Which access pattern the advisor should optimize for.
-    pub profile: ReorgProfile,
-    /// Escape hatch: skip the advisor entirely and always re-encode
-    /// consolidation output in this organization. For operators who know
-    /// better than the cost model (and for deterministic tests).
-    pub pin: Option<FormatKind>,
-    /// Organizations the advisor may choose from. Empty (the default)
-    /// means the paper's five ([`FormatKind::PAPER_FIVE`]).
-    pub candidates: Vec<FormatKind>,
-}
-
-impl AdaptiveReorg {
-    /// Policy with the given profile, no pin, default candidates.
-    pub fn with_profile(profile: ReorgProfile) -> Self {
-        AdaptiveReorg {
-            profile,
-            ..Default::default()
-        }
-    }
-
-    /// Policy pinned to one organization (advisor bypassed).
-    pub fn pinned(kind: FormatKind) -> Self {
-        AdaptiveReorg {
-            pin: Some(kind),
-            ..Default::default()
         }
     }
 }
@@ -415,10 +383,10 @@ pub struct EngineConfig {
     /// deleted — and the read completes over the survivors, reporting
     /// `complete == false` plus the quarantined names in its outcome.
     pub strict_reads: bool,
-    /// Live adaptive re-organization (see [`AdaptiveReorg`]). `None` (the
-    /// default) keeps the legacy behavior: consolidation re-encodes in the
-    /// store's configured write format.
-    pub adaptive_reorg: Option<AdaptiveReorg>,
+    /// Live adaptive re-organization under this access profile (see
+    /// [`ReorgProfile`]). `None` (the default) keeps the legacy behavior:
+    /// consolidation re-encodes in the store's configured write format.
+    pub adaptive_reorg: Option<ReorgProfile>,
     /// Streaming-ingest thresholds (see [`IngestConfig`]): when the write
     /// buffer group-commits into a fragment and whether acked batches are
     /// WAL-protected first.
@@ -528,8 +496,8 @@ impl EngineConfig {
     }
 
     /// Builder-style adaptive re-organization policy.
-    pub fn with_adaptive_reorg(mut self, policy: AdaptiveReorg) -> Self {
-        self.adaptive_reorg = Some(policy);
+    pub fn with_adaptive_reorg(mut self, profile: ReorgProfile) -> Self {
+        self.adaptive_reorg = Some(profile);
         self
     }
 
@@ -636,15 +604,8 @@ mod tests {
         assert_eq!(ReorgProfile::parse("fastest"), None);
         assert!(ReorgProfile::ReadHeavy.access_profile().read_weight > 1.0);
 
-        let c = EngineConfig::default()
-            .with_adaptive_reorg(AdaptiveReorg::with_profile(ReorgProfile::ReadHeavy));
-        let ad = c.adaptive_reorg.unwrap();
-        assert_eq!(ad.profile, ReorgProfile::ReadHeavy);
-        assert!(ad.pin.is_none() && ad.candidates.is_empty());
-        assert_eq!(
-            AdaptiveReorg::pinned(FormatKind::Csf).pin,
-            Some(FormatKind::Csf)
-        );
+        let c = EngineConfig::default().with_adaptive_reorg(ReorgProfile::ReadHeavy);
+        assert_eq!(c.adaptive_reorg, Some(ReorgProfile::ReadHeavy));
     }
 
     #[test]

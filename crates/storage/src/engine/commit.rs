@@ -1,14 +1,16 @@
 //! WRITE and the fragment commit protocol (DESIGN.md §9).
 //!
-//! There is one way a fragment reaches the device: [`publish`] encodes
-//! it, stages the bytes under an invisible `.tmp` name, durably records
-//! the delete set when the fragment replaces others, rename-commits, and
-//! inserts the catalog entry. Plain writes, group commits, WAL replay,
-//! consolidation and single-fragment migration all go through it, and
+//! There is one way a fragment reaches the device: [`write_with`] builds
+//! and encodes it, and [`publish`] stages the bytes under an invisible
+//! `.tmp` name, durably records the delete set when the fragment replaces
+//! others, rename-commits, and inserts the catalog entry. Plain writes,
+//! group commits, WAL replay and consolidation (adaptive migration
+//! included) all go through them, and
 //! [`retire_sources`] is the one sweep that deletes what a committed
 //! fragment replaced. Recovery (tombstone replay, orphan sweep) and epoch
 //! claiming — the other half of the protocol — live here too.
 //!
+//! [`write_with`]: StorageEngine::write_with
 //! [`publish`]: StorageEngine::publish
 //! [`retire_sources`]: StorageEngine::retire_sources
 
@@ -22,10 +24,10 @@ use crate::backend::StorageBackend;
 use crate::catalog::CatalogEntry;
 use crate::error::Result;
 use crate::fragment::{decode_meta, encode_fragment};
-use artsparse_core::{convert, FormatKind};
+use artsparse_core::{build_from_address_sorted, FormatKind};
 use artsparse_metrics::{charge, PhaseTimer, Span, SpanKind, WriteBreakdown, WritePhase};
 use artsparse_tensor::value::Element;
-use artsparse_tensor::{CoordBuffer, Region};
+use artsparse_tensor::CoordBuffer;
 use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 
@@ -61,18 +63,6 @@ pub struct WriteReport {
     pub total_bytes: usize,
     /// Points written.
     pub n_points: usize,
-}
-
-/// A fragment's content, ready to encode: an organization's index plus
-/// the value payload already reorganized to match it — the output of a
-/// build (writes, group commits, replay, consolidation) or of a direct
-/// conversion (single-fragment migration).
-pub(super) struct BuiltFragment<'a> {
-    pub kind: FormatKind,
-    pub n_points: usize,
-    pub bbox: Option<&'a Region>,
-    pub index: &'a [u8],
-    pub values: &'a [u8],
 }
 
 impl<B: StorageBackend> StorageEngine<B> {
@@ -114,8 +104,8 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// replaces (recorded in a tombstone before commit — consolidation
     /// only), and `presorted` promises the coordinates arrive in
     /// nondecreasing linear-address order — the order the consolidation
-    /// merge scan emits — so sorting builds route through
-    /// [`convert::build_from_address_sorted`] and elide their sort.
+    /// merge scan and the buffer snapshot emit — so sorting builds route
+    /// through [`build_from_address_sorted`] and elide their sort.
     pub(super) fn write_with(
         &self,
         kind: FormatKind,
@@ -139,7 +129,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         let built = timer.time(WritePhase::Build, || {
             if presorted {
                 let (built, direct) =
-                    convert::build_from_address_sorted(kind, coords, &self.shape, &self.counter)?;
+                    build_from_address_sorted(kind, coords, &self.shape, &self.counter)?;
                 charge(|io| {
                     if direct {
                         io.conversions_direct += 1;
@@ -158,67 +148,49 @@ impl<B: StorageBackend> StorageEngine<B> {
             built.reorganize_values(values, self.elem_size as usize)
         });
 
-        let (fragment, total_bytes) = self.publish(
-            BuiltFragment {
-                kind,
-                n_points: coords.len(),
-                bbox: bbox.as_ref(),
-                index: &built.index,
-                values: &values_reorg,
-            },
-            identity,
-            sources,
-            encode_span,
-            &mut timer,
-        )?;
+        // -- Others: concatenate (and optionally compress) b_frag -------
+        timer.enter(WritePhase::Others);
+        let frag = encode_fragment(
+            kind,
+            &self.shape,
+            coords.len() as u64,
+            self.elem_size,
+            bbox.as_ref(),
+            &built.index,
+            &values_reorg,
+            self.index_codec,
+            self.value_codec,
+        );
+        drop(encode_span);
+        let fragment = self.publish(&frag, identity, sources, &mut timer)?;
 
         Ok(WriteReport {
             fragment,
             breakdown: timer.finish(),
             index_bytes: built.index.len(),
             value_bytes: values_reorg.len(),
-            total_bytes,
+            total_bytes: frag.len(),
             n_points: coords.len(),
         })
     }
 
-    /// Publish one built fragment: encode `b_frag`, commit it under
-    /// `identity` (`None`: the next sequence number of this engine's
-    /// epoch), and catalog it. Returns the committed name and size.
+    /// Publish one encoded fragment: commit `frag` under `identity`
+    /// (`None`: the next sequence number of this engine's epoch) and
+    /// catalog it. Returns the committed name.
     ///
     /// The commit is two-phase: stage the bytes under a `.tmp` name
     /// invisible to discovery, durably record the delete set (tombstone)
     /// when the fragment replaces `sources`, then rename-commit. The
     /// commit point is the rename — until it lands, a crash leaves only
     /// blobs that recovery reaps; after it, a crash leaves a tombstone
-    /// recovery replays.
-    ///
-    /// `encode_span` is the caller's still-open span covering the work
-    /// that produced `built`; it closes once the bytes are assembled, so
-    /// encode time stays attributed to it. `timer` gets the encode under
-    /// Others and the device work under Write.
-    pub(super) fn publish(
+    /// recovery replays. `timer` gets the device work under Write.
+    fn publish(
         &self,
-        built: BuiltFragment<'_>,
+        frag: &[u8],
         identity: Option<FragmentId>,
         sources: Option<&[String]>,
-        encode_span: Span,
         timer: &mut PhaseTimer,
-    ) -> Result<(String, usize)> {
-        // -- Others: concatenate (and optionally compress) b_frag -------
-        timer.enter(WritePhase::Others);
-        let frag = encode_fragment(
-            built.kind,
-            &self.shape,
-            built.n_points as u64,
-            self.elem_size,
-            built.bbox,
-            built.index,
-            built.values,
-            self.index_codec,
-            self.value_codec,
-        );
-        drop(encode_span);
+    ) -> Result<String> {
         let id = identity.unwrap_or_else(|| {
             FragmentId::plain(self.next_id.fetch_add(1, Ordering::SeqCst), self.epoch)
         });
@@ -231,7 +203,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         let commit = timer.time(WritePhase::Write, || -> Result<()> {
             {
                 let _stage = Span::enter(&self.recorder, SpanKind::WriteStage);
-                self.retry_write(&staged, || self.backend.put(&staged, &frag))?;
+                self.retry_write(&staged, || self.backend.put(&staged, frag))?;
             }
             if let Some((tomb, body)) = &tombstone {
                 // The delete set must be durable *before* the commit:
@@ -264,13 +236,13 @@ impl<B: StorageBackend> StorageEngine<B> {
 
         // Catalog maintenance: decode the header we just encoded (pure
         // memory) so discovery never needs to ask the device about it.
-        let meta = decode_meta(&name, &frag)?;
+        let meta = decode_meta(&name, frag)?;
         self.catalog.insert(CatalogEntry {
             name: name.clone(),
             meta,
             size: frag.len() as u64,
         });
-        Ok((name, frag.len()))
+        Ok(name)
     }
 
     /// Delete the fragments that the committed `replacement` replaced.

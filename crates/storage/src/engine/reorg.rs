@@ -1,17 +1,14 @@
 //! Consolidation, adaptive re-organization, and export — everything that
 //! rewrites the store from a full scan of it (DESIGN.md §13).
 
-use super::commit::BuiltFragment;
 use super::names::FragmentId;
 use super::StorageEngine;
 use crate::backend::StorageBackend;
 use crate::catalog::CatalogEntry;
-use crate::config::AdaptiveReorg;
 use crate::error::{Result, StorageError};
 use artsparse_core::advisor::recommend_from_stats;
-use artsparse_core::stats::{SparsityStats, SparsityStatsBuilder};
-use artsparse_core::{convert, FormatKind};
-use artsparse_metrics::{charge, PhaseTimer, Span, SpanKind};
+use artsparse_core::stats::SparsityStatsBuilder;
+use artsparse_metrics::{charge, Span, SpanKind};
 use artsparse_tensor::CoordBuffer;
 use std::sync::Arc;
 
@@ -33,12 +30,6 @@ pub struct ConsolidateReport {
 /// The merged view of a store: linear address → (coordinate, record),
 /// in canonical address order.
 type MergedPoints = std::collections::BTreeMap<u64, (Vec<u64>, Vec<u8>)>;
-
-/// The advisor's verdict over measured statistics, under the policy's
-/// access profile and candidate set.
-fn advise(policy: &AdaptiveReorg, stats: &SparsityStats) -> FormatKind {
-    recommend_from_stats(stats, &policy.profile.access_profile(), &policy.candidates).best()
-}
 
 impl<B: StorageBackend> StorageEngine<B> {
     /// A fragment about to be rewritten must store this engine's tensor:
@@ -104,10 +95,10 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// sparsity during that same scan (no extra pass over the points),
     /// runs the advisor's cost model over the measured statistics, and
     /// encodes the output in the winning organization instead of the
-    /// engine's configured one — and a store already consolidated down to
-    /// a single fragment is *migrated* in place when the advisor (or the
-    /// policy's pin) disagrees with its current organization, converging
-    /// to a no-op once they agree.
+    /// engine's configured one. A store already consolidated down to a
+    /// single fragment takes the same path — merged, characterized,
+    /// advised — and is rewritten only when the advice differs from its
+    /// current organization, so repeated passes converge to a no-op.
     ///
     /// The pass is transactional: one catalog snapshot drives both the
     /// merge and the delete set; the delete set is recorded in a tombstone
@@ -132,21 +123,18 @@ impl<B: StorageBackend> StorageEngine<B> {
         let snapshot_span = Span::enter(&self.recorder, SpanKind::ConsolidateSnapshot);
         let snapshot = self.catalog.snapshot();
         let before_bytes: u64 = snapshot.iter().map(|e| e.size).sum();
-        let adaptive = self.config.adaptive_reorg.as_ref();
-        if snapshot.len() <= 1 {
-            drop(snapshot_span);
-            if let (Some(policy), [entry]) = (adaptive, &snapshot[..]) {
-                if let Some(report) = self.migrate_single(entry, policy, before_bytes)? {
-                    return Ok(report);
-                }
-            }
-            return Ok(ConsolidateReport {
-                merged_fragments: snapshot.len(),
-                n_points: 0,
-                before_bytes,
-                after_bytes: before_bytes,
-                fragment: None,
-            });
+        let adaptive = self.config.adaptive_reorg;
+        let unchanged = ConsolidateReport {
+            merged_fragments: snapshot.len(),
+            n_points: 0,
+            before_bytes,
+            after_bytes: before_bytes,
+            fragment: None,
+        };
+        // Nothing to merge and nothing to re-organize: no fragments, or
+        // one without an adaptive policy.
+        if snapshot.is_empty() || (snapshot.len() == 1 && adaptive.is_none()) {
+            return Ok(unchanged);
         }
         let sources: Vec<String> = snapshot.iter().map(|e| e.name.clone()).collect();
         let id = FragmentId::replacing(&sources, self.epoch)?;
@@ -170,11 +158,15 @@ impl<B: StorageBackend> StorageEngine<B> {
         drop(merge_span);
 
         let target = match (adaptive, characterize) {
-            (Some(policy), Some(builder)) => {
+            (Some(profile), Some(builder)) => {
                 let _advise = Span::enter(&self.recorder, SpanKind::ConsolidateAdvise);
-                let target = policy
-                    .pin
-                    .unwrap_or_else(|| advise(policy, &builder.finish()));
+                let target =
+                    recommend_from_stats(&builder.finish(), &profile.access_profile(), &[]).best();
+                // A lone fragment already in the advised organization has
+                // converged: rewriting it would only fold duplicates.
+                if matches!(&snapshot[..], [only] if only.meta.kind == target) {
+                    return Ok(unchanged);
+                }
                 let migrating = snapshot.iter().filter(|e| e.meta.kind != target).count() as u64;
                 charge(|io| io.fragments_migrated += migrating);
                 target
@@ -183,7 +175,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         };
 
         // The merged scan is in linear-address order, so the re-encode
-        // goes through the direct-conversion builders (sorts elided).
+        // goes through the presorted builders (sorts elided).
         let convert_span =
             adaptive.map(|_| Span::enter(&self.recorder, SpanKind::ConsolidateConvert));
         let report = self.write_with(target, &coords, &payload, Some(id), Some(&sources), true)?;
@@ -199,92 +191,6 @@ impl<B: StorageBackend> StorageEngine<B> {
         })
     }
 
-    /// Adaptive re-organization of a store already consolidated down to
-    /// one fragment: characterize it, ask the advisor (or honor the
-    /// policy's pin), and when the verdict differs from the fragment's
-    /// current organization, re-encode it through the direct conversion
-    /// layer — published and swept by the same routines as a full
-    /// consolidation, so a crash in any window leaves the store readable
-    /// in the old organization. Returns `None` when the fragment already
-    /// has the advised organization: repeated passes converge to a no-op.
-    fn migrate_single(
-        &self,
-        entry: &CatalogEntry,
-        policy: &AdaptiveReorg,
-        before_bytes: u64,
-    ) -> Result<Option<ConsolidateReport>> {
-        self.check_rewritable(entry)?;
-        let decoded = self.fetch_decoded(entry)?;
-        let source_kind = decoded.meta.kind;
-
-        let advise_span = Span::enter(&self.recorder, SpanKind::ConsolidateAdvise);
-        let target = match policy.pin {
-            Some(pin) => pin,
-            None => {
-                let coords = source_kind
-                    .create()
-                    .enumerate(&decoded.index, &self.counter)?;
-                let mut builder = SparsityStatsBuilder::new(self.shape.clone());
-                for p in coords.iter() {
-                    builder.push(p);
-                }
-                advise(policy, &builder.finish())
-            }
-        };
-        drop(advise_span);
-        if target == source_kind {
-            return Ok(None);
-        }
-
-        // Same identity rule as a full pass: keep the source's sequence
-        // number (the data is no newer than that), bump the
-        // consolidation generation to outrank it.
-        let sources = [entry.name.clone()];
-        let id = FragmentId::replacing(&sources, self.epoch)?;
-
-        let convert_span = Span::enter(&self.recorder, SpanKind::ConsolidateConvert);
-        let conv = convert::convert(
-            source_kind,
-            &decoded.index,
-            target,
-            &self.shape,
-            &self.counter,
-        )?;
-        let scattered = conv.map.as_ref().map(|map| {
-            artsparse_tensor::permute::scatter_bytes(&decoded.values, self.elem_size as usize, map)
-        });
-        charge(|io| {
-            io.fragments_migrated += 1;
-            if conv.direct {
-                io.conversions_direct += 1;
-            } else {
-                io.conversions_fallback += 1;
-            }
-        });
-        let (name, _) = self.publish(
-            BuiltFragment {
-                kind: target,
-                n_points: conv.n_points,
-                bbox: decoded.meta.bbox.as_ref(),
-                index: &conv.index,
-                values: scattered.as_deref().unwrap_or(&decoded.values),
-            },
-            Some(id),
-            Some(&sources),
-            convert_span,
-            &mut PhaseTimer::new(),
-        )?;
-
-        self.retire_sources(&sources, &name)?;
-        Ok(Some(ConsolidateReport {
-            merged_fragments: 1,
-            n_points: conv.n_points,
-            before_bytes,
-            after_bytes: self.catalog.total_bytes(),
-            fragment: Some(name),
-        }))
-    }
-
     /// Enumerate every stored point across all fragments (post-dedup), in
     /// linear-address order, with its value record. Runs over the same
     /// scan layer as [`StorageEngine::consolidate`].
@@ -292,6 +198,10 @@ impl<B: StorageBackend> StorageEngine<B> {
         // Buffered ingests are part of the store: group-commit them so
         // the scan layer sees them (a no-op when the buffer is empty).
         self.flush()?;
+        // A consolidation committing between the snapshot and the scan
+        // would retire fragments the scan still has to fetch: hold the
+        // pass off for the whole scan, as `consolidate` does.
+        let _guard = self.consolidate_lock.lock();
         let merged = self.merged_points_from(&self.catalog.snapshot())?;
         let mut coords = CoordBuffer::with_capacity(self.shape.ndim(), merged.len());
         let mut payload = Vec::new();
@@ -307,9 +217,82 @@ impl<B: StorageBackend> StorageEngine<B> {
 mod tests {
     use super::*;
     use crate::backend::MemBackend;
-    use crate::config::EngineConfig;
+    use crate::config::{EngineConfig, ReorgProfile};
     use crate::engine::test_support::{coords, engine};
-    use artsparse_tensor::Shape;
+    use crate::engine::ReadResult;
+    use crate::faults::FailingBackend;
+    use artsparse_core::FormatKind;
+    use artsparse_tensor::{Region, Shape};
+
+    /// A LINEAR store under the balanced adaptive policy: a handful of
+    /// points is cheaper as COO, so its first pass migrates.
+    fn adaptive_engine<B: StorageBackend>(backend: B) -> StorageEngine<B> {
+        StorageEngine::open_with(
+            backend,
+            FormatKind::Linear,
+            Shape::new(vec![16, 16]).unwrap(),
+            8,
+            EngineConfig::default().with_adaptive_reorg(ReorgProfile::Balanced),
+        )
+        .unwrap()
+    }
+
+    /// What a read answers, without the fragment that answered it.
+    fn answers(result: ReadResult) -> Vec<(usize, Vec<u64>, Vec<u8>)> {
+        result
+            .hits
+            .into_iter()
+            .map(|h| (h.query_index, h.coord, h.value))
+            .collect()
+    }
+
+    #[test]
+    fn single_fragment_migration_folds_duplicates_and_keeps_answers() {
+        let e = adaptive_engine(MemBackend::new());
+        // [1,1] twice in one fragment: reads answer the lowest slot (1.0).
+        let written = coords(&[[1, 1], [2, 2], [1, 1], [3, 0]]);
+        e.write_points::<f64>(&written, &[1.0, 2.0, 9.0, 3.0])
+            .unwrap();
+        let queries = coords(&[[1, 1], [2, 2], [3, 0], [0, 0]]);
+        let region = Region::from_corners(&[0, 0], &[15, 15]).unwrap();
+        let snapshot = |e: &StorageEngine<MemBackend>| {
+            (
+                answers(e.read(&queries).unwrap()),
+                answers(e.read_region(&region).unwrap()),
+            )
+        };
+        let before = snapshot(&e);
+        assert_eq!(e.stats().unwrap().total_points, 4);
+
+        let report = e.consolidate().unwrap();
+        assert_eq!((report.merged_fragments, report.n_points), (1, 3));
+        let stats = e.stats().unwrap();
+        assert_eq!(stats.fragments, 1);
+        assert!(!stats.by_format.contains_key("LINEAR"), "{stats:?}");
+        assert_eq!(stats.total_points, 3, "each address stored once");
+        assert_eq!(snapshot(&e), before);
+        assert_eq!(
+            e.read_values::<f64>(&coords(&[[1, 1]])).unwrap(),
+            vec![Some(1.0)]
+        );
+    }
+
+    #[test]
+    fn converged_store_consolidates_without_device_writes() {
+        let e = adaptive_engine(FailingBackend::new(MemBackend::new()));
+        e.write_points::<f64>(&coords(&[[1, 1], [2, 2]]), &[1.0, 2.0])
+            .unwrap();
+        assert!(e.consolidate().unwrap().fragment.is_some(), "migrates");
+        let blobs = e.backend().list().unwrap();
+        // Converged: the next pass merges and advises, then stops — any
+        // put, rename or delete would fail on this device.
+        e.backend().set_out_of_space(true);
+        let report = e.consolidate().unwrap();
+        assert_eq!(report.fragment, None);
+        assert_eq!(report.before_bytes, report.after_bytes);
+        e.backend().set_out_of_space(false);
+        assert_eq!(e.backend().list().unwrap(), blobs);
+    }
 
     #[test]
     fn consolidate_folds_buffered_points_in() {

@@ -67,8 +67,8 @@ pub use cache::{CacheStats, DecodedFragment, FragmentCache};
 pub use catalog::{CatalogEntry, FragmentCatalog, ReadPlan};
 pub use codec::Codec;
 pub use config::{
-    AdaptiveReorg, EngineConfig, HealthConfig, IngestConfig, ObservabilityConfig, ReorgProfile,
-    RetryPolicy, SchedulerConfig,
+    EngineConfig, HealthConfig, IngestConfig, ObservabilityConfig, ReorgProfile, RetryPolicy,
+    SchedulerConfig,
 };
 pub use engine::{
     ConsolidateReport, HealthState, ReadHit, ReadOutcome, ReadResult, RecoveryReport, ScrubFinding,

@@ -7,8 +7,10 @@
 //! duplicated points after an interrupted consolidation, no name
 //! collisions between concurrent engines.
 
+use artsparse::core::advisor::{recommend_from_stats, AccessProfile};
+use artsparse::core::SparsityStats;
 use artsparse::storage::{
-    AdaptiveReorg, EngineConfig, FailingBackend, FsBackend, MemBackend, SimulatedDisk,
+    EngineConfig, FailingBackend, FsBackend, MemBackend, ReorgProfile, SimulatedDisk,
     StorageBackend, StorageEngine, StripedBackend,
 };
 use artsparse::{CoordBuffer, FormatKind, Shape};
@@ -167,8 +169,8 @@ fn consolidation_crash_after_commit_replays_deletions() {
 /// An adaptive re-organization killed between the advise step and the
 /// rename-commit must change nothing: after restart the store is still
 /// readable in its old organization, with no staged blob or tombstone
-/// left behind. The pin forces a migration (LINEAR→CSF) so the crash
-/// window is guaranteed to open.
+/// left behind. Two points in a LINEAR store are cheaper as COO under the
+/// balanced profile, so the advisor itself forces the migration.
 #[test]
 fn adaptive_migration_crash_before_commit_keeps_old_organization() {
     let engine = StorageEngine::open_with(
@@ -176,16 +178,22 @@ fn adaptive_migration_crash_before_commit_keeps_old_organization() {
         FormatKind::Linear,
         shape(),
         8,
-        EngineConfig::default().with_adaptive_reorg(AdaptiveReorg::pinned(FormatKind::Csf)),
+        EngineConfig::default().with_adaptive_reorg(ReorgProfile::Balanced),
     )
     .unwrap();
-    engine
-        .write_points::<f64>(&pts(&[[1, 1], [2, 2]]), &[1.0, 2.0])
-        .unwrap();
+    let points = pts(&[[1, 1], [2, 2]]);
+    engine.write_points::<f64>(&points, &[1.0, 2.0]).unwrap();
+    let advice = recommend_from_stats(
+        &SparsityStats::from_coords(&points, &shape()),
+        &AccessProfile::balanced(),
+        &[],
+    )
+    .best();
+    assert_ne!(advice, FormatKind::Linear, "the crash window must open");
 
-    // One fragment → consolidation takes the single-fragment migration
-    // path (advise → convert → commit). Kill the rename-commit, and kill
-    // deletes so the abort cleanup cannot tidy up either.
+    // One fragment → consolidation merges, advises, and re-encodes it.
+    // Kill the rename-commit, and kill deletes so the abort cleanup
+    // cannot tidy up either.
     engine.backend().fail_renames(true);
     engine.backend().fail_deletes(true);
     assert!(engine.consolidate().is_err());
@@ -225,7 +233,7 @@ fn adaptive_consolidation_converges_and_preserves_reads() {
         FormatKind::Coo,
         shape(),
         8,
-        EngineConfig::default().with_adaptive_reorg(AdaptiveReorg::default()),
+        EngineConfig::default().with_adaptive_reorg(ReorgProfile::Balanced),
     )
     .unwrap();
     let coords: Vec<[u64; 2]> = (0..32u64).map(|i| [i, (i * 3) % 64]).collect();
@@ -242,13 +250,8 @@ fn adaptive_consolidation_converges_and_preserves_reads() {
 
     // The store landed on what an offline advisor pass recommends.
     let (all, _) = engine.export().unwrap();
-    let sparsity = artsparse::core::SparsityStats::from_coords(&all, &shape());
-    let offline = artsparse::core::advisor::recommend_from_stats(
-        &sparsity,
-        &artsparse::core::advisor::AccessProfile::balanced(),
-        &[],
-    )
-    .best();
+    let sparsity = SparsityStats::from_coords(&all, &shape());
+    let offline = recommend_from_stats(&sparsity, &AccessProfile::balanced(), &[]).best();
     assert_eq!(organization, offline.name());
 
     // Byte-identical reads across the migration; converged thereafter.
@@ -257,6 +260,43 @@ fn adaptive_consolidation_converges_and_preserves_reads() {
     let again = engine.stats().unwrap();
     assert_eq!(again.fragments, 1);
     assert_eq!(again.by_format.keys().next().unwrap(), &organization);
+}
+
+/// An export racing a consolidation on the same engine must not fail:
+/// the pass retires its sources once it commits, so an export that
+/// snapshotted them and is still fetching would hit a vanished blob. The
+/// export holds the consolidation lock across its snapshot and scan.
+#[test]
+fn export_racing_consolidation_never_fails() {
+    let engine = StorageEngine::open(
+        FailingBackend::new(MemBackend::new()),
+        FormatKind::Coo,
+        shape(),
+        8,
+    )
+    .unwrap();
+    for i in 0..4u64 {
+        engine
+            .write_points::<f64>(&pts(&[[i, i]]), &[i as f64])
+            .unwrap();
+    }
+    // Every fetch takes 20 ms: the pass spends ~80 ms merging before it
+    // commits and retires the four sources.
+    engine.backend().set_read_latency(Duration::from_millis(20));
+    let (coords, payload) = std::thread::scope(|scope| {
+        let pass = scope.spawn(|| engine.consolidate().unwrap());
+        std::thread::sleep(Duration::from_millis(70));
+        let exported = engine.export().unwrap();
+        pass.join().unwrap();
+        exported
+    });
+    assert_eq!(coords.len(), 4);
+    let values: Vec<f64> = payload
+        .chunks_exact(8)
+        .map(|r| f64::from_le_bytes(r.try_into().unwrap()))
+        .collect();
+    assert_eq!(values, vec![0.0, 1.0, 2.0, 3.0]);
+    assert_eq!(engine.fragments().unwrap().len(), 1);
 }
 
 /// Two engines over one store claim distinct epochs, so their fragment
