@@ -12,9 +12,9 @@ use super::{delete_if_present, StorageEngine};
 use crate::backend::StorageBackend;
 use crate::error::{Result, StorageError};
 use artsparse_metrics::{charge, Span, SpanKind};
+use artsparse_tensor::sort::{last_per_address, sort_by_address};
 use artsparse_tensor::value::Element;
 use artsparse_tensor::CoordBuffer;
-use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 
 impl<B: StorageBackend> StorageEngine<B> {
@@ -267,13 +267,16 @@ impl<B: StorageBackend> StorageEngine<B> {
             if self.catalog.get(&format_fragment_name(id)).is_none() && !rec.is_empty() {
                 // Dedup within the batch (last append wins) and emit in
                 // address order, matching a group commit's snapshot.
-                let mut points: BTreeMap<u64, usize> = BTreeMap::new();
-                for (i, point) in rec.coords.chunks_exact(rec.ndim).enumerate() {
-                    points.insert(self.shape.linearize(point)?, i);
-                }
-                let mut coords = CoordBuffer::with_capacity(self.shape.ndim(), points.len());
-                let mut payload = Vec::with_capacity(points.len() * rec.elem_size);
-                for i in points.into_values() {
+                let mut order = rec
+                    .coords
+                    .chunks_exact(rec.ndim)
+                    .enumerate()
+                    .map(|(i, point)| Ok((self.shape.linearize(point)?, i)))
+                    .collect::<Result<Vec<(u64, usize)>>>()?;
+                sort_by_address(&mut order);
+                let mut coords = CoordBuffer::with_capacity(self.shape.ndim(), order.len());
+                let mut payload = Vec::with_capacity(order.len() * rec.elem_size);
+                for &(_, i) in last_per_address(&order) {
                     coords.push(&rec.coords[i * rec.ndim..(i + 1) * rec.ndim])?;
                     payload
                         .extend_from_slice(&rec.values[i * rec.elem_size..(i + 1) * rec.elem_size]);
@@ -439,16 +442,21 @@ mod tests {
         let shape = Shape::new(vec![8, 8]).unwrap();
         let e1 = StorageEngine::open(backend, FormatKind::Coo, shape.clone(), 8).unwrap();
         e1.write_points::<f64>(&coords(&[[1, 1]]), &[1.0]).unwrap();
-        e1.ingest_points::<f64>(&coords(&[[2, 2]]), &[2.0]).unwrap();
+        // Out of address order, and [2,2] twice: the later point wins.
+        e1.ingest_points::<f64>(&coords(&[[2, 2], [0, 3], [2, 2]]), &[2.0, 3.0, 4.0])
+            .unwrap();
         // Simulate a crash: drop the engine without flushing.
         let backend = e1.into_backend();
         let e2 = StorageEngine::open(backend, FormatKind::Coo, shape, 8).unwrap();
         // Replay committed the WAL batch as a fragment under its own id.
         assert_eq!(e2.buffer_stats().points, 0);
         assert_eq!(
-            e2.read_values::<f64>(&coords(&[[1, 1], [2, 2]])).unwrap(),
-            vec![Some(1.0), Some(2.0)]
+            e2.read_values::<f64>(&coords(&[[1, 1], [2, 2], [0, 3]]))
+                .unwrap(),
+            vec![Some(1.0), Some(4.0), Some(3.0)]
         );
+        let (replayed, _) = e2.export().unwrap();
+        assert_eq!(replayed.as_flat(), [0, 3, 1, 1, 2, 2]);
         let wals = e2
             .backend()
             .list()

@@ -9,6 +9,7 @@ use crate::error::{Result, StorageError};
 use artsparse_core::advisor::recommend_from_stats;
 use artsparse_core::stats::SparsityStatsBuilder;
 use artsparse_metrics::{charge, Span, SpanKind};
+use artsparse_tensor::sort::{last_per_address, sort_by_address};
 use artsparse_tensor::CoordBuffer;
 use std::sync::Arc;
 
@@ -27,9 +28,15 @@ pub struct ConsolidateReport {
     pub fragment: Option<String>,
 }
 
-/// The merged view of a store: linear address → (coordinate, record),
-/// in canonical address order.
-type MergedPoints = std::collections::BTreeMap<u64, (Vec<u64>, Vec<u8>)>;
+/// `n` as a 32-bit field of a merge record. Records are
+/// `(address, (fragment, slot))`, 16 bytes, so the radix sort moves as
+/// little as it can; a merge over more fragments, or a fragment of more
+/// points, than 32 bits count is refused with a typed error.
+fn record_field(n: usize, what: &str) -> Result<u32> {
+    u32::try_from(n).map_err(|_| StorageError::Mismatch {
+        reason: format!("{what} {n} does not fit the merge's 32-bit record field"),
+    })
+}
 
 impl<B: StorageBackend> StorageEngine<B> {
     /// A fragment about to be rewritten must store this engine's tensor:
@@ -51,34 +58,50 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// (through the cache) and merge its points with the engine's exact
     /// read precedence — within a fragment the *lowest* slot wins (every
     /// format's read scans/searches to the first matching record); across
-    /// fragments the most recently written one wins. The BTreeMap gives
-    /// canonical linear-address order.
-    fn merged_points_from(&self, entries: &[Arc<CatalogEntry>]) -> Result<MergedPoints> {
-        let mut merged = MergedPoints::new();
-        for entry in entries {
-            let name = &entry.name;
+    /// fragments the most recently written one wins. The output is flat
+    /// and in canonical linear-address order: the coordinates and value
+    /// records `write_with(.., presorted = true)` takes.
+    ///
+    /// One `(address, (fragment, slot))` record per enumerated point, slots
+    /// pushed high to low, then one stable address sort: the last record
+    /// of each address is the newest fragment's lowest slot.
+    fn merged_points_from(&self, entries: &[Arc<CatalogEntry>]) -> Result<(CoordBuffer, Vec<u8>)> {
+        let elem = self.elem_size as usize;
+        let mut sources = Vec::with_capacity(entries.len());
+        let mut order: Vec<(u64, (u32, u32))> = Vec::new();
+        for (f, entry) in entries.iter().enumerate() {
             self.check_rewritable(entry)?;
             let decoded = self.fetch_decoded(entry)?;
             let org = decoded.meta.kind.create();
             let coords = org.enumerate(&decoded.index, &self.counter)?;
-            let elem = decoded.meta.elem_size as usize;
-            let mut this_fragment = MergedPoints::new();
-            for (slot, p) in coords.iter().enumerate() {
-                let addr = self.shape.linearize(p)?;
-                let record = decoded
-                    .values
-                    .get(slot * elem..(slot + 1) * elem)
-                    .ok_or_else(|| {
-                        StorageError::corrupt(name, "enumerated more slots than records")
-                    })?
-                    .to_vec();
-                // First (lowest) slot wins within the fragment.
-                this_fragment.entry(addr).or_insert((p.to_vec(), record));
+            if coords
+                .len()
+                .checked_mul(elem)
+                .is_none_or(|bytes| bytes > decoded.values.len())
+            {
+                return Err(StorageError::corrupt(
+                    &entry.name,
+                    "enumerated more slots than records",
+                ));
             }
-            // Later fragments override earlier ones.
-            merged.extend(this_fragment);
+            let f = record_field(f, "merged fragment index")?;
+            let slots = record_field(coords.len(), "enumerated fragment length")?;
+            order.reserve(coords.len());
+            for slot in (0..slots).rev() {
+                let addr = self.shape.linearize(coords.point(slot as usize))?;
+                order.push((addr, (f, slot)));
+            }
+            sources.push((decoded, coords));
         }
-        Ok(merged)
+        sort_by_address(&mut order);
+        let mut coords = Vec::with_capacity(order.len() * self.shape.ndim());
+        let mut payload = Vec::with_capacity(order.len() * elem);
+        for &(_, (f, slot)) in last_per_address(&order) {
+            let ((decoded, points), slot) = (&sources[f as usize], slot as usize);
+            coords.extend_from_slice(points.point(slot));
+            payload.extend_from_slice(&decoded.values[slot * elem..(slot + 1) * elem]);
+        }
+        Ok((CoordBuffer::from_flat(self.shape.ndim(), coords)?, payload))
     }
 
     /// Merge every fragment into one (TileDB-style consolidation).
@@ -92,7 +115,7 @@ impl<B: StorageBackend> StorageEngine<B> {
     ///
     /// With [`EngineConfig::adaptive_reorg`](crate::config::EngineConfig)
     /// set, the pass additionally characterizes the merged region's
-    /// sparsity during that same scan (no extra pass over the points),
+    /// sparsity from the merge's flat output (no second fetch or decode),
     /// runs the advisor's cost model over the measured statistics, and
     /// encodes the output in the winning organization instead of the
     /// engine's configured one. A store already consolidated down to a
@@ -141,27 +164,18 @@ impl<B: StorageBackend> StorageEngine<B> {
         drop(snapshot_span);
 
         let merge_span = Span::enter(&self.recorder, SpanKind::ConsolidateMerge);
-        let merged = self.merged_points_from(&snapshot)?;
-        let mut coords = CoordBuffer::with_capacity(self.shape.ndim(), merged.len());
-        let mut payload = Vec::with_capacity(merged.len() * self.elem_size as usize);
-        // Characterization rides the merge scan: the stats accumulate on
-        // the points the loop already visits, so adaptive mode adds no
-        // extra pass over the data.
-        let mut characterize = adaptive.map(|_| SparsityStatsBuilder::new(self.shape.clone()));
-        for (coord, record) in merged.values() {
-            coords.push(coord)?;
-            payload.extend_from_slice(record);
-            if let Some(builder) = characterize.as_mut() {
-                builder.push(coord);
-            }
-        }
+        let (coords, payload) = self.merged_points_from(&snapshot)?;
         drop(merge_span);
 
-        let target = match (adaptive, characterize) {
-            (Some(profile), Some(builder)) => {
+        let target = match adaptive {
+            Some(profile) => {
                 let _advise = Span::enter(&self.recorder, SpanKind::ConsolidateAdvise);
+                // Characterization reads the merged flat coordinates: no
+                // second fetch, decode or merge, one walk over the output.
+                let mut stats = SparsityStatsBuilder::new(self.shape.clone());
+                coords.iter().for_each(|p| stats.push(p));
                 let target =
-                    recommend_from_stats(&builder.finish(), &profile.access_profile(), &[]).best();
+                    recommend_from_stats(&stats.finish(), &profile.access_profile(), &[]).best();
                 // A lone fragment already in the advised organization has
                 // converged: rewriting it would only fold duplicates.
                 if matches!(&snapshot[..], [only] if only.meta.kind == target) {
@@ -171,7 +185,7 @@ impl<B: StorageBackend> StorageEngine<B> {
                 charge(|io| io.fragments_migrated += migrating);
                 target
             }
-            _ => self.kind,
+            None => self.kind,
         };
 
         // The merged scan is in linear-address order, so the re-encode
@@ -202,14 +216,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         // would retire fragments the scan still has to fetch: hold the
         // pass off for the whole scan, as `consolidate` does.
         let _guard = self.consolidate_lock.lock();
-        let merged = self.merged_points_from(&self.catalog.snapshot())?;
-        let mut coords = CoordBuffer::with_capacity(self.shape.ndim(), merged.len());
-        let mut payload = Vec::new();
-        for (coord, record) in merged.values() {
-            coords.push(coord)?;
-            payload.extend_from_slice(record);
-        }
-        Ok((coords, payload))
+        self.merged_points_from(&self.catalog.snapshot())
     }
 }
 
@@ -244,6 +251,17 @@ mod tests {
             .into_iter()
             .map(|h| (h.query_index, h.coord, h.value))
             .collect()
+    }
+
+    #[test]
+    fn merge_record_fields_past_32_bits_are_typed_errors() {
+        assert_eq!(record_field(u32::MAX as usize, "slot").unwrap(), u32::MAX);
+        let err = record_field(u32::MAX as usize + 1, "merged fragment index").unwrap_err();
+        assert!(matches!(err, StorageError::Mismatch { .. }), "{err}");
+        assert!(
+            err.to_string().contains("fragment index 4294967296"),
+            "{err}"
+        );
     }
 
     #[test]

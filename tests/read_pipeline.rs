@@ -148,6 +148,45 @@ proptest! {
             }
         }
     }
+
+    /// `export()` is the oracle's last value per address, in address
+    /// order, for every organization: as written (duplicates inside a
+    /// fragment and across fragments), after `consolidate()`, and with an
+    /// ingested batch over existing addresses on top.
+    #[test]
+    fn export_is_the_last_writer_per_address((shape, fragments) in store_strategy()) {
+        let mut model: BTreeMap<u64, f64> = oracle(&shape, &fragments)
+            .into_iter()
+            .filter_map(|(addr, values)| Some((addr, *values.last()?)))
+            .collect();
+        let as_written: Vec<(u64, f64)> = model.clone().into_iter().collect();
+        // Fragment 0's addresses, each once, re-ingested with new values.
+        let mut overlap = BTreeMap::new();
+        for p in &fragments[0] {
+            overlap.insert(shape.linearize(p).unwrap(), p.clone());
+        }
+        let batch = buffer(shape.ndim(), &overlap.values().cloned().collect::<Vec<_>>());
+        let batch_values: Vec<f64> = (0..overlap.len()).map(|k| -(k as f64) - 1.0).collect();
+        model.extend(overlap.keys().copied().zip(batch_values.iter().copied()));
+        let with_ingest: Vec<(u64, f64)> = model.into_iter().collect();
+        let exported = |e: &StorageEngine<MemBackend>| -> Vec<(u64, f64)> {
+            let (coords, payload) = e.export().unwrap();
+            coords
+                .iter()
+                .zip(payload.chunks_exact(8))
+                .map(|(p, v)| (shape.linearize(p).unwrap(), f64::from_le_bytes(v.try_into().unwrap())))
+                .collect()
+        };
+        for kind in FormatKind::ALL {
+            let e = StorageEngine::open(populate(&shape, kind, &fragments), kind, shape.clone(), 8)
+                .unwrap();
+            prop_assert_eq!(&exported(&e), &as_written, "{} as written", kind);
+            e.consolidate().unwrap();
+            prop_assert_eq!(&exported(&e), &as_written, "{} consolidated", kind);
+            e.ingest_points::<f64>(&batch, &batch_values).unwrap();
+            prop_assert_eq!(&exported(&e), &with_ingest, "{} with an ingest on top", kind);
+        }
+    }
 }
 
 /// Interleaved writers and readers on one shared engine: reads never
