@@ -5,14 +5,14 @@
 //! `--adaptive` re-organization enabled (starting from COO, the cheapest
 //! ingest organization) and one frozen in COO. After the cycles the
 //! adaptive store must have converged to the organization an offline
-//! advisor pass recommends over the full dataset, return byte-identical
-//! reads, and store the bytes recorded in `BENCH_adaptive_reorg.json`
-//! (written under `--out` for the exact `ci/compare_bench.py` gate). The
-//! warm point-query timings of both stores are printed and kept in
+//! advisor pass recommends over the full dataset and return
+//! byte-identical reads. Both stores' sizes are deterministic on the
+//! in-memory backend; `tests/exact_gates.rs` pins them at smoke scale.
+//! The warm point-query timings of both stores are printed and kept in
 //! `adaptive.json` as informational readings; nothing gates them.
 
 use crate::config::Config;
-use crate::experiments::{write_gate_file, ByteGate, ExperimentOutput};
+use crate::experiments::ExperimentOutput;
 use crate::Result;
 use artsparse_core::advisor::recommend_from_stats;
 use artsparse_core::stats::SparsityStats;
@@ -64,9 +64,8 @@ fn time_reads(engine: &StorageEngine<MemBackend>, queries: &CoordBuffer) -> Resu
     Ok(start.elapsed().as_nanos() as u64 / READ_REPS as u64)
 }
 
-/// Drive one pattern through the cycles; returns the comparison row plus
-/// the two gate rows.
-fn run_pattern(cfg: &Config, pattern: Pattern) -> Result<(Row, Vec<ByteGate>)> {
+/// Drive one pattern through the cycles; returns the comparison row.
+fn run_pattern(cfg: &Config, pattern: Pattern) -> Result<Row> {
     let ndim = 3;
     let ds = Dataset::for_scale(pattern, ndim, cfg.scale, cfg.params);
     let values = ds.values();
@@ -156,18 +155,7 @@ fn run_pattern(cfg: &Config, pattern: Pattern) -> Result<(Row, Vec<ByteGate>)> {
         }
     }
 
-    let slug = pattern.name().to_ascii_lowercase();
-    let gates = vec![
-        ByteGate {
-            id: format!("adaptive-{slug}"),
-            bytes: a_stats.total_bytes,
-        },
-        ByteGate {
-            id: format!("frozen-coo-{slug}"),
-            bytes: f_stats.total_bytes,
-        },
-    ];
-    let row = Row {
+    Ok(Row {
         pattern: pattern.name().to_string(),
         n_points: n,
         offline_recommendation: offline.name().to_string(),
@@ -186,21 +174,19 @@ fn run_pattern(cfg: &Config, pattern: Pattern) -> Result<(Row, Vec<ByteGate>)> {
         fragments_migrated: totals.fragments_migrated,
         conversions_direct: totals.conversions_direct,
         conversions_fallback: totals.conversions_fallback,
-    };
-    Ok((row, gates))
+    })
 }
 
 /// Run the adaptive-vs-frozen comparison for MSP and GSP at 3D.
 pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
     let mut rows = Vec::new();
-    let mut gates = Vec::new();
     for pattern in [Pattern::Msp, Pattern::Gsp] {
         eprintln!(
             "[adaptive] {} 3D, profile {}, {CYCLES} write→consolidate cycles",
             pattern.name(),
             cfg.profile.name()
         );
-        let (row, g) = run_pattern(cfg, pattern)?;
+        let row = run_pattern(cfg, pattern)?;
         eprintln!(
             "[adaptive]   advisor {} | store {} | converged {} | reads identical {} | \
              warm read {} ns vs frozen-COO {} ns (informational)",
@@ -212,7 +198,6 @@ pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
             row.frozen_read_ns
         );
         rows.push(row);
-        gates.extend(g);
     }
 
     let mut table = Table::new(
@@ -248,10 +233,6 @@ pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
         ]);
     }
 
-    if let Some(dir) = &cfg.out_dir {
-        write_gate_file(dir, "adaptive_reorg", &gates)?;
-    }
-
     Ok(ExperimentOutput {
         name: "adaptive",
         notes: vec![
@@ -268,7 +249,6 @@ pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
             "profile": cfg.profile.name(),
             "cycles": CYCLES,
             "rows": rows,
-            "benchmarks": gates,
         }),
     })
 }
@@ -296,23 +276,5 @@ mod tests {
             );
             assert!(r["fragments_migrated"].as_u64().unwrap() >= 1);
         }
-        let benches = out.json["benchmarks"].as_array().unwrap();
-        assert_eq!(benches.len(), 4);
-        assert!(benches.iter().any(|b| b["id"] == "adaptive-msp"));
-        assert!(benches.iter().any(|b| b["id"] == "frozen-coo-gsp"));
-    }
-
-    #[test]
-    fn bench_file_written_under_out_dir() {
-        let dir = tempfile::tempdir().unwrap();
-        let mut cfg = Config::smoke();
-        cfg.out_dir = Some(dir.path().to_path_buf());
-        run(&cfg).unwrap();
-        let doc: serde_json::Value = serde_json::from_str(
-            &std::fs::read_to_string(dir.path().join("BENCH_adaptive_reorg.json")).unwrap(),
-        )
-        .unwrap();
-        assert_eq!(doc["group"], "adaptive_reorg");
-        assert_eq!(doc["benchmarks"].as_array().unwrap().len(), 4);
     }
 }

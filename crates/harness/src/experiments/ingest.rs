@@ -5,14 +5,13 @@
 //! `--ingest-flush-points` as the only self-flush trigger, then flushed,
 //! consolidated and read back. On the in-memory backend every count —
 //! WAL bytes, group commits, final store size — is a pure function of
-//! the dataset, so WAL bytes + store size land in `BENCH_ingest.json`
-//! for the exact `ci/compare_bench.py` gate. How fast served ingest is,
-//! under concurrent reads and a live scheduler, is the repo benchmark's
-//! question (`benchmark/`, workloads `serve-ingest` and
-//! `embed-lifecycle`).
+//! the dataset; `tests/exact_gates.rs` pins WAL and store bytes at smoke
+//! scale. How fast served ingest is, under concurrent reads and a live
+//! scheduler, is the repo benchmark's question (`benchmark/`, workloads
+//! `serve-ingest` and `embed-lifecycle`).
 
 use crate::config::Config;
-use crate::experiments::{write_gate_file, ByteGate, ExperimentOutput};
+use crate::experiments::ExperimentOutput;
 use crate::Result;
 use artsparse_core::FormatKind;
 use artsparse_metrics::Table;
@@ -53,7 +52,7 @@ fn batches(ds: &Dataset, values: &[f64], batch: usize) -> Result<Vec<(CoordBuffe
 }
 
 /// Deterministic ingest → flush → consolidate with telemetry.
-fn run_pattern(cfg: &Config, pattern: Pattern) -> Result<(Row, ByteGate)> {
+fn run_pattern(cfg: &Config, pattern: Pattern) -> Result<Row> {
     let ndim = 3;
     let ds = Dataset::for_scale(pattern, ndim, cfg.scale, cfg.params);
     let values = ds.values();
@@ -105,7 +104,7 @@ fn run_pattern(cfg: &Config, pattern: Pattern) -> Result<(Row, ByteGate)> {
         }
     }
 
-    let row = Row {
+    Ok(Row {
         pattern: pattern.name().to_string(),
         n_points: ds.nnz(),
         batches: work.len(),
@@ -115,20 +114,12 @@ fn run_pattern(cfg: &Config, pattern: Pattern) -> Result<(Row, ByteGate)> {
         final_fragments: engine.fragments()?.len(),
         total_bytes: stats.total_bytes,
         readback_verified,
-    };
-    let gate = ByteGate {
-        id: format!("ingest-{}", pattern.name().to_ascii_lowercase()),
-        // WAL bytes + final store size, both pure functions of the
-        // dataset and the flush threshold.
-        bytes: totals.wal_bytes + stats.total_bytes,
-    };
-    Ok((row, gate))
+    })
 }
 
 /// Run the streaming-ingest experiment for MSP and GSP at 3D.
 pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
     let mut rows = Vec::new();
-    let mut gates = Vec::new();
     for pattern in [Pattern::Msp, Pattern::Gsp] {
         eprintln!(
             "[ingest] {} 3D, {}-point batches, flush at {} points",
@@ -136,14 +127,13 @@ pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
             cfg.ingest_batch,
             cfg.ingest_flush_points
         );
-        let (row, gate) = run_pattern(cfg, pattern)?;
+        let row = run_pattern(cfg, pattern)?;
         eprintln!(
             "[ingest]   {} points in {} batches | {} group commits | {} WAL bytes | \
              {} store bytes",
             row.n_points, row.batches, row.group_commits, row.wal_bytes, row.total_bytes
         );
         rows.push(row);
-        gates.push(gate);
     }
 
     let mut table = Table::new(
@@ -164,10 +154,6 @@ pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
         ]);
     }
 
-    if let Some(dir) = &cfg.out_dir {
-        write_gate_file(dir, "ingest", &gates)?;
-    }
-
     Ok(ExperimentOutput {
         name: "ingest",
         notes: vec![
@@ -182,7 +168,6 @@ pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
             "ingest_batch": cfg.ingest_batch,
             "ingest_flush_points": cfg.ingest_flush_points,
             "rows": rows,
-            "benchmarks": gates,
         }),
     })
 }
@@ -203,39 +188,21 @@ mod tests {
             assert!(r["wal_bytes"].as_u64().unwrap() > 0);
             assert_eq!(r["final_fragments"].as_u64(), Some(1));
         }
-        // Determinism of the gated statistic: a second run byte-matches.
+        // Determinism of the pinned bytes: a second run matches.
         let again = run(&cfg).unwrap();
-        let bytes = |o: &ExperimentOutput| -> Vec<(String, u64)> {
-            o.json["benchmarks"]
+        let bytes = |o: &ExperimentOutput| -> Vec<(u64, u64)> {
+            o.json["rows"]
                 .as_array()
                 .unwrap()
                 .iter()
-                .map(|b| {
+                .map(|r| {
                     (
-                        b["id"].as_str().unwrap().to_string(),
-                        b["bytes"].as_u64().unwrap(),
+                        r["wal_bytes"].as_u64().unwrap(),
+                        r["total_bytes"].as_u64().unwrap(),
                     )
                 })
                 .collect()
         };
-        assert_eq!(
-            bytes(&out),
-            bytes(&again),
-            "gated bytes must be deterministic"
-        );
-    }
-
-    #[test]
-    fn bench_file_written_under_out_dir() {
-        let dir = tempfile::tempdir().unwrap();
-        let mut cfg = Config::smoke();
-        cfg.out_dir = Some(dir.path().to_path_buf());
-        run(&cfg).unwrap();
-        let doc: serde_json::Value = serde_json::from_str(
-            &std::fs::read_to_string(dir.path().join("BENCH_ingest.json")).unwrap(),
-        )
-        .unwrap();
-        assert_eq!(doc["group"], "ingest");
-        assert_eq!(doc["benchmarks"].as_array().unwrap().len(), 2);
+        assert_eq!(bytes(&out), bytes(&again), "bytes must be deterministic");
     }
 }

@@ -20,7 +20,6 @@ pub mod torture;
 
 use crate::Result;
 use artsparse_metrics::Table;
-use serde::Serialize;
 use std::path::Path;
 
 /// The printable/saveable result of one experiment.
@@ -64,26 +63,6 @@ impl ExperimentOutput {
         }
         Ok(())
     }
-}
-
-/// One row of a `BENCH_<group>.json` gate file: a byte count that is a
-/// pure function of seed and scale on the in-memory backend, which
-/// `ci/compare_bench.py` compares for equality with the file recorded
-/// under `results/`.
-#[derive(Debug, Serialize)]
-pub(crate) struct ByteGate {
-    pub(crate) id: String,
-    pub(crate) bytes: u64,
-}
-
-/// Write `rows` to `dir/BENCH_<group>.json`.
-pub(crate) fn write_gate_file(dir: &Path, group: &str, rows: &[ByteGate]) -> Result<()> {
-    std::fs::create_dir_all(dir)?;
-    let doc = serde_json::json!({ "group": group, "benchmarks": rows });
-    let path = dir.join(format!("BENCH_{group}.json"));
-    std::fs::write(&path, serde_json::to_string_pretty(&doc)?)?;
-    eprintln!("[{group}] gate file -> {}", path.display());
-    Ok(())
 }
 
 /// Grid-table helper: rows `(pattern, ndim)`, one column per organization.

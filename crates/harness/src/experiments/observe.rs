@@ -9,9 +9,9 @@
 //!    threshold) runs once with the observability plane off and once
 //!    with it on. "On" means every span flows through the
 //!    [`ObservedRecorder`] into the registry and journal. Both stores
-//!    must end byte-identical; their size is the gated statistic in
-//!    `BENCH_observability.json`, deterministic on the in-memory
-//!    backend. What the plane costs in time is the repo benchmark's
+//!    must end byte-identical; their size is deterministic on the
+//!    in-memory backend, and `tests/exact_gates.rs` pins it at smoke
+//!    scale. What the plane costs in time is the repo benchmark's
 //!    `metrics.trace_overhead_share` (`benchmark/`, every workload).
 //! 2. **Scheduler-live artifact run.** The same dataset runs under the
 //!    background scheduler with a live [`MetricsExporter`] publishing
@@ -23,7 +23,7 @@
 //! [`ObservedRecorder`]: artsparse_metrics::ObservedRecorder
 
 use crate::config::Config;
-use crate::experiments::{write_gate_file, ByteGate, ExperimentOutput};
+use crate::experiments::ExperimentOutput;
 use crate::Result;
 use artsparse_core::FormatKind;
 use artsparse_metrics::{exposition, Table};
@@ -186,7 +186,7 @@ fn run_live(cfg: &Config, ds: &Dataset, dir: &Path) -> Result<LiveOutcome> {
 
 /// Run the plane-off / plane-on pair and the live artifact run for one
 /// pattern.
-fn run_pattern(cfg: &Config, pattern: Pattern, live_dir: &Path) -> Result<(Row, Vec<ByteGate>)> {
+fn run_pattern(cfg: &Config, pattern: Pattern, live_dir: &Path) -> Result<Row> {
     let ds = Dataset::for_scale(pattern, 3, cfg.scale, cfg.params);
 
     // Phase 1 — no background threads, so both variants do the same
@@ -206,8 +206,7 @@ fn run_pattern(cfg: &Config, pattern: Pattern, live_dir: &Path) -> Result<(Row, 
         .map(|t| t.lines().count())
         .unwrap_or(0);
 
-    let slug = pattern.name().to_ascii_lowercase();
-    let row = Row {
+    Ok(Row {
         pattern: pattern.name().to_string(),
         n_points: ds.nnz(),
         store_bytes: enabled_bytes,
@@ -219,25 +218,13 @@ fn run_pattern(cfg: &Config, pattern: Pattern, live_dir: &Path) -> Result<(Row, 
         scheduler_errors: live.scheduler_errors,
         read_amplification: live.read_amplification,
         verified: enabled_bytes == disabled_bytes && live.store_bytes == disabled_bytes,
-    };
-    let gates = vec![
-        ByteGate {
-            id: format!("observe-{slug}-disabled"),
-            bytes: disabled_bytes,
-        },
-        ByteGate {
-            id: format!("observe-{slug}-enabled"),
-            bytes: enabled_bytes,
-        },
-    ];
-    Ok((row, gates))
+    })
 }
 
 /// Run the observability experiment for MSP and GSP at 3D.
 pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
     let scratch = tempfile::tempdir()?;
     let mut rows = Vec::new();
-    let mut gates = Vec::new();
     for pattern in [Pattern::Msp, Pattern::Gsp] {
         let slug = pattern.name().to_ascii_lowercase();
         // The live run's exporter directory survives under --out for CI
@@ -252,7 +239,7 @@ pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
             pattern.name(),
             live_dir.display()
         );
-        let (row, gate) = run_pattern(cfg, pattern, &live_dir)?;
+        let row = run_pattern(cfg, pattern, &live_dir)?;
         eprintln!(
             "[observe]   {} store bytes, identical off/on/live: {} | \
              {} exposition sample(s), {} journal event(s), {} scheduler run(s), {} error(s)",
@@ -264,7 +251,6 @@ pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
             row.scheduler_errors,
         );
         rows.push(row);
-        gates.extend(gate);
     }
 
     let mut table = Table::new(
@@ -285,10 +271,6 @@ pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
         ]);
     }
 
-    if let Some(dir) = &cfg.out_dir {
-        write_gate_file(dir, "observability", &gates)?;
-    }
-
     Ok(ExperimentOutput {
         name: "observe",
         notes: vec![
@@ -304,7 +286,6 @@ pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
         json: serde_json::json!({
             "scale": cfg.scale,
             "rows": rows,
-            "benchmarks": gates,
         }),
     })
 }
@@ -330,17 +311,6 @@ mod tests {
             assert!(r["exporter_ticks"].as_u64().unwrap() >= 1);
             assert_eq!(r["exporter_errors"].as_u64(), Some(0));
             assert!(r["read_amplification"].as_f64().unwrap() >= 1.0);
-        }
-        // The gate file is shaped for ci/compare_bench.py.
-        let doc: serde_json::Value = serde_json::from_str(
-            &std::fs::read_to_string(dir.path().join("BENCH_observability.json")).unwrap(),
-        )
-        .unwrap();
-        assert_eq!(doc["group"].as_str(), Some("observability"));
-        let benches = doc["benchmarks"].as_array().unwrap();
-        assert_eq!(benches.len(), 4);
-        for b in benches {
-            assert!(b["bytes"].as_u64().unwrap() > 0);
         }
         // The kept exporter directory parses and its journal lines
         // validate against the journal schema.

@@ -23,9 +23,10 @@
 //! | `observe` | observability plane: byte-identical stores, valid live artifacts | [`experiments::observe`] |
 //! | `torture` | seeded write-fault schedules and live recovery | [`experiments::torture`] |
 //!
-//! The last four write an exact `BENCH_<group>.json` byte gate under
-//! `--out` (`ci/compare_bench.py` compares it with `results/`). None of
-//! them answers "how fast": that is `benchmark/` (BENCHMARK.json).
+//! The bytes the last four store, Table I's op counts and the smoke
+//! grid's file and index bytes are pure functions of seed and scale;
+//! `tests/exact_gates.rs` pins them as equalities. None of these
+//! experiments answers "how fast": that is `benchmark/` (BENCHMARK.json).
 //!
 //! Shared plumbing: [`config::Config`] (scale, backend, formats,
 //! `--threads` read fan-out cap), [`matrix`] (the measurement grid Fig.
