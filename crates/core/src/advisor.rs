@@ -87,20 +87,10 @@ impl Recommendation {
     }
 }
 
-/// Rank `candidates` for storing `n` points of a tensor of `shape` under
-/// the given access profile. Defaults to the paper's five when
-/// `candidates` is empty.
-pub fn recommend(
-    n: u64,
-    shape: &Shape,
-    profile: &AccessProfile,
-    candidates: &[FormatKind],
-) -> Recommendation {
-    let candidates: Vec<FormatKind> = if candidates.is_empty() {
-        FormatKind::PAPER_FIVE.to_vec()
-    } else {
-        candidates.to_vec()
-    };
+/// Rank the paper's five organizations for storing `n` points of a tensor
+/// of `shape` under the given access profile.
+pub fn recommend(n: u64, shape: &Shape, profile: &AccessProfile) -> Recommendation {
+    let candidates = FormatKind::PAPER_FIVE;
     let n = n.max(1);
     let n_read = ((n as f64 * profile.reads_per_point).ceil() as u64).max(1);
 
@@ -123,7 +113,7 @@ pub fn recommend(
 /// Table IV-style scoring: normalize each metric by its max, weight by the
 /// profile, sort ascending.
 fn rank(
-    candidates: Vec<FormatKind>,
+    candidates: [FormatKind; 5],
     writes: &[f64],
     reads: &[f64],
     spaces: &[f64],
@@ -152,11 +142,11 @@ fn rank(
             components: (wn[i], rn[i], sn[i]),
         })
         .collect();
-    ranking.sort_by(|a, b| a.score.partial_cmp(&b.score).unwrap());
+    ranking.sort_by(|a, b| a.score.total_cmp(&b.score));
     Recommendation { ranking }
 }
 
-/// Rank `candidates` from *measured* sparsity characteristics instead of
+/// Rank the paper's five from *measured* sparsity characteristics instead of
 /// shape-only predictions — the live entry point the storage engine's
 /// consolidation path calls with stats gathered during its merge scan.
 ///
@@ -172,16 +162,8 @@ fn rank(
 /// * block formats (HiCOO, ADAPTIVE) are charged for the blocks actually
 ///   occupied, so clustered data (high occupancy) scores far better than
 ///   scatter at equal `n`.
-pub fn recommend_from_stats(
-    stats: &SparsityStats,
-    profile: &AccessProfile,
-    candidates: &[FormatKind],
-) -> Recommendation {
-    let candidates: Vec<FormatKind> = if candidates.is_empty() {
-        FormatKind::PAPER_FIVE.to_vec()
-    } else {
-        candidates.to_vec()
-    };
+pub fn recommend_from_stats(stats: &SparsityStats, profile: &AccessProfile) -> Recommendation {
+    let candidates = FormatKind::PAPER_FIVE;
     let shape = &stats.shape;
     let n = stats.n.max(1);
     let n_read = ((n as f64 * profile.reads_per_point).ceil() as u64).max(1);
@@ -225,7 +207,7 @@ fn measured_read_ops(kind: FormatKind, stats: &SparsityStats, n: u64, n_read: u6
             }
             rf * per_query.max(1.0)
         }
-        FormatKind::SortedCoo | FormatKind::BlockedLinear => rf * lg(n),
+        FormatKind::SortedCoo => rf * lg(n),
         // Block binary search plus the measured mean intra-block scan.
         FormatKind::HiCoo => {
             rf * (lg(stats.occupied_blocks.max(1)) + nf / stats.occupied_blocks.max(1) as f64)
@@ -243,7 +225,6 @@ fn measured_space_words(kind: FormatKind, stats: &SparsityStats, n: u64) -> f64 
     match kind {
         FormatKind::Coo => nf * d,
         FormatKind::Linear | FormatKind::SortedCoo => nf,
-        FormatKind::BlockedLinear => 2.0 * nf,
         FormatKind::GcsrPP | FormatKind::GcscPP => nf + stats.shape.min_dim() as f64 + 1.0,
         // Exact tree footprint: fids (one word per node) + fptr (one word
         // per internal node + level) + the order/nfibs headers.
@@ -283,7 +264,6 @@ mod tests {
             1_000_000,
             &shape(&[512, 512, 512]),
             &AccessProfile::write_heavy(),
-            &[],
         );
         // COO or LINEAR: no sort, tiny build.
         assert!(
@@ -299,7 +279,6 @@ mod tests {
             1_000_000,
             &shape(&[128, 128, 128, 128]),
             &AccessProfile::read_heavy(),
-            &[],
         );
         assert!(
             matches!(
@@ -314,12 +293,7 @@ mod tests {
     #[test]
     fn balanced_never_picks_coo() {
         // Table IV: COO has the worst balanced score.
-        let r = recommend(
-            1_000_000,
-            &shape(&[8192, 8192]),
-            &AccessProfile::balanced(),
-            &[],
-        );
+        let r = recommend(1_000_000, &shape(&[8192, 8192]), &AccessProfile::balanced());
         let last = r.ranking.last().unwrap().kind;
         assert_ne!(r.best(), FormatKind::Coo);
         // COO should be at or near the bottom.
@@ -328,12 +302,7 @@ mod tests {
 
     #[test]
     fn scores_are_normalized() {
-        let r = recommend(
-            10_000,
-            &shape(&[64, 64, 64]),
-            &AccessProfile::balanced(),
-            &[],
-        );
+        let r = recommend(10_000, &shape(&[64, 64, 64]), &AccessProfile::balanced());
         for c in &r.ranking {
             assert!(c.score > 0.0 && c.score <= 1.0, "{c:?}");
             assert!(c.components.0 <= 1.0 && c.components.1 <= 1.0 && c.components.2 <= 1.0);
@@ -342,20 +311,5 @@ mod tests {
         for w in r.ranking.windows(2) {
             assert!(w[0].score <= w[1].score);
         }
-    }
-
-    #[test]
-    fn explicit_candidate_list_is_respected() {
-        let r = recommend(
-            1000,
-            &shape(&[32, 32]),
-            &AccessProfile::balanced(),
-            &[FormatKind::SortedCoo, FormatKind::Linear],
-        );
-        assert_eq!(r.ranking.len(), 2);
-        assert!(r
-            .ranking
-            .iter()
-            .all(|c| matches!(c.kind, FormatKind::SortedCoo | FormatKind::Linear)));
     }
 }

@@ -34,7 +34,6 @@ pub fn predicted_build_ops(kind: FormatKind, n: u64, shape: &Shape) -> f64 {
         FormatKind::Csf => nf * lg(n) + nf * d,
         // Extensions: sort by linear/block address (+ transform pass).
         FormatKind::SortedCoo => nf * lg(n) + nf * d,
-        FormatKind::BlockedLinear => nf * lg(n) + nf * d,
         FormatKind::HiCoo => nf * lg(n) + nf * d,
         FormatKind::Adaptive => nf * lg(n) + nf * d,
     }
@@ -54,7 +53,7 @@ pub fn predicted_read_ops(kind: FormatKind, n: u64, n_read: u64, shape: &Shape) 
         // O(n_read · d) descent (§II.E prose), log branch factor folded in.
         FormatKind::Csf => rf * d * lg(n.max(1)).max(1.0),
         // O(n_read · log n) binary searches.
-        FormatKind::SortedCoo | FormatKind::BlockedLinear => rf * lg(n),
+        FormatKind::SortedCoo => rf * lg(n),
         // Block binary search plus an intra-block scan of average
         // occupancy (block volume bounded by 256^d but occupancy by n).
         FormatKind::HiCoo => rf * (lg(n) + 4.0),
@@ -85,9 +84,7 @@ pub fn csf_space_bounds(n: u64, shape: &Shape) -> (f64, f64, f64) {
 pub fn predicted_build_ranking(n: u64, shape: &Shape) -> Vec<FormatKind> {
     let mut v = FormatKind::PAPER_FIVE.to_vec();
     v.sort_by(|&a, &b| {
-        predicted_build_ops(a, n, shape)
-            .partial_cmp(&predicted_build_ops(b, n, shape))
-            .unwrap()
+        predicted_build_ops(a, n, shape).total_cmp(&predicted_build_ops(b, n, shape))
     });
     v
 }

@@ -333,7 +333,10 @@ impl DecodedAdaptive {
         }
         list_start.push(lpoints);
         bitmap_start.push(bwords);
-        let list_locals = unpack_bytes(&list_words, lpoints as usize * d)?;
+        let list_len = (lpoints as usize)
+            .checked_mul(d)
+            .ok_or_else(|| FormatError::corrupt("n*d overflows"))?;
+        let list_locals = unpack_bytes(&list_words, list_len)?;
         if bitmaps.len() as u64 != bwords {
             return Err(FormatError::corrupt("bitmap payload length mismatch"));
         }

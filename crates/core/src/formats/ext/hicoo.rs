@@ -69,6 +69,13 @@ fn pack_locals(locals: &[u8]) -> Vec<u64> {
         .collect()
 }
 
+/// Bytes of local offsets an index of `n` points in `d` dimensions holds:
+/// one per (point, dim). A corrupted point count can make that overflow.
+fn locals_len(n: usize, d: usize) -> Result<usize> {
+    n.checked_mul(d)
+        .ok_or_else(|| FormatError::corrupt("n*d overflows"))
+}
+
 /// The first `n_bytes` packed local offsets of a borrowed locals section
 /// — [`unpack_locals`] without the copy: [`pack_locals`] wrote the bytes
 /// in order into little-endian words, so the stored bytes are the bytes.
@@ -192,7 +199,7 @@ impl Organization for HiCoo {
         let n = header.n as usize;
         let locals_words = dec.words("locals")?;
         dec.expect_end()?;
-        let locals = packed_locals(locals_words, n * d)?;
+        let locals = packed_locals(locals_words, locals_len(n, d)?)?;
         validate_ptr_words(bptr.iter(), header.n, "bptr")?;
         if block_ids.pairs().any(|(a, b)| a >= b) && header.n > 0 && nblocks > 1 {
             return Err(FormatError::corrupt("block ids not strictly sorted"));
@@ -248,7 +255,7 @@ impl Organization for HiCoo {
         let n = header.n as usize;
         let locals_words = dec.section("locals")?;
         dec.expect_end()?;
-        let locals = unpack_locals(&locals_words, n * d)?;
+        let locals = unpack_locals(&locals_words, locals_len(n, d)?)?;
         validate_ptr(&bptr, header.n, "bptr")?;
         let grid = HiCoo { block_side: side }.grid_for(&shape)?;
 

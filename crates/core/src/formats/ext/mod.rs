@@ -3,10 +3,11 @@
 //! * [`sorted_coo`] — the sorted COO variant the paper discusses but does
 //!   not evaluate (§II.A: sorting cuts read complexity to
 //!   `O(max{n, n_read})`-ish at an `O(n log n)` build cost);
-//! * [`blocked_linear`] — LINEAR over a block grid, materializing the
-//!   overflow mitigation the paper sketches in §II.B.
+//! * [`hicoo`] — HiCOO-style block-compressed COO with byte-wide in-block
+//!   offsets;
+//! * [`adaptive`] — per block, the smaller of a bitmap and an offset list
+//!   (MSP-shaped data, whose dense region bitmap-encodes).
 
 pub mod adaptive;
-pub mod blocked_linear;
 pub mod hicoo;
 pub mod sorted_coo;

@@ -6,7 +6,7 @@
 //! * [`gcsc`] — Generalized Compressed Sparse Column, GCSC++ (§II.D)
 //! * [`csf`] — Compressed Sparse Fiber tree (§II.E)
 //! * [`csr2d`] — classic 2D CSR/CSC packaging shared by GCSR++/GCSC++
-//! * [`ext`] — extensions beyond the paper (sorted COO, blocked LINEAR)
+//! * [`ext`] — extensions beyond the paper (sorted COO, HiCOO, ADAPTIVE)
 
 pub mod coo;
 pub mod csf;

@@ -42,7 +42,6 @@ pub mod complexity;
 pub mod convert;
 pub mod error;
 pub mod formats;
-pub mod ops;
 pub mod stats;
 pub mod tensor;
 pub mod traits;

@@ -9,8 +9,9 @@ use serde::{Deserialize, Serialize};
 /// Identifier of a storage organization.
 ///
 /// The first five are the paper's subjects (§II, Table I); the rest are
-/// extensions this reproduction adds (sorted-COO read acceleration and the
-/// blocked-LINEAR overflow mitigation the paper sketches in §II.B).
+/// extensions this reproduction adds (sorted-COO read acceleration and two
+/// block-compressed layouts for clustered data). Wire id 7 is retired and
+/// never reused: a fragment carrying it is corrupt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum FormatKind {
     /// Coordinate list, unsorted — the paper's baseline (§II.A).
@@ -25,8 +26,6 @@ pub enum FormatKind {
     Csf,
     /// Extension: COO sorted by linear address, binary-search reads.
     SortedCoo,
-    /// Extension: LINEAR over a block grid (overflow mitigation).
-    BlockedLinear,
     /// Extension: HiCOO-style block-compressed COO (byte-wide offsets).
     HiCoo,
     /// Extension: per-block bitmap/offset-list hybrid (MSP-shaped data).
@@ -44,14 +43,13 @@ impl FormatKind {
     ];
 
     /// All implemented organizations.
-    pub const ALL: [FormatKind; 9] = [
+    pub const ALL: [FormatKind; 8] = [
         FormatKind::Coo,
         FormatKind::Linear,
         FormatKind::GcsrPP,
         FormatKind::GcscPP,
         FormatKind::Csf,
         FormatKind::SortedCoo,
-        FormatKind::BlockedLinear,
         FormatKind::HiCoo,
         FormatKind::Adaptive,
     ];
@@ -65,7 +63,6 @@ impl FormatKind {
             FormatKind::GcscPP => 4,
             FormatKind::Csf => 5,
             FormatKind::SortedCoo => 6,
-            FormatKind::BlockedLinear => 7,
             FormatKind::HiCoo => 8,
             FormatKind::Adaptive => 9,
         }
@@ -85,7 +82,6 @@ impl FormatKind {
             FormatKind::GcscPP => "GCSC++",
             FormatKind::Csf => "CSF",
             FormatKind::SortedCoo => "COO-SORTED",
-            FormatKind::BlockedLinear => "LINEAR-BLOCKED",
             FormatKind::HiCoo => "HICOO",
             FormatKind::Adaptive => "ADAPTIVE",
         }
@@ -106,9 +102,6 @@ impl FormatKind {
             FormatKind::GcscPP => Box::new(crate::formats::gcsc::GcscPP),
             FormatKind::Csf => Box::new(crate::formats::csf::Csf),
             FormatKind::SortedCoo => Box::new(crate::formats::ext::sorted_coo::SortedCoo),
-            FormatKind::BlockedLinear => {
-                Box::new(crate::formats::ext::blocked_linear::BlockedLinear::default())
-            }
             FormatKind::HiCoo => Box::new(crate::formats::ext::hicoo::HiCoo::default()),
             FormatKind::Adaptive => Box::new(crate::formats::ext::adaptive::Adaptive),
         }
@@ -230,6 +223,7 @@ mod tests {
             assert_eq!(FormatKind::parse(&k.name().to_lowercase()), Some(k));
         }
         assert_eq!(FormatKind::from_id(0), None);
+        assert_eq!(FormatKind::from_id(7), None, "retired");
         assert_eq!(FormatKind::parse("nope"), None);
     }
 

@@ -112,7 +112,7 @@ fn run_pattern(cfg: &Config, pattern: Pattern) -> Result<Row> {
     // it would pick, exactly as the engine does at consolidation time.
     let (all_coords, all_values) = adaptive.export()?;
     let stats = SparsityStats::from_coords(&all_coords, &ds.shape);
-    let offline = recommend_from_stats(&stats, &cfg.profile.access_profile(), &[]).best();
+    let offline = recommend_from_stats(&stats, &cfg.profile.access_profile()).best();
 
     // Convergence: one organization, the advisor's pick, and a further
     // consolidation leaves the store unchanged (the advisor re-affirms).

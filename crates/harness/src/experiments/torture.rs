@@ -424,10 +424,16 @@ fn run_live(dir: &Path) -> Result<LiveRow> {
     }
     let recovery_ns = healing_started.elapsed().as_nanos() as u64;
 
-    // Writes flow again; drain and verify.
+    // Writes flow again; drain and verify. Healthy does not mean drained:
+    // the buffer may still sit at its cap until the scheduler's next
+    // flush, so a refused batch is retried, as `Backpressure` asks.
+    let deadline = Instant::now() + Duration::from_secs(10);
     for row in 25..32u64 {
-        if !ingest_row(&engine, &mut acked, row)? {
-            return Err(format!("post-recovery ingest of row {row} failed").into());
+        while !ingest_row(&engine, &mut acked, row)? {
+            if Instant::now() >= deadline {
+                return Err(format!("post-recovery ingest of row {row} failed").into());
+            }
+            std::thread::sleep(Duration::from_millis(1));
         }
     }
     engine.flush()?;

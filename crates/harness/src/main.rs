@@ -251,7 +251,7 @@ fn advise(args: &[String]) -> Result<()> {
         stats.nnz_per_level
     );
 
-    let rec = recommend_from_stats(&stats, &profile.access_profile(), &[]);
+    let rec = recommend_from_stats(&stats, &profile.access_profile());
     println!("  cost-model ranking (lower score is better):");
     for (i, c) in rec.ranking.iter().enumerate() {
         println!(

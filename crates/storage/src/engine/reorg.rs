@@ -175,7 +175,7 @@ impl<B: StorageBackend> StorageEngine<B> {
                 let mut stats = SparsityStatsBuilder::new(self.shape.clone());
                 coords.iter().for_each(|p| stats.push(p));
                 let target =
-                    recommend_from_stats(&stats.finish(), &profile.access_profile(), &[]).best();
+                    recommend_from_stats(&stats.finish(), &profile.access_profile()).best();
                 // A lone fragment already in the advised organization has
                 // converged: rewriting it would only fold duplicates.
                 if matches!(&snapshot[..], [only] if only.meta.kind == target) {

@@ -16,11 +16,13 @@ pub enum TensorError {
         /// Index of the offending dimension.
         dim: usize,
     },
-    /// The volume (or a stride) of the shape does not fit in `u64`.
+    /// The volume (or a stride) of the shape does not fit in `u64`, so its
+    /// cells cannot be numbered by a linear address — or, for a
+    /// [`Region`](crate::Region), by a rank.
     ///
     /// The paper (§II.B) calls this the "overflow of linear address" risk of
-    /// the LINEAR organization; the blocked-LINEAR extension exists to
-    /// mitigate it.
+    /// the LINEAR organization. Every organization here addresses cells by
+    /// a `u64`, so such a shape is refused up front.
     AddressOverflow {
         /// The shape whose linearization overflowed.
         shape: Vec<u64>,
@@ -71,10 +73,9 @@ impl fmt::Display for TensorError {
             TensorError::ZeroDimension { dim } => {
                 write!(f, "tensor dimension {dim} has size zero")
             }
-            TensorError::AddressOverflow { shape } => write!(
-                f,
-                "linear address space of shape {shape:?} overflows u64; use blocked addressing"
-            ),
+            TensorError::AddressOverflow { shape } => {
+                write!(f, "the cell count of shape {shape:?} overflows u64")
+            }
             TensorError::DimensionMismatch { expected, got } => {
                 write!(f, "expected {expected} dimensions, got {got}")
             }

@@ -15,8 +15,9 @@
 //! * [`sort`] / [`permute`] — sorting with provenance (`map`) vectors, as
 //!   every sorting build must return one for value reorganization;
 //! * [`value`] — opaque fixed-size value payloads;
-//! * [`BlockGrid`] — blocked addressing, the paper's linear-address
-//!   overflow mitigation.
+//! * [`BlockGrid`] — blocked addressing (a block id plus an in-block
+//!   offset per point), the grid the HICOO and ADAPTIVE organizations
+//!   store their points by.
 //!
 //! Nothing in this crate knows about specific organizations; those live in
 //! `artsparse-core`.

@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("workload tensor: {} ({} points)\n", ds.label(), ds.nnz());
 
     for (name, profile) in cases {
-        let rec = recommend(ds.nnz() as u64, &shape, &profile, &[]);
+        let rec = recommend(ds.nnz() as u64, &shape, &profile);
         println!("== {name} ==");
         for c in rec.ranking.iter().take(3) {
             println!(
@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Validate the read-heavy pick empirically: measure encode + query
     // time for the recommendation vs the baseline COO.
-    let rec = recommend(ds.nnz() as u64, &shape, &AccessProfile::read_heavy(), &[]);
+    let rec = recommend(ds.nnz() as u64, &shape, &AccessProfile::read_heavy());
     let tensor = SparseTensor::from_parts(shape.clone(), ds.coords.clone(), values)?;
     let queries = ds.read_region().to_coords();
 

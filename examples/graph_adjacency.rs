@@ -68,12 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(!neighbors.is_empty());
 
     // Which organization should a read-heavy edge service use?
-    let rec = recommend(
-        tensor.nnz() as u64,
-        &shape,
-        &AccessProfile::read_heavy(),
-        &[],
-    );
+    let rec = recommend(tensor.nnz() as u64, &shape, &AccessProfile::read_heavy());
     println!("\nadvisor (read-heavy): ");
     for c in &rec.ranking {
         println!("  {:<8} score {:.3}", c.kind.name(), c.score);

@@ -1,18 +1,15 @@
-//! Real-data pipeline: MatrixMarket in → fragments → kernels → out.
+//! Real-data pipeline: MatrixMarket in → fragments → out.
 //!
 //! The paper surveys real sparse matrices through SuiteSparse [25], which
 //! ships MatrixMarket files. This example writes a small `.mtx`, loads it,
-//! lets the advisor pick an organization, stores it as fragments, runs an
-//! SpMV straight off the encoded index, consolidates, and exports back to
-//! `.mtx`.
+//! lets the advisor pick an organization, stores it as fragments, reads
+//! every loaded entry back, consolidates, and exports back to `.mtx`.
 //!
 //! ```sh
 //! cargo run --release --example mtx_pipeline
 //! ```
 
 use artsparse::core::advisor::{recommend, AccessProfile};
-use artsparse::core::ops::spmv;
-use artsparse::metrics::OpCounter;
 use artsparse::patterns::mtx::{read_mtx_file, write_mtx};
 use artsparse::storage::{MemBackend, StorageEngine};
 use artsparse::tensor::value::unpack;
@@ -48,23 +45,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 3. Ask the advisor, then store under its pick.
-    let rec = recommend(m.nnz() as u64, &m.shape, &AccessProfile::read_heavy(), &[]);
+    let rec = recommend(m.nnz() as u64, &m.shape, &AccessProfile::read_heavy());
     println!("advisor picked {} for read-heavy use", rec.best().name());
     let engine = StorageEngine::open(MemBackend::new(), rec.best(), m.shape.clone(), 8)?;
     engine.write_points::<f64>(&m.coords, &m.values)?;
 
-    // 4. SpMV against the stored fragment: A · 1 for the 1D Laplacian has
-    // zeros in the interior and 1 at the boundary rows.
-    let (coords, payload) = engine.export()?;
-    let counter = OpCounter::new();
-    let built = rec.best().create().build(&coords, &m.shape, &counter)?;
-    let values: Vec<f64> = unpack(&built.reorganize_values(&payload, 8))?;
-    let x = vec![1.0; 6];
-    let y = spmv(&m.shape, &built.index, &values, &x, &counter)?;
-    println!("A·1 = {y:?}");
-    assert_eq!(y, vec![1.0, 0.0, 0.0, 0.0, 0.0, 1.0]);
+    // 4. Read every loaded entry back from the stored fragment.
+    let stored = engine.read_values::<f64>(&m.coords)?;
+    let loaded: Vec<Option<f64>> = m.values.iter().copied().map(Some).collect();
+    assert_eq!(stored, loaded);
+    println!("read back all {} entries", stored.len());
 
     // 5. Consolidate (trivially, one fragment) and export back to .mtx.
+    engine.consolidate()?;
+    let (coords, payload) = engine.export()?;
     let out_path = dir.path().join("roundtrip.mtx");
     let vals: Vec<f64> = unpack(&payload)?;
     write_mtx(std::fs::File::create(&out_path)?, &m.shape, &coords, &vals)?;

@@ -186,7 +186,6 @@ fn adaptive_migration_crash_before_commit_keeps_old_organization() {
     let advice = recommend_from_stats(
         &SparsityStats::from_coords(&points, &shape()),
         &AccessProfile::balanced(),
-        &[],
     )
     .best();
     assert_ne!(advice, FormatKind::Linear, "the crash window must open");
@@ -251,7 +250,7 @@ fn adaptive_consolidation_converges_and_preserves_reads() {
     // The store landed on what an offline advisor pass recommends.
     let (all, _) = engine.export().unwrap();
     let sparsity = SparsityStats::from_coords(&all, &shape());
-    let offline = recommend_from_stats(&sparsity, &AccessProfile::balanced(), &[]).best();
+    let offline = recommend_from_stats(&sparsity, &AccessProfile::balanced()).best();
     assert_eq!(organization, offline.name());
 
     // Byte-identical reads across the migration; converged thereafter.

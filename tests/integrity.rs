@@ -6,10 +6,10 @@
 
 use artsparse::metrics::OpCounter;
 use artsparse::storage::engine::StorageEngine;
-use artsparse::storage::fragment::encode_fragment;
+use artsparse::storage::fragment::{encode_fragment, FragmentMeta};
 use artsparse::storage::{
-    injected_fault, Codec, EngineConfig, FailingBackend, FragmentSection, FsBackend, MemBackend,
-    RetryPolicy, StorageBackend, StorageError,
+    crc32c, injected_fault, Codec, EngineConfig, FailingBackend, FragmentSection, FsBackend,
+    MemBackend, RetryPolicy, StorageBackend, StorageError,
 };
 use artsparse::{CoordBuffer, FormatKind, Shape};
 use proptest::prelude::*;
@@ -198,31 +198,48 @@ fn retry_exhaustion_reports_attempts_and_preserves_the_fault_chain() {
     assert!(err.chain_string().contains("injected"));
 }
 
-/// There is one fragment layout. Flipping bit 0 of the version field
-/// (3 → 2) must not route a fragment around its checksums: read, scrub,
-/// refresh and open all reject it as a corrupt fragment naming the
-/// unsupported version, before any organization decoder sees a byte — and
-/// a degraded read routes around it like any other damaged fragment.
+/// There is one fragment layout, and a wire id names one organization or
+/// none. Flipping bit 0 of the version field (3 → 2) must not route a
+/// fragment around its checksums; a header naming the retired format id 7
+/// (its header CRC rewritten, so the id check is the one that fires) names
+/// no organization. Read, scrub, refresh and open all reject either as a
+/// corrupt fragment naming the reason, before any organization decoder
+/// sees a byte — and a degraded read routes around it like any other
+/// damaged fragment.
 #[test]
 fn version_field_bit_flip_is_rejected_typed() {
-    let flip_version_bit = |backend: &MemBackend, name: &str| {
-        let mut bytes = backend.get(name).unwrap();
-        bytes[4] ^= 0x01;
-        backend.put(name, &bytes).unwrap();
+    let flip_version_bit = |bytes: &mut [u8]| bytes[4] ^= 0x01;
+    let retired_format_id = |bytes: &mut [u8]| {
+        bytes[6..8].copy_from_slice(&7u16.to_le_bytes());
+        let crc_at = FragmentMeta::header_len(2) - 4;
+        let header_crc = crc32c(&bytes[..crc_at]);
+        bytes[crc_at..crc_at + 4].copy_from_slice(&header_crc.to_le_bytes());
     };
-    let rejected = |e: StorageError, name: &str| {
-        assert!(
-            matches!(&e, StorageError::CorruptFragment { name: n, .. } if n == name),
-            "{e}"
-        );
-        assert!(e.to_string().contains("unsupported version 2"), "{e}");
-    };
-    for kind in FormatKind::PAPER_FIVE {
+    let cases = [
+        ("unsupported version 2", flip_version_bit as fn(&mut [u8])),
+        ("unknown format id 7", retired_format_id),
+    ];
+    for ((reason, patch), kind) in cases
+        .into_iter()
+        .flat_map(|case| FormatKind::PAPER_FIVE.map(|kind| (case, kind)))
+    {
+        let damage = |backend: &MemBackend, name: &str| {
+            let mut bytes = backend.get(name).unwrap();
+            patch(&mut bytes);
+            backend.put(name, &bytes).unwrap();
+        };
+        let rejected = |e: StorageError, name: &str| {
+            assert!(
+                matches!(&e, StorageError::CorruptFragment { name: n, .. } if n == name),
+                "{e}"
+            );
+            assert!(e.to_string().contains(reason), "{e}");
+        };
         let e = StorageEngine::open(MemBackend::new(), kind, shape(), 8).unwrap();
         e.write_points::<f64>(&coords(&[[1, 1], [5, 9]]), &[1.0, 2.0])
             .unwrap();
         let victim = e.fragments().unwrap()[0].clone();
-        flip_version_bit(e.backend(), &victim);
+        damage(e.backend(), &victim);
         let ops_before = e.counter().snapshot().total();
 
         rejected(e.read(&coords(&[[1, 1]])).unwrap_err(), &victim);
@@ -231,12 +248,12 @@ fn version_field_bit_flip_is_rejected_typed() {
         assert_eq!((report.fragments_checked, report.healthy), (1, 0), "{kind}");
         assert_eq!(report.findings[0].fragment, victim);
         assert!(report.findings[0].newly_quarantined);
-        assert!(report.findings[0].error.contains("unsupported version 2"));
+        assert!(report.findings[0].error.contains(reason), "{kind}");
         // No organization decoder was reached on any of those paths.
         assert_eq!(e.counter().snapshot().total(), ops_before, "{kind}");
         match StorageEngine::open(e.into_backend(), kind, shape(), 8) {
             Err(err) => rejected(err, &victim),
-            Ok(_) => panic!("{kind}: opened a store holding a version-2 header"),
+            Ok(_) => panic!("{kind}: opened a store holding a header with {reason}"),
         }
 
         // Degraded reads treat it as damage to route around.
@@ -251,7 +268,7 @@ fn version_field_bit_flip_is_rejected_typed() {
         e.write_points::<f64>(&coords(&[[1, 1]]), &[1.0]).unwrap();
         e.write_points::<f64>(&coords(&[[3, 3]]), &[3.0]).unwrap();
         let victim = e.fragments().unwrap()[0].clone();
-        flip_version_bit(e.backend(), &victim);
+        damage(e.backend(), &victim);
         let r = e.read(&coords(&[[1, 1], [3, 3]])).unwrap();
         assert_eq!(r.outcome.quarantined, vec![victim]);
         assert_eq!(r.to_values::<f64>(2).unwrap(), vec![None, Some(3.0)]);

@@ -50,7 +50,6 @@ fn sorting_build_op_counts_are_pinned() {
         (FormatKind::GcscPP, counts(32_768, 232_769, 16_449)),
         (FormatKind::Csf, counts(49_152, 245_760, 24_554)),
         (FormatKind::SortedCoo, counts(16_384, 225_112, 16_384)),
-        (FormatKind::BlockedLinear, counts(16_384, 225_112, 32_768)),
         (FormatKind::HiCoo, counts(16_384, 225_112, 16_386)),
         (FormatKind::Adaptive, counts(16_384, 241_466, 5_632)),
     ];

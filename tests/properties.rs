@@ -129,7 +129,7 @@ proptest! {
     /// A region read — one `Organization::scan` per fragment — returns the
     /// `ReadResult` of the point read of the region's cells: same hits in
     /// the same order with the same `query_index`, same plan counts, same
-    /// outcome. For all nine organizations, cache off and on, index
+    /// outcome. For every organization, cache off and on, index
     /// stored plain and delta-varint, over fragments that overwrite each
     /// other with points still buffered, and again after consolidation.
     #[test]

@@ -1,8 +1,6 @@
 //! Property tests for the subsystems beyond the paper's five formats:
-//! codecs, striping, MatrixMarket, blocked grids, kernels, consolidation.
+//! codecs, striping, MatrixMarket, blocked grids, consolidation.
 
-use artsparse::core::ops::spmv;
-use artsparse::metrics::OpCounter;
 use artsparse::patterns::mtx::{read_mtx_str, write_mtx};
 use artsparse::storage::{Codec, MemBackend, StorageBackend, StorageEngine, StripedBackend};
 use artsparse::tensor::BlockGrid;
@@ -80,44 +78,6 @@ proptest! {
         let addr = grid.address(&coord).unwrap();
         prop_assert_eq!(grid.coordinate(addr).unwrap(), coord.clone());
         prop_assert!(grid.block_region(addr.block).unwrap().contains(&coord));
-    }
-
-    /// SpMV over any format equals the triplet oracle for random matrices.
-    #[test]
-    fn spmv_matches_oracle(
-        pts in prop::collection::vec((0u64..12, 0u64..12, -50i32..50), 1..40),
-        xs in prop::collection::vec(-10i32..10, 12),
-    ) {
-        let shape = Shape::new(vec![12, 12]).unwrap();
-        // Dedup (last wins) to avoid duplicate-coordinate ambiguity.
-        let mut dedup = std::collections::HashMap::new();
-        for (r, c, v) in &pts {
-            dedup.insert((*r, *c), *v as f64);
-        }
-        let mut coords = CoordBuffer::new(2);
-        let mut values = Vec::new();
-        for (&(r, c), &v) in &dedup {
-            coords.push(&[r, c]).unwrap();
-            values.push(v);
-        }
-        let x: Vec<f64> = xs.iter().map(|&v| v as f64).collect();
-        let mut oracle = vec![0.0f64; 12];
-        for (&(r, c), &v) in &dedup {
-            oracle[r as usize] += v * x[c as usize];
-        }
-        let counter = OpCounter::new();
-        for kind in [FormatKind::Csf, FormatKind::HiCoo, FormatKind::GcscPP] {
-            let org = kind.create();
-            let built = org.build(&coords, &shape, &counter).unwrap();
-            let payload = artsparse::tensor::value::pack(&values);
-            let reorg = built.reorganize_values(&payload, 8);
-            let slot_values: Vec<f64> =
-                artsparse::tensor::value::unpack(&reorg).unwrap();
-            let y = spmv(&shape, &built.index, &slot_values, &x, &counter).unwrap();
-            for (a, b) in y.iter().zip(&oracle) {
-                prop_assert!((a - b).abs() < 1e-9, "{}", kind);
-            }
-        }
     }
 
     /// Consolidation never changes what a region read returns.
