@@ -50,7 +50,13 @@ impl IndexEncoder {
     /// Begin an index for `format` covering `n` points transformed against
     /// `shape`.
     pub fn new(format: u16, shape: &Shape, n: u64) -> Self {
-        let mut buf = Vec::with_capacity(FIXED_HEADER_BYTES + shape.ndim() * 8);
+        Self::with_capacity(format, shape, n, 0)
+    }
+
+    /// [`new`](Self::new), with room for `words` more words after the
+    /// header (each section's length word included).
+    pub fn with_capacity(format: u16, shape: &Shape, n: u64, words: usize) -> Self {
+        let mut buf = Vec::with_capacity(FIXED_HEADER_BYTES + (shape.ndim() + words) * 8);
         buf.put_u32_le(MAGIC);
         buf.put_u16_le(VERSION);
         buf.put_u16_le(format);
@@ -64,6 +70,17 @@ impl IndexEncoder {
         IndexEncoder { buf }
     }
 
+    /// A whole index in one allocation: the header, then each of
+    /// `sections` as [`put_section`](Self::put_section) appends it.
+    pub fn encode(format: u16, shape: &Shape, n: u64, sections: &[&[u64]]) -> Vec<u8> {
+        let words: usize = sections.iter().map(|s| 1 + s.len()).sum();
+        let mut enc = IndexEncoder::with_capacity(format, shape, n, words);
+        for section in sections {
+            enc.put_section(section);
+        }
+        enc.finish()
+    }
+
     /// Append a length-prefixed section of u64 words.
     pub fn put_section(&mut self, words: &[u64]) {
         self.buf.reserve(8 + words.len() * 8);
@@ -71,6 +88,24 @@ impl IndexEncoder {
         for &w in words {
             self.buf.put_u64_le(w);
         }
+    }
+
+    /// Append a length-prefixed section of `len` zero words, to be filled
+    /// in any order with [`set_word`](Self::set_word); returns where its
+    /// first word is.
+    pub fn put_zeroed_section(&mut self, len: usize) -> usize {
+        self.buf.put_u64_le(len as u64);
+        let at = self.buf.len();
+        self.buf.resize(at + len * 8, 0);
+        at
+    }
+
+    /// Set word `i` of the section [`put_zeroed_section`] placed at `at`.
+    ///
+    /// [`put_zeroed_section`]: Self::put_zeroed_section
+    pub fn set_word(&mut self, at: usize, i: usize, word: u64) {
+        let at = at + i * 8;
+        self.buf[at..at + 8].copy_from_slice(&word.to_le_bytes());
     }
 
     /// Finish, returning the encoded bytes.

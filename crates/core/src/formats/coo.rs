@@ -35,10 +35,8 @@ impl Organization for Coo {
         // the index buffer is serialization cost, charged to the Write
         // phase by the engine — no abstract ops are counted here, matching
         // Table I (and Table III's measured Build time of 0 for COO).
-        let mut enc = IndexEncoder::new(FormatKind::Coo.id(), shape, n as u64);
-        enc.put_section(coords.as_flat());
         Ok(BuildOutput {
-            index: enc.finish(),
+            index: IndexEncoder::encode(FormatKind::Coo.id(), shape, n as u64, &[coords.as_flat()]),
             map: None,
             n_points: n,
         })

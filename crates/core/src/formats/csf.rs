@@ -44,65 +44,73 @@ pub struct CsfTree {
     pub fptr: Vec<Vec<u64>>,
 }
 
-impl CsfTree {
-    /// Construct the tree from lexicographically sorted, dimension-permuted
-    /// points (Algorithm 2 lines 8–18) — shared by the sorting build and
-    /// the presorted one, which skips the sort.
-    fn from_sorted(shape: &Shape, order: Vec<usize>, sorted: &CoordBuffer) -> CsfTree {
-        let d = shape.ndim();
-        let n = sorted.len();
-        let mut fids: Vec<Vec<u64>> = vec![Vec::new(); d];
-        let mut fptr: Vec<Vec<u64>> = vec![Vec::new(); d.saturating_sub(1)];
-
-        for j in 0..n {
-            let p = sorted.point(j);
-            // First level at which this point diverges from its predecessor.
-            let start = if j == 0 {
-                0
-            } else {
-                let prev = sorted.point(j - 1);
-                let diff = (0..d).find(|&k| p[k] != prev[k]).unwrap_or(d);
-                // Exact duplicates still get their own leaf (the paper sets
-                // nfibs[d-1] = number of points).
-                diff.min(d - 1)
-            };
-            for lvl in start..d {
-                if lvl < d - 1 {
-                    // This node's children begin at the current end of the
-                    // next level (its first child is appended right after).
-                    fptr[lvl].push(fids[lvl + 1].len() as u64);
-                }
-                fids[lvl].push(p[lvl]);
+/// Build and serialize the tree of lexicographically sorted,
+/// dimension-permuted points (Algorithm 2 lines 8–19) straight into its
+/// index — shared by the sorting build and the presorted one, which skips
+/// the sort. One pass counts each level's nodes, a second writes every
+/// node where it goes, so the index is the build's one large allocation.
+/// Returns it with its payload word count (what `Emit` charges).
+fn encode_sorted(shape: &Shape, order: &[usize], sorted: &CoordBuffer) -> (Vec<u8>, u64) {
+    let d = shape.ndim();
+    let internal = d.saturating_sub(1);
+    // The first level at which point `j` opens a node: where it diverges
+    // from its predecessor. Exact duplicates still get their own leaf
+    // (the paper sets nfibs[d-1] = number of points).
+    let first_new = |j: usize| -> usize {
+        let Some(prev) = j.checked_sub(1).map(|i| sorted.point(i)) else {
+            return 0;
+        };
+        let p = sorted.point(j);
+        (0..d).find(|&k| p[k] != prev[k]).unwrap_or(d).min(internal)
+    };
+    let mut nfibs = vec![0u64; d];
+    for j in 0..sorted.len() {
+        nfibs[first_new(j)..]
+            .iter_mut()
+            .for_each(|count| *count += 1);
+    }
+    let order_words: Vec<u64> = order.iter().map(|&o| o as u64).collect();
+    let nodes: u64 = nfibs.iter().sum();
+    let payload = 2 * d as u64 + nodes + nfibs[..internal].iter().map(|&f| f + 1).sum::<u64>();
+    let sections = 2 * d + 1;
+    let mut enc = IndexEncoder::with_capacity(
+        FormatKind::Csf.id(),
+        shape,
+        sorted.len() as u64,
+        payload as usize + sections,
+    );
+    enc.put_section(&order_words);
+    enc.put_section(&nfibs);
+    // Where each level's fids start, then each internal level's fptr.
+    let fids_at: Vec<usize> = (nfibs.iter())
+        .map(|&f| enc.put_zeroed_section(f as usize))
+        .collect();
+    let fptr_at: Vec<usize> = nfibs[..internal]
+        .iter()
+        .map(|&f| enc.put_zeroed_section(f as usize + 1))
+        .collect();
+    // Nodes written so far per level.
+    let mut nodes_at = vec![0usize; d];
+    for j in 0..sorted.len() {
+        let p = sorted.point(j);
+        for lvl in first_new(j)..d {
+            if lvl < internal {
+                // This node's children begin at the current end of the
+                // next level (its first child is written right after).
+                enc.set_word(fptr_at[lvl], nodes_at[lvl], nodes_at[lvl + 1] as u64);
             }
-        }
-        // Close the last open node at every internal level.
-        for lvl in 0..d.saturating_sub(1) {
-            fptr[lvl].push(fids[lvl + 1].len() as u64);
-        }
-        let nfibs: Vec<u64> = fids.iter().map(|f| f.len() as u64).collect();
-        CsfTree {
-            shape: shape.clone(),
-            order,
-            nfibs,
-            fids,
-            fptr,
+            enc.set_word(fids_at[lvl], nodes_at[lvl], p[lvl]);
+            nodes_at[lvl] += 1;
         }
     }
-
-    /// Serialize (Algorithm 2 line 19: concatenate `nfibs + fids + fptr`).
-    pub(crate) fn encode(&self, n: u64) -> Vec<u8> {
-        let mut enc = IndexEncoder::new(FormatKind::Csf.id(), &self.shape, n);
-        enc.put_section(&self.order.iter().map(|&o| o as u64).collect::<Vec<_>>());
-        enc.put_section(&self.nfibs);
-        for f in &self.fids {
-            enc.put_section(f);
-        }
-        for p in &self.fptr {
-            enc.put_section(p);
-        }
-        enc.finish()
+    // Close the last open node at every internal level.
+    for lvl in 0..internal {
+        enc.set_word(fptr_at[lvl], nodes_at[lvl], nodes_at[lvl + 1] as u64);
     }
+    (enc.finish(), payload)
+}
 
+impl CsfTree {
     /// Decode and validate every structural invariant, copying the tree
     /// out of the index. Reads look the tree up in place (`CsfView`); this
     /// owning form serves enumeration, conversion and white-box tests.
@@ -316,11 +324,11 @@ pub(crate) fn build_csf_presorted(
         (1..n).all(|j| coords.point(j - 1) <= coords.point(j)),
         "input not lexicographically sorted"
     );
-    let tree = CsfTree::from_sorted(&s_l, order, coords);
+    let (index, payload_words) = encode_sorted(&s_l, &order, coords);
     counter.add(OpKind::Transform, (n * s_l.ndim()) as u64);
-    counter.add(OpKind::Emit, tree.payload_words());
+    counter.add(OpKind::Emit, payload_words);
     Ok(Some(BuildOutput {
-        index: tree.encode(n as u64),
+        index,
         map: None,
         n_points: n,
     }))
@@ -355,12 +363,11 @@ impl Organization for Csf {
             approx_sort_compares(n),
         );
         // Lines 8–18: build the tree level by level.
-        let tree = CsfTree::from_sorted(&s_l, order, &sorted.coords);
+        let (index, payload_words) = encode_sorted(&s_l, &order, &sorted.coords);
         counter.add(OpKind::Transform, (n * s_l.ndim()) as u64);
-        counter.add(OpKind::Emit, tree.payload_words());
-        // Line 19: serialize.
+        counter.add(OpKind::Emit, payload_words);
         Ok(BuildOutput {
-            index: tree.encode(n as u64),
+            index,
             map: Some(sorted.map),
             n_points: n,
         })
@@ -416,35 +423,31 @@ impl Organization for Csf {
     }
 
     fn enumerate(&self, index: &[u8], counter: &OpCounter) -> Result<CoordBuffer> {
-        let (tree, n) = CsfTree::decode(index)?;
+        let tree = CsfView::decode(index)?;
         let d = tree.shape.ndim();
-        // Walk the tree depth-first; leaves come out in slot order because
-        // the levels were built from lexicographically sorted points.
-        let mut coords = CoordBuffer::with_capacity(d, n as usize);
-        let mut permuted = vec![0u64; d];
-        let mut original = vec![0u64; d];
-        // Stack of (level, node index).
-        let mut stack: Vec<(usize, usize)> = (0..tree.nfibs[0] as usize)
-            .rev()
-            .map(|i| (0usize, i))
-            .collect();
-        while let Some((lvl, node)) = stack.pop() {
-            permuted[lvl] = tree.fids[lvl][node];
-            if lvl == d - 1 {
-                for (k, &orig_dim) in tree.order.iter().enumerate() {
-                    original[orig_dim] = permuted[k];
-                }
-                coords.push(&original)?;
-            } else {
-                let lo = tree.fptr[lvl][node] as usize;
-                let hi = tree.fptr[lvl][node + 1] as usize;
-                for child in (lo..hi).rev() {
-                    stack.push((lvl + 1, child));
+        let n =
+            usize::try_from(tree.n).map_err(|_| FormatError::corrupt("point count too large"))?;
+        // The levels were built from lexicographically sorted points, so
+        // leaves come out in slot order, and the node holding leaf `j` at
+        // every level above it only ever moves forward: one cursor per
+        // level, advanced past every node whose child range ends at or
+        // before the level below's node. Decoding validated each `fptr`
+        // (0 first, monotone, the next level's node count last), so no
+        // cursor passes its level's last node.
+        let mut coords = CoordBuffer::with_capacity(d, n);
+        let mut node = vec![0usize; d];
+        let mut point = vec![0u64; d];
+        for leaf in 0..n {
+            node[d - 1] = leaf;
+            for lvl in (0..d - 1).rev() {
+                while tree.fptr[lvl].get(node[lvl] + 1) as usize <= node[lvl + 1] {
+                    node[lvl] += 1;
                 }
             }
-        }
-        if coords.len() as u64 != n {
-            return Err(FormatError::corrupt("tree walk did not reach every leaf"));
+            for (lvl, &dim) in tree.order.iter().enumerate() {
+                point[dim] = tree.fids[lvl].get(node[lvl]);
+            }
+            coords.push(&point)?;
         }
         counter.add(OpKind::NodeVisit, tree.nfibs.iter().sum());
         Ok(coords)

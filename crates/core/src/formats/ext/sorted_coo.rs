@@ -36,10 +36,8 @@ pub(crate) fn build_sorted_coo_presorted(
         "input not address-sorted"
     );
     counter.add(OpKind::Emit, n as u64);
-    let mut enc = IndexEncoder::new(FormatKind::SortedCoo.id(), shape, n as u64);
-    enc.put_section(&addrs);
     Ok(BuildOutput {
-        index: enc.finish(),
+        index: IndexEncoder::encode(FormatKind::SortedCoo.id(), shape, n as u64, &[&addrs]),
         map: None,
         n_points: n,
     })
@@ -69,10 +67,8 @@ impl Organization for SortedCoo {
 
         let sorted: Vec<u64> = perm.iter().map(|&i| addrs[i]).collect();
         counter.add(OpKind::Emit, n as u64);
-        let mut enc = IndexEncoder::new(FormatKind::SortedCoo.id(), shape, n as u64);
-        enc.put_section(&sorted);
         Ok(BuildOutput {
-            index: enc.finish(),
+            index: IndexEncoder::encode(FormatKind::SortedCoo.id(), shape, n as u64, &[&sorted]),
             map: Some(invert_permutation(&perm)),
             n_points: n,
         })

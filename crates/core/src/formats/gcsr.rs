@@ -78,11 +78,8 @@ pub(crate) fn build_generalized(
     counter.add(OpKind::Emit, (ptr.len() + ind.len()) as u64);
 
     // Line 14: concatenate buffers.
-    let mut enc = IndexEncoder::new(format.id(), &s_l, n as u64);
-    enc.put_section(&ptr);
-    enc.put_section(&ind);
     Ok(BuildOutput {
-        index: enc.finish(),
+        index: IndexEncoder::encode(format.id(), &s_l, n as u64, &[&ptr, &ind]),
         map: Some(map),
         n_points: n,
     })
@@ -124,11 +121,8 @@ pub(crate) fn build_gcsr_presorted(
     let ind: Vec<u64> = pairs.iter().map(|&(_, c)| c).collect();
     counter.add(OpKind::Emit, (ptr.len() + ind.len()) as u64);
 
-    let mut enc = IndexEncoder::new(FormatKind::GcsrPP.id(), &s_l, n as u64);
-    enc.put_section(&ptr);
-    enc.put_section(&ind);
     Ok(BuildOutput {
-        index: enc.finish(),
+        index: IndexEncoder::encode(FormatKind::GcsrPP.id(), &s_l, n as u64, &[&ptr, &ind]),
         map: None,
         n_points: n,
     })

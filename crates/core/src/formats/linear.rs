@@ -37,10 +37,8 @@ impl Organization for Linear {
         let addrs = coords.linearize_all(shape)?;
         counter.add(OpKind::Transform, n as u64);
         counter.add(OpKind::Emit, n as u64);
-        let mut enc = IndexEncoder::new(FormatKind::Linear.id(), shape, n as u64);
-        enc.put_section(&addrs);
         Ok(BuildOutput {
-            index: enc.finish(),
+            index: IndexEncoder::encode(FormatKind::Linear.id(), shape, n as u64, &[&addrs]),
             map: None,
             n_points: n,
         })

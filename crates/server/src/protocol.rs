@@ -73,7 +73,7 @@ pub const COMMANDS: &[CommandSpec] = &[
     CommandSpec {
         name: "CONSOLIDATE",
         syntax: "CONSOLIDATE <dataset>",
-        summary: "merge the dataset's fragments into one",
+        summary: "merge the dataset's fragments into one run of ≤ 4 096-point fragments",
     },
     CommandSpec {
         name: "STATS",

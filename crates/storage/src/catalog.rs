@@ -21,6 +21,7 @@
 //! nothing ever deletes the evidence.
 
 use crate::backend::StorageBackend;
+use crate::engine::names::NameOrder;
 use crate::error::Result;
 use crate::fragment::{decode_meta, FragmentMeta};
 use artsparse_tensor::Region;
@@ -54,11 +55,12 @@ pub struct ReadPlan {
     pub quarantined: Vec<String>,
 }
 
-/// Manifest of fragment metadata, keyed by name (names sort in write
-/// order, so iteration order is write order).
+/// Manifest of fragment metadata, keyed by the identity each name
+/// spells, so iteration order is write (precedence) order — also past
+/// the widths at which name strings stop sorting that way.
 #[derive(Debug, Default)]
 pub struct FragmentCatalog {
-    entries: RwLock<BTreeMap<String, Arc<CatalogEntry>>>,
+    entries: RwLock<BTreeMap<NameOrder, Arc<CatalogEntry>>>,
     /// Damaged fragments (name → why), excluded from planning and
     /// consolidation but never deleted. Kept separate from `entries` so
     /// a `reload` resyncing the manifest does not forget what was
@@ -114,7 +116,7 @@ impl FragmentCatalog {
     pub fn insert(&self, entry: CatalogEntry) {
         self.entries
             .write()
-            .insert(entry.name.clone(), Arc::new(entry));
+            .insert(NameOrder::of(&entry.name), Arc::new(entry));
     }
 
     /// Forget a fragment, returning its entry if it was known. Also
@@ -122,7 +124,7 @@ impl FragmentCatalog {
     /// future epoch, which must start with a clean slate.
     pub fn remove(&self, name: &str) -> Option<Arc<CatalogEntry>> {
         self.quarantined.write().remove(name);
-        self.entries.write().remove(name)
+        self.entries.write().remove(&NameOrder::of(name))
     }
 
     /// Mark a fragment as damaged: excluded from planning and
@@ -156,7 +158,7 @@ impl FragmentCatalog {
 
     /// Look up one fragment.
     pub fn get(&self, name: &str) -> Option<Arc<CatalogEntry>> {
-        self.entries.read().get(name).cloned()
+        self.entries.read().get(&NameOrder::of(name)).cloned()
     }
 
     /// Number of fragments.
@@ -171,7 +173,11 @@ impl FragmentCatalog {
 
     /// Fragment names in write order.
     pub fn names(&self) -> Vec<String> {
-        self.entries.read().keys().cloned().collect()
+        self.entries
+            .read()
+            .values()
+            .map(|e| e.name.clone())
+            .collect()
     }
 
     /// All healthy (non-quarantined) entries in write order — what
@@ -184,6 +190,27 @@ impl FragmentCatalog {
             .filter(|e| !quarantined.contains_key(&e.name))
             .cloned()
             .collect()
+    }
+
+    /// [`snapshot`](Self::snapshot), grouped into consolidation runs: the
+    /// parts one pass cut its output into (adjacent in write order) are
+    /// one run, and every other fragment is a run by itself.
+    pub fn runs(&self) -> Vec<Vec<Arc<CatalogEntry>>> {
+        let quarantined = self.quarantined.read();
+        let entries = self.entries.read();
+        let mut runs: Vec<Vec<Arc<CatalogEntry>>> = Vec::new();
+        let mut last: Option<&NameOrder> = None;
+        for (key, entry) in entries.iter() {
+            if quarantined.contains_key(&entry.name) {
+                continue;
+            }
+            match runs.last_mut() {
+                Some(run) if last.is_some_and(|prev| prev.same_run(key)) => run.push(entry.clone()),
+                _ => runs.push(vec![entry.clone()]),
+            }
+            last = Some(key);
+        }
+        runs
     }
 
     /// Every entry in write order, quarantined ones included — what
@@ -292,6 +319,26 @@ mod tests {
         let filter = |n: &str| n.starts_with("frag-") && n.ends_with(".asf");
         let catalog = FragmentCatalog::load(&backend, 2, filter).unwrap();
         assert_eq!(catalog.names(), vec!["frag-00000001-00000001.asf"]);
+    }
+
+    #[test]
+    fn precedence_holds_past_the_name_widths() {
+        // At seq 10⁸ a name gains a digit and, as a string, sorts before
+        // seq 10⁸ − 1. Reads and consolidation take the newest fragment
+        // from the catalog's order, so it must still come last.
+        let backend = MemBackend::new();
+        let older = "frag-99999999-00000001.asf";
+        let newer = "frag-100000000-00000001.asf";
+        assert!(newer < older);
+        put_fragment(&backend, newer, [0, 0], [3, 3]);
+        put_fragment(&backend, older, [0, 0], [3, 3]);
+        let catalog = FragmentCatalog::load(&backend, 2, |_| true).unwrap();
+        assert_eq!(catalog.names(), [older, newer]);
+        let plan = catalog.plan(&Region::from_corners(&[1, 1], &[1, 1]).unwrap());
+        let planned: Vec<&str> = plan.fragments.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(planned, [older, newer]);
+        let snapshot: Vec<String> = catalog.snapshot().iter().map(|e| e.name.clone()).collect();
+        assert_eq!(snapshot, [older, newer]);
     }
 
     #[test]

@@ -253,18 +253,20 @@ impl Default for ObservabilityConfig {
 ///
 /// The scheduler ticks, flushes stale buffers (see
 /// [`IngestConfig::flush_interval_ms`]), and triggers a full
-/// consolidation pass under a size-tiered policy: fragments are bucketed
-/// by the log₂ of their size, and when any tier holds at least
-/// [`tier_fragments`](SchedulerConfig::tier_fragments) fragments the
-/// store is deemed fragmented enough to merge — small fresh flushes
-/// accumulate into a tier and are folded together, while one big
-/// consolidated fragment sits alone in its tier and never re-triggers.
+/// consolidation pass under a size-tiered policy: runs — a fragment, or
+/// the ≤ [`PART_POINTS`](crate::PART_POINTS)-point parts one pass cut
+/// its output into, counted once at their summed size — are bucketed by
+/// the log₂ of their size, and when any tier holds at least
+/// [`tier_fragments`](SchedulerConfig::tier_fragments) runs the store is
+/// deemed fragmented enough to merge — small fresh flushes accumulate
+/// into a tier and are folded together, while one big consolidated run
+/// sits alone in its tier and never re-triggers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulerConfig {
     /// Poll interval between scheduler passes, in milliseconds.
     pub tick_ms: u64,
     /// Trigger consolidation when any log₂-size tier holds at least this
-    /// many fragments (minimum 2).
+    /// many runs (minimum 2).
     pub tier_fragments: usize,
     /// Rate limit: minimum milliseconds between two consolidation
     /// passes, regardless of how fragmented the store looks.

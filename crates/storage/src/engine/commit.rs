@@ -1,14 +1,16 @@
 //! WRITE and the fragment commit protocol (DESIGN.md §9).
 //!
 //! There is one way a fragment reaches the device: [`write_with`] builds
-//! and encodes it, and [`publish`] stages the bytes under an invisible
-//! `.tmp` name, durably records the delete set when the fragment replaces
-//! others, rename-commits, and inserts the catalog entry. Plain writes,
-//! group commits, WAL replay and consolidation (adaptive migration
-//! included) all go through them, and
-//! [`retire_sources`] is the one sweep that deletes what a committed
-//! fragment replaced. Recovery (tombstone replay, orphan sweep) and epoch
-//! claiming — the other half of the protocol — live here too.
+//! and encodes it — or each part of it, for a consolidation output cut
+//! into a run of parts — and [`publish`] stages the bytes under invisible
+//! `.tmp` names, durably records the delete set when the output replaces
+//! other fragments, rename-commits (the last rename is the commit point),
+//! and inserts the catalog entries. Plain writes, group commits, WAL
+//! replay and consolidation (adaptive migration included) all go through
+//! them, and [`retire_sources`] is the one sweep that deletes what a
+//! committed output replaced. Recovery (tombstone replay or rollback,
+//! orphan sweep) and epoch claiming — the other half of the protocol —
+//! live here too.
 //!
 //! [`write_with`]: StorageEngine::write_with
 //! [`publish`]: StorageEngine::publish
@@ -22,12 +24,13 @@ use super::names::{
 use super::{delete_if_present, StorageEngine};
 use crate::backend::StorageBackend;
 use crate::catalog::CatalogEntry;
-use crate::error::Result;
+use crate::error::{Result, StorageError};
 use crate::fragment::{decode_meta, encode_fragment};
 use artsparse_core::{build_from_address_sorted, FormatKind};
 use artsparse_metrics::{charge, PhaseTimer, Span, SpanKind, WriteBreakdown, WritePhase};
 use artsparse_tensor::value::Element;
 use artsparse_tensor::CoordBuffer;
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 
@@ -39,10 +42,11 @@ pub struct RecoveryReport {
     /// Epoch claim markers on the store (including this engine's own
     /// claim at open).
     pub epoch_markers: u64,
-    /// Consolidation tombstones whose fragment had committed: their
+    /// Consolidation tombstones whose output had committed: their
     /// recorded deletions were replayed.
     pub tombstones_replayed: u64,
-    /// Tombstones whose fragment never committed: discarded.
+    /// Tombstones whose output never committed: the tombstone was
+    /// discarded, the sources and any parts that had landed kept.
     pub tombstones_discarded: u64,
     /// Orphaned staging (`.tmp`) blobs swept.
     pub orphans_swept: u64,
@@ -82,7 +86,15 @@ impl<B: StorageBackend> StorageEngine<B> {
         // sequence number and this write keeps last-write-wins
         // precedence over any buffered duplicate.
         self.flush()?;
-        self.write_with(self.kind, coords, values, None, None, false)
+        self.write_with(
+            self.kind,
+            coords,
+            values,
+            &[coords.len()],
+            None,
+            None,
+            false,
+        )
     }
 
     /// Typed WRITE convenience.
@@ -98,19 +110,25 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// WRITE, optionally on behalf of a consolidation or WAL-replay pass:
     /// `kind` is the organization to encode (the engine's configured
     /// format for plain writes; adaptive consolidation passes the advised
-    /// one), `identity` is a precomputed fragment identity (consolidation
-    /// derives it from the sources, replay reuses the WAL's own; `None`
-    /// allocates the next id), `sources` names the fragments the new one
-    /// replaces (recorded in a tombstone before commit — consolidation
-    /// only), and `presorted` promises the coordinates arrive in
-    /// nondecreasing linear-address order — the order the consolidation
-    /// merge scan and the buffer snapshot emit — so sorting builds route
-    /// through [`build_from_address_sorted`] and elide their sort.
+    /// one), `part_ends` cuts the points into the fragments of one run —
+    /// the end offset of each part, `[coords.len()]` for the one fragment
+    /// every other write is — `identity` is a precomputed fragment
+    /// identity (consolidation derives it from the sources, replay reuses
+    /// the WAL's own; `None` allocates the next id), `sources` names the
+    /// fragments the output replaces (recorded in a tombstone before
+    /// commit — consolidation only), and `presorted` promises the
+    /// coordinates arrive in nondecreasing linear-address order — the
+    /// order the consolidation merge scan and the buffer snapshot emit —
+    /// so sorting builds route through [`build_from_address_sorted`] and
+    /// elide their sort. The report sums over the parts and names the
+    /// last one.
+    #[allow(clippy::too_many_arguments)]
     pub(super) fn write_with(
         &self,
         kind: FormatKind,
         coords: &CoordBuffer,
         values: &[u8],
+        part_ends: &[usize],
         identity: Option<FragmentId>,
         sources: Option<&[String]>,
         presorted: bool,
@@ -118,12 +136,51 @@ impl<B: StorageBackend> StorageEngine<B> {
         let _span = Span::enter(&self.recorder, SpanKind::Write);
         let mut timer = PhaseTimer::new();
 
-        // -- Others: validation and metadata ---------------------------
+        // -- Others: validation ----------------------------------------
         timer.enter(WritePhase::Others);
         self.validate_batch(coords, values)?;
-        let bbox = coords.bounding_box();
+        let (ndim, elem) = (coords.ndim(), self.elem_size as usize);
+        let mut frags = Vec::with_capacity(part_ends.len());
+        let (mut index_bytes, mut start) = (0, 0);
+        for &end in part_ends {
+            let part = if (start, end) == (0, coords.len()) {
+                Cow::Borrowed(coords)
+            } else {
+                let flat = coords.as_flat()[start * ndim..end * ndim].to_vec();
+                Cow::Owned(CoordBuffer::from_flat(ndim, flat)?)
+            };
+            let values = &values[start * elem..end * elem];
+            let (frag, index_len) = self.encode(kind, &part, values, presorted, &mut timer)?;
+            index_bytes += index_len;
+            frags.push(frag);
+            start = end;
+        }
+        let fragment = self.publish(&frags, identity, sources, &mut timer)?;
 
-        let encode_span = Span::enter(&self.recorder, SpanKind::WriteEncode);
+        Ok(WriteReport {
+            fragment,
+            breakdown: timer.finish(),
+            index_bytes,
+            value_bytes: values.len(),
+            total_bytes: frags.iter().map(Vec::len).sum(),
+            n_points: coords.len(),
+        })
+    }
+
+    /// Build, reorganize and encode one fragment of `coords`; returns its
+    /// bytes and its index length. `timer` gets Build, Reorg and the
+    /// encode's Others.
+    fn encode(
+        &self,
+        kind: FormatKind,
+        coords: &CoordBuffer,
+        values: &[u8],
+        presorted: bool,
+        timer: &mut PhaseTimer,
+    ) -> Result<(Vec<u8>, usize)> {
+        let _encode = Span::enter(&self.recorder, SpanKind::WriteEncode);
+        timer.enter(WritePhase::Others);
+        let bbox = coords.bounding_box();
 
         // -- Build: construct the organization -------------------------
         let built = timer.time(WritePhase::Build, || {
@@ -144,9 +201,12 @@ impl<B: StorageBackend> StorageEngine<B> {
         })?;
 
         // -- Reorg: permute values by the map ---------------------------
-        let values_reorg = timer.time(WritePhase::Reorg, || {
-            built.reorganize_values(values, self.elem_size as usize)
-        });
+        let values_reorg = match built.map {
+            None => Cow::Borrowed(values),
+            Some(_) => Cow::Owned(timer.time(WritePhase::Reorg, || {
+                built.reorganize_values(values, self.elem_size as usize)
+            })),
+        };
 
         // -- Others: concatenate (and optionally compress) b_frag -------
         timer.enter(WritePhase::Others);
@@ -161,32 +221,27 @@ impl<B: StorageBackend> StorageEngine<B> {
             self.index_codec,
             self.value_codec,
         );
-        drop(encode_span);
-        let fragment = self.publish(&frag, identity, sources, &mut timer)?;
-
-        Ok(WriteReport {
-            fragment,
-            breakdown: timer.finish(),
-            index_bytes: built.index.len(),
-            value_bytes: values_reorg.len(),
-            total_bytes: frag.len(),
-            n_points: coords.len(),
-        })
+        Ok((frag, built.index.len()))
     }
 
-    /// Publish one encoded fragment: commit `frag` under `identity`
-    /// (`None`: the next sequence number of this engine's epoch) and
-    /// catalog it. Returns the committed name.
+    /// Publish one encoded run: commit `frags` under `identity` (`None`:
+    /// the next sequence number of this engine's epoch; one fragment
+    /// takes it, more are its parts `1..=k`) and catalog them. Returns the
+    /// last committed name.
     ///
-    /// The commit is two-phase: stage the bytes under a `.tmp` name
-    /// invisible to discovery, durably record the delete set (tombstone)
-    /// when the fragment replaces `sources`, then rename-commit. The
-    /// commit point is the rename — until it lands, a crash leaves only
-    /// blobs that recovery reaps; after it, a crash leaves a tombstone
-    /// recovery replays. `timer` gets the device work under Write.
+    /// The commit is two-phase: stage every fragment under a `.tmp` name
+    /// invisible to discovery, durably record the delete set — one
+    /// tombstone per run, keyed to its last fragment, listing the sources
+    /// — when the run replaces `sources`, then rename each part in. The
+    /// commit point is the *last* rename: until it lands, a crash leaves
+    /// staged blobs recovery sweeps and renamed parts it keeps (they hold
+    /// the sources' last-writer values and outrank them, so reads are
+    /// unchanged and the next pass folds them); after it, a crash leaves
+    /// a tombstone recovery replays. `timer` gets the device work under
+    /// Write.
     fn publish(
         &self,
-        frag: &[u8],
+        frags: &[Vec<u8>],
         identity: Option<FragmentId>,
         sources: Option<&[String]>,
         timer: &mut PhaseTimer,
@@ -194,21 +249,36 @@ impl<B: StorageBackend> StorageEngine<B> {
         let id = identity.unwrap_or_else(|| {
             FragmentId::plain(self.next_id.fetch_add(1, Ordering::SeqCst), self.epoch)
         });
-        let name = format_fragment_name(id);
-        let tombstone = sources.map(|sources| (tombstone_name(&name), sources.join("\n") + "\n"));
+        let names: Vec<String> = id
+            .parts(frags.len())?
+            .into_iter()
+            .map(format_fragment_name)
+            .collect();
+        let last = names.last().ok_or_else(|| StorageError::Mismatch {
+            reason: "a publish needs at least one fragment".into(),
+        })?;
+        let tombstone = sources.map(|sources| (tombstone_name(last), sources.join("\n") + "\n"));
 
-        // -- Write: persist the fragment (line 7) -----------------------
-        let staged = staged_name(&name);
-        self.inflight.lock().insert(staged.clone());
+        // -- Write: persist the fragments (line 7) ----------------------
+        let staged: Vec<String> = names.iter().map(|name| staged_name(name)).collect();
+        let in_flight = || {
+            staged
+                .iter()
+                .chain(tombstone.as_ref().map(|(tomb, _)| tomb))
+        };
+        self.inflight.lock().extend(in_flight().cloned());
+        let mut renamed = 0;
         let commit = timer.time(WritePhase::Write, || -> Result<()> {
             {
                 let _stage = Span::enter(&self.recorder, SpanKind::WriteStage);
-                self.retry_write(&staged, || self.backend.put(&staged, frag))?;
+                for (staged, frag) in staged.iter().zip(frags) {
+                    self.retry_write(staged, || self.backend.put(staged, frag))?;
+                }
             }
             if let Some((tomb, body)) = &tombstone {
                 // The delete set must be durable *before* the commit:
-                // a crash right after the rename must still delete the
-                // sources, or the store doubles its points.
+                // a crash right after the last rename must still delete
+                // the sources, or the store doubles its points.
                 let _tomb = Span::enter(&self.recorder, SpanKind::ConsolidateTombstone);
                 self.retry_write(tomb, || self.backend.put_atomic(tomb, body.as_bytes()))?;
             }
@@ -220,13 +290,26 @@ impl<B: StorageBackend> StorageEngine<B> {
                     SpanKind::WriteCommit
                 },
             );
-            self.retry_write(&name, || self.backend.rename(&staged, &name))
+            for (staged, name) in staged.iter().zip(&names) {
+                self.retry_write(name, || self.backend.rename(staged, name))?;
+                renamed += 1;
+            }
+            Ok(())
         });
-        self.inflight.lock().remove(&staged);
+        {
+            let mut inflight = self.inflight.lock();
+            for name in in_flight() {
+                inflight.remove(name);
+            }
+        }
         if commit.is_err() {
-            // Best effort: the orphan is invisible either way, and the
-            // recovery sweep will reap it if this delete also fails.
-            let _ = self.backend.delete(&staged);
+            // Best effort: the parts that landed first, the tombstone
+            // last. Only the writer knows its run is dead, so only this
+            // path takes landed parts back; whatever it misses is a
+            // partial run recovery keeps, and staged orphans are swept.
+            for name in names[..renamed].iter().chain(&staged[renamed..]) {
+                let _ = self.backend.delete(name);
+            }
             if let Some((tomb, _)) = &tombstone {
                 let _ = self.backend.delete(tomb);
             }
@@ -234,21 +317,23 @@ impl<B: StorageBackend> StorageEngine<B> {
         self.health.note_write(&self.config.health, &commit);
         commit?;
 
-        // Catalog maintenance: decode the header we just encoded (pure
-        // memory) so discovery never needs to ask the device about it.
-        let meta = decode_meta(&name, frag)?;
-        self.catalog.insert(CatalogEntry {
-            name: name.clone(),
-            meta,
-            size: frag.len() as u64,
-        });
-        Ok(name)
+        // Catalog maintenance: decode the headers we just encoded (pure
+        // memory) so discovery never needs to ask the device about them.
+        for (name, frag) in names.iter().zip(frags) {
+            let meta = decode_meta(name, frag)?;
+            self.catalog.insert(CatalogEntry {
+                name: name.clone(),
+                meta,
+                size: frag.len() as u64,
+            });
+        }
+        Ok(last.clone())
     }
 
-    /// Delete the fragments that the committed `replacement` replaced.
-    /// Its tombstone guarantees the deletions happen even if this process
-    /// dies mid-loop (recovery replays them); a source already gone
-    /// (racing deleter, replayed tombstone) is fine.
+    /// Delete the fragments that the run committed at `replacement` (its
+    /// last part) replaced. Its tombstone guarantees the deletions happen
+    /// even if this process dies mid-loop (recovery replays them); a
+    /// source already gone (racing deleter, replayed tombstone) is fine.
     pub(super) fn retire_sources(&self, sources: &[String], replacement: &str) -> Result<()> {
         let _sweep = Span::enter(&self.recorder, SpanKind::ConsolidateSweep);
         for name in sources {
@@ -321,18 +406,28 @@ pub(super) fn claim_epoch<B: StorageBackend>(backend: &B) -> Result<u64> {
     }
 }
 
-/// Crash recovery over a store: replay or discard consolidation
+/// Crash recovery over a store: replay or roll back consolidation
 /// tombstones, then sweep orphaned staging blobs. Runs before the
 /// catalog is (re)built so recovered state is what gets cataloged.
 ///
-/// `keep` names staging blobs that belong to commits in flight *in this
-/// process* and must survive the sweep; at open there are none.
+/// A tombstone is keyed to its run's last fragment. If that fragment
+/// exists the run committed, and the sources it lists are deleted;
+/// otherwise only the tombstone goes. The parts of an uncommitted run
+/// that did land are kept: each holds the merged last-writer values of
+/// its rows and outranks the sources (same highest `seq`, higher `cgen`),
+/// so reads do not change, and the sources plus a partial run are at
+/// least two runs the next pass folds. Either way the tombstone goes
+/// last, so a crash inside recovery is recovered again.
+///
+/// `keep` names staging blobs and tombstones that belong to commits in
+/// flight *in this process* and must survive; at open there are none.
 pub(super) fn recover_store<B: StorageBackend>(
     backend: &B,
     keep: Option<&HashSet<String>>,
 ) -> Result<RecoveryReport> {
     let mut report = RecoveryReport::default();
     let names = backend.list()?;
+    let kept = |name: &String| keep.is_some_and(|k| k.contains(name));
     for name in &names {
         if parse_epoch_marker(name).is_some() {
             report.epoch_markers += 1;
@@ -341,9 +436,12 @@ pub(super) fn recover_store<B: StorageBackend>(
         let Some(target) = parse_tombstone_name(name) else {
             continue;
         };
+        if kept(name) {
+            continue;
+        }
         if backend.exists(target) {
-            // The consolidated fragment committed: finish the deletions
-            // it recorded. Idempotent — already-deleted sources are fine.
+            // The run committed: finish the deletions it recorded.
+            // Idempotent — already-deleted sources are fine.
             let content = backend.get(name)?;
             for src in String::from_utf8_lossy(&content)
                 .lines()
@@ -353,6 +451,9 @@ pub(super) fn recover_store<B: StorageBackend>(
             }
             report.tombstones_replayed += 1;
         } else {
+            // The run never committed — or is committing in another
+            // engine, which nothing here can tell apart. Landed parts stay:
+            // deleting them could race the writer's last renames.
             report.tombstones_discarded += 1;
         }
         // Committed-and-replayed or never-committed: either way the
@@ -360,7 +461,7 @@ pub(super) fn recover_store<B: StorageBackend>(
         delete_if_present(backend, name)?;
     }
     for name in &names {
-        if !is_staged_name(name) || keep.is_some_and(|k| k.contains(name)) {
+        if !is_staged_name(name) || kept(name) {
             continue;
         }
         delete_if_present(backend, name)?;
@@ -376,7 +477,6 @@ mod tests {
     use crate::config::EngineConfig;
     use crate::engine::test_support::{coords, engine};
     use crate::engine::HealthState;
-    use crate::error::StorageError;
     use artsparse_tensor::Shape;
     use std::time::Duration;
 
@@ -480,6 +580,50 @@ mod tests {
         let keep: std::collections::HashSet<String> = [inflight.clone()].into();
         recover_store(&backend, Some(&keep)).unwrap();
         assert!(backend.exists(&inflight));
+    }
+
+    #[test]
+    fn recovery_keeps_the_landed_parts_of_an_uncommitted_run() {
+        let backend = MemBackend::new();
+        let source = "frag-00000001-00000001.asf";
+        let parts = [
+            "frag-00000001-00000002c000001p0001.asf",
+            "frag-00000001-00000002c000001p0002.asf",
+            "frag-00000001-00000002c000001p0003.asf",
+        ];
+        let tomb = tombstone_name(parts[2]);
+        let body = format!("{source}\n");
+        backend.put(source, &[1]).unwrap();
+        // Killed after the first rename: one part landed, two staged.
+        backend.put(parts[0], &[2]).unwrap();
+        backend.put(&staged_name(parts[1]), &[3]).unwrap();
+        backend.put(&staged_name(parts[2]), &[4]).unwrap();
+        backend.put(&tomb, body.as_bytes()).unwrap();
+
+        // A commit in flight in this process keeps its tombstone.
+        let keep: HashSet<String> =
+            [tomb.clone(), staged_name(parts[1]), staged_name(parts[2])].into();
+        recover_store(&backend, Some(&keep)).unwrap();
+        assert_eq!(
+            backend.list().unwrap().len(),
+            5,
+            "nothing of the live commit reaped"
+        );
+
+        // Not committed: the tombstone and the staged parts go; the
+        // sources and the part that landed stay.
+        let report = recover_store(&backend, None).unwrap();
+        assert_eq!((report.tombstones_discarded, report.orphans_swept), (1, 2));
+        assert_eq!(backend.list().unwrap(), [source, parts[0]]);
+
+        // Committed: the last part landed, so the sources go.
+        for part in parts {
+            backend.put(part, &[2]).unwrap();
+        }
+        backend.put(&tomb, body.as_bytes()).unwrap();
+        let report = recover_store(&backend, None).unwrap();
+        assert_eq!(report.tombstones_replayed, 1);
+        assert_eq!(backend.list().unwrap(), parts, "the parts alone");
     }
 
     #[test]

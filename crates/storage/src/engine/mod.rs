@@ -31,7 +31,7 @@
 //! The engine is one type cut along the seams DESIGN.md names; each
 //! module owns the state and the decisions of its section:
 //!
-//! * `names` — blob naming and the `(seq, epoch, cgen)` order (§9);
+//! * `names` — blob naming and the `(seq, epoch, cgen, part)` order (§9);
 //! * `commit` — WRITE, the one `publish` routine, recovery, epochs (§9);
 //! * `ingest` — buffer → WAL → group commit → replay (§14);
 //! * `read` — plan → fetch → decode → merge (§8);
@@ -42,7 +42,7 @@
 mod commit;
 mod health;
 mod ingest;
-mod names;
+pub(crate) mod names;
 mod read;
 mod reorg;
 mod scrub;
@@ -50,7 +50,7 @@ mod scrub;
 pub use commit::{RecoveryReport, WriteReport};
 pub use health::{HealthState, StoreStats};
 pub use read::{ReadHit, ReadOutcome, ReadResult, BUFFER_FRAGMENT};
-pub use reorg::ConsolidateReport;
+pub use reorg::{ConsolidateReport, PART_POINTS};
 pub use scrub::{ScrubFinding, ScrubReport};
 
 use crate::backend::StorageBackend;
@@ -399,10 +399,19 @@ impl<B: StorageBackend> StorageEngine<B> {
         Ok(self.catalog.total_bytes())
     }
 
-    /// Sizes of all live fragments, served from the catalog — the input
-    /// to the scheduler's size-tiered consolidation trigger.
+    /// Sizes of all live fragments, served from the catalog.
     pub fn fragment_sizes(&self) -> Vec<u64> {
         self.catalog.snapshot().iter().map(|e| e.size).collect()
+    }
+
+    /// Summed sizes of the live consolidation runs, served from the
+    /// catalog — the input to the scheduler's size-tiered trigger. The
+    /// parts of one pass are one run, so a consolidated store sits alone
+    /// in its tier however many parts it was cut into.
+    pub fn run_sizes(&self) -> Vec<u64> {
+        (self.catalog.runs().iter())
+            .map(|run| run.iter().map(|e| e.size).sum())
+            .collect()
     }
 
     /// Reject a typed call whose element size disagrees with the record

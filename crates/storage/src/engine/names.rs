@@ -4,9 +4,9 @@
 //! Every blob the commit protocol creates is named here: committed
 //! fragments, their staged (`.tmp`) and tombstone (`tomb-*.tsn`)
 //! companions, epoch claim markers, and the health probe. Nothing else
-//! formats or parses these names, so the `(seq, epoch, cgen)` precedence
-//! order and the "auxiliary blobs never parse as fragments" invariant have
-//! a single definition.
+//! formats or parses these names, so the `(seq, epoch, cgen, part)`
+//! precedence order and the "auxiliary blobs never parse as fragments"
+//! invariant have a single definition.
 
 use crate::error::{Result, StorageError};
 
@@ -20,9 +20,10 @@ const FRAG_SUFFIX: &str = ".asf";
 const STAGING_SUFFIX: &str = ".tmp";
 
 /// Prefix + suffix of consolidation tombstones: a durable record of the
-/// delete set, written before the consolidated fragment commits so a
-/// crash mid-consolidation is replayed (sources deleted) or discarded
-/// (commit never happened) at the next open/refresh.
+/// delete set, one per pass and named after its output's last part,
+/// written before that part commits so a crash mid-consolidation is
+/// replayed (sources deleted) or discarded (tombstone deleted, landed
+/// parts kept) at the next open/refresh.
 const TOMB_PREFIX: &str = "tomb-";
 const TOMB_SUFFIX: &str = ".tsn";
 
@@ -35,10 +36,12 @@ const EPOCH_SUFFIX: &str = ".lck";
 
 /// Identity of a fragment, encoded in (and recovered from) its name.
 ///
-/// Names are fixed-width decimal, so lexicographic blob-name order — the
-/// catalog's iteration order and therefore the engine's cross-fragment
-/// precedence — equals `(seq, epoch, cgen)` order, which is also this
-/// type's derived `Ord`:
+/// The derived `Ord` — `(seq, epoch, cgen, part)` — is the engine's
+/// cross-fragment precedence, and the catalog iterates in it
+/// ([`NameOrder`]). The names are fixed-width decimal only up to 10⁸
+/// sequence numbers and 10⁶ generations; past those a wider field sorts
+/// *before* a narrower one as a string, so nothing orders names as
+/// strings.
 ///
 /// * `seq` is the per-store write sequence;
 /// * `epoch` is the per-engine claim, disambiguating two engines that
@@ -47,13 +50,18 @@ const EPOCH_SUFFIX: &str = ".lck";
 ///   keeps the *highest sequence number of its sources* (it contains no
 ///   newer data than that), with `cgen` breaking the tie just above
 ///   them. A fragment written while consolidation was running gets a
-///   higher `seq` and so keeps precedence over the consolidated output —
-///   the TileDB-style rule that makes consolidation safe to race.
+///   higher `seq` and so keeps precedence over the merged output —
+///   the TileDB-style rule that makes consolidation safe to race;
+/// * `part` numbers the parts of a consolidation output cut in more than
+///   one (from 1; 0 is an uncut fragment). The parts of one pass share
+///   `(seq, epoch, cgen)` — one *run* — and hold disjoint points, so
+///   their order among themselves decides nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(super) struct FragmentId {
+pub(crate) struct FragmentId {
     pub seq: u64,
     pub epoch: u64,
     pub cgen: u32,
+    pub part: u32,
 }
 
 impl FragmentId {
@@ -63,66 +71,126 @@ impl FragmentId {
             seq,
             epoch,
             cgen: 0,
+            part: 0,
         }
     }
 
-    /// The identity of the fragment that replaces `sources`, written by
-    /// the engine holding `epoch`: the highest source `seq` (the output
-    /// holds nothing newer), one consolidation generation above the
-    /// highest source's.
+    /// The identity of the run that replaces `sources`, written by the
+    /// engine holding `epoch`: the highest source `seq` (the output holds
+    /// nothing newer), one consolidation generation above the highest
+    /// source's. A source already at the last generation `u32` counts is
+    /// refused with a typed error instead of wrapping below its sources.
     pub fn replacing<'a>(
         sources: impl IntoIterator<Item = &'a String>,
         epoch: u64,
     ) -> Result<FragmentId> {
         let mut id = FragmentId::plain(0, epoch);
+        let mut newest = None;
         for src in sources {
             let sid = parse_fragment_name(src)
                 .ok_or_else(|| StorageError::corrupt(src, "cataloged name does not parse"))?;
             id.seq = id.seq.max(sid.seq);
-            id.cgen = id.cgen.max(sid.cgen);
+            if sid.cgen >= id.cgen {
+                (id.cgen, newest) = (sid.cgen, Some(src));
+            }
         }
-        id.cgen += 1;
+        id.cgen = id.cgen.checked_add(1).ok_or_else(|| {
+            StorageError::corrupt(
+                newest.map_or("", String::as_str),
+                "consolidation generation is at u32::MAX; no generation outranks it",
+            )
+        })?;
         Ok(id)
+    }
+
+    /// The identities a run of `k` parts is published under: this one
+    /// itself when the output is not cut, else parts `1..=k` of it.
+    pub fn parts(self, k: usize) -> Result<Vec<FragmentId>> {
+        if k == 1 {
+            return Ok(vec![self]);
+        }
+        let last = u32::try_from(k).map_err(|_| StorageError::Mismatch {
+            reason: format!("{k} parts do not fit a fragment name's 32-bit part field"),
+        })?;
+        Ok((1..=last).map(|part| FragmentId { part, ..self }).collect())
+    }
+}
+
+/// The catalog's order on blob names: a fragment's parsed [`FragmentId`],
+/// which is precedence. Names that do not parse order among themselves
+/// as strings, before every fragment.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum NameOrder {
+    Other(String),
+    Fragment(FragmentId),
+}
+
+impl NameOrder {
+    pub fn of(name: &str) -> NameOrder {
+        match parse_fragment_name(name) {
+            Some(id) => NameOrder::Fragment(id),
+            None => NameOrder::Other(name.to_owned()),
+        }
+    }
+
+    /// Whether two cataloged fragments are parts of one consolidation
+    /// run: cut parts sharing `(seq, epoch, cgen)`.
+    pub fn same_run(&self, other: &NameOrder) -> bool {
+        match (self, other) {
+            (NameOrder::Fragment(a), NameOrder::Fragment(b)) => {
+                a.part > 0 && b.part > 0 && (a.seq, a.epoch, a.cgen) == (b.seq, b.epoch, b.cgen)
+            }
+            _ => false,
+        }
     }
 }
 
 pub(super) fn format_fragment_name(id: FragmentId) -> String {
-    let FragmentId { seq, epoch, cgen } = id;
-    if cgen == 0 {
-        format!("{FRAG_PREFIX}{seq:08}-{epoch:08}{FRAG_SUFFIX}")
-    } else {
-        format!("{FRAG_PREFIX}{seq:08}-{epoch:08}c{cgen:06}{FRAG_SUFFIX}")
+    let FragmentId {
+        seq,
+        epoch,
+        cgen,
+        part,
+    } = id;
+    match (cgen, part) {
+        (0, _) => format!("{FRAG_PREFIX}{seq:08}-{epoch:08}{FRAG_SUFFIX}"),
+        (_, 0) => format!("{FRAG_PREFIX}{seq:08}-{epoch:08}c{cgen:06}{FRAG_SUFFIX}"),
+        _ => format!("{FRAG_PREFIX}{seq:08}-{epoch:08}c{cgen:06}p{part:04}{FRAG_SUFFIX}"),
     }
 }
 
-/// Strict fixed-base decimal (rejects signs/whitespace that `parse`
-/// would accept, keeping name parsing a bijection with formatting).
-fn parse_decimal(s: &str) -> Option<u64> {
-    if s.is_empty() || !s.bytes().all(|b| b.is_ascii_digit()) {
+/// Strict decimal as `{:0width$}` formats it: ASCII digits only (no sign
+/// or whitespace that `parse` would accept), zero-padded to exactly
+/// `width`, and unpadded past it — so each value has one spelling and
+/// name parsing is a bijection with formatting.
+fn parse_decimal(s: &str, width: usize) -> Option<u64> {
+    let canonical = s.len() == width || (s.len() > width && !s.starts_with('0'));
+    if !canonical || !s.bytes().all(|b| b.is_ascii_digit()) {
         return None;
     }
     s.parse().ok()
 }
 
-pub(super) fn parse_fragment_name(name: &str) -> Option<FragmentId> {
+pub(crate) fn parse_fragment_name(name: &str) -> Option<FragmentId> {
     let body = name.strip_prefix(FRAG_PREFIX)?.strip_suffix(FRAG_SUFFIX)?;
     let (seq, rest) = body.split_once('-')?;
-    let seq = parse_decimal(seq)?;
-    match rest.split_once('c') {
-        None => Some(FragmentId::plain(seq, parse_decimal(rest)?)),
-        Some((epoch, cgen)) => {
-            let cgen = parse_decimal(cgen)?;
-            // `c000000` would alias the plain name; reject it.
-            if cgen == 0 || cgen > u32::MAX as u64 {
-                return None;
-            }
-            Some(FragmentId {
-                seq,
-                epoch: parse_decimal(epoch)?,
-                cgen: cgen as u32,
-            })
-        }
-    }
+    let seq = parse_decimal(seq, 8)?;
+    let Some((epoch, generation)) = rest.split_once('c') else {
+        return Some(FragmentId::plain(seq, parse_decimal(rest, 8)?));
+    };
+    let (cgen, part) = match generation.split_once('p') {
+        None => (generation, 0),
+        // `p0000` would alias the uncut name; reject it.
+        Some((cgen, part)) => (cgen, parse_decimal(part, 4).filter(|&p| p > 0)?),
+    };
+    // `c000000` would alias the plain name; reject it.
+    let cgen = parse_decimal(cgen, 6).filter(|&c| c > 0)?;
+    Some(FragmentId {
+        seq,
+        epoch: parse_decimal(epoch, 8)?,
+        cgen: u32::try_from(cgen).ok()?,
+        part: u32::try_from(part).ok()?,
+    })
 }
 
 /// The catalog's discovery filter: strict fragment-name parsing, which
@@ -170,6 +238,7 @@ pub(super) fn parse_epoch_marker(name: &str) -> Option<u64> {
     parse_decimal(
         name.strip_prefix(EPOCH_PREFIX)?
             .strip_suffix(EPOCH_SUFFIX)?,
+        8,
     )
 }
 
@@ -184,28 +253,31 @@ pub(super) fn probe_name(epoch: u64) -> String {
 mod tests {
     use super::*;
 
+    fn id(seq: u64, epoch: u64, cgen: u32, part: u32) -> FragmentId {
+        FragmentId {
+            seq,
+            epoch,
+            cgen,
+            part,
+        }
+    }
+
     #[test]
     fn fragment_names_roundtrip() {
         for id in [
-            FragmentId {
-                seq: 42,
-                epoch: 7,
-                cgen: 0,
-            },
-            FragmentId {
-                seq: 42,
-                epoch: 7,
-                cgen: 3,
-            },
-            FragmentId {
-                seq: u64::MAX,
-                epoch: u64::MAX,
-                cgen: u32::MAX,
-            },
+            id(42, 7, 0, 0),
+            id(42, 7, 3, 0),
+            id(42, 7, 3, 12),
+            id(u64::MAX, u64::MAX, u32::MAX, 0),
+            id(u64::MAX, u64::MAX, u32::MAX, u32::MAX),
         ] {
             let n = format_fragment_name(id);
             assert_eq!(parse_fragment_name(&n), Some(id), "{n}");
         }
+        assert_eq!(
+            format_fragment_name(id(4, 2, 1, 3)),
+            "frag-00000004-00000002c000001p0003.asf"
+        );
         // Pre-epoch names no store was ever written with do not parse.
         assert_eq!(parse_fragment_name("frag-00000042.asf"), None);
         for bad in [
@@ -213,7 +285,19 @@ mod tests {
             "frag-xx.asf",
             "frag-00000001-xx.asf",
             "frag-00000001-00000001c000000.asf", // cgen 0 aliases the plain name
+            "frag-00000001-00000001c000001p0000.asf", // part 0 aliases the uncut name
+            "frag-00000001-00000001c000001p.asf",
+            "frag-00000001-00000001p0001.asf", // parts are consolidation output
             "frag-00000001-00000001cxx.asf",
+            // One spelling per id: no field narrower than its width, and
+            // no zero padding past it.
+            "frag-1-1.asf",
+            "frag-00000001-1.asf",
+            "frag-00000001-00000001c1.asf",
+            "frag-00000001-00000001c000001p1.asf",
+            "frag-000000001-00000001.asf",
+            "frag-00000001-00000001c0000001.asf",
+            "frag-00000001-00000001c000001p00001.asf",
             "frag--1.asf",
             "frag-+1.asf",
             "frag-00000001-00000001.asf.tmp", // staged: invisible
@@ -226,40 +310,68 @@ mod tests {
 
     #[test]
     fn name_order_is_precedence_order() {
-        // Lexicographic blob-name order must equal (seq, epoch, cgen)
-        // order — it is what the catalog sorts by and what cross-fragment
-        // last-writer-wins precedence runs on.
+        // The catalog's order on names must equal (seq, epoch, cgen, part)
+        // order — it is what cross-fragment last-writer-wins precedence
+        // runs on — including where a field outgrows its fixed width.
         let ids = [
-            FragmentId {
-                seq: 1,
-                epoch: 2,
-                cgen: 0,
-            },
-            FragmentId {
-                seq: 1,
-                epoch: 2,
-                cgen: 1,
-            },
-            FragmentId {
-                seq: 1,
-                epoch: 3,
-                cgen: 0,
-            },
-            FragmentId {
-                seq: 2,
-                epoch: 1,
-                cgen: 0,
-            },
-            FragmentId {
-                seq: 100,
-                epoch: 1,
-                cgen: 0,
-            },
+            id(1, 2, 0, 0),
+            id(1, 2, 1, 0),
+            id(1, 3, 0, 0),
+            id(2, 1, 0, 0),
+            id(100, 1, 0, 0),
+            id(100, 1, 999_999, 0),
+            id(100, 1, 1_000_000, 1),
+            id(100, 1, 1_000_000, 2),
+            id(100, 1, 1_000_000, 10_000),
+            id(99_999_999, 1, 0, 0),
+            id(100_000_000, 1, 0, 0),
+            id(100_000_000, 100_000_000, 0, 0),
         ];
         let names: Vec<String> = ids.iter().map(|&id| format_fragment_name(id)).collect();
         let mut sorted = names.clone();
-        sorted.sort();
+        sorted.sort_by_key(|n| NameOrder::of(n));
         assert_eq!(names, sorted);
+        // As strings, the wider field sorts first: the catalog must not
+        // order by name.
+        assert!(names[10] < names[9], "{} vs {}", names[10], names[9]);
+        assert!(names[6] < names[5], "{} vs {}", names[6], names[5]);
+        // Names that are not fragments order before every fragment.
+        assert!(NameOrder::of("frag-junk.asf") < NameOrder::of(&names[0]));
+    }
+
+    #[test]
+    fn runs_share_seq_epoch_and_generation() {
+        let run = id(9, 2, 4, 0);
+        let parts = run.parts(3).unwrap();
+        assert_eq!(parts, [id(9, 2, 4, 1), id(9, 2, 4, 2), id(9, 2, 4, 3)]);
+        assert_eq!(run.parts(1).unwrap(), [run], "one part is the uncut name");
+        let key = |id| NameOrder::of(&format_fragment_name(id));
+        let [a, b, c] = [0, 1, 2].map(|i| key(parts[i]));
+        assert!(a.same_run(&b) && b.same_run(&c));
+        let other = key(id(9, 2, 5, 1));
+        assert!(!c.same_run(&other), "the next pass is the next run");
+        let uncut = key(run);
+        assert!(!uncut.same_run(&uncut), "an uncut fragment is a run alone");
+        let junk = NameOrder::of("frag-junk.asf");
+        assert!(!junk.same_run(&junk));
+    }
+
+    #[test]
+    fn the_last_generation_is_a_typed_error() {
+        let sources = [
+            format_fragment_name(id(3, 1, 0, 0)),
+            format_fragment_name(id(2, 1, u32::MAX, 0)),
+        ];
+        let err = FragmentId::replacing(&sources, 5).unwrap_err();
+        assert!(
+            matches!(&err, StorageError::CorruptFragment { name, .. } if *name == sources[1]),
+            "{err}"
+        );
+        let below = [format_fragment_name(id(2, 1, u32::MAX - 1, 7))];
+        assert_eq!(
+            FragmentId::replacing(&below, 5).unwrap(),
+            id(2, 5, u32::MAX, 0)
+        );
     }
 
     #[test]

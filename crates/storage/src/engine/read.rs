@@ -937,6 +937,39 @@ mod tests {
     }
 
     #[test]
+    fn later_fragment_wins_past_the_name_width() {
+        // Sequence numbers outgrow their 8 digits after 10⁸ writes: the
+        // newer fragment's name then sorts first as a string. Reads and
+        // consolidation must still let it win.
+        let e = engine(FormatKind::Coo);
+        let mut blobs = Vec::new();
+        for value in [1.0, 2.0] {
+            let name = e
+                .write_points::<f64>(&coords(&[[4, 4]]), &[value])
+                .unwrap()
+                .fragment;
+            blobs.push(e.backend().get(&name).unwrap());
+            e.delete_fragment(&name).unwrap();
+        }
+        e.backend()
+            .put("frag-99999999-00000001.asf", &blobs[0])
+            .unwrap();
+        e.backend()
+            .put("frag-100000000-00000001.asf", &blobs[1])
+            .unwrap();
+        e.refresh().unwrap();
+        assert_eq!(
+            e.read_values::<f64>(&coords(&[[4, 4]])).unwrap(),
+            vec![Some(2.0)]
+        );
+        e.consolidate().unwrap();
+        assert_eq!(
+            e.read_values::<f64>(&coords(&[[4, 4]])).unwrap(),
+            vec![Some(2.0)]
+        );
+    }
+
+    #[test]
     fn bbox_pruning_skips_disjoint_fragments() {
         let e = engine(FormatKind::GcsrPP);
         e.write_points::<f64>(&coords(&[[0, 0], [1, 1]]), &[1.0, 2.0])
@@ -1094,12 +1127,13 @@ mod tests {
         let table: [(&str, usize, &[u64], u64, usize); 11] = [
             ("empty plan", 8, &[], 1, 1),
             ("one fragment", 8, &[262 * KB], 256, 1),
-            // serve-query's GET: everything but the big fragment is 3 KB.
-            ("point get", 8, &[262 * KB, KB, KB, KB], 1, 1),
+            // serve-query's GET: one consolidated part and three group
+            // commits, 4 096 COO points (64 KB of index) each.
+            ("point get", 8, &[64 * KB; 4], 1, 1),
             (
                 "point get, order irrelevant",
                 8,
-                &[KB, KB, 262 * KB, KB],
+                &[64 * KB, 65 * KB, 64 * KB, 63 * KB],
                 1,
                 1,
             ),

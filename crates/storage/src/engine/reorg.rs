@@ -13,19 +13,56 @@ use artsparse_tensor::sort::{last_per_address, sort_by_address};
 use artsparse_tensor::CoordBuffer;
 use std::sync::Arc;
 
+/// The most points a consolidation part holds, unless one dim-0 slice
+/// alone is larger. It equals [`IngestConfig::flush_points`]' default, so
+/// a consolidated part is no bigger than a group commit, and a point read
+/// fetches one part's index per run instead of the whole store's.
+///
+/// [`IngestConfig::flush_points`]: crate::config::IngestConfig::flush_points
+pub const PART_POINTS: usize = 4096;
+
 /// Outcome of a consolidation pass.
 #[derive(Debug, Clone)]
 pub struct ConsolidateReport {
-    /// Fragments merged (and deleted).
+    /// Source runs merged (and deleted). A run is one fragment, or the
+    /// parts of one earlier pass; a store that is one run is already
+    /// consolidated.
     pub merged_fragments: usize,
-    /// Points in the consolidated fragment (after dedup).
+    /// Points in the output, over all its parts (after dedup).
     pub n_points: usize,
+    /// Parts the output was cut into (0 when nothing was written).
+    pub parts: usize,
     /// Store size before.
     pub before_bytes: u64,
     /// Store size after.
     pub after_bytes: u64,
-    /// Name of the new fragment (`None` if nothing needed merging).
+    /// Name of the output's last part, its commit point (`None` if
+    /// nothing needed merging).
     pub fragment: Option<String>,
+}
+
+/// Where the address-sorted `coords` are cut into consolidation parts:
+/// the end offset of each. A cut falls only where coordinate 0 changes,
+/// so the parts are disjoint on dim 0 and a point query meets one of
+/// them; each holds at most [`PART_POINTS`] points, except a dim-0 slice
+/// larger than that, which stays whole as one part.
+fn part_ends(coords: &CoordBuffer) -> Vec<usize> {
+    let row = |i: usize| coords.point(i).first().copied();
+    let (mut ends, mut part, mut slice) = (Vec::new(), 0, 0);
+    for i in 1..=coords.len() {
+        if i < coords.len() && row(i) == row(i - 1) {
+            continue;
+        }
+        // `slice..i` is one dim-0 slice; close the part before it if the
+        // part cannot take it.
+        if i - part > PART_POINTS && slice > part {
+            ends.push(slice);
+            part = slice;
+        }
+        slice = i;
+    }
+    ends.push(coords.len());
+    ends
 }
 
 /// `n` as a 32-bit field of a merge record. Records are
@@ -104,14 +141,18 @@ impl<B: StorageBackend> StorageEngine<B> {
         Ok((CoordBuffer::from_flat(self.shape.ndim(), coords)?, payload))
     }
 
-    /// Merge every fragment into one (TileDB-style consolidation).
+    /// Merge every fragment into one run (TileDB-style consolidation).
     ///
     /// Runs over the same scan layer as [`StorageEngine::export`]: each
     /// fragment's index is enumerated back into coordinates, values are
     /// deduplicated with the same last-writer-wins rule as
-    /// [`StorageEngine::read`], and one new fragment is written under the
-    /// engine's current organization and codecs; the source fragments are
-    /// deleted (and their cache entries invalidated).
+    /// [`StorageEngine::read`], and the output is written under the
+    /// engine's current organization and codecs, cut into parts of at
+    /// most [`PART_POINTS`] points that are disjoint on dim 0 (one part,
+    /// named as an uncut fragment, when it fits); the source fragments
+    /// are deleted (and their cache entries invalidated). A store that is
+    /// already one run — one fragment, or the parts of one pass — is left
+    /// alone.
     ///
     /// With [`EngineConfig::adaptive_reorg`](crate::config::EngineConfig)
     /// set, the pass additionally characterizes the merged region's
@@ -119,17 +160,17 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// runs the advisor's cost model over the measured statistics, and
     /// encodes the output in the winning organization instead of the
     /// engine's configured one. A store already consolidated down to a
-    /// single fragment takes the same path — merged, characterized,
-    /// advised — and is rewritten only when the advice differs from its
-    /// current organization, so repeated passes converge to a no-op.
+    /// single run takes the same path — merged, characterized, advised —
+    /// and is rewritten only when the advice differs from its current
+    /// organization, so repeated passes converge to a no-op.
     ///
     /// The pass is transactional: one catalog snapshot drives both the
-    /// merge and the delete set; the delete set is recorded in a tombstone
-    /// that commits (atomically) before the consolidated fragment does, so
-    /// a crash in any window either discards the whole pass or replays the
-    /// deletions at the next open/refresh — never a store with both the
-    /// merged fragment and a partial set of its sources counted twice.
-    /// The consolidated fragment takes the *highest source* sequence
+    /// merge and the delete set; the delete set is recorded in one
+    /// tombstone that commits (atomically) before the run's last part
+    /// does, so a crash in any window either discards the whole pass or
+    /// replays the deletions at the next open/refresh — never a store
+    /// with both the merged output and a partial set of its sources
+    /// counted twice. The output takes the *highest source* sequence
     /// number (with a consolidation-generation tiebreaker just above the
     /// sources), so a fragment written concurrently while the pass ran
     /// keeps precedence over the merged output instead of being shadowed.
@@ -141,22 +182,25 @@ impl<B: StorageBackend> StorageEngine<B> {
         self.flush()?;
         let _guard = self.consolidate_lock.lock();
         // ONE snapshot drives everything below: the merge input, the new
-        // fragment's identity, and the delete set. Fragments written
-        // after this point are untouched and outrank the merged output.
+        // run's identity, and the delete set. Fragments written after
+        // this point are untouched and outrank the merged output.
         let snapshot_span = Span::enter(&self.recorder, SpanKind::ConsolidateSnapshot);
-        let snapshot = self.catalog.snapshot();
+        let runs = self.catalog.runs();
+        let snapshot = runs.concat();
+        let runs = runs.len();
         let before_bytes: u64 = snapshot.iter().map(|e| e.size).sum();
         let adaptive = self.config.adaptive_reorg;
         let unchanged = ConsolidateReport {
-            merged_fragments: snapshot.len(),
+            merged_fragments: runs,
             n_points: 0,
+            parts: 0,
             before_bytes,
             after_bytes: before_bytes,
             fragment: None,
         };
         // Nothing to merge and nothing to re-organize: no fragments, or
-        // one without an adaptive policy.
-        if snapshot.is_empty() || (snapshot.len() == 1 && adaptive.is_none()) {
+        // one run without an adaptive policy.
+        if runs == 0 || (runs == 1 && adaptive.is_none()) {
             return Ok(unchanged);
         }
         let sources: Vec<String> = snapshot.iter().map(|e| e.name.clone()).collect();
@@ -176,9 +220,9 @@ impl<B: StorageBackend> StorageEngine<B> {
                 coords.iter().for_each(|p| stats.push(p));
                 let target =
                     recommend_from_stats(&stats.finish(), &profile.access_profile()).best();
-                // A lone fragment already in the advised organization has
+                // A lone run already in the advised organization has
                 // converged: rewriting it would only fold duplicates.
-                if matches!(&snapshot[..], [only] if only.meta.kind == target) {
+                if runs == 1 && snapshot.iter().all(|e| e.meta.kind == target) {
                     return Ok(unchanged);
                 }
                 let migrating = snapshot.iter().filter(|e| e.meta.kind != target).count() as u64;
@@ -192,13 +236,23 @@ impl<B: StorageBackend> StorageEngine<B> {
         // goes through the presorted builders (sorts elided).
         let convert_span =
             adaptive.map(|_| Span::enter(&self.recorder, SpanKind::ConsolidateConvert));
-        let report = self.write_with(target, &coords, &payload, Some(id), Some(&sources), true)?;
+        let ends = part_ends(&coords);
+        let report = self.write_with(
+            target,
+            &coords,
+            &payload,
+            &ends,
+            Some(id),
+            Some(&sources),
+            true,
+        )?;
         drop(convert_span);
 
         self.retire_sources(&sources, &report.fragment)?;
         Ok(ConsolidateReport {
-            merged_fragments: sources.len(),
+            merged_fragments: runs,
             n_points: coords.len(),
+            parts: ends.len(),
             before_bytes,
             after_bytes: self.catalog.total_bytes(),
             fragment: Some(report.fragment),
@@ -251,6 +305,65 @@ mod tests {
             .into_iter()
             .map(|h| (h.query_index, h.coord, h.value))
             .collect()
+    }
+
+    /// Address-sorted points, `counts[r]` of them in row `r` of a
+    /// `counts.len()` × 8 192 tensor.
+    fn rows(counts: &[u64]) -> CoordBuffer {
+        let cells: Vec<[u64; 2]> = (0u64..)
+            .zip(counts)
+            .flat_map(|(r, &n)| (0..n).map(move |c| [r, c]))
+            .collect();
+        CoordBuffer::from_points(2, &cells).unwrap()
+    }
+
+    #[test]
+    fn parts_hold_whole_rows_up_to_the_cap() {
+        assert_eq!(
+            part_ends(&CoordBuffer::new(2)),
+            [0],
+            "an empty output is one part"
+        );
+        assert_eq!(part_ends(&rows(&[4096])), [4096]);
+        assert_eq!(part_ends(&rows(&[4096, 1])), [4096, 4097]);
+        // 3 000 + 1 000 + 96 fill a part exactly; 5 000 is over the cap
+        // and stays whole; 10 + 4 096 would be over it.
+        assert_eq!(
+            part_ends(&rows(&[3000, 1000, 96, 5000, 10, 4096])),
+            [4096, 9096, 9106, 13202]
+        );
+    }
+
+    #[test]
+    fn an_oversized_row_is_stored_as_one_part() {
+        let e = StorageEngine::open(
+            MemBackend::new(),
+            FormatKind::Coo,
+            Shape::new(vec![3, 8192]).unwrap(),
+            8,
+        )
+        .unwrap();
+        let written = rows(&[100, 8192, 100]);
+        let values: Vec<f64> = (0..written.len()).map(|i| i as f64).collect();
+        // Two sources, so the pass has something to merge.
+        let (first, rest) = written.as_flat().split_at(2 * 50);
+        for (flat, values) in [(first, &values[..50]), (rest, &values[50..])] {
+            let coords = CoordBuffer::from_flat(2, flat.to_vec()).unwrap();
+            e.write_points::<f64>(&coords, values).unwrap();
+        }
+        let report = e.consolidate().unwrap();
+        assert_eq!((report.n_points, report.parts), (8392, 3));
+        let parts: Vec<(u64, Vec<u64>)> = (e.catalog.snapshot().iter())
+            .map(|p| (p.meta.n, p.meta.bbox.as_ref().unwrap().lo().to_vec()))
+            .collect();
+        assert_eq!(
+            parts,
+            [(100, vec![0, 0]), (8192, vec![1, 0]), (100, vec![2, 0])]
+        );
+        assert_eq!(
+            e.read_values::<f64>(&written).unwrap(),
+            values.into_iter().map(Some).collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! N-transient-errors-then-succeed across every mutating operation, a
 //! persistent `ENOSPC`-style no-space mode, and per-write latency — the
 //! primitives the write retry policy, backpressure, and health state
-//! machine are tortured against.
+//! machine are tortured against. A **crash at an operation boundary**
+//! lets the next N write operations land and fails every later one, so a
+//! test can kill a multi-blob commit between any two of its steps.
 //!
 //! Every injected error carries a typed [`InjectedFault`] payload (not
 //! just a formatted string), so tests match on `op`/`transient` via
@@ -126,6 +128,9 @@ pub struct FailingBackend<B> {
     inner: B,
     /// Remaining write-byte budget; `None` = unlimited.
     write_budget: Mutex<Option<u64>>,
+    /// Write operations left before the process "dies"; `None` =
+    /// unlimited.
+    writes_left: Mutex<Option<u64>>,
     fail_renames: AtomicBool,
     fail_deletes: AtomicBool,
     /// How many upcoming read operations fail with a transient error
@@ -151,6 +156,7 @@ impl<B: StorageBackend> FailingBackend<B> {
         FailingBackend {
             inner,
             write_budget: Mutex::new(None),
+            writes_left: Mutex::new(None),
             fail_renames: AtomicBool::new(false),
             fail_deletes: AtomicBool::new(false),
             read_faults_left: AtomicU64::new(0),
@@ -181,9 +187,18 @@ impl<B: StorageBackend> FailingBackend<B> {
         *self.write_budget.lock() = Some(budget);
     }
 
+    /// Arm a crash at an operation boundary: the next `n` write
+    /// operations (`put`/`put_atomic`/`put_exclusive`/`rename`/`delete`)
+    /// land, and every one after them fails as a crash, leaving device
+    /// state untouched — the process died between two operations.
+    pub fn crash_after_writes(&self, n: u64) {
+        *self.writes_left.lock() = Some(n);
+    }
+
     /// Disarm every injected failure (write and read side).
     pub fn disarm(&self) {
         *self.write_budget.lock() = None;
+        *self.writes_left.lock() = None;
         self.fail_renames.store(false, Ordering::SeqCst);
         self.fail_deletes.store(false, Ordering::SeqCst);
         self.read_faults_left.store(0, Ordering::SeqCst);
@@ -273,6 +288,12 @@ impl<B: StorageBackend> FailingBackend<B> {
     fn write_gate(&self, op: &'static str, name: &str) -> Result<()> {
         if self.out_of_space.load(Ordering::SeqCst) {
             return Err(no_space(op, name));
+        }
+        if let Some(left) = self.writes_left.lock().as_mut() {
+            match left.checked_sub(1) {
+                Some(fewer) => *left = fewer,
+                None => return Err(crash(op, name)),
+            }
         }
         let fire = self
             .write_faults_left
@@ -455,6 +476,26 @@ mod tests {
         b.disarm();
         b.put("x", &[7; 10]).unwrap();
         assert_eq!(b.get("x").unwrap(), vec![7; 10]);
+    }
+
+    #[test]
+    fn a_crash_after_n_writes_stops_every_later_write() {
+        let b = FailingBackend::new(MemBackend::new());
+        b.crash_after_writes(2);
+        b.put("a", &[1]).unwrap();
+        b.rename("a", "b").unwrap();
+        let err = b.put("c", &[2]).unwrap_err();
+        assert_eq!(injected_fault(&err).unwrap().op, "put");
+        assert!(!err.is_transient(), "a dead process does not retry");
+        assert!(b.delete("b").is_err());
+        assert_eq!(
+            b.list().unwrap(),
+            vec!["b"],
+            "nothing after the crash landed"
+        );
+        assert_eq!(b.get("b").unwrap(), vec![1], "reads still work");
+        b.disarm();
+        b.delete("b").unwrap();
     }
 
     #[test]

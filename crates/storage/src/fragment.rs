@@ -222,6 +222,14 @@ fn decompress_section(codec: Codec, section: &[u8], raw_len: u64) -> Result<Cow<
     codec.decompress(section, raw_len as usize).map(Cow::Owned)
 }
 
+/// A payload as stored under `codec`: itself when no codec applies.
+fn stored(codec: Codec, payload: &[u8]) -> Cow<'_, [u8]> {
+    match codec {
+        Codec::None => Cow::Borrowed(payload),
+        codec => Cow::Owned(codec.compress(payload)),
+    }
+}
+
 /// Assemble a fragment file, applying the codecs to the payloads.
 #[allow(clippy::too_many_arguments)]
 pub fn encode_fragment(
@@ -236,8 +244,8 @@ pub fn encode_fragment(
     value_codec: Codec,
 ) -> Vec<u8> {
     let ndim = shape.ndim();
-    let stored_index = index_codec.compress(index);
-    let stored_values = value_codec.compress(values);
+    let stored_index = stored(index_codec, index);
+    let stored_values = stored(value_codec, values);
     let mut buf = Vec::with_capacity(
         FragmentMeta::header_len(ndim) + stored_index.len() + stored_values.len(),
     );
@@ -287,6 +295,12 @@ pub fn encode_fragment(
     buf
 }
 
+/// The little-endian `u32` at `bytes[at..at + 4]`, or `None` past the end.
+fn u32_at(bytes: &[u8], at: usize) -> Option<u32> {
+    let word = bytes.get(at..)?.first_chunk()?;
+    Some(u32::from_le_bytes(*word))
+}
+
 /// Decode and validate a fragment header. `bytes` may be just the header
 /// prefix (for discovery peeks) or the whole file. The header CRC is
 /// verified *before* any field beyond the version/ndim is trusted, so a
@@ -314,12 +328,13 @@ pub fn decode_meta(name: &str, bytes: &[u8]) -> Result<FragmentMeta> {
         return Err(corrupt("header dims truncated"));
     }
     let crc_at = header_len - 4;
-    let expected = u32::from_le_bytes(bytes[crc_at..header_len].try_into().unwrap());
+    let word = |at: usize| u32_at(bytes, at).ok_or_else(|| corrupt("header checksums truncated"));
+    let expected = word(crc_at)?;
     check_crc(name, FragmentSection::Header, expected, &bytes[..crc_at])?;
-    let trailer = &bytes[header_len - CHECKSUM_TRAILER_LEN..];
+    let trailer = header_len - CHECKSUM_TRAILER_LEN;
     let checksums = FragmentChecksums {
-        index: u32::from_le_bytes(trailer[0..4].try_into().unwrap()),
-        value: u32::from_le_bytes(trailer[4..8].try_into().unwrap()),
+        index: word(trailer)?,
+        value: word(trailer + 4)?,
         header: expected,
     };
     let kind = FormatKind::from_id(format)
@@ -349,7 +364,7 @@ pub fn decode_meta(name: &str, bytes: &[u8]) -> Result<FragmentMeta> {
         hi.push(cur.get_u64_le());
     }
     let bbox = if flags & FLAG_HAS_BBOX != 0 {
-        let b = Region::from_corners(&lo, &hi).map_err(|e| corrupt(&format!("bad bbox: {e}")))?;
+        let b = Region::from_corner_vecs(lo, hi).map_err(|e| corrupt(&format!("bad bbox: {e}")))?;
         if !b.fits_in(&shape) {
             return Err(corrupt("bbox outside shape"));
         }

@@ -72,7 +72,7 @@ pub use config::{
 };
 pub use engine::{
     ConsolidateReport, HealthState, ReadHit, ReadOutcome, ReadResult, RecoveryReport, ScrubFinding,
-    ScrubReport, StorageEngine, StoreStats, WriteReport, BUFFER_FRAGMENT,
+    ScrubReport, StorageEngine, StoreStats, WriteReport, BUFFER_FRAGMENT, PART_POINTS,
 };
 pub use error::{FragmentSection, Result, StorageError};
 pub use exporter::{ExporterStats, MetricsExporter, JOURNAL_JSONL, METRICS_JSONL, METRICS_PROM};

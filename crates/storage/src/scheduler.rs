@@ -7,12 +7,14 @@
 //!    group-committed even below the size thresholds, bounding how long
 //!    an acked point stays WAL-only;
 //! 2. **triggers consolidation under a size-tiered policy** — live
-//!    fragments are bucketed by the log₂ of their byte size, and when any
-//!    tier accumulates [`SchedulerConfig::tier_fragments`] fragments the
-//!    store is fragmented enough to merge. Fresh flushes are all roughly
+//!    consolidation runs (a fragment, or the parts one pass cut its
+//!    output into, counted once at their summed size) are bucketed by the
+//!    log₂ of their byte size, and when any tier accumulates
+//!    [`SchedulerConfig::tier_fragments`] runs the store is fragmented
+//!    enough to merge. Fresh flushes are all roughly
 //!    flush-threshold-sized, so they pile into one tier and trip the
-//!    trigger; the consolidated output lands in a higher tier and sits
-//!    there alone — the fragment count plateaus instead of growing with
+//!    trigger; the consolidated run lands in a higher tier and sits
+//!    there alone — the run count plateaus instead of growing with
 //!    ingest time. Passes are rate-limited by
 //!    [`SchedulerConfig::min_consolidate_interval_ms`] regardless of how
 //!    fragmented the store looks.
@@ -176,12 +178,12 @@ impl Drop for IngestScheduler {
     }
 }
 
-/// The log₂-size tier a fragment of `size` bytes belongs to.
+/// The log₂-size tier a run of `size` bytes belongs to.
 fn tier_of(size: u64) -> u32 {
     64 - size.max(1).leading_zeros()
 }
 
-/// Whether any size tier holds at least `threshold` fragments.
+/// Whether any size tier holds at least `threshold` runs.
 fn tier_trigger(sizes: &[u64], threshold: usize) -> bool {
     let mut counts = std::collections::HashMap::new();
     for &size in sizes {
@@ -256,7 +258,7 @@ fn scheduler_pass<B: StorageBackend + Send + Sync>(
 
     let rate_limited = last_consolidate.is_some_and(|at| at.elapsed() < min_gap);
     if !rate_limited {
-        let sizes = engine.fragment_sizes();
+        let sizes = engine.run_sizes();
         if sizes.len() >= 2 && tier_trigger(&sizes, config.tier_threshold()) {
             engine.consolidate()?;
             shared.consolidations.fetch_add(1, Ordering::Relaxed);
@@ -297,6 +299,62 @@ mod tests {
         assert!(tier_trigger(&[1000, 1001, 1002, 1003], 4));
         assert!(!tier_trigger(&[10, 1000, 100_000, 10_000_000], 4));
         assert!(!tier_trigger(&[1000, 1001, 1002], 4));
+    }
+
+    #[test]
+    fn one_consolidated_run_never_retriggers() {
+        use crate::faults::FailingBackend;
+        // 256 full rows of 64: consolidation cuts 16 384 points into four
+        // equal 4 096-point parts — four fragments of one tier, one run.
+        let engine = Arc::new(
+            StorageEngine::open(
+                FailingBackend::new(MemBackend::new()),
+                FormatKind::Coo,
+                Shape::new(vec![256, 64]).unwrap(),
+                8,
+            )
+            .unwrap(),
+        );
+        for rows in [0..128u64, 128..256] {
+            let cells: Vec<[u64; 2]> = rows.flat_map(|r| (0..64).map(move |c| [r, c])).collect();
+            let coords = CoordBuffer::from_points(2, &cells).unwrap();
+            engine
+                .write_points::<f64>(&coords, &vec![1.0; cells.len()])
+                .unwrap();
+        }
+        assert_eq!(engine.consolidate().unwrap().parts, 4);
+        assert!(
+            tier_trigger(&engine.fragment_sizes(), 4),
+            "the parts share a tier"
+        );
+        assert_eq!(engine.run_sizes().len(), 1);
+        let blobs = engine.backend().list().unwrap();
+
+        // Any device write would now fail: the scheduler must not try one.
+        engine.backend().set_out_of_space(true);
+        let mut sched = IngestScheduler::spawn(
+            Arc::clone(&engine),
+            SchedulerConfig {
+                tick_ms: 1,
+                tier_fragments: 4,
+                min_consolidate_interval_ms: 0,
+                ..Default::default()
+            },
+        );
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while sched.stats().runs < 20 {
+            assert!(Instant::now() < deadline, "scheduler never ticked");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        sched.shutdown();
+        let stats = sched.stats();
+        assert_eq!((stats.consolidations, stats.errors), (0, 0), "{stats:?}");
+        // An explicit pass finds one run and writes nothing either.
+        let again = engine.consolidate().unwrap();
+        assert_eq!((again.merged_fragments, again.parts), (1, 0));
+        assert_eq!(again.fragment, None);
+        engine.backend().set_out_of_space(false);
+        assert_eq!(engine.backend().list().unwrap(), blobs);
     }
 
     #[test]

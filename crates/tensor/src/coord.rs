@@ -126,20 +126,24 @@ impl CoordBuffer {
     /// Extract the local bounding box of the points (the paper's
     /// "local boundary" `s_l`, Algorithms 1 & 2 line 5).
     ///
-    /// Returns `None` when the buffer is empty.
+    /// Returns `None` when the buffer is empty (or its points have no
+    /// dimensions).
     pub fn bounding_box(&self) -> Option<Region> {
-        if self.is_empty() {
-            return None;
-        }
-        let mut lo = self.point(0).to_vec();
-        let mut hi = lo.clone();
+        // `lo ≤ hi` by construction: only a 0-dimensional buffer fails.
+        Region::from_corner_vecs(self.corner(u64::min)?, self.corner(u64::max)?).ok()
+    }
+
+    /// One corner of the bounding box: `pick` (`min` or `max`) folded over
+    /// every point, dimension by dimension. `None` when the buffer is
+    /// empty.
+    fn corner(&self, pick: fn(u64, u64) -> u64) -> Option<Vec<u64>> {
+        let mut corner = self.iter().next()?.to_vec();
         for p in self.iter().skip(1) {
-            for d in 0..self.ndim {
-                lo[d] = lo[d].min(p[d]);
-                hi[d] = hi[d].max(p[d]);
+            for (c, &x) in corner.iter_mut().zip(p) {
+                *c = pick(*c, x);
             }
         }
-        Some(Region::from_corners(&lo, &hi).expect("lo <= hi by construction"))
+        Some(corner)
     }
 
     /// The tight shape implied by the bounding box upper corner
@@ -149,8 +153,8 @@ impl CoordBuffer {
     /// remapping; anchoring at the origin matches the paper's use of the
     /// boundary purely as dimension *sizes* for the transform.
     pub fn local_boundary_shape(&self) -> Option<Shape> {
-        let bbox = self.bounding_box()?;
-        let dims: Vec<u64> = bbox.hi().iter().map(|&h| h + 1).collect();
+        let mut dims = self.corner(u64::max)?;
+        dims.iter_mut().for_each(|h| *h += 1);
         Shape::new(dims).ok()
     }
 

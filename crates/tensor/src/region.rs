@@ -24,6 +24,12 @@ pub struct Region {
 impl Region {
     /// Build from inclusive corners; `lo[d] ≤ hi[d]` must hold.
     pub fn from_corners(lo: &[u64], hi: &[u64]) -> Result<Self> {
+        Self::from_corner_vecs(lo.to_vec(), hi.to_vec())
+    }
+
+    /// [`from_corners`](Self::from_corners), taking the corners' storage
+    /// instead of copying it.
+    pub fn from_corner_vecs(lo: Vec<u64>, hi: Vec<u64>) -> Result<Self> {
         if lo.is_empty() {
             return Err(TensorError::EmptyShape);
         }
@@ -33,7 +39,7 @@ impl Region {
                 got: hi.len(),
             });
         }
-        for (d, (&l, &h)) in lo.iter().zip(hi).enumerate() {
+        for (d, (&l, &h)) in lo.iter().zip(&hi).enumerate() {
             if l > h {
                 return Err(TensorError::CoordOutOfBounds {
                     dim: d,
@@ -42,10 +48,7 @@ impl Region {
                 });
             }
         }
-        Ok(Region {
-            lo: lo.to_vec(),
-            hi: hi.to_vec(),
-        })
+        Ok(Region { lo, hi })
     }
 
     /// Build from an inclusive lower corner and per-dimension sizes (≥ 1).

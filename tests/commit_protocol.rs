@@ -14,6 +14,7 @@ use artsparse::storage::{
     StorageBackend, StorageEngine, StripedBackend,
 };
 use artsparse::{CoordBuffer, FormatKind, Shape};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -27,6 +28,12 @@ fn shape() -> Shape {
 
 fn open<B: StorageBackend>(backend: B) -> StorageEngine<B> {
     StorageEngine::open(backend, FormatKind::Linear, shape(), 8).unwrap()
+}
+
+/// Reopen a store of [`three_part_store`]'s shape.
+fn open_linear<B: StorageBackend>(backend: B) -> StorageEngine<B> {
+    let shape = Shape::new(vec![144, 64]).unwrap();
+    StorageEngine::open(backend, FormatKind::Linear, shape, 8).unwrap()
 }
 
 /// A write that dies mid-put must leave no visible fragment: not to the
@@ -164,6 +171,252 @@ fn consolidation_crash_after_commit_replays_deletions() {
         engine.read_values::<f64>(&pts(&[[1, 1], [2, 2]])).unwrap(),
         vec![Some(3.0), Some(2.0)]
     );
+}
+
+/// A 144×64 LINEAR store written as three overlapping row bands, the
+/// last overwriting part of the first two: 9 216 distinct points, which
+/// consolidation cuts into three parts (64, 64 and 16 rows). Returns the
+/// engine and the model of what reads must answer.
+fn three_part_store<B: StorageBackend>(backend: B) -> (StorageEngine<B>, BTreeMap<Vec<u64>, f64>) {
+    let shape = Shape::new(vec![144, 64]).unwrap();
+    let engine = StorageEngine::open(backend, FormatKind::Linear, shape, 8).unwrap();
+    let mut model = BTreeMap::new();
+    for (band, rows) in [(0, 0..96u64), (1, 48..144), (2, 100..120)] {
+        let cells: Vec<[u64; 2]> = rows.flat_map(|r| (0..64).map(move |c| [r, c])).collect();
+        let values: Vec<f64> = (cells.iter())
+            .map(|&[r, c]| (band * 100_000 + r * 64 + c) as f64)
+            .collect();
+        engine
+            .write_points::<f64>(&CoordBuffer::from_points(2, &cells).unwrap(), &values)
+            .unwrap();
+        model.extend(cells.iter().map(|p| p.to_vec()).zip(values));
+    }
+    (engine, model)
+}
+
+/// What a read of the whole tensor answers, as `coordinate → value`.
+fn everything<B: StorageBackend>(engine: &StorageEngine<B>) -> BTreeMap<Vec<u64>, f64> {
+    let all = artsparse::Region::full(engine.shape());
+    let hits = engine.read_region(&all).unwrap().hits;
+    let value = |v: &[u8]| f64::from_le_bytes(v.try_into().unwrap());
+    hits.iter()
+        .map(|h| (h.coord.clone(), value(&h.value)))
+        .collect()
+}
+
+/// A consolidation whose output is a run of three parts, killed before
+/// each of its write operations in turn — every staging put, the
+/// tombstone, every rename, every source deletion — then recovered by a
+/// reopen. The last rename is the commit point: before it the store
+/// recovers to its sources plus whichever parts had landed (recovery
+/// cannot tell a dead run from one still committing, so it keeps them),
+/// after it to the parts alone. Reads equal the model at every kill
+/// point, the pass writes one tombstone whatever it is cut into, and a
+/// later consolidation converges to one three-part run.
+#[test]
+fn a_kill_at_every_step_of_a_three_part_publish_recovers_and_converges() {
+    let (clean, model) = three_part_store(FailingBackend::new(MemBackend::new()));
+    let sources = clean.fragments().unwrap();
+    let written = clean.stats().unwrap().total_points;
+    let report = clean.consolidate().unwrap();
+    assert_eq!((report.parts, report.n_points), (3, model.len()));
+    assert_eq!(report.merged_fragments, sources.len());
+    let parts = clean.fragments().unwrap();
+    let part_points = [64 * 64, 64 * 64, 16 * 64];
+    assert_eq!(parts.len(), part_points.len());
+    assert_eq!(part_points.iter().sum::<u64>(), model.len() as u64);
+    assert_eq!(everything(&clean), model);
+    // The pass's write operations: each part staged, one tombstone, each
+    // part renamed in (the last rename commits), each source deleted,
+    // the tombstone deleted.
+    let last_rename = 2 * parts.len() + 1;
+    let writes = last_rename + sources.len() + 1;
+
+    for kill in 0..=writes {
+        let (engine, _) = three_part_store(FailingBackend::new(MemBackend::new()));
+        engine.backend().crash_after_writes(kill as u64);
+        // The spent tombstone's delete is best effort: only a kill before
+        // it fails the pass.
+        let passed = engine.consolidate().is_ok();
+        assert_eq!(passed, kill >= writes - 1, "kill {kill}");
+        let backend = engine.into_backend();
+        let tombstones = |b: &FailingBackend<MemBackend>| {
+            let names = b.list().unwrap();
+            names.iter().filter(|n| n.ends_with(".tsn")).count()
+        };
+        // One tombstone for the whole run: put after the parts are
+        // staged, deleted as the pass's last write.
+        let tombstone_landed = (parts.len() + 1..writes).contains(&kill);
+        assert_eq!(
+            tombstones(&backend),
+            usize::from(tombstone_landed),
+            "kill {kill}"
+        );
+        backend.disarm();
+
+        let engine = open_linear(backend);
+        let (want, stored) = if kill < last_rename {
+            let landed = kill.saturating_sub(parts.len() + 1);
+            let landed_points: u64 = part_points[..landed].iter().sum();
+            (
+                [&sources[..], &parts[..landed]].concat(),
+                written + landed_points,
+            )
+        } else {
+            (parts.clone(), model.len() as u64)
+        };
+        assert_eq!(engine.fragments().unwrap(), want, "kill {kill}");
+        assert_eq!(engine.stats().unwrap().total_points, stored, "kill {kill}");
+        assert_eq!(everything(&engine), model, "kill {kill}");
+        let names = engine.backend().list().unwrap();
+        assert!(
+            names
+                .iter()
+                .all(|n| !n.ends_with(".tmp") && !n.ends_with(".tsn")),
+            "kill {kill}: {names:?}"
+        );
+
+        // Whatever the kill left, the next pass ends at one run of three
+        // parts, and the one after it has nothing to do.
+        engine.consolidate().unwrap();
+        assert_eq!(engine.fragments().unwrap().len(), 3, "kill {kill}");
+        assert_eq!(
+            engine.stats().unwrap().total_points,
+            model.len() as u64,
+            "kill {kill}"
+        );
+        assert_eq!(everything(&engine), model, "kill {kill}");
+        let again = engine.consolidate().unwrap();
+        assert_eq!((again.merged_fragments, again.parts), (1, 0), "kill {kill}");
+    }
+}
+
+/// A shared backend that calls `hook(op, name)` before each rename
+/// (`"rename"`, its target) and after each existence check (`"exists"`)
+/// — the seams at which a test parks one engine's commit and slots
+/// another engine's recovery into it.
+struct Hooked<B, F> {
+    inner: B,
+    hook: F,
+}
+
+impl<B: StorageBackend, F: Fn(&str, &str) + Send + Sync> StorageBackend for Hooked<B, F> {
+    fn put(&self, name: &str, data: &[u8]) -> artsparse::storage::Result<()> {
+        self.inner.put(name, data)
+    }
+    fn put_atomic(&self, name: &str, data: &[u8]) -> artsparse::storage::Result<()> {
+        self.inner.put_atomic(name, data)
+    }
+    fn put_exclusive(&self, name: &str, data: &[u8]) -> artsparse::storage::Result<()> {
+        self.inner.put_exclusive(name, data)
+    }
+    fn rename(&self, from: &str, to: &str) -> artsparse::storage::Result<()> {
+        (self.hook)("rename", to);
+        self.inner.rename(from, to)
+    }
+    fn get(&self, name: &str) -> artsparse::storage::Result<Vec<u8>> {
+        self.inner.get(name)
+    }
+    fn get_range(
+        &self,
+        name: &str,
+        offset: u64,
+        len: usize,
+    ) -> artsparse::storage::Result<Vec<u8>> {
+        self.inner.get_range(name, offset, len)
+    }
+    fn list(&self) -> artsparse::storage::Result<Vec<String>> {
+        self.inner.list()
+    }
+    fn size(&self, name: &str) -> artsparse::storage::Result<u64> {
+        self.inner.size(name)
+    }
+    fn delete(&self, name: &str) -> artsparse::storage::Result<()> {
+        self.inner.delete(name)
+    }
+    fn exists(&self, name: &str) -> bool {
+        let found = self.inner.exists(name);
+        (self.hook)("exists", name);
+        found
+    }
+}
+
+/// A second engine refreshes while the first is parked between the first
+/// and second renames of a three-part publish. Its recovery finds the
+/// run's tombstone without the last part; while it decides, the first
+/// engine finishes its renames and retires its sources. Recovery must not
+/// take back the part that had landed: the first engine's commit stands,
+/// so its run must be whole on the device and in both engines' catalogs.
+#[test]
+fn a_refresh_between_two_renames_of_a_publish_keeps_the_landed_parts() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+    let store = Arc::new(MemBackend::new());
+    // `parked`: the writer stopped before its second rename; `resume`:
+    // the recovery has checked for the last part; `committed`: the
+    // writer's pass returned.
+    let [parked, resume, committed] = [(); 3].map(|_| Arc::new(Barrier::new(2)));
+    let recovering = Arc::new(AtomicBool::new(false));
+
+    let writer_hook = {
+        let (parked, resume) = (parked.clone(), resume.clone());
+        move |op: &str, name: &str| {
+            if op == "rename" && name.ends_with("p0002.asf") {
+                parked.wait();
+                resume.wait();
+            }
+        }
+    };
+    let (engine, model) = three_part_store(Hooked {
+        inner: Arc::clone(&store),
+        hook: writer_hook,
+    });
+    let other_hook = {
+        let (recovering, resume, committed) =
+            (recovering.clone(), resume.clone(), committed.clone());
+        move |op: &str, name: &str| {
+            if op == "exists"
+                && name.ends_with("p0003.asf")
+                && recovering.swap(false, Ordering::SeqCst)
+            {
+                resume.wait();
+                committed.wait();
+            }
+        }
+    };
+    let other = open_linear(Hooked {
+        inner: Arc::clone(&store),
+        hook: other_hook,
+    });
+
+    let report = std::thread::scope(|s| {
+        let pass = s.spawn(|| {
+            let report = engine.consolidate();
+            committed.wait();
+            report
+        });
+        parked.wait();
+        recovering.store(true, Ordering::SeqCst);
+        other.refresh().unwrap();
+        pass.join().unwrap()
+    });
+    let report = report.unwrap();
+    assert_eq!(report.parts, 3);
+    assert!(
+        !recovering.load(Ordering::SeqCst),
+        "recovery met the tombstone"
+    );
+    assert_eq!(other.recovery_report().tombstones_discarded, 1);
+
+    let parts = engine.fragments().unwrap();
+    assert_eq!(parts.len(), 3);
+    for part in &parts {
+        assert!(store.exists(part), "{part} was deleted under its writer");
+    }
+    assert_eq!(everything(&engine), model);
+    other.refresh().unwrap();
+    assert_eq!(other.fragments().unwrap(), parts);
+    assert_eq!(everything(&other), model);
 }
 
 /// An adaptive re-organization killed between the advise step and the

@@ -190,8 +190,11 @@ fn consolidated_compressed_store_reads_back() {
     }
     let queries = ds.read_region().to_coords();
     let before = engine.read_values::<f64>(&queries).unwrap();
-    engine.consolidate().unwrap();
+    let report = engine.consolidate().unwrap();
     let after = engine.read_values::<f64>(&queries).unwrap();
     assert_eq!(before, after);
-    assert_eq!(engine.fragments().unwrap().len(), 1);
+    // 7 284 points are one run of two ≤ 4 096-point parts.
+    assert_eq!((report.n_points, report.parts), (ds.nnz(), 2));
+    assert_eq!(engine.fragments().unwrap().len(), 2);
+    assert!(engine.consolidate().unwrap().fragment.is_none(), "one run");
 }

@@ -10,7 +10,10 @@
 //! path costs.
 
 use artsparse::patterns::rng::SplitMix64;
-use artsparse::storage::{EngineConfig, MemBackend, SimulatedDisk, StorageEngine};
+use artsparse::storage::fragment::decode_meta;
+use artsparse::storage::{
+    EngineConfig, MemBackend, SimulatedDisk, StorageBackend, StorageEngine, PART_POINTS,
+};
 use artsparse::{CoordBuffer, FormatKind, Region, Shape};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -331,10 +334,50 @@ fn band_read_transfers_pinned_bytes() {
     }
 }
 
-/// A one-cell read over one large and three small COO fragments (a
-/// served store between consolidations) has nothing to overlap: the
-/// engine must plan one worker, so the default configuration may cost at
-/// most 10 % more than `read_parallelism = 1`. Both timings come from
+/// A point read of a consolidated 512², 16 384-point COO store moves one
+/// part's header and index and the one record it matched — not the whole
+/// store's 262 144-byte index, which it fetched and checksummed while
+/// consolidation wrote one fragment.
+#[test]
+fn a_point_read_of_a_consolidated_store_fetches_one_part() {
+    let shape = Shape::new(vec![512, 512]).unwrap();
+    let disk = SimulatedDisk::new(1e12, Duration::ZERO);
+    let engine = StorageEngine::open(disk, FormatKind::Coo, shape, 8).unwrap();
+    let mut rng = SplitMix64::new(13);
+    let mut points = std::collections::BTreeSet::new();
+    while points.len() < 4 * PART_POINTS {
+        points.insert([rng.next_below(512), rng.next_below(512)]);
+    }
+    let points: Vec<[u64; 2]> = points.into_iter().collect();
+    for batch in points.chunks(PART_POINTS) {
+        let coords = CoordBuffer::from_points(2, batch).unwrap();
+        engine
+            .write(&coords, &vec![0x5Au8; batch.len() * 8])
+            .unwrap();
+    }
+    let report = engine.consolidate().unwrap();
+    assert_eq!(report.n_points, 4 * PART_POINTS);
+    assert!(report.parts >= 4, "{} parts", report.parts);
+
+    let stored = CoordBuffer::from_points(2, &[points[9_000]]).unwrap();
+    let before = engine.backend().bytes_read();
+    let read = engine.read(&stored).unwrap();
+    let transferred = engine.backend().bytes_read() - before;
+    assert_eq!((read.fragments_matched, read.hits.len()), (1, 1));
+    let part = &read.hits[0].fragment;
+    let meta = decode_meta(part, &engine.backend().get(part).unwrap()).unwrap();
+    assert!(meta.n as usize <= PART_POINTS);
+    assert_eq!(transferred, meta.index_offset() + meta.index_len + 8);
+    assert!(
+        transferred <= (PART_POINTS * 16 + 256) as u64,
+        "{transferred} B"
+    );
+}
+
+/// A one-cell read over one consolidated part and three group commits,
+/// 4 096 COO points each (a served store between consolidations), has
+/// nothing to overlap: the engine must plan one worker, so the default
+/// configuration may cost at most 10 % more than `read_parallelism = 1`. Both timings come from
 /// this run on this host (min of 30 samples each), so its speed divides
 /// out. `engine/read.rs::planned_workers_fans_out_only_when_it_pays` is
 /// the deterministic half; this is the wall-clock half, release only.
@@ -348,10 +391,15 @@ fn point_get_fan_out_costs_nothing() {
         let engine =
             StorageEngine::open_with(MemBackend::new(), FormatKind::Coo, shape, 8, config).unwrap();
         let mut rng = SplitMix64::new(11);
-        for points in [16_384usize, 64, 64, 64] {
-            let coords = random_coords(&mut rng, 512, points);
-            engine.write(&coords, &vec![0x5Au8; points * 8]).unwrap();
-        }
+        let mut commit = || {
+            let coords = random_coords(&mut rng, 512, PART_POINTS);
+            engine
+                .write(&coords, &vec![0x5Au8; coords.len() * 8])
+                .unwrap();
+        };
+        (0..4).for_each(|_| commit());
+        engine.consolidate().unwrap();
+        (0..3).for_each(|_| commit());
         engine
     };
     let auto = store(EngineConfig::default());
