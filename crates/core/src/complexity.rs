@@ -67,43 +67,12 @@ pub fn predicted_space_words(kind: FormatKind, n: u64, shape: &Shape) -> f64 {
     kind.create().predicted_index_words(n, shape) as f64
 }
 
-/// CSF's space envelope `(best, average, worst)` in words (§II.E):
-/// best `O(n + d)` (a single chain), average `O(2n·(1 − (1/2)^d))`,
-/// worst `O(d·n)` (no shared prefixes).
-pub fn csf_space_bounds(n: u64, shape: &Shape) -> (f64, f64, f64) {
-    let d = shape.ndim() as f64;
-    let nf = n as f64;
-    let best = nf + d;
-    let average = 2.0 * nf * (1.0 - 0.5f64.powf(d));
-    let worst = d * nf;
-    (best, average, worst)
-}
-
-/// The build-time ranking the paper predicts (§III.A):
-/// `COO > LINEAR > GCSR++ ≥ GCSC++ > CSF` (fastest first).
-pub fn predicted_build_ranking(n: u64, shape: &Shape) -> Vec<FormatKind> {
-    let mut v = FormatKind::PAPER_FIVE.to_vec();
-    v.sort_by(|&a, &b| {
-        predicted_build_ops(a, n, shape).total_cmp(&predicted_build_ops(b, n, shape))
-    });
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn shape3d() -> Shape {
         Shape::new(vec![512, 512, 512]).unwrap()
-    }
-
-    #[test]
-    fn build_ranking_matches_paper() {
-        let r = predicted_build_ranking(1_000_000, &shape3d());
-        assert_eq!(r[0], FormatKind::Coo);
-        assert_eq!(r[1], FormatKind::Linear);
-        // GCSR++ and GCSC++ tie; CSF is slowest of the five.
-        assert_eq!(r[4], FormatKind::Csf);
     }
 
     #[test]
@@ -142,9 +111,7 @@ mod tests {
 
     #[test]
     fn space_ordering_matches_paper() {
-        // LINEAR < GCSR++ ≈ GCSC++ ≤ CSF(worst) ≤ COO is the Fig. 4
-        // ranking for d ≥ 2 … with COO = d·n and CSF worst-case ≈ 2·d·n
-        // in our exact accounting (fptr included), CSF's envelope tops COO.
+        // LINEAR < GCSR++ ≈ GCSC++ ≤ COO is the Fig. 4 ranking for d ≥ 2.
         let s = shape3d();
         let n = 1_000_000;
         let lin = predicted_space_words(FormatKind::Linear, n, &s);
@@ -152,9 +119,6 @@ mod tests {
         let coo = predicted_space_words(FormatKind::Coo, n, &s);
         assert!(lin < gcsr);
         assert!(gcsr < coo);
-        let (best, avg, worst) = csf_space_bounds(n, &s);
-        assert!(best < avg && avg < worst);
-        assert!(best < lin + s.ndim() as f64 + 1.0);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! section out through `IndexDecoder::section`/`section_exact`. Both go
 //! through the same bounds checks, and this suite pins that from the
 //! outside: on every truncation of an index and every damaged section
-//! length prefix, for each of the nine organizations, the in-place read
+//! length prefix, for each of the eight organizations, the in-place read
 //! returns the verdict the owning decode returns — the same `Ok`, or the
 //! same typed [`FormatError`] — and never panics. `Organization::scan`,
 //! the region read's one bounded pass over the same views, is held to the

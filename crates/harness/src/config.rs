@@ -132,12 +132,14 @@ impl Config {
         }
     }
 
-    /// The engine configuration a matrix cell runs under: telemetry and
-    /// the `--threads` read fan-out cap.
+    /// The engine configuration a matrix cell runs under: the
+    /// observability plane when telemetry is asked for, and the
+    /// `--threads` read fan-out cap.
     pub fn engine_config(&self) -> artsparse_storage::EngineConfig {
-        let mut ec = artsparse_storage::EngineConfig::default()
-            .with_telemetry(self.telemetry_enabled())
-            .with_read_parallelism(self.threads);
+        let mut ec = artsparse_storage::EngineConfig::default().with_read_parallelism(self.threads);
+        if self.telemetry_enabled() {
+            ec = ec.with_observability(artsparse_storage::ObservabilityConfig::default());
+        }
         if self.adaptive {
             ec = ec.with_adaptive_reorg(self.profile);
         }

@@ -19,7 +19,7 @@ use artsparse_core::stats::SparsityStats;
 use artsparse_core::FormatKind;
 use artsparse_metrics::Table;
 use artsparse_patterns::{Dataset, Pattern};
-use artsparse_storage::{EngineConfig, MemBackend, StorageEngine};
+use artsparse_storage::{EngineConfig, MemBackend, ObservabilityConfig, StorageEngine};
 use artsparse_tensor::value::pack;
 use artsparse_tensor::CoordBuffer;
 use serde::Serialize;
@@ -80,14 +80,14 @@ fn run_pattern(cfg: &Config, pattern: Pattern) -> Result<Row> {
         8,
         EngineConfig::default()
             .with_adaptive_reorg(cfg.profile)
-            .with_telemetry(true),
+            .with_observability(ObservabilityConfig::default()),
     )?;
     let frozen = StorageEngine::open_with(
         MemBackend::new(),
         FormatKind::Coo,
         ds.shape.clone(),
         8,
-        EngineConfig::default().with_telemetry(true),
+        EngineConfig::default().with_observability(ObservabilityConfig::default()),
     )?;
 
     // Write→cool→consolidate cycles with identical batches to both stores.

@@ -16,7 +16,7 @@ use crate::Result;
 use artsparse_core::FormatKind;
 use artsparse_metrics::Table;
 use artsparse_patterns::{Dataset, Pattern};
-use artsparse_storage::{EngineConfig, MemBackend, StorageEngine};
+use artsparse_storage::{EngineConfig, MemBackend, ObservabilityConfig, StorageEngine};
 use artsparse_tensor::CoordBuffer;
 use serde::Serialize;
 
@@ -65,7 +65,7 @@ fn run_pattern(cfg: &Config, pattern: Pattern) -> Result<Row> {
         8,
         EngineConfig::default()
             .with_ingest(cfg.ingest_config())
-            .with_telemetry(true),
+            .with_observability(ObservabilityConfig::default()),
     )?;
 
     for (coords, vals) in &work {

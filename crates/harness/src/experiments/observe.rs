@@ -7,8 +7,8 @@
 //!    read → flush → consolidate workload (no background threads —
 //!    without the scheduler, self-flushes trigger only on the point
 //!    threshold) runs once with the observability plane off and once
-//!    with it on. "On" means every span flows through the
-//!    [`ObservedRecorder`] into the registry and journal. Both stores
+//!    with it on. "On" means every span reports to the plane, which
+//!    aggregates it and feeds the registry and journal. Both stores
 //!    must end byte-identical; their size is deterministic on the
 //!    in-memory backend, and `tests/exact_gates.rs` pins it at smoke
 //!    scale. What the plane costs in time is the repo benchmark's
@@ -19,8 +19,6 @@
 //!    validate the published `metrics.prom` against the exposition
 //!    grammar and `journal.jsonl` against `schemas/journal.schema.json`
 //!    (and so `watch` has something to replay).
-//!
-//! [`ObservedRecorder`]: artsparse_metrics::ObservedRecorder
 
 use crate::config::Config;
 use crate::experiments::ExperimentOutput;
@@ -140,7 +138,6 @@ fn run_live(cfg: &Config, ds: &Dataset, dir: &Path) -> Result<LiveOutcome> {
             .with_observability(ObservabilityConfig {
                 export_interval_ms: 10,
                 slow_span_ms: 1, // aggressive threshold so slow spans surface
-                ..Default::default()
             }),
     )?);
     // A lifecycle notice marks the run in the journal (and guarantees

@@ -48,7 +48,7 @@ use artsparse_harness::experiments::{
     ablate, adaptive, compress, fig1, fig2, fig3, fig4, fig5, ingest, io, observe, sweep, table1,
     table2, table3, table4, torture, ExperimentOutput,
 };
-use artsparse_harness::{run_matrix_with_telemetry, BackendKind, Config, Result};
+use artsparse_harness::{run_matrix_traced, BackendKind, Config, Result};
 use artsparse_patterns::Scale;
 use std::path::PathBuf;
 
@@ -477,7 +477,7 @@ fn main() -> Result<()> {
     // fig3/fig4/fig5/table4 share one measured matrix.
     let needs_matrix = ["fig3", "fig4", "fig5", "table4"].iter().any(|e| wants(e));
     if needs_matrix {
-        let (matrix, _telemetry) = run_matrix_with_telemetry(&cfg)?;
+        let (matrix, _telemetry) = run_matrix_traced(&cfg)?;
         if wants("fig3") {
             emit(&cfg, fig3::from_matrix(&cfg, &matrix))?;
         }

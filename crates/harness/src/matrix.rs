@@ -193,7 +193,7 @@ pub fn measure_cell_telemetry(
 /// Run the full grid: every configured pattern × dimensionality ×
 /// organization.
 pub fn run_matrix(cfg: &Config) -> Result<Matrix> {
-    Ok(run_matrix_with_telemetry(cfg)?.0)
+    Ok(run_matrix_traced(cfg)?.0)
 }
 
 /// Per-cell telemetry collected alongside a [`Matrix`]:
@@ -204,7 +204,7 @@ pub type CellTelemetry = (String, String, usize, TelemetryReport);
 /// when `cfg` enables collection. With `telemetry_out` set, one JSON
 /// document per cell is written there as a side effect; with plain
 /// `telemetry`, an ASCII digest is printed per cell.
-pub fn run_matrix_with_telemetry(cfg: &Config) -> Result<(Matrix, Vec<CellTelemetry>)> {
+pub fn run_matrix_traced(cfg: &Config) -> Result<(Matrix, Vec<CellTelemetry>)> {
     let mut cells = Vec::new();
     let mut reports = Vec::new();
     for &pattern in &cfg.patterns {

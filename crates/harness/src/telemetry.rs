@@ -268,7 +268,7 @@ mod tests {
         cfg.formats = vec![FormatKind::Linear];
         cfg.patterns = vec![Pattern::Tsp];
         cfg.ndims = vec![2];
-        let (_, reports) = crate::matrix::run_matrix_with_telemetry(&cfg).unwrap();
+        let (_, reports) = crate::matrix::run_matrix_traced(&cfg).unwrap();
         assert_eq!(reports.len(), 1);
         let (format, pattern, ndim, report) = &reports[0];
         let doc = cell_document(&cfg, format, pattern, *ndim, report);
@@ -356,7 +356,7 @@ mod tests {
         cfg.formats = vec![FormatKind::Linear];
         cfg.patterns = vec![Pattern::Tsp];
         cfg.ndims = vec![2];
-        let (_, reports) = crate::matrix::run_matrix_with_telemetry(&cfg).unwrap();
+        let (_, reports) = crate::matrix::run_matrix_traced(&cfg).unwrap();
         let (format, pattern, ndim, report) = &reports[0];
         let doc = cell_document(&cfg, format, pattern, *ndim, report);
         assert!(doc["telemetry"]["version"].as_u64().unwrap() >= 7);

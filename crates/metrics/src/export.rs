@@ -1,7 +1,7 @@
 //! Machine-readable telemetry export.
 //!
-//! [`TelemetryReport`] is the stable snapshot a
-//! [`TelemetryRecorder`](crate::TelemetryRecorder) produces: per-span-kind
+//! [`TelemetryReport`] is the stable snapshot an
+//! [`ObservabilityPlane`](crate::ObservabilityPlane) produces: per-span-kind
 //! summaries (count, latency percentiles, I/O totals), per-backend
 //! operation timings, the grand I/O total, and the retained raw events.
 //! It serializes to the JSON document the harness writes per matrix cell
@@ -10,7 +10,7 @@
 //! the paper tables.
 
 use crate::histogram::Histogram;
-use crate::recorder::Inner;
+use crate::plane::Aggregates;
 use crate::report::Table;
 use crate::span::{IoStats, SpanKind, SpanRecord};
 use serde::Serialize;
@@ -84,7 +84,7 @@ pub struct BackendOpSummary {
     pub latency: Histogram,
 }
 
-/// One telemetry document: everything a recorder saw, aggregated.
+/// One telemetry document: everything the plane saw, aggregated.
 #[derive(Debug, Clone, Serialize)]
 pub struct TelemetryReport {
     /// Export schema version ([`TELEMETRY_VERSION`]).
@@ -103,24 +103,20 @@ pub struct TelemetryReport {
 }
 
 impl TelemetryReport {
-    pub(crate) fn from_inner(inner: &Inner) -> TelemetryReport {
-        let mut totals = IoStats::default();
+    pub(crate) fn from_aggregates(inner: &Aggregates) -> TelemetryReport {
         let spans = inner
             .spans
             .iter()
-            .map(|(&kind, agg)| {
-                totals.merge(&agg.io);
-                SpanSummary {
-                    kind,
-                    count: agg.count,
-                    total_ns: agg.total_ns,
-                    mean_ns: agg.latency.mean(),
-                    p50_ns: agg.latency.p50().unwrap_or(0),
-                    p95_ns: agg.latency.p95().unwrap_or(0),
-                    p99_ns: agg.latency.p99().unwrap_or(0),
-                    io: agg.io,
-                    latency: agg.latency.clone(),
-                }
+            .map(|(&kind, agg)| SpanSummary {
+                kind,
+                count: agg.count,
+                total_ns: agg.total_ns,
+                mean_ns: agg.latency.mean(),
+                p50_ns: agg.latency.p50().unwrap_or(0),
+                p95_ns: agg.latency.p95().unwrap_or(0),
+                p99_ns: agg.latency.p99().unwrap_or(0),
+                io: agg.io,
+                latency: agg.latency.clone(),
             })
             .collect();
         let backend_ops = inner
@@ -143,7 +139,7 @@ impl TelemetryReport {
             version: TELEMETRY_VERSION,
             spans,
             backend_ops,
-            totals,
+            totals: inner.totals,
             events: inner.events.iter().cloned().collect(),
             events_dropped: inner.events_dropped,
         }
@@ -164,11 +160,6 @@ impl TelemetryReport {
     /// Pretty JSON — the `--telemetry-out` document format.
     pub fn to_json_string_pretty(&self) -> String {
         serde_json::to_string_pretty(self).expect("telemetry serializes infallibly")
-    }
-
-    /// Compact JSON.
-    pub fn to_json_string(&self) -> String {
-        serde_json::to_string(self).expect("telemetry serializes infallibly")
     }
 
     /// CSV rendering: a span table and a backend-op table separated by a
@@ -262,17 +253,16 @@ impl TelemetryReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{Recorder, TelemetryRecorder};
+    use crate::plane::ObservabilityPlane;
     use crate::span::{charge, Span};
     use std::sync::Arc;
 
     fn sample_report() -> TelemetryReport {
-        let t = Arc::new(TelemetryRecorder::new());
-        let r: Arc<dyn Recorder> = t.clone();
+        let t = Arc::new(ObservabilityPlane::new(0));
         {
-            let _read = Span::enter(&r, SpanKind::Read);
+            let _read = Span::enter(Some(&t), SpanKind::Read);
             charge(|io| io.bytes_requested += 64);
-            let _fetch = Span::enter(&r, SpanKind::ReadFetch);
+            let _fetch = Span::enter(Some(&t), SpanKind::ReadFetch);
             charge(|io| {
                 io.requests += 2;
                 io.bytes_fetched += 256;

@@ -7,16 +7,16 @@
 //! * [`stopwatch`] — phase timers producing Table III's Build / Reorg. /
 //!   Write / Others breakdown;
 //! * [`score`] — the Table IV overall-score formula;
-//! * [`report`] — aligned ASCII tables plus CSV/JSON emission;
-//! * [`span`] / [`recorder`] / [`histogram`] / [`export`] — the runtime
-//!   telemetry subsystem: thread-local span tracing with per-span I/O
-//!   accounting, log₂ latency histograms, pluggable span sinks (no-op by
-//!   default), and JSON/CSV export of the aggregated report;
-//! * [`registry`] / [`journal`] / [`plane`] / [`exposition`] — the live
-//!   observability plane: named atomic counters and gauges with
-//!   snapshot + delta semantics, a trace-correlated structured event
-//!   journal, the recorder decorator that feeds both from span traffic,
-//!   and Prometheus-text rendering/parsing of registry snapshots.
+//! * [`report`] — aligned ASCII tables plus CSV emission;
+//! * [`span`] / [`histogram`] / [`export`] — runtime tracing:
+//!   thread-local spans with per-span I/O accounting, log₂ latency
+//!   histograms, and JSON/CSV export of the aggregated report;
+//! * [`plane`] / [`registry`] / [`journal`] / [`exposition`] — the
+//!   observability plane, the one sink spans report to: it aggregates
+//!   them into the report, sets named atomic counters (beside gauges, with
+//!   snapshot + delta semantics) from the same totals, journals
+//!   trace-correlated events, and renders/parses registry snapshots as
+//!   Prometheus text.
 
 #![warn(missing_docs)]
 
@@ -26,7 +26,6 @@ pub mod exposition;
 pub mod histogram;
 pub mod journal;
 pub mod plane;
-pub mod recorder;
 pub mod registry;
 pub mod report;
 pub mod score;
@@ -37,8 +36,7 @@ pub use counter::{OpCounter, OpCounts, OpKind};
 pub use export::{BackendOpSummary, SpanSummary, TelemetryReport, TELEMETRY_VERSION};
 pub use histogram::{bucket_bounds, bucket_index, Histogram, HISTOGRAM_BUCKETS};
 pub use journal::{Journal, JournalEvent, Severity, DEFAULT_JOURNAL_CAPACITY};
-pub use plane::{ObservabilityPlane, ObservedRecorder};
-pub use recorder::{NoopRecorder, Recorder, TelemetryRecorder, DEFAULT_EVENT_CAPACITY};
+pub use plane::ObservabilityPlane;
 pub use registry::{Counter, Gauge, MetricKind, MetricSample, MetricsRegistry, RegistrySnapshot};
 pub use report::Table;
 pub use score::{overall_scores, ranking, Measurement, ScoreError};

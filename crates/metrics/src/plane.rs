@@ -1,33 +1,63 @@
-//! The assembled observability plane: registry + journal + the recorder
-//! decorator that feeds them.
+//! The observability plane: the engine's one telemetry sink.
 //!
-//! [`ObservabilityPlane`] bundles one [`MetricsRegistry`] and one
-//! [`Journal`] with the derived-event policy (the slow-span threshold).
-//! The engine holds it behind an `Option<Arc<..>>`: `None` means the
-//! plane is off and **no registry or journal call happens anywhere** —
-//! the zero-overhead-when-disabled contract.
+//! [`ObservabilityPlane`] receives every finished span and every timed
+//! backend operation. It folds them into per-kind aggregates (count,
+//! latency histogram, I/O totals), per-backend-operation histograms and
+//! a bounded ring of raw span events — the [`TelemetryReport`] —
+//! and, from the same running totals, sets its live registry counters and
+//! journals the derived events (slow span, retry, checksum failure,
+//! quarantine) with the span's `trace_id`.
 //!
-//! [`ObservedRecorder`] is how span traffic reaches the plane without
-//! touching engine hot paths: it decorates whatever recorder the engine
-//! would otherwise use (the aggregating telemetry recorder or the no-op
-//! one), forwards every finished span unchanged, and then lets the plane
-//! inspect the record — folding its I/O counters into live registry
-//! counters and journaling derived events (slow span, retry, checksum
-//! failure, quarantine) with the span's `trace_id`.
+//! The engine holds it behind an `Option<Arc<..>>`: `None` means the plane
+//! is off, spans are inert, and **no aggregation, registry or journal call
+//! happens anywhere** — the zero-overhead-when-disabled contract.
 
-use crate::journal::{Journal, JournalEvent, Severity};
-use crate::recorder::Recorder;
+use crate::export::TelemetryReport;
+use crate::histogram::Histogram;
+use crate::journal::{Journal, JournalEvent, Severity, DEFAULT_JOURNAL_CAPACITY};
 use crate::registry::{Counter, MetricsRegistry};
-use crate::span::{now_ns, SpanRecord};
-use std::sync::Arc;
+use crate::span::{now_ns, IoStats, SpanKind, SpanRecord};
+use parking_lot::Mutex;
+use std::collections::{BTreeMap, VecDeque};
 
-/// Registry + journal + derived-event policy. See the module docs.
-pub struct ObservabilityPlane {
-    registry: MetricsRegistry,
-    journal: Journal,
-    slow_span_ns: u64,
-    // Counters folded out of finished spans, pre-registered so the
-    // exposition shows them from the first snapshot.
+/// Raw span events the report retains (oldest dropped first).
+const SPAN_EVENTS: usize = 4096;
+
+/// Per-span-kind aggregate.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct KindAgg {
+    pub count: u64,
+    pub total_ns: u64,
+    pub latency: Histogram,
+    pub io: IoStats,
+}
+
+/// Per-(backend, operation) aggregate.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct OpAgg {
+    pub count: u64,
+    pub total_ns: u64,
+    pub bytes: u64,
+    pub latency: Histogram,
+}
+
+/// Everything the plane has folded so far; one mutex guards it. Spans
+/// finish at operation granularity (not per byte or per record), so
+/// contention stays negligible next to the I/O being measured.
+#[derive(Debug, Default)]
+pub(crate) struct Aggregates {
+    pub spans: BTreeMap<SpanKind, KindAgg>,
+    pub backend_ops: BTreeMap<(&'static str, &'static str), OpAgg>,
+    /// The grand I/O total over every span kind.
+    pub totals: IoStats,
+    pub slow_spans: u64,
+    pub events: VecDeque<SpanRecord>,
+    pub events_dropped: u64,
+}
+
+/// Counters the plane sets from its running totals, pre-registered so the
+/// exposition shows them from the first snapshot.
+struct SpanCounters {
     bytes_fetched: Counter,
     bytes_written: Counter,
     requests: Counter,
@@ -37,6 +67,31 @@ pub struct ObservabilityPlane {
     wal_bytes: Counter,
     group_commits: Counter,
     slow_spans: Counter,
+}
+
+impl SpanCounters {
+    fn record(&self, agg: &Aggregates) {
+        let t = &agg.totals;
+        self.bytes_fetched.record_total(t.bytes_fetched);
+        self.bytes_written.record_total(t.bytes_written);
+        self.requests.record_total(t.requests);
+        self.retries.record_total(t.retries);
+        self.checksum_failures.record_total(t.checksum_failures);
+        self.quarantines.record_total(t.fragments_quarantined);
+        self.wal_bytes.record_total(t.wal_bytes);
+        self.group_commits.record_total(t.group_commits);
+        self.slow_spans.record_total(agg.slow_spans);
+    }
+}
+
+/// Aggregates + registry + journal + derived-event policy. See the module
+/// docs.
+pub struct ObservabilityPlane {
+    registry: MetricsRegistry,
+    journal: Journal,
+    slow_span_ns: u64,
+    aggregates: Mutex<Aggregates>,
+    counters: SpanCounters,
     bytes_returned: Counter,
 }
 
@@ -51,53 +106,56 @@ impl std::fmt::Debug for ObservabilityPlane {
 }
 
 impl ObservabilityPlane {
-    /// A plane whose journal retains `journal_capacity` events and whose
-    /// slow-span threshold is `slow_span_ns` (0 disables slow-span
-    /// events).
-    pub fn new(journal_capacity: usize, slow_span_ns: u64) -> ObservabilityPlane {
+    /// A plane whose slow-span threshold is `slow_span_ns` (0 disables
+    /// slow-span events). Its journal retains
+    /// [`DEFAULT_JOURNAL_CAPACITY`] events.
+    pub fn new(slow_span_ns: u64) -> ObservabilityPlane {
         let registry = MetricsRegistry::new();
         let c = |name: &str, help: &str| registry.counter(name, help);
         ObservabilityPlane {
-            bytes_fetched: c(
-                "artsparse_bytes_fetched_total",
-                "Bytes returned by backend reads.",
-            ),
-            bytes_written: c(
-                "artsparse_bytes_written_total",
-                "Bytes handed to backend writes.",
-            ),
-            requests: c("artsparse_requests_total", "Backend requests issued."),
-            retries: c(
-                "artsparse_retries_total",
-                "Backend fetches re-attempted after transient failures.",
-            ),
-            checksum_failures: c(
-                "artsparse_checksum_failures_total",
-                "Section or header CRC32C verifications that failed.",
-            ),
-            quarantines: c(
-                "artsparse_quarantines_total",
-                "Fragments newly quarantined after integrity failures.",
-            ),
-            wal_bytes: c(
-                "artsparse_wal_bytes_total",
-                "Bytes appended to the streaming-ingest write-ahead log.",
-            ),
-            group_commits: c(
-                "artsparse_group_commits_total",
-                "Write-buffer flushes that produced a fragment.",
-            ),
-            slow_spans: c(
-                "artsparse_slow_spans_total",
-                "Spans that exceeded the configured slow-span threshold.",
-            ),
+            counters: SpanCounters {
+                bytes_fetched: c(
+                    "artsparse_bytes_fetched_total",
+                    "Bytes returned by backend reads.",
+                ),
+                bytes_written: c(
+                    "artsparse_bytes_written_total",
+                    "Bytes handed to backend writes.",
+                ),
+                requests: c("artsparse_requests_total", "Backend requests issued."),
+                retries: c(
+                    "artsparse_retries_total",
+                    "Backend fetches re-attempted after transient failures.",
+                ),
+                checksum_failures: c(
+                    "artsparse_checksum_failures_total",
+                    "Section or header CRC32C verifications that failed.",
+                ),
+                quarantines: c(
+                    "artsparse_quarantines_total",
+                    "Fragments newly quarantined after integrity failures.",
+                ),
+                wal_bytes: c(
+                    "artsparse_wal_bytes_total",
+                    "Bytes appended to the streaming-ingest write-ahead log.",
+                ),
+                group_commits: c(
+                    "artsparse_group_commits_total",
+                    "Write-buffer flushes that produced a fragment.",
+                ),
+                slow_spans: c(
+                    "artsparse_slow_spans_total",
+                    "Spans that exceeded the configured slow-span threshold.",
+                ),
+            },
             bytes_returned: c(
                 "artsparse_read_bytes_returned_total",
                 "Value bytes handed back to read callers.",
             ),
             registry,
-            journal: Journal::new(journal_capacity),
+            journal: Journal::new(DEFAULT_JOURNAL_CAPACITY),
             slow_span_ns,
+            aggregates: Mutex::new(Aggregates::default()),
         }
     }
 
@@ -116,6 +174,12 @@ impl ObservabilityPlane {
         self.slow_span_ns
     }
 
+    /// Snapshot the aggregated telemetry: per-kind spans, backend-op
+    /// timings, I/O totals and the retained raw events.
+    pub fn report(&self) -> TelemetryReport {
+        TelemetryReport::from_aggregates(&self.aggregates.lock())
+    }
+
     /// Credit value bytes handed back to a read caller (the denominator
     /// of the derived read-amplification gauge).
     pub fn note_read_returned(&self, bytes: u64) {
@@ -126,7 +190,7 @@ impl ObservabilityPlane {
     /// returned data.
     pub fn read_amplification(&self) -> Option<f64> {
         let returned = self.bytes_returned.get();
-        (returned > 0).then(|| self.bytes_fetched.get() as f64 / returned as f64)
+        (returned > 0).then(|| self.counters.bytes_fetched.get() as f64 / returned as f64)
     }
 
     /// Record an explicit journal event (scheduler errors, lifecycle
@@ -143,131 +207,117 @@ impl ObservabilityPlane {
         });
     }
 
-    /// Fold one finished span into the plane: live counters plus derived
-    /// journal events. Called by [`ObservedRecorder`].
-    pub fn observe_span(&self, record: &SpanRecord) {
-        let io = &record.io;
-        self.bytes_fetched.add(io.bytes_fetched);
-        self.bytes_written.add(io.bytes_written);
-        self.requests.add(io.requests);
-        self.retries.add(io.retries);
-        self.checksum_failures.add(io.checksum_failures);
-        self.quarantines.add(io.fragments_quarantined);
-        self.wal_bytes.add(io.wal_bytes);
-        self.group_commits.add(io.group_commits);
+    /// Fold one timed backend operation (`backend` is the backend kind
+    /// name — `fs`, `mem`, `sim`, `striped` — and `op` the method name).
+    pub fn record_backend_op(
+        &self,
+        backend: &'static str,
+        op: &'static str,
+        dur_ns: u64,
+        bytes: u64,
+    ) {
+        let mut agg = self.aggregates.lock();
+        let op = agg.backend_ops.entry((backend, op)).or_default();
+        op.count = op.count.saturating_add(1);
+        op.total_ns = op.total_ns.saturating_add(dur_ns);
+        op.bytes = op.bytes.saturating_add(bytes);
+        op.latency.record(dur_ns);
+    }
 
+    /// Fold one finished span: its kind's aggregate, the running totals
+    /// the live counters are set from, the event ring, and the derived
+    /// journal events. Called by [`Span`](crate::Span) on drop.
+    pub fn record_span(&self, record: &SpanRecord) {
+        let slow = self.slow_span_ns > 0 && record.dur_ns >= self.slow_span_ns;
+        {
+            let mut agg = self.aggregates.lock();
+            let kind = agg.spans.entry(record.kind).or_default();
+            kind.count = kind.count.saturating_add(1);
+            kind.total_ns = kind.total_ns.saturating_add(record.dur_ns);
+            kind.latency.record(record.dur_ns);
+            kind.io.merge(&record.io);
+            agg.totals.merge(&record.io);
+            agg.slow_spans = agg.slow_spans.saturating_add(u64::from(slow));
+            if agg.events.len() >= SPAN_EVENTS {
+                agg.events.pop_front();
+                agg.events_dropped = agg.events_dropped.saturating_add(1);
+            }
+            agg.events.push_back(record.clone());
+            // Under the lock, so a counter never trails the report it
+            // was set from.
+            self.counters.record(&agg);
+        }
+
+        let io = &record.io;
         let name = record.kind.name();
-        if self.slow_span_ns > 0 && record.dur_ns >= self.slow_span_ns {
-            self.slow_spans.inc();
+        let journal = |severity: Severity, code: &'static str, message: String| {
             self.journal.record(JournalEvent {
                 at_ns: now_ns(),
-                severity: Severity::Warn,
-                code: "slow_span",
-                message: format!(
+                severity,
+                code,
+                message,
+                trace_id: record.trace_id,
+                span: Some(name),
+                dur_ns: Some(record.dur_ns),
+            })
+        };
+        if slow {
+            journal(
+                Severity::Warn,
+                "slow_span",
+                format!(
                     "{name} took {} ms (threshold {} ms)",
                     record.dur_ns / 1_000_000,
                     self.slow_span_ns / 1_000_000
                 ),
-                trace_id: record.trace_id,
-                span: Some(name),
-                dur_ns: Some(record.dur_ns),
-            });
+            );
         }
         if io.retries > 0 {
-            self.journal.record(JournalEvent {
-                at_ns: now_ns(),
-                severity: Severity::Warn,
-                code: "retry",
-                message: format!(
+            journal(
+                Severity::Warn,
+                "retry",
+                format!(
                     "{} backend retr{} during {name}",
                     io.retries,
                     if io.retries == 1 { "y" } else { "ies" }
                 ),
-                trace_id: record.trace_id,
-                span: Some(name),
-                dur_ns: Some(record.dur_ns),
-            });
+            );
         }
         if io.checksum_failures > 0 {
-            self.journal.record(JournalEvent {
-                at_ns: now_ns(),
-                severity: Severity::Error,
-                code: "checksum_failure",
-                message: format!("{} checksum failure(s) during {name}", io.checksum_failures),
-                trace_id: record.trace_id,
-                span: Some(name),
-                dur_ns: Some(record.dur_ns),
-            });
+            journal(
+                Severity::Error,
+                "checksum_failure",
+                format!("{} checksum failure(s) during {name}", io.checksum_failures),
+            );
         }
         if io.fragments_quarantined > 0 {
-            self.journal.record(JournalEvent {
-                at_ns: now_ns(),
-                severity: Severity::Error,
-                code: "quarantine",
-                message: format!(
+            journal(
+                Severity::Error,
+                "quarantine",
+                format!(
                     "{} fragment(s) quarantined during {name}",
                     io.fragments_quarantined
                 ),
-                trace_id: record.trace_id,
-                span: Some(name),
-                dur_ns: Some(record.dur_ns),
-            });
+            );
         }
-    }
-}
-
-/// Recorder decorator feeding an [`ObservabilityPlane`]. See the module
-/// docs.
-pub struct ObservedRecorder {
-    inner: Arc<dyn Recorder>,
-    plane: Arc<ObservabilityPlane>,
-}
-
-impl ObservedRecorder {
-    /// Wrap `inner` (the aggregating or no-op recorder) so every span
-    /// also reaches `plane`.
-    pub fn new(inner: Arc<dyn Recorder>, plane: Arc<ObservabilityPlane>) -> ObservedRecorder {
-        ObservedRecorder { inner, plane }
-    }
-}
-
-impl Recorder for ObservedRecorder {
-    /// Always enabled: the decorator only exists when the plane is on,
-    /// and the plane needs finished spans even if the inner aggregating
-    /// recorder is the no-op.
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record_span(&self, record: &SpanRecord) {
-        self.inner.record_span(record);
-        self.plane.observe_span(record);
-    }
-
-    fn record_backend_op(&self, backend: &'static str, op: &'static str, dur_ns: u64, bytes: u64) {
-        self.inner.record_backend_op(backend, op, dur_ns, bytes);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{NoopRecorder, TelemetryRecorder};
-    use crate::span::{charge, Span, SpanKind};
+    use crate::span::{charge, Span};
+    use std::sync::Arc;
 
     fn plane() -> Arc<ObservabilityPlane> {
-        Arc::new(ObservabilityPlane::new(64, 0))
+        Arc::new(ObservabilityPlane::new(0))
     }
 
     #[test]
     fn spans_fold_into_live_counters() {
         let p = plane();
-        let r: Arc<dyn Recorder> = Arc::new(ObservedRecorder::new(
-            Arc::new(NoopRecorder),
-            Arc::clone(&p),
-        ));
         {
-            let _s = Span::enter(&r, SpanKind::Ingest);
+            let _s = Span::enter(Some(&p), SpanKind::Ingest);
             charge(|io| {
                 io.wal_bytes += 128;
                 io.bytes_written += 256;
@@ -288,36 +338,66 @@ mod tests {
     }
 
     #[test]
-    fn decorator_still_feeds_the_inner_recorder() {
+    fn aggregates_fold_spans_by_kind_and_match_the_counters() {
         let p = plane();
-        let t = Arc::new(TelemetryRecorder::new());
-        let inner: Arc<dyn Recorder> = t.clone();
-        let r: Arc<dyn Recorder> = Arc::new(ObservedRecorder::new(inner, Arc::clone(&p)));
-        {
-            let _s = Span::enter(&r, SpanKind::Read);
-            charge(|io| io.bytes_fetched += 512);
+        for _ in 0..3 {
+            let _s = Span::enter(Some(&p), SpanKind::ReadFetch);
+            charge(|io| {
+                io.requests += 1;
+                io.bytes_fetched += 100;
+            });
         }
-        let report = t.report();
-        assert_eq!(report.totals.bytes_fetched, 512);
+        let report = p.report();
+        let fetch = report.span(SpanKind::ReadFetch).unwrap();
+        assert_eq!(fetch.count, 3);
+        assert_eq!(fetch.io.requests, 3);
+        assert_eq!(fetch.io.bytes_fetched, 300);
+        assert_eq!(fetch.latency.count(), 3);
+        assert_eq!(report.events.len(), 3);
+        assert_eq!(report.totals.bytes_fetched, 300);
+        let snap = p.registry().snapshot();
         assert_eq!(
-            p.registry()
-                .snapshot()
-                .sample("artsparse_bytes_fetched_total")
-                .unwrap()
-                .value,
-            512.0
+            snap.sample("artsparse_bytes_fetched_total").unwrap().value,
+            300.0
+        );
+    }
+
+    #[test]
+    fn backend_ops_fold_by_backend_and_op() {
+        let p = plane();
+        p.record_backend_op("sim", "get_range", 1_000, 64);
+        p.record_backend_op("sim", "get_range", 3_000, 128);
+        p.record_backend_op("fs", "put", 500, 32);
+        let report = p.report();
+        let sim = report.backend_op("sim", "get_range").unwrap();
+        assert_eq!(sim.count, 2);
+        assert_eq!(sim.bytes, 192);
+        assert_eq!(sim.total_ns, 4_000);
+        assert_eq!(report.backend_op("fs", "put").unwrap().count, 1);
+        assert!(report.backend_op("fs", "get_range").is_none());
+    }
+
+    #[test]
+    fn event_ring_is_bounded_and_counts_drops() {
+        let p = plane();
+        for _ in 0..SPAN_EVENTS + 3 {
+            let _s = Span::enter(Some(&p), SpanKind::Write);
+        }
+        let report = p.report();
+        assert_eq!(report.events.len(), SPAN_EVENTS);
+        assert_eq!(report.events_dropped, 3);
+        // Aggregates still saw every span.
+        assert_eq!(
+            report.span(SpanKind::Write).unwrap().count,
+            SPAN_EVENTS as u64 + 3
         );
     }
 
     #[test]
     fn trouble_spans_produce_trace_correlated_events() {
-        let p = Arc::new(ObservabilityPlane::new(64, 1)); // 1ns: everything is slow
-        let r: Arc<dyn Recorder> = Arc::new(ObservedRecorder::new(
-            Arc::new(NoopRecorder),
-            Arc::clone(&p),
-        ));
+        let p = Arc::new(ObservabilityPlane::new(1)); // 1ns: everything is slow
         let trace = {
-            let _s = Span::enter(&r, SpanKind::Consolidate);
+            let _s = Span::enter(Some(&p), SpanKind::Consolidate);
             let trace = crate::span::current_trace_id();
             charge(|io| {
                 io.retries += 2;
@@ -348,18 +428,19 @@ mod tests {
                 .severity,
             Severity::Error
         );
+        let snap = p.registry().snapshot();
+        assert_eq!(
+            snap.sample("artsparse_slow_spans_total").unwrap().value,
+            1.0
+        );
     }
 
     #[test]
     fn read_amplification_derives_from_fetched_over_returned() {
         let p = plane();
         assert_eq!(p.read_amplification(), None);
-        let r: Arc<dyn Recorder> = Arc::new(ObservedRecorder::new(
-            Arc::new(NoopRecorder),
-            Arc::clone(&p),
-        ));
         {
-            let _s = Span::enter(&r, SpanKind::Read);
+            let _s = Span::enter(Some(&p), SpanKind::Read);
             charge(|io| io.bytes_fetched += 4096);
         }
         p.note_read_returned(1024);

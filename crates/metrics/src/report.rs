@@ -1,10 +1,8 @@
-//! Human-readable tables and machine-readable CSV/JSON reports.
+//! Human-readable tables and machine-readable CSV reports.
 //!
 //! Every harness experiment prints an aligned ASCII table mirroring the
-//! paper's table/figure, and can also emit CSV and JSON so EXPERIMENTS.md
-//! numbers stay regenerable and diffable.
-
-use serde::Serialize;
+//! paper's table/figure, and can also emit CSV so EXPERIMENTS.md numbers
+//! stay regenerable and diffable.
 
 /// A simple aligned table: one header row plus data rows of strings.
 #[derive(Debug, Clone, Default)]
@@ -102,32 +100,6 @@ impl Table {
     }
 }
 
-/// Serialize any report payload to pretty JSON.
-pub fn to_json<T: Serialize>(value: &T) -> String {
-    serde_json::to_string_pretty(value).expect("report types serialize infallibly")
-}
-
-/// Format seconds with four decimals, as the paper's tables do.
-pub fn fmt_secs(s: f64) -> String {
-    format!("{s:.4}")
-}
-
-/// Format a byte count with thousands separators and a human suffix.
-pub fn fmt_bytes(b: u64) -> String {
-    const UNITS: [&str; 5] = ["B", "KiB", "MiB", "GiB", "TiB"];
-    let mut v = b as f64;
-    let mut unit = 0;
-    while v >= 1024.0 && unit < UNITS.len() - 1 {
-        v /= 1024.0;
-        unit += 1;
-    }
-    if unit == 0 {
-        format!("{b} B")
-    } else {
-        format!("{v:.2} {}", UNITS[unit])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,18 +133,5 @@ mod tests {
         let csv = t.to_csv();
         assert!(csv.contains("\"x,y\""));
         assert!(csv.contains("\"he said \"\"hi\"\"\""));
-    }
-
-    #[test]
-    fn byte_formatting() {
-        assert_eq!(fmt_bytes(512), "512 B");
-        assert_eq!(fmt_bytes(2048), "2.00 KiB");
-        assert_eq!(fmt_bytes(5 * 1024 * 1024), "5.00 MiB");
-    }
-
-    #[test]
-    fn secs_formatting_matches_paper_precision() {
-        assert_eq!(fmt_secs(0.0109), "0.0109");
-        assert_eq!(fmt_secs(0.5366), "0.5366");
     }
 }

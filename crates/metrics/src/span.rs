@@ -3,10 +3,10 @@
 //! A [`Span`] brackets one engine operation (or sub-phase) on the thread
 //! that runs it. While the span is open, the code inside it reports I/O
 //! through [`charge`], which mutates an [`IoStats`] frame on a
-//! thread-local stack — no allocation, no locking, no recorder call until
+//! thread-local stack — no allocation, no locking, no plane call until
 //! the span closes. On drop the span pops its frame, stamps it with a
 //! monotonic start/duration, and hands the finished [`SpanRecord`] to the
-//! [`Recorder`].
+//! [`ObservabilityPlane`].
 //!
 //! Two properties keep the accounting honest:
 //!
@@ -14,7 +14,7 @@
 //!   is the *innermost* open span on its thread; nothing propagates to
 //!   parents. Summing any one span kind therefore never double-counts,
 //!   and the sum over *all* kinds equals the global total.
-//! * **Per-thread stacks.** Every thread has its own stack; the recorder
+//! * **Per-thread stacks.** Every thread has its own stack; the plane
 //!   is the only cross-thread rendezvous. A fan-out worker joins the
 //!   operation that spawned it by adopting a [`SpanContext`]: a base frame
 //!   under its spans catches whatever the worker charges outside them,
@@ -23,9 +23,9 @@
 //!   many threads ran it. Nesting depth is informational, not a tree
 //!   encoding.
 //!
-//! When the recorder is disabled, [`Span::enter`] returns an inert guard
-//! and [`charge`] finds an empty stack: the whole layer reduces to one
-//! branch per call site.
+//! When there is no plane, [`Span::enter`] returns an inert guard and
+//! [`charge`] finds an empty stack: the whole layer reduces to one branch
+//! per call site.
 //!
 //! # Trace correlation
 //!
@@ -41,7 +41,7 @@
 //! [`current_trace_id`] exposes the live id (0 when no span is open) so
 //! synthesized records and journal events can join the trace.
 
-use crate::recorder::Recorder;
+use crate::plane::ObservabilityPlane;
 use serde::{Serialize, Value};
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -270,7 +270,7 @@ impl IoStats {
     }
 }
 
-/// One finished span as delivered to the recorder.
+/// One finished span as delivered to the plane.
 #[derive(Debug, Clone, Serialize)]
 pub struct SpanRecord {
     /// What the span measured.
@@ -337,7 +337,7 @@ pub struct SpanContext {
 
 impl SpanContext {
     /// The calling thread's context, or `None` when no span is open on it
-    /// (telemetry off, or no operation in flight) — in which case workers
+    /// (no plane, or no operation in flight) — in which case workers
     /// have nothing to inherit and pay nothing.
     pub fn current() -> Option<SpanContext> {
         let open = STACK.with(|stack| !stack.borrow().is_empty());
@@ -366,12 +366,12 @@ impl SpanContext {
 /// RAII guard for one traced operation. See the module docs.
 #[must_use = "a span measures the scope it is alive for"]
 pub struct Span {
-    // `None` when telemetry is disabled: drop does nothing.
+    // `None` when the plane is off: drop does nothing.
     live: Option<LiveSpan>,
 }
 
 struct LiveSpan {
-    recorder: Arc<dyn Recorder>,
+    plane: Arc<ObservabilityPlane>,
     kind: SpanKind,
     trace_id: u64,
     start: Instant,
@@ -380,12 +380,12 @@ struct LiveSpan {
 }
 
 impl Span {
-    /// Open a span; inert (and free beyond one branch) when the recorder
-    /// is disabled.
-    pub fn enter(recorder: &Arc<dyn Recorder>, kind: SpanKind) -> Span {
-        if !recorder.enabled() {
+    /// Open a span; inert (and free beyond one branch) when `plane` is
+    /// `None`.
+    pub fn enter(plane: Option<&Arc<ObservabilityPlane>>, kind: SpanKind) -> Span {
+        let Some(plane) = plane else {
             return Span { live: None };
-        }
+        };
         let depth = STACK.with(|stack| {
             let mut s = stack.borrow_mut();
             s.push(IoStats::default());
@@ -406,7 +406,7 @@ impl Span {
         let start_ns = start.duration_since(process_epoch()).as_nanos() as u64;
         Span {
             live: Some(LiveSpan {
-                recorder: Arc::clone(recorder),
+                plane: Arc::clone(plane),
                 kind,
                 trace_id,
                 start,
@@ -442,19 +442,17 @@ impl Drop for Span {
             depth: live.depth,
             io,
         };
-        live.recorder.record_span(&record);
+        live.plane.record_span(&record);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::TelemetryRecorder;
 
-    fn telemetry() -> (Arc<TelemetryRecorder>, Arc<dyn Recorder>) {
-        let t = Arc::new(TelemetryRecorder::new());
-        let r: Arc<dyn Recorder> = t.clone();
-        (t, r)
+    fn telemetry() -> (Arc<ObservabilityPlane>, Option<Arc<ObservabilityPlane>>) {
+        let t = Arc::new(ObservabilityPlane::new(0));
+        (Arc::clone(&t), Some(t))
     }
 
     #[test]
@@ -467,10 +465,10 @@ mod tests {
     fn span_collects_self_io_only() {
         let (t, r) = telemetry();
         {
-            let _outer = Span::enter(&r, SpanKind::Read);
+            let _outer = Span::enter(r.as_ref(), SpanKind::Read);
             charge(|io| io.bytes_requested += 10);
             {
-                let _inner = Span::enter(&r, SpanKind::ReadFetch);
+                let _inner = Span::enter(r.as_ref(), SpanKind::ReadFetch);
                 charge(|io| io.bytes_fetched += 512);
             }
             charge(|io| io.bytes_requested += 5);
@@ -490,8 +488,8 @@ mod tests {
     fn depth_tracks_nesting_per_thread() {
         let (t, r) = telemetry();
         {
-            let _outer = Span::enter(&r, SpanKind::Read);
-            let _inner = Span::enter(&r, SpanKind::ReadPlan);
+            let _outer = Span::enter(r.as_ref(), SpanKind::Read);
+            let _inner = Span::enter(r.as_ref(), SpanKind::ReadPlan);
         }
         let events = t.report().events;
         let plan = events
@@ -508,12 +506,12 @@ mod tests {
     fn worker_threads_record_at_depth_zero_and_aggregate() {
         let (t, r) = telemetry();
         {
-            let _outer = Span::enter(&r, SpanKind::Read);
+            let _outer = Span::enter(r.as_ref(), SpanKind::Read);
             std::thread::scope(|s| {
                 for _ in 0..4 {
                     let r = &r;
                     s.spawn(move || {
-                        let _fetch = Span::enter(r, SpanKind::ReadFetch);
+                        let _fetch = Span::enter(r.as_ref(), SpanKind::ReadFetch);
                         charge(|io| io.bytes_fetched += 1000);
                     });
                 }
@@ -534,9 +532,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_recorder_yields_inert_spans_and_empty_stack() {
-        let r: Arc<dyn Recorder> = Arc::new(crate::recorder::NoopRecorder);
-        let span = Span::enter(&r, SpanKind::Write);
+    fn no_plane_yields_inert_spans_and_empty_stack() {
+        let span = Span::enter(None, SpanKind::Write);
         assert!(!span.is_recording());
         STACK.with(|s| assert!(s.borrow().is_empty()));
     }
@@ -546,19 +543,19 @@ mod tests {
         let (t, r) = telemetry();
         assert_eq!(current_trace_id(), 0, "no span open, no trace");
         {
-            let _outer = Span::enter(&r, SpanKind::Ingest);
+            let _outer = Span::enter(r.as_ref(), SpanKind::Ingest);
             let live = current_trace_id();
             assert_ne!(live, 0);
             {
-                let _wal = Span::enter(&r, SpanKind::IngestWal);
+                let _wal = Span::enter(r.as_ref(), SpanKind::IngestWal);
                 assert_eq!(current_trace_id(), live, "children join the trace");
-                let _flush = Span::enter(&r, SpanKind::IngestFlush);
+                let _flush = Span::enter(r.as_ref(), SpanKind::IngestFlush);
                 assert_eq!(current_trace_id(), live);
             }
         }
         assert_eq!(current_trace_id(), 0, "trace cleared when the op ends");
         {
-            let _next = Span::enter(&r, SpanKind::Consolidate);
+            let _next = Span::enter(r.as_ref(), SpanKind::Consolidate);
         }
         let events = t.report().events;
         let ingest_trace = events
@@ -584,12 +581,12 @@ mod tests {
     fn worker_threads_start_traces_of_their_own() {
         let (t, r) = telemetry();
         {
-            let _outer = Span::enter(&r, SpanKind::Read);
+            let _outer = Span::enter(r.as_ref(), SpanKind::Read);
             let main_trace = current_trace_id();
             std::thread::scope(|s| {
                 let r = &r;
                 s.spawn(move || {
-                    let _fetch = Span::enter(r, SpanKind::ReadFetch);
+                    let _fetch = Span::enter(r.as_ref(), SpanKind::ReadFetch);
                     assert_ne!(current_trace_id(), main_trace);
                     assert_ne!(current_trace_id(), 0);
                 });
@@ -609,7 +606,7 @@ mod tests {
         let (t, r) = telemetry();
         let main_trace;
         {
-            let _outer = Span::enter(&r, SpanKind::Read);
+            let _outer = Span::enter(r.as_ref(), SpanKind::Read);
             main_trace = current_trace_id();
             let ctx = SpanContext::current().expect("a span is open");
             let worker_io = std::thread::scope(|s| {
@@ -618,7 +615,7 @@ mod tests {
                     ctx.run(|| {
                         // Outside any worker span: lands in the base frame.
                         charge(|io| io.fragments_quarantined += 1);
-                        let _fetch = Span::enter(r, SpanKind::ReadFetch);
+                        let _fetch = Span::enter(r.as_ref(), SpanKind::ReadFetch);
                         assert_eq!(current_trace_id(), main_trace);
                         charge(|io| io.bytes_fetched += 7);
                     })

@@ -16,11 +16,6 @@ pub fn generate(shape: &Shape, threshold: f64, seed: u64) -> CoordBuffer {
     bernoulli_cells(shape, threshold, seed, SALT, None)
 }
 
-/// Expected density for a threshold (`1 − threshold`).
-pub fn expected_density(threshold: f64) -> f64 {
-    (1.0 - threshold).max(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -30,7 +25,7 @@ mod tests {
         let shape = Shape::new(vec![256, 256]).unwrap();
         let pts = generate(&shape, 0.99, 1);
         let measured = pts.len() as f64 / shape.volume() as f64;
-        let expected = expected_density(0.99);
+        let expected = 1.0 - 0.99;
         assert!(
             (measured - expected).abs() < 0.003,
             "measured {measured} vs expected {expected}"

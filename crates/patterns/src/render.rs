@@ -32,19 +32,6 @@ pub fn ascii_2d(shape: &Shape, coords: &CoordBuffer, max_side: usize) -> String 
     out
 }
 
-/// Render any dataset's first two dimensions (projecting higher dims away)
-/// — used to eyeball 3D/4D patterns.
-pub fn ascii_projection(shape: &Shape, coords: &CoordBuffer, max_side: usize) -> String {
-    let proj_shape = Shape::new(vec![shape.dim(0), shape.dim(1.min(shape.ndim() - 1))])
-        .expect("projection dims are positive");
-    let mut proj = CoordBuffer::new(2);
-    for p in coords.iter() {
-        let second = if p.len() > 1 { p[1] } else { 0 };
-        proj.push(&[p[0], second]).expect("arity 2");
-    }
-    ascii_2d(&proj_shape, &proj, max_side)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,20 +75,5 @@ mod tests {
         assert_eq!(lines.len(), 10);
         assert_eq!(lines[9].chars().count(), 10);
         assert_eq!(lines[9].chars().last().unwrap(), '#');
-    }
-
-    #[test]
-    fn projection_handles_higher_dims() {
-        let shape = Shape::new(vec![16, 16, 16]).unwrap();
-        let ds = Dataset::generate(
-            Pattern::Gsp,
-            shape.clone(),
-            PatternParams {
-                gsp_threshold: 0.9,
-                ..PatternParams::default()
-            },
-        );
-        let art = ascii_projection(&shape, &ds.coords, 16);
-        assert!(art.contains('#'));
     }
 }

@@ -212,23 +212,25 @@ impl Default for IngestConfig {
     }
 }
 
-/// The live observability plane: metrics registry, trace-correlated
-/// event journal, and the background exporter that publishes both.
+/// The observability plane: span tracing, the aggregated telemetry
+/// report, the metrics registry, the trace-correlated event journal, and
+/// the background exporter that publishes them.
 ///
-/// Set on [`EngineConfig::observability`] to make the engine maintain a
-/// live [`MetricsRegistry`](artsparse_metrics::MetricsRegistry) (gauges
-/// the span system cannot express: write-buffer occupancy, WAL backlog,
-/// fragment size tiers, cache occupancy, scheduler health, read
-/// amplification) and a bounded
-/// [`Journal`](artsparse_metrics::Journal) of severity-tagged events.
-/// `None` (the default) means **no** registry or journal call happens
-/// anywhere in the engine. All fields are integers so [`EngineConfig`]
-/// keeps deriving `Eq`.
+/// Set on [`EngineConfig::observability`] to make every engine span and
+/// backend operation report to one
+/// [`ObservabilityPlane`](artsparse_metrics::ObservabilityPlane): it
+/// aggregates them into the report `StorageEngine::telemetry_report()`
+/// returns, sets the live registry counters from the same totals, keeps
+/// the gauges the span system cannot express (write-buffer occupancy, WAL
+/// backlog, fragment size tiers, cache occupancy, scheduler health, read
+/// amplification), and journals severity-tagged events into a bounded
+/// [`Journal`](artsparse_metrics::Journal) of
+/// [`DEFAULT_JOURNAL_CAPACITY`](artsparse_metrics::DEFAULT_JOURNAL_CAPACITY)
+/// events. `None` (the default) means spans are inert and **no**
+/// aggregation, registry or journal call happens anywhere in the engine.
+/// All fields are integers so [`EngineConfig`] keeps deriving `Eq`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObservabilityConfig {
-    /// Events the journal retains (and the exporter can drain) before
-    /// evicting the oldest.
-    pub journal_events: usize,
     /// Journal a `slow_span` event for any span at least this long
     /// (milliseconds; 0 disables slow-span events).
     pub slow_span_ms: u64,
@@ -241,7 +243,6 @@ pub struct ObservabilityConfig {
 impl Default for ObservabilityConfig {
     fn default() -> Self {
         ObservabilityConfig {
-            journal_events: 1024,
             slow_span_ms: 100,
             export_interval_ms: 500,
         }
@@ -257,17 +258,14 @@ impl Default for ObservabilityConfig {
 /// the ≤ [`PART_POINTS`](crate::PART_POINTS)-point parts one pass cut
 /// its output into, counted once at their summed size — are bucketed by
 /// the log₂ of their size, and when any tier holds at least
-/// [`tier_fragments`](SchedulerConfig::tier_fragments) runs the store is
-/// deemed fragmented enough to merge — small fresh flushes accumulate
+/// [`TIER_RUNS`](crate::scheduler::TIER_RUNS) runs the store is deemed
+/// fragmented enough to merge — small fresh flushes accumulate
 /// into a tier and are folded together, while one big consolidated run
 /// sits alone in its tier and never re-triggers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulerConfig {
     /// Poll interval between scheduler passes, in milliseconds.
     pub tick_ms: u64,
-    /// Trigger consolidation when any log₂-size tier holds at least this
-    /// many runs (minimum 2).
-    pub tier_fragments: usize,
     /// Rate limit: minimum milliseconds between two consolidation
     /// passes, regardless of how fragmented the store looks.
     pub min_consolidate_interval_ms: u64,
@@ -284,18 +282,9 @@ impl Default for SchedulerConfig {
     fn default() -> Self {
         SchedulerConfig {
             tick_ms: 50,
-            tier_fragments: 4,
             min_consolidate_interval_ms: 250,
             shutdown_timeout_ms: 5_000,
         }
-    }
-}
-
-impl SchedulerConfig {
-    /// Effective tier threshold (at least 2 — a 1-fragment "tier" would
-    /// consolidate forever).
-    pub fn tier_threshold(&self) -> usize {
-        self.tier_fragments.max(2)
     }
 }
 
@@ -359,12 +348,6 @@ pub struct EngineConfig {
     /// (DESIGN.md §8), so a point read over a few small fragments runs on
     /// the caller alone whatever this is set to.
     pub read_parallelism: usize,
-    /// Collect runtime telemetry (span traces, per-operation I/O
-    /// accounting, latency histograms). Off by default: the disabled path
-    /// is a no-op recorder that adds no events and no measurable cost.
-    /// When on, `StorageEngine::telemetry_report()` snapshots the
-    /// aggregated report for export.
-    pub telemetry: bool,
     /// Retry policy for backend fetches (see [`RetryPolicy`]).
     pub retry: RetryPolicy,
     /// Retry policy for backend mutations — WAL appends, staged puts,
@@ -393,9 +376,11 @@ pub struct EngineConfig {
     /// buffer group-commits into a fragment and whether acked batches are
     /// WAL-protected first.
     pub ingest: IngestConfig,
-    /// Live observability plane (see [`ObservabilityConfig`]). `None`
-    /// (the default) disables it entirely: no metrics registry, no event
-    /// journal, zero calls on any engine path.
+    /// The observability plane (see [`ObservabilityConfig`]): span
+    /// traces, per-operation I/O accounting, latency histograms, live
+    /// metrics and the event journal. `None` (the default) disables it
+    /// entirely: inert spans, no report, no registry, no journal, zero
+    /// calls on any engine path.
     pub observability: Option<ObservabilityConfig>,
 }
 
@@ -412,7 +397,6 @@ impl Default for EngineConfig {
         EngineConfig {
             cache_capacity_bytes: 0,
             read_parallelism: 0,
-            telemetry: false,
             retry: RetryPolicy::default(),
             write_retry: RetryPolicy::default(),
             health: HealthConfig::default(),
@@ -453,12 +437,6 @@ impl EngineConfig {
     /// Builder-style parallelism override.
     pub fn with_read_parallelism(mut self, threads: usize) -> Self {
         self.read_parallelism = threads;
-        self
-    }
-
-    /// Builder-style telemetry toggle.
-    pub fn with_telemetry(mut self, enabled: bool) -> Self {
-        self.telemetry = enabled;
         self
     }
 
@@ -525,7 +503,7 @@ mod tests {
         let c = EngineConfig::default();
         assert_eq!(c.cache_capacity_bytes, 0);
         assert_eq!(c.read_parallelism, 0);
-        assert!(!c.telemetry);
+        assert!(c.observability.is_none());
         assert_eq!(c.retry, RetryPolicy::default());
         assert_eq!(c.retry.max_attempts, 3);
         assert_eq!(c.write_retry, RetryPolicy::default());
@@ -541,7 +519,7 @@ mod tests {
         let c = EngineConfig::default()
             .with_cache_capacity(1 << 20)
             .with_read_parallelism(2)
-            .with_telemetry(true)
+            .with_observability(ObservabilityConfig::default())
             .with_retry(RetryPolicy::none())
             .with_write_retry(RetryPolicy::none())
             .with_health(HealthConfig {
@@ -552,7 +530,7 @@ mod tests {
             .with_strict_reads(false);
         assert_eq!(c.cache_capacity_bytes, 1 << 20);
         assert_eq!(c.effective_parallelism(), 2);
-        assert!(c.telemetry);
+        assert!(c.observability.is_some());
         assert_eq!(c.retry.attempts(), 1);
         assert_eq!(c.write_retry.attempts(), 1);
         assert_eq!(c.health.read_only_after, 2);
@@ -629,12 +607,6 @@ mod tests {
 
         let s = SchedulerConfig::default();
         assert!(s.tick_ms > 0);
-        assert!(s.tier_threshold() >= 2);
-        let degenerate = SchedulerConfig {
-            tier_fragments: 0,
-            ..s
-        };
-        assert_eq!(degenerate.tier_threshold(), 2);
     }
 
     #[test]
@@ -642,7 +614,6 @@ mod tests {
         let c = EngineConfig::default();
         assert!(c.observability.is_none());
         let oc = ObservabilityConfig::default();
-        assert!(oc.journal_events > 0);
         assert!(oc.export_interval_ms > 0);
         let c = c.with_observability(ObservabilityConfig {
             slow_span_ms: 0,
@@ -650,7 +621,7 @@ mod tests {
         });
         let got = c.observability.unwrap();
         assert_eq!(got.slow_span_ms, 0);
-        assert_eq!(got.journal_events, oc.journal_events);
+        assert_eq!(got.export_interval_ms, oc.export_interval_ms);
     }
 
     #[test]

@@ -133,7 +133,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         sources: Option<&[String]>,
         presorted: bool,
     ) -> Result<WriteReport> {
-        let _span = Span::enter(&self.recorder, SpanKind::Write);
+        let _span = Span::enter(self.plane.as_ref(), SpanKind::Write);
         let mut timer = PhaseTimer::new();
 
         // -- Others: validation ----------------------------------------
@@ -178,7 +178,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         presorted: bool,
         timer: &mut PhaseTimer,
     ) -> Result<(Vec<u8>, usize)> {
-        let _encode = Span::enter(&self.recorder, SpanKind::WriteEncode);
+        let _encode = Span::enter(self.plane.as_ref(), SpanKind::WriteEncode);
         timer.enter(WritePhase::Others);
         let bbox = coords.bounding_box();
 
@@ -270,7 +270,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         let mut renamed = 0;
         let commit = timer.time(WritePhase::Write, || -> Result<()> {
             {
-                let _stage = Span::enter(&self.recorder, SpanKind::WriteStage);
+                let _stage = Span::enter(self.plane.as_ref(), SpanKind::WriteStage);
                 for (staged, frag) in staged.iter().zip(frags) {
                     self.retry_write(staged, || self.backend.put(staged, frag))?;
                 }
@@ -279,11 +279,11 @@ impl<B: StorageBackend> StorageEngine<B> {
                 // The delete set must be durable *before* the commit:
                 // a crash right after the last rename must still delete
                 // the sources, or the store doubles its points.
-                let _tomb = Span::enter(&self.recorder, SpanKind::ConsolidateTombstone);
+                let _tomb = Span::enter(self.plane.as_ref(), SpanKind::ConsolidateTombstone);
                 self.retry_write(tomb, || self.backend.put_atomic(tomb, body.as_bytes()))?;
             }
             let _commit = Span::enter(
-                &self.recorder,
+                self.plane.as_ref(),
                 if sources.is_some() {
                     SpanKind::ConsolidateCommit
                 } else {
@@ -335,7 +335,7 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// even if this process dies mid-loop (recovery replays them); a
     /// source already gone (racing deleter, replayed tombstone) is fine.
     pub(super) fn retire_sources(&self, sources: &[String], replacement: &str) -> Result<()> {
-        let _sweep = Span::enter(&self.recorder, SpanKind::ConsolidateSweep);
+        let _sweep = Span::enter(self.plane.as_ref(), SpanKind::ConsolidateSweep);
         for name in sources {
             // Catalog first: a read racing these deletions then treats
             // the source as vanished instead of failing on NotFound.
@@ -371,7 +371,7 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// while sparing staging blobs of commits in flight in this engine.
     /// The id sequence advances past any newly discovered fragments.
     pub fn refresh(&self) -> Result<()> {
-        let span = Span::enter(&self.recorder, SpanKind::Recover);
+        let span = Span::enter(self.plane.as_ref(), SpanKind::Recover);
         let keep = self.inflight.lock().clone();
         // The listing already contains this engine's own epoch marker.
         let recovery = recover_store(&self.backend, Some(&keep))?;

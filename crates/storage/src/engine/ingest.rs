@@ -32,7 +32,7 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// of `elem_size`-byte records, one per point, like
     /// [`StorageEngine::write`].
     pub fn ingest(&self, coords: &CoordBuffer, values: &[u8]) -> Result<usize> {
-        let _span = Span::enter(&self.recorder, SpanKind::Ingest);
+        let _span = Span::enter(self.plane.as_ref(), SpanKind::Ingest);
         self.validate_batch(coords, values)?;
         if coords.is_empty() {
             return Ok(0);
@@ -76,7 +76,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         if !self.config.ingest.wal {
             return Ok(None);
         }
-        let _wal_span = Span::enter(&self.recorder, SpanKind::IngestWal);
+        let _wal_span = Span::enter(self.plane.as_ref(), SpanKind::IngestWal);
         let blob =
             crate::wal::encode_record(self.shape.ndim(), self.elem_size as usize, flat, values)?;
         // The WAL draws from the same id sequence as fragments, so
@@ -127,7 +127,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         if snapshot.is_empty() {
             return Ok(None);
         }
-        let _span = Span::enter(&self.recorder, SpanKind::IngestFlush);
+        let _span = Span::enter(self.plane.as_ref(), SpanKind::IngestFlush);
         // The snapshot is deduplicated (the latest append per address
         // survives) and laid out in address order — exactly what the
         // within-fragment precedence rule needs (reads take the first
@@ -239,7 +239,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         if wals.is_empty() && torn.is_empty() {
             return Ok(());
         }
-        let _span = Span::enter(&self.recorder, SpanKind::IngestReplay);
+        let _span = Span::enter(self.plane.as_ref(), SpanKind::IngestReplay);
         // Ack order: epoch-major (each crash/reopen cycle claims a fresh
         // epoch), sequence-minor within one engine's run.
         wals.sort();

@@ -61,10 +61,7 @@ use crate::config::{EngineConfig, RetryPolicy};
 use crate::error::{Result, StorageError};
 use crate::observe::RecordingBackend;
 use artsparse_core::FormatKind;
-use artsparse_metrics::{
-    charge, NoopRecorder, ObservabilityPlane, ObservedRecorder, OpCounter, Recorder, Span,
-    SpanKind, TelemetryRecorder, TelemetryReport,
-};
+use artsparse_metrics::{charge, ObservabilityPlane, OpCounter, Span, SpanKind, TelemetryReport};
 use artsparse_tensor::value::Element;
 use artsparse_tensor::{CoordBuffer, Shape};
 use std::collections::HashSet;
@@ -95,12 +92,6 @@ pub struct StorageEngine<B: StorageBackend> {
     config: EngineConfig,
     catalog: FragmentCatalog,
     cache: FragmentCache,
-    /// Span/IO sink. [`NoopRecorder`] unless `config.telemetry` was set
-    /// or [`StorageEngine::with_recorder`] installed a custom sink.
-    recorder: Arc<dyn Recorder>,
-    /// The aggregating recorder behind [`StorageEngine::telemetry_report`]
-    /// when `config.telemetry` is on.
-    telemetry: Option<Arc<TelemetryRecorder>>,
     /// What the most recent recovery pass (open or refresh) found.
     recovery: parking_lot::Mutex<RecoveryReport>,
     /// The streaming-ingest write buffer: acked batches awaiting a group
@@ -115,9 +106,10 @@ pub struct StorageEngine<B: StorageBackend> {
     /// (replay is order-preserving, see [`StorageEngine::replay_wal`]),
     /// it just wastes device bytes until retirement succeeds.
     wal_retire_queue: parking_lot::Mutex<Vec<String>>,
-    /// The live observability plane (registry + journal), present only
-    /// when `config.observability` was set — `None` means no registry or
-    /// journal call happens on any engine path.
+    /// The observability plane — the one sink of every span and backend
+    /// op — present only when `config.observability` was set. `None`
+    /// means spans are inert and no aggregation, registry or journal call
+    /// happens on any engine path.
     plane: Option<Arc<ObservabilityPlane>>,
     /// Write-path health state machine, admission-control counters, WAL
     /// backlog accounting, and the background scheduler's record.
@@ -146,27 +138,14 @@ impl<B: StorageBackend> StorageEngine<B> {
         elem_size: u32,
         config: EngineConfig,
     ) -> Result<Self> {
-        let telemetry = config.telemetry.then(|| Arc::new(TelemetryRecorder::new()));
-        let inner_recorder: Arc<dyn Recorder> = match &telemetry {
-            Some(t) => t.clone(),
-            None => Arc::new(NoopRecorder),
-        };
-        // The observability plane taps span traffic through a recorder
-        // decorator, so the inner (aggregating or no-op) recorder keeps
-        // working unchanged underneath it.
         let plane = config.observability.as_ref().map(|oc| {
             Arc::new(ObservabilityPlane::new(
-                oc.journal_events,
                 oc.slow_span_ms.saturating_mul(1_000_000),
             ))
         });
-        let recorder: Arc<dyn Recorder> = match &plane {
-            Some(p) => Arc::new(ObservedRecorder::new(inner_recorder, Arc::clone(p))),
-            None => inner_recorder,
-        };
-        let backend = RecordingBackend::new(backend, recorder.clone());
+        let backend = RecordingBackend::new(backend, plane.as_ref());
 
-        let span = Span::enter(&recorder, SpanKind::Recover);
+        let span = Span::enter(plane.as_ref(), SpanKind::Recover);
         let mut recovery = commit::recover_store(&backend, None)?;
         let epoch = commit::claim_epoch(&backend)?;
         // Count this engine's own claim among the live markers.
@@ -190,8 +169,6 @@ impl<B: StorageBackend> StorageEngine<B> {
             config,
             catalog,
             cache,
-            recorder,
-            telemetry,
             recovery: parking_lot::Mutex::new(recovery),
             buffer: crate::buffer::WriteBuffer::new(),
             flush_lock: parking_lot::Mutex::new(()),
@@ -262,27 +239,11 @@ impl<B: StorageBackend> StorageEngine<B> {
         self.backend.into_inner()
     }
 
-    /// The active span/IO recorder (a [`NoopRecorder`] unless telemetry
-    /// is on or a custom sink was installed).
-    pub fn recorder(&self) -> &Arc<dyn Recorder> {
-        &self.recorder
-    }
-
-    /// Install a custom span/IO sink (replacing any recorder installed by
-    /// `config.telemetry`, so [`StorageEngine::telemetry_report`] returns
-    /// `None` afterwards).
-    pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
-        self.backend.set_recorder(recorder.clone());
-        self.recorder = recorder;
-        self.telemetry = None;
-        self
-    }
-
     /// Snapshot the aggregated telemetry (spans, histograms, I/O totals,
     /// per-backend op timings). `None` unless the engine was opened with
-    /// `config.telemetry` on.
+    /// `config.observability` set.
     pub fn telemetry_report(&self) -> Option<TelemetryReport> {
-        self.telemetry.as_ref().map(|t| t.report())
+        self.plane.as_ref().map(|p| p.report())
     }
 
     /// What the most recent recovery pass (open or refresh) found on the
@@ -291,8 +252,8 @@ impl<B: StorageBackend> StorageEngine<B> {
         *self.recovery.lock()
     }
 
-    /// The live observability plane, when `config.observability` was set
-    /// at open. `None` means the plane is off and nothing is collected.
+    /// The observability plane, when `config.observability` was set at
+    /// open. `None` means the plane is off and nothing is collected.
     pub fn observability(&self) -> Option<&Arc<ObservabilityPlane>> {
         self.plane.as_ref()
     }
@@ -623,7 +584,7 @@ mod tests {
             Shape::new(vec![16, 16]).unwrap(),
             8,
             EngineConfig::default()
-                .with_telemetry(true)
+                .with_observability(crate::config::ObservabilityConfig::default())
                 .with_retry(RetryPolicy {
                     max_attempts: 4,
                     base_backoff: Duration::ZERO,
@@ -732,10 +693,9 @@ mod tests {
 
     #[test]
     fn engine_op_span_trees_share_one_trace_id() {
-        let recording = Arc::new(artsparse_metrics::TelemetryRecorder::new());
-        let e = observed_engine().with_recorder(recording.clone());
+        let e = observed_engine();
         e.ingest_points::<f64>(&coords(&[[1, 1]]), &[1.0]).unwrap();
-        let events = recording.report().events;
+        let events = e.telemetry_report().unwrap().events;
         // ingest → WAL append: one tree, one trace.
         let ingest: Vec<_> = events
             .iter()
@@ -747,7 +707,7 @@ mod tests {
 
         e.write_points::<f64>(&coords(&[[2, 2]]), &[2.0]).unwrap();
         e.consolidate().unwrap();
-        let events = recording.report().events;
+        let events = e.telemetry_report().unwrap().events;
         // The consolidate tree (snapshot/merge/write/commit/sweep all
         // nested under engine.consolidate) shares the root's trace id,
         // and it differs from the ingest trace.

@@ -436,7 +436,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         let Some(qbbox) = asked.bbox() else {
             return Ok(result); // nothing asked
         };
-        let _span = Span::enter(&self.recorder, SpanKind::Read);
+        let _span = Span::enter(self.plane.as_ref(), SpanKind::Read);
         // Snapshot the write buffer BEFORE the catalog plan. A group
         // commit racing this read moves buffered points into a fragment
         // and drains the buffer; snapshotting first means such points
@@ -458,7 +458,7 @@ impl<B: StorageBackend> StorageEngine<B> {
             // Plan: in-memory discovery + bbox pruning. Every scanned
             // fragment must describe the same tensor this engine stores.
             let plan = {
-                let _plan_span = Span::enter(&self.recorder, SpanKind::ReadPlan);
+                let _plan_span = Span::enter(self.plane.as_ref(), SpanKind::ReadPlan);
                 for entry in self.catalog.snapshot() {
                     self.check_entry_shape(&entry)?;
                 }
@@ -514,7 +514,7 @@ impl<B: StorageBackend> StorageEngine<B> {
 
             // Merge: sort by linear address (stable: fragment order on
             // ties).
-            let _merge_span = Span::enter(&self.recorder, SpanKind::ReadMerge);
+            let _merge_span = Span::enter(self.plane.as_ref(), SpanKind::ReadMerge);
             let mut quarantined = plan.quarantined.clone();
             for outcome in per_fragment {
                 match outcome {
@@ -569,7 +569,7 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// its trace id, and whatever they charge outside a span of their own
     /// (a quarantine, say) is merged into the read's innermost frame after
     /// the join — the read's telemetry does not depend on the thread
-    /// count. With telemetry off there is no context and no extra work.
+    /// count. With the plane off there is no context and no extra work.
     fn execute_plan(
         &self,
         fragments: &[Arc<CatalogEntry>],
@@ -665,28 +665,28 @@ impl<B: StorageBackend> StorageEngine<B> {
     fn read_fragment(&self, entry: &CatalogEntry, asked: &Asked<'_>) -> Result<Vec<ReadHit>> {
         let name = &entry.name;
         let mut decoded = {
-            let _fetch = Span::enter(&self.recorder, SpanKind::ReadFetch);
+            let _fetch = Span::enter(self.plane.as_ref(), SpanKind::ReadFetch);
             self.cache.get(name)
         };
         if decoded.is_none() && self.cache.is_enabled() {
             // Decode the whole fragment once so the next read is free
             // (the probe above was this read's one cache lookup).
-            let _fetch = Span::enter(&self.recorder, SpanKind::ReadFetch);
+            let _fetch = Span::enter(self.plane.as_ref(), SpanKind::ReadFetch);
             decoded = Some(self.fetch_into_cache(entry)?);
         }
         if let Some(decoded) = decoded {
-            let _decode = Span::enter(&self.recorder, SpanKind::ReadDecode);
+            let _decode = Span::enter(self.plane.as_ref(), SpanKind::ReadDecode);
             return self.hits_from_payload(name, &decoded, asked);
         }
         // Range path: header + index section first; values only if slots
         // matched.
         let meta = &entry.meta;
         let index = {
-            let _fetch = Span::enter(&self.recorder, SpanKind::ReadFetch);
+            let _fetch = Span::enter(self.plane.as_ref(), SpanKind::ReadFetch);
             self.fetch_validated_index(entry)?
         };
         let matched: Vec<(usize, u64)> = {
-            let _decode = Span::enter(&self.recorder, SpanKind::ReadDecode);
+            let _decode = Span::enter(self.plane.as_ref(), SpanKind::ReadDecode);
             asked.matches(meta.kind.create().as_ref(), index.bytes(), &self.counter)?
         };
         if matched.is_empty() {
@@ -705,7 +705,7 @@ impl<B: StorageBackend> StorageEngine<B> {
             }
         }
         let records = {
-            let _fetch = Span::enter(&self.recorder, SpanKind::ReadFetch);
+            let _fetch = Span::enter(self.plane.as_ref(), SpanKind::ReadFetch);
             self.fetch_value_records(entry, &matched)?
         };
         matched
@@ -1227,7 +1227,7 @@ mod tests {
                 Shape::new(vec![32, 32]).unwrap(),
                 8,
                 EngineConfig::default()
-                    .with_telemetry(true)
+                    .with_observability(crate::config::ObservabilityConfig::default())
                     .with_strict_reads(false)
                     .with_retry(crate::config::RetryPolicy {
                         max_attempts: 3,

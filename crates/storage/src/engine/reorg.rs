@@ -175,7 +175,7 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// sources), so a fragment written concurrently while the pass ran
     /// keeps precedence over the merged output instead of being shadowed.
     pub fn consolidate(&self) -> Result<ConsolidateReport> {
-        let _span = Span::enter(&self.recorder, SpanKind::Consolidate);
+        let _span = Span::enter(self.plane.as_ref(), SpanKind::Consolidate);
         // Buffered ingests belong in the merge: group-commit them first
         // so the pass sees them as an ordinary source fragment (a no-op
         // when the buffer is empty).
@@ -184,7 +184,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         // ONE snapshot drives everything below: the merge input, the new
         // run's identity, and the delete set. Fragments written after
         // this point are untouched and outrank the merged output.
-        let snapshot_span = Span::enter(&self.recorder, SpanKind::ConsolidateSnapshot);
+        let snapshot_span = Span::enter(self.plane.as_ref(), SpanKind::ConsolidateSnapshot);
         let runs = self.catalog.runs();
         let snapshot = runs.concat();
         let runs = runs.len();
@@ -207,13 +207,13 @@ impl<B: StorageBackend> StorageEngine<B> {
         let id = FragmentId::replacing(&sources, self.epoch)?;
         drop(snapshot_span);
 
-        let merge_span = Span::enter(&self.recorder, SpanKind::ConsolidateMerge);
+        let merge_span = Span::enter(self.plane.as_ref(), SpanKind::ConsolidateMerge);
         let (coords, payload) = self.merged_points_from(&snapshot)?;
         drop(merge_span);
 
         let target = match adaptive {
             Some(profile) => {
-                let _advise = Span::enter(&self.recorder, SpanKind::ConsolidateAdvise);
+                let _advise = Span::enter(self.plane.as_ref(), SpanKind::ConsolidateAdvise);
                 // Characterization reads the merged flat coordinates: no
                 // second fetch, decode or merge, one walk over the output.
                 let mut stats = SparsityStatsBuilder::new(self.shape.clone());
@@ -235,7 +235,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         // The merged scan is in linear-address order, so the re-encode
         // goes through the presorted builders (sorts elided).
         let convert_span =
-            adaptive.map(|_| Span::enter(&self.recorder, SpanKind::ConsolidateConvert));
+            adaptive.map(|_| Span::enter(self.plane.as_ref(), SpanKind::ConsolidateConvert));
         let ends = part_ends(&coords);
         let report = self.write_with(
             target,

@@ -64,10 +64,10 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// declared damaged; fragments that vanish mid-scrub (concurrent
     /// delete or consolidation) are skipped.
     pub fn scrub(&self) -> Result<ScrubReport> {
-        let _span = Span::enter(&self.recorder, SpanKind::Scrub);
+        let _span = Span::enter(self.plane.as_ref(), SpanKind::Scrub);
         let mut report = ScrubReport::default();
         for entry in self.catalog.snapshot_all() {
-            let _frag = Span::enter(&self.recorder, SpanKind::ScrubFragment);
+            let _frag = Span::enter(self.plane.as_ref(), SpanKind::ScrubFragment);
             match self.scrub_fragment(&entry) {
                 Ok(()) => {
                     report.fragments_checked += 1;

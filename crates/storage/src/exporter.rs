@@ -27,7 +27,7 @@
 use crate::backend::StorageBackend;
 use crate::engine::StorageEngine;
 use crate::error::{Result, StorageError};
-use artsparse_metrics::exposition;
+use artsparse_metrics::{exposition, ObservabilityPlane};
 use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -71,7 +71,8 @@ impl MetricsExporter {
     /// [`ObservabilityConfig::export_interval_ms`](crate::config::ObservabilityConfig::export_interval_ms).
     ///
     /// Fails if the engine was opened without `config.observability` —
-    /// there is no plane to export — or if `dir` cannot be created.
+    /// there is no plane to export — if `dir` cannot be created, or if
+    /// the thread cannot be spawned.
     pub fn spawn<B>(
         engine: Arc<StorageEngine<B>>,
         dir: impl Into<PathBuf>,
@@ -80,26 +81,22 @@ impl MetricsExporter {
         B: StorageBackend + Send + Sync + 'static,
     {
         let dir = dir.into();
-        if engine.observability().is_none() {
+        let Some(plane) = engine.observability().cloned() else {
             return Err(StorageError::Mismatch {
                 reason: "metrics exporter needs an engine opened with \
                          EngineConfig::observability set"
                     .to_string(),
             });
-        }
+        };
         std::fs::create_dir_all(&dir)?;
-        let interval = engine
-            .config()
-            .observability
-            .as_ref()
-            .map(|oc| oc.export_interval_ms.max(1))
-            .unwrap_or(500);
+        let interval = Duration::from_millis(
+            (engine.config().observability).map_or(500, |oc| oc.export_interval_ms.max(1)),
+        );
         let shared = Arc::new(Shared::default());
         let worker = Arc::clone(&shared);
         let handle = std::thread::Builder::new()
             .name("artsparse-metrics-exporter".into())
-            .spawn(move || exporter_loop(&engine, &dir, Duration::from_millis(interval), &worker))
-            .expect("spawning the exporter thread");
+            .spawn(move || exporter_loop(&engine, &plane, &dir, interval, &worker))?;
         Ok(MetricsExporter {
             shared,
             handle: Some(handle),
@@ -134,13 +131,14 @@ impl Drop for MetricsExporter {
 
 fn exporter_loop<B: StorageBackend + Send + Sync>(
     engine: &StorageEngine<B>,
+    plane: &ObservabilityPlane,
     dir: &Path,
     interval: Duration,
     shared: &Shared,
 ) {
     loop {
         let stopping = shared.stop.load(Ordering::SeqCst);
-        match export_tick(engine, dir) {
+        match export_tick(engine, plane, dir) {
             Ok(()) => {
                 shared.ticks.fetch_add(1, Ordering::Relaxed);
             }
@@ -158,11 +156,9 @@ fn exporter_loop<B: StorageBackend + Send + Sync>(
 /// One export pass: refresh gauges, snapshot, publish, drain.
 fn export_tick<B: StorageBackend + Send + Sync>(
     engine: &StorageEngine<B>,
-    dir: &std::path::Path,
+    plane: &ObservabilityPlane,
+    dir: &Path,
 ) -> std::io::Result<()> {
-    let plane = engine
-        .observability()
-        .expect("spawn() rejected engines without a plane");
     engine.observe();
     let snapshot = plane.registry().snapshot();
 
@@ -214,7 +210,6 @@ mod tests {
                 EngineConfig::default().with_observability(ObservabilityConfig {
                     export_interval_ms: 1,
                     slow_span_ms: 0,
-                    ..Default::default()
                 }),
             )
             .unwrap(),

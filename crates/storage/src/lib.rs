@@ -28,8 +28,8 @@
 //! * [`integrity`] — the CRC32C checksum primitive behind fragment
 //!   section verification and scrubbing;
 //! * [`observe`] — a recording backend wrapper that feeds the
-//!   `artsparse-metrics` telemetry subsystem with per-operation timings
-//!   and per-span byte accounting;
+//!   observability plane with per-operation timings and per-span byte
+//!   accounting;
 //! * [`wal`] — the CRC-framed write-ahead log records that make acked
 //!   streaming-ingest batches crash-durable before they reach a fragment;
 //! * [`buffer`] — the in-memory streaming-ingest write buffer with an

@@ -1,22 +1,21 @@
 //! Telemetry instrumentation for storage devices.
 //!
-//! [`RecordingBackend`] wraps any [`StorageBackend`] and, when its
-//! recorder is enabled, times every device operation and charges the
+//! [`RecordingBackend`] wraps any [`StorageBackend`] and, when it has an
+//! observability plane, times every device operation and charges the
 //! moved bytes to the innermost open span on the calling thread (see
 //! `artsparse_metrics::span`). The engine stores its device inside this
 //! wrapper so every existing `self.backend.…` call site is instrumented
-//! without per-call-site changes. With the default
-//! [`NoopRecorder`](artsparse_metrics::NoopRecorder) the wrapper is a
-//! cached-bool check plus a direct delegate — effectively free.
+//! without per-call-site changes. Without a plane the wrapper is one
+//! `Option` check plus a direct delegate — effectively free.
 
 use crate::backend::StorageBackend;
 use crate::error::Result;
-use artsparse_metrics::{charge, Recorder};
+use artsparse_metrics::{charge, ObservabilityPlane};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// A [`StorageBackend`] decorator that reports per-operation timing and
-/// byte counts to a [`Recorder`].
+/// byte counts to an [`ObservabilityPlane`].
 ///
 /// Byte accounting rules:
 /// * reads (`get`, `get_prefix`, `get_range`) charge `requests`,
@@ -29,18 +28,15 @@ use std::time::Instant;
 /// * `size` and `exists` are metadata peeks and are not recorded.
 pub struct RecordingBackend<B> {
     inner: B,
-    recorder: Arc<dyn Recorder>,
-    enabled: bool,
+    plane: Option<Arc<ObservabilityPlane>>,
 }
 
 impl<B: StorageBackend> RecordingBackend<B> {
-    /// Wrap `inner`, reporting to `recorder`.
-    pub fn new(inner: B, recorder: Arc<dyn Recorder>) -> Self {
-        let enabled = recorder.enabled();
+    /// Wrap `inner`, reporting to `plane` (`None`: record nothing).
+    pub fn new(inner: B, plane: Option<&Arc<ObservabilityPlane>>) -> Self {
         RecordingBackend {
             inner,
-            recorder,
-            enabled,
+            plane: plane.cloned(),
         }
     }
 
@@ -49,32 +45,21 @@ impl<B: StorageBackend> RecordingBackend<B> {
         &self.inner
     }
 
-    /// Unwrap, discarding the recorder.
+    /// Unwrap, discarding the plane.
     pub fn into_inner(self) -> B {
         self.inner
     }
 
-    /// Swap the recorder (used by `StorageEngine::with_recorder`).
-    pub fn set_recorder(&mut self, recorder: Arc<dyn Recorder>) {
-        self.enabled = recorder.enabled();
-        self.recorder = recorder;
-    }
-
     #[inline]
     fn op_start(&self) -> Option<Instant> {
-        if self.enabled {
-            Some(Instant::now())
-        } else {
-            None
-        }
+        self.plane.as_ref().map(|_| Instant::now())
     }
 
     #[inline]
     fn op_end(&self, start: Option<Instant>, op: &'static str, bytes: u64) {
-        if let Some(start) = start {
+        if let (Some(start), Some(plane)) = (start, &self.plane) {
             let dur_ns = start.elapsed().as_nanos() as u64;
-            self.recorder
-                .record_backend_op(self.inner.kind_name(), op, dur_ns, bytes);
+            plane.record_backend_op(self.inner.kind_name(), op, dur_ns, bytes);
         }
     }
 
@@ -195,11 +180,15 @@ impl<B: StorageBackend> StorageBackend for RecordingBackend<B> {
 mod tests {
     use super::*;
     use crate::backend::MemBackend;
-    use artsparse_metrics::{NoopRecorder, Span, SpanKind, TelemetryRecorder};
+    use artsparse_metrics::{Span, SpanKind};
+
+    fn plane() -> Option<Arc<ObservabilityPlane>> {
+        Some(Arc::new(ObservabilityPlane::new(0)))
+    }
 
     #[test]
-    fn disabled_recorder_records_nothing_and_delegates() {
-        let b = RecordingBackend::new(MemBackend::new(), Arc::new(NoopRecorder));
+    fn no_plane_records_nothing_and_delegates() {
+        let b = RecordingBackend::new(MemBackend::new(), None);
         b.put("a", &[1, 2, 3]).unwrap();
         assert_eq!(b.get("a").unwrap(), vec![1, 2, 3]);
         assert_eq!(b.kind_name(), "mem");
@@ -207,20 +196,19 @@ mod tests {
     }
 
     #[test]
-    fn enabled_recorder_times_ops_and_charges_open_span() {
-        let t = Arc::new(TelemetryRecorder::new());
-        let r: Arc<dyn Recorder> = t.clone();
-        let b = RecordingBackend::new(MemBackend::new(), r.clone());
+    fn a_plane_times_ops_and_charges_the_open_span() {
+        let p = plane();
+        let b = RecordingBackend::new(MemBackend::new(), p.as_ref());
         {
-            let _s = Span::enter(&r, SpanKind::Write);
+            let _s = Span::enter(p.as_ref(), SpanKind::Write);
             b.put("a", &[0u8; 100]).unwrap();
         }
         {
-            let _s = Span::enter(&r, SpanKind::ReadFetch);
+            let _s = Span::enter(p.as_ref(), SpanKind::ReadFetch);
             assert_eq!(b.get_range("a", 10, 20).unwrap().len(), 20);
             assert_eq!(b.get("a").unwrap().len(), 100);
         }
-        let rep = t.report();
+        let rep = p.as_ref().unwrap().report();
         let w = rep.span(SpanKind::Write).unwrap();
         assert_eq!(w.io.bytes_written, 100);
         assert_eq!(w.io.requests, 1);
@@ -235,14 +223,13 @@ mod tests {
 
     #[test]
     fn failed_reads_charge_request_but_no_bytes() {
-        let t = Arc::new(TelemetryRecorder::new());
-        let r: Arc<dyn Recorder> = t.clone();
-        let b = RecordingBackend::new(MemBackend::new(), r.clone());
+        let p = plane();
+        let b = RecordingBackend::new(MemBackend::new(), p.as_ref());
         {
-            let _s = Span::enter(&r, SpanKind::ReadFetch);
+            let _s = Span::enter(p.as_ref(), SpanKind::ReadFetch);
             assert!(b.get("missing").is_err());
         }
-        let rep = t.report();
+        let rep = p.as_ref().unwrap().report();
         let f = rep.span(SpanKind::ReadFetch).unwrap();
         assert_eq!(f.io.requests, 1);
         assert_eq!(f.io.bytes_fetched, 0);

@@ -10,8 +10,7 @@
 //!    consolidation runs (a fragment, or the parts one pass cut its
 //!    output into, counted once at their summed size) are bucketed by the
 //!    log₂ of their byte size, and when any tier accumulates
-//!    [`SchedulerConfig::tier_fragments`] runs the store is fragmented
-//!    enough to merge. Fresh flushes are all roughly
+//!    [`TIER_RUNS`] runs the store is fragmented enough to merge. Fresh flushes are all roughly
 //!    flush-threshold-sized, so they pile into one tier and trip the
 //!    trigger; the consolidated run lands in a higher tier and sits
 //!    there alone — the run count plateaus instead of growing with
@@ -44,6 +43,9 @@ use artsparse_metrics::{charge, Span, SpanKind};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Runs one log₂-size tier must hold before the scheduler consolidates.
+pub const TIER_RUNS: usize = 4;
 
 /// Counters describing what the scheduler has done so far.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -183,13 +185,13 @@ fn tier_of(size: u64) -> u32 {
     64 - size.max(1).leading_zeros()
 }
 
-/// Whether any size tier holds at least `threshold` runs.
-fn tier_trigger(sizes: &[u64], threshold: usize) -> bool {
+/// Whether any size tier holds at least [`TIER_RUNS`] runs.
+fn tier_trigger(sizes: &[u64]) -> bool {
     let mut counts = std::collections::HashMap::new();
     for &size in sizes {
         let n = counts.entry(tier_of(size)).or_insert(0usize);
         *n += 1;
-        if *n >= threshold {
+        if *n >= TIER_RUNS {
             return true;
         }
     }
@@ -205,7 +207,7 @@ fn scheduler_loop<B: StorageBackend + Send + Sync>(
     let min_gap = Duration::from_millis(config.min_consolidate_interval_ms);
     let mut last_consolidate: Option<Instant> = None;
     while !shared.stop.load(Ordering::SeqCst) {
-        match scheduler_pass(engine, config, shared, &mut last_consolidate, min_gap) {
+        match scheduler_pass(engine, shared, &mut last_consolidate, min_gap) {
             Ok(()) => {}
             Err(e) => {
                 // Keep failures out of the ingest path; the next tick
@@ -234,12 +236,11 @@ fn scheduler_loop<B: StorageBackend + Send + Sync>(
 /// consolidation check.
 fn scheduler_pass<B: StorageBackend + Send + Sync>(
     engine: &StorageEngine<B>,
-    config: &SchedulerConfig,
     shared: &Shared,
     last_consolidate: &mut Option<Instant>,
     min_gap: Duration,
 ) -> Result<()> {
-    let _span = Span::enter(engine.recorder(), SpanKind::SchedulerRun);
+    let _span = Span::enter(engine.observability(), SpanKind::SchedulerRun);
     shared.runs.fetch_add(1, Ordering::Relaxed);
     engine.note_scheduler_run();
     charge(|io| io.scheduler_runs += 1);
@@ -259,7 +260,7 @@ fn scheduler_pass<B: StorageBackend + Send + Sync>(
     let rate_limited = last_consolidate.is_some_and(|at| at.elapsed() < min_gap);
     if !rate_limited {
         let sizes = engine.run_sizes();
-        if sizes.len() >= 2 && tier_trigger(&sizes, config.tier_threshold()) {
+        if sizes.len() >= 2 && tier_trigger(&sizes) {
             engine.consolidate()?;
             shared.consolidations.fetch_add(1, Ordering::Relaxed);
             *last_consolidate = Some(Instant::now());
@@ -296,9 +297,9 @@ mod tests {
         assert_ne!(tier_of(1023), tier_of(1024));
         // Four same-tier fragments trip a threshold of 4; mixed tiers
         // don't.
-        assert!(tier_trigger(&[1000, 1001, 1002, 1003], 4));
-        assert!(!tier_trigger(&[10, 1000, 100_000, 10_000_000], 4));
-        assert!(!tier_trigger(&[1000, 1001, 1002], 4));
+        assert!(tier_trigger(&[1000, 1001, 1002, 1003]));
+        assert!(!tier_trigger(&[10, 1000, 100_000, 10_000_000]));
+        assert!(!tier_trigger(&[1000, 1001, 1002]));
     }
 
     #[test]
@@ -324,7 +325,7 @@ mod tests {
         }
         assert_eq!(engine.consolidate().unwrap().parts, 4);
         assert!(
-            tier_trigger(&engine.fragment_sizes(), 4),
+            tier_trigger(&engine.fragment_sizes()),
             "the parts share a tier"
         );
         assert_eq!(engine.run_sizes().len(), 1);
@@ -336,7 +337,6 @@ mod tests {
             Arc::clone(&engine),
             SchedulerConfig {
                 tick_ms: 1,
-                tier_fragments: 4,
                 min_consolidate_interval_ms: 0,
                 ..Default::default()
             },
@@ -407,7 +407,6 @@ mod tests {
             Arc::clone(&engine),
             SchedulerConfig {
                 tick_ms: 1,
-                tier_fragments: 4,
                 min_consolidate_interval_ms: 0,
                 ..Default::default()
             },

@@ -26,7 +26,6 @@
 
 pub mod blocked;
 pub mod coord;
-pub mod dense;
 pub mod error;
 pub mod permute;
 pub mod region;
@@ -36,7 +35,6 @@ pub mod value;
 
 pub use blocked::{BlockAddr, BlockGrid};
 pub use coord::CoordBuffer;
-pub use dense::DenseTensor;
 pub use error::{Result, TensorError};
 pub use region::Region;
 pub use shape::Shape;

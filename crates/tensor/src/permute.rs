@@ -94,18 +94,6 @@ pub fn scatter_bytes(bytes: &[u8], elem_size: usize, map: &[usize]) -> Vec<u8> {
     out
 }
 
-/// Gather an opaque byte payload: output record `j` = input record `perm[j]`.
-pub fn gather_bytes(bytes: &[u8], elem_size: usize, perm: &[usize]) -> Vec<u8> {
-    assert_eq!(bytes.len(), perm.len() * elem_size);
-    let mut out = vec![0u8; bytes.len()];
-    out.chunks_exact_mut(elem_size)
-        .zip(perm.iter())
-        .for_each(|(dst, &i)| {
-            dst.copy_from_slice(&bytes[i * elem_size..(i + 1) * elem_size]);
-        });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,17 +153,6 @@ mod tests {
             .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
             .collect();
         assert_eq!(decoded, vec![-2.0, 3.25, 1.5]);
-    }
-
-    #[test]
-    fn byte_gather_roundtrips_scatter() {
-        let bytes: Vec<u8> = (0u8..24).collect();
-        let perm = vec![2usize, 0, 1];
-        let gathered = gather_bytes(&bytes, 8, &perm);
-        // Scattering gathered records by the same perm restores the input:
-        // gather places input perm[j] at j, scatter sends slot j back to perm[j].
-        let restored = scatter_bytes(&gathered, 8, &perm);
-        assert_eq!(restored, bytes);
     }
 
     #[test]

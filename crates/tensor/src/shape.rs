@@ -1,4 +1,4 @@
-//! Tensor shapes and checked row-major / column-major strides.
+//! Tensor shapes and checked row-major linearization.
 //!
 //! The paper linearizes a point with coordinates `(c_1, …, c_d)` inside a
 //! tensor of size `(m_1, …, m_d)` as `Σ c_i · Π_{j>i} m_j` (row-major
@@ -80,37 +80,6 @@ impl Shape {
     #[inline]
     pub fn min_dim(&self) -> u64 {
         *self.dims.iter().min().expect("shape is non-empty")
-    }
-
-    /// Index of the smallest dimension (first one on ties).
-    #[inline]
-    pub fn min_dim_index(&self) -> usize {
-        let min = self.min_dim();
-        self.dims.iter().position(|&m| m == min).unwrap()
-    }
-
-    /// The largest dimension size.
-    #[inline]
-    pub fn max_dim(&self) -> u64 {
-        *self.dims.iter().max().expect("shape is non-empty")
-    }
-
-    /// Row-major strides: `stride_i = Π_{j>i} m_j`.
-    pub fn row_major_strides(&self) -> Vec<u64> {
-        let mut strides = vec![1u64; self.ndim()];
-        for i in (0..self.ndim().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.dims[i + 1];
-        }
-        strides
-    }
-
-    /// Column-major strides: `stride_i = Π_{j<i} m_j`.
-    pub fn col_major_strides(&self) -> Vec<u64> {
-        let mut strides = vec![1u64; self.ndim()];
-        for i in 1..self.ndim() {
-            strides[i] = strides[i - 1] * self.dims[i - 1];
-        }
-        strides
     }
 
     /// Whether `coord` lies inside this shape.
@@ -258,13 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn strides_match_definition() {
-        let s = Shape::new(vec![3, 4, 5]).unwrap();
-        assert_eq!(s.row_major_strides(), vec![20, 5, 1]);
-        assert_eq!(s.col_major_strides(), vec![1, 3, 12]);
-    }
-
-    #[test]
     fn paper_figure1_linear_addresses() {
         // Fig. 1(a): in a 3×3×3 tensor the five example points map to
         // linear addresses 1, 4, 5, 25, 26.
@@ -306,8 +268,6 @@ mod tests {
     fn min_max_and_order() {
         let s = Shape::new(vec![128, 8, 64]).unwrap();
         assert_eq!(s.min_dim(), 8);
-        assert_eq!(s.min_dim_index(), 1);
-        assert_eq!(s.max_dim(), 128);
         assert_eq!(s.ascending_dim_order(), vec![1, 2, 0]);
         let p = s.permuted(&[1, 2, 0]).unwrap();
         assert_eq!(p.dims(), &[8, 64, 128]);

@@ -46,14 +46,6 @@ pub fn sort_lexicographic(coords: &CoordBuffer) -> SortedCoords {
     finish(coords, perm)
 }
 
-/// Stable sort of points by a single dimension (GCSR++ sorts by the first
-/// dimension of the 2D remap, Algorithm 1 line 12).
-pub fn sort_by_dim(coords: &CoordBuffer, dim: usize) -> SortedCoords {
-    assert!(dim < coords.ndim(), "sort dimension out of range");
-    let perm = argsort_by_key(coords.len(), |i| coords.point(i)[dim]);
-    finish(coords, perm)
-}
-
 /// Stable sort of points by their row-major linear address in `shape`.
 ///
 /// Algorithm 3's READ merges multi-fragment results "based on linear
@@ -226,18 +218,6 @@ mod tests {
         for (j, &i) in s.perm.iter().enumerate() {
             assert_eq!(s.map[i], j);
         }
-    }
-
-    #[test]
-    fn sort_by_dim_is_stable() {
-        // Two points share dim-0 value 0 and 2; original relative order of
-        // equal keys must be preserved.
-        let s = sort_by_dim(&sample(), 0);
-        let pts: Vec<&[u64]> = s.coords.iter().collect();
-        assert_eq!(
-            pts,
-            vec![&[0u64, 3][..], &[0, 1], &[1, 9], &[2, 1], &[2, 0]]
-        );
     }
 
     #[test]

@@ -63,7 +63,7 @@
 //! ## Reading the telemetry digest
 //!
 //! ```
-//! use artsparse::storage::{EngineConfig, MemBackend, StorageEngine};
+//! use artsparse::storage::{EngineConfig, MemBackend, ObservabilityConfig, StorageEngine};
 //! use artsparse::{CoordBuffer, FormatKind, Shape};
 //!
 //! let engine = StorageEngine::open_with(
@@ -71,13 +71,13 @@
 //!     FormatKind::Linear,
 //!     Shape::new(vec![32, 32]).unwrap(),
 //!     8,
-//!     EngineConfig::default().with_telemetry(true),
+//!     EngineConfig::default().with_observability(ObservabilityConfig::default()),
 //! )?;
 //! let coords = CoordBuffer::from_points(2, &[[0u64, 1], [5, 6]]).unwrap();
 //! engine.write_points::<f64>(&coords, &[1.0, 2.0])?;
 //! engine.read_values::<f64>(&coords)?;
 //!
-//! let report = engine.telemetry_report().expect("telemetry was enabled");
+//! let report = engine.telemetry_report().expect("the plane is on");
 //! assert!(report.spans.iter().any(|s| s.count > 0));
 //! println!("{}", report.to_ascii()); // per-span latencies, I/O totals
 //! # Ok::<(), artsparse::storage::StorageError>(())

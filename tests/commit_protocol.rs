@@ -10,8 +10,8 @@
 use artsparse::core::advisor::{recommend_from_stats, AccessProfile};
 use artsparse::core::SparsityStats;
 use artsparse::storage::{
-    EngineConfig, FailingBackend, FsBackend, MemBackend, ReorgProfile, SimulatedDisk,
-    StorageBackend, StorageEngine, StripedBackend,
+    EngineConfig, FailingBackend, FsBackend, MemBackend, ObservabilityConfig, ReorgProfile,
+    SimulatedDisk, StorageBackend, StorageEngine, StripedBackend,
 };
 use artsparse::{CoordBuffer, FormatKind, Shape};
 use std::collections::BTreeMap;
@@ -1099,7 +1099,7 @@ fn consolidate_noop_on_zero_or_one_fragments_writes_nothing() {
         FormatKind::Linear,
         shape(),
         8,
-        EngineConfig::default().with_telemetry(true),
+        EngineConfig::default().with_observability(ObservabilityConfig::default()),
     )
     .unwrap();
     let churn_counts = |engine: &StorageEngine<MemBackend>| {

@@ -9,7 +9,7 @@ use artsparse::storage::engine::StorageEngine;
 use artsparse::storage::fragment::{encode_fragment, FragmentMeta};
 use artsparse::storage::{
     crc32c, injected_fault, Codec, EngineConfig, FailingBackend, FragmentSection, FsBackend,
-    MemBackend, RetryPolicy, StorageBackend, StorageError,
+    MemBackend, ObservabilityConfig, RetryPolicy, StorageBackend, StorageError,
 };
 use artsparse::{CoordBuffer, FormatKind, Shape};
 use proptest::prelude::*;
@@ -48,7 +48,7 @@ fn strict_read_of_bit_flipped_fragment_names_fragment_and_section() {
         FormatKind::Linear,
         shape(),
         8,
-        EngineConfig::default().with_telemetry(true),
+        EngineConfig::default().with_observability(ObservabilityConfig::default()),
     )
     .unwrap();
     e.write_points::<f64>(&coords(&[[1, 1], [2, 2]]), &[1.0, 2.0])
@@ -78,7 +78,7 @@ fn degraded_read_returns_survivors_and_scrub_finds_exactly_the_victim() {
         8,
         EngineConfig::default()
             .with_strict_reads(false)
-            .with_telemetry(true),
+            .with_observability(ObservabilityConfig::default()),
     )
     .unwrap();
     e.write_points::<f64>(&coords(&[[1, 1]]), &[1.0]).unwrap();
@@ -161,7 +161,7 @@ fn two_transient_faults_then_success_costs_exactly_three_attempts() {
         shape(),
         8,
         EngineConfig::default()
-            .with_telemetry(true)
+            .with_observability(ObservabilityConfig::default())
             .with_retry(instant_retries(4)),
     )
     .unwrap();

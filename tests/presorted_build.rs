@@ -1,7 +1,7 @@
 //! Property tests for the one "assemble from a sorted stream" entry
 //! point: `build_from_address_sorted(kind, ..)` must equal
 //! `kind.create().build(..)` byte-for-byte — index bytes and value order —
-//! for all nine organizations, on the inputs it gets in the engine:
+//! for all eight organizations, on the inputs it gets in the engine:
 //! distinct points in linear-address order (the consolidation merge and
 //! the buffer snapshot both dedup).
 

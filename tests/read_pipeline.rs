@@ -311,7 +311,11 @@ fn band_read_transfers_pinned_bytes() {
     let base = EngineConfig::default().with_read_parallelism(FRAGMENTS);
     let configs = [
         ("default", base.clone(), 295_936),
-        ("telemetry", base.clone().with_telemetry(true), 295_936),
+        (
+            "telemetry",
+            base.clone().with_observability(Default::default()),
+            295_936,
+        ),
         ("warm-cached", base.with_cache_capacity(64 << 20), 0),
     ];
     for (label, config, pinned) in configs {

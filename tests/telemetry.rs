@@ -1,14 +1,17 @@
 //! End-to-end telemetry: the engine's span-attributed I/O accounting
-//! must agree byte-for-byte with the device's own counters, a disabled
-//! recorder must never be called, the report must agree with
-//! `StoreStats`/`CacheStats`, and the exported per-cell document must
-//! validate against the checked-in schema.
+//! must agree byte-for-byte with the device's own counters, the plane's
+//! live counters must equal the report they are set from, the report
+//! must agree with `StoreStats`/`CacheStats`, and the exported per-cell
+//! document must validate against the checked-in schema. (That an engine
+//! without a plane does no sink work holds by type: its spans are inert,
+//! `span.rs`'s `no_plane_yields_inert_spans_and_empty_stack`.)
 
-use artsparse::metrics::{Recorder, SpanKind, SpanRecord};
-use artsparse::storage::{EngineConfig, MemBackend, SimulatedDisk, StorageEngine};
+use artsparse::metrics::SpanKind;
+use artsparse::storage::{
+    EngineConfig, FailingBackend, MemBackend, ObservabilityConfig, RetryPolicy, SimulatedDisk,
+    StorageEngine,
+};
 use artsparse::{CoordBuffer, FormatKind, Region, Shape};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// A fast simulated device: real byte accounting, negligible sleeps.
@@ -37,7 +40,7 @@ fn telemetry_bytes_agree_with_simulated_disk() {
         FormatKind::GcsrPP,
         Shape::new(vec![64, 64]).unwrap(),
         8,
-        EngineConfig::default().with_telemetry(true),
+        EngineConfig::default().with_observability(ObservabilityConfig::default()),
     )
     .unwrap();
 
@@ -89,44 +92,85 @@ fn telemetry_bytes_agree_with_simulated_disk() {
     );
 }
 
-/// Counts every recorder callback; reports itself disabled.
-#[derive(Default)]
-struct CountingDisabledRecorder {
-    spans: AtomicU64,
-    ops: AtomicU64,
-}
-
-impl Recorder for CountingDisabledRecorder {
-    fn record_span(&self, _record: &SpanRecord) {
-        self.spans.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn record_backend_op(&self, _b: &'static str, _o: &'static str, _d: u64, _bytes: u64) {
-        self.ops.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 #[test]
-fn disabled_recorder_is_never_called() {
-    let counter = Arc::new(CountingDisabledRecorder::default());
-    let engine = StorageEngine::open(
-        MemBackend::new(),
-        FormatKind::Linear,
-        Shape::new(vec![32, 32]).unwrap(),
+fn plane_counters_equal_the_report_totals() {
+    let no_backoff = RetryPolicy {
+        max_attempts: 3,
+        base_backoff: Duration::ZERO,
+        max_backoff: Duration::ZERO,
+        jitter_pct: 0,
+    };
+    let slow_span_ms = 1;
+    let engine = StorageEngine::open_with(
+        FailingBackend::new(MemBackend::new()),
+        FormatKind::Coo,
+        Shape::new(vec![64, 64]).unwrap(),
         8,
+        EngineConfig::default()
+            .with_retry(no_backoff)
+            .with_observability(ObservabilityConfig {
+                slow_span_ms,
+                ..Default::default()
+            }),
     )
-    .unwrap()
-    .with_recorder(counter.clone());
+    .unwrap();
+    let value_bytes = |hits: &[artsparse::storage::ReadHit]| -> u64 {
+        hits.iter().map(|h| h.value.len() as u64).sum()
+    };
 
+    // Writes, a cold region read, ingest plus flush, consolidate, and a
+    // point read that meets one injected transient fault.
+    for f in 0..4u64 {
+        let coords: Vec<[u64; 2]> = (0..32).map(|k| [f, k]).collect();
+        engine
+            .write_points::<f64>(&pts(&coords), &[1.0; 32])
+            .unwrap();
+    }
+    let region = Region::from_corners(&[0, 0], &[3, 31]).unwrap();
+    let mut returned = value_bytes(&engine.read_region(&region).unwrap().hits);
     engine
-        .write_points::<f64>(&pts(&[[1, 2], [3, 4]]), &[1.0, 2.0])
+        .ingest_points::<f64>(&pts(&[[9, 9], [10, 10]]), &[2.0, 3.0])
         .unwrap();
-    engine.read_values::<f64>(&pts(&[[1, 2], [9, 9]])).unwrap();
+    engine.flush().unwrap();
     engine.consolidate().unwrap();
+    engine.backend().fail_next_reads(1);
+    returned += value_bytes(&engine.read(&pts(&[[1, 1], [9, 9]])).unwrap().hits);
 
-    assert_eq!(counter.spans.load(Ordering::Relaxed), 0);
-    assert_eq!(counter.ops.load(Ordering::Relaxed), 0);
-    assert!(engine.telemetry_report().is_none());
+    let report = engine.telemetry_report().unwrap();
+    let t = report.totals;
+    assert_eq!(t.retries, 1);
+    assert!(t.wal_bytes > 0 && t.group_commits > 0 && t.bytes_fetched > 0);
+    assert_eq!(report.events_dropped, 0, "every span is in the ring");
+    let slow = (report.events.iter())
+        .filter(|e| e.dur_ns >= slow_span_ms * 1_000_000)
+        .count() as u64;
+
+    let plane = engine.observability().unwrap();
+    let snap = plane.registry().snapshot();
+    let expected = [
+        ("artsparse_bytes_fetched_total", t.bytes_fetched),
+        ("artsparse_bytes_written_total", t.bytes_written),
+        ("artsparse_requests_total", t.requests),
+        ("artsparse_retries_total", t.retries),
+        ("artsparse_checksum_failures_total", t.checksum_failures),
+        ("artsparse_quarantines_total", t.fragments_quarantined),
+        ("artsparse_wal_bytes_total", t.wal_bytes),
+        ("artsparse_group_commits_total", t.group_commits),
+        ("artsparse_slow_spans_total", slow),
+        ("artsparse_read_bytes_returned_total", returned),
+    ];
+    let totals: Vec<&str> = (snap.samples.iter())
+        .map(|s| s.name.as_str())
+        .filter(|n| n.ends_with("_total"))
+        .collect();
+    assert_eq!(totals.len(), expected.len(), "{totals:?}");
+    for (name, want) in expected {
+        assert_eq!(snap.sample(name).unwrap().value, want as f64, "{name}");
+    }
+    assert_eq!(
+        plane.read_amplification(),
+        Some(t.bytes_fetched as f64 / returned as f64)
+    );
 }
 
 #[test]
@@ -137,7 +181,7 @@ fn telemetry_agrees_with_engine_stats() {
         Shape::new(vec![64, 64]).unwrap(),
         8,
         EngineConfig::default()
-            .with_telemetry(true)
+            .with_observability(ObservabilityConfig::default())
             .with_cache_capacity(1 << 20),
     )
     .unwrap();
@@ -176,7 +220,7 @@ fn harness_writes_schema_valid_documents() {
     cfg.ndims = vec![2];
     cfg.telemetry_out = Some(dir.path().to_path_buf());
 
-    let (matrix, reports) = artsparse::harness::run_matrix_with_telemetry(&cfg).unwrap();
+    let (matrix, reports) = artsparse::harness::run_matrix_traced(&cfg).unwrap();
     assert_eq!(matrix.cells.len(), 1);
     assert_eq!(reports.len(), 1);
 
