@@ -4,13 +4,16 @@
 //!
 //! # Architecture
 //!
-//! - **Shards** — `N` worker threads, each *owning* a set of
-//!   [`artsparse_storage::StorageEngine`]s outright. Datasets are hashed
-//!   onto shards by FNV-1a of their tenant-qualified name, so all
-//!   cross-session coordination reduces to per-shard message channels.
+//! - **Registry** — every open dataset, an
+//!   [`artsparse_storage::StorageEngine`] behind an `Arc`, placed on one
+//!   of `N` shards (stripes of `RwLock`ed maps) by FNV-1a of its
+//!   tenant-qualified name. A request locks its shard only to find its
+//!   dataset.
 //! - **Sessions** — one thread per client connection (TCP or Unix
 //!   socket), speaking the `artsparse/1` protocol documented in
 //!   `PROTOCOL.md` at the repository root and codified in [`protocol`].
+//!   A session runs each request's engine call itself; the engine keeps
+//!   last-write-wins order among concurrent sessions and its scheduler.
 //! - **Tenancy** — every session binds a tenant with `HELLO`; dataset
 //!   names are namespaced per tenant, and each tenant is held to a
 //!   point/byte [`quota::Quota`] charged before every write.

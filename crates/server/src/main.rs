@@ -16,7 +16,7 @@ OPTIONS:
     --tcp <ADDR>                TCP listen address (e.g. 127.0.0.1:4141; port 0 = ephemeral)
     --unix <PATH>               Unix socket path
     --data-dir <DIR>            durable datasets under DIR (default: in-memory)
-    --shards <N>                shard worker threads (default 2)
+    --shards <N>                dataset registry stripes (default 2)
     --quota-points <N>          default per-tenant point cap (0 = unlimited)
     --quota-bytes <N>           default per-tenant byte cap (0 = unlimited)
     --tenant-quota <T:P:B>      override for tenant T: P points, B bytes (repeatable)

@@ -98,7 +98,7 @@ pub const COMMANDS: &[CommandSpec] = &[
     CommandSpec {
         name: "SHUTDOWN",
         syntax: "SHUTDOWN",
-        summary: "drain every shard and stop the server",
+        summary: "drain every dataset and stop the server",
     },
 ];
 
@@ -145,7 +145,8 @@ pub enum ErrorCode {
     Io,
     /// The server is draining; no new work is accepted.
     ShuttingDown,
-    /// A server-side invariant failure (shard unavailable, reply lost).
+    /// A server-side invariant failure. The code stays in the table for
+    /// clients; no request path of this server answers it.
     Internal,
 }
 
@@ -297,21 +298,41 @@ pub fn parse_bound(arg: &str) -> Result<(u64, u64), String> {
 /// Parse one `PUT`/`INGEST` data line: `<c0> <c1> ... <ck> <value>`.
 /// Returns the coordinates and the value.
 pub fn parse_point(line: &str) -> Result<(Vec<u64>, f64), String> {
-    let tokens: Vec<&str> = line.split_whitespace().collect();
-    if tokens.len() < 2 {
-        return Err(format!(
-            "data line needs at least one coordinate and a value, got {line:?}"
-        ));
-    }
-    let (coord_tokens, value_token) = tokens.split_at(tokens.len() - 1);
-    let coords: Result<Vec<u64>, _> = coord_tokens.iter().map(|t| t.parse::<u64>()).collect();
-    let Ok(coords) = coords else {
-        return Err(format!("coordinates must be unsigned integers in {line:?}"));
-    };
-    let Ok(value) = value_token[0].parse::<f64>() else {
-        return Err(format!("value must be a float, got {:?}", value_token[0]));
-    };
+    let mut coords = Vec::new();
+    let value = parse_point_into(line, &mut coords)?;
     Ok((coords, value))
+}
+
+/// [`parse_point`] without allocating: append the line's coordinates to
+/// `coords` and return its value. On error `coords` is left as it was.
+pub fn parse_point_into(line: &str, coords: &mut Vec<u64>) -> Result<f64, String> {
+    let start = coords.len();
+    let mut tokens = line.split_whitespace();
+    // Every token but the last is a coordinate: parse each one once the
+    // next token shows it was not the value.
+    let mut last = tokens.next();
+    let mut coord_tokens = 0usize;
+    let mut all_coords = true;
+    for token in tokens {
+        match last.map(str::parse::<u64>) {
+            Some(Ok(c)) => coords.push(c),
+            _ => all_coords = false,
+        }
+        coord_tokens += 1;
+        last = Some(token);
+    }
+    let refusal = match last {
+        Some(token) if coord_tokens > 0 && all_coords => match token.parse::<f64>() {
+            Ok(value) => return Ok(value),
+            Err(_) => format!("value must be a float, got {token:?}"),
+        },
+        _ if coord_tokens == 0 => {
+            format!("data line needs at least one coordinate and a value, got {line:?}")
+        }
+        _ => format!("coordinates must be unsigned integers in {line:?}"),
+    };
+    coords.truncate(start);
+    Err(refusal)
 }
 
 /// Render one point as a payload line. `f64` Display round-trips through
@@ -473,5 +494,63 @@ mod tests {
         assert!(parse_point("5").is_err());
         assert!(parse_point("a b 1.0").is_err());
         assert!(parse_point("1 2 notafloat").is_err());
+    }
+
+    /// The allocating parse `parse_point_into` replaced: split, then
+    /// convert. It fixes which refusal a malformed line gets.
+    fn split_then_parse(line: &str) -> Result<(Vec<u64>, f64), String> {
+        let tokens: Vec<&str> = line.split_whitespace().collect();
+        if tokens.len() < 2 {
+            return Err(format!(
+                "data line needs at least one coordinate and a value, got {line:?}"
+            ));
+        }
+        let (coord_tokens, value_token) = tokens.split_at(tokens.len() - 1);
+        let coords: Result<Vec<u64>, _> = coord_tokens.iter().map(|t| t.parse::<u64>()).collect();
+        let Ok(coords) = coords else {
+            return Err(format!("coordinates must be unsigned integers in {line:?}"));
+        };
+        let Ok(value) = value_token[0].parse::<f64>() else {
+            return Err(format!("value must be a float, got {:?}", value_token[0]));
+        };
+        Ok((coords, value))
+    }
+
+    #[test]
+    fn parse_point_into_equals_parse_point() {
+        let lines = [
+            // Valid.
+            "1 2 3 0.12345678901234567",
+            "7 -1.5",
+            "  4\t5  inf ",
+            "0 0 1e300",
+            // Malformed: too short, bad coordinates, bad value, and both.
+            "",
+            "   ",
+            "5",
+            "a b 1.0",
+            "1 -2 3.0",
+            "1 2.5 3.0",
+            "1 2 notafloat",
+            "x notafloat",
+            "18446744073709551616 1.0",
+        ];
+        for line in lines {
+            let mut coords = vec![42];
+            let into = parse_point_into(line, &mut coords).map(|v| (coords[1..].to_vec(), v));
+            let whole = split_then_parse(line);
+            assert_eq!(parse_point(line), whole, "{line:?}");
+            match (&into, &whole) {
+                (Ok((c1, v1)), Ok((c2, v2))) => {
+                    assert_eq!(c1, c2, "{line:?}");
+                    assert_eq!(v1.to_bits(), v2.to_bits(), "{line:?}");
+                }
+                (Err(e1), Err(e2)) => {
+                    assert_eq!(e1, e2, "{line:?}");
+                    assert_eq!(coords, [42], "a refused line appends nothing: {line:?}");
+                }
+                _ => panic!("{line:?}: {into:?} against {whole:?}"),
+            }
+        }
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Each tenant has a [`Quota`] — caps on total stored points and value
 //! bytes (`0` = unlimited). The [`QuotaBook`] holds one atomic usage
-//! record per tenant; sessions **charge** before dispatching a write to
-//! a shard and **refund** when the engine rejects it, so the book never
+//! record per tenant; sessions **charge** before handing a write to the
+//! engine and **refund** when the engine rejects it, so the book never
 //! counts points the store refused. Charging is a compare-and-swap loop
 //! over both counters, which keeps concurrent sessions of one tenant
 //! from collectively overshooting the cap.

@@ -1,24 +1,25 @@
-//! The server: shard workers, socket listeners, session threads, the
-//! quota book, and the metrics publisher, assembled behind one handle.
+//! The server: the dataset registry, socket listeners, session threads,
+//! the quota book, and the metrics publisher, assembled behind one handle.
 //!
-//! Topology: `N` shard threads own every [`artsparse_storage::StorageEngine`]
-//! (datasets hash onto shards by tenant-qualified name); one accept
-//! thread per listener (TCP, Unix) turns connections into session
-//! threads; an optional publisher thread mirrors the server's metrics
-//! into an exporter-compatible directory (`metrics.prom`,
-//! `metrics.jsonl`, `journal.jsonl`) so `artsparse-bench watch` works
-//! on a live server unchanged.
+//! Topology: one accept thread per listener (TCP, Unix) turns connections
+//! into session threads, and a session calls the engine of the dataset it
+//! names itself, found in the registry (datasets are placed on its `N`
+//! stripes by tenant-qualified name); each dataset may run a background
+//! scheduler thread; an optional publisher thread mirrors the server's
+//! metrics into an exporter-compatible directory (`metrics.prom`,
+//! `metrics.jsonl`, `journal.jsonl`) so `artsparse-bench watch` works on
+//! a live server unchanged.
 //!
 //! Shutdown ordering (see [`ServerHandle::shutdown`]): stop accepting →
-//! join sessions → drain every shard through `StorageEngine::shutdown`
-//! → join shard workers → final metrics publish. Acked ingest survives
-//! because drain group-commits the write buffers before the process
-//! lets go of the engines.
+//! join sessions → per dataset, stop its scheduler and drain its engine
+//! through `StorageEngine::shutdown` → final metrics publish. Acked
+//! ingest survives because drain group-commits the write buffers before
+//! the process lets go of the engines.
 
 use crate::metrics::ServerMetrics;
 use crate::quota::{Quota, QuotaBook};
 use crate::session::{run_session, Limits, SessionCtx};
-use crate::shard::{spawn_shard, ShardCmd, ShardReply};
+use crate::shard::{Drain, Registry};
 use artsparse_storage::{
     EngineConfig, FsBackend, MemBackend, SchedulerConfig, StorageBackend, StorageError,
     JOURNAL_JSONL, METRICS_JSONL, METRICS_PROM,
@@ -28,14 +29,14 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Opens one storage backend per dataset. The key is the namespaced
 /// dataset name (`tenant/dataset`), already validated against
 /// `[A-Za-z0-9_-]{1,64}` per segment — safe to use as a relative path.
 pub trait BackendFactory {
-    /// The backend type every shard engine runs on.
+    /// The backend type every dataset's engine runs on.
     type Backend: StorageBackend + Send + Sync + 'static;
     /// Open (creating if needed) the backend for `key`.
     fn open(&self, key: &str) -> Result<Self::Backend, StorageError>;
@@ -78,8 +79,8 @@ impl BackendFactory for FsFactory {
 /// set listeners explicitly.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Shard worker count (min 1). Datasets hash onto shards, so this
-    /// is the write-path parallelism across datasets.
+    /// Registry stripes (min 1). Datasets hash onto stripes, and a
+    /// request locks only its own stripe, and only to find its dataset.
     pub shards: usize,
     /// TCP listen address (`"127.0.0.1:4141"`), if any. Port `0` binds
     /// an ephemeral port; read it back with [`ServerHandle::tcp_addr`].
@@ -139,76 +140,73 @@ impl Default for ServerConfig {
 pub struct Server;
 
 impl Server {
-    /// Start a server: spawn the shard workers, bind the configured
-    /// listeners, and return the running server's [`ServerHandle`].
+    /// Start a server: bind the configured listeners and return the
+    /// running server's [`ServerHandle`].
     ///
     /// The handle drains everything on [`ServerHandle::shutdown`] (or
-    /// drop). Fails if a listener cannot bind.
+    /// drop). Fails if a listener cannot bind or a thread cannot start.
     pub fn start<F>(config: ServerConfig, factory: F) -> Result<ServerHandle, StorageError>
     where
         F: BackendFactory + Send + Sync + 'static,
     {
-        let n_shards = config.shards.max(1);
-        let factory = Arc::new(factory);
-        let mut shard_txs = Vec::with_capacity(n_shards);
-        let mut shard_handles = Vec::with_capacity(n_shards);
-        for id in 0..n_shards {
-            let (tx, rx) = mpsc::channel();
-            shard_handles.push(spawn_shard(
-                id,
-                Arc::clone(&factory),
-                config.engine.clone(),
-                config.scheduler,
-                rx,
-            ));
-            shard_txs.push(tx);
-        }
-
+        let registry = Arc::new(Registry::new(
+            factory,
+            config.engine.clone(),
+            config.scheduler,
+            config.shards,
+        ));
         let metrics = Arc::new(ServerMetrics::new(config.journal_capacity));
-        metrics.shards.set(n_shards as f64);
+        metrics.shards.set(registry.stripes() as f64);
         let quotas = QuotaBook::new(config.default_quota);
         for (tenant, quota) in &config.tenant_quotas {
             quotas.set_quota(tenant, *quota);
         }
 
-        let stop = Arc::new(AtomicBool::new(false));
+        // The handle exists before any thread does: an error below drops
+        // it, and dropping it stops and joins whatever had started.
         let (shutdown_tx, shutdown_rx) = mpsc::channel();
-        let session_handles: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
-            Arc::new(Mutex::new(Vec::new()));
-        let session_ids = Arc::new(AtomicU64::new(0));
-        let limits = Limits {
-            max_batch_points: config.max_batch_points,
-            scan_limit: config.scan_limit,
-            allow_shutdown: config.allow_shutdown,
+        let mut handle = ServerHandle {
+            stop: Arc::new(AtomicBool::new(false)),
+            registry: Arc::clone(&registry) as Arc<dyn Drain>,
+            accept_handles: Vec::new(),
+            session_handles: Arc::default(),
+            publisher: None,
+            tcp_addr: None,
+            unix_path: None,
+            shutdown_rx,
+            _shutdown_tx: shutdown_tx.clone(),
+            metrics: Arc::clone(&metrics),
+            quotas: quotas.clone(),
+            finished: false,
         };
-        let read_timeout = Duration::from_millis(config.session_read_timeout_ms.max(10));
+        let accept = Arc::new(AcceptCtx {
+            registry,
+            quotas: quotas.clone(),
+            metrics: Arc::clone(&metrics),
+            stop: Arc::clone(&handle.stop),
+            shutdown: shutdown_tx,
+            limits: Limits {
+                max_batch_points: config.max_batch_points,
+                scan_limit: config.scan_limit,
+                allow_shutdown: config.allow_shutdown,
+            },
+            read_timeout: Duration::from_millis(config.session_read_timeout_ms.max(10)),
+            sessions: Arc::clone(&handle.session_handles),
+            session_ids: AtomicU64::new(0),
+        });
 
-        let mut accept_handles = Vec::new();
-        let mut tcp_addr = None;
         if let Some(addr) = &config.tcp {
             let listener = TcpListener::bind(addr)?;
-            tcp_addr = Some(listener.local_addr()?);
+            handle.tcp_addr = Some(listener.local_addr()?);
             listener.set_nonblocking(true)?;
-            let loop_ctx = AcceptCtx {
-                shards: shard_txs.clone(),
-                quotas: quotas.clone(),
-                metrics: Arc::clone(&metrics),
-                stop: Arc::clone(&stop),
-                shutdown: shutdown_tx.clone(),
-                limits,
-                read_timeout,
-                sessions: Arc::clone(&session_handles),
-                session_ids: Arc::clone(&session_ids),
-            };
-            accept_handles.push(
+            let ctx = Arc::clone(&accept);
+            handle.accept_handles.push(
                 std::thread::Builder::new()
                     .name("artsparse-accept-tcp".into())
-                    .spawn(move || tcp_accept_loop(&listener, &loop_ctx))
-                    .expect("spawning the TCP accept thread"),
+                    .spawn(move || tcp_accept_loop(&listener, &ctx))?,
             );
         }
 
-        let mut unix_path = None;
         #[cfg(unix)]
         if let Some(path) = &config.unix {
             // A stale socket file from a dead process refuses the bind;
@@ -217,24 +215,13 @@ impl Server {
                 let _ = std::fs::remove_file(path);
             }
             let listener = std::os::unix::net::UnixListener::bind(path)?;
+            handle.unix_path = Some(path.clone());
             listener.set_nonblocking(true)?;
-            unix_path = Some(path.clone());
-            let loop_ctx = AcceptCtx {
-                shards: shard_txs.clone(),
-                quotas: quotas.clone(),
-                metrics: Arc::clone(&metrics),
-                stop: Arc::clone(&stop),
-                shutdown: shutdown_tx.clone(),
-                limits,
-                read_timeout,
-                sessions: Arc::clone(&session_handles),
-                session_ids: Arc::clone(&session_ids),
-            };
-            accept_handles.push(
+            let ctx = Arc::clone(&accept);
+            handle.accept_handles.push(
                 std::thread::Builder::new()
                     .name("artsparse-accept-unix".into())
-                    .spawn(move || unix_accept_loop(&listener, &loop_ctx))
-                    .expect("spawning the Unix accept thread"),
+                    .spawn(move || unix_accept_loop(&listener, &ctx))?,
             );
         }
         #[cfg(not(unix))]
@@ -244,52 +231,31 @@ impl Server {
             });
         }
 
-        let publisher = match &config.metrics_out {
-            Some(dir) => {
-                std::fs::create_dir_all(dir)?;
-                let dir = dir.clone();
-                let metrics = Arc::clone(&metrics);
-                let quotas = quotas.clone();
-                let stop = Arc::clone(&stop);
-                let interval = Duration::from_millis(config.export_interval_ms.max(10));
-                Some(
-                    std::thread::Builder::new()
-                        .name("artsparse-publisher".into())
-                        .spawn(move || loop {
-                            let stopping = stop.load(Ordering::SeqCst);
-                            let _ = publish_tick(&dir, &metrics, &quotas);
-                            if stopping {
-                                return;
-                            }
-                            std::thread::park_timeout(interval);
-                        })
-                        .expect("spawning the metrics publisher thread"),
-                )
-            }
-            None => None,
-        };
-
-        Ok(ServerHandle {
-            stop,
-            shards: shard_txs,
-            shard_handles,
-            accept_handles,
-            session_handles,
-            publisher,
-            tcp_addr,
-            unix_path,
-            shutdown_rx,
-            _shutdown_tx: shutdown_tx,
-            metrics,
-            quotas,
-            finished: false,
-        })
+        if let Some(dir) = &config.metrics_out {
+            std::fs::create_dir_all(dir)?;
+            let dir = dir.clone();
+            let stop = Arc::clone(&handle.stop);
+            let interval = Duration::from_millis(config.export_interval_ms.max(10));
+            handle.publisher = Some(
+                std::thread::Builder::new()
+                    .name("artsparse-publisher".into())
+                    .spawn(move || loop {
+                        let stopping = stop.load(Ordering::SeqCst);
+                        let _ = publish_tick(&dir, &metrics, &quotas);
+                        if stopping {
+                            return;
+                        }
+                        std::thread::park_timeout(interval);
+                    })?,
+            );
+        }
+        Ok(handle)
     }
 }
 
 /// Everything an accept loop needs to mint sessions.
-struct AcceptCtx {
-    shards: Vec<Sender<ShardCmd>>,
+struct AcceptCtx<F: BackendFactory> {
+    registry: Arc<Registry<F>>,
     quotas: QuotaBook,
     metrics: Arc<ServerMetrics>,
     stop: Arc<AtomicBool>,
@@ -297,13 +263,13 @@ struct AcceptCtx {
     limits: Limits,
     read_timeout: Duration,
     sessions: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-    session_ids: Arc<AtomicU64>,
+    session_ids: AtomicU64,
 }
 
-impl AcceptCtx {
-    fn session_ctx(&self, peer: String) -> SessionCtx {
+impl<F: BackendFactory + Send + Sync + 'static> AcceptCtx<F> {
+    fn session_ctx(&self, peer: String) -> SessionCtx<F> {
         SessionCtx {
-            shards: self.shards.clone(),
+            registry: Arc::clone(&self.registry),
             quotas: self.quotas.clone(),
             metrics: Arc::clone(&self.metrics),
             stop: Arc::clone(&self.stop),
@@ -314,21 +280,34 @@ impl AcceptCtx {
         }
     }
 
-    fn spawn_session(&self, ctx: SessionCtx, run: impl FnOnce(SessionCtx) + Send + 'static) {
-        let handle = std::thread::Builder::new()
-            .name(format!("artsparse-session-{}", ctx.session_id))
+    /// Run `run` on a new session thread. A thread that cannot start is
+    /// journaled, and its connection, moved into `run`, is dropped.
+    fn spawn_session(&self, ctx: SessionCtx<F>, run: impl FnOnce(SessionCtx<F>) + Send + 'static) {
+        let id = ctx.session_id;
+        match std::thread::Builder::new()
+            .name(format!("artsparse-session-{id}"))
             .spawn(move || run(ctx))
-            .expect("spawning a session thread");
-        self.sessions
-            .lock()
-            .expect("session list lock")
-            .push(handle);
+        {
+            Ok(handle) => self
+                .sessions
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(handle),
+            Err(e) => self.metrics.journal_warn(
+                "session_spawn_failed",
+                format!("session {id} could not start a thread ({e}); connection dropped"),
+                id,
+            ),
+        }
     }
 }
 
 const ACCEPT_POLL: Duration = Duration::from_millis(25);
 
-fn tcp_accept_loop(listener: &TcpListener, ctx: &AcceptCtx) {
+fn tcp_accept_loop<F: BackendFactory + Send + Sync + 'static>(
+    listener: &TcpListener,
+    ctx: &AcceptCtx<F>,
+) {
     while !ctx.stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, peer)) => {
@@ -346,10 +325,14 @@ fn tcp_accept_loop(listener: &TcpListener, ctx: &AcceptCtx) {
     }
 }
 
-fn serve_tcp(stream: TcpStream, timeout: Duration, ctx: SessionCtx) {
+fn serve_tcp<F: BackendFactory>(stream: TcpStream, timeout: Duration, ctx: SessionCtx<F>) {
     if stream.set_nonblocking(false).is_err() || stream.set_read_timeout(Some(timeout)).is_err() {
         return;
     }
+    // Each reply is one write: sent at once rather than held back by
+    // Nagle until the client's delayed ACK for the previous one. Best
+    // effort — a socket that refuses still serves, only slower.
+    let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -357,7 +340,10 @@ fn serve_tcp(stream: TcpStream, timeout: Duration, ctx: SessionCtx) {
 }
 
 #[cfg(unix)]
-fn unix_accept_loop(listener: &std::os::unix::net::UnixListener, ctx: &AcceptCtx) {
+fn unix_accept_loop<F: BackendFactory + Send + Sync + 'static>(
+    listener: &std::os::unix::net::UnixListener,
+    ctx: &AcceptCtx<F>,
+) {
     while !ctx.stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -424,8 +410,7 @@ fn publish_tick(dir: &Path, metrics: &ServerMetrics, quotas: &QuotaBook) -> std:
 #[derive(Debug)]
 pub struct ServerHandle {
     stop: Arc<AtomicBool>,
-    shards: Vec<Sender<ShardCmd>>,
-    shard_handles: Vec<std::thread::JoinHandle<()>>,
+    registry: Arc<dyn Drain>,
     accept_handles: Vec<std::thread::JoinHandle<()>>,
     session_handles: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
     publisher: Option<std::thread::JoinHandle<()>>,
@@ -443,7 +428,7 @@ pub struct ServerHandle {
 /// What a graceful shutdown drained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DrainReport {
-    /// Datasets flushed and retired across all shards.
+    /// Datasets flushed and retired.
     pub datasets: usize,
     /// Datasets whose drain failed (flush error, stuck device).
     pub errors: usize,
@@ -476,7 +461,7 @@ impl ServerHandle {
     }
 
     /// Gracefully stop: refuse new connections, let sessions finish,
-    /// drain every shard through `StorageEngine::shutdown`, publish one
+    /// drain every dataset through `StorageEngine::shutdown`, publish one
     /// final metrics tick. Idempotent.
     pub fn shutdown(&mut self) -> DrainReport {
         if self.finished {
@@ -491,35 +476,16 @@ impl ServerHandle {
             let _ = h.join();
         }
         let sessions: Vec<_> = {
-            let mut guard = self.session_handles.lock().expect("session list lock");
+            let mut guard = self
+                .session_handles
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             guard.drain(..).collect()
         };
         for h in sessions {
             let _ = h.join();
         }
-
-        let mut report = DrainReport {
-            datasets: 0,
-            errors: 0,
-        };
-        for tx in &self.shards {
-            let (reply_tx, reply_rx) = mpsc::channel();
-            if tx.send(ShardCmd::Drain { reply: reply_tx }).is_err() {
-                report.errors += 1;
-                continue;
-            }
-            match reply_rx.recv() {
-                Ok(ShardReply::Drained { datasets, errors }) => {
-                    report.datasets += datasets;
-                    report.errors += errors;
-                }
-                _ => report.errors += 1,
-            }
-        }
-        self.shards.clear();
-        for h in self.shard_handles.drain(..) {
-            let _ = h.join();
-        }
+        let report = self.registry.drain();
 
         if let Some(h) = self.publisher.take() {
             h.thread().unpark();

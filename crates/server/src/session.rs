@@ -1,11 +1,11 @@
 //! Per-connection session loop.
 //!
 //! A session is one thread driving one client socket (TCP or Unix): it
-//! reads request lines, routes them to the owning shard by hashed
-//! dataset key, and writes exactly one status line (plus any announced
-//! payload) per request. The loop is transport-agnostic — it runs over
-//! any `BufRead`/`Write` pair — which keeps it unit-testable without
-//! sockets and identical across listeners.
+//! reads request lines, looks the named dataset up in the registry, calls
+//! its engine on this thread, and writes exactly one status line (plus
+//! any announced payload) per request. The loop is transport-agnostic —
+//! it runs over any `BufRead`/`Write` pair — which keeps it unit-testable
+//! without sockets and identical across listeners.
 //!
 //! Load shedding is typed, never silent: engine rejections
 //! ([`artsparse_storage::StorageError::Backpressure`], `ReadOnly`),
@@ -16,11 +16,12 @@
 use crate::metrics::ServerMetrics;
 use crate::protocol::{self, ErrorCode, Request, PROTOCOL_VERSION};
 use crate::quota::QuotaBook;
-use crate::shard::{shard_of, DatasetStats, ShardCmd, ShardReply};
+use crate::server::BackendFactory;
+use crate::shard::{Created, DatasetStats, Registry};
 use artsparse_storage::HealthState;
 use std::io::{self, BufRead, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Sender};
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -36,11 +37,10 @@ pub struct Limits {
     pub allow_shutdown: bool,
 }
 
-/// Everything one session thread owns. Shard senders are cloned per
-/// session because `mpsc::Sender` is `Send` but not `Sync`.
-pub struct SessionCtx {
-    /// Command channels, indexed by shard.
-    pub shards: Vec<Sender<ShardCmd>>,
+/// Everything one session thread owns.
+pub struct SessionCtx<F: BackendFactory> {
+    /// Every open dataset.
+    pub registry: Arc<Registry<F>>,
     /// The server-wide quota ledger.
     pub quotas: QuotaBook,
     /// The server-wide metrics plane.
@@ -57,40 +57,38 @@ pub struct SessionCtx {
     pub session_id: u64,
 }
 
-/// What a fully-read request line turned into.
+/// What reading one line found.
 enum ReadOutcome {
-    /// A complete line (trailing newline stripped).
-    Line(String),
+    /// A complete line, now in the buffer (trailing newline stripped).
+    Line,
     /// The peer closed its write side.
     Eof,
     /// The server is draining and the peer is idle.
     Stopped,
 }
 
-/// Read one line, tolerating read-timeout errors so the loop can poll
-/// the drain flag. Timed-out partial reads stay in `buf` and complete
-/// on a later pass.
-fn read_line_patient<R: BufRead>(reader: &mut R, stop: &AtomicBool) -> io::Result<ReadOutcome> {
-    let mut buf = String::new();
+/// Read one line into `buf`, tolerating read-timeout errors so the loop
+/// can poll the drain flag. Timed-out partial reads stay in `buf` and
+/// complete on a later pass.
+fn read_line_patient<R: BufRead>(
+    reader: &mut R,
+    stop: &AtomicBool,
+    buf: &mut String,
+) -> io::Result<ReadOutcome> {
+    buf.clear();
     loop {
-        match reader.read_line(&mut buf) {
-            Ok(0) => {
-                let trimmed = buf.trim_end_matches(['\n', '\r']);
-                return Ok(if trimmed.is_empty() {
+        match reader.read_line(buf) {
+            Ok(n) if n == 0 || buf.ends_with('\n') => {
+                buf.truncate(buf.trim_end_matches(['\n', '\r']).len());
+                return Ok(if n == 0 && buf.is_empty() {
                     ReadOutcome::Eof
                 } else {
-                    ReadOutcome::Line(trimmed.to_string())
+                    ReadOutcome::Line
                 });
             }
-            Ok(_) => {
-                if buf.ends_with('\n') {
-                    return Ok(ReadOutcome::Line(
-                        buf.trim_end_matches(['\n', '\r']).to_string(),
-                    ));
-                }
-                // No newline yet: only possible right before EOF or
-                // after a timeout left a partial line; keep reading.
-            }
+            // No newline yet: only possible right before EOF or after a
+            // timeout left a partial line; keep reading.
+            Ok(_) => {}
             Err(e)
                 if matches!(
                     e.kind(),
@@ -110,8 +108,17 @@ fn read_line_patient<R: BufRead>(reader: &mut R, stop: &AtomicBool) -> io::Resul
 
 /// Run one session to completion. Consumes the context; returns when
 /// the peer disconnects, `QUIT`s, errors, or the server drains.
-pub fn run_session<R: BufRead, W: Write>(ctx: SessionCtx, mut reader: R, mut writer: W) {
-    let mut session = Session { ctx, tenant: None };
+pub fn run_session<F: BackendFactory, R: BufRead, W: Write>(
+    ctx: SessionCtx<F>,
+    mut reader: R,
+    mut writer: W,
+) {
+    let mut session = Session {
+        ctx,
+        tenant: None,
+        line: String::new(),
+        bytes_in: 0,
+    };
     session.ctx.metrics.sessions_total.inc();
     session
         .ctx
@@ -127,7 +134,7 @@ pub fn run_session<R: BufRead, W: Write>(ctx: SessionCtx, mut reader: R, mut wri
     let greeting = format!(
         "OK {} ready shards={}",
         PROTOCOL_VERSION,
-        session.ctx.shards.len()
+        session.ctx.registry.stripes()
     );
     let outcome = if session.respond(&mut writer, &[greeting]).is_err() {
         Ok(())
@@ -151,24 +158,31 @@ pub fn run_session<R: BufRead, W: Write>(ctx: SessionCtx, mut reader: R, mut wri
     );
 }
 
-struct Session {
-    ctx: SessionCtx,
+struct Session<F: BackendFactory> {
+    ctx: SessionCtx<F>,
     tenant: Option<String>,
+    /// The line being read; request lines and data lines reuse it.
+    line: String,
+    /// Bytes of the request being served, counted once it is answered.
+    bytes_in: u64,
 }
 
-impl Session {
+impl<F: BackendFactory> Session<F> {
     fn serve<R: BufRead, W: Write>(&mut self, reader: &mut R, writer: &mut W) -> io::Result<()> {
         loop {
-            let line = match read_line_patient(reader, &self.ctx.stop)? {
-                ReadOutcome::Line(l) => l,
+            match read_line_patient(reader, &self.ctx.stop, &mut self.line)? {
+                ReadOutcome::Line => {}
                 ReadOutcome::Eof | ReadOutcome::Stopped => return Ok(()),
-            };
-            self.ctx.metrics.bytes_in_total.add(line.len() as u64 + 1);
-            let Some(request) = protocol::parse_request(&line) else {
+            }
+            self.bytes_in = self.line.len() as u64 + 1;
+            let Some(request) = protocol::parse_request(&self.line) else {
+                self.ctx.metrics.bytes_in_total.add(self.bytes_in);
                 continue; // blank line
             };
             let started = Instant::now();
-            let (response, close) = self.handle(reader, &request)?;
+            let handled = self.handle(reader, &request);
+            self.ctx.metrics.bytes_in_total.add(self.bytes_in);
+            let (response, close) = handled?;
             self.ctx.metrics.commands_total.inc();
             self.ctx
                 .metrics
@@ -249,7 +263,7 @@ impl Session {
     }
 
     /// Run `f` with the bound tenant, or refuse with `NO_TENANT`.
-    fn with_tenant(&mut self, f: impl FnOnce(&mut Session, String) -> Vec<String>) -> Vec<String> {
+    fn with_tenant(&mut self, f: impl FnOnce(&mut Self, String) -> Vec<String>) -> Vec<String> {
         match self.tenant.clone() {
             Some(t) => f(self, t),
             None => vec![protocol::err_line(
@@ -308,10 +322,10 @@ impl Session {
         if !args.is_empty() {
             return vec![protocol::err_line(ErrorCode::BadArg, "usage: METRICS")];
         }
-        // Refresh the dataset gauge from the shards' own books.
-        if let Ok(stats) = self.broadcast_stats(None, None) {
-            self.ctx.metrics.datasets.set(stats.len() as f64);
-        }
+        self.ctx
+            .metrics
+            .datasets
+            .set(self.ctx.registry.len() as f64);
         let text = self.ctx.metrics.render(&self.ctx.quotas);
         let mut lines = vec![format!("OK lines={}", text.lines().count())];
         lines.extend(text.lines().map(str::to_string));
@@ -335,26 +349,21 @@ impl Session {
             Ok(d) => d,
             Err(e) => return vec![protocol::err_line(ErrorCode::BadArg, &e)],
         };
-        let reply = self.dispatch(tenant, &args[0], |key, reply| ShardCmd::Create {
-            key,
-            dims: dims.clone(),
-            reply,
-        });
-        match reply {
-            Ok(ShardReply::Created { existed }) => {
+        match self.ctx.registry.create(tenant, &args[0], &dims) {
+            Ok(Created::Open { existed }) => {
                 vec![format!("OK created={} existed={existed}", args[0])]
             }
-            Ok(ShardReply::ShapeConflict { existing }) => vec![protocol::err_line(
+            Ok(Created::ShapeConflict { existing }) => vec![protocol::err_line(
                 ErrorCode::Exists,
                 &format!("dataset exists with shape {}", render_dims(&existing)),
             )],
-            other => self.unexpected(other),
+            Err(e) => vec![protocol::storage_err_line(&e)],
         }
     }
 
     /// `PUT`/`INGEST`: read the announced data lines (always, so the
     /// stream stays in lock-step even on refusal), then charge quota
-    /// and dispatch.
+    /// and call the engine.
     fn cmd_write<R: BufRead>(
         &mut self,
         reader: &mut R,
@@ -398,40 +407,32 @@ impl Session {
             )]);
         }
 
-        // Read and parse the batch. All n lines are consumed even when
-        // one is malformed; the first error wins.
+        // Read the batch and parse it straight into its flat arrays. All
+        // n lines are consumed even when one is malformed; the first
+        // error wins.
         let mut ndim = 0usize;
         let mut flat: Vec<u64> = Vec::new();
         let mut values: Vec<f64> = Vec::with_capacity(n);
         let mut parse_error: Option<String> = None;
         for i in 0..n {
-            let line = match read_line_patient(reader, &self.ctx.stop)? {
-                ReadOutcome::Line(l) => l,
-                ReadOutcome::Eof | ReadOutcome::Stopped => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        format!("peer sent {i} of {n} data lines"),
-                    ));
-                }
-            };
-            self.ctx.metrics.bytes_in_total.add(line.len() as u64 + 1);
+            self.data_line(reader, i, n)?;
             if parse_error.is_some() {
                 continue;
             }
-            match protocol::parse_point(&line) {
-                Ok((coords, value)) => {
+            let before = flat.len();
+            match protocol::parse_point_into(&self.line, &mut flat) {
+                Ok(value) => {
+                    let k = flat.len() - before;
                     if ndim == 0 {
-                        ndim = coords.len();
+                        ndim = k;
                     }
-                    if coords.len() != ndim {
+                    if k != ndim {
                         parse_error = Some(format!(
-                            "data line {} has {} coordinates, line 1 had {ndim}",
-                            i + 1,
-                            coords.len()
+                            "data line {} has {k} coordinates, line 1 had {ndim}",
+                            i + 1
                         ));
                         continue;
                     }
-                    flat.extend_from_slice(&coords);
                     values.push(value);
                 }
                 Err(e) => parse_error = Some(format!("data line {}: {e}", i + 1)),
@@ -441,7 +442,7 @@ impl Session {
             return Ok(vec![protocol::err_line(ErrorCode::BadArg, &e)]);
         }
 
-        // Charge the quota before dispatch; refund if the engine refuses.
+        // Charge the quota before the write; refund if it does not land.
         let bytes = (n as u64) * 8;
         if let Err(refusal) = self.ctx.quotas.charge(&tenant, n as u64, bytes) {
             self.ctx.metrics.journal_warn(
@@ -454,50 +455,40 @@ impl Session {
                 &refusal.to_string(),
             )]);
         }
-        let reply = self.dispatch(&tenant, dataset, |key, reply| ShardCmd::Write {
-            key,
-            ingest,
-            ndim,
-            flat: std::mem::take(&mut flat),
-            values: std::mem::take(&mut values),
-            reply,
-        });
-        Ok(match reply {
-            Ok(ShardReply::Written { acked, fragment }) => match fragment {
-                Some(f) => vec![format!("OK acked={acked} fragment={f}")],
-                None => vec![format!("OK acked={acked}")],
-            },
-            Ok(ShardReply::NoDataset) => {
+        let written = match self.ctx.registry.get(&tenant, dataset) {
+            None => Err(no_dataset(dataset)),
+            Some(ds) => ds
+                .write(ingest, ndim, flat, &values)
+                .map_err(|e| protocol::storage_err_line(&e)),
+        };
+        Ok(vec![match written {
+            Ok((acked, Some(fragment))) => format!("OK acked={acked} fragment={fragment}"),
+            Ok((acked, None)) => format!("OK acked={acked}"),
+            Err(refusal) => {
                 self.ctx.quotas.refund(&tenant, n as u64, bytes);
-                vec![no_dataset(dataset)]
+                refusal
             }
-            Ok(ShardReply::Err(e)) => {
-                self.ctx.quotas.refund(&tenant, n as u64, bytes);
-                vec![protocol::storage_err_line(&e)]
+        }])
+    }
+
+    /// Read data line `i` of `n` into `self.line`; the peer hanging up
+    /// first is an error.
+    fn data_line<R: BufRead>(&mut self, reader: &mut R, i: usize, n: usize) -> io::Result<()> {
+        match read_line_patient(reader, &self.ctx.stop, &mut self.line)? {
+            ReadOutcome::Line => {
+                self.bytes_in += self.line.len() as u64 + 1;
+                Ok(())
             }
-            other => {
-                self.ctx.quotas.refund(&tenant, n as u64, bytes);
-                self.unexpected(other)
-            }
-        })
+            ReadOutcome::Eof | ReadOutcome::Stopped => Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                format!("peer sent {i} of {n} data lines"),
+            )),
+        }
     }
 
     /// Consume `n` data lines without parsing (refused batches).
-    fn discard_lines<R: BufRead>(&self, reader: &mut R, n: usize) -> io::Result<()> {
-        for i in 0..n {
-            match read_line_patient(reader, &self.ctx.stop)? {
-                ReadOutcome::Line(l) => {
-                    self.ctx.metrics.bytes_in_total.add(l.len() as u64 + 1);
-                }
-                ReadOutcome::Eof | ReadOutcome::Stopped => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        format!("peer sent {i} of {n} data lines"),
-                    ));
-                }
-            }
-        }
-        Ok(())
+    fn discard_lines<R: BufRead>(&mut self, reader: &mut R, n: usize) -> io::Result<()> {
+        (0..n).try_for_each(|i| self.data_line(reader, i, n))
     }
 
     fn cmd_get(&mut self, tenant: &str, args: &[String]) -> Vec<String> {
@@ -514,19 +505,14 @@ impl Session {
                 "coordinates must be unsigned integers",
             )];
         };
-        let reply = self.dispatch(tenant, &args[0], |key, reply| ShardCmd::Get {
-            key,
-            coord: coord.clone(),
-            reply,
-        });
-        match reply {
-            Ok(ShardReply::Point { value: Some(v) }) => {
-                vec![format!("OK found=true value={}", protocol::format_value(v))]
-            }
-            Ok(ShardReply::Point { value: None }) => vec!["OK found=false".to_string()],
-            Ok(ShardReply::NoDataset) => vec![no_dataset(&args[0])],
-            other => self.shard_error(other),
-        }
+        let Some(ds) = self.ctx.registry.get(tenant, &args[0]) else {
+            return vec![no_dataset(&args[0])];
+        };
+        vec![match ds.get(&coord) {
+            Ok(Some(v)) => format!("OK found=true value={}", protocol::format_value(v)),
+            Ok(None) => "OK found=false".to_string(),
+            Err(e) => protocol::storage_err_line(&e),
+        }]
     }
 
     fn cmd_scan(&mut self, tenant: &str, args: &[String]) -> Vec<String> {
@@ -569,23 +555,18 @@ impl Session {
                 ),
             )];
         }
-        let reply = self.dispatch(tenant, &args[0], |key, reply| ShardCmd::Scan {
-            key,
-            lo: lo.clone(),
-            hi: hi.clone(),
-            limit,
-            reply,
-        });
-        match reply {
-            Ok(ShardReply::Points { rows, truncated }) => {
+        let Some(ds) = self.ctx.registry.get(tenant, &args[0]) else {
+            return vec![no_dataset(&args[0])];
+        };
+        match ds.scan(&lo, &hi, limit) {
+            Ok((rows, truncated)) => {
                 let mut lines = vec![format!("OK points={} truncated={truncated}", rows.len())];
                 for (coord, value) in &rows {
                     lines.push(protocol::render_point(coord, *value));
                 }
                 lines
             }
-            Ok(ShardReply::NoDataset) => vec![no_dataset(&args[0])],
-            other => self.shard_error(other),
+            Err(e) => vec![protocol::storage_err_line(&e)],
         }
     }
 
@@ -596,20 +577,16 @@ impl Session {
                 "usage: FLUSH <dataset>",
             )];
         }
-        let reply = self.dispatch(tenant, &args[0], |key, reply| ShardCmd::Flush {
-            key,
-            reply,
-        });
-        match reply {
-            Ok(ShardReply::Flushed { fragment }) => {
-                vec![format!(
-                    "OK flushed fragment={}",
-                    fragment.as_deref().unwrap_or("none")
-                )]
-            }
-            Ok(ShardReply::NoDataset) => vec![no_dataset(&args[0])],
-            other => self.shard_error(other),
-        }
+        let Some(ds) = self.ctx.registry.get(tenant, &args[0]) else {
+            return vec![no_dataset(&args[0])];
+        };
+        vec![match ds.engine.flush() {
+            Ok(report) => format!(
+                "OK flushed fragment={}",
+                report.as_ref().map_or("none", |r| r.fragment.as_str())
+            ),
+            Err(e) => protocol::storage_err_line(&e),
+        }]
     }
 
     fn cmd_consolidate(&mut self, tenant: &str, args: &[String]) -> Vec<String> {
@@ -619,17 +596,16 @@ impl Session {
                 "usage: CONSOLIDATE <dataset>",
             )];
         }
-        let reply = self.dispatch(tenant, &args[0], |key, reply| ShardCmd::Consolidate {
-            key,
-            reply,
-        });
-        match reply {
-            Ok(ShardReply::Consolidated { merged, points }) => {
-                vec![format!("OK merged={merged} points={points}")]
-            }
-            Ok(ShardReply::NoDataset) => vec![no_dataset(&args[0])],
-            other => self.shard_error(other),
-        }
+        let Some(ds) = self.ctx.registry.get(tenant, &args[0]) else {
+            return vec![no_dataset(&args[0])];
+        };
+        vec![match ds.engine.consolidate() {
+            Ok(report) => format!(
+                "OK merged={} points={}",
+                report.merged_fragments, report.n_points
+            ),
+            Err(e) => protocol::storage_err_line(&e),
+        }]
     }
 
     fn cmd_stats(&mut self, tenant: &str, args: &[String]) -> Vec<String> {
@@ -639,23 +615,22 @@ impl Session {
                 "usage: STATS [<dataset>]",
             )];
         }
-        let key = match args.first() {
-            Some(d) if !protocol::valid_name(d) => {
-                return vec![protocol::err_line(
-                    ErrorCode::BadArg,
-                    "dataset must match [A-Za-z0-9_-]{1,64}",
-                )];
-            }
-            Some(d) => Some(format!("{tenant}/{d}")),
-            None => None,
-        };
-        let only_one = key.is_some();
-        let stats = match self.broadcast_stats(Some(tenant), key) {
+        if args.first().is_some_and(|d| !protocol::valid_name(d)) {
+            return vec![protocol::err_line(
+                ErrorCode::BadArg,
+                "dataset must match [A-Za-z0-9_-]{1,64}",
+            )];
+        }
+        let stats = match self
+            .ctx
+            .registry
+            .stats(tenant, args.first().map(String::as_str))
+        {
             Ok(s) => s,
-            Err(lines) => return lines,
+            Err(e) => return vec![protocol::storage_err_line(&e)],
         };
-        if only_one && stats.is_empty() {
-            return vec![no_dataset(&args[0])];
+        if let (Some(d), true) = (args.first(), stats.is_empty()) {
+            return vec![no_dataset(d)];
         }
         let standing = self.ctx.quotas.standing(tenant);
         let mut payload = vec![format!(
@@ -668,85 +643,6 @@ impl Session {
         let mut lines = vec![format!("OK lines={}", payload.len())];
         lines.extend(payload);
         lines
-    }
-
-    /// Send one command to the owning shard and wait for its reply.
-    fn dispatch(
-        &self,
-        tenant: &str,
-        dataset: &str,
-        build: impl FnOnce(String, mpsc::Sender<ShardReply>) -> ShardCmd,
-    ) -> Result<ShardReply, Vec<String>> {
-        let idx = shard_of(tenant, dataset, self.ctx.shards.len());
-        let key = format!("{tenant}/{dataset}");
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let internal = || {
-            vec![protocol::err_line(
-                ErrorCode::Internal,
-                &format!("shard {idx} is unavailable"),
-            )]
-        };
-        self.ctx.shards[idx]
-            .send(build(key, reply_tx))
-            .map_err(|_| internal())?;
-        reply_rx.recv().map_err(|_| internal())
-    }
-
-    /// Collect [`DatasetStats`] from every shard, merged and sorted.
-    fn broadcast_stats(
-        &self,
-        tenant: Option<&str>,
-        key: Option<String>,
-    ) -> Result<Vec<DatasetStats>, Vec<String>> {
-        let mut receivers = Vec::with_capacity(self.ctx.shards.len());
-        for (idx, shard) in self.ctx.shards.iter().enumerate() {
-            let (reply_tx, reply_rx) = mpsc::channel();
-            shard
-                .send(ShardCmd::Stats {
-                    tenant: tenant.map(str::to_string),
-                    key: key.clone(),
-                    reply: reply_tx,
-                })
-                .map_err(|_| {
-                    vec![protocol::err_line(
-                        ErrorCode::Internal,
-                        &format!("shard {idx} is unavailable"),
-                    )]
-                })?;
-            receivers.push(reply_rx);
-        }
-        let mut merged = Vec::new();
-        for (idx, rx) in receivers.into_iter().enumerate() {
-            match rx.recv() {
-                Ok(ShardReply::Stats(rows)) => merged.extend(rows),
-                Ok(ShardReply::NoDataset) => {}
-                Ok(ShardReply::Err(e)) => return Err(vec![protocol::storage_err_line(&e)]),
-                _ => {
-                    return Err(vec![protocol::err_line(
-                        ErrorCode::Internal,
-                        &format!("shard {idx} sent an unexpected reply"),
-                    )]);
-                }
-            }
-        }
-        merged.sort_by(|a, b| a.key.cmp(&b.key));
-        Ok(merged)
-    }
-
-    /// Map a dispatch result that should have been handled already.
-    fn shard_error(&self, reply: Result<ShardReply, Vec<String>>) -> Vec<String> {
-        match reply {
-            Ok(ShardReply::Err(e)) => vec![protocol::storage_err_line(&e)],
-            Err(lines) => lines,
-            Ok(other) => vec![protocol::err_line(
-                ErrorCode::Internal,
-                &format!("unexpected shard reply {other:?}"),
-            )],
-        }
-    }
-
-    fn unexpected(&self, reply: Result<ShardReply, Vec<String>>) -> Vec<String> {
-        self.shard_error(reply)
     }
 }
 
@@ -803,28 +699,17 @@ mod tests {
     use super::*;
     use crate::quota::Quota;
     use crate::server::MemFactory;
-    use crate::shard::spawn_shard;
     use artsparse_storage::EngineConfig;
     use std::io::Cursor;
+    use std::sync::mpsc;
 
-    /// Drive a scripted session over in-memory I/O against real shards.
+    /// Drive a scripted session over in-memory I/O against a real
+    /// two-stripe registry.
     fn run_script(script: &str, default_quota: Quota) -> String {
-        let mut shards = Vec::new();
-        let mut handles = Vec::new();
-        for id in 0..2 {
-            let (tx, rx) = mpsc::channel();
-            handles.push(spawn_shard(
-                id,
-                Arc::new(MemFactory),
-                EngineConfig::default(),
-                None,
-                rx,
-            ));
-            shards.push(tx);
-        }
+        let registry = Registry::new(MemFactory, EngineConfig::default(), None, 2);
         let (shutdown_tx, _shutdown_rx) = mpsc::channel();
         let ctx = SessionCtx {
-            shards: shards.clone(),
+            registry: Arc::new(registry),
             quotas: QuotaBook::new(default_quota),
             metrics: Arc::new(ServerMetrics::new(64)),
             stop: Arc::new(AtomicBool::new(false)),
@@ -839,10 +724,6 @@ mod tests {
         };
         let mut out: Vec<u8> = Vec::new();
         run_session(ctx, Cursor::new(script.as_bytes().to_vec()), &mut out);
-        drop(shards);
-        for h in handles {
-            h.join().unwrap();
-        }
         String::from_utf8(out).unwrap()
     }
 

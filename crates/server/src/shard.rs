@@ -1,25 +1,25 @@
-//! Shard workers: one owning thread per shard, message-passing command
-//! loop over [`StorageEngine`]s.
+//! The dataset registry: every open dataset, found by name, and called by
+//! the session that asks.
 //!
-//! Datasets are hashed onto shards by FNV-1a of their namespaced key
-//! (`tenant/dataset`, see [`shard_of`]); each shard thread *owns* its
-//! engines outright — no engine is ever touched from two threads — so
-//! all cross-session coordination reduces to the channel. Sessions send
-//! a [`ShardCmd`] carrying a per-request reply `Sender`; the worker
-//! executes against the owning engine and replies with one
-//! [`ShardReply`]. Engine errors travel back as the typed
-//! [`StorageError`] so the session can map them onto protocol error
-//! codes (`BACKPRESSURE`, `READONLY`, `CHECKSUM`, …) without loss.
+//! Datasets are placed on `N` stripes by FNV-1a of their namespaced key
+//! (`tenant/dataset`); a stripe is one
+//! `RwLock<HashMap<key, Arc<Dataset>>>`, and its index is the `shard=` a
+//! `STATS` line reports. A request holds its stripe's lock only to look
+//! up (or, on `CREATE`, insert) the dataset and calls the engine with the
+//! lock released: the engine is internally synchronized, so sessions and
+//! the dataset's scheduler run on it side by side. Engine errors stay the
+//! typed [`StorageError`], which the session maps onto protocol codes
+//! (`BACKPRESSURE`, `READONLY`, `CHECKSUM`, …) without loss.
 
-use crate::server::BackendFactory;
+use crate::server::{BackendFactory, DrainReport};
 use artsparse_core::FormatKind;
 use artsparse_storage::{
-    EngineConfig, HealthState, IngestScheduler, SchedulerConfig, StorageEngine, StorageError,
+    EngineConfig, HealthState, IngestScheduler, SchedulerConfig, StorageBackend, StorageEngine,
+    StorageError,
 };
 use artsparse_tensor::{CoordBuffer, Region, Shape};
 use std::collections::HashMap;
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// FNV-1a 64-bit hash of a namespaced dataset key.
 fn fnv1a(key: &str) -> u64 {
@@ -31,100 +31,17 @@ fn fnv1a(key: &str) -> u64 {
     h
 }
 
-/// The shard that owns `tenant/dataset`.
-pub fn shard_of(tenant: &str, dataset: &str, n_shards: usize) -> usize {
-    (fnv1a(&format!("{tenant}/{dataset}")) % n_shards.max(1) as u64) as usize
+/// The stripe that holds the dataset keyed `tenant/dataset`.
+fn stripe_of(key: &str, n_stripes: usize) -> usize {
+    (fnv1a(key) % n_stripes.max(1) as u64) as usize
 }
 
-/// One command sent to a shard worker. Non-generic so channel senders
-/// can live in non-generic session and handle types.
-#[derive(Debug)]
-pub enum ShardCmd {
-    /// Create (idempotently) a dataset with the given shape.
-    Create {
-        /// Namespaced key (`tenant/dataset`).
-        key: String,
-        /// Dimension sizes.
-        dims: Vec<u64>,
-        /// Reply channel.
-        reply: Sender<ShardReply>,
-    },
-    /// Write a batch of points (`PUT` commits a fragment synchronously,
-    /// `INGEST` streams through the WAL-acked buffer).
-    Write {
-        /// Namespaced key.
-        key: String,
-        /// `true` = streaming ingest, `false` = synchronous fragment.
-        ingest: bool,
-        /// Points per line arity.
-        ndim: usize,
-        /// Interleaved coordinates (`ndim × n`).
-        flat: Vec<u64>,
-        /// One value per point.
-        values: Vec<f64>,
-        /// Reply channel.
-        reply: Sender<ShardReply>,
-    },
-    /// Read one point.
-    Get {
-        /// Namespaced key.
-        key: String,
-        /// The coordinate.
-        coord: Vec<u64>,
-        /// Reply channel.
-        reply: Sender<ShardReply>,
-    },
-    /// Read every stored point in an inclusive region.
-    Scan {
-        /// Namespaced key.
-        key: String,
-        /// Inclusive lower corner.
-        lo: Vec<u64>,
-        /// Inclusive upper corner.
-        hi: Vec<u64>,
-        /// Maximum rows to return.
-        limit: usize,
-        /// Reply channel.
-        reply: Sender<ShardReply>,
-    },
-    /// Group-commit the dataset's write buffer.
-    Flush {
-        /// Namespaced key.
-        key: String,
-        /// Reply channel.
-        reply: Sender<ShardReply>,
-    },
-    /// Merge the dataset's fragments.
-    Consolidate {
-        /// Namespaced key.
-        key: String,
-        /// Reply channel.
-        reply: Sender<ShardReply>,
-    },
-    /// Per-dataset statistics, optionally filtered to one tenant and/or
-    /// one dataset.
-    Stats {
-        /// Restrict to this tenant's namespace (`None` = all, used by
-        /// the metrics publisher).
-        tenant: Option<String>,
-        /// Restrict to one namespaced key.
-        key: Option<String>,
-        /// Reply channel.
-        reply: Sender<ShardReply>,
-    },
-    /// Flush every engine and retire pending WALs (graceful shutdown).
-    Drain {
-        /// Reply channel.
-        reply: Sender<ShardReply>,
-    },
-}
-
-/// Statistics for one dataset, as the owning shard reports them.
+/// Statistics for one dataset.
 #[derive(Debug, Clone)]
 pub struct DatasetStats {
     /// Namespaced key (`tenant/dataset`).
     pub key: String,
-    /// Owning shard index.
+    /// The stripe that holds it.
     pub shard: usize,
     /// Dimension sizes.
     pub dims: Vec<u64>,
@@ -146,383 +63,125 @@ pub struct DatasetStats {
     pub backpressure_rejections: u64,
 }
 
-/// A shard worker's answer to one [`ShardCmd`].
-#[derive(Debug)]
-pub enum ShardReply {
-    /// `Create` outcome: whether the dataset already existed.
-    Created {
-        /// `true` when the dataset pre-existed with the same shape.
+/// One `SCAN` row: a coordinate and its value.
+pub type Row = (Vec<u64>, f64);
+
+/// What `CREATE` found.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Created {
+    /// The dataset is open; `existed` when it was already open or its
+    /// store held data from an earlier process.
+    Open {
+        /// Whether the dataset pre-existed with the same shape.
         existed: bool,
     },
-    /// `Create` refusal: the dataset exists with a different shape.
+    /// The dataset is open with a different shape.
     ShapeConflict {
-        /// The existing dataset's dimension sizes.
+        /// The open dataset's dimension sizes.
         existing: Vec<u64>,
     },
-    /// `Write` outcome.
-    Written {
-        /// Points accepted.
-        acked: usize,
-        /// Fragment the batch committed into (`PUT` only).
-        fragment: Option<String>,
-    },
-    /// `Get` outcome.
-    Point {
-        /// The stored value, if present.
-        value: Option<f64>,
-    },
-    /// `Scan` outcome.
-    Points {
-        /// `(coordinate, value)` rows in linear-address order.
-        rows: Vec<(Vec<u64>, f64)>,
-        /// Whether the row limit truncated the result.
-        truncated: bool,
-    },
-    /// `Flush` outcome.
-    Flushed {
-        /// Fragment the buffer committed into (`None` = buffer empty).
-        fragment: Option<String>,
-    },
-    /// `Consolidate` outcome.
-    Consolidated {
-        /// Fragments merged away.
-        merged: usize,
-        /// Points in the merged fragment.
-        points: usize,
-    },
-    /// `Stats` outcome.
-    Stats(Vec<DatasetStats>),
-    /// `Drain` outcome.
-    Drained {
-        /// Engines drained.
-        datasets: usize,
-        /// Engines whose drain failed (flush error, stuck device).
-        errors: usize,
-    },
-    /// The dataset has not been created on this shard.
-    NoDataset,
-    /// The engine refused or failed the operation.
-    Err(StorageError),
 }
 
-struct Dataset<B: artsparse_storage::StorageBackend> {
-    engine: Arc<StorageEngine<B>>,
-    scheduler: Option<IngestScheduler>,
+/// One open dataset: its engine, the engine's background scheduler and
+/// its shape.
+pub struct Dataset<B: StorageBackend> {
+    /// The engine every session calls.
+    pub engine: Arc<StorageEngine<B>>,
+    scheduler: parking_lot::Mutex<Option<IngestScheduler>>,
     shape: Shape,
 }
 
-/// Spawn shard worker `id`. The worker exits when every [`ShardCmd`]
-/// sender is dropped; callers should send [`ShardCmd::Drain`] first for
-/// a clean flush.
-pub fn spawn_shard<F>(
-    id: usize,
-    factory: Arc<F>,
-    engine_config: EngineConfig,
-    scheduler_config: Option<SchedulerConfig>,
-    rx: Receiver<ShardCmd>,
-) -> std::thread::JoinHandle<()>
-where
-    F: BackendFactory + Send + Sync + 'static,
-{
-    std::thread::Builder::new()
-        .name(format!("artsparse-shard-{id}"))
-        .spawn(move || shard_loop(id, &*factory, &engine_config, scheduler_config.as_ref(), rx))
-        .expect("spawning a shard worker thread")
-}
-
-fn shard_loop<F: BackendFactory>(
-    id: usize,
-    factory: &F,
-    engine_config: &EngineConfig,
-    scheduler_config: Option<&SchedulerConfig>,
-    rx: Receiver<ShardCmd>,
-) {
-    let mut datasets: HashMap<String, Dataset<F::Backend>> = HashMap::new();
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            ShardCmd::Create { key, dims, reply } => {
-                let _ = reply.send(create(
-                    factory,
-                    engine_config,
-                    scheduler_config,
-                    &mut datasets,
-                    &key,
-                    &dims,
-                ));
-            }
-            ShardCmd::Write {
-                key,
-                ingest,
-                ndim,
-                flat,
-                values,
-                reply,
-            } => {
-                let r = match datasets.get(&key) {
-                    None => ShardReply::NoDataset,
-                    Some(ds) => write(ds, ingest, ndim, flat, &values),
-                };
-                let _ = reply.send(r);
-            }
-            ShardCmd::Get { key, coord, reply } => {
-                let r = match datasets.get(&key) {
-                    None => ShardReply::NoDataset,
-                    Some(ds) => get(ds, &coord),
-                };
-                let _ = reply.send(r);
-            }
-            ShardCmd::Scan {
-                key,
-                lo,
-                hi,
-                limit,
-                reply,
-            } => {
-                let r = match datasets.get(&key) {
-                    None => ShardReply::NoDataset,
-                    Some(ds) => scan(ds, &lo, &hi, limit),
-                };
-                let _ = reply.send(r);
-            }
-            ShardCmd::Flush { key, reply } => {
-                let r = match datasets.get(&key) {
-                    None => ShardReply::NoDataset,
-                    Some(ds) => match ds.engine.flush() {
-                        Ok(report) => ShardReply::Flushed {
-                            fragment: report.map(|r| r.fragment),
-                        },
-                        Err(e) => ShardReply::Err(e),
-                    },
-                };
-                let _ = reply.send(r);
-            }
-            ShardCmd::Consolidate { key, reply } => {
-                let r = match datasets.get(&key) {
-                    None => ShardReply::NoDataset,
-                    Some(ds) => match ds.engine.consolidate() {
-                        Ok(report) => ShardReply::Consolidated {
-                            merged: report.merged_fragments,
-                            points: report.n_points,
-                        },
-                        Err(e) => ShardReply::Err(e),
-                    },
-                };
-                let _ = reply.send(r);
-            }
-            ShardCmd::Stats { tenant, key, reply } => {
-                let _ = reply.send(stats(id, &datasets, tenant.as_deref(), key.as_deref()));
-            }
-            ShardCmd::Drain { reply } => {
-                let mut errors = 0usize;
-                for ds in datasets.values_mut() {
-                    if let Some(sched) = ds.scheduler.as_mut() {
-                        sched.shutdown();
-                    }
-                    if ds.engine.shutdown().is_err() {
-                        errors += 1;
-                    }
-                }
-                let _ = reply.send(ShardReply::Drained {
-                    datasets: datasets.len(),
-                    errors,
-                });
-            }
-        }
-    }
-    // Channel closed: the server is going away. Engines were already
-    // drained by the Drain command; schedulers stop on drop.
-}
-
-fn create<F: BackendFactory>(
-    factory: &F,
-    engine_config: &EngineConfig,
-    scheduler_config: Option<&SchedulerConfig>,
-    datasets: &mut HashMap<String, Dataset<F::Backend>>,
-    key: &str,
-    dims: &[u64],
-) -> ShardReply {
-    if let Some(existing) = datasets.get(key) {
-        return if existing.shape.dims() == dims {
-            ShardReply::Created { existed: true }
+impl<B: StorageBackend> Dataset<B> {
+    /// `PUT` (`ingest == false`: one fragment, named in the result) or
+    /// `INGEST` (the WAL-acked buffer) of `values.len()` points whose
+    /// coordinates `flat` interleaves. Returns the points acked.
+    pub fn write(
+        &self,
+        ingest: bool,
+        ndim: usize,
+        flat: Vec<u64>,
+        values: &[f64],
+    ) -> Result<(usize, Option<String>), StorageError> {
+        let coords = CoordBuffer::from_flat(ndim, flat)?;
+        if ingest {
+            Ok((self.engine.ingest_points::<f64>(&coords, values)?, None))
         } else {
-            ShardReply::ShapeConflict {
-                existing: existing.shape.dims().to_vec(),
-            }
-        };
-    }
-    let shape = match Shape::new(dims.to_vec()) {
-        Ok(s) => s,
-        Err(e) => return ShardReply::Err(e.into()),
-    };
-    let backend = match factory.open(key) {
-        Ok(b) => b,
-        Err(e) => return ShardReply::Err(e),
-    };
-    let engine = match StorageEngine::open_with(
-        backend,
-        FormatKind::Coo,
-        shape.clone(),
-        8,
-        engine_config.clone(),
-    ) {
-        Ok(e) => Arc::new(e),
-        Err(e) => return ShardReply::Err(e),
-    };
-    // A durable backend may hand us a dataset written by an earlier
-    // process (fragments on disk, or acked points replayed from the
-    // WAL at open). Report that as `existed=true` so re-attaching
-    // after a restart is distinguishable from a fresh create.
-    let existed = engine
-        .stats()
-        .map(|s| s.fragments > 0 || s.total_points > 0)
-        .unwrap_or(false);
-    let scheduler = scheduler_config.map(|sc| IngestScheduler::spawn(Arc::clone(&engine), *sc));
-    datasets.insert(
-        key.to_string(),
-        Dataset {
-            engine,
-            scheduler,
-            shape,
-        },
-    );
-    ShardReply::Created { existed }
-}
-
-fn write<B: artsparse_storage::StorageBackend>(
-    ds: &Dataset<B>,
-    ingest: bool,
-    ndim: usize,
-    flat: Vec<u64>,
-    values: &[f64],
-) -> ShardReply {
-    let coords = match CoordBuffer::from_flat(ndim, flat) {
-        Ok(c) => c,
-        Err(e) => return ShardReply::Err(e.into()),
-    };
-    if ingest {
-        match ds.engine.ingest_points::<f64>(&coords, values) {
-            Ok(acked) => ShardReply::Written {
-                acked,
-                fragment: None,
-            },
-            Err(e) => ShardReply::Err(e),
-        }
-    } else {
-        match ds.engine.write_points::<f64>(&coords, values) {
-            Ok(report) => ShardReply::Written {
-                acked: report.n_points,
-                fragment: Some(report.fragment),
-            },
-            Err(e) => ShardReply::Err(e),
+            let report = self.engine.write_points::<f64>(&coords, values)?;
+            Ok((report.n_points, Some(report.fragment)))
         }
     }
-}
 
-/// Reads don't arity-check inside the engine (a wrong-arity query can
-/// only ever miss), so the shard validates before dispatch to keep the
-/// protocol's MISMATCH contract symmetric with writes.
-fn arity_check<B: artsparse_storage::StorageBackend>(
-    ds: &Dataset<B>,
-    ndim: usize,
-) -> Option<ShardReply> {
-    let want = ds.shape.dims().len();
-    (ndim != want).then(|| {
-        ShardReply::Err(StorageError::Mismatch {
+    /// Reads don't arity-check inside the engine (a wrong-arity query can
+    /// only ever miss), so the registry checks first to keep the
+    /// protocol's MISMATCH contract symmetric with writes.
+    fn arity_check(&self, ndim: usize) -> Result<(), StorageError> {
+        let want = self.shape.dims().len();
+        if ndim == want {
+            return Ok(());
+        }
+        Err(StorageError::Mismatch {
             reason: format!("query has {ndim} dimensions, dataset has {want}"),
         })
-    })
-}
+    }
 
-fn get<B: artsparse_storage::StorageBackend>(ds: &Dataset<B>, coord: &[u64]) -> ShardReply {
-    if let Some(err) = arity_check(ds, coord.len()) {
-        return err;
+    /// The value stored at `coord`, if any.
+    pub fn get(&self, coord: &[u64]) -> Result<Option<f64>, StorageError> {
+        self.arity_check(coord.len())?;
+        let mut queries = CoordBuffer::new(coord.len().max(1));
+        queries.push(coord)?;
+        Ok(self
+            .engine
+            .read_values::<f64>(&queries)?
+            .into_iter()
+            .next()
+            .flatten())
     }
-    let mut queries = CoordBuffer::new(coord.len().max(1));
-    if let Err(e) = queries.push(coord) {
-        return ShardReply::Err(e.into());
-    }
-    match ds.engine.read_values::<f64>(&queries) {
-        Ok(values) => ShardReply::Point {
-            value: values.into_iter().next().flatten(),
-        },
-        Err(e) => ShardReply::Err(e),
-    }
-}
 
-fn scan<B: artsparse_storage::StorageBackend>(
-    ds: &Dataset<B>,
-    lo: &[u64],
-    hi: &[u64],
-    limit: usize,
-) -> ShardReply {
-    if let Some(err) = arity_check(ds, lo.len()) {
-        return err;
-    }
-    let region = match Region::from_corners(lo, hi) {
-        Ok(r) => r,
-        Err(e) => return ShardReply::Err(e.into()),
-    };
-    let result = match ds.engine.read_region(&region) {
-        Ok(r) => r,
-        Err(e) => return ShardReply::Err(e),
-    };
-    // Hits are sorted by (addr, fragment write order); keeping the last
-    // hit per address applies the engine's last-write-wins precedence.
-    let mut rows: Vec<(u64, Vec<u64>, f64)> = Vec::new();
-    for hit in result.hits {
-        if hit.value.len() != 8 {
-            return ShardReply::Err(StorageError::corrupt(
-                &hit.fragment,
-                format!("value record is {} bytes, expected 8", hit.value.len()),
-            ));
-        }
-        let value = f64::from_le_bytes(hit.value[..8].try_into().expect("checked length"));
-        match rows.last_mut() {
-            Some(last) if last.0 == hit.addr => {
-                last.1 = hit.coord;
-                last.2 = value;
-            }
-            _ => rows.push((hit.addr, hit.coord, value)),
-        }
-    }
-    let truncated = rows.len() > limit;
-    rows.truncate(limit);
-    ShardReply::Points {
-        rows: rows.into_iter().map(|(_, c, v)| (c, v)).collect(),
-        truncated,
-    }
-}
-
-fn stats<B: artsparse_storage::StorageBackend>(
-    shard: usize,
-    datasets: &HashMap<String, Dataset<B>>,
-    tenant: Option<&str>,
-    key: Option<&str>,
-) -> ShardReply {
-    let mut out = Vec::new();
-    let mut keys: Vec<&String> = datasets.keys().collect();
-    keys.sort();
-    for k in keys {
-        if let Some(t) = tenant {
-            if k.split('/').next() != Some(t) {
-                continue;
+    /// Every stored point in the inclusive box `lo..=hi`, in linear-address
+    /// order, at most `limit` of them; `true` when the limit cut rows off.
+    pub fn scan(
+        &self,
+        lo: &[u64],
+        hi: &[u64],
+        limit: usize,
+    ) -> Result<(Vec<Row>, bool), StorageError> {
+        self.arity_check(lo.len())?;
+        let region = Region::from_corners(lo, hi)?;
+        let result = self.engine.read_region(&region)?;
+        // Hits are sorted by (addr, fragment write order); keeping the last
+        // hit per address applies the engine's last-write-wins precedence.
+        let mut rows: Vec<(u64, Vec<u64>, f64)> = Vec::new();
+        for hit in result.hits {
+            let Ok(bytes) = <[u8; 8]>::try_from(hit.value.as_slice()) else {
+                return Err(StorageError::corrupt(
+                    &hit.fragment,
+                    format!("value record is {} bytes, expected 8", hit.value.len()),
+                ));
+            };
+            let value = f64::from_le_bytes(bytes);
+            match rows.last_mut() {
+                Some(last) if last.0 == hit.addr => {
+                    last.1 = hit.coord;
+                    last.2 = value;
+                }
+                _ => rows.push((hit.addr, hit.coord, value)),
             }
         }
-        if let Some(want) = key {
-            if k != want {
-                continue;
-            }
-        }
-        let ds = &datasets[k];
-        let store = match ds.engine.stats() {
-            Ok(s) => s,
-            Err(e) => return ShardReply::Err(e),
-        };
-        let buf = ds.engine.buffer_stats();
-        out.push(DatasetStats {
-            key: k.clone(),
+        let truncated = rows.len() > limit;
+        rows.truncate(limit);
+        Ok((
+            rows.into_iter().map(|(_, c, v)| (c, v)).collect(),
+            truncated,
+        ))
+    }
+
+    fn stats(&self, key: &str, shard: usize) -> Result<DatasetStats, StorageError> {
+        let store = self.engine.stats()?;
+        let buf = self.engine.buffer_stats();
+        Ok(DatasetStats {
+            key: key.to_string(),
             shard,
-            dims: ds.shape.dims().to_vec(),
+            dims: self.shape.dims().to_vec(),
             fragments: store.fragments,
             points: store.total_points,
             bytes: store.total_bytes,
@@ -531,258 +190,288 @@ fn stats<B: artsparse_storage::StorageBackend>(
             buffered_bytes: buf.value_bytes,
             wal_backlog_bytes: store.wal_backlog_bytes,
             backpressure_rejections: store.backpressure_rejections,
-        });
+        })
     }
-    if out.is_empty() && key.is_some() {
-        return ShardReply::NoDataset;
+}
+
+/// One stripe of datasets. A poisoned stripe is recovered with
+/// `PoisonError::into_inner`: its only updates are one insert or one
+/// take, each of which leaves the map whole.
+type Stripe<B> = RwLock<HashMap<String, Arc<Dataset<B>>>>;
+
+/// Every dataset the server has opened, striped by FNV-1a placement.
+pub struct Registry<F: BackendFactory> {
+    factory: F,
+    engine_config: EngineConfig,
+    scheduler_config: Option<SchedulerConfig>,
+    stripes: Vec<Stripe<F::Backend>>,
+}
+
+impl<F: BackendFactory> Registry<F> {
+    /// An empty registry of `n_stripes` (min 1) stripes whose datasets
+    /// open their stores through `factory`.
+    pub fn new(
+        factory: F,
+        engine_config: EngineConfig,
+        scheduler_config: Option<SchedulerConfig>,
+        n_stripes: usize,
+    ) -> Registry<F> {
+        Registry {
+            factory,
+            engine_config,
+            scheduler_config,
+            stripes: (0..n_stripes.max(1)).map(|_| RwLock::default()).collect(),
+        }
     }
-    ShardReply::Stats(out)
+
+    /// How many stripes datasets are placed on.
+    pub fn stripes(&self) -> usize {
+        self.stripes.len()
+    }
+
+    /// How many datasets are open.
+    pub fn len(&self) -> usize {
+        self.stripes
+            .iter()
+            .map(|s| s.read().unwrap_or_else(PoisonError::into_inner).len())
+            .sum()
+    }
+
+    /// The open dataset `tenant/dataset`, if it has been created.
+    pub fn get(&self, tenant: &str, dataset: &str) -> Option<Arc<Dataset<F::Backend>>> {
+        let key = format!("{tenant}/{dataset}");
+        let stripe = &self.stripes[stripe_of(&key, self.stripes.len())];
+        let datasets = stripe.read().unwrap_or_else(PoisonError::into_inner);
+        datasets.get(&key).cloned()
+    }
+
+    /// Open `tenant/dataset` with shape `dims`, idempotently. The store is
+    /// opened (and its WAL replayed) under the stripe's write lock, so two
+    /// sessions creating one dataset open its store once.
+    pub fn create(
+        &self,
+        tenant: &str,
+        dataset: &str,
+        dims: &[u64],
+    ) -> Result<Created, StorageError> {
+        let key = format!("{tenant}/{dataset}");
+        let stripe = &self.stripes[stripe_of(&key, self.stripes.len())];
+        let mut datasets = stripe.write().unwrap_or_else(PoisonError::into_inner);
+        if let Some(existing) = datasets.get(&key) {
+            return Ok(if existing.shape.dims() == dims {
+                Created::Open { existed: true }
+            } else {
+                Created::ShapeConflict {
+                    existing: existing.shape.dims().to_vec(),
+                }
+            });
+        }
+        let shape = Shape::new(dims.to_vec())?;
+        let engine = Arc::new(StorageEngine::open_with(
+            self.factory.open(&key)?,
+            FormatKind::Coo,
+            shape.clone(),
+            8,
+            self.engine_config.clone(),
+        )?);
+        // A durable backend may hand us a dataset written by an earlier
+        // process (fragments on disk, or acked points replayed from the
+        // WAL at open). Report that as `existed=true` so re-attaching
+        // after a restart is distinguishable from a fresh create.
+        let existed = engine
+            .stats()
+            .map(|s| s.fragments > 0 || s.total_points > 0)
+            .unwrap_or(false);
+        let scheduler = self
+            .scheduler_config
+            .map(|sc| IngestScheduler::spawn(Arc::clone(&engine), sc));
+        datasets.insert(
+            key,
+            Arc::new(Dataset {
+                engine,
+                scheduler: parking_lot::Mutex::new(scheduler),
+                shape,
+            }),
+        );
+        Ok(Created::Open { existed })
+    }
+
+    /// Statistics of every open dataset in `tenant`'s namespace — or of
+    /// `tenant/dataset` alone — sorted by key.
+    pub fn stats(
+        &self,
+        tenant: &str,
+        dataset: Option<&str>,
+    ) -> Result<Vec<DatasetStats>, StorageError> {
+        let mut open = Vec::new();
+        for (shard, stripe) in self.stripes.iter().enumerate() {
+            let datasets = stripe.read().unwrap_or_else(PoisonError::into_inner);
+            for (key, ds) in datasets.iter() {
+                let Some((t, d)) = key.split_once('/') else {
+                    continue;
+                };
+                if t == tenant && dataset.is_none_or(|want| want == d) {
+                    open.push((key.clone(), shard, Arc::clone(ds)));
+                }
+            }
+        }
+        open.sort_by(|a, b| a.0.cmp(&b.0));
+        open.iter()
+            .map(|(key, shard, ds)| ds.stats(key, *shard))
+            .collect()
+    }
+}
+
+impl<F: BackendFactory> std::fmt::Debug for Registry<F> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Registry")
+            .field("stripes", &self.stripes.len())
+            .field("datasets", &self.len())
+            .finish()
+    }
+}
+
+/// What the server handle keeps of a [`Registry`]: its drain, with the
+/// backend type erased.
+pub trait Drain: Send + Sync + std::fmt::Debug {
+    /// Close every dataset: stop its scheduler, then group-commit its
+    /// buffer and retire its WAL through `StorageEngine::shutdown`. The
+    /// registry is empty afterwards.
+    fn drain(&self) -> DrainReport;
+}
+
+impl<F: BackendFactory + Send + Sync> Drain for Registry<F> {
+    fn drain(&self) -> DrainReport {
+        let mut report = DrainReport {
+            datasets: 0,
+            errors: 0,
+        };
+        for stripe in &self.stripes {
+            let datasets =
+                std::mem::take(&mut *stripe.write().unwrap_or_else(PoisonError::into_inner));
+            for ds in datasets.into_values() {
+                if let Some(mut scheduler) = ds.scheduler.lock().take() {
+                    scheduler.shutdown();
+                }
+                report.datasets += 1;
+                if ds.engine.shutdown().is_err() {
+                    report.errors += 1;
+                }
+            }
+        }
+        report
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::server::MemFactory;
-    use std::sync::mpsc;
 
-    fn ask(tx: &Sender<ShardCmd>, make: impl FnOnce(Sender<ShardReply>) -> ShardCmd) -> ShardReply {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        tx.send(make(reply_tx)).unwrap();
-        reply_rx.recv().unwrap()
+    fn registry(stripes: usize) -> Registry<MemFactory> {
+        Registry::new(MemFactory, EngineConfig::default(), None, stripes)
     }
 
     #[test]
     fn hashing_is_stable_and_covers_shards() {
         assert_eq!(
-            shard_of("t", "d", 4),
-            shard_of("t", "d", 4),
+            stripe_of("t/d", 4),
+            stripe_of("t/d", 4),
             "hash must be deterministic"
         );
-        let covered: std::collections::BTreeSet<usize> = (0..32)
-            .map(|i| shard_of("t", &format!("d{i}"), 2))
-            .collect();
+        let covered: std::collections::BTreeSet<usize> =
+            (0..32).map(|i| stripe_of(&format!("t/d{i}"), 2)).collect();
         assert_eq!(covered.len(), 2, "32 datasets must cover both shards");
-        assert_eq!(shard_of("t", "d", 0), 0, "zero shards clamps to one");
+        assert_eq!(stripe_of("t/d", 0), 0, "zero shards clamps to one");
     }
 
     #[test]
-    fn shard_worker_serves_the_full_command_set() {
-        let (tx, rx) = mpsc::channel();
-        let handle = spawn_shard(3, Arc::new(MemFactory), EngineConfig::default(), None, rx);
+    fn registry_serves_the_full_command_set() {
+        let reg = registry(4);
 
         // Create, idempotently.
-        let r = ask(&tx, |reply| ShardCmd::Create {
-            key: "t/d".into(),
-            dims: vec![8, 8],
-            reply,
-        });
-        assert!(matches!(r, ShardReply::Created { existed: false }));
-        let r = ask(&tx, |reply| ShardCmd::Create {
-            key: "t/d".into(),
-            dims: vec![8, 8],
-            reply,
-        });
-        assert!(matches!(r, ShardReply::Created { existed: true }));
-        let r = ask(&tx, |reply| ShardCmd::Create {
-            key: "t/d".into(),
-            dims: vec![4, 4],
-            reply,
-        });
-        assert!(matches!(r, ShardReply::ShapeConflict { .. }));
+        assert_eq!(
+            reg.create("t", "d", &[8, 8]).unwrap(),
+            Created::Open { existed: false }
+        );
+        assert_eq!(
+            reg.create("t", "d", &[8, 8]).unwrap(),
+            Created::Open { existed: true }
+        );
+        assert!(matches!(
+            reg.create("t", "d", &[4, 4]).unwrap(),
+            Created::ShapeConflict { .. }
+        ));
+        let ds = reg.get("t", "d").expect("created");
 
         // Write synchronously, then read back.
-        let r = ask(&tx, |reply| ShardCmd::Write {
-            key: "t/d".into(),
-            ingest: false,
-            ndim: 2,
-            flat: vec![1, 2, 3, 4],
-            values: vec![1.5, 2.5],
-            reply,
-        });
-        match r {
-            ShardReply::Written { acked, fragment } => {
-                assert_eq!(acked, 2);
-                assert!(fragment.is_some(), "PUT names its fragment");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        let r = ask(&tx, |reply| ShardCmd::Get {
-            key: "t/d".into(),
-            coord: vec![3, 4],
-            reply,
-        });
-        assert!(matches!(r, ShardReply::Point { value: Some(v) } if v == 2.5));
+        let (acked, fragment) = ds.write(false, 2, vec![1, 2, 3, 4], &[1.5, 2.5]).unwrap();
+        assert_eq!(acked, 2);
+        assert!(fragment.is_some(), "PUT names its fragment");
+        assert_eq!(ds.get(&[3, 4]).unwrap(), Some(2.5));
 
         // Ingest goes to the buffer; flush commits it; scan sees all.
-        let r = ask(&tx, |reply| ShardCmd::Write {
-            key: "t/d".into(),
-            ingest: true,
-            ndim: 2,
-            flat: vec![5, 5],
-            values: vec![9.0],
-            reply,
-        });
-        assert!(matches!(
-            r,
-            ShardReply::Written {
-                acked: 1,
-                fragment: None
-            }
-        ));
-        let r = ask(&tx, |reply| ShardCmd::Flush {
-            key: "t/d".into(),
-            reply,
-        });
-        assert!(matches!(r, ShardReply::Flushed { fragment: Some(_) }));
-        let r = ask(&tx, |reply| ShardCmd::Scan {
-            key: "t/d".into(),
-            lo: vec![0, 0],
-            hi: vec![7, 7],
-            limit: 100,
-            reply,
-        });
-        match r {
-            ShardReply::Points { rows, truncated } => {
-                assert_eq!(rows.len(), 3);
-                assert!(!truncated);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(ds.write(true, 2, vec![5, 5], &[9.0]).unwrap(), (1, None));
+        assert!(ds.engine.flush().unwrap().is_some());
+        let (rows, truncated) = ds.scan(&[0, 0], &[7, 7], 100).unwrap();
+        assert_eq!(rows.len(), 3);
+        assert!(!truncated);
 
         // Consolidate merges the two fragments.
-        let r = ask(&tx, |reply| ShardCmd::Consolidate {
-            key: "t/d".into(),
-            reply,
-        });
-        assert!(matches!(
-            r,
-            ShardReply::Consolidated {
-                merged: 2,
-                points: 3
-            }
-        ));
+        let merged = ds.engine.consolidate().unwrap();
+        assert_eq!((merged.merged_fragments, merged.n_points), (2, 3));
 
-        // Stats filter by tenant.
-        let r = ask(&tx, |reply| ShardCmd::Stats {
-            tenant: Some("t".into()),
-            key: None,
-            reply,
-        });
-        match r {
-            ShardReply::Stats(rows) => {
-                assert_eq!(rows.len(), 1);
-                assert_eq!(rows[0].key, "t/d");
-                assert_eq!(rows[0].shard, 3);
-                assert_eq!(rows[0].points, 3);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        let r = ask(&tx, |reply| ShardCmd::Stats {
-            tenant: Some("other".into()),
-            key: None,
-            reply,
-        });
-        assert!(matches!(r, ShardReply::Stats(rows) if rows.is_empty()));
+        // Stats filter by tenant and dataset and name the stripe.
+        let rows = reg.stats("t", None).unwrap();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].key, "t/d");
+        assert_eq!(rows[0].shard, stripe_of("t/d", 4));
+        assert_eq!(rows[0].points, 3);
+        assert!(reg.stats("other", None).unwrap().is_empty());
+        assert!(reg.stats("t", Some("none")).unwrap().is_empty());
 
-        // Unknown dataset.
-        let r = ask(&tx, |reply| ShardCmd::Get {
-            key: "t/none".into(),
-            coord: vec![0, 0],
-            reply,
-        });
-        assert!(matches!(r, ShardReply::NoDataset));
+        // Unknown dataset; a wrong-arity read is a typed mismatch.
+        assert!(reg.get("t", "none").is_none());
+        assert!(matches!(ds.get(&[0]), Err(StorageError::Mismatch { .. })));
 
-        // Drain then close the channel; the worker exits.
-        let r = ask(&tx, |reply| ShardCmd::Drain { reply });
-        assert!(matches!(
-            r,
-            ShardReply::Drained {
+        // Drain closes and forgets every dataset.
+        drop(ds);
+        assert_eq!(
+            reg.drain(),
+            DrainReport {
                 datasets: 1,
                 errors: 0
             }
-        ));
-        drop(tx);
-        handle.join().unwrap();
+        );
+        assert_eq!(reg.len(), 0);
     }
 
     #[test]
     fn scan_applies_last_write_wins_and_limits() {
-        let (tx, rx) = mpsc::channel();
-        let handle = spawn_shard(0, Arc::new(MemFactory), EngineConfig::default(), None, rx);
-        ask(&tx, |reply| ShardCmd::Create {
-            key: "t/d".into(),
-            dims: vec![16],
-            reply,
-        });
+        let reg = registry(1);
+        reg.create("t", "d", &[16]).unwrap();
+        let ds = reg.get("t", "d").unwrap();
         // Two fragments writing the same cell: the later one must win.
         for v in [1.0f64, 2.0] {
-            ask(&tx, |reply| ShardCmd::Write {
-                key: "t/d".into(),
-                ingest: false,
-                ndim: 1,
-                flat: vec![7],
-                values: vec![v],
-                reply,
-            });
+            ds.write(false, 1, vec![7], &[v]).unwrap();
         }
-        let r = ask(&tx, |reply| ShardCmd::Scan {
-            key: "t/d".into(),
-            lo: vec![0],
-            hi: vec![15],
-            limit: 100,
-            reply,
-        });
-        match r {
-            ShardReply::Points { rows, .. } => {
-                assert_eq!(rows, vec![(vec![7u64], 2.0)]);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(
+            ds.scan(&[0], &[15], 100).unwrap(),
+            (vec![(vec![7u64], 2.0)], false)
+        );
         // A limit of zero truncates everything and says so.
-        let r = ask(&tx, |reply| ShardCmd::Scan {
-            key: "t/d".into(),
-            lo: vec![0],
-            hi: vec![15],
-            limit: 0,
-            reply,
-        });
-        assert!(matches!(r, ShardReply::Points { rows, truncated: true } if rows.is_empty()));
-        drop(tx);
-        handle.join().unwrap();
+        assert_eq!(ds.scan(&[0], &[15], 0).unwrap(), (vec![], true));
     }
 
     #[test]
     fn scan_past_the_extent_answers_the_same_flushed_or_buffered() {
-        let (tx, rx) = mpsc::channel();
-        let handle = spawn_shard(0, Arc::new(MemFactory), EngineConfig::default(), None, rx);
-        ask(&tx, |reply| ShardCmd::Create {
-            key: "t/d".into(),
-            dims: vec![16, 16],
-            reply,
-        });
+        let reg = registry(1);
+        reg.create("t", "d", &[16, 16]).unwrap();
+        let ds = reg.get("t", "d").unwrap();
         let write = |ingest: bool, cell: [u64; 2], value: f64| {
-            ask(&tx, |reply| ShardCmd::Write {
-                key: "t/d".into(),
-                ingest,
-                ndim: 2,
-                flat: cell.to_vec(),
-                values: vec![value],
-                reply,
-            })
+            ds.write(ingest, 2, cell.to_vec(), &[value]).unwrap();
         };
-        let scan = |lo: [u64; 2], hi: [u64; 2]| {
-            let r = ask(&tx, |reply| ShardCmd::Scan {
-                key: "t/d".into(),
-                lo: lo.to_vec(),
-                hi: hi.to_vec(),
-                limit: 1000,
-                reply,
-            });
-            match r {
-                ShardReply::Points { rows, truncated } => (rows, truncated),
-                other => panic!("unexpected {other:?}"),
-            }
-        };
+        let scan = |lo: [u64; 2], hi: [u64; 2]| ds.scan(&lo, &hi, 1000).unwrap();
         write(false, [3, 3], 1.0);
         write(false, [15, 15], 2.0);
         // 0:19 × 0:19 reaches past the 16×16 extent; the cells beyond it
@@ -799,7 +488,5 @@ mod tests {
         let mut all = stored;
         all.insert(1, (vec![9, 9], 3.0));
         assert_eq!(scan([0, 0], [19, 19]), (all, false));
-        drop(tx);
-        handle.join().unwrap();
     }
 }

@@ -8,11 +8,14 @@ use artsparse_server::quota::Quota;
 use artsparse_server::{BackendFactory, FsFactory, MemFactory, Server, ServerConfig};
 use artsparse_storage::{
     EngineConfig, FailingBackend, FsBackend, HealthConfig, IngestConfig, MemBackend, RetryPolicy,
-    StorageEngine, StorageError,
+    SchedulerConfig, StorageEngine, StorageError,
 };
 use artsparse_tensor::{CoordBuffer, Shape};
+use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 /// A line-oriented test client over any stream transport.
 struct Client {
@@ -51,9 +54,12 @@ impl Client {
     }
 
     /// Send raw text (may be several lines) and read one status line.
+    /// One write: a trailing newline sent on its own would wait out the
+    /// server's delayed ACK under Nagle's algorithm.
     fn send(&mut self, text: &str) -> String {
-        self.writer.write_all(text.as_bytes()).expect("write");
-        self.writer.write_all(b"\n").expect("write");
+        self.writer
+            .write_all(format!("{text}\n").as_bytes())
+            .expect("write");
         self.writer.flush().expect("flush");
         self.line()
     }
@@ -392,6 +398,172 @@ fn concurrent_tenant_sessions_do_not_interfere() {
     for w in workers {
         w.join().unwrap();
     }
+    handle.shutdown();
+}
+
+/// Sessions call one dataset's engine side by side, beside its
+/// scheduler. Two writers interleave `INGEST` and `PUT` over shared cells
+/// (plus one private row each, which each writer reads back at once), a
+/// third session `GET`s the shared cells throughout, and the scheduler
+/// flushes and consolidates underneath. Every answer the reader saw must
+/// be a value a writer had acked for that cell, and the values the cells
+/// hold once the writers stop must survive a drain and a restart.
+#[test]
+fn concurrent_sessions_on_one_dataset_keep_last_write_wins() {
+    const WRITES: u64 = 60;
+    let dir = tempfile::tempdir().unwrap();
+    let config = || ServerConfig {
+        engine: EngineConfig::default().with_ingest(IngestConfig {
+            flush_interval_ms: 5,
+            ..IngestConfig::default()
+        }),
+        scheduler: Some(SchedulerConfig {
+            tick_ms: 2,
+            min_consolidate_interval_ms: 10,
+            ..SchedulerConfig::default()
+        }),
+        ..tcp_config()
+    };
+    let mut handle = Server::start(config(), FsFactory::new(dir.path())).unwrap();
+    let addr = handle.tcp_addr().unwrap();
+    let mut setup = Client::tcp(addr);
+    setup.send("HELLO t");
+    assert_eq!(setup.send("CREATE d 16x16"), "OK created=d existed=false");
+
+    // Shared cells are row 0; writer w also owns row 1 + w.
+    let shared: Vec<(u64, u64)> = (0..4).map(|c| (0, c)).collect();
+    // Every value acked per cell, by any writer.
+    type Acked = HashMap<(u64, u64), HashSet<u64>>;
+    let acked: Arc<Mutex<Acked>> = Arc::default();
+    let writing = Arc::new(AtomicBool::new(true));
+    let writers: Vec<_> = (0..2u64)
+        .map(|w| {
+            let (acked, shared) = (Arc::clone(&acked), shared.clone());
+            std::thread::spawn(move || {
+                let mut c = Client::tcp(addr);
+                c.send("HELLO t");
+                for k in 0..WRITES {
+                    let value = (w + 1) * 1000 + k;
+                    let own = (1 + w, k % 16);
+                    let mut cells = shared.clone();
+                    cells.rotate_left((k % 4) as usize);
+                    cells.push(own);
+                    let verb = if k % 3 == 2 { "PUT" } else { "INGEST" };
+                    let mut request = format!("{verb} d {}", cells.len());
+                    for (r, col) in &cells {
+                        request.push_str(&format!("\n{r} {col} {value}"));
+                    }
+                    let status = c.send(&request);
+                    assert!(status.starts_with("OK acked=5"), "{verb}: {status}");
+                    let mut book = acked.lock().unwrap();
+                    for cell in &cells {
+                        book.entry(*cell).or_default().insert(value);
+                    }
+                    drop(book);
+                    // Read-your-writes: no one else writes this row.
+                    assert_eq!(
+                        c.send(&format!("GET d {} {}", own.0, own.1)),
+                        format!("OK found=true value={value}")
+                    );
+                }
+                c.send("QUIT");
+            })
+        })
+        .collect();
+    let reader = {
+        let (writing, shared) = (Arc::clone(&writing), shared.clone());
+        std::thread::spawn(move || {
+            let mut c = Client::tcp(addr);
+            c.send("HELLO t");
+            let mut seen = Vec::new();
+            while writing.load(Ordering::SeqCst) {
+                for &(r, col) in &shared {
+                    let answer = c.send(&format!("GET d {r} {col}"));
+                    if let Some(v) = answer.strip_prefix("OK found=true value=") {
+                        seen.push(((r, col), v.parse::<u64>().unwrap()));
+                    } else {
+                        assert_eq!(answer, "OK found=false");
+                    }
+                }
+            }
+            seen
+        })
+    };
+    for w in writers {
+        w.join().unwrap();
+    }
+    writing.store(false, Ordering::SeqCst);
+    let seen = reader.join().unwrap();
+    assert!(!seen.is_empty(), "the reader ran beside the writers");
+    let acked = acked.lock().unwrap();
+    for (cell, value) in &seen {
+        assert!(
+            acked[cell].contains(value),
+            "GET {cell:?} answered {value}, which no session acked there"
+        );
+    }
+
+    let cells: Vec<(u64, u64)> = acked.keys().copied().collect();
+    let read_all = |c: &mut Client| -> Vec<String> {
+        cells
+            .iter()
+            .map(|(r, col)| c.send(&format!("GET d {r} {col}")))
+            .collect()
+    };
+    let before = read_all(&mut setup);
+    for (answer, cell) in before.iter().zip(&cells) {
+        let value: u64 = answer
+            .strip_prefix("OK found=true value=")
+            .unwrap_or_else(|| panic!("{cell:?}: {answer}"))
+            .parse()
+            .unwrap();
+        assert!(acked[cell].contains(&value), "{cell:?} holds {value}");
+    }
+    drop(setup);
+    let report = handle.shutdown();
+    assert_eq!((report.datasets, report.errors), (1, 0), "{report:?}");
+
+    let mut handle = Server::start(config(), FsFactory::new(dir.path())).unwrap();
+    let mut c = Client::tcp(handle.tcp_addr().unwrap());
+    c.send("HELLO t");
+    assert_eq!(c.send("CREATE d 16x16"), "OK created=d existed=true");
+    assert_eq!(
+        read_all(&mut c),
+        before,
+        "a drain and restart changed a cell"
+    );
+    drop(c);
+    handle.shutdown();
+}
+
+/// Replies leave as soon as they are written. With Nagle's algorithm on
+/// the server socket, every reply after the first of a pipelined burst
+/// waited for the client's delayed ACK of the one before — at least
+/// Linux's 40 ms floor — so a stall shows as ≥ 40 ms; 20 ms is half of
+/// it. This catches a stall; it does not time the server.
+#[test]
+fn pipelined_requests_are_not_held_back_by_delayed_acks() {
+    let mut handle = server(tcp_config());
+    let mut c = Client::tcp(handle.tcp_addr().unwrap());
+    let burst = "PING\n".repeat(200);
+    // The fastest of three bursts, so one descheduled moment on a busy
+    // host does not read as a stall.
+    let fastest = (0..3)
+        .map(|_| {
+            let started = Instant::now();
+            c.writer.write_all(burst.as_bytes()).unwrap();
+            c.writer.flush().unwrap();
+            for _ in 0..200 {
+                assert_eq!(c.line(), "OK pong");
+            }
+            started.elapsed()
+        })
+        .min()
+        .unwrap();
+    assert!(
+        fastest < Duration::from_millis(20),
+        "200 pipelined PINGs took {fastest:?}"
+    );
     handle.shutdown();
 }
 

@@ -84,17 +84,13 @@ impl<B: StorageBackend> StorageEngine<B> {
         // A plain write is strictly newer than everything buffered:
         // group-commit the buffer first so its fragment takes a lower
         // sequence number and this write keeps last-write-wins
-        // precedence over any buffered duplicate.
-        self.flush()?;
-        self.write_with(
-            self.kind,
-            coords,
-            values,
-            &[coords.len()],
-            None,
-            None,
-            false,
-        )
+        // precedence over any buffered duplicate. The write's own id is
+        // drawn with the flush's snapshot, so a batch acked after that
+        // snapshot outranks this write on every path, replay included.
+        // Like a flush, the write holds `flush_lock` until it commits.
+        let held = self.flush_lock.lock();
+        let (_, id) = self.flush_locked(&held, || self.draw_id())?;
+        self.write_with(self.kind, coords, values, &[coords.len()], id, None, false)
     }
 
     /// Typed WRITE convenience.
@@ -112,9 +108,9 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// format for plain writes; adaptive consolidation passes the advised
     /// one), `part_ends` cuts the points into the fragments of one run —
     /// the end offset of each part, `[coords.len()]` for the one fragment
-    /// every other write is — `identity` is a precomputed fragment
-    /// identity (consolidation derives it from the sources, replay reuses
-    /// the WAL's own; `None` allocates the next id), `sources` names the
+    /// every other write is — `identity` is the fragment identity
+    /// (consolidation derives it from the sources, replay reuses the
+    /// WAL's own, flushes and plain writes draw the next id), `sources` names the
     /// fragments the output replaces (recorded in a tombstone before
     /// commit — consolidation only), and `presorted` promises the
     /// coordinates arrive in nondecreasing linear-address order — the
@@ -129,7 +125,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         coords: &CoordBuffer,
         values: &[u8],
         part_ends: &[usize],
-        identity: Option<FragmentId>,
+        identity: FragmentId,
         sources: Option<&[String]>,
         presorted: bool,
     ) -> Result<WriteReport> {
@@ -224,8 +220,12 @@ impl<B: StorageBackend> StorageEngine<B> {
         Ok((frag, built.index.len()))
     }
 
-    /// Publish one encoded run: commit `frags` under `identity` (`None`:
-    /// the next sequence number of this engine's epoch; one fragment
+    /// The next plain fragment id of this engine's epoch.
+    pub(super) fn draw_id(&self) -> FragmentId {
+        FragmentId::plain(self.next_id.fetch_add(1, Ordering::SeqCst), self.epoch)
+    }
+
+    /// Publish one encoded run: commit `frags` under `id` (one fragment
     /// takes it, more are its parts `1..=k`) and catalog them. Returns the
     /// last committed name.
     ///
@@ -242,13 +242,10 @@ impl<B: StorageBackend> StorageEngine<B> {
     fn publish(
         &self,
         frags: &[Vec<u8>],
-        identity: Option<FragmentId>,
+        id: FragmentId,
         sources: Option<&[String]>,
         timer: &mut PhaseTimer,
     ) -> Result<String> {
-        let id = identity.unwrap_or_else(|| {
-            FragmentId::plain(self.next_id.fetch_add(1, Ordering::SeqCst), self.epoch)
-        });
         let names: Vec<String> = id
             .parts(frags.len())?
             .into_iter()

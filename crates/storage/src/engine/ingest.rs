@@ -15,6 +15,7 @@ use artsparse_metrics::{charge, Span, SpanKind};
 use artsparse_tensor::sort::{last_per_address, sort_by_address};
 use artsparse_tensor::value::Element;
 use artsparse_tensor::CoordBuffer;
+use parking_lot::MutexGuard;
 use std::sync::atomic::Ordering;
 
 impl<B: StorageBackend> StorageEngine<B> {
@@ -52,14 +53,20 @@ impl<B: StorageBackend> StorageEngine<B> {
         // the WAL ack fails.
         self.health
             .admit_buffer(&self.config.ingest, &self.buffer, values.len())?;
-        let wal = match self.wal_append(&flat, values) {
-            Ok(wal) => wal,
-            Err(e) => {
-                self.buffer.cancel_reservation(values.len());
-                return Err(e);
-            }
-        };
-        self.buffer.append(addrs, flat, values.to_vec(), wal);
+        {
+            // The seq drawn for the WAL blob and the append are one step
+            // to a group commit's snapshot (see `ack_order`): a flush
+            // cannot commit a higher id while this batch is in flight.
+            let _order = self.ack_order.lock();
+            let wal = match self.wal_append(&flat, values) {
+                Ok(wal) => wal,
+                Err(e) => {
+                    self.buffer.cancel_reservation(values.len());
+                    return Err(e);
+                }
+            };
+            self.buffer.append(addrs, flat, values.to_vec(), wal);
+        }
         let stats = self.buffer.stats();
         if stats.points >= self.config.ingest.flush_points
             || stats.value_bytes >= self.config.ingest.flush_bytes
@@ -118,15 +125,32 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// runs stay buffered for the next one. An empty buffer returns
     /// `Ok(None)` without touching the device.
     pub fn flush(&self) -> Result<Option<WriteReport>> {
-        let _guard = self.flush_lock.lock();
+        let held = self.flush_lock.lock();
+        self.flush_locked(&held, || ()).map(|(report, ())| report)
+    }
+
+    /// [`StorageEngine::flush`] under a held `flush_lock`, running `then`
+    /// in the same step as the snapshot. A plain write draws its id
+    /// there: it must outrank everything acked before the snapshot and
+    /// nothing acked after it.
+    pub(super) fn flush_locked<T>(
+        &self,
+        _held: &MutexGuard<'_, ()>,
+        then: impl FnOnce() -> T,
+    ) -> Result<(Option<WriteReport>, T)> {
         // Retry WAL deletions a previous flush failed (device hiccup)
         // before anything else — even when the buffer is empty, so a
         // quiet engine still sheds its orphans.
         self.retire_wals(Vec::new());
-        let snapshot = self.buffer.snapshot();
-        if snapshot.is_empty() {
-            return Ok(None);
-        }
+        let (snapshot, id, after) = {
+            let _order = self.ack_order.lock();
+            let snapshot = self.buffer.snapshot();
+            let id = (!snapshot.is_empty()).then(|| self.draw_id());
+            (snapshot, id, then())
+        };
+        let Some(id) = id else {
+            return Ok((None, after));
+        };
         let _span = Span::enter(self.plane.as_ref(), SpanKind::IngestFlush);
         // The snapshot is deduplicated (the latest append per address
         // survives) and laid out in address order — exactly what the
@@ -134,15 +158,8 @@ impl<B: StorageBackend> StorageEngine<B> {
         // matching slot) and what the sort-eliding builders accept.
         let coords = CoordBuffer::from_flat(self.shape.ndim(), snapshot.flat_coords().to_vec())?;
         let payload = snapshot.flat_values();
-        let report = self.write_with(
-            self.kind,
-            &coords,
-            payload,
-            &[coords.len()],
-            None,
-            None,
-            true,
-        )?;
+        let report =
+            self.write_with(self.kind, &coords, payload, &[coords.len()], id, None, true)?;
         // The fragment is committed: retire the covered batches and their
         // WAL blobs. Retirement is cleanup, not correctness — a blob that
         // survives (crash, or a delete failure queued for retry) replays
@@ -150,7 +167,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         // committed, so it can never resurrect old values.
         self.retire_wals(self.buffer.drain(snapshot.raw_points));
         charge(|io| io.group_commits += 1);
-        Ok(Some(report))
+        Ok((Some(report), after))
     }
 
     /// Delete retired WAL blobs plus any whose deletion failed earlier.
@@ -290,7 +307,7 @@ impl<B: StorageBackend> StorageEngine<B> {
                         .extend_from_slice(&rec.values[i * rec.elem_size..(i + 1) * rec.elem_size]);
                 }
                 let whole = [coords.len()];
-                self.write_with(self.kind, &coords, &payload, &whole, Some(id), None, true)?;
+                self.write_with(self.kind, &coords, &payload, &whole, id, None, true)?;
             }
             delete_if_present(&self.backend, name)?;
         }

@@ -97,10 +97,21 @@ pub struct StorageEngine<B: StorageBackend> {
     /// The streaming-ingest write buffer: acked batches awaiting a group
     /// commit, readable through an atomically swappable snapshot.
     buffer: crate::buffer::WriteBuffer,
-    /// Serializes group commits: two concurrent flushes would encode
+    /// Serializes group commits and plain writes, each held from its
+    /// fragment id to its commit. Two concurrent flushes would encode
     /// overlapping snapshots into two fragments and double-drain the
-    /// buffer.
+    /// buffer; and plain fragments must commit in id order, or a
+    /// consolidation could snapshot a higher id without a lower one still
+    /// in flight, and its output (the highest source's seq) would shadow
+    /// the late fragment.
     flush_lock: parking_lot::Mutex<()>,
+    /// Orders ingest acks against fragment ids. An ingest draws its WAL
+    /// seq and appends its batch under it; a group commit takes its
+    /// buffer snapshot and draws its fragment id (and a plain write's)
+    /// under it. So a batch whose seq is below a fragment's id is in that
+    /// fragment's snapshot or an older one, and replay after a crash
+    /// ranks batches and fragments the way live reads did.
+    ack_order: parking_lot::Mutex<()>,
     /// WAL blobs whose batches are committed but whose delete failed.
     /// Retried on later flushes; a blob that never gets deleted is safe
     /// (replay is order-preserving, see [`StorageEngine::replay_wal`]),
@@ -172,6 +183,7 @@ impl<B: StorageBackend> StorageEngine<B> {
             recovery: parking_lot::Mutex::new(recovery),
             buffer: crate::buffer::WriteBuffer::new(),
             flush_lock: parking_lot::Mutex::new(()),
+            ack_order: parking_lot::Mutex::new(()),
             wal_retire_queue: parking_lot::Mutex::new(Vec::new()),
             health: health::Health::new(plane.clone()),
             plane,

@@ -237,15 +237,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         let convert_span =
             adaptive.map(|_| Span::enter(self.plane.as_ref(), SpanKind::ConsolidateConvert));
         let ends = part_ends(&coords);
-        let report = self.write_with(
-            target,
-            &coords,
-            &payload,
-            &ends,
-            Some(id),
-            Some(&sources),
-            true,
-        )?;
+        let report = self.write_with(target, &coords, &payload, &ends, id, Some(&sources), true)?;
         drop(convert_span);
 
         self.retire_sources(&sources, &report.fragment)?;

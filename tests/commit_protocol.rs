@@ -291,10 +291,10 @@ fn a_kill_at_every_step_of_a_three_part_publish_recovers_and_converges() {
     }
 }
 
-/// A shared backend that calls `hook(op, name)` before each rename
-/// (`"rename"`, its target) and after each existence check (`"exists"`)
-/// — the seams at which a test parks one engine's commit and slots
-/// another engine's recovery into it.
+/// A shared backend that calls `hook(op, name)` before each atomic put
+/// (`"put_atomic"`) and rename (`"rename"`, its target) and after each
+/// existence check (`"exists"`) — the seams at which a test parks one
+/// engine's commit or ack and slots other work into it.
 struct Hooked<B, F> {
     inner: B,
     hook: F,
@@ -305,6 +305,7 @@ impl<B: StorageBackend, F: Fn(&str, &str) + Send + Sync> StorageBackend for Hook
         self.inner.put(name, data)
     }
     fn put_atomic(&self, name: &str, data: &[u8]) -> artsparse::storage::Result<()> {
+        (self.hook)("put_atomic", name);
         self.inner.put_atomic(name, data)
     }
     fn put_exclusive(&self, name: &str, data: &[u8]) -> artsparse::storage::Result<()> {
@@ -1050,6 +1051,123 @@ fn replay_of_live_engines_wal_never_outranks_its_later_flush() {
         b.read_values::<f64>(&pts(&[[1, 1]])).unwrap(),
         vec![Some(2.0)],
         "the stale replayed copy must not shadow the live engine's flush"
+    );
+}
+
+/// An ingest parked inside its WAL put while a group commit runs. The
+/// parked batch drew its seq first, so a flush that snapshots the buffer
+/// without it must not commit under a higher id: live reads rank the
+/// buffer above every fragment, and after a crash replay ranks the batch
+/// by its seq. Here X = 1 is buffered, A ingests X = 2 and parks, a
+/// flush starts, A resumes; X reads 2 live and must still read 2 after
+/// the engine dies without a shutdown and the store reopens.
+#[test]
+fn an_ingest_acked_across_a_group_commit_keeps_its_rank_after_a_crash() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{mpsc, Barrier};
+    let store = Arc::new(MemBackend::new());
+    let [parked, resume] = [(); 2].map(|_| Arc::new(Barrier::new(2)));
+    let armed = Arc::new(AtomicBool::new(false));
+    let hook = {
+        let (parked, resume, armed) = (parked.clone(), resume.clone(), armed.clone());
+        move |op: &str, name: &str| {
+            if op == "put_atomic" && name.starts_with("wal-") && armed.swap(false, Ordering::SeqCst)
+            {
+                parked.wait();
+                resume.wait();
+            }
+        }
+    };
+    let engine = open(Hooked {
+        inner: Arc::clone(&store),
+        hook,
+    });
+    let x = pts(&[[1, 1]]);
+    engine.ingest_points::<f64>(&x, &[1.0]).unwrap();
+
+    armed.store(true, Ordering::SeqCst);
+    let live = &engine;
+    std::thread::scope(|s| {
+        let a = s.spawn(|| live.ingest_points::<f64>(&x, &[2.0]));
+        parked.wait();
+        let (done, flushed) = mpsc::channel();
+        let flush = s.spawn(move || {
+            let report = live.flush();
+            let _ = done.send(());
+            report
+        });
+        // Give the flush every chance to commit while A is parked; an
+        // engine that orders acks against flushes holds it back instead.
+        let _ = flushed.recv_timeout(Duration::from_millis(200));
+        resume.wait();
+        a.join().unwrap().unwrap();
+        flush.join().unwrap().unwrap();
+    });
+    assert_eq!(engine.read_values::<f64>(&x).unwrap(), vec![Some(2.0)]);
+
+    drop(engine); // a crash: no shutdown, whatever is buffered is lost
+    let engine = open(Arc::clone(&store));
+    assert_eq!(
+        engine.read_values::<f64>(&x).unwrap(),
+        vec![Some(2.0)],
+        "replay ranked the acked batch below an older value"
+    );
+}
+
+/// A plain write parked before its commit rename while another thread
+/// ingests, flushes and consolidates. A consolidation names its output
+/// after its highest source, so a fragment whose id was drawn before that
+/// source's but commits after the snapshot would rank below the merged
+/// output and lose to the older value the output carries. Writes and
+/// flushes therefore commit in id order: here X = 1 is stored, A writes
+/// X = 2 and parks, and X must read 2 once everything has returned.
+#[test]
+fn a_write_committed_after_a_consolidation_snapshot_is_not_shadowed() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{mpsc, Barrier};
+    let [parked, resume] = [(); 2].map(|_| Arc::new(Barrier::new(2)));
+    let armed = Arc::new(AtomicBool::new(false));
+    let hook = {
+        let (parked, resume, armed) = (parked.clone(), resume.clone(), armed.clone());
+        move |op: &str, _: &str| {
+            if op == "rename" && armed.swap(false, Ordering::SeqCst) {
+                parked.wait();
+                resume.wait();
+            }
+        }
+    };
+    let engine = open(Hooked {
+        inner: MemBackend::new(),
+        hook,
+    });
+    let (x, y) = (pts(&[[1, 1]]), pts(&[[2, 2]]));
+    engine.write_points::<f64>(&x, &[1.0]).unwrap();
+
+    armed.store(true, Ordering::SeqCst);
+    let live = &engine;
+    std::thread::scope(|s| {
+        let a = s.spawn(|| live.write_points::<f64>(&x, &[2.0]));
+        parked.wait();
+        let (done, merged) = mpsc::channel();
+        let b = s.spawn(move || {
+            let pass = live
+                .ingest_points::<f64>(&y, &[5.0])
+                .and_then(|_| live.flush())
+                .and_then(|_| live.consolidate());
+            let _ = done.send(());
+            pass
+        });
+        // Give the pass every chance to snapshot while A is parked; an
+        // engine that commits plain fragments in id order holds it back.
+        let _ = merged.recv_timeout(Duration::from_millis(200));
+        resume.wait();
+        a.join().unwrap().unwrap();
+        b.join().unwrap().unwrap();
+    });
+    assert_eq!(
+        engine.read_values::<f64>(&pts(&[[1, 1], [2, 2]])).unwrap(),
+        vec![Some(2.0), Some(5.0)],
+        "a consolidation output shadowed a later write"
     );
 }
 
