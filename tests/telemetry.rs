@@ -231,3 +231,206 @@ fn harness_writes_schema_valid_documents() {
         validate_file(&doc, std::path::Path::new("schemas/telemetry.schema.json")).unwrap();
     assert!(errors.is_empty(), "{errors:?}");
 }
+
+/// `observe()`'s whole output, pinned: every sample it sets (name, kind,
+/// HELP and value) after one scripted engine life with the plane on and
+/// no scheduler — ingested batches, one group commit whose WAL delete
+/// fails, one quarantined fragment, one cache hit and one `Backpressure`
+/// rejection. The plane's ten span-fed `_total` counters are left to
+/// `plane_counters_equal_the_report_totals`.
+#[test]
+fn observe_samples_are_pinned() {
+    use artsparse::metrics::MetricKind::{Counter, Gauge, Histogram};
+    use artsparse::storage::{IngestConfig, StorageBackend};
+
+    let engine = StorageEngine::open_with(
+        FailingBackend::new(MemBackend::new()),
+        FormatKind::Coo,
+        Shape::new(vec![16, 16]).unwrap(),
+        8,
+        EngineConfig::default()
+            .with_observability(ObservabilityConfig::default())
+            .with_retry(RetryPolicy::none())
+            .with_strict_reads(false)
+            .with_cache_capacity(1 << 20)
+            .with_ingest(IngestConfig {
+                max_buffered_bytes: 32,
+                ..Default::default()
+            }),
+    )
+    .unwrap();
+    let plane = engine.observability().unwrap();
+    let before: Vec<String> = (plane.registry().snapshot().samples.iter())
+        .map(|s| s.name.clone())
+        .collect();
+
+    // Fragment A (corrupted below) and fragment B (read twice).
+    engine
+        .write_points::<f64>(&pts(&[[0, 0], [0, 1]]), &[1.0, 2.0])
+        .unwrap();
+    engine.write_points::<f64>(&pts(&[[5, 5]]), &[5.0]).unwrap();
+    // One batch group-committed into fragment C; its WAL delete fails,
+    // so the blob waits for a retry.
+    engine
+        .ingest_points::<f64>(&pts(&[[1, 1]]), &[1.5])
+        .unwrap();
+    engine.backend().fail_deletes(true);
+    engine.flush().unwrap().unwrap();
+    engine.backend().fail_deletes(false);
+    // Two batches stay buffered (24 of 32 bytes); a third is shed.
+    engine
+        .ingest_points::<f64>(&pts(&[[7, 7]]), &[7.0])
+        .unwrap();
+    engine
+        .ingest_points::<f64>(&pts(&[[8, 8], [8, 9]]), &[8.0, 9.0])
+        .unwrap();
+    let shed = engine.ingest_points::<f64>(&pts(&[[9, 9], [9, 10]]), &[0.0, 0.0]);
+    assert!(shed.unwrap_err().is_rejection());
+    // A cold then a warm read of B: one miss, one hit.
+    for _ in 0..2 {
+        assert_eq!(
+            engine.read_values::<f64>(&pts(&[[5, 5]])).unwrap(),
+            vec![Some(5.0)]
+        );
+    }
+    // A's value section flips a bit: the degraded read quarantines it.
+    let victim = engine.fragments().unwrap()[0].clone();
+    let mut bytes = engine.backend().get(&victim).unwrap();
+    *bytes.last_mut().unwrap() ^= 0x80;
+    engine.backend().put(&victim, &bytes).unwrap();
+    let read = engine.read(&pts(&[[0, 0]])).unwrap();
+    assert_eq!(read.outcome.quarantined, vec![victim]);
+    assert_eq!(engine.cache().stats().hits, 1);
+
+    engine.observe();
+    let snap = plane.registry().snapshot();
+    let observed: Vec<_> = (snap.samples.iter())
+        .filter(|s| !before.contains(&s.name))
+        .map(|s| (s.name.as_str(), s.kind, s.help.as_str(), s.value))
+        .collect();
+    let help_blobs = "Live WAL blobs: buffered batches not yet committed plus \
+                      retired blobs whose delete is being retried.";
+    let help_wal_bytes = "Bytes of acked, unretired WAL blobs (bounded by max_wal_backlog_bytes).";
+    let expected = vec![
+        (
+            "artsparse_backpressure_rejections_total",
+            Counter,
+            "Writes refused with a typed Backpressure or ReadOnly rejection.",
+            1.0,
+        ),
+        (
+            "artsparse_cache_bytes",
+            Gauge,
+            "Decoded payload bytes resident in the fragment cache.",
+            72.0,
+        ),
+        (
+            "artsparse_cache_capacity_bytes",
+            Gauge,
+            "Configured fragment-cache capacity (0: disabled).",
+            1048576.0,
+        ),
+        (
+            "artsparse_cache_fragments",
+            Gauge,
+            "Decoded fragments resident in the cache.",
+            1.0,
+        ),
+        (
+            "artsparse_consecutive_write_failures",
+            Gauge,
+            "Consecutive write failures driving the health state machine.",
+            0.0,
+        ),
+        (
+            "artsparse_fragment_bytes",
+            Histogram,
+            "Size distribution of live fragments (bytes, log2 buckets).",
+            2.0,
+        ),
+        (
+            "artsparse_fragments",
+            Gauge,
+            "Live fragments in the catalog.",
+            2.0,
+        ),
+        (
+            "artsparse_health_state",
+            Gauge,
+            "Write-path health state (0: healthy, 1: degraded, 2: read-only).",
+            0.0,
+        ),
+        (
+            "artsparse_quarantined_fragments",
+            Gauge,
+            "Fragments currently quarantined after integrity failures.",
+            1.0,
+        ),
+        // 400 bytes fetched for the 16 value bytes the two reads of B
+        // returned.
+        (
+            "artsparse_read_amplification",
+            Gauge,
+            "Bytes fetched from the backend per value byte returned.",
+            25.0,
+        ),
+        (
+            "artsparse_scheduler_errors_total",
+            Counter,
+            "Background scheduler passes that failed.",
+            0.0,
+        ),
+        (
+            "artsparse_scheduler_last_run_age_seconds",
+            Gauge,
+            "Seconds since the last scheduler pass (-1: never ran).",
+            -1.0,
+        ),
+        (
+            "artsparse_scheduler_runs_total",
+            Counter,
+            "Background scheduler passes executed.",
+            0.0,
+        ),
+        // Two buffered batches' blobs plus the one whose delete failed.
+        ("artsparse_wal_backlog_blobs", Gauge, help_blobs, 3.0),
+        ("artsparse_wal_backlog_bytes", Gauge, help_wal_bytes, 180.0),
+        (
+            "artsparse_wal_retire_queue",
+            Gauge,
+            "WAL blobs whose deletion failed and awaits retry.",
+            1.0,
+        ),
+        (
+            "artsparse_write_buffer_batches",
+            Gauge,
+            "Acked ingest batches awaiting group commit.",
+            2.0,
+        ),
+        (
+            "artsparse_write_buffer_bytes",
+            Gauge,
+            "Value bytes currently buffered for group commit.",
+            24.0,
+        ),
+        (
+            "artsparse_write_buffer_points",
+            Gauge,
+            "Points currently buffered for group commit.",
+            3.0,
+        ),
+    ];
+    assert_eq!(observed, expected);
+    // The size tiers hold the two live fragments, B and C (188 bytes
+    // each); the quarantined A is not among them.
+    let tiers = snap.sample("artsparse_fragment_bytes").unwrap();
+    let tiers = tiers.histogram.as_ref().unwrap();
+    assert_eq!((tiers.count(), tiers.sum()), (2, 376));
+    // The gauge counts live fragments; the store's stats count every
+    // fragment on the device, the quarantined one included.
+    let stats = engine.stats().unwrap();
+    assert_eq!((stats.fragments, stats.quarantined_fragments), (3, 1));
+    assert_eq!(stats.total_bytes, 588);
+    assert_eq!(stats.wal_backlog_bytes, 180);
+    assert_eq!(stats.backpressure_rejections, 1);
+}
