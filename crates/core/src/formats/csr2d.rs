@@ -122,257 +122,6 @@ pub fn scan_bucket(ind: Words<'_>, ptr: Words<'_>, bucket: u64, target: u64) -> 
     (None, compares)
 }
 
-/// A classic standalone CSR matrix (Templates book \[24\]) with typed
-/// values — the 2D structure GCSR++ generalizes. Useful on its own for
-/// the SpMV-style workloads that motivate sparse storage, and as the
-/// reference implementation the generalized formats are tested against.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CsrMatrix<V> {
-    rows: u64,
-    cols: u64,
-    row_ptr: Vec<u64>,
-    col_ind: Vec<u64>,
-    values: Vec<V>,
-}
-
-impl<V: Copy + Default + std::ops::AddAssign + std::ops::Mul<Output = V>> CsrMatrix<V> {
-    /// Build from (row, col, value) triplets. Duplicated cells are summed
-    /// (the conventional assembly semantic for FEM-style triplet streams).
-    pub fn from_triplets(rows: u64, cols: u64, triplets: &[(u64, u64, V)]) -> Result<Self> {
-        for &(r, c, _) in triplets {
-            if r >= rows || c >= cols {
-                return Err(FormatError::Tensor(
-                    artsparse_tensor::TensorError::CoordOutOfBounds {
-                        dim: if r >= rows { 0 } else { 1 },
-                        coord: if r >= rows { r } else { c },
-                        size: if r >= rows { rows } else { cols },
-                    },
-                ));
-            }
-        }
-        let mut sorted: Vec<(u64, u64, V)> = triplets.to_vec();
-        sorted.sort_by_key(|&(r, c, _)| (r, c));
-        // Coalesce duplicates.
-        let mut coalesced: Vec<(u64, u64, V)> = Vec::with_capacity(sorted.len());
-        for (r, c, v) in sorted {
-            match coalesced.last_mut() {
-                Some((lr, lc, lv)) if *lr == r && *lc == c => *lv += v,
-                _ => coalesced.push((r, c, v)),
-            }
-        }
-        let row_ptr = build_ptr(coalesced.iter().map(|&(r, _, _)| r), rows as usize);
-        let col_ind = coalesced.iter().map(|&(_, c, _)| c).collect();
-        let values = coalesced.iter().map(|&(_, _, v)| v).collect();
-        Ok(CsrMatrix {
-            rows,
-            cols,
-            row_ptr,
-            col_ind,
-            values,
-        })
-    }
-
-    /// Matrix dimensions `(rows, cols)`.
-    pub fn dims(&self) -> (u64, u64) {
-        (self.rows, self.cols)
-    }
-
-    /// Number of stored entries.
-    pub fn nnz(&self) -> usize {
-        self.values.len()
-    }
-
-    /// The compressed row pointer (`rows + 1` entries).
-    pub fn row_ptr(&self) -> &[u64] {
-        &self.row_ptr
-    }
-
-    /// Column indices, row-sorted.
-    pub fn col_ind(&self) -> &[u64] {
-        &self.col_ind
-    }
-
-    /// Values aligned with [`CsrMatrix::col_ind`].
-    pub fn values(&self) -> &[V] {
-        &self.values
-    }
-
-    /// Iterate one row's `(col, value)` pairs.
-    pub fn row(&self, r: u64) -> impl Iterator<Item = (u64, V)> + '_ {
-        let lo = self.row_ptr[r as usize] as usize;
-        let hi = self.row_ptr[r as usize + 1] as usize;
-        self.col_ind[lo..hi]
-            .iter()
-            .zip(&self.values[lo..hi])
-            .map(|(&c, &v)| (c, v))
-    }
-
-    /// Read one cell (zero when absent). Binary search within the row.
-    pub fn get(&self, r: u64, c: u64) -> V {
-        let lo = self.row_ptr[r as usize] as usize;
-        let hi = self.row_ptr[r as usize + 1] as usize;
-        match self.col_ind[lo..hi].binary_search(&c) {
-            Ok(off) => self.values[lo + off],
-            Err(_) => V::default(),
-        }
-    }
-
-    /// `y = A·x` — the canonical CSR kernel.
-    pub fn spmv(&self, x: &[V]) -> Result<Vec<V>> {
-        if x.len() as u64 != self.cols {
-            return Err(FormatError::corrupt(format!(
-                "spmv: x has {} entries for {} columns",
-                x.len(),
-                self.cols
-            )));
-        }
-        let mut y = vec![V::default(); self.rows as usize];
-        for (r, yr) in y.iter_mut().enumerate() {
-            let lo = self.row_ptr[r] as usize;
-            let hi = self.row_ptr[r + 1] as usize;
-            let mut acc = V::default();
-            for (c, v) in self.col_ind[lo..hi].iter().zip(&self.values[lo..hi]) {
-                acc += *v * x[*c as usize];
-            }
-            *yr = acc;
-        }
-        Ok(y)
-    }
-
-    /// `Aᵀ` — also how a CSC view of the same matrix is obtained.
-    pub fn transpose(&self) -> CsrMatrix<V> {
-        let mut triplets = Vec::with_capacity(self.nnz());
-        for r in 0..self.rows {
-            for (c, v) in self.row(r) {
-                triplets.push((c, r, v));
-            }
-        }
-        CsrMatrix::from_triplets(self.cols, self.rows, &triplets)
-            .expect("transposed triplets are in range")
-    }
-
-    /// All entries as `(row, col, value)` triplets in row-major order.
-    pub fn to_triplets(&self) -> Vec<(u64, u64, V)> {
-        let mut out = Vec::with_capacity(self.nnz());
-        for r in 0..self.rows {
-            for (c, v) in self.row(r) {
-                out.push((r, c, v));
-            }
-        }
-        out
-    }
-}
-
-#[cfg(test)]
-mod csr_matrix_tests {
-    use super::*;
-
-    fn sample() -> CsrMatrix<f64> {
-        // [ 1 0 2 ]
-        // [ 0 0 0 ]
-        // [ 3 4 0 ]
-        CsrMatrix::from_triplets(3, 3, &[(2, 1, 4.0), (0, 0, 1.0), (0, 2, 2.0), (2, 0, 3.0)])
-            .unwrap()
-    }
-
-    #[test]
-    fn structure_matches_hand_csr() {
-        let m = sample();
-        assert_eq!(m.row_ptr(), &[0, 2, 2, 4]);
-        assert_eq!(m.col_ind(), &[0, 2, 0, 1]);
-        assert_eq!(m.values(), &[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(m.nnz(), 4);
-        assert_eq!(m.dims(), (3, 3));
-    }
-
-    #[test]
-    fn get_and_row_iteration() {
-        let m = sample();
-        assert_eq!(m.get(0, 2), 2.0);
-        assert_eq!(m.get(1, 1), 0.0);
-        assert_eq!(m.row(2).collect::<Vec<_>>(), vec![(0, 3.0), (1, 4.0)]);
-        assert_eq!(m.row(1).count(), 0);
-    }
-
-    #[test]
-    fn spmv_matches_dense() {
-        let m = sample();
-        let y = m.spmv(&[1.0, 2.0, 3.0]).unwrap();
-        assert_eq!(y, vec![1.0 + 6.0, 0.0, 3.0 + 8.0]);
-        assert!(m.spmv(&[1.0, 2.0]).is_err());
-    }
-
-    #[test]
-    fn duplicates_are_summed() {
-        let m = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.5), (0, 0, 2.5)]).unwrap();
-        assert_eq!(m.nnz(), 1);
-        assert_eq!(m.get(0, 0), 4.0);
-    }
-
-    #[test]
-    fn transpose_is_involutive_and_swaps_dims() {
-        let m = CsrMatrix::from_triplets(2, 3, &[(0, 2, 5.0), (1, 0, 6.0)]).unwrap();
-        let t = m.transpose();
-        assert_eq!(t.dims(), (3, 2));
-        assert_eq!(t.get(2, 0), 5.0);
-        assert_eq!(t.get(0, 1), 6.0);
-        assert_eq!(t.transpose(), m);
-    }
-
-    #[test]
-    fn transpose_spmv_is_left_multiplication() {
-        let m = sample();
-        // xᵀ·A = (Aᵀ·x)ᵀ
-        let x = vec![1.0, 10.0, 100.0];
-        let left = m.transpose().spmv(&x).unwrap();
-        // Hand: col 0: 1·1 + 100·3 = 301; col 1: 100·4 = 400; col 2: 1·2.
-        assert_eq!(left, vec![301.0, 400.0, 2.0]);
-    }
-
-    #[test]
-    fn rejects_out_of_range_triplets() {
-        assert!(CsrMatrix::from_triplets(2, 2, &[(2, 0, 1.0)]).is_err());
-        assert!(CsrMatrix::from_triplets(2, 2, &[(0, 2, 1.0)]).is_err());
-    }
-
-    #[test]
-    fn empty_matrix_works() {
-        let m = CsrMatrix::<f64>::from_triplets(3, 3, &[]).unwrap();
-        assert_eq!(m.nnz(), 0);
-        assert_eq!(m.spmv(&[1.0; 3]).unwrap(), vec![0.0; 3]);
-        assert_eq!(m.to_triplets(), vec![]);
-    }
-
-    #[test]
-    fn triplet_roundtrip() {
-        let m = sample();
-        let again = CsrMatrix::from_triplets(3, 3, &m.to_triplets()).unwrap();
-        assert_eq!(again, m);
-    }
-
-    #[test]
-    fn agrees_with_gcsr_on_a_2d_tensor() {
-        // GCSR++ on a square 2D tensor *is* CSR of the matrix: compare
-        // structures directly. (GCSR++ keeps *input* order within a row —
-        // Algorithm 1 sorts only by the first dimension — so feed points
-        // already in (row, col) order to match CsrMatrix's canonical form.)
-        use crate::traits::Organization;
-        let shape = Shape::new(vec![4, 4]).unwrap();
-        let pts = [[0u64, 1], [2, 0], [2, 3], [3, 3]];
-        let coords = artsparse_tensor::CoordBuffer::from_points(2, &pts).unwrap();
-        let counter = artsparse_metrics::OpCounter::new();
-        let built = crate::formats::gcsr::GcsrPP
-            .build(&coords, &shape, &counter)
-            .unwrap();
-        let (_, mut dec) = crate::codec::IndexDecoder::new(&built.index, None).unwrap();
-        let ptr = dec.section("ptr").unwrap();
-        let ind = dec.section("ind").unwrap();
-        let m = CsrMatrix::from_triplets(4, 4, &pts.map(|[r, c]| (r, c, 1.0f64))).unwrap();
-        assert_eq!(ptr, m.row_ptr());
-        assert_eq!(ind, m.col_ind());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -454,5 +203,26 @@ mod tests {
         let (pos, cmp) = scan_bucket(ind, ptr, 0, 5);
         assert_eq!(pos, None);
         assert_eq!(cmp, 0);
+    }
+
+    #[test]
+    fn agrees_with_gcsr_on_a_2d_tensor() {
+        // GCSR++ on a square 2D tensor *is* classic CSR of the matrix.
+        // (GCSR++ keeps *input* order within a row — Algorithm 1 sorts
+        // only by the first dimension — so the points come already in
+        // (row, col) order, CSR's canonical form.)
+        use crate::traits::Organization;
+        let shape = Shape::new(vec![4, 4]).unwrap();
+        let pts = [[0u64, 1], [2, 0], [2, 3], [3, 3]];
+        let coords = artsparse_tensor::CoordBuffer::from_points(2, &pts).unwrap();
+        let counter = artsparse_metrics::OpCounter::new();
+        let built = crate::formats::gcsr::GcsrPP
+            .build(&coords, &shape, &counter)
+            .unwrap();
+        let (_, mut dec) = crate::codec::IndexDecoder::new(&built.index, None).unwrap();
+        // Row 0 holds column 1, row 1 nothing, row 2 columns 0 and 3,
+        // row 3 column 3.
+        assert_eq!(dec.section("ptr").unwrap(), [0, 1, 1, 3, 4]);
+        assert_eq!(dec.section("ind").unwrap(), [1, 0, 3, 3]);
     }
 }

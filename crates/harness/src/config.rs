@@ -127,7 +127,6 @@ impl Config {
             flush_points: self.ingest_flush_points.max(1),
             flush_bytes: usize::MAX,
             flush_interval_ms: 1,
-            wal: true,
             ..Default::default()
         }
     }
@@ -203,7 +202,6 @@ mod tests {
         assert_eq!(c.ingest_batch, 64);
         let ic = c.ingest_config();
         assert_eq!(ic.flush_points, 1024);
-        assert!(ic.wal);
         let c = Config {
             ingest_flush_points: 0,
             ..Config::default()

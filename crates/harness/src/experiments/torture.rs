@@ -122,7 +122,6 @@ fn torture_engine_config() -> EngineConfig {
             flush_points: usize::MAX,
             flush_bytes: usize::MAX,
             flush_interval_ms: 1,
-            wal: true,
             max_buffered_bytes: BUFFER_CAP,
             max_wal_backlog_bytes: WAL_CAP,
             backpressure_resume_pct: 50,
@@ -155,8 +154,8 @@ fn open_torture_engine(backend: FailingBackend<MemBackend>) -> Result<TortureEng
 /// Assert the byte caps hold, both directly and through the published
 /// registry gauges (`engine.observe()` refreshes them first).
 fn assert_caps(engine: &TortureEngine) -> Result<(usize, u64)> {
-    let buffered = engine.buffer_stats().value_bytes;
-    let wal = engine.wal_backlog_bytes();
+    let stats = engine.stats()?;
+    let (buffered, wal) = (stats.buffer.value_bytes, stats.wal_backlog_bytes);
     if buffered > BUFFER_CAP {
         return Err(format!("buffer cap violated: {buffered} > {BUFFER_CAP}").into());
     }

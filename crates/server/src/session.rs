@@ -17,7 +17,7 @@ use crate::metrics::ServerMetrics;
 use crate::protocol::{self, ErrorCode, Request, PROTOCOL_VERSION};
 use crate::quota::QuotaBook;
 use crate::server::BackendFactory;
-use crate::shard::{Created, DatasetStats, Registry};
+use crate::shard::{Created, Registry, StatsRow};
 use artsparse_storage::HealthState;
 use std::io::{self, BufRead, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -668,19 +668,18 @@ fn health_str(h: HealthState) -> &'static str {
     }
 }
 
-fn render_dataset_stats(tenant: &str, s: &DatasetStats) -> String {
-    let dataset = s.key.strip_prefix(&format!("{tenant}/")).unwrap_or(&s.key);
+fn render_dataset_stats(tenant: &str, (key, shard, dims, s): &StatsRow) -> String {
+    let dataset = key.strip_prefix(&format!("{tenant}/")).unwrap_or(key);
     format!(
-        "dataset={dataset} shard={} shape={} fragments={} points={} bytes={} health={} \
+        "dataset={dataset} shard={shard} shape={} fragments={} points={} bytes={} health={} \
          buffered_points={} buffered_bytes={} wal_backlog_bytes={} backpressure_rejections={}",
-        s.shard,
-        render_dims(&s.dims),
+        render_dims(dims),
         s.fragments,
-        s.points,
-        s.bytes,
+        s.total_points,
+        s.total_bytes,
         health_str(s.health),
-        s.buffered_points,
-        s.buffered_bytes,
+        s.buffer.points,
+        s.buffer.value_bytes,
         s.wal_backlog_bytes,
         s.backpressure_rejections,
     )

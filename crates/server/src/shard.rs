@@ -14,8 +14,8 @@
 use crate::server::{BackendFactory, DrainReport};
 use artsparse_core::FormatKind;
 use artsparse_storage::{
-    EngineConfig, HealthState, IngestScheduler, SchedulerConfig, StorageBackend, StorageEngine,
-    StorageError,
+    EngineConfig, IngestScheduler, SchedulerConfig, StorageBackend, StorageEngine, StorageError,
+    StoreStats,
 };
 use artsparse_tensor::{CoordBuffer, Region, Shape};
 use std::collections::HashMap;
@@ -36,32 +36,10 @@ fn stripe_of(key: &str, n_stripes: usize) -> usize {
     (fnv1a(key) % n_stripes.max(1) as u64) as usize
 }
 
-/// Statistics for one dataset.
-#[derive(Debug, Clone)]
-pub struct DatasetStats {
-    /// Namespaced key (`tenant/dataset`).
-    pub key: String,
-    /// The stripe that holds it.
-    pub shard: usize,
-    /// Dimension sizes.
-    pub dims: Vec<u64>,
-    /// Committed fragments.
-    pub fragments: usize,
-    /// Stored points (before cross-fragment dedup).
-    pub points: u64,
-    /// Bytes on the device.
-    pub bytes: u64,
-    /// Write-path health state.
-    pub health: HealthState,
-    /// Points sitting in the write buffer (WAL-acked, not yet committed).
-    pub buffered_points: usize,
-    /// Value bytes sitting in the write buffer.
-    pub buffered_bytes: usize,
-    /// Live WAL backlog in bytes.
-    pub wal_backlog_bytes: u64,
-    /// Ingest batches shed by admission control so far.
-    pub backpressure_rejections: u64,
-}
+/// One `STATS` row: a dataset's namespaced key (`tenant/dataset`), the
+/// stripe that holds it, its dimension sizes, and its engine's one
+/// snapshot of state.
+pub type StatsRow = (String, usize, Vec<u64>, StoreStats);
 
 /// One `SCAN` row: a coordinate and its value.
 pub type Row = (Vec<u64>, f64);
@@ -174,24 +152,6 @@ impl<B: StorageBackend> Dataset<B> {
             truncated,
         ))
     }
-
-    fn stats(&self, key: &str, shard: usize) -> Result<DatasetStats, StorageError> {
-        let store = self.engine.stats()?;
-        let buf = self.engine.buffer_stats();
-        Ok(DatasetStats {
-            key: key.to_string(),
-            shard,
-            dims: self.shape.dims().to_vec(),
-            fragments: store.fragments,
-            points: store.total_points,
-            bytes: store.total_bytes,
-            health: store.health,
-            buffered_points: buf.points,
-            buffered_bytes: buf.value_bytes,
-            wal_backlog_bytes: store.wal_backlog_bytes,
-            backpressure_rejections: store.backpressure_rejections,
-        })
-    }
 }
 
 /// One stripe of datasets. A poisoned stripe is recovered with
@@ -302,7 +262,7 @@ impl<F: BackendFactory> Registry<F> {
         &self,
         tenant: &str,
         dataset: Option<&str>,
-    ) -> Result<Vec<DatasetStats>, StorageError> {
+    ) -> Result<Vec<StatsRow>, StorageError> {
         let mut open = Vec::new();
         for (shard, stripe) in self.stripes.iter().enumerate() {
             let datasets = stripe.read().unwrap_or_else(PoisonError::into_inner);
@@ -316,8 +276,11 @@ impl<F: BackendFactory> Registry<F> {
             }
         }
         open.sort_by(|a, b| a.0.cmp(&b.0));
-        open.iter()
-            .map(|(key, shard, ds)| ds.stats(key, *shard))
+        (open.into_iter())
+            .map(|(key, shard, ds)| {
+                let dims = ds.shape.dims().to_vec();
+                Ok((key, shard, dims, ds.engine.stats()?))
+            })
             .collect()
     }
 }
@@ -424,9 +387,9 @@ mod tests {
         // Stats filter by tenant and dataset and name the stripe.
         let rows = reg.stats("t", None).unwrap();
         assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].key, "t/d");
-        assert_eq!(rows[0].shard, stripe_of("t/d", 4));
-        assert_eq!(rows[0].points, 3);
+        let (key, stripe, dims, store) = &rows[0];
+        assert_eq!((key.as_str(), *stripe), ("t/d", stripe_of("t/d", 4)));
+        assert_eq!((dims.as_slice(), store.total_points), (&[8, 8][..], 3));
         assert!(reg.stats("other", None).unwrap().is_empty());
         assert!(reg.stats("t", Some("none")).unwrap().is_empty());
 

@@ -161,7 +161,7 @@ impl BufferSnapshot {
 }
 
 /// Cheap occupancy summary used by flush-threshold checks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BufferStats {
     /// Raw appended points currently buffered (duplicates included).
     pub points: usize,
@@ -281,18 +281,6 @@ impl WriteBuffer {
     /// this.
     pub fn age(&self) -> Option<Duration> {
         self.inner.lock().first_append.map(|t| t.elapsed())
-    }
-
-    /// Buffered batches still covered by a live WAL blob — the buffer's
-    /// share of the WAL-backlog gauge (the engine adds blobs queued for
-    /// deletion retry).
-    pub fn wal_backlog(&self) -> usize {
-        self.inner
-            .lock()
-            .batches
-            .iter()
-            .filter(|b| b.wal.is_some())
-            .count()
     }
 
     /// The current read snapshot. Rebuilt (and cached) only when appends
@@ -507,11 +495,9 @@ mod tests {
         buf.append(vec![1, 2], vec![1, 2], vec![0; 16], Some("wal-1".into()));
         buf.append(vec![3], vec![3], vec![0; 8], None);
         buf.append(vec![4], vec![4], vec![0; 8], Some("wal-3".into()));
-        assert_eq!(buf.wal_backlog(), 2, "two batches are WAL-protected");
         let snap_raw = 3; // as if a flush snapshotted the first two batches
         let wals = buf.drain(snap_raw);
         assert_eq!(wals, vec!["wal-1".to_string()]);
-        assert_eq!(buf.wal_backlog(), 1);
         let stats = buf.stats();
         assert_eq!(stats.points, 1);
         assert_eq!(stats.batches, 1);

@@ -180,10 +180,6 @@ pub struct IngestConfig {
     /// long an acked point stays WAL-only. Only the scheduler acts on
     /// this — an engine without one flushes purely by size.
     pub flush_interval_ms: u64,
-    /// Write a durable WAL record (via `put_atomic`) before acking each
-    /// ingest batch. On by default; turning it off trades crash
-    /// durability of buffered points for ingest throughput.
-    pub wal: bool,
     /// Hard cap on buffered value bytes (the high watermark). A batch
     /// that would exceed it is rejected with `Backpressure` before its
     /// WAL record is written. `0` disables the cap.
@@ -204,7 +200,6 @@ impl Default for IngestConfig {
             flush_points: 4096,
             flush_bytes: 1 << 20,
             flush_interval_ms: 1000,
-            wal: true,
             max_buffered_bytes: 256 << 20,
             max_wal_backlog_bytes: 1 << 30,
             backpressure_resume_pct: 75,
@@ -512,7 +507,6 @@ mod tests {
         assert!(c.strict_reads);
         assert!(c.adaptive_reorg.is_none());
         assert_eq!(c.ingest, IngestConfig::default());
-        assert!(c.ingest.wal);
         assert_eq!(c.ingest.flush_points, 4096);
         assert!(c.effective_parallelism() >= 1);
 
@@ -594,12 +588,10 @@ mod tests {
             flush_points: 8,
             flush_bytes: 64,
             flush_interval_ms: 5,
-            wal: false,
             ..Default::default()
         };
         let c = EngineConfig::default().with_ingest(i);
         assert_eq!(c.ingest, i);
-        assert!(!c.ingest.wal);
         let d = IngestConfig::default();
         assert!(d.max_buffered_bytes > d.flush_bytes, "caps sit above flush");
         assert!(d.max_wal_backlog_bytes > 0);

@@ -112,18 +112,18 @@ pub struct StorageEngine<B: StorageBackend> {
     /// fragment's snapshot or an older one, and replay after a crash
     /// ranks batches and fragments the way live reads did.
     ack_order: parking_lot::Mutex<()>,
-    /// WAL blobs whose batches are committed but whose delete failed.
-    /// Retried on later flushes; a blob that never gets deleted is safe
-    /// (replay is order-preserving, see [`StorageEngine::replay_wal`]),
-    /// it just wastes device bytes until retirement succeeds.
-    wal_retire_queue: parking_lot::Mutex<Vec<String>>,
+    /// Every live WAL blob this engine acked, and which of them await a
+    /// delete retry. A blob that never gets deleted is safe (replay is
+    /// order-preserving, see [`StorageEngine::replay_wal`]), it just
+    /// wastes device bytes until retirement succeeds.
+    wal: parking_lot::Mutex<ingest::WalLedger>,
     /// The observability plane — the one sink of every span and backend
     /// op — present only when `config.observability` was set. `None`
     /// means spans are inert and no aggregation, registry or journal call
     /// happens on any engine path.
     plane: Option<Arc<ObservabilityPlane>>,
-    /// Write-path health state machine, admission-control counters, WAL
-    /// backlog accounting, and the background scheduler's record.
+    /// Write-path health state machine, admission-control counters, and
+    /// the background scheduler's record.
     health: health::Health,
 }
 
@@ -184,7 +184,7 @@ impl<B: StorageBackend> StorageEngine<B> {
             buffer: crate::buffer::WriteBuffer::new(),
             flush_lock: parking_lot::Mutex::new(()),
             ack_order: parking_lot::Mutex::new(()),
-            wal_retire_queue: parking_lot::Mutex::new(Vec::new()),
+            wal: parking_lot::Mutex::default(),
             health: health::Health::new(plane.clone()),
             plane,
         };
@@ -194,13 +194,6 @@ impl<B: StorageBackend> StorageEngine<B> {
         // was ever acked.
         engine.replay_wal()?;
         Ok(engine)
-    }
-
-    /// Replace the pipeline configuration (drops any cached fragments).
-    pub fn with_config(mut self, config: EngineConfig) -> Self {
-        self.cache = FragmentCache::new(config.cache_capacity_bytes);
-        self.config = config;
-        self
     }
 
     /// Apply compression codecs to new fragments (§II: organizations are
@@ -274,6 +267,7 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// buffer occupancy, WAL backlog, fragment population and size tiers,
     /// cache occupancy, quarantine count, scheduler health, and the
     /// derived read-amplification ratio. A no-op when the plane is off.
+    /// Every scalar is read from one [`StorageEngine::stats`] snapshot.
     ///
     /// The [`MetricsExporter`](crate::exporter::MetricsExporter) calls
     /// this before each snapshot; callers polling the registry directly
@@ -281,41 +275,108 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// are point-in-time readings only this method refreshes.
     pub fn observe(&self) {
         let Some(plane) = &self.plane else { return };
+        let Ok(s) = self.stats() else { return };
         let reg = plane.registry();
+        let gauges = [
+            (
+                "artsparse_write_buffer_bytes",
+                "Value bytes currently buffered for group commit.",
+                s.buffer.value_bytes as f64,
+            ),
+            (
+                "artsparse_write_buffer_points",
+                "Points currently buffered for group commit.",
+                s.buffer.points as f64,
+            ),
+            (
+                "artsparse_write_buffer_batches",
+                "Acked ingest batches awaiting group commit.",
+                s.buffer.batches as f64,
+            ),
+            (
+                "artsparse_wal_backlog_blobs",
+                "Live WAL blobs: buffered batches not yet committed plus \
+                 retired blobs whose delete is being retried.",
+                s.wal_blobs as f64,
+            ),
+            (
+                "artsparse_wal_retire_queue",
+                "WAL blobs whose deletion failed and awaits retry.",
+                s.wal_blobs_retiring as f64,
+            ),
+            (
+                "artsparse_wal_backlog_bytes",
+                "Bytes of acked, unretired WAL blobs (bounded by max_wal_backlog_bytes).",
+                s.wal_backlog_bytes as f64,
+            ),
+            (
+                "artsparse_fragments",
+                "Live fragments in the catalog.",
+                s.live_fragments as f64,
+            ),
+            (
+                "artsparse_quarantined_fragments",
+                "Fragments currently quarantined after integrity failures.",
+                s.quarantined_fragments as f64,
+            ),
+            (
+                "artsparse_cache_bytes",
+                "Decoded payload bytes resident in the fragment cache.",
+                s.cache_bytes as f64,
+            ),
+            (
+                "artsparse_cache_capacity_bytes",
+                "Configured fragment-cache capacity (0: disabled).",
+                s.cache_capacity_bytes as f64,
+            ),
+            (
+                "artsparse_cache_fragments",
+                "Decoded fragments resident in the cache.",
+                s.cache_fragments as f64,
+            ),
+            (
+                "artsparse_scheduler_last_run_age_seconds",
+                "Seconds since the last scheduler pass (-1: never ran).",
+                s.scheduler_last_run_age
+                    .map_or(-1.0, |age| age.as_nanos() as f64 / 1e9),
+            ),
+            (
+                "artsparse_health_state",
+                "Write-path health state (0: healthy, 1: degraded, 2: read-only).",
+                s.health.gauge_value() as f64,
+            ),
+            (
+                "artsparse_consecutive_write_failures",
+                "Consecutive write failures driving the health state machine.",
+                s.consecutive_write_failures as f64,
+            ),
+        ];
+        for (name, help, value) in gauges {
+            reg.gauge(name, help).set(value);
+        }
+        let counters = [
+            (
+                "artsparse_scheduler_runs_total",
+                "Background scheduler passes executed.",
+                s.scheduler_runs,
+            ),
+            (
+                "artsparse_scheduler_errors_total",
+                "Background scheduler passes that failed.",
+                s.scheduler_errors,
+            ),
+            (
+                "artsparse_backpressure_rejections_total",
+                "Writes refused with a typed Backpressure or ReadOnly rejection.",
+                s.backpressure_rejections,
+            ),
+        ];
+        for (name, help, total) in counters {
+            reg.counter(name, help).record_total(total);
+        }
 
-        let buf = self.buffer.stats();
-        reg.gauge(
-            "artsparse_write_buffer_bytes",
-            "Value bytes currently buffered for group commit.",
-        )
-        .set(buf.value_bytes as f64);
-        reg.gauge(
-            "artsparse_write_buffer_points",
-            "Points currently buffered for group commit.",
-        )
-        .set(buf.points as f64);
-        reg.gauge(
-            "artsparse_write_buffer_batches",
-            "Acked ingest batches awaiting group commit.",
-        )
-        .set(buf.batches as f64);
-        reg.gauge(
-            "artsparse_wal_backlog_blobs",
-            "Live WAL blobs: buffered batches not yet committed plus \
-             retired blobs whose delete is being retried.",
-        )
-        .set((self.buffer.wal_backlog() + self.wal_retire_queue.lock().len()) as f64);
-        reg.gauge(
-            "artsparse_wal_retire_queue",
-            "WAL blobs whose deletion failed and awaits retry.",
-        )
-        .set(self.wal_retire_queue.lock().len() as f64);
-
-        let sizes = self.fragment_sizes();
-        reg.gauge("artsparse_fragments", "Live fragments in the catalog.")
-            .set(sizes.len() as f64);
         let mut tiers = artsparse_metrics::Histogram::new();
-        for &size in &sizes {
+        for size in self.fragment_sizes() {
             tiers.record(size);
         }
         reg.set_histogram(
@@ -323,30 +384,6 @@ impl<B: StorageBackend> StorageEngine<B> {
             "Size distribution of live fragments (bytes, log2 buckets).",
             tiers,
         );
-        reg.gauge(
-            "artsparse_quarantined_fragments",
-            "Fragments currently quarantined after integrity failures.",
-        )
-        .set(self.catalog.quarantined().len() as f64);
-
-        reg.gauge(
-            "artsparse_cache_bytes",
-            "Decoded payload bytes resident in the fragment cache.",
-        )
-        .set(self.cache.held_bytes() as f64);
-        reg.gauge(
-            "artsparse_cache_capacity_bytes",
-            "Configured fragment-cache capacity (0: disabled).",
-        )
-        .set(self.cache.capacity_bytes() as f64);
-        reg.gauge(
-            "artsparse_cache_fragments",
-            "Decoded fragments resident in the cache.",
-        )
-        .set(self.cache.len() as f64);
-
-        self.health.observe(reg);
-
         if let Some(ratio) = plane.read_amplification() {
             reg.gauge(
                 "artsparse_read_amplification",
@@ -509,11 +546,16 @@ mod test_support {
     use crate::backend::MemBackend;
 
     pub fn engine(kind: FormatKind) -> StorageEngine<MemBackend> {
-        StorageEngine::open(
+        engine_with(kind, EngineConfig::default())
+    }
+
+    pub fn engine_with(kind: FormatKind, config: EngineConfig) -> StorageEngine<MemBackend> {
+        StorageEngine::open_with(
             MemBackend::new(),
             kind,
             Shape::new(vec![16, 16]).unwrap(),
             8,
+            config,
         )
         .unwrap()
     }

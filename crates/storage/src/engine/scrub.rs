@@ -112,7 +112,7 @@ impl<B: StorageBackend> StorageEngine<B> {
 mod tests {
     use super::*;
     use crate::config::EngineConfig;
-    use crate::engine::test_support::{coords, engine};
+    use crate::engine::test_support::{coords, engine, engine_with};
     use artsparse_core::FormatKind;
 
     #[test]
@@ -140,8 +140,10 @@ mod tests {
 
     #[test]
     fn degraded_read_quarantines_and_reports_the_damaged_fragment() {
-        let e = engine(FormatKind::Linear)
-            .with_config(EngineConfig::default().with_strict_reads(false));
+        let e = engine_with(
+            FormatKind::Linear,
+            EngineConfig::default().with_strict_reads(false),
+        );
         e.write_points::<f64>(&coords(&[[1, 1]]), &[1.0]).unwrap();
         e.write_points::<f64>(&coords(&[[2, 2]]), &[2.0]).unwrap();
         let victim = e.fragments().unwrap()[0].clone();

@@ -80,6 +80,6 @@ pub use faults::{injected_fault, FailingBackend, InjectedFault};
 pub use fragment::FragmentChecksums;
 pub use integrity::{crc32c, Crc32c};
 pub use observe::RecordingBackend;
-pub use scheduler::{IngestScheduler, SchedulerStats};
+pub use scheduler::IngestScheduler;
 pub use striped::StripedBackend;
 pub use wal::WalRecord;

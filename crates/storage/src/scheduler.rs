@@ -26,7 +26,10 @@
 //! device heals.
 //!
 //! Every pass runs under an `engine.scheduler.run` telemetry span and
-//! charges the `scheduler_runs` counter. [`IngestScheduler::shutdown`]
+//! charges the `scheduler_runs` counter. The engine keeps the one record
+//! of what its scheduler did — passes, staleness flushes, consolidations
+//! and failures — and [`StorageEngine::stats`] reads it back.
+//! [`IngestScheduler::shutdown`]
 //! (also run on drop) stops the thread cleanly: the current pass
 //! finishes, no new one starts, and the thread is joined — but the wait
 //! is bounded by [`SchedulerConfig::shutdown_timeout_ms`]: a worker
@@ -40,39 +43,19 @@ use crate::config::SchedulerConfig;
 use crate::engine::StorageEngine;
 use crate::error::{Result, StorageError};
 use artsparse_metrics::{charge, Span, SpanKind};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Runs one log₂-size tier must hold before the scheduler consolidates.
 pub const TIER_RUNS: usize = 4;
 
-/// Counters describing what the scheduler has done so far.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SchedulerStats {
-    /// Scheduler passes executed (ticks that did their checks).
-    pub runs: u64,
-    /// Staleness flushes the scheduler issued.
-    pub flushes: u64,
-    /// Consolidation passes the scheduler triggered.
-    pub consolidations: u64,
-    /// Passes that failed (error kept out of the ingest path; the next
-    /// tick retries).
-    pub errors: u64,
-    /// Error chain of the most recent failed pass, if any — failures are
-    /// swallowed to protect the ingest path, not to hide them.
-    pub last_error: Option<String>,
-}
-
+/// What the handle and its thread share: the stop request, and the
+/// thread's "finished" flag the bounded shutdown waits on.
 #[derive(Default)]
 struct Shared {
     stop: AtomicBool,
     done: AtomicBool,
-    runs: AtomicU64,
-    flushes: AtomicU64,
-    consolidations: AtomicU64,
-    errors: AtomicU64,
-    last_error: parking_lot::Mutex<Option<String>>,
 }
 
 /// Handle to the background scheduler thread. Dropping it shuts the
@@ -117,17 +100,6 @@ impl IngestScheduler {
         }
     }
 
-    /// What the scheduler has done so far.
-    pub fn stats(&self) -> SchedulerStats {
-        SchedulerStats {
-            runs: self.shared.runs.load(Ordering::Relaxed),
-            flushes: self.shared.flushes.load(Ordering::Relaxed),
-            consolidations: self.shared.consolidations.load(Ordering::Relaxed),
-            errors: self.shared.errors.load(Ordering::Relaxed),
-            last_error: self.shared.last_error.lock().clone(),
-        }
-    }
-
     /// Stop the scheduler: no new pass starts, the in-flight pass (if
     /// any) completes, and the thread is joined before this returns —
     /// waiting at most [`SchedulerConfig::shutdown_timeout_ms`]. A
@@ -159,8 +131,6 @@ impl IngestScheduler {
                         self.shutdown_timeout
                     ),
                 ));
-                self.shared.errors.fetch_add(1, Ordering::Relaxed);
-                *self.shared.last_error.lock() = Some(error.chain_string());
                 (self.note_error)(&error);
                 drop(handle);
                 return;
@@ -207,16 +177,14 @@ fn scheduler_loop<B: StorageBackend + Send + Sync>(
     let min_gap = Duration::from_millis(config.min_consolidate_interval_ms);
     let mut last_consolidate: Option<Instant> = None;
     while !shared.stop.load(Ordering::SeqCst) {
-        match scheduler_pass(engine, shared, &mut last_consolidate, min_gap) {
+        match scheduler_pass(engine, &mut last_consolidate, min_gap) {
             Ok(()) => {}
             Err(e) => {
                 // Keep failures out of the ingest path; the next tick
                 // retries. The error is *surfaced*, not swallowed: the
-                // counter and last-error text here, plus the engine's
-                // health record (store stats, registry gauges, and a
-                // `scheduler_error` journal event when the plane is on).
-                shared.errors.fetch_add(1, Ordering::Relaxed);
-                *shared.last_error.lock() = Some(e.chain_string());
+                // engine's record keeps its count and text (store stats,
+                // registry gauges, and a `scheduler_error` journal event
+                // when the plane is on).
                 engine.note_scheduler_error(&e);
             }
         }
@@ -236,13 +204,14 @@ fn scheduler_loop<B: StorageBackend + Send + Sync>(
 /// consolidation check.
 fn scheduler_pass<B: StorageBackend + Send + Sync>(
     engine: &StorageEngine<B>,
-    shared: &Shared,
     last_consolidate: &mut Option<Instant>,
     min_gap: Duration,
 ) -> Result<()> {
     let _span = Span::enter(engine.observability(), SpanKind::SchedulerRun);
-    shared.runs.fetch_add(1, Ordering::Relaxed);
-    engine.note_scheduler_run();
+    engine.note_scheduler(|record| {
+        record.runs += 1;
+        record.last_run = Some(Instant::now());
+    });
     charge(|io| io.scheduler_runs += 1);
 
     // Retry WAL retirements queued by an earlier failed delete — on
@@ -254,7 +223,7 @@ fn scheduler_pass<B: StorageBackend + Send + Sync>(
 
     let flush_after = Duration::from_millis(engine.config().ingest.flush_interval_ms);
     if engine.buffer_age().is_some_and(|age| age >= flush_after) && engine.flush()?.is_some() {
-        shared.flushes.fetch_add(1, Ordering::Relaxed);
+        engine.note_scheduler(|record| record.flushes += 1);
     }
 
     let rate_limited = last_consolidate.is_some_and(|at| at.elapsed() < min_gap);
@@ -262,7 +231,7 @@ fn scheduler_pass<B: StorageBackend + Send + Sync>(
         let sizes = engine.run_sizes();
         if sizes.len() >= 2 && tier_trigger(&sizes) {
             engine.consolidate()?;
-            shared.consolidations.fetch_add(1, Ordering::Relaxed);
+            engine.note_scheduler(|record| record.consolidations += 1);
             *last_consolidate = Some(Instant::now());
         }
     }
@@ -342,13 +311,14 @@ mod tests {
             },
         );
         let deadline = Instant::now() + Duration::from_secs(10);
-        while sched.stats().runs < 20 {
+        while engine.stats().unwrap().scheduler_runs < 20 {
             assert!(Instant::now() < deadline, "scheduler never ticked");
             std::thread::sleep(Duration::from_millis(1));
         }
         sched.shutdown();
-        let stats = sched.stats();
-        assert_eq!((stats.consolidations, stats.errors), (0, 0), "{stats:?}");
+        let s = engine.stats().unwrap();
+        let record = (s.scheduler_consolidations, s.scheduler_errors);
+        assert_eq!(record, (0, 0), "{s:?}");
         // An explicit pass finds one run and writes nothing either.
         let again = engine.consolidate().unwrap();
         assert_eq!((again.merged_fragments, again.parts), (1, 0));
@@ -364,7 +334,6 @@ mod tests {
             flush_points: 1_000_000,
             flush_bytes: usize::MAX,
             flush_interval_ms: 1,
-            wal: true,
             ..Default::default()
         });
         let c = CoordBuffer::from_points(2, &[[1u64, 2u64]]).unwrap();
@@ -383,10 +352,10 @@ mod tests {
         }
         sched.shutdown();
         sched.shutdown(); // idempotent
-        let stats = sched.stats();
-        assert!(stats.runs >= 1);
-        assert!(stats.flushes >= 1);
-        assert_eq!(stats.errors, 0);
+        let s = engine.stats().unwrap();
+        assert!(s.scheduler_runs >= 1);
+        assert!(s.scheduler_flushes >= 1);
+        assert_eq!(s.scheduler_errors, 0);
         assert_eq!(engine.fragments().unwrap().len(), 1);
     }
 
@@ -417,7 +386,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         sched.shutdown();
-        assert!(sched.stats().consolidations >= 1);
+        assert!(engine.stats().unwrap().scheduler_consolidations >= 1);
         // All six points survived the merge.
         let q =
             CoordBuffer::from_points(2, &(0..6u64).map(|i| [i, i]).collect::<Vec<_>>()).unwrap();
@@ -443,7 +412,6 @@ mod tests {
                         flush_points: 1_000_000,
                         flush_bytes: usize::MAX,
                         flush_interval_ms: 0,
-                        wal: false,
                         ..Default::default()
                     })
                     .with_observability(ObservabilityConfig::default()),
@@ -461,16 +429,12 @@ mod tests {
             },
         );
         let deadline = Instant::now() + Duration::from_secs(10);
-        while sched.stats().errors == 0 {
+        while engine.stats().unwrap().scheduler_errors == 0 {
             assert!(Instant::now() < deadline, "scheduler never failed");
             std::thread::sleep(Duration::from_millis(1));
         }
         sched.shutdown();
-        // The scheduler handle carries the error text...
-        let stats = sched.stats();
-        assert!(stats.errors >= 1);
-        assert!(stats.last_error.unwrap().contains("rename"));
-        // ...and so do the engine's store stats...
+        // The engine's store stats carry the error text...
         let s = engine.stats().unwrap();
         assert!(s.scheduler_errors >= 1);
         assert!(s.scheduler_runs >= 1);
@@ -555,7 +519,6 @@ mod tests {
                         flush_points: 1_000_000,
                         flush_bytes: usize::MAX,
                         flush_interval_ms: 0, // every tick wants to flush
-                        wal: false,
                         ..Default::default()
                     })
                     .with_observability(crate::config::ObservabilityConfig::default()),
@@ -583,9 +546,9 @@ mod tests {
             "shutdown must be bounded, took {:?}",
             started.elapsed()
         );
-        let stats = sched.stats();
-        assert!(stats.errors >= 1);
-        assert!(stats.last_error.unwrap().contains("timed out"));
+        let s = engine.stats().unwrap();
+        assert!(s.scheduler_errors >= 1);
+        assert!(s.scheduler_last_error.unwrap().contains("timed out"));
         // The timeout is journaled like any other scheduler failure.
         let events = engine.observability().unwrap().journal().drain_new();
         assert!(events
@@ -602,7 +565,6 @@ mod tests {
             flush_points: 1_000_000,
             flush_bytes: usize::MAX,
             flush_interval_ms: 0,
-            wal: true,
             ..Default::default()
         });
         let c = CoordBuffer::from_points(2, &[[5u64, 5u64]]).unwrap();

@@ -53,6 +53,47 @@ impl<B: StorageBackend> StripedBackend<B> {
         }
         len
     }
+
+    /// Deal `data` over the devices: each device's part is its chunks,
+    /// concatenated.
+    fn split(&self, data: &[u8]) -> Vec<Vec<u8>> {
+        let n = self.devices.len();
+        let mut parts: Vec<Vec<u8>> = (0..n)
+            .map(|d| Vec::with_capacity(self.part_len(data.len(), d)))
+            .collect();
+        for (j, chunk) in data.chunks(self.stripe_size).enumerate() {
+            parts[j % n].extend_from_slice(chunk);
+        }
+        parts
+    }
+
+    /// Run `op` for every device, each on its own OS thread so device
+    /// time overlaps like parallel OST traffic, and return the results
+    /// in device order. Every thread is joined before the first error is
+    /// returned; a device call that panicked comes back as an I/O error
+    /// naming the device and `what` it was doing.
+    fn per_device<T: Send>(
+        &self,
+        what: &str,
+        op: impl Fn(usize, &B) -> Result<T> + Sync,
+    ) -> Result<Vec<T>> {
+        let op = &op;
+        let results: Vec<Result<T>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (self.devices.iter().enumerate())
+                .map(|(d, dev)| scope.spawn(move || op(d, dev)))
+                .collect();
+            (handles.into_iter().enumerate())
+                .map(|(d, handle)| {
+                    handle.join().unwrap_or_else(|_| {
+                        Err(StorageError::Io(std::io::Error::other(format!(
+                            "stripe device {d} panicked during {what}"
+                        ))))
+                    })
+                })
+                .collect()
+        });
+        results.into_iter().collect()
+    }
 }
 
 impl<B: StorageBackend> StorageBackend for StripedBackend<B> {
@@ -61,29 +102,8 @@ impl<B: StorageBackend> StorageBackend for StripedBackend<B> {
     }
 
     fn put(&self, name: &str, data: &[u8]) -> Result<()> {
-        let n = self.devices.len();
-        let s = self.stripe_size;
-        // Assemble each device's part (its chunks, concatenated).
-        let mut parts: Vec<Vec<u8>> = (0..n)
-            .map(|d| Vec::with_capacity(self.part_len(data.len(), d)))
-            .collect();
-        for (j, chunk) in data.chunks(s).enumerate() {
-            parts[j % n].extend_from_slice(chunk);
-        }
-        // One OS thread per device: device time overlaps like real OSTs.
-        let results: Vec<Result<()>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .devices
-                .iter()
-                .zip(&parts)
-                .map(|(dev, part)| scope.spawn(move || dev.put(name, part)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("stripe writer panicked"))
-                .collect()
-        });
-        results.into_iter().collect::<Result<Vec<()>>>()?;
+        let parts = self.split(data);
+        self.per_device("put", |d, dev| dev.put(name, &parts[d]))?;
         Ok(())
     }
 
@@ -91,27 +111,8 @@ impl<B: StorageBackend> StorageBackend for StripedBackend<B> {
         // Atomic per device: each OST flips its part in one step. The
         // cross-device cut-over is not atomic — the engine's staged
         // commit (temp name + rename) provides the store-level guarantee.
-        let n = self.devices.len();
-        let s = self.stripe_size;
-        let mut parts: Vec<Vec<u8>> = (0..n)
-            .map(|d| Vec::with_capacity(self.part_len(data.len(), d)))
-            .collect();
-        for (j, chunk) in data.chunks(s).enumerate() {
-            parts[j % n].extend_from_slice(chunk);
-        }
-        let results: Vec<Result<()>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .devices
-                .iter()
-                .zip(&parts)
-                .map(|(dev, part)| scope.spawn(move || dev.put_atomic(name, part)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("stripe writer panicked"))
-                .collect()
-        });
-        results.into_iter().collect::<Result<Vec<()>>>()?;
+        let parts = self.split(data);
+        self.per_device("put_atomic", |d, dev| dev.put_atomic(name, &parts[d]))?;
         Ok(())
     }
 
@@ -119,14 +120,7 @@ impl<B: StorageBackend> StorageBackend for StripedBackend<B> {
         // Device 0 arbitrates the claim: its exclusive create either wins
         // the name for the whole stripe set or rejects the put before any
         // other device is touched.
-        let n = self.devices.len();
-        let s = self.stripe_size;
-        let mut parts: Vec<Vec<u8>> = (0..n)
-            .map(|d| Vec::with_capacity(self.part_len(data.len(), d)))
-            .collect();
-        for (j, chunk) in data.chunks(s).enumerate() {
-            parts[j % n].extend_from_slice(chunk);
-        }
+        let parts = self.split(data);
         self.devices[0].put_exclusive(name, &parts[0])?;
         for (dev, part) in self.devices.iter().zip(&parts).skip(1) {
             dev.put_atomic(name, part)?;
@@ -147,18 +141,7 @@ impl<B: StorageBackend> StorageBackend for StripedBackend<B> {
     fn get(&self, name: &str) -> Result<Vec<u8>> {
         let n = self.devices.len();
         let s = self.stripe_size;
-        let parts: Vec<Result<Vec<u8>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .devices
-                .iter()
-                .map(|dev| scope.spawn(move || dev.get(name)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("stripe reader panicked"))
-                .collect()
-        });
-        let parts: Vec<Vec<u8>> = parts.into_iter().collect::<Result<_>>()?;
+        let parts = self.per_device("get", |_, dev| dev.get(name))?;
         let total: usize = parts.iter().map(Vec::len).sum();
         // Validate the parts form a consistent striping of `total` bytes.
         for (d, part) in parts.iter().enumerate() {
@@ -192,27 +175,10 @@ impl<B: StorageBackend> StorageBackend for StripedBackend<B> {
         for j in 0..chunks_needed {
             per_dev[j % n] += s;
         }
-        let parts: Vec<Result<Vec<u8>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .devices
-                .iter()
-                .zip(per_dev.iter())
-                .map(|(dev, &want)| {
-                    scope.spawn(move || {
-                        if want == 0 {
-                            Ok(Vec::new())
-                        } else {
-                            dev.get_prefix(name, want)
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("stripe reader panicked"))
-                .collect()
-        });
-        let parts: Vec<Vec<u8>> = parts.into_iter().collect::<Result<_>>()?;
+        let parts = self.per_device("get_prefix", |d, dev| match per_dev[d] {
+            0 => Ok(Vec::new()),
+            want => dev.get_prefix(name, want),
+        })?;
         let mut out = Vec::with_capacity(len);
         let mut offsets = vec![0usize; n];
         let mut j = 0usize;
@@ -254,24 +220,10 @@ impl<B: StorageBackend> StorageBackend for StripedBackend<B> {
             let local_end = (jmax / n) * s + s;
             *window = Some((jmin, local_start, local_end - local_start));
         }
-        let parts: Vec<Result<Vec<u8>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .devices
-                .iter()
-                .zip(windows.iter())
-                .map(|(dev, window)| {
-                    scope.spawn(move || match *window {
-                        None => Ok(Vec::new()),
-                        Some((_, lo, want)) => dev.get_range(name, lo as u64, want),
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("stripe reader panicked"))
-                .collect()
-        });
-        let parts: Vec<Vec<u8>> = parts.into_iter().collect::<Result<_>>()?;
+        let parts = self.per_device("get_range", |d, dev| match windows[d] {
+            None => Ok(Vec::new()),
+            Some((_, lo, want)) => dev.get_range(name, lo as u64, want),
+        })?;
         // Reassemble the covered chunks in global order; a short or missing
         // chunk means the blob ends inside the window.
         let mut out = Vec::with_capacity((j1 - j0 + 1) * s);
@@ -329,6 +281,23 @@ mod tests {
 
     fn striped_mem(n: usize, stripe: usize) -> StripedBackend<MemBackend> {
         StripedBackend::new((0..n).map(|_| MemBackend::new()).collect(), stripe)
+    }
+
+    #[test]
+    fn a_panicking_device_call_is_a_typed_error() {
+        let b = striped_mem(3, 4);
+        let err = b
+            .per_device("probe", |d, _| match d {
+                1 => panic!("device 1 fails"),
+                _ => Ok(d),
+            })
+            .unwrap_err();
+        assert!(matches!(err, StorageError::Io(_)), "{err}");
+        assert!(!err.is_transient());
+        assert!(err
+            .to_string()
+            .contains("stripe device 1 panicked during probe"));
+        assert_eq!(b.per_device("probe", |d, _| Ok(d)).unwrap(), [0, 1, 2]);
     }
 
     #[test]

@@ -836,6 +836,51 @@ fn acked_ingest_survives_crash_at_every_write_offset() {
     }
 }
 
+/// An ingest that trips the flush threshold runs the group commit
+/// inline, after its WAL blob (the ack) has landed. Sweep a crash over
+/// every write of that call — WAL put, staging put, rename, WAL delete —
+/// on an engine that flushes at every point: `ingest` returns `Ok`
+/// exactly when the point is readable, live and after reopen. A group
+/// commit that dies after the ack leaves the batch buffered and
+/// WAL-protected, so the call must not report the batch as lost.
+#[test]
+fn an_ingest_is_acked_exactly_when_its_point_survives_its_own_group_commit() {
+    let flush_every_point = EngineConfig::default().with_ingest(IngestConfig {
+        flush_points: 1,
+        ..IngestConfig::default()
+    });
+    let open_flushing = |backend| {
+        StorageEngine::open_with(
+            backend,
+            FormatKind::Linear,
+            shape(),
+            8,
+            flush_every_point.clone(),
+        )
+        .unwrap()
+    };
+    for k in 0..=6u64 {
+        let engine = open_flushing(FailingBackend::new(MemBackend::new()));
+        engine.backend().crash_after_writes(k);
+        let acked = engine.ingest_points::<f64>(&pts(&[[3, 3]]), &[3.0]).is_ok();
+        let live = engine.read_values::<f64>(&pts(&[[3, 3]])).unwrap()[0];
+        assert_eq!(live.is_some(), acked, "live read, crash after {k} writes");
+
+        let backend = engine.into_backend();
+        backend.disarm();
+        let engine = open_flushing(backend);
+        let reopened = engine.read_values::<f64>(&pts(&[[3, 3]])).unwrap()[0];
+        assert_eq!(
+            reopened.is_some(),
+            acked,
+            "reopened, crash after {k} writes"
+        );
+        if acked {
+            assert_eq!(reopened, Some(3.0));
+        }
+    }
+}
+
 /// The same sweep over the group commit itself: two acked batches, then
 /// the device dies at every offset while `flush` runs. Whatever window
 /// the crash hits — staging put, rename, WAL retirement — both acked
@@ -897,7 +942,6 @@ fn scheduler_shutdown_mid_flush_leaves_consistent_store() {
         flush_points: 1_000_000,
         flush_bytes: usize::MAX,
         flush_interval_ms: 0, // every tick wants to flush
-        wal: true,
         ..Default::default()
     });
     let engine = Arc::new(
