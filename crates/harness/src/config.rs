@@ -60,12 +60,13 @@ pub struct Config {
     pub sim_bandwidth_mib: f64,
     /// Simulated-device per-operation latency in microseconds.
     pub sim_latency_us: u64,
-    /// Collect runtime telemetry (span traces, I/O accounting, latency
-    /// histograms) during matrix cells and print a per-cell digest.
+    /// Print each matrix cell's telemetry digest (span traces, I/O
+    /// accounting, latency histograms). Cells always record it: their
+    /// seconds are read off the spans.
     pub telemetry: bool,
     /// Directory for per-cell telemetry JSON documents
-    /// (`telemetry-<format>-<pattern>-<ndim>D.json`). Setting it implies
-    /// `telemetry`.
+    /// (`telemetry-<format>-<pattern>-<ndim>D.json`), written instead of
+    /// the printed digest.
     pub telemetry_out: Option<PathBuf>,
     /// Cap on the threads one read fans its planned fragments out over
     /// (`--threads`, the engine's `read_parallelism`): `0` (the default)
@@ -113,11 +114,6 @@ impl Default for Config {
 }
 
 impl Config {
-    /// Whether telemetry should be collected (either flag).
-    pub fn telemetry_enabled(&self) -> bool {
-        self.telemetry || self.telemetry_out.is_some()
-    }
-
     /// The streaming-ingest knobs the `ingest` experiment runs under:
     /// WAL-protected batches, the `--ingest-flush-points` group-commit
     /// threshold, and the size/time thresholds pushed out of the way so
@@ -132,13 +128,12 @@ impl Config {
     }
 
     /// The engine configuration a matrix cell runs under: the
-    /// observability plane when telemetry is asked for, and the
+    /// observability plane, whose spans time the cell, and the
     /// `--threads` read fan-out cap.
     pub fn engine_config(&self) -> artsparse_storage::EngineConfig {
-        let mut ec = artsparse_storage::EngineConfig::default().with_read_parallelism(self.threads);
-        if self.telemetry_enabled() {
-            ec = ec.with_observability(artsparse_storage::ObservabilityConfig::default());
-        }
+        let mut ec = artsparse_storage::EngineConfig::default()
+            .with_read_parallelism(self.threads)
+            .with_observability(artsparse_storage::ObservabilityConfig::default());
         if self.adaptive {
             ec = ec.with_adaptive_reorg(self.profile);
         }
@@ -210,18 +205,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_out_implies_telemetry() {
-        let c = Config::default();
-        assert!(!c.telemetry_enabled());
-        let c = Config {
-            telemetry: true,
-            ..Config::default()
-        };
-        assert!(c.telemetry_enabled());
-        let c = Config {
-            telemetry_out: Some(PathBuf::from("/tmp/t")),
-            ..Config::default()
-        };
-        assert!(c.telemetry_enabled());
+    fn cells_always_run_with_the_plane() {
+        assert!(Config::default().engine_config().observability.is_some());
     }
 }

@@ -53,7 +53,7 @@ pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
             ],
         );
         for format in FORMATS {
-            let cell = measure_cell(cfg, format, &dataset, &payload, &queries)?;
+            let (cell, _) = measure_cell(cfg, format, &dataset, &payload, &queries)?;
             table.push_row(vec![
                 cell.format.clone(),
                 format!("{:.4}", cell.write_secs),

@@ -73,14 +73,24 @@ pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
     for &format in &cfg.formats {
         let mut row = vec![format.name().to_string()];
         for dev in DEVICES {
-            let engine = StorageEngine::open(device(dev, cfg), format, ds.shape.clone(), 8)?;
+            let engine = StorageEngine::open_with(
+                device(dev, cfg),
+                format,
+                ds.shape.clone(),
+                8,
+                cfg.engine_config(),
+            )?;
             let report = engine.write(&ds.coords, &payload)?;
-            row.push(format!("{:.4}", report.breakdown.sum()));
+            let phases = engine
+                .telemetry_report()
+                .ok_or("write times are read off the observability plane's spans")?
+                .write_breakdown();
+            row.push(format!("{:.4}", phases.sum()));
             rows.push(Row {
                 format: format.name().to_string(),
                 device: dev.to_string(),
-                write_secs: report.breakdown.sum(),
-                write_phase_secs: report.breakdown.write,
+                write_secs: phases.sum(),
+                write_phase_secs: phases.write,
                 bytes: report.total_bytes as u64,
             });
         }

@@ -130,8 +130,6 @@ fn torture_engine_config() -> EngineConfig {
         .with_write_retry(RetryPolicy {
             max_attempts: 3,
             base_backoff: Duration::ZERO,
-            max_backoff: Duration::ZERO,
-            jitter_pct: 0,
         })
         .with_health(HealthConfig {
             degrade_after: 2,

@@ -43,7 +43,7 @@ pub mod telemetry;
 pub mod watch;
 
 pub use config::{BackendKind, Config};
-pub use matrix::{run_matrix, run_matrix_traced, Matrix};
+pub use matrix::{run_matrix, Matrix};
 
 /// Error-erased result used across the harness.
 pub type Result<T> = std::result::Result<T, Box<dyn std::error::Error + Send + Sync>>;

@@ -11,7 +11,7 @@
 //!   --seed N                     generator seed
 //!   --out DIR                    write JSON/CSV artifacts
 //!   --formats A,B,…              organizations       (default: paper five)
-//!   --telemetry                  collect + print per-cell telemetry
+//!   --telemetry                  print per-cell telemetry
 //!   --telemetry-out DIR          write per-cell telemetry JSON documents
 //!   --adaptive                   advisor-driven re-organization at
 //!                                consolidation time
@@ -48,7 +48,7 @@ use artsparse_harness::experiments::{
     ablate, adaptive, compress, fig1, fig2, fig3, fig4, fig5, ingest, io, observe, sweep, table1,
     table2, table3, table4, torture, ExperimentOutput,
 };
-use artsparse_harness::{run_matrix_traced, BackendKind, Config, Result};
+use artsparse_harness::{run_matrix, BackendKind, Config, Result};
 use artsparse_patterns::Scale;
 use std::path::PathBuf;
 
@@ -477,7 +477,7 @@ fn main() -> Result<()> {
     // fig3/fig4/fig5/table4 share one measured matrix.
     let needs_matrix = ["fig3", "fig4", "fig5", "table4"].iter().any(|e| wants(e));
     if needs_matrix {
-        let (matrix, _telemetry) = run_matrix_traced(&cfg)?;
+        let matrix = run_matrix(&cfg)?;
         if wants("fig3") {
             emit(&cfg, fig3::from_matrix(&cfg, &matrix))?;
         }

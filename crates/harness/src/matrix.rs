@@ -5,8 +5,8 @@
 use crate::config::{BackendKind, Config};
 use crate::Result;
 use artsparse_core::FormatKind;
-use artsparse_metrics::{time_it, Measurement, TelemetryReport, WriteBreakdown};
-use artsparse_patterns::{Dataset, Pattern, Scale};
+use artsparse_metrics::{Measurement, SpanKind, TelemetryReport, WriteBreakdown};
+use artsparse_patterns::{Dataset, Scale};
 use artsparse_storage::{FsBackend, MemBackend, SimulatedDisk, StorageBackend, StorageEngine};
 use artsparse_tensor::value::pack;
 use serde::{Deserialize, Serialize};
@@ -28,11 +28,11 @@ pub struct CellMeasurement {
     pub n_queries: usize,
     /// Queries that hit a stored point.
     pub read_hits: usize,
-    /// Table III-style write phase breakdown.
+    /// Table III-style write phase breakdown of the cell's spans.
     pub breakdown: WriteBreakdown,
-    /// Total WRITE wall time (Fig. 3's metric).
+    /// Total WRITE wall time, the `engine.write` span (Fig. 3's metric).
     pub write_secs: f64,
-    /// Total READ wall time (Fig. 5's metric).
+    /// Total READ wall time, the `engine.read` span (Fig. 5's metric).
     pub read_secs: f64,
     /// Fragment size on the device (Fig. 4's metric).
     pub file_bytes: u64,
@@ -133,26 +133,16 @@ pub fn make_backend(cfg: &Config, store: &str) -> Result<BackendHandle> {
     })
 }
 
-/// Measure one `(format, dataset)` cell: WRITE, then the §III region READ.
+/// Measure one `(format, dataset)` cell: WRITE, then the §III region READ,
+/// on an engine with the observability plane on. Returns the cell, timed
+/// by its spans, and the telemetry report it was read from.
 pub fn measure_cell(
     cfg: &Config,
     format: FormatKind,
     dataset: &Dataset,
     payload: &[u8],
     queries: &artsparse_tensor::CoordBuffer,
-) -> Result<CellMeasurement> {
-    Ok(measure_cell_telemetry(cfg, format, dataset, payload, queries)?.0)
-}
-
-/// [`measure_cell`], also returning the engine's telemetry snapshot when
-/// `cfg` enables collection.
-pub fn measure_cell_telemetry(
-    cfg: &Config,
-    format: FormatKind,
-    dataset: &Dataset,
-    payload: &[u8],
-    queries: &artsparse_tensor::CoordBuffer,
-) -> Result<(CellMeasurement, Option<TelemetryReport>)> {
+) -> Result<(CellMeasurement, TelemetryReport)> {
     let store =
         crate::telemetry::cell_slug(format.name(), dataset.pattern.name(), dataset.shape.ndim());
     let handle = make_backend(cfg, &store)?;
@@ -165,10 +155,12 @@ pub fn measure_cell_telemetry(
     )?;
 
     let report = engine.write(&dataset.coords, payload)?;
-    let (read_dur, read) = time_it(|| engine.read(queries));
-    let read = read?;
-    let telemetry = engine.telemetry_report();
+    let read = engine.read(queries)?;
+    let telemetry = engine
+        .telemetry_report()
+        .ok_or("a matrix cell's engine runs with the observability plane")?;
     let stats = engine.stats()?;
+    let breakdown = telemetry.write_breakdown();
 
     let cell = CellMeasurement {
         format: format.name().to_string(),
@@ -178,9 +170,9 @@ pub fn measure_cell_telemetry(
         n_points: dataset.nnz(),
         n_queries: queries.len(),
         read_hits: read.hits.len(),
-        breakdown: report.breakdown,
-        write_secs: report.breakdown.sum(),
-        read_secs: read_dur.as_secs_f64(),
+        breakdown,
+        write_secs: breakdown.sum(),
+        read_secs: telemetry.total_ns(&[SpanKind::Read]) as f64 * 1e-9,
         file_bytes: report.total_bytes as u64,
         index_bytes: report.index_bytes as u64,
         org_mix: stats.by_format,
@@ -191,22 +183,11 @@ pub fn measure_cell_telemetry(
 }
 
 /// Run the full grid: every configured pattern × dimensionality ×
-/// organization.
+/// organization. With `telemetry_out` set, one JSON document per cell is
+/// written there; with plain `telemetry`, an ASCII digest is printed per
+/// cell.
 pub fn run_matrix(cfg: &Config) -> Result<Matrix> {
-    Ok(run_matrix_traced(cfg)?.0)
-}
-
-/// Per-cell telemetry collected alongside a [`Matrix`]:
-/// `(format, pattern, ndim, report)`.
-pub type CellTelemetry = (String, String, usize, TelemetryReport);
-
-/// [`run_matrix`], additionally returning each cell's telemetry report
-/// when `cfg` enables collection. With `telemetry_out` set, one JSON
-/// document per cell is written there as a side effect; with plain
-/// `telemetry`, an ASCII digest is printed per cell.
-pub fn run_matrix_traced(cfg: &Config) -> Result<(Matrix, Vec<CellTelemetry>)> {
     let mut cells = Vec::new();
-    let mut reports = Vec::new();
     for &pattern in &cfg.patterns {
         for &ndim in &cfg.ndims {
             let dataset = Dataset::for_scale(pattern, ndim, cfg.scale, cfg.params);
@@ -219,49 +200,44 @@ pub fn run_matrix_traced(cfg: &Config) -> Result<(Matrix, Vec<CellTelemetry>)> {
                 queries.len()
             );
             for &format in &cfg.formats {
-                let (cell, telemetry) =
-                    measure_cell_telemetry(cfg, format, &dataset, &payload, &queries)?;
+                let (cell, report) = measure_cell(cfg, format, &dataset, &payload, &queries)?;
                 eprintln!(
                     "[matrix]   {:<14} write {:.4}s  read {:.4}s  {} bytes",
                     cell.format, cell.write_secs, cell.read_secs, cell.file_bytes
                 );
-                if let Some(report) = telemetry {
-                    if let Some(dir) = &cfg.telemetry_out {
-                        let path = crate::telemetry::write_cell_document(
-                            dir,
-                            cfg,
-                            &cell.format,
-                            &cell.pattern,
-                            cell.ndim,
-                            &report,
-                        )?;
-                        eprintln!("[matrix]   telemetry -> {}", path.display());
-                    } else if cfg.telemetry {
-                        let mix = cell
-                            .org_mix
-                            .iter()
-                            .map(|(k, v)| format!("{v}×{k}"))
-                            .collect::<Vec<_>>()
-                            .join(", ");
-                        eprintln!("[matrix]   org mix: {mix}");
-                        eprintln!(
-                            "[matrix]   write health: {} · {} batch(es) shed",
-                            cell.health, cell.backpressure_rejections
-                        );
-                        eprintln!("{}", report.to_ascii());
-                    }
-                    reports.push((cell.format.clone(), cell.pattern.clone(), cell.ndim, report));
+                if let Some(dir) = &cfg.telemetry_out {
+                    let path = crate::telemetry::write_cell_document(
+                        dir,
+                        cfg,
+                        &cell.format,
+                        &cell.pattern,
+                        cell.ndim,
+                        &report,
+                    )?;
+                    eprintln!("[matrix]   telemetry -> {}", path.display());
+                } else if cfg.telemetry {
+                    let mix = cell
+                        .org_mix
+                        .iter()
+                        .map(|(k, v)| format!("{v}×{k}"))
+                        .collect::<Vec<_>>()
+                        .join(", ");
+                    eprintln!("[matrix]   org mix: {mix}");
+                    eprintln!(
+                        "[matrix]   write health: {} · {} batch(es) shed",
+                        cell.health, cell.backpressure_rejections
+                    );
+                    eprintln!("{}", report.to_ascii());
                 }
                 cells.push(cell);
             }
         }
     }
-    let matrix = Matrix {
+    Ok(Matrix {
         scale: cfg.scale,
         backend: cfg.backend.name().to_string(),
         cells,
-    };
-    Ok((matrix, reports))
+    })
 }
 
 /// Measure just the datasets (no I/O) — Table II needs only generation.
@@ -275,21 +251,10 @@ pub fn datasets_for(cfg: &Config) -> Vec<Dataset> {
     out
 }
 
-/// Shorthand used in tests and experiments: all patterns at a given scale.
-pub fn patterns_at(scale: Scale) -> Vec<(Pattern, usize)> {
-    let mut v = Vec::new();
-    for pattern in Pattern::ALL {
-        for ndim in Scale::NDIMS {
-            v.push((pattern, ndim));
-        }
-    }
-    let _ = scale;
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use artsparse_patterns::Pattern;
 
     #[test]
     fn smoke_matrix_runs_and_is_complete() {

@@ -258,26 +258,49 @@ mod tests {
             .any(|e| e.contains("missing required property \"b\"")));
     }
 
+    /// One measured smoke cell: LINEAR over the 2D TSP dataset.
+    fn linear_tsp_cell(cfg: &Config) -> (crate::matrix::CellMeasurement, TelemetryReport) {
+        let dataset = artsparse_patterns::Dataset::for_scale(
+            artsparse_patterns::Pattern::Tsp,
+            2,
+            cfg.scale,
+            cfg.params,
+        );
+        let payload = artsparse_tensor::value::pack(&dataset.values());
+        let queries = dataset.read_region().to_coords();
+        let format = artsparse_core::FormatKind::Linear;
+        crate::matrix::measure_cell(cfg, format, &dataset, &payload, &queries).unwrap()
+    }
+
     #[test]
     fn checked_in_schema_accepts_a_real_cell_document() {
-        use artsparse_core::FormatKind;
-        use artsparse_patterns::Pattern;
-
-        let mut cfg = Config::smoke();
-        cfg.telemetry = true;
-        cfg.formats = vec![FormatKind::Linear];
-        cfg.patterns = vec![Pattern::Tsp];
-        cfg.ndims = vec![2];
-        let (_, reports) = crate::matrix::run_matrix_traced(&cfg).unwrap();
-        assert_eq!(reports.len(), 1);
-        let (format, pattern, ndim, report) = &reports[0];
-        let doc = cell_document(&cfg, format, pattern, *ndim, report);
+        let cfg = Config::smoke();
+        let (cell, report) = linear_tsp_cell(&cfg);
+        let doc = cell_document(&cfg, &cell.format, &cell.pattern, cell.ndim, &report);
         let errors = validate(&doc, &schema());
         assert!(errors.is_empty(), "{errors:?}");
         // Round-trip through text, as CI does.
         let reparsed = serde_json::from_str(&doc.to_json_string_pretty()).unwrap();
         let errors = validate(&reparsed, &schema());
         assert!(errors.is_empty(), "{errors:?}");
+    }
+
+    /// The schema's span enum is the taxonomy: a kind the engine can emit
+    /// but the schema does not list would fail validation only when some
+    /// run happened to emit it.
+    #[test]
+    fn schema_span_enum_is_the_span_taxonomy() {
+        use artsparse_metrics::SpanKind;
+        use std::collections::BTreeSet;
+
+        let schema = schema();
+        let kind = &schema["properties"]["telemetry"]["properties"]["spans"]["items"]["properties"]
+            ["kind"];
+        let listed: BTreeSet<&str> = (kind["enum"].as_array().unwrap().iter())
+            .map(|v| v.as_str().unwrap())
+            .collect();
+        let emitted: BTreeSet<&str> = SpanKind::all().iter().map(|k| k.name()).collect();
+        assert_eq!(listed, emitted);
     }
 
     #[test]
@@ -348,17 +371,9 @@ mod tests {
 
     #[test]
     fn v6_cell_documents_carry_trace_ids_on_events() {
-        use artsparse_core::FormatKind;
-        use artsparse_patterns::Pattern;
-
-        let mut cfg = Config::smoke();
-        cfg.telemetry = true;
-        cfg.formats = vec![FormatKind::Linear];
-        cfg.patterns = vec![Pattern::Tsp];
-        cfg.ndims = vec![2];
-        let (_, reports) = crate::matrix::run_matrix_traced(&cfg).unwrap();
-        let (format, pattern, ndim, report) = &reports[0];
-        let doc = cell_document(&cfg, format, pattern, *ndim, report);
+        let cfg = Config::smoke();
+        let (cell, report) = linear_tsp_cell(&cfg);
+        let doc = cell_document(&cfg, &cell.format, &cell.pattern, cell.ndim, &report);
         assert!(doc["telemetry"]["version"].as_u64().unwrap() >= 7);
         let events = doc["telemetry"]["events"].as_array().unwrap();
         assert!(!events.is_empty());

@@ -7,13 +7,15 @@
 //! It serializes to the JSON document the harness writes per matrix cell
 //! (validated by `schemas/telemetry.schema.json` in CI) and renders to
 //! CSV via the shared [`Table`] so telemetry lands in the same formats as
-//! the paper tables.
+//! the paper tables. [`TelemetryReport::write_breakdown`] reads Table
+//! III's Build / Reorg. / Write / Others row off the `engine.write` span
+//! tree.
 
 use crate::histogram::Histogram;
 use crate::plane::Aggregates;
 use crate::report::Table;
 use crate::span::{IoStats, SpanKind, SpanRecord};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 /// Schema version stamped into every exported document. Version 2 added
 /// the integrity counters (`retries`, `checksum_failures`,
@@ -33,8 +35,42 @@ use serde::Serialize;
 /// document written by the metrics exporter; v5 documents — identical
 /// minus the optional `trace_id` — still validate. Version 7 removed
 /// version 3's counter and span kind: format builds and per-query loops
-/// are single-threaded, so there is nothing to count.
-pub const TELEMETRY_VERSION: u32 = 7;
+/// are single-threaded, so there is nothing to count. Version 8 added
+/// `engine.write.build` and `engine.write.reorg`, the spans Table III's
+/// Build and Reorg. rows are read from; v7 documents still validate.
+pub const TELEMETRY_VERSION: u32 = 8;
+
+/// The spans of Table III's Write row: the device work of a publish —
+/// staging the fragment bytes, the consolidation tombstone, and the
+/// rename commit.
+pub const WRITE_ROW: [SpanKind; 4] = [
+    SpanKind::WriteStage,
+    SpanKind::WriteCommit,
+    SpanKind::ConsolidateTombstone,
+    SpanKind::ConsolidateCommit,
+];
+
+/// Table III's row for the `engine.write` spans of one report, in
+/// seconds: one column of the paper's write-time breakdown.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct WriteBreakdown {
+    /// Building the coordinate organization (`engine.write.build`).
+    pub build: f64,
+    /// Reorganizing the values by the build's map (`engine.write.reorg`).
+    pub reorg: f64,
+    /// Device work of the publish ([`WRITE_ROW`]).
+    pub write: f64,
+    /// Everything else in `engine.write`: validation, bounding box,
+    /// fragment encoding, the catalog insert (the paper's "metadata etc.").
+    pub others: f64,
+}
+
+impl WriteBreakdown {
+    /// Total write time (Table III "Sum" row): the `engine.write` total.
+    pub fn sum(&self) -> f64 {
+        self.build + self.reorg + self.write + self.others
+    }
+}
 
 /// Aggregated view of one span kind.
 #[derive(Debug, Clone, Serialize)]
@@ -148,6 +184,34 @@ impl TelemetryReport {
     /// The summary for one span kind, if any spans of it finished.
     pub fn span(&self, kind: SpanKind) -> Option<&SpanSummary> {
         self.spans.iter().find(|s| s.kind == kind)
+    }
+
+    /// Total nanoseconds of the spans of `kinds`.
+    pub fn total_ns(&self, kinds: &[SpanKind]) -> u64 {
+        kinds
+            .iter()
+            .filter_map(|&kind| self.span(kind))
+            .map(|s| s.total_ns)
+            .sum()
+    }
+
+    /// Table III's breakdown of every `engine.write` span in the report.
+    /// Others is the `engine.write` total less the other three rows, so
+    /// the row sums to that total.
+    pub fn write_breakdown(&self) -> WriteBreakdown {
+        let build = self.total_ns(&[SpanKind::WriteBuild]);
+        let reorg = self.total_ns(&[SpanKind::WriteReorg]);
+        let write = self.total_ns(&WRITE_ROW);
+        let others = self
+            .total_ns(&[SpanKind::Write])
+            .saturating_sub(build + reorg + write);
+        let secs = |ns: u64| ns as f64 * 1e-9;
+        WriteBreakdown {
+            build: secs(build),
+            reorg: secs(reorg),
+            write: secs(write),
+            others: secs(others),
+        }
     }
 
     /// The summary for one (backend, operation) pair, if recorded.
@@ -277,7 +341,7 @@ mod tests {
         let report = sample_report();
         let v = serde_json::to_value(&report).unwrap();
         assert_eq!(v["version"].as_u64(), Some(u64::from(TELEMETRY_VERSION)));
-        assert_eq!(TELEMETRY_VERSION, 7);
+        assert_eq!(TELEMETRY_VERSION, 8);
         let events = v["events"].as_array().unwrap();
         assert!(events.iter().all(|e| e["trace_id"].as_u64().is_some()));
         let spans = v["spans"].as_array().unwrap();

@@ -4,13 +4,13 @@
 //!
 //! * [`counter`] — abstract operation counters that empirically validate
 //!   the asymptotic bounds of the paper's Table I;
-//! * [`stopwatch`] — phase timers producing Table III's Build / Reorg. /
-//!   Write / Others breakdown;
 //! * [`score`] — the Table IV overall-score formula;
 //! * [`report`] — aligned ASCII tables plus CSV emission;
-//! * [`span`] / [`histogram`] / [`export`] — runtime tracing:
-//!   thread-local spans with per-span I/O accounting, log₂ latency
-//!   histograms, and JSON/CSV export of the aggregated report;
+//! * [`span`] / [`histogram`] / [`export`] — runtime tracing, the one
+//!   timing primitive: thread-local spans with per-span I/O accounting,
+//!   log₂ latency histograms, and JSON/CSV export of the aggregated
+//!   report, whose [`TelemetryReport::write_breakdown`] is Table III's
+//!   Build / Reorg. / Write / Others view;
 //! * [`plane`] / [`registry`] / [`journal`] / [`exposition`] — the
 //!   observability plane, the one sink spans report to: it aggregates
 //!   them into the report, sets named atomic counters (beside gauges, with
@@ -30,10 +30,11 @@ pub mod registry;
 pub mod report;
 pub mod score;
 pub mod span;
-pub mod stopwatch;
 
 pub use counter::{OpCounter, OpCounts, OpKind};
-pub use export::{BackendOpSummary, SpanSummary, TelemetryReport, TELEMETRY_VERSION};
+pub use export::{
+    BackendOpSummary, SpanSummary, TelemetryReport, WriteBreakdown, TELEMETRY_VERSION, WRITE_ROW,
+};
 pub use histogram::{bucket_bounds, bucket_index, Histogram, HISTOGRAM_BUCKETS};
 pub use journal::{Journal, JournalEvent, Severity, DEFAULT_JOURNAL_CAPACITY};
 pub use plane::ObservabilityPlane;
@@ -43,4 +44,3 @@ pub use score::{overall_scores, ranking, Measurement, ScoreError};
 pub use span::{
     charge, current_trace_id, now_ns, IoStats, Span, SpanContext, SpanKind, SpanRecord,
 };
-pub use stopwatch::{time_it, PhaseTimer, WriteBreakdown, WritePhase};

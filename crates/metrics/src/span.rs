@@ -55,6 +55,12 @@ use std::time::Instant;
 pub enum SpanKind {
     Write,
     WriteEncode,
+    /// Table III's Build: construct the coordinate organization (a child
+    /// of `engine.write.encode`).
+    WriteBuild,
+    /// Table III's Reorg.: permute the value payload by the build's
+    /// `map` (opened only when the build returned one).
+    WriteReorg,
     WriteStage,
     WriteCommit,
     Read,
@@ -98,6 +104,8 @@ impl SpanKind {
         match self {
             SpanKind::Write => "engine.write",
             SpanKind::WriteEncode => "engine.write.encode",
+            SpanKind::WriteBuild => "engine.write.build",
+            SpanKind::WriteReorg => "engine.write.reorg",
             SpanKind::WriteStage => "engine.write.stage",
             SpanKind::WriteCommit => "engine.write.commit",
             SpanKind::Read => "engine.read",
@@ -129,6 +137,8 @@ impl SpanKind {
         &[
             SpanKind::Write,
             SpanKind::WriteEncode,
+            SpanKind::WriteBuild,
+            SpanKind::WriteReorg,
             SpanKind::WriteStage,
             SpanKind::WriteCommit,
             SpanKind::Read,
@@ -647,6 +657,6 @@ mod tests {
             assert!(k.name().starts_with("engine."), "{}", k.name());
             assert!(seen.insert(k.name()), "duplicate name {}", k.name());
         }
-        assert_eq!(seen.len(), 25);
+        assert_eq!(seen.len(), 27);
     }
 }

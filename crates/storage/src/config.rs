@@ -13,8 +13,10 @@ use std::time::Duration;
 /// budget runs out, at which point the last error is surfaced (wrapped
 /// in `RetriesExhausted` for I/O faults, so the cause chain survives).
 ///
-/// Jitter is deterministic — derived from the fragment name and attempt
-/// number, not a clock — so fault-injection tests replay exactly.
+/// Each sleep is capped at [`MAX_BACKOFF`] and shortened by a jitter of
+/// up to [`JITTER_PCT`]% so concurrent retries decorrelate. Jitter is
+/// deterministic — derived from the fragment name and attempt number,
+/// not a clock — so fault-injection tests replay exactly.
 ///
 /// [transient]: crate::error::StorageError::is_transient
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,21 +25,22 @@ pub struct RetryPolicy {
     /// no retries; `0` is treated as `1`.
     pub max_attempts: u32,
     /// Sleep before the first retry; doubles each retry after that.
+    /// `Duration::ZERO` retries without sleeping.
     pub base_backoff: Duration,
-    /// Ceiling on any single backoff sleep.
-    pub max_backoff: Duration,
-    /// Jitter as a percentage (`0..=100`): each sleep is shortened by a
-    /// deterministic 0–`jitter_pct`% so concurrent retries decorrelate.
-    pub jitter_pct: u32,
 }
+
+/// Ceiling on any single retry backoff sleep.
+pub const MAX_BACKOFF: Duration = Duration::from_millis(50);
+
+/// Retry jitter as a percentage: each backoff sleep is shortened by a
+/// deterministic 0–`JITTER_PCT`%.
+pub const JITTER_PCT: u64 = 50;
 
 impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
             max_attempts: 3,
             base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(50),
-            jitter_pct: 50,
         }
     }
 }
@@ -67,19 +70,16 @@ impl RetryPolicy {
 
     /// How long to sleep before retry number `retry` (0-based: the sleep
     /// between the first failure and the second attempt is `backoff(0,
-    /// seed)`). Exponential in `retry`, capped at [`max_backoff`], then
+    /// seed)`). Exponential in `retry`, capped at [`MAX_BACKOFF`], then
     /// shortened by a deterministic jitter derived from `seed`.
-    ///
-    /// [`max_backoff`]: RetryPolicy::max_backoff
     pub fn backoff(&self, retry: u32, seed: u64) -> Duration {
         let base = self.base_backoff.as_nanos() as u64;
-        let cap = self.max_backoff.as_nanos() as u64;
+        let cap = MAX_BACKOFF.as_nanos() as u64;
         let exp = sat_shl(base, retry).min(cap.max(base));
-        let jitter = self.jitter_pct.min(100) as u64;
-        if exp == 0 || jitter == 0 {
-            return Duration::from_nanos(exp);
+        if exp == 0 {
+            return Duration::ZERO;
         }
-        let cut = splitmix64(seed ^ ((retry as u64) << 32)) % (jitter + 1);
+        let cut = splitmix64(seed ^ ((retry as u64) << 32)) % (JITTER_PCT + 1);
         Duration::from_nanos(exp - exp * cut / 100)
     }
 }
@@ -536,30 +536,28 @@ mod tests {
         let p = RetryPolicy {
             max_attempts: 5,
             base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(4),
-            jitter_pct: 0,
         };
-        assert_eq!(p.backoff(0, 7), Duration::from_millis(1));
-        assert_eq!(p.backoff(1, 7), Duration::from_millis(2));
-        assert_eq!(p.backoff(2, 7), Duration::from_millis(4));
-        // Capped thereafter, even at shift-overflow retry counts.
-        assert_eq!(p.backoff(3, 7), Duration::from_millis(4));
-        assert_eq!(p.backoff(200, 7), Duration::from_millis(4));
-
-        let j = RetryPolicy {
-            jitter_pct: 50,
-            ..p
-        };
-        for retry in 0..6 {
-            let a = j.backoff(retry, 42);
-            let b = j.backoff(retry, 42);
-            assert_eq!(a, b, "jitter must be deterministic");
-            let full = p.backoff(retry, 42);
-            assert!(a <= full && a * 2 >= full, "jitter within [50%, 100%]");
+        for retry in [0, 1, 2, 5, 6, 7, 40, 200] {
+            // Doubling from the base, capped at MAX_BACKOFF even at
+            // shift-overflow retry counts, then jittered into
+            // [100 - JITTER_PCT %, 100 %] of that.
+            let full = Duration::from_millis(1u64 << retry.min(6)).min(MAX_BACKOFF);
+            let a = p.backoff(retry, 42);
+            assert_eq!(a, p.backoff(retry, 42), "jitter must be deterministic");
+            assert!(
+                a <= full && a * 2 >= full,
+                "retry {retry}: {a:?} of {full:?}"
+            );
         }
         // Different seeds should (almost always) jitter differently.
-        let spread: std::collections::HashSet<_> = (0..32u64).map(|s| j.backoff(1, s)).collect();
+        let spread: std::collections::HashSet<_> = (0..32u64).map(|s| p.backoff(1, s)).collect();
         assert!(spread.len() > 1);
+        // No base, no sleep.
+        let none = RetryPolicy {
+            base_backoff: Duration::ZERO,
+            ..p
+        };
+        assert_eq!(none.backoff(3, 42), Duration::ZERO);
     }
 
     #[test]

@@ -27,7 +27,7 @@ use crate::catalog::CatalogEntry;
 use crate::error::{Result, StorageError};
 use crate::fragment::{decode_meta, encode_fragment};
 use artsparse_core::{build_from_address_sorted, FormatKind};
-use artsparse_metrics::{charge, PhaseTimer, Span, SpanKind, WriteBreakdown, WritePhase};
+use artsparse_metrics::{charge, Span, SpanKind};
 use artsparse_tensor::value::Element;
 use artsparse_tensor::CoordBuffer;
 use std::borrow::Cow;
@@ -57,8 +57,6 @@ pub struct RecoveryReport {
 pub struct WriteReport {
     /// Name of the fragment written.
     pub fragment: String,
-    /// Phase breakdown (one Table III column).
-    pub breakdown: WriteBreakdown,
     /// Bytes of encoded index.
     pub index_bytes: usize,
     /// Bytes of value payload.
@@ -117,7 +115,8 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// order the consolidation merge scan and the buffer snapshot emit —
     /// so sorting builds route through [`build_from_address_sorted`] and
     /// elide their sort. The report sums over the parts and names the
-    /// last one.
+    /// last one. Its time is the `engine.write` span's; Table III's
+    /// phases are its children (`TelemetryReport::write_breakdown`).
     #[allow(clippy::too_many_arguments)]
     pub(super) fn write_with(
         &self,
@@ -130,10 +129,6 @@ impl<B: StorageBackend> StorageEngine<B> {
         presorted: bool,
     ) -> Result<WriteReport> {
         let _span = Span::enter(self.plane.as_ref(), SpanKind::Write);
-        let mut timer = PhaseTimer::new();
-
-        // -- Others: validation ----------------------------------------
-        timer.enter(WritePhase::Others);
         self.validate_batch(coords, values)?;
         let (ndim, elem) = (coords.ndim(), self.elem_size as usize);
         let mut frags = Vec::with_capacity(part_ends.len());
@@ -146,16 +141,15 @@ impl<B: StorageBackend> StorageEngine<B> {
                 Cow::Owned(CoordBuffer::from_flat(ndim, flat)?)
             };
             let values = &values[start * elem..end * elem];
-            let (frag, index_len) = self.encode(kind, &part, values, presorted, &mut timer)?;
+            let (frag, index_len) = self.encode(kind, &part, values, presorted)?;
             index_bytes += index_len;
             frags.push(frag);
             start = end;
         }
-        let fragment = self.publish(&frags, identity, sources, &mut timer)?;
+        let fragment = self.publish(&frags, identity, sources)?;
 
         Ok(WriteReport {
             fragment,
-            breakdown: timer.finish(),
             index_bytes,
             value_bytes: values.len(),
             total_bytes: frags.iter().map(Vec::len).sum(),
@@ -164,22 +158,20 @@ impl<B: StorageBackend> StorageEngine<B> {
     }
 
     /// Build, reorganize and encode one fragment of `coords`; returns its
-    /// bytes and its index length. `timer` gets Build, Reorg and the
-    /// encode's Others.
+    /// bytes and its index length.
     fn encode(
         &self,
         kind: FormatKind,
         coords: &CoordBuffer,
         values: &[u8],
         presorted: bool,
-        timer: &mut PhaseTimer,
     ) -> Result<(Vec<u8>, usize)> {
         let _encode = Span::enter(self.plane.as_ref(), SpanKind::WriteEncode);
-        timer.enter(WritePhase::Others);
         let bbox = coords.bounding_box();
 
         // -- Build: construct the organization -------------------------
-        let built = timer.time(WritePhase::Build, || {
+        let built = {
+            let _build = Span::enter(self.plane.as_ref(), SpanKind::WriteBuild);
             if presorted {
                 let (built, direct) =
                     build_from_address_sorted(kind, coords, &self.shape, &self.counter)?;
@@ -190,22 +182,22 @@ impl<B: StorageBackend> StorageEngine<B> {
                         io.conversions_fallback += 1;
                     }
                 });
-                Ok(built)
+                built
             } else {
-                kind.create().build(coords, &self.shape, &self.counter)
+                kind.create().build(coords, &self.shape, &self.counter)?
             }
-        })?;
+        };
 
         // -- Reorg: permute values by the map ---------------------------
         let values_reorg = match built.map {
             None => Cow::Borrowed(values),
-            Some(_) => Cow::Owned(timer.time(WritePhase::Reorg, || {
-                built.reorganize_values(values, self.elem_size as usize)
-            })),
+            Some(_) => {
+                let _reorg = Span::enter(self.plane.as_ref(), SpanKind::WriteReorg);
+                Cow::Owned(built.reorganize_values(values, self.elem_size as usize))
+            }
         };
 
-        // -- Others: concatenate (and optionally compress) b_frag -------
-        timer.enter(WritePhase::Others);
+        // -- Concatenate (and optionally compress) b_frag ---------------
         let frag = encode_fragment(
             kind,
             &self.shape,
@@ -237,14 +229,13 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// staged blobs recovery sweeps and renamed parts it keeps (they hold
     /// the sources' last-writer values and outrank them, so reads are
     /// unchanged and the next pass folds them); after it, a crash leaves
-    /// a tombstone recovery replays. `timer` gets the device work under
-    /// Write.
+    /// a tombstone recovery replays. Table III's Write row is the spans
+    /// of this device work.
     fn publish(
         &self,
         frags: &[Vec<u8>],
         id: FragmentId,
         sources: Option<&[String]>,
-        timer: &mut PhaseTimer,
     ) -> Result<String> {
         let names: Vec<String> = id
             .parts(frags.len())?
@@ -265,34 +256,8 @@ impl<B: StorageBackend> StorageEngine<B> {
         };
         self.inflight.lock().extend(in_flight().cloned());
         let mut renamed = 0;
-        let commit = timer.time(WritePhase::Write, || -> Result<()> {
-            {
-                let _stage = Span::enter(self.plane.as_ref(), SpanKind::WriteStage);
-                for (staged, frag) in staged.iter().zip(frags) {
-                    self.retry_write(staged, || self.backend.put(staged, frag))?;
-                }
-            }
-            if let Some((tomb, body)) = &tombstone {
-                // The delete set must be durable *before* the commit:
-                // a crash right after the last rename must still delete
-                // the sources, or the store doubles its points.
-                let _tomb = Span::enter(self.plane.as_ref(), SpanKind::ConsolidateTombstone);
-                self.retry_write(tomb, || self.backend.put_atomic(tomb, body.as_bytes()))?;
-            }
-            let _commit = Span::enter(
-                self.plane.as_ref(),
-                if sources.is_some() {
-                    SpanKind::ConsolidateCommit
-                } else {
-                    SpanKind::WriteCommit
-                },
-            );
-            for (staged, name) in staged.iter().zip(&names) {
-                self.retry_write(name, || self.backend.rename(staged, name))?;
-                renamed += 1;
-            }
-            Ok(())
-        });
+        let commit =
+            self.stage_and_rename(frags, &staged, &names, tombstone.as_ref(), &mut renamed);
         {
             let mut inflight = self.inflight.lock();
             for name in in_flight() {
@@ -325,6 +290,46 @@ impl<B: StorageBackend> StorageEngine<B> {
             });
         }
         Ok(last.clone())
+    }
+
+    /// The device work of [`publish`](Self::publish), Table III's Write
+    /// row: stage `frags` under `staged`, make the `tombstone` durable,
+    /// then rename each part to its name in `names`, counting the renames
+    /// that landed in `renamed`.
+    fn stage_and_rename(
+        &self,
+        frags: &[Vec<u8>],
+        staged: &[String],
+        names: &[String],
+        tombstone: Option<&(String, String)>,
+        renamed: &mut usize,
+    ) -> Result<()> {
+        {
+            let _stage = Span::enter(self.plane.as_ref(), SpanKind::WriteStage);
+            for (staged, frag) in staged.iter().zip(frags) {
+                self.retry_write(staged, || self.backend.put(staged, frag))?;
+            }
+        }
+        if let Some((tomb, body)) = tombstone {
+            // The delete set must be durable *before* the commit: a
+            // crash right after the last rename must still delete the
+            // sources, or the store doubles its points.
+            let _tomb = Span::enter(self.plane.as_ref(), SpanKind::ConsolidateTombstone);
+            self.retry_write(tomb, || self.backend.put_atomic(tomb, body.as_bytes()))?;
+        }
+        let _commit = Span::enter(
+            self.plane.as_ref(),
+            if tombstone.is_some() {
+                SpanKind::ConsolidateCommit
+            } else {
+                SpanKind::WriteCommit
+            },
+        );
+        for (staged, name) in staged.iter().zip(names) {
+            self.retry_write(name, || self.backend.rename(staged, name))?;
+            *renamed += 1;
+        }
+        Ok(())
     }
 
     /// Delete the fragments that the run committed at `replacement` (its
@@ -476,20 +481,6 @@ mod tests {
     use crate::engine::HealthState;
     use artsparse_tensor::Shape;
     use std::time::Duration;
-
-    #[test]
-    fn write_breakdown_phases_are_populated() {
-        let e = engine(FormatKind::GcsrPP);
-        let pts: Vec<[u64; 2]> = (0..16).flat_map(|r| (0..16).map(move |c| [r, c])).collect();
-        let vals: Vec<f64> = (0..256).map(|i| i as f64).collect();
-        let report = e
-            .write_points::<f64>(&CoordBuffer::from_points(2, &pts).unwrap(), &vals)
-            .unwrap();
-        let b = report.breakdown;
-        assert!(b.build > 0.0);
-        assert!(b.sum() >= b.build + b.write);
-        assert!(report.index_bytes > 0 && report.value_bytes == 2048);
-    }
 
     #[test]
     fn rejects_mismatched_values() {
@@ -665,8 +656,6 @@ mod tests {
             EngineConfig::default().with_write_retry(RetryPolicy {
                 max_attempts: 4,
                 base_backoff: Duration::ZERO,
-                max_backoff: Duration::ZERO,
-                jitter_pct: 0,
             }),
         )
         .unwrap();

@@ -642,8 +642,6 @@ mod tests {
                 .with_retry(RetryPolicy {
                     max_attempts: 4,
                     base_backoff: Duration::ZERO,
-                    max_backoff: Duration::ZERO,
-                    jitter_pct: 0,
                 }),
         )
         .unwrap();
@@ -670,8 +668,6 @@ mod tests {
             EngineConfig::default().with_retry(RetryPolicy {
                 max_attempts: 2,
                 base_backoff: Duration::ZERO,
-                max_backoff: Duration::ZERO,
-                jitter_pct: 0,
             }),
         )
         .unwrap();

@@ -1111,8 +1111,6 @@ mod tests {
                     .with_retry(crate::config::RetryPolicy {
                         max_attempts: 3,
                         base_backoff: Duration::ZERO,
-                        max_backoff: Duration::ZERO,
-                        jitter_pct: 0,
                     }),
             )
             .unwrap();

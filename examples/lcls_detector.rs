@@ -12,7 +12,7 @@
 //! ```
 
 use artsparse::patterns::{Dataset, Pattern, PatternParams};
-use artsparse::storage::{SimulatedDisk, StorageEngine};
+use artsparse::storage::{EngineConfig, ObservabilityConfig, SimulatedDisk, StorageEngine};
 use artsparse::{FormatKind, Region, Shape};
 
 const SIDE: u64 = 256;
@@ -21,7 +21,9 @@ const FRAMES: u64 = 4;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let shape = Shape::new(vec![SIDE, SIDE])?;
     let disk = SimulatedDisk::lustre_like();
-    let engine = StorageEngine::open(disk, FormatKind::Linear, shape.clone(), 8)?;
+    // The observability plane's spans time the writes.
+    let config = EngineConfig::default().with_observability(ObservabilityConfig::default());
+    let engine = StorageEngine::open_with(disk, FormatKind::Linear, shape.clone(), 8, config)?;
 
     // Each frame: an MSP instance with a different seed (beam jitter).
     let mut total_points = 0usize;
@@ -35,17 +37,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let report = engine.write_points::<f64>(&ds.coords, &ds.values())?;
         total_points += ds.nnz();
         println!(
-            "frame {frame}: {} px -> {} ({} bytes, write {:.4}s)",
+            "frame {frame}: {} px -> {} ({} bytes)",
             ds.nnz(),
             report.fragment,
-            report.total_bytes,
-            report.breakdown.sum()
+            report.total_bytes
         );
     }
+    let phases = engine
+        .telemetry_report()
+        .ok_or("the plane is on")?
+        .write_breakdown();
     println!(
-        "\nstored {total_points} pixels in {} fragments, {} bytes total",
+        "\nstored {total_points} pixels in {} fragments, {} bytes total; \
+         writes took {:.4}s (build {:.4}s, device {:.4}s)",
         engine.fragments()?.len(),
-        engine.total_stored_bytes()?
+        engine.total_stored_bytes()?,
+        phases.sum(),
+        phases.build,
+        phases.write
     );
     println!(
         "simulated disk: {} bytes written",

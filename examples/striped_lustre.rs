@@ -10,7 +10,9 @@
 //! ```
 
 use artsparse::patterns::{Dataset, Pattern, PatternParams};
-use artsparse::storage::{SimulatedDisk, StorageEngine, StripedBackend};
+use artsparse::storage::{
+    EngineConfig, ObservabilityConfig, SimulatedDisk, StorageEngine, StripedBackend,
+};
 use artsparse::{FormatKind, Shape};
 use std::time::Duration;
 
@@ -32,9 +34,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut baseline = None;
     for stripes in [1usize, 2, 4, 8] {
         let backend = StripedBackend::new((0..stripes).map(|_| make_ost()).collect(), 1 << 16);
-        let engine = StorageEngine::open(backend, FormatKind::Linear, shape.clone(), 8)?;
-        let report = engine.write_points::<f64>(&ds.coords, &values)?;
-        let secs = report.breakdown.write;
+        // The observability plane's spans time the write's device work.
+        let config = EngineConfig::default().with_observability(ObservabilityConfig::default());
+        let engine =
+            StorageEngine::open_with(backend, FormatKind::Linear, shape.clone(), 8, config)?;
+        engine.write_points::<f64>(&ds.coords, &values)?;
+        let report = engine.telemetry_report().ok_or("the plane is on")?;
+        let secs = report.write_breakdown().write;
         let speedup = baseline.get_or_insert(secs).max(1e-12) / secs.max(1e-12);
         println!("{stripes:<8} {secs:>10.4} {speedup:>11.1}x");
 

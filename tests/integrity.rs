@@ -28,8 +28,6 @@ fn instant_retries(max_attempts: u32) -> RetryPolicy {
     RetryPolicy {
         max_attempts,
         base_backoff: Duration::ZERO,
-        max_backoff: Duration::ZERO,
-        jitter_pct: 0,
     }
 }
 

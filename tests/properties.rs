@@ -167,8 +167,6 @@ proptest! {
             .with_retry(RetryPolicy {
                 max_attempts: 2,
                 base_backoff: Duration::ZERO,
-                max_backoff: Duration::ZERO,
-                jitter_pct: 0,
             });
         for kind in FormatKind::ALL {
             // Two identical damaged stores: a quarantine is sticky, so

@@ -97,8 +97,6 @@ fn plane_counters_equal_the_report_totals() {
     let no_backoff = RetryPolicy {
         max_attempts: 3,
         base_backoff: Duration::ZERO,
-        max_backoff: Duration::ZERO,
-        jitter_pct: 0,
     };
     let slow_span_ms = 1;
     let engine = StorageEngine::open_with(
@@ -206,6 +204,72 @@ fn telemetry_agrees_with_engine_stats() {
     assert_eq!(stats.orphans_swept, recovery.orphans_swept);
 }
 
+/// Table III's breakdown is a view over the `engine.write` span tree:
+/// Build and Reorg. are their spans, Write the publish's device work, and
+/// Others the rest, so the row sums to the `engine.write` total — on a
+/// plain write, a group commit and a consolidation alike.
+#[test]
+fn write_breakdown_is_a_view_of_the_write_spans() {
+    let open = |kind| {
+        StorageEngine::open_with(
+            MemBackend::new(),
+            kind,
+            Shape::new(vec![16, 16]).unwrap(),
+            8,
+            EngineConfig::default().with_observability(ObservabilityConfig::default()),
+        )
+        .unwrap()
+    };
+    let sums_to_the_write_span = |engine: &StorageEngine<MemBackend>| {
+        let report = engine.telemetry_report().unwrap();
+        let b = report.write_breakdown();
+        let total = report.span(SpanKind::Write).unwrap().total_ns as f64 * 1e-9;
+        assert!((b.sum() - total).abs() <= 1e-9, "{b:?} vs {total}");
+        assert!(b.others >= 0.0, "{b:?}");
+        b
+    };
+    let grid: Vec<[u64; 2]> = (0..16).flat_map(|r| (0..16).map(move |c| [r, c])).collect();
+    let values: Vec<f64> = (0..256).map(f64::from).collect();
+
+    let engine = open(FormatKind::GcsrPP);
+    let written = engine.write_points(&pts(&grid), &values).unwrap();
+    assert!(written.index_bytes > 0);
+    assert_eq!(written.value_bytes, 2048);
+    let report = engine.telemetry_report().unwrap();
+    for kind in [
+        SpanKind::Write,
+        SpanKind::WriteEncode,
+        SpanKind::WriteBuild,
+        SpanKind::WriteReorg,
+        SpanKind::WriteStage,
+        SpanKind::WriteCommit,
+    ] {
+        assert_eq!(report.span(kind).map(|s| s.count), Some(1), "{kind:?}");
+    }
+    let stage = report.span(SpanKind::WriteStage).unwrap();
+    assert_eq!(stage.io.bytes_written, written.total_bytes as u64);
+    let b = sums_to_the_write_span(&engine);
+    assert!(b.build > 0.0 && b.reorg > 0.0 && b.write > 0.0);
+
+    // A group commit and a consolidation write through the same spans.
+    engine
+        .ingest_points::<f64>(&pts(&[[1, 1], [2, 2]]), &[1.0, 2.0])
+        .unwrap();
+    engine.flush().unwrap();
+    engine.consolidate().unwrap();
+    let report = engine.telemetry_report().unwrap();
+    assert_eq!(report.span(SpanKind::Write).unwrap().count, 3);
+    assert_eq!(report.span(SpanKind::ConsolidateCommit).unwrap().count, 1);
+    sums_to_the_write_span(&engine);
+
+    // COO's build returns no map: no reorg span, no Reorg. time.
+    let coo = open(FormatKind::Coo);
+    coo.write_points(&pts(&grid), &values).unwrap();
+    let report = coo.telemetry_report().unwrap();
+    assert!(report.span(SpanKind::WriteReorg).is_none());
+    assert_eq!(sums_to_the_write_span(&coo).reorg, 0.0);
+}
+
 #[test]
 fn harness_writes_schema_valid_documents() {
     use artsparse::harness::telemetry::validate_file;
@@ -220,9 +284,8 @@ fn harness_writes_schema_valid_documents() {
     cfg.ndims = vec![2];
     cfg.telemetry_out = Some(dir.path().to_path_buf());
 
-    let (matrix, reports) = artsparse::harness::run_matrix_traced(&cfg).unwrap();
+    let matrix = artsparse::harness::run_matrix(&cfg).unwrap();
     assert_eq!(matrix.cells.len(), 1);
-    assert_eq!(reports.len(), 1);
 
     let doc = dir.path().join("telemetry-coo-tsp-2D.json");
     assert!(doc.exists(), "per-cell document written");
