@@ -3,9 +3,10 @@
 //! The paper states asymptotic build/read bounds per organization; the
 //! `table1` experiment validates them by counting the dominant abstract
 //! operations while running each algorithm and fitting the counts against
-//! the predicted growth. Counters are relaxed atomics so the engine's read
-//! workers can share one; hot loops accumulate locally and flush once per
-//! point via [`OpCounter::add`].
+//! the predicted growth. Counters are relaxed atomics; hot loops
+//! accumulate locally and flush once per point via [`OpCounter::add`],
+//! and the engine's fan-out workers each charge a private counter that is
+//! folded into the engine's with [`OpCounter::absorb`] after the join.
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -109,6 +110,16 @@ impl OpCounter {
         self.add(kind, 1);
     }
 
+    /// Add every count of `counts` — a private counter's snapshot, folded
+    /// into this one.
+    pub fn absorb(&self, counts: OpCounts) {
+        self.add(OpKind::Transform, counts.transforms);
+        self.add(OpKind::Compare, counts.compares);
+        self.add(OpKind::SortCompare, counts.sort_compares);
+        self.add(OpKind::NodeVisit, counts.node_visits);
+        self.add(OpKind::Emit, counts.emits);
+    }
+
     /// Snapshot the current values.
     pub fn snapshot(&self) -> OpCounts {
         OpCounts {
@@ -165,6 +176,33 @@ mod tests {
         c.add(OpKind::Compare, 5);
         let delta = c.snapshot() - before;
         assert_eq!(delta.compares, 5);
+    }
+
+    #[test]
+    fn absorbing_a_snapshot_adds_every_kind() {
+        let (shared, private) = (OpCounter::new(), OpCounter::new());
+        shared.add(OpKind::Compare, 2);
+        for (kind, n) in [
+            (OpKind::Transform, 1),
+            (OpKind::Compare, 3),
+            (OpKind::SortCompare, 5),
+            (OpKind::NodeVisit, 7),
+            (OpKind::Emit, 11),
+        ] {
+            private.add(kind, n);
+        }
+        shared.absorb(private.snapshot());
+        let s = shared.snapshot();
+        assert_eq!(
+            (
+                s.transforms,
+                s.compares,
+                s.sort_compares,
+                s.node_visits,
+                s.emits
+            ),
+            (1, 5, 5, 7, 11)
+        );
     }
 
     #[test]

@@ -29,30 +29,32 @@
 //! use artsparse_server::{MemFactory, Server, ServerConfig};
 //! use std::io::{BufRead, BufReader, Write};
 //!
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let config = ServerConfig {
 //!     tcp: Some("127.0.0.1:0".into()), // ephemeral port
 //!     shards: 2,
 //!     ..ServerConfig::default()
 //! };
-//! let mut handle = Server::start(config, MemFactory).unwrap();
+//! let mut handle = Server::start(config, MemFactory)?;
 //!
-//! let stream = std::net::TcpStream::connect(handle.tcp_addr().unwrap()).unwrap();
-//! let mut reader = BufReader::new(stream.try_clone().unwrap());
+//! let addr = handle.tcp_addr().ok_or("no TCP listener")?;
+//! let stream = std::net::TcpStream::connect(addr)?;
+//! let mut reader = BufReader::new(stream.try_clone()?);
 //! let mut writer = stream;
 //! let mut greeting = String::new();
-//! reader.read_line(&mut greeting).unwrap();
+//! reader.read_line(&mut greeting)?;
 //! assert!(greeting.starts_with("OK artsparse/1 ready"));
 //!
-//! writer
-//!     .write_all(b"HELLO demo\nCREATE grid 8x8\nPUT grid 1\n3 4 2.5\nGET grid 3 4\n")
-//!     .unwrap();
-//! let mut lines = reader.lines().map(|l| l.unwrap());
-//! assert_eq!(lines.next().unwrap(), "OK tenant=demo proto=artsparse/1");
-//! assert_eq!(lines.next().unwrap(), "OK created=grid existed=false");
-//! assert!(lines.next().unwrap().starts_with("OK acked=1 fragment="));
-//! assert_eq!(lines.next().unwrap(), "OK found=true value=2.5");
+//! writer.write_all(b"HELLO demo\nCREATE grid 8x8\nPUT grid 1\n3 4 2.5\nGET grid 3 4\n")?;
+//! let replies = reader.lines().take(4).collect::<Result<Vec<_>, _>>()?;
+//! assert_eq!(replies[0], "OK tenant=demo proto=artsparse/1");
+//! assert_eq!(replies[1], "OK created=grid existed=false");
+//! assert!(replies[2].starts_with("OK acked=1 fragment="));
+//! assert_eq!(replies[3], "OK found=true value=2.5");
 //!
 //! handle.shutdown();
+//! # Ok(())
+//! # }
 //! ```
 //!
 //! # Example: quotas refuse whole batches, typed and refundable

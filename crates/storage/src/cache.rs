@@ -150,11 +150,28 @@ impl FragmentCache {
     /// entries until it fits. Fragments larger than the whole budget are
     /// simply not cached.
     pub fn insert(&self, name: &str, fragment: Arc<DecodedFragment>) {
+        self.insert_if(name, fragment, || true);
+    }
+
+    /// [`insert`](Self::insert), made only if `live()` — asked under the
+    /// cache's lock — says the fragment still exists. An invalidation is
+    /// made under the same lock, after the fragment stopped existing, so
+    /// a fill racing a delete either lands first and is invalidated, or
+    /// sees the fragment gone and is dropped before it evicts anything.
+    pub fn insert_if(
+        &self,
+        name: &str,
+        fragment: Arc<DecodedFragment>,
+        live: impl FnOnce() -> bool,
+    ) {
         let cost = fragment.cost_bytes();
         if !self.is_enabled() || cost > self.capacity_bytes {
             return;
         }
         let mut inner = self.inner.lock();
+        if !live() {
+            return;
+        }
         if let Some((old, _)) = inner.entries.remove(name) {
             inner.held_bytes = inner.held_bytes.saturating_sub(old.cost_bytes());
         }

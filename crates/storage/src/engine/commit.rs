@@ -27,7 +27,7 @@ use crate::catalog::CatalogEntry;
 use crate::error::{Result, StorageError};
 use crate::fragment::{decode_meta, encode_fragment};
 use artsparse_core::{build_from_address_sorted, FormatKind};
-use artsparse_metrics::{charge, Span, SpanKind};
+use artsparse_metrics::{charge, OpCounter, Span, SpanKind};
 use artsparse_tensor::value::Element;
 use artsparse_tensor::CoordBuffer;
 use std::borrow::Cow;
@@ -88,7 +88,16 @@ impl<B: StorageBackend> StorageEngine<B> {
         // Like a flush, the write holds `flush_lock` until it commits.
         let held = self.flush_lock.lock();
         let (_, id) = self.flush_locked(&held, || self.draw_id())?;
-        self.write_with(self.kind, coords, values, &[coords.len()], id, None, false)
+        self.write_with(
+            self.kind,
+            coords,
+            values,
+            &[coords.len()],
+            1,
+            id,
+            None,
+            false,
+        )
     }
 
     /// Typed WRITE convenience.
@@ -106,7 +115,9 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// format for plain writes; adaptive consolidation passes the advised
     /// one), `part_ends` cuts the points into the fragments of one run —
     /// the end offset of each part, `[coords.len()]` for the one fragment
-    /// every other write is — `identity` is the fragment identity
+    /// every other write is — and `workers` is how many threads build and
+    /// encode the parts ([`StorageEngine::fan_out`]; the stored bytes are
+    /// the same at every width). `identity` is the fragment identity
     /// (consolidation derives it from the sources, replay reuses the
     /// WAL's own, flushes and plain writes draw the next id), `sources` names the
     /// fragments the output replaces (recorded in a tombstone before
@@ -117,6 +128,7 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// elide their sort. The report sums over the parts and names the
     /// last one. Its time is the `engine.write` span's; Table III's
     /// phases are its children (`TelemetryReport::write_breakdown`).
+    /// Publication is serial and in part order, whatever the width.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn write_with(
         &self,
@@ -124,6 +136,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         coords: &CoordBuffer,
         values: &[u8],
         part_ends: &[usize],
+        workers: usize,
         identity: FragmentId,
         sources: Option<&[String]>,
         presorted: bool,
@@ -131,9 +144,10 @@ impl<B: StorageBackend> StorageEngine<B> {
         let _span = Span::enter(self.plane.as_ref(), SpanKind::Write);
         self.validate_batch(coords, values)?;
         let (ndim, elem) = (coords.ndim(), self.elem_size as usize);
-        let mut frags = Vec::with_capacity(part_ends.len());
-        let (mut index_bytes, mut start) = (0, 0);
-        for &end in part_ends {
+        let parts: Vec<(usize, usize)> = (part_ends.iter())
+            .scan(0, |start, &end| Some((std::mem::replace(start, end), end)))
+            .collect();
+        let encoded = self.fan_out(parts, workers, |(start, end), counter| {
             let part = if (start, end) == (0, coords.len()) {
                 Cow::Borrowed(coords)
             } else {
@@ -141,11 +155,10 @@ impl<B: StorageBackend> StorageEngine<B> {
                 Cow::Owned(CoordBuffer::from_flat(ndim, flat)?)
             };
             let values = &values[start * elem..end * elem];
-            let (frag, index_len) = self.encode(kind, &part, values, presorted)?;
-            index_bytes += index_len;
-            frags.push(frag);
-            start = end;
-        }
+            self.encode(kind, &part, values, presorted, counter)
+        })?;
+        let index_bytes = encoded.iter().map(|(_, index_len)| index_len).sum();
+        let frags: Vec<Vec<u8>> = encoded.into_iter().map(|(frag, _)| frag).collect();
         let fragment = self.publish(&frags, identity, sources)?;
 
         Ok(WriteReport {
@@ -157,14 +170,15 @@ impl<B: StorageBackend> StorageEngine<B> {
         })
     }
 
-    /// Build, reorganize and encode one fragment of `coords`; returns its
-    /// bytes and its index length.
+    /// Build, reorganize and encode one fragment of `coords`, charging
+    /// `counter`; returns its bytes and its index length.
     fn encode(
         &self,
         kind: FormatKind,
         coords: &CoordBuffer,
         values: &[u8],
         presorted: bool,
+        counter: &OpCounter,
     ) -> Result<(Vec<u8>, usize)> {
         let _encode = Span::enter(self.plane.as_ref(), SpanKind::WriteEncode);
         let bbox = coords.bounding_box();
@@ -174,7 +188,7 @@ impl<B: StorageBackend> StorageEngine<B> {
             let _build = Span::enter(self.plane.as_ref(), SpanKind::WriteBuild);
             if presorted {
                 let (built, direct) =
-                    build_from_address_sorted(kind, coords, &self.shape, &self.counter)?;
+                    build_from_address_sorted(kind, coords, &self.shape, counter)?;
                 charge(|io| {
                     if direct {
                         io.conversions_direct += 1;
@@ -184,7 +198,7 @@ impl<B: StorageBackend> StorageEngine<B> {
                 });
                 built
             } else {
-                kind.create().build(coords, &self.shape, &self.counter)?
+                kind.create().build(coords, &self.shape, counter)?
             }
         };
 

@@ -197,8 +197,16 @@ impl<B: StorageBackend> StorageEngine<B> {
         // matching slot) and what the sort-eliding builders accept.
         let coords = CoordBuffer::from_flat(self.shape.ndim(), snapshot.flat_coords().to_vec())?;
         let payload = snapshot.flat_values();
-        let report =
-            self.write_with(self.kind, &coords, payload, &[coords.len()], id, None, true)?;
+        let report = self.write_with(
+            self.kind,
+            &coords,
+            payload,
+            &[coords.len()],
+            1,
+            id,
+            None,
+            true,
+        )?;
         // The fragment is committed: retire the covered batches and their
         // WAL blobs. Retirement is cleanup, not correctness — a blob that
         // survives (crash, or a delete failure queued for retry) replays
@@ -347,7 +355,7 @@ impl<B: StorageBackend> StorageEngine<B> {
                         .extend_from_slice(&rec.values[i * rec.elem_size..(i + 1) * rec.elem_size]);
                 }
                 let whole = [coords.len()];
-                self.write_with(self.kind, &coords, &payload, &whole, id, None, true)?;
+                self.write_with(self.kind, &coords, &payload, &whole, 1, id, None, true)?;
             }
             delete_if_present(&self.backend, name)?;
         }

@@ -61,7 +61,9 @@ use crate::config::{EngineConfig, RetryPolicy};
 use crate::error::{Result, StorageError};
 use crate::observe::RecordingBackend;
 use artsparse_core::FormatKind;
-use artsparse_metrics::{charge, ObservabilityPlane, OpCounter, Span, SpanKind, TelemetryReport};
+use artsparse_metrics::{
+    charge, IoStats, ObservabilityPlane, OpCounter, Span, SpanContext, SpanKind, TelemetryReport,
+};
 use artsparse_tensor::value::Element;
 use artsparse_tensor::{CoordBuffer, Shape};
 use std::collections::HashSet;
@@ -466,6 +468,76 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// (`config.write_retry`), see [`retry`].
     pub(super) fn retry_write<T>(&self, name: &str, op: impl FnMut() -> Result<T>) -> Result<T> {
         retry(&self.config.write_retry, name, op)
+    }
+
+    /// The engine's one executor (DESIGN.md §12): run `work` over `items`
+    /// on `workers` threads — the calling thread and `workers − 1` scoped
+    /// ones, all draining one queue — and return each item's result in
+    /// item order. Errors surface deterministically: the first failed
+    /// item in order wins regardless of thread timing. A read runs its
+    /// planned fragments through it; a consolidation its sources, its
+    /// address ranges and its output parts.
+    ///
+    /// `work` charges the [`OpCounter`] it is handed: the engine's own on
+    /// the calling thread, a private one on each spawned worker, folded
+    /// into the engine's as the worker ends — so no compare is bumped
+    /// across cores and the totals do not depend on the width. Spawned
+    /// workers inherit the caller's span context: their spans carry its
+    /// trace id, and whatever they charge outside a span of their own is
+    /// merged into the caller's innermost frame after the join. With the
+    /// plane off there is no context and no extra work.
+    pub(super) fn fan_out<I, R>(
+        &self,
+        items: I,
+        workers: usize,
+        work: impl Fn(I::Item, &OpCounter) -> Result<R> + Sync,
+    ) -> Result<Vec<R>>
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator + Send,
+        R: Send,
+    {
+        let items = items.into_iter();
+        let n = items.len();
+        let workers = workers.min(n).max(1);
+        if workers == 1 {
+            return items.map(|item| work(item, &self.counter)).collect();
+        }
+        // The queue hands each item to exactly one thread, which files
+        // the result under the item's position; the scope joins them all.
+        let queue = parking_lot::Mutex::new(items.enumerate());
+        let done = parking_lot::Mutex::new(Vec::with_capacity(n));
+        let drain_queue = |counter: &OpCounter| loop {
+            let next = queue.lock().next();
+            let Some((i, item)) = next else { break };
+            let result = work(item, counter);
+            done.lock().push((i, result));
+        };
+        let context = SpanContext::current();
+        let worker_io = parking_lot::Mutex::new(IoStats::default());
+        std::thread::scope(|scope| {
+            for _ in 1..workers {
+                scope.spawn(|| {
+                    let counter = OpCounter::new();
+                    match context {
+                        Some(context) => {
+                            let ((), io) = context.run(|| drain_queue(&counter));
+                            worker_io.lock().merge(&io);
+                        }
+                        None => drain_queue(&counter),
+                    }
+                    self.counter.absorb(counter.snapshot());
+                });
+            }
+            // The caller is a worker too, charging its own open frames.
+            drain_queue(&self.counter);
+        });
+        if context.is_some() {
+            charge(|io| io.merge(&worker_io.into_inner()));
+        }
+        let mut done = done.into_inner();
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, result)| result).collect()
     }
 
     /// Every scanned fragment must store the same tensor: same shape

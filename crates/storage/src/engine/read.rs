@@ -22,13 +22,12 @@ use crate::cache::DecodedFragment;
 use crate::catalog::CatalogEntry;
 use crate::codec::Codec;
 use crate::error::{Result, StorageError};
-use crate::fragment::FragmentReader;
+use crate::fragment::{DecodedSection, FragmentReader};
 use artsparse_core::Organization;
-use artsparse_metrics::{charge, IoStats, OpCounter, Span, SpanContext, SpanKind};
+use artsparse_metrics::{charge, OpCounter, Span, SpanKind};
 use artsparse_tensor::value::Element;
 use artsparse_tensor::{CoordBuffer, Region, Shape};
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// How many times a read re-plans when a planned fragment vanished
@@ -66,8 +65,9 @@ const SCAN_BYTES_PER_NS: u64 = 20;
 const FETCH_PASSES: u64 = 4;
 
 /// How many threads (the caller included) a read should spread its
-/// planned fragments over: the pure decision in front of
-/// [`StorageEngine::execute_plan`].
+/// planned fragments over — or a consolidation its sources, address
+/// ranges and parts: the pure decision in front of
+/// [`StorageEngine::fan_out`].
 ///
 /// It uses only what the catalog already knows — each planned fragment's
 /// stored index length — and how many `passes` over an index the read
@@ -83,7 +83,11 @@ const FETCH_PASSES: u64 = 4;
 /// always the sequential path.
 ///
 /// [`EngineConfig::effective_parallelism`]: crate::config::EngineConfig::effective_parallelism
-fn planned_workers(cap: usize, index_lens: impl IntoIterator<Item = u64>, passes: u64) -> usize {
+pub(super) fn planned_workers(
+    cap: usize,
+    index_lens: impl IntoIterator<Item = u64>,
+    passes: u64,
+) -> usize {
     let passes = FETCH_PASSES.saturating_add(passes);
     let (mut fragments, mut total_ns, mut largest_ns) = (0usize, 0u64, 0u64);
     for len in index_lens {
@@ -458,7 +462,9 @@ impl<B: StorageBackend> StorageEngine<B> {
                     asked.passes(),
                 )
             });
-            let per_fragment = self.execute_plan(&plan.fragments, asked, workers)?;
+            let per_fragment = self.fan_out(plan.fragments.iter(), workers, |entry, counter| {
+                self.read_fragment_or_skip(entry, asked, counter)
+            })?;
             let vanished = per_fragment
                 .iter()
                 .filter(|o| matches!(o, FragmentOutcome::Vanished))
@@ -519,63 +525,6 @@ impl<B: StorageBackend> StorageEngine<B> {
         self.read(queries)?.to_values(queries.len())
     }
 
-    /// Run `read_fragment` over the planned fragments on `workers` threads
-    /// — the calling thread and `workers − 1` scoped ones, all draining
-    /// one queue — and return each fragment's outcome in plan (write)
-    /// order. Errors surface deterministically: the first failed fragment
-    /// in plan order wins regardless of thread timing.
-    ///
-    /// Spawned workers inherit the read's span context: their spans carry
-    /// its trace id, and whatever they charge outside a span of their own
-    /// (a quarantine, say) is merged into the read's innermost frame after
-    /// the join — the read's telemetry does not depend on the thread
-    /// count. With the plane off there is no context and no extra work.
-    fn execute_plan(
-        &self,
-        fragments: &[Arc<CatalogEntry>],
-        asked: &Asked<'_>,
-        workers: usize,
-    ) -> Result<Vec<FragmentOutcome>> {
-        let workers = workers.min(fragments.len()).max(1);
-        if workers == 1 {
-            return fragments
-                .iter()
-                .map(|entry| self.read_fragment_or_skip(entry, asked))
-                .collect();
-        }
-        // The queue hands each plan position to exactly one thread, which
-        // files the outcome under it; the scope joins every thread.
-        let next = AtomicUsize::new(0);
-        let done = parking_lot::Mutex::new(Vec::with_capacity(fragments.len()));
-        let drain_queue = || loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(entry) = fragments.get(i) else { break };
-            let outcome = self.read_fragment_or_skip(entry, asked);
-            done.lock().push((i, outcome));
-        };
-        let context = SpanContext::current();
-        let worker_io = parking_lot::Mutex::new(IoStats::default());
-        std::thread::scope(|scope| {
-            for _ in 1..workers {
-                scope.spawn(|| match context {
-                    Some(context) => {
-                        let ((), io) = context.run(drain_queue);
-                        worker_io.lock().merge(&io);
-                    }
-                    None => drain_queue(),
-                });
-            }
-            // The caller is a worker too, charging its own open frames.
-            drain_queue();
-        });
-        if context.is_some() {
-            charge(|io| io.merge(&worker_io.into_inner()));
-        }
-        let mut done = done.into_inner();
-        done.sort_unstable_by_key(|&(i, _)| i);
-        done.into_iter().map(|(_, outcome)| outcome).collect()
-    }
-
     /// [`Self::read_fragment`], downgrading two kinds of failure:
     ///
     /// * a NotFound on a fragment that a concurrent delete or
@@ -591,8 +540,9 @@ impl<B: StorageBackend> StorageEngine<B> {
         &self,
         entry: &CatalogEntry,
         asked: &Asked<'_>,
+        counter: &OpCounter,
     ) -> Result<FragmentOutcome> {
-        match self.read_fragment(entry, asked) {
+        match self.read_fragment(entry, asked, counter) {
             Ok(hits) => Ok(FragmentOutcome::Hits(hits)),
             Err(e) if e.is_not_found() && self.catalog.get(&entry.name).is_none() => {
                 Ok(FragmentOutcome::Vanished)
@@ -622,7 +572,12 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// Fetch, decode, and query one fragment, its sections resident in
     /// the cache, filled into it (caching on), or fetched: header and
     /// index in one request, then only the value records the index matched.
-    fn read_fragment(&self, entry: &CatalogEntry, asked: &Asked<'_>) -> Result<Vec<ReadHit>> {
+    fn read_fragment(
+        &self,
+        entry: &CatalogEntry,
+        asked: &Asked<'_>,
+        counter: &OpCounter,
+    ) -> Result<Vec<ReadHit>> {
         let name = &entry.name;
         let meta = &entry.meta;
         let mut resident = {
@@ -647,7 +602,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         };
         let matched: Vec<(usize, u64)> = {
             let _decode = Span::enter(self.plane.as_ref(), SpanKind::ReadDecode);
-            asked.matches(meta.kind.create().as_ref(), index, &self.counter)?
+            asked.matches(meta.kind.create().as_ref(), index, counter)?
         };
         if matched.is_empty() {
             return Ok(Vec::new());
@@ -758,27 +713,68 @@ impl<B: StorageBackend> StorageEngine<B> {
             .collect()
     }
 
-    /// Fetch and decode a whole fragment through the cache: a hit costs
-    /// nothing, a miss transfers both sections and makes the decode
-    /// resident (if the cache is enabled and it fits).
-    pub(super) fn fetch_decoded(&self, entry: &CatalogEntry) -> Result<Arc<DecodedFragment>> {
-        match self.cache.get(&entry.name) {
-            Some(decoded) => Ok(decoded),
-            None => self.fetch_into_cache(entry),
+    /// A whole fragment for a merge: a resident decode if the cache holds
+    /// one, else both sections fetched and decoded — and not inserted. A
+    /// merge reads every fragment once, most of them to retire them, so
+    /// filling the cache would only evict the reads' working set.
+    pub(super) fn fetch_for_merge(&self, entry: &CatalogEntry) -> Result<Sections> {
+        Ok(match self.cache.get(&entry.name) {
+            Some(decoded) => Sections::Resident(decoded),
+            None => {
+                let (index, values) = self.fetch_sections(entry)?;
+                Sections::Fetched { index, values }
+            }
+        })
+    }
+
+    /// The cache fill of a read that already probed the cache: fetch and
+    /// decode both sections, then insert — unless the catalog no longer
+    /// lists the fragment (a delete or a consolidation retired it while
+    /// the sections were in flight), whose entry would only hold budget
+    /// until the LRU evicted it.
+    fn fetch_into_cache(&self, entry: &CatalogEntry) -> Result<Arc<DecodedFragment>> {
+        let (index, values) = self.fetch_sections(entry)?;
+        let decoded = Arc::new(DecodedFragment {
+            index: index.into_vec(),
+            values: values.into_vec(),
+            meta: entry.meta.clone(),
+        });
+        let listed = || self.catalog.get(&entry.name).is_some();
+        self.cache.insert_if(&entry.name, decoded.clone(), listed);
+        Ok(decoded)
+    }
+
+    /// Both sections of a fragment, fetched, verified and decoded.
+    fn fetch_sections(&self, entry: &CatalogEntry) -> Result<(DecodedSection, DecodedSection)> {
+        let reader = self.reader(entry);
+        let index = self.retry_read(&entry.name, || reader.index())?;
+        Ok((index, self.retry_read(&entry.name, || reader.values())?))
+    }
+}
+
+/// A fragment's decoded sections, for a caller that reads them whole:
+/// resident in the cache, or fetched for this caller alone.
+pub(super) enum Sections {
+    Resident(Arc<DecodedFragment>),
+    Fetched {
+        index: DecodedSection,
+        values: DecodedSection,
+    },
+}
+
+impl Sections {
+    pub(super) fn index(&self) -> &[u8] {
+        match self {
+            Sections::Resident(decoded) => &decoded.index,
+            Sections::Fetched { index, .. } => index.bytes(),
         }
     }
 
-    /// The miss half of [`Self::fetch_decoded`], for a caller that has
-    /// already probed the cache: fetch both sections, decode, insert.
-    fn fetch_into_cache(&self, entry: &CatalogEntry) -> Result<Arc<DecodedFragment>> {
-        let reader = self.reader(entry);
-        let decoded = Arc::new(DecodedFragment {
-            index: self.retry_read(&entry.name, || reader.index())?.into_vec(),
-            values: self.retry_read(&entry.name, || reader.values())?.into_vec(),
-            meta: entry.meta.clone(),
-        });
-        self.cache.insert(&entry.name, decoded.clone());
-        Ok(decoded)
+    pub(super) fn values(&self) -> &[u8] {
+        match self {
+            Sections::Resident(decoded) => &decoded.values,
+            Sections::Fetched { values, .. } => values.bytes(),
+        }
     }
 }
 
@@ -1087,6 +1083,112 @@ mod tests {
         e.read(&q).unwrap();
         let warm = e.cache().stats();
         assert_eq!((warm.hits, warm.misses), (1, 1));
+    }
+
+    /// Open a 16×16 LINEAR store on `backend` with a decoded-fragment
+    /// cache of `capacity` bytes.
+    fn cached<B: StorageBackend>(backend: B, capacity: usize) -> StorageEngine<B> {
+        let config = EngineConfig::default().with_cache_capacity(capacity);
+        let shape = Shape::new(vec![16, 16]).unwrap();
+        StorageEngine::open_with(backend, FormatKind::Linear, shape, 8, config).unwrap()
+    }
+
+    #[test]
+    fn an_export_leaves_the_reads_working_set_cached() {
+        // One small fragment the reads use, three larger ones in rows the
+        // reads never ask for; the cache holds the three large ones or
+        // the small one beside two of them, not all four.
+        let rows = |lo: u64| -> Vec<[u64; 2]> {
+            (lo..lo + 4)
+                .flat_map(|r| (0..16).map(move |c| [r, c]))
+                .collect()
+        };
+        let writer = cached(MemBackend::new(), 0);
+        writer
+            .write_points::<f64>(&coords(&[[0, 0], [1, 1]]), &[1.0, 2.0])
+            .unwrap();
+        for lo in [4, 8, 12] {
+            let points = CoordBuffer::from_points(2, &rows(lo)).unwrap();
+            writer.write_points::<f64>(&points, &[0.5; 64]).unwrap();
+        }
+        let cost: Vec<usize> = (writer.catalog.snapshot().iter())
+            .map(|entry| (entry.meta.index_raw_len + entry.meta.value_raw_len) as usize)
+            .collect();
+        let capacity = cost[1..].iter().sum::<usize>() + cost[0] - 1;
+        let e = cached(writer.into_backend(), capacity);
+        let working_set = coords(&[[1, 1]]);
+        e.read(&working_set).unwrap();
+        let (coords, _) = e.export().unwrap();
+        assert_eq!(coords.len(), 2 + 3 * 64);
+        let before = e.cache().stats();
+        assert_eq!(e.read_values::<f64>(&working_set).unwrap(), [Some(2.0)]);
+        let after = e.cache().stats();
+        assert_eq!(
+            (after.hits - before.hits, after.misses - before.misses),
+            (1, 0),
+            "the export evicted the read's fragment"
+        );
+    }
+
+    /// A [`MemBackend`] that runs a hook once, after the first ranged
+    /// read past a blob's start — the value section of a cache fill.
+    #[derive(Default)]
+    struct AfterIndex {
+        inner: MemBackend,
+        hook: parking_lot::Mutex<Option<Box<dyn FnOnce() + Send>>>,
+    }
+
+    impl StorageBackend for AfterIndex {
+        fn put(&self, name: &str, data: &[u8]) -> Result<()> {
+            self.inner.put(name, data)
+        }
+        fn put_atomic(&self, name: &str, data: &[u8]) -> Result<()> {
+            self.inner.put_atomic(name, data)
+        }
+        fn put_exclusive(&self, name: &str, data: &[u8]) -> Result<()> {
+            self.inner.put_exclusive(name, data)
+        }
+        fn rename(&self, from: &str, to: &str) -> Result<()> {
+            self.inner.rename(from, to)
+        }
+        fn get(&self, name: &str) -> Result<Vec<u8>> {
+            self.inner.get(name)
+        }
+        fn get_range(&self, name: &str, offset: u64, len: usize) -> Result<Vec<u8>> {
+            let bytes = self.inner.get_range(name, offset, len);
+            let hook = (offset > 0).then(|| self.hook.lock().take()).flatten();
+            if let Some(hook) = hook {
+                hook();
+            }
+            bytes
+        }
+        fn list(&self) -> Result<Vec<String>> {
+            self.inner.list()
+        }
+        fn size(&self, name: &str) -> Result<u64> {
+            self.inner.size(name)
+        }
+        fn delete(&self, name: &str) -> Result<()> {
+            self.inner.delete(name)
+        }
+    }
+
+    #[test]
+    fn a_fill_finishing_after_its_fragment_was_deleted_is_dropped() {
+        let e = Arc::new(cached(AfterIndex::default(), 1 << 20));
+        let report = e.write_points::<f64>(&coords(&[[3, 3]]), &[3.0]).unwrap();
+        // The cache fill fetches the index, then the values; between the
+        // two, the fragment is deleted through the engine.
+        let (engine, name) = (Arc::downgrade(&e), report.fragment);
+        *e.backend().hook.lock() = Some(Box::new(move || {
+            let engine = engine.upgrade().unwrap();
+            engine.delete_fragment(&name).unwrap();
+        }));
+        let read = e.read_values::<f64>(&coords(&[[3, 3]])).unwrap();
+        assert_eq!(read, [Some(3.0)], "the read itself was served");
+        assert!(e.backend().hook.lock().is_none(), "the hook ran");
+        assert!(e.fragments().unwrap().is_empty());
+        assert!(e.cache().is_empty(), "a deleted fragment stayed cached");
     }
 
     #[test]

@@ -2,13 +2,14 @@
 //! rewrites the store from a full scan of it (DESIGN.md §13).
 
 use super::names::FragmentId;
+use super::read::planned_workers;
 use super::StorageEngine;
 use crate::backend::StorageBackend;
 use crate::catalog::CatalogEntry;
 use crate::error::{Result, StorageError};
 use artsparse_core::advisor::recommend_from_stats;
 use artsparse_core::stats::SparsityStatsBuilder;
-use artsparse_metrics::{charge, Span, SpanKind};
+use artsparse_metrics::{charge, OpCounter, Span, SpanKind};
 use artsparse_tensor::sort::{last_per_address, sort_by_address};
 use artsparse_tensor::CoordBuffer;
 use std::sync::Arc;
@@ -75,6 +76,44 @@ fn record_field(n: usize, what: &str) -> Result<u32> {
     })
 }
 
+/// One merge record: a point's linear address, then where it came from —
+/// the source's position in the merge and the point's slot in it.
+type Record = (u64, (u32, u32));
+
+/// Cut the addresses of `records` (none above `top`) into at most `ranges`
+/// contiguous ranges of about equal record counts, each an address range
+/// and how many records fall in it. The cut is read off a histogram of
+/// the top 11 bits (one digit of the address sort), so a range's share
+/// is off by at most one bucket's records; a run of equal addresses is
+/// never split.
+fn address_ranges(
+    records: &[Record],
+    top: u64,
+    ranges: usize,
+) -> Vec<(std::ops::Range<u64>, usize)> {
+    const BUCKETS: usize = 1 << 11;
+    let shift = (u64::BITS - top.leading_zeros()).saturating_sub(BUCKETS.trailing_zeros());
+    let mut counts = [0usize; BUCKETS];
+    for r in records {
+        counts[(r.0 >> shift) as usize] += 1;
+    }
+    let (mut cut, mut lo, mut seen) = (Vec::with_capacity(ranges), 0u64, 0usize);
+    let mut in_range = 0;
+    for (b, &count) in counts[..BUCKETS - 1].iter().enumerate() {
+        in_range += count;
+        seen += count;
+        // Close the range once it holds its share of everything so far.
+        if cut.len() + 1 < ranges && seen * ranges >= records.len() * (cut.len() + 1) {
+            let hi = ((b as u64) + 1) << shift;
+            cut.push((lo..hi, in_range));
+            (lo, in_range) = (hi, 0);
+        }
+    }
+    cut.push((lo..u64::MAX, in_range));
+    cut.retain(|(_, n)| *n > 0);
+    cut
+}
+
 impl<B: StorageBackend> StorageEngine<B> {
     /// A fragment about to be rewritten must store this engine's tensor:
     /// same shape, same record size.
@@ -91,54 +130,163 @@ impl<B: StorageBackend> StorageEngine<B> {
         Ok(())
     }
 
+    /// How many threads a merge of `entries` runs on: the read path's
+    /// rule ([`planned_workers`]) over the sources' index lengths, one
+    /// enumerating pass over each — unless a test forces the width.
+    fn merge_width(&self, entries: &[Arc<CatalogEntry>], forced: Option<usize>) -> usize {
+        forced.unwrap_or_else(|| {
+            planned_workers(
+                self.config.effective_parallelism(),
+                entries.iter().map(|entry| entry.meta.index_len),
+                1,
+            )
+        })
+    }
+
     /// The shared fragment-scan layer: decode every cataloged fragment
-    /// (through the cache) and merge its points with the engine's exact
-    /// read precedence — within a fragment the *lowest* slot wins (every
-    /// format's read scans/searches to the first matching record); across
-    /// fragments the most recently written one wins. The output is flat
-    /// and in canonical linear-address order: the coordinates and value
-    /// records `write_with(.., presorted = true)` takes.
+    /// (a resident decode if the cache holds one; a merge never fills it)
+    /// and merge its points with the engine's exact read precedence —
+    /// within a fragment the *lowest* slot wins (every format's read
+    /// scans/searches to the first matching record); across fragments the
+    /// most recently written one wins. The output is flat and in canonical
+    /// linear-address order: the coordinates and value records
+    /// `write_with(.., presorted = true)` takes.
     ///
-    /// One `(address, (fragment, slot))` record per enumerated point, slots
-    /// pushed high to low, then one stable address sort: the last record
-    /// of each address is the newest fragment's lowest slot.
-    fn merged_points_from(&self, entries: &[Arc<CatalogEntry>]) -> Result<(CoordBuffer, Vec<u8>)> {
-        let elem = self.elem_size as usize;
-        let mut sources = Vec::with_capacity(entries.len());
-        let mut order: Vec<(u64, (u32, u32))> = Vec::new();
-        for (f, entry) in entries.iter().enumerate() {
-            self.check_rewritable(entry)?;
-            let decoded = self.fetch_decoded(entry)?;
-            let org = decoded.meta.kind.create();
-            let coords = org.enumerate(&decoded.index, &self.counter)?;
-            if coords
-                .len()
-                .checked_mul(elem)
-                .is_none_or(|bytes| bytes > decoded.values.len())
-            {
-                return Err(StorageError::corrupt(
-                    &entry.name,
-                    "enumerated more slots than records",
-                ));
+    /// One `(address, (fragment, slot))` record per enumerated point,
+    /// slots pushed high to low, then one stable address sort: the last
+    /// record of each address is the newest fragment's lowest slot. The
+    /// pass runs on `workers` threads ([`StorageEngine::fan_out`]) in two
+    /// stages, each writing into buffers this thread sized and allocated:
+    ///
+    /// 1. **per source** — fetch, verify, decode, enumerate, and linearize
+    ///    into the source's own slice of one record vector, sized from
+    ///    the catalog's point counts;
+    /// 2. **per address range** — contiguous ranges cut from a histogram
+    ///    of the addresses: each range gathers its records (input order
+    ///    kept, so precedence is), sorts them, and then copies its
+    ///    survivors into its slice of the output, placed by a prefix sum
+    ///    of the ranges' survivor counts.
+    ///
+    /// Equal addresses never straddle two ranges, so the output is the
+    /// one-range output at every width.
+    fn merged_points_from(
+        &self,
+        entries: &[Arc<CatalogEntry>],
+        workers: usize,
+    ) -> Result<(CoordBuffer, Vec<u8>)> {
+        let (ndim, elem) = (self.shape.ndim(), self.elem_size as usize);
+        // Stage 1: per source, each into its slices of one record vector
+        // and one flat copy of every source's value records.
+        record_field(entries.len().saturating_sub(1), "merged fragment index")?;
+        let total = (entries.iter())
+            .try_fold(0usize, |sum, entry| {
+                sum.checked_add(usize::try_from(entry.meta.n).ok()?)
+            })
+            .ok_or_else(|| StorageError::Mismatch {
+                reason: "the merged fragments' point counts overflow".into(),
+            })?;
+        let mut order: Vec<Record> = vec![(0, (0, 0)); total];
+        let mut records = vec![0u8; total * elem];
+        let mut rest = (&mut order[..], &mut records[..], 0);
+        let jobs = entries.iter().enumerate().map(|(f, entry)| {
+            let n = entry.meta.n as usize;
+            let (order, records, start) = std::mem::take(&mut rest);
+            let (o, o_tail) = order.split_at_mut(n);
+            let (v, v_tail) = records.split_at_mut(n * elem);
+            rest = (o_tail, v_tail, start + n);
+            (f as u32, &**entry, o, v, start)
+        });
+        let sources = self.fan_out(jobs, workers, |(f, entry, o, v, start), counter| {
+            let top = self.linearize_source(f, entry, o, v, counter)?;
+            Ok((start, top))
+        })?;
+
+        // Stage 2: per address range — sort, count the survivors, then
+        // gather them into the range's slice of the output.
+        let sorted = |mut run: Vec<Record>| {
+            sort_by_address(&mut run);
+            let survivors = last_per_address(&run).count();
+            (run, survivors)
+        };
+        let runs: Vec<(Vec<Record>, usize)> = if workers > 1 && total > 0 {
+            let top = sources.iter().map(|&(_, top)| top).max().unwrap_or(0);
+            let jobs: Vec<_> = (address_ranges(&order, top, workers).into_iter())
+                .map(|(addrs, n)| (addrs, Vec::with_capacity(n)))
+                .collect();
+            let order = &order;
+            self.fan_out(jobs, workers, |(addrs, mut run), _| {
+                run.extend(order.iter().filter(|r| addrs.contains(&r.0)));
+                Ok(sorted(run))
+            })?
+        } else {
+            vec![sorted(std::mem::take(&mut order))]
+        };
+        drop(order);
+        let survivors: usize = runs.iter().map(|(_, n)| n).sum();
+        let mut coords = vec![0u64; survivors * ndim];
+        let mut payload = vec![0u8; survivors * elem];
+        let (mut coords_rest, mut payload_rest) = (&mut coords[..], &mut payload[..]);
+        let jobs = runs.into_iter().map(|(run, n)| {
+            let (c, c_tail) = std::mem::take(&mut coords_rest).split_at_mut(n * ndim);
+            let (p, p_tail) = std::mem::take(&mut payload_rest).split_at_mut(n * elem);
+            (coords_rest, payload_rest) = (c_tail, p_tail);
+            (run, c, p)
+        });
+        self.fan_out(jobs, workers, |(run, coords, payload), _| {
+            for (k, &(addr, (f, slot))) in last_per_address(&run).enumerate() {
+                // The address is the point: decoding it beats fetching the
+                // enumerated coordinates from wherever their source lies.
+                self.shape
+                    .delinearize_into(addr, &mut coords[k * ndim..(k + 1) * ndim]);
+                let at = sources[f as usize].0 + slot as usize;
+                payload[k * elem..(k + 1) * elem]
+                    .copy_from_slice(&records[at * elem..(at + 1) * elem]);
             }
-            let f = record_field(f, "merged fragment index")?;
-            let slots = record_field(coords.len(), "enumerated fragment length")?;
-            order.reserve(coords.len());
-            for slot in (0..slots).rev() {
-                let addr = self.shape.linearize(coords.point(slot as usize))?;
-                order.push((addr, (f, slot)));
-            }
-            sources.push((decoded, coords));
+            Ok(())
+        })?;
+        Ok((CoordBuffer::from_flat(ndim, coords)?, payload))
+    }
+
+    /// Stage 1 of a merge for one source, the `f`-th: fetch and decode
+    /// it, enumerate its points, and fill the two slices this source was
+    /// given, both sized from the catalog's point count: `order` with one
+    /// record per point, slots high to low, and `records` with a copy of
+    /// its value records. What it fetched is dropped here, so a worker
+    /// keeps nothing past its source. Returns the largest address.
+    fn linearize_source(
+        &self,
+        f: u32,
+        entry: &CatalogEntry,
+        order: &mut [Record],
+        records: &mut [u8],
+        counter: &OpCounter,
+    ) -> Result<u64> {
+        self.check_rewritable(entry)?;
+        let sections = self.fetch_for_merge(entry)?;
+        let coords = (entry.meta.kind.create()).enumerate(sections.index(), counter)?;
+        if coords.len() != order.len() {
+            let reason = format!(
+                "enumerated {} points, the header says {}",
+                coords.len(),
+                order.len()
+            );
+            return Err(StorageError::corrupt(&entry.name, reason));
         }
-        sort_by_address(&mut order);
-        let mut coords = Vec::with_capacity(order.len() * self.shape.ndim());
-        let mut payload = Vec::with_capacity(order.len() * elem);
-        for &(_, (f, slot)) in last_per_address(&order) {
-            let ((decoded, points), slot) = (&sources[f as usize], slot as usize);
-            coords.extend_from_slice(points.point(slot));
-            payload.extend_from_slice(&decoded.values[slot * elem..(slot + 1) * elem]);
+        let Some(values) = sections.values().get(..records.len()) else {
+            return Err(StorageError::corrupt(
+                &entry.name,
+                "enumerated more slots than records",
+            ));
+        };
+        records.copy_from_slice(values);
+        let slots = record_field(coords.len(), "enumerated fragment length")?;
+        let mut top = 0;
+        for (record, slot) in order.iter_mut().zip((0..slots).rev()) {
+            let addr = self.shape.linearize(coords.point(slot as usize))?;
+            top = top.max(addr);
+            *record = (addr, (f, slot));
         }
-        Ok((CoordBuffer::from_flat(self.shape.ndim(), coords)?, payload))
+        Ok(top)
     }
 
     /// Merge every fragment into one run (TileDB-style consolidation).
@@ -175,6 +323,19 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// sources), so a fragment written concurrently while the pass ran
     /// keeps precedence over the merged output instead of being shadowed.
     pub fn consolidate(&self) -> Result<ConsolidateReport> {
+        self.consolidate_with(None)
+    }
+
+    /// [`consolidate`](Self::consolidate) with every stage forced to
+    /// `workers` threads whatever [`planned_workers`] would decide — the
+    /// hook tests use to reach the fan-out on stores too small to earn
+    /// it. The stored bytes and names never depend on the width.
+    #[doc(hidden)]
+    pub fn consolidate_at_width(&self, workers: usize) -> Result<ConsolidateReport> {
+        self.consolidate_with(Some(workers))
+    }
+
+    fn consolidate_with(&self, forced_width: Option<usize>) -> Result<ConsolidateReport> {
         let _span = Span::enter(self.plane.as_ref(), SpanKind::Consolidate);
         // Buffered ingests belong in the merge: group-commit them first
         // so the pass sees them as an ordinary source fragment (a no-op
@@ -207,8 +368,9 @@ impl<B: StorageBackend> StorageEngine<B> {
         let id = FragmentId::replacing(&sources, self.epoch)?;
         drop(snapshot_span);
 
+        let workers = self.merge_width(&snapshot, forced_width);
         let merge_span = Span::enter(self.plane.as_ref(), SpanKind::ConsolidateMerge);
-        let (coords, payload) = self.merged_points_from(&snapshot)?;
+        let (coords, payload) = self.merged_points_from(&snapshot, workers)?;
         drop(merge_span);
 
         let target = match adaptive {
@@ -237,7 +399,16 @@ impl<B: StorageBackend> StorageEngine<B> {
         let convert_span =
             adaptive.map(|_| Span::enter(self.plane.as_ref(), SpanKind::ConsolidateConvert));
         let ends = part_ends(&coords);
-        let report = self.write_with(target, &coords, &payload, &ends, id, Some(&sources), true)?;
+        let report = self.write_with(
+            target,
+            &coords,
+            &payload,
+            &ends,
+            workers,
+            id,
+            Some(&sources),
+            true,
+        )?;
         drop(convert_span);
 
         self.retire_sources(&sources, &report.fragment)?;
@@ -255,6 +426,18 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// linear-address order, with its value record. Runs over the same
     /// scan layer as [`StorageEngine::consolidate`].
     pub fn export(&self) -> Result<(CoordBuffer, Vec<u8>)> {
+        self.export_with(None)
+    }
+
+    /// [`export`](Self::export) at a forced width, as
+    /// [`consolidate_at_width`](Self::consolidate_at_width) is to
+    /// `consolidate`.
+    #[doc(hidden)]
+    pub fn export_at_width(&self, workers: usize) -> Result<(CoordBuffer, Vec<u8>)> {
+        self.export_with(Some(workers))
+    }
+
+    fn export_with(&self, forced_width: Option<usize>) -> Result<(CoordBuffer, Vec<u8>)> {
         // Buffered ingests are part of the store: group-commit them so
         // the scan layer sees them (a no-op when the buffer is empty).
         self.flush()?;
@@ -262,7 +445,9 @@ impl<B: StorageBackend> StorageEngine<B> {
         // would retire fragments the scan still has to fetch: hold the
         // pass off for the whole scan, as `consolidate` does.
         let _guard = self.consolidate_lock.lock();
-        self.merged_points_from(&self.catalog.snapshot())
+        let snapshot = self.catalog.snapshot();
+        let workers = self.merge_width(&snapshot, forced_width);
+        self.merged_points_from(&snapshot, workers)
     }
 }
 

@@ -9,11 +9,12 @@
 //! job) that a read with nothing to overlap costs what the sequential
 //! path costs.
 
+use artsparse::metrics::SpanKind;
 use artsparse::patterns::rng::SplitMix64;
 use artsparse::storage::fragment::{decode_meta, FragmentMeta};
 use artsparse::storage::{
     EngineConfig, FragmentCatalog, MemBackend, SimulatedDisk, StorageBackend, StorageEngine,
-    PART_POINTS,
+    StorageError, PART_POINTS,
 };
 use artsparse::{CoordBuffer, FormatKind, Region, Shape};
 use proptest::prelude::*;
@@ -156,7 +157,9 @@ proptest! {
     /// `export()` is the oracle's last value per address, in address
     /// order, for every organization: as written (duplicates inside a
     /// fragment and across fragments), after `consolidate()`, and with an
-    /// ingested batch over existing addresses on top.
+    /// ingested batch over existing addresses on top — with the merge on
+    /// one thread and forced onto two, which must also leave the same
+    /// device, op counts and telemetry behind.
     #[test]
     fn export_is_the_last_writer_per_address((shape, fragments) in store_strategy()) {
         let mut model: BTreeMap<u64, f64> = oracle(&shape, &fragments)
@@ -173,8 +176,8 @@ proptest! {
         let batch_values: Vec<f64> = (0..overlap.len()).map(|k| -(k as f64) - 1.0).collect();
         model.extend(overlap.keys().copied().zip(batch_values.iter().copied()));
         let with_ingest: Vec<(u64, f64)> = model.into_iter().collect();
-        let exported = |e: &StorageEngine<MemBackend>| -> Vec<(u64, f64)> {
-            let (coords, payload) = e.export().unwrap();
+        let exported = |e: &StorageEngine<MemBackend>, width: usize| -> Vec<(u64, f64)> {
+            let (coords, payload) = e.export_at_width(width).unwrap();
             coords
                 .iter()
                 .zip(payload.chunks_exact(8))
@@ -182,15 +185,115 @@ proptest! {
                 .collect()
         };
         for kind in FormatKind::ALL {
-            let e = StorageEngine::open(populate(&shape, kind, &fragments), kind, shape.clone(), 8)
+            let mut left_behind = Vec::new();
+            for width in [1, 2] {
+                let e = StorageEngine::open_with(
+                    populate(&shape, kind, &fragments),
+                    kind,
+                    shape.clone(),
+                    8,
+                    EngineConfig::default().with_observability(Default::default()),
+                )
                 .unwrap();
-            prop_assert_eq!(&exported(&e), &as_written, "{} as written", kind);
-            e.consolidate().unwrap();
-            prop_assert_eq!(&exported(&e), &as_written, "{} consolidated", kind);
-            e.ingest_points::<f64>(&batch, &batch_values).unwrap();
-            prop_assert_eq!(&exported(&e), &with_ingest, "{} with an ingest on top", kind);
+                prop_assert_eq!(&exported(&e, width), &as_written, "{} as written, width {}", kind, width);
+                e.consolidate_at_width(width).unwrap();
+                prop_assert_eq!(&exported(&e, width), &as_written, "{} consolidated, width {}", kind, width);
+                e.ingest_points::<f64>(&batch, &batch_values).unwrap();
+                prop_assert_eq!(
+                    &exported(&e, width),
+                    &with_ingest,
+                    "{} with an ingest on top, width {}",
+                    kind,
+                    width
+                );
+                left_behind.push(left_behind_by(&e));
+            }
+            prop_assert_eq!(&left_behind[0], &left_behind[1], "{}: width 1 against 2", kind);
         }
     }
+}
+
+/// Everything an engine's passes leave behind that must not depend on
+/// how many threads ran them: every blob on the device, by name, the
+/// engine's `OpCounter` totals and its telemetry totals.
+fn left_behind_by(e: &StorageEngine<MemBackend>) -> impl PartialEq + std::fmt::Debug {
+    let device: Vec<(String, Vec<u8>)> = (e.backend().list().unwrap().into_iter())
+        .map(|name| {
+            let blob = e.backend().get(&name).unwrap();
+            (name, blob)
+        })
+        .collect();
+    let totals = e.telemetry_report().unwrap().totals;
+    (device, e.counter().snapshot(), totals)
+}
+
+/// Three overlapping 6 000-point batches in 256², written one fragment
+/// each under `kind`, on an engine with the telemetry plane on.
+fn three_batch_store(kind: FormatKind) -> StorageEngine<MemBackend> {
+    let shape = Shape::new(vec![256, 256]).unwrap();
+    let config = EngineConfig::default().with_observability(Default::default());
+    let e = StorageEngine::open_with(MemBackend::new(), kind, shape, 8, config).unwrap();
+    let mut rng = SplitMix64::new(29);
+    for batch in 0..3u8 {
+        let coords = random_coords(&mut rng, 256, 6_000);
+        e.write(&coords, &vec![batch; coords.len() * 8]).unwrap();
+    }
+    e
+}
+
+/// A store that consolidates into several parts, merged and re-encoded
+/// with every stage on one thread and on two: the export, the pass's
+/// report, the device's blobs and names, the op counts and the telemetry
+/// totals are identical for every organization, and every part's encode
+/// span — wherever it ran — carries the pass's trace id.
+#[test]
+fn consolidation_and_export_do_not_depend_on_the_width() {
+    for kind in FormatKind::ALL {
+        let [one, two] = [1, 2].map(|width| {
+            let e = three_batch_store(kind);
+            let exported = e.export_at_width(width).unwrap();
+            let report = e.consolidate_at_width(width).unwrap();
+            let events = e.telemetry_report().unwrap().events;
+            let pass = (events.iter())
+                .find(|ev| ev.kind == SpanKind::Consolidate)
+                .unwrap()
+                .trace_id;
+            let encodes = (events.iter())
+                .filter(|ev| ev.kind == SpanKind::WriteEncode && ev.trace_id == pass)
+                .count();
+            assert_eq!(encodes, report.parts, "{kind} width {width}");
+            let summary = (report.n_points, report.parts, report.fragment);
+            (exported, summary, left_behind_by(&e))
+        });
+        assert!(one.1 .1 > 1, "{kind}: {} parts", one.1 .1);
+        assert!(one == two, "{kind}: width 1 against 2");
+    }
+}
+
+/// A pass whose sources include damaged ones fails with the first damaged
+/// source's typed error, in source order, whichever thread met which
+/// first — and leaves the store as it was.
+#[test]
+fn a_corrupted_source_fails_the_pass_alike_at_every_width() {
+    let errors = [1, 2].map(|width| {
+        let e = three_batch_store(FormatKind::Linear);
+        let names = e.fragments().unwrap();
+        for victim in &names[1..] {
+            let mut blob = e.backend().get(victim).unwrap();
+            let last = blob.len() - 1;
+            blob[last] ^= 0x40;
+            e.backend().put(victim, &blob).unwrap();
+        }
+        let export = e.export_at_width(width).unwrap_err();
+        let consolidate = e.consolidate_at_width(width).unwrap_err();
+        assert!(
+            matches!(consolidate, StorageError::ChecksumMismatch { ref name, .. } if *name == names[1]),
+            "width {width}: {consolidate}"
+        );
+        assert_eq!(e.fragments().unwrap(), names, "width {width}");
+        (export.to_string(), consolidate.to_string())
+    });
+    assert_eq!(errors[0], errors[1]);
 }
 
 /// Interleaved writers and readers on one shared engine: reads never
