@@ -109,7 +109,7 @@ fn address_ranges(
             (lo, in_range) = (hi, 0);
         }
     }
-    cut.push((lo..u64::MAX, in_range));
+    cut.push((lo..u64::MAX, in_range + counts[BUCKETS - 1]));
     cut.retain(|(_, n)| *n > 0);
     cut
 }
@@ -158,14 +158,16 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// pass runs on `workers` threads ([`StorageEngine::fan_out`]) in two
     /// stages, each writing into buffers this thread sized and allocated:
     ///
-    /// 1. **per source** — fetch, verify, decode, enumerate, and linearize
-    ///    into the source's own slice of one record vector, sized from
+    /// 1. **per source** — fetch, verify, decode, enumerate, linearize
+    ///    into the source's own slice of one record vector and copy its
+    ///    value records into its slice of one flat array, both sized from
     ///    the catalog's point counts;
     /// 2. **per address range** — contiguous ranges cut from a histogram
     ///    of the addresses: each range gathers its records (input order
-    ///    kept, so precedence is), sorts them, and then copies its
-    ///    survivors into its slice of the output, placed by a prefix sum
-    ///    of the ranges' survivor counts.
+    ///    kept, so precedence is), sorts them, and then writes its
+    ///    survivors — coordinates decoded from the address, value records
+    ///    copied — into its slice of the output, placed by a prefix sum of
+    ///    the ranges' survivor counts.
     ///
     /// Equal addresses never straddle two ranges, so the output is the
     /// one-range output at every width.
@@ -541,6 +543,42 @@ mod tests {
             e.read_values::<f64>(&written).unwrap(),
             values.into_iter().map(Some).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn address_ranges_cover_every_record_once() {
+        let records =
+            |addrs: &[u64]| -> Vec<Record> { addrs.iter().map(|&addr| (addr, (0, 0))).collect() };
+        let check = |addrs: &[u64], ranges: usize| {
+            let records = records(addrs);
+            let top = addrs.iter().copied().max().unwrap_or(0);
+            let cut = address_ranges(&records, top, ranges);
+            assert!(cut.len() <= ranges, "{addrs:?}: {cut:?}");
+            assert!(cut.windows(2).all(|w| w[0].0.end <= w[1].0.start));
+            for (range, n) in &cut {
+                let inside = addrs.iter().filter(|a| range.contains(a)).count();
+                assert_eq!(inside, *n, "{addrs:?}: {range:?}");
+            }
+            let covered: usize = cut.iter().map(|(_, n)| n).sum();
+            assert_eq!(covered, addrs.len(), "{addrs:?}: {cut:?}");
+            cut
+        };
+        // Even spreads split evenly; the top bucket is counted.
+        let even: Vec<u64> = (0..4096).collect();
+        let cut = check(&even, 2);
+        assert_eq!(
+            cut.iter().map(|(_, n)| *n).collect::<Vec<_>>(),
+            [2048, 2048]
+        );
+        check(&[4095, 4095, 4094], 2);
+        check(&[0, 1 << 40, u64::MAX - 1], 3);
+        // One address, or none, is one range.
+        assert_eq!(check(&[7; 9], 4).len(), 1);
+        assert_eq!(check(&[], 2).len(), 0);
+        // Skewed: most records in the top bucket.
+        let mut skewed = vec![(1 << 20) - 1; 100];
+        skewed.extend([0, 1, 2]);
+        check(&skewed, 2);
     }
 
     #[test]
