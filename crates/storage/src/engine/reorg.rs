@@ -76,6 +76,11 @@ fn record_field(n: usize, what: &str) -> Result<u32> {
     })
 }
 
+/// How many times a consolidation pass fans out, each a spawn and a join
+/// of its workers: the merge's sources, its ranges' sorts, its ranges'
+/// gathers, and the re-encode's parts.
+const MERGE_ROUNDS: u64 = 4;
+
 /// One merge record: a point's linear address, then where it came from —
 /// the source's position in the merge and the point's slot in it.
 type Record = (u64, (u32, u32));
@@ -131,13 +136,18 @@ impl<B: StorageBackend> StorageEngine<B> {
     }
 
     /// How many threads a merge of `entries` runs on: the read path's
-    /// rule ([`planned_workers`]) over the sources' index lengths, one
-    /// enumerating pass over each — unless a test forces the width.
+    /// rule ([`planned_workers`]) over the bytes each source's fetch
+    /// moves — both sections, one enumerating pass — with every worker
+    /// paid for once per fan-out round of the pass ([`MERGE_ROUNDS`]),
+    /// unless a test forces the width.
     fn merge_width(&self, entries: &[Arc<CatalogEntry>], forced: Option<usize>) -> usize {
         forced.unwrap_or_else(|| {
+            let per_round = |entry: &Arc<CatalogEntry>| {
+                entry.meta.index_len.saturating_add(entry.meta.value_len) / MERGE_ROUNDS
+            };
             planned_workers(
                 self.config.effective_parallelism(),
-                entries.iter().map(|entry| entry.meta.index_len),
+                entries.iter().map(per_round),
                 1,
             )
         })
@@ -184,6 +194,7 @@ impl<B: StorageBackend> StorageEngine<B> {
             .try_fold(0usize, |sum, entry| {
                 sum.checked_add(usize::try_from(entry.meta.n).ok()?)
             })
+            .filter(|total| total.checked_mul(ndim.max(elem)).is_some())
             .ok_or_else(|| StorageError::Mismatch {
                 reason: "the merged fragments' point counts overflow".into(),
             })?;
