@@ -341,7 +341,9 @@ pub struct EngineConfig {
     /// per read: it fans out only when the fragments beside the largest
     /// one hold more work than the extra threads cost to spawn
     /// (DESIGN.md §8), so a point read over a few small fragments runs on
-    /// the caller alone whatever this is set to.
+    /// the caller alone whatever this is set to. A consolidation or export
+    /// is bounded by it too, and decides by the same rule per pass
+    /// (DESIGN.md §12).
     pub read_parallelism: usize,
     /// Retry policy for backend fetches (see [`RetryPolicy`]).
     pub retry: RetryPolicy,
@@ -404,7 +406,7 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// The most threads the read executor may use: [`read_parallelism`],
+    /// The most threads the engine's executor may use: [`read_parallelism`],
     /// or the host's available parallelism when that is zero. The host is
     /// asked once per process — the answer costs a syscall and a walk of
     /// the cgroup files, and a read consults this bound every time.
