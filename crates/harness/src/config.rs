@@ -56,10 +56,6 @@ pub struct Config {
     pub ndims: Vec<usize>,
     /// Where to write JSON/CSV artifacts (`None` = print only).
     pub out_dir: Option<PathBuf>,
-    /// Simulated-device bandwidth in MiB/s (used when `backend` is `Sim`).
-    pub sim_bandwidth_mib: f64,
-    /// Simulated-device per-operation latency in microseconds.
-    pub sim_latency_us: u64,
     /// Print each matrix cell's telemetry digest (span traces, I/O
     /// accounting, latency histograms). Cells always record it: their
     /// seconds are read off the spans.
@@ -100,8 +96,6 @@ impl Default for Config {
             patterns: Pattern::ALL.to_vec(),
             ndims: Scale::NDIMS.to_vec(),
             out_dir: None,
-            sim_bandwidth_mib: 2048.0,
-            sim_latency_us: 250,
             telemetry: false,
             telemetry_out: None,
             threads: 0,
@@ -115,13 +109,11 @@ impl Default for Config {
 
 impl Config {
     /// The streaming-ingest knobs the `ingest` experiment runs under:
-    /// WAL-protected batches, the `--ingest-flush-points` group-commit
-    /// threshold, and the size/time thresholds pushed out of the way so
-    /// the point threshold is the only self-flush trigger.
+    /// WAL-protected batches and the `--ingest-flush-points` group-commit
+    /// threshold, the only self-flush trigger its 8-byte records reach.
     pub fn ingest_config(&self) -> artsparse_storage::IngestConfig {
         artsparse_storage::IngestConfig {
             flush_points: self.ingest_flush_points.max(1),
-            flush_bytes: usize::MAX,
             flush_interval_ms: 1,
             ..Default::default()
         }
@@ -174,6 +166,12 @@ mod tests {
         assert_eq!(c.patterns.len(), 3);
         assert_eq!(c.ndims, vec![2, 3, 4]);
         assert_eq!(c.label(), "medium/sim");
+        // The simulated device is a constant.
+        assert_eq!(crate::matrix::SIM_BANDWIDTH_MIB, 2048.0);
+        assert_eq!(
+            crate::matrix::SIM_LATENCY,
+            std::time::Duration::from_micros(250)
+        );
     }
 
     #[test]

@@ -19,7 +19,7 @@ use artsparse_metrics::{OpCounter, Table};
 use artsparse_tensor::{CoordBuffer, Shape};
 
 /// The Fig. 1 tensor: 3×3×3 with five points v1..v5.
-pub fn fig1_tensor() -> (Shape, CoordBuffer) {
+fn fig1_tensor() -> (Shape, CoordBuffer) {
     let shape = Shape::cube(3, 3).expect("3x3x3 is valid");
     let coords = CoordBuffer::from_points(
         3,

@@ -9,13 +9,13 @@
 
 use crate::config::Config;
 use crate::experiments::ExperimentOutput;
+use crate::matrix::{SIM_BANDWIDTH_MIB, SIM_LATENCY};
 use crate::Result;
 use artsparse_metrics::Table;
 use artsparse_patterns::{Dataset, Pattern};
 use artsparse_storage::{MemBackend, SimulatedDisk, StorageBackend, StorageEngine, StripedBackend};
 use artsparse_tensor::value::pack;
 use serde::Serialize;
-use std::time::Duration;
 
 #[derive(Debug, Serialize)]
 struct Row {
@@ -26,12 +26,12 @@ struct Row {
     bytes: u64,
 }
 
-fn device(label: &str, cfg: &Config) -> Box<dyn StorageBackend> {
+fn device(label: &str) -> Box<dyn StorageBackend> {
     // Deliberately 16× slower than the fig3/table3 device so the transfer
     // term dominates latency and the striping effect is visible on
     // medium-scale fragments.
-    let bw = cfg.sim_bandwidth_mib / 16.0 * (1u64 << 20) as f64;
-    let lat = Duration::from_micros(cfg.sim_latency_us);
+    let bw = SIM_BANDWIDTH_MIB / 16.0 * (1u64 << 20) as f64;
+    let lat = SIM_LATENCY;
     match label {
         "mem" => Box::new(MemBackend::new()),
         "sim-1" => Box::new(SimulatedDisk::new(bw, lat)),
@@ -66,7 +66,7 @@ pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
             "WRITE time by device — {} ({} points; {} MiB/s per OST)",
             ds.label(),
             ds.nnz(),
-            cfg.sim_bandwidth_mib / 16.0
+            SIM_BANDWIDTH_MIB / 16.0
         ),
         &["format", "mem", "sim-1", "sim-2x", "sim-4x", "sim-8x"],
     );
@@ -74,7 +74,7 @@ pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
         let mut row = vec![format.name().to_string()];
         for dev in DEVICES {
             let engine = StorageEngine::open_with(
-                device(dev, cfg),
+                device(dev),
                 format,
                 ds.shape.clone(),
                 8,

@@ -37,7 +37,7 @@ struct Column {
 }
 
 /// The paper's measured Table III (seconds), for side-by-side reference.
-pub fn paper_breakdown() -> Vec<(&'static str, [f64; 5])> {
+fn paper_breakdown() -> Vec<(&'static str, [f64; 5])> {
     vec![
         // phase, then COO, LINEAR, GCSR++, GCSC++, CSF
         ("Build", [0.0, 0.0109, 0.1888, 0.4484, 0.3014]),

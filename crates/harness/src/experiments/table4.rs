@@ -12,7 +12,7 @@ use crate::Result;
 use artsparse_metrics::{overall_scores, ranking, Table};
 
 /// The scores the paper printed (Table IV), for reference.
-pub fn paper_scores() -> Vec<(&'static str, f64)> {
+fn paper_scores() -> Vec<(&'static str, f64)> {
     vec![
         ("COO", 0.76),
         ("LINEAR", 0.34),

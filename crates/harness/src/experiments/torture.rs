@@ -25,13 +25,12 @@
 //!
 //! 2. **Scheduler-live overload run (untimed).** The same fault knobs
 //!    against a live scheduler + exporter: transient bursts absorbed by
-//!    write retries, then a full-device window that drives the engine
+//!    retries, then a full-device window that drives the engine
 //!    `Healthy → Degraded → ReadOnly` while reads keep serving, then the
-//!    device heals and the *scheduler's* probes recover it — the
-//!    recovery time is reported (informational). The run itself checks
-//!    that the published `artsparse_health_state` gauge reads healthy;
-//!    the exporter directory is kept under `--out` (`torture-live`) for
-//!    `validate-journal` and `watch`.
+//!    device heals and the *scheduler's* probes recover it. The run
+//!    itself checks that the published `artsparse_health_state` gauge
+//!    reads healthy; the exporter directory is kept under `--out`
+//!    (`torture-live`) for `validate-journal` and `watch`.
 //!
 //! [`FailingBackend`]: artsparse_storage::FailingBackend
 
@@ -99,14 +98,7 @@ struct ScheduleRow {
 #[derive(Debug, Serialize)]
 struct LiveRow {
     acked_points: usize,
-    /// Mean wall-clock of a fault-free 16-point ingest batch.
-    healthy_batch_ns: u64,
-    /// Mean wall-clock of the same batch behind a 2-transient-fault
-    /// burst — the retry tax of degraded-mode ingest.
-    degraded_batch_ns: u64,
     reached_read_only: bool,
-    /// Informational: wall clock from device heal to `Healthy`.
-    recovery_ns: u64,
     health_transitions: usize,
     store_bytes: u64,
     verified: bool,
@@ -120,19 +112,17 @@ fn torture_engine_config() -> EngineConfig {
             // Only explicit/scheduled flushes: the caps, not the flush
             // thresholds, must bound memory.
             flush_points: usize::MAX,
-            flush_bytes: usize::MAX,
             flush_interval_ms: 1,
             max_buffered_bytes: BUFFER_CAP,
             max_wal_backlog_bytes: WAL_CAP,
             backpressure_resume_pct: 50,
         })
         // Zero backoff keeps seeded schedules fast and deterministic.
-        .with_write_retry(RetryPolicy {
+        .with_retry(RetryPolicy {
             max_attempts: 3,
             base_backoff: Duration::ZERO,
         })
         .with_health(HealthConfig {
-            degrade_after: 2,
             read_only_after: 4,
             probe_interval_ms: 0,
         })
@@ -367,32 +357,14 @@ fn run_live(dir: &Path) -> Result<LiveRow> {
             }
         };
 
-    // Healthy ingest with transient bursts the retry policy absorbs —
-    // the burst rows model a sick device (two transient faults plus
-    // 250 µs of per-op latency) and pay retries against it, timing the
-    // degraded-mode ingest tax.
-    let mut healthy_ns: Vec<u64> = Vec::new();
-    let mut degraded_ns: Vec<u64> = Vec::new();
+    // Healthy ingest with transient bursts the retry policy absorbs:
+    // every sixth row meets two transient write faults.
     for row in 0..24u64 {
-        let burst = row % 6 == 5;
-        if burst {
+        if row % 6 == 5 {
             engine.backend().fail_next_writes(2);
-            engine
-                .backend()
-                .set_write_latency(Duration::from_micros(250));
         }
-        let t = Instant::now();
         ingest_row(&engine, &mut acked, row)?;
-        let ns = t.elapsed().as_nanos() as u64;
-        if burst {
-            engine.backend().set_write_latency(Duration::ZERO);
-            degraded_ns.push(ns);
-        } else {
-            healthy_ns.push(ns);
-        }
     }
-    let mean = |v: &[u64]| v.iter().sum::<u64>() / v.len().max(1) as u64;
-    let (healthy_batch_ns, degraded_batch_ns) = (mean(&healthy_ns), mean(&degraded_ns));
 
     // The device fills: hammer until the health ladder bottoms out in
     // ReadOnly (every batch fails permanently, no retry can land).
@@ -410,7 +382,6 @@ fn run_live(dir: &Path) -> Result<LiveRow> {
 
     // Space frees; the *scheduler's* periodic probes must recover the
     // engine without any foreground help.
-    let healing_started = Instant::now();
     engine.backend().disarm();
     let deadline = Instant::now() + Duration::from_secs(10);
     while engine.health() != HealthState::Healthy {
@@ -419,7 +390,6 @@ fn run_live(dir: &Path) -> Result<LiveRow> {
         }
         std::thread::sleep(Duration::from_millis(1));
     }
-    let recovery_ns = healing_started.elapsed().as_nanos() as u64;
 
     // Writes flow again; drain and verify. Healthy does not mean drained:
     // the buffer may still sit at its cap until the scheduler's next
@@ -461,10 +431,7 @@ fn run_live(dir: &Path) -> Result<LiveRow> {
     let scrub = engine.scrub()?;
     Ok(LiveRow {
         acked_points: acked.len(),
-        healthy_batch_ns,
-        degraded_batch_ns,
         reached_read_only,
-        recovery_ns,
         health_transitions: transitions,
         store_bytes: engine.stats()?.total_bytes,
         verified: scrub.findings.is_empty(),
@@ -504,13 +471,9 @@ pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
     std::fs::create_dir_all(&live_dir)?;
     let live = run_live(&live_dir)?;
     eprintln!(
-        "[torture] live: {} acked point(s) · batch {} ns healthy / {} ns degraded · \
-         read-only reached · recovered in {:.1} ms · {} health transition(s)",
-        live.acked_points,
-        live.healthy_batch_ns,
-        live.degraded_batch_ns,
-        live.recovery_ns as f64 / 1e6,
-        live.health_transitions,
+        "[torture] live: {} acked point(s) · read-only reached and recovered · \
+         {} health transition(s)",
+        live.acked_points, live.health_transitions,
     );
 
     let mut table = Table::new(
@@ -548,10 +511,7 @@ pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
         "scheduler-live overload and recovery",
         &[
             "acked pts",
-            "healthy batch ns",
-            "degraded batch ns",
             "read-only",
-            "recovery ms",
             "transitions",
             "store B",
             "verified",
@@ -559,10 +519,7 @@ pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
     );
     live_table.push_row(vec![
         live.acked_points.to_string(),
-        live.healthy_batch_ns.to_string(),
-        live.degraded_batch_ns.to_string(),
         live.reached_read_only.to_string(),
-        format!("{:.1}", live.recovery_ns as f64 / 1e6),
         live.health_transitions.to_string(),
         live.store_bytes.to_string(),
         live.verified.to_string(),
@@ -578,7 +535,7 @@ pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
             "byte caps never exceeded (checked via the registry gauges), and".into(),
             "the engine always recovered to Healthy once the device healed.".into(),
             "The live phase drives a scheduler-run engine into ReadOnly under".into(),
-            "ENOSPC and measures automatic probe-driven recovery.".into(),
+            "ENOSPC and checks automatic probe-driven recovery.".into(),
         ],
         tables: vec![table, live_table],
         json: serde_json::json!({
@@ -627,7 +584,6 @@ mod tests {
         let live = &out.json["live"];
         assert_eq!(live["reached_read_only"].as_bool(), Some(true));
         assert_eq!(live["verified"].as_bool(), Some(true));
-        assert!(live["recovery_ns"].as_u64().unwrap() > 0);
         assert!(live["health_transitions"].as_u64().unwrap() >= 2);
         // The kept live exporter directory publishes the health gauge.
         let prom =

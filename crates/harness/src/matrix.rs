@@ -10,6 +10,13 @@ use artsparse_patterns::{Dataset, Scale};
 use artsparse_storage::{FsBackend, MemBackend, SimulatedDisk, StorageBackend, StorageEngine};
 use artsparse_tensor::value::pack;
 use serde::{Deserialize, Serialize};
+use std::time::Duration;
+
+/// Bandwidth of the simulated device (`--backend sim`), in MiB/s.
+pub(crate) const SIM_BANDWIDTH_MIB: f64 = 2048.0;
+
+/// Per-operation latency of the simulated device.
+pub(crate) const SIM_LATENCY: Duration = Duration::from_micros(250);
 
 /// One measured grid cell.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -110,8 +117,8 @@ pub fn make_backend(cfg: &Config, store: &str) -> Result<BackendHandle> {
         },
         BackendKind::Sim => BackendHandle {
             backend: Box::new(SimulatedDisk::new(
-                cfg.sim_bandwidth_mib * (1u64 << 20) as f64,
-                std::time::Duration::from_micros(cfg.sim_latency_us),
+                SIM_BANDWIDTH_MIB * (1u64 << 20) as f64,
+                SIM_LATENCY,
             )),
             _tmp: None,
         },

@@ -22,7 +22,6 @@ pub mod mtx;
 pub mod render;
 pub mod rng;
 pub mod spec;
-pub mod tns;
 pub mod tsp;
 
 pub use dataset::Dataset;

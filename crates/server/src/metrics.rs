@@ -16,7 +16,7 @@ use parking_lot::Mutex;
 
 /// Metric-safe rendering of a tenant name: the wire charset allows `-`,
 /// Prometheus metric names do not.
-pub fn sanitize_tenant(tenant: &str) -> String {
+fn sanitize_tenant(tenant: &str) -> String {
     tenant.replace('-', "_")
 }
 
@@ -51,9 +51,11 @@ pub struct ServerMetrics {
     pub datasets: Gauge,
 }
 
-impl ServerMetrics {
-    /// A fresh plane retaining `journal_capacity` events.
-    pub fn new(journal_capacity: usize) -> ServerMetrics {
+impl Default for ServerMetrics {
+    /// A fresh plane whose journal retains
+    /// [`DEFAULT_JOURNAL_CAPACITY`](artsparse_metrics::DEFAULT_JOURNAL_CAPACITY)
+    /// events.
+    fn default() -> ServerMetrics {
         let registry = MetricsRegistry::new();
         let sessions_open = registry.gauge(
             "artsparse_server_sessions_open",
@@ -94,7 +96,7 @@ impl ServerMetrics {
         );
         ServerMetrics {
             registry,
-            journal: Journal::new(journal_capacity.max(1)),
+            journal: Journal::default(),
             latency: Mutex::new(Histogram::new()),
             sessions_open,
             sessions_total,
@@ -108,7 +110,9 @@ impl ServerMetrics {
             datasets,
         }
     }
+}
 
+impl ServerMetrics {
     /// Record one served command's wall-clock latency.
     pub fn record_latency(&self, dur_ns: u64) {
         self.latency.lock().record(dur_ns);
@@ -193,7 +197,7 @@ mod tests {
 
     #[test]
     fn render_is_parseable_and_carries_tenant_gauges() {
-        let m = ServerMetrics::new(16);
+        let m = ServerMetrics::default();
         m.sessions_total.inc();
         m.commands_total.add(3);
         m.record_latency(1500);
@@ -216,7 +220,7 @@ mod tests {
 
     #[test]
     fn journal_events_flow_through_drain() {
-        let m = ServerMetrics::new(4);
+        let m = ServerMetrics::default();
         m.journal_session("session_open", "peer tcp:1".into(), 7);
         m.journal_warn("quota_refused", "tenant t".into(), 7);
         let events = m.journal.drain_new();

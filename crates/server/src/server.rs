@@ -102,16 +102,12 @@ pub struct ServerConfig {
     pub metrics_out: Option<PathBuf>,
     /// Publisher cadence in milliseconds.
     pub export_interval_ms: u64,
-    /// Socket read timeout — the drain-flag polling cadence.
-    pub session_read_timeout_ms: u64,
     /// Largest accepted `PUT`/`INGEST` batch, in points.
     pub max_batch_points: usize,
     /// Largest region a `SCAN` may visit (cells) and return (rows).
     pub scan_limit: usize,
     /// Whether the `SHUTDOWN` protocol command is honored.
     pub allow_shutdown: bool,
-    /// Journal ring capacity.
-    pub journal_capacity: usize,
 }
 
 impl Default for ServerConfig {
@@ -126,11 +122,9 @@ impl Default for ServerConfig {
             tenant_quotas: Vec::new(),
             metrics_out: None,
             export_interval_ms: 500,
-            session_read_timeout_ms: 250,
             max_batch_points: 1 << 20,
             scan_limit: 1 << 20,
             allow_shutdown: true,
-            journal_capacity: 1024,
         }
     }
 }
@@ -155,7 +149,7 @@ impl Server {
             config.scheduler,
             config.shards,
         ));
-        let metrics = Arc::new(ServerMetrics::new(config.journal_capacity));
+        let metrics = Arc::new(ServerMetrics::default());
         metrics.shards.set(registry.stripes() as f64);
         let quotas = QuotaBook::new(config.default_quota);
         for (tenant, quota) in &config.tenant_quotas {
@@ -176,7 +170,6 @@ impl Server {
             shutdown_rx,
             _shutdown_tx: shutdown_tx.clone(),
             metrics: Arc::clone(&metrics),
-            quotas: quotas.clone(),
             finished: false,
         };
         let accept = Arc::new(AcceptCtx {
@@ -190,7 +183,6 @@ impl Server {
                 scan_limit: config.scan_limit,
                 allow_shutdown: config.allow_shutdown,
             },
-            read_timeout: Duration::from_millis(config.session_read_timeout_ms.max(10)),
             sessions: Arc::clone(&handle.session_handles),
             session_ids: AtomicU64::new(0),
         });
@@ -261,7 +253,6 @@ struct AcceptCtx<F: BackendFactory> {
     stop: Arc<AtomicBool>,
     shutdown: Sender<()>,
     limits: Limits,
-    read_timeout: Duration,
     sessions: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
     session_ids: AtomicU64,
 }
@@ -304,6 +295,10 @@ impl<F: BackendFactory + Send + Sync + 'static> AcceptCtx<F> {
 
 const ACCEPT_POLL: Duration = Duration::from_millis(25);
 
+/// Socket read timeout of a session — the cadence at which it polls the
+/// drain flag between requests.
+const SESSION_READ_TIMEOUT: Duration = Duration::from_millis(250);
+
 fn tcp_accept_loop<F: BackendFactory + Send + Sync + 'static>(
     listener: &TcpListener,
     ctx: &AcceptCtx<F>,
@@ -311,11 +306,8 @@ fn tcp_accept_loop<F: BackendFactory + Send + Sync + 'static>(
     while !ctx.stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, peer)) => {
-                let timeout = ctx.read_timeout;
                 let session_ctx = ctx.session_ctx(format!("tcp:{peer}"));
-                ctx.spawn_session(session_ctx, move |sctx| {
-                    serve_tcp(stream, timeout, sctx);
-                });
+                ctx.spawn_session(session_ctx, move |sctx| serve_tcp(stream, sctx));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(ACCEPT_POLL);
@@ -325,8 +317,10 @@ fn tcp_accept_loop<F: BackendFactory + Send + Sync + 'static>(
     }
 }
 
-fn serve_tcp<F: BackendFactory>(stream: TcpStream, timeout: Duration, ctx: SessionCtx<F>) {
-    if stream.set_nonblocking(false).is_err() || stream.set_read_timeout(Some(timeout)).is_err() {
+fn serve_tcp<F: BackendFactory>(stream: TcpStream, ctx: SessionCtx<F>) {
+    if stream.set_nonblocking(false).is_err()
+        || stream.set_read_timeout(Some(SESSION_READ_TIMEOUT)).is_err()
+    {
         return;
     }
     // Each reply is one write: sent at once rather than held back by
@@ -347,12 +341,11 @@ fn unix_accept_loop<F: BackendFactory + Send + Sync + 'static>(
     while !ctx.stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
-                let timeout = ctx.read_timeout;
                 let id = ctx.session_ids.load(Ordering::Relaxed) + 1;
                 let session_ctx = ctx.session_ctx(format!("unix:{id}"));
                 ctx.spawn_session(session_ctx, move |sctx| {
                     if stream.set_nonblocking(false).is_err()
-                        || stream.set_read_timeout(Some(timeout)).is_err()
+                        || stream.set_read_timeout(Some(SESSION_READ_TIMEOUT)).is_err()
                     {
                         return;
                     }
@@ -387,7 +380,6 @@ pub struct ServerHandle {
     // last session closes.
     _shutdown_tx: Sender<()>,
     metrics: Arc<ServerMetrics>,
-    quotas: QuotaBook,
     finished: bool,
 }
 
@@ -409,12 +401,6 @@ impl ServerHandle {
     /// The bound Unix socket path.
     pub fn unix_path(&self) -> Option<&Path> {
         self.unix_path.as_deref()
-    }
-
-    /// Render the current Prometheus exposition (same text as the
-    /// `METRICS` command and the published `metrics.prom`).
-    pub fn render_metrics(&self) -> String {
-        self.metrics.render(&self.quotas)
     }
 
     /// Block until a session issues `SHUTDOWN` (or the server stops for
@@ -490,6 +476,9 @@ mod tests {
 
     #[test]
     fn starts_and_stops_without_listeners() {
+        // The session poll cadence and the journal ring are constants.
+        assert_eq!(SESSION_READ_TIMEOUT, Duration::from_millis(250));
+        assert_eq!(artsparse_metrics::DEFAULT_JOURNAL_CAPACITY, 1024);
         let mut handle = Server::start(ServerConfig::default(), MemFactory).unwrap();
         assert!(handle.tcp_addr().is_none());
         let report = handle.shutdown();

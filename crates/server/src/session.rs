@@ -710,7 +710,7 @@ mod tests {
         let ctx = SessionCtx {
             registry: Arc::new(registry),
             quotas: QuotaBook::new(default_quota),
-            metrics: Arc::new(ServerMetrics::new(64)),
+            metrics: Arc::new(ServerMetrics::default()),
             stop: Arc::new(AtomicBool::new(false)),
             shutdown: shutdown_tx,
             limits: Limits {

@@ -207,7 +207,6 @@ fn quotas_refuse_whole_batches_and_refund_engine_rejections() {
 fn backpressure_surfaces_as_a_typed_protocol_error() {
     let ingest = IngestConfig {
         flush_points: 1 << 30,
-        flush_bytes: 1 << 30,
         flush_interval_ms: u64::MAX,
         max_buffered_bytes: 64, // 8 f64 points
         max_wal_backlog_bytes: 0,
@@ -245,7 +244,6 @@ fn backpressure_surfaces_as_a_typed_protocol_error() {
 fn stats_reports_buffered_points_and_shed_batches() {
     let ingest = IngestConfig {
         flush_points: 1 << 30,
-        flush_bytes: 1 << 30,
         flush_interval_ms: u64::MAX,
         max_buffered_bytes: 24, // 3 f64 points
         ..IngestConfig::default()
@@ -290,9 +288,8 @@ fn write_faults_escalate_to_a_typed_read_only_error() {
     let backend = Arc::new(FailingBackend::new(MemBackend::new()));
     let config = ServerConfig {
         engine: EngineConfig::default()
-            .with_write_retry(RetryPolicy::none())
+            .with_retry(RetryPolicy::none())
             .with_health(HealthConfig {
-                degrade_after: 1,
                 read_only_after: 1,
                 probe_interval_ms: u64::MAX,
             }),
@@ -456,7 +453,6 @@ fn concurrent_sessions_on_one_dataset_keep_last_write_wins() {
         scheduler: Some(SchedulerConfig {
             tick_ms: 2,
             min_consolidate_interval_ms: 10,
-            ..SchedulerConfig::default()
         }),
         ..tcp_config()
     };

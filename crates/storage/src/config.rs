@@ -5,13 +5,15 @@ use artsparse_core::advisor::AccessProfile;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
-/// Bounded exponential backoff for transient read faults.
+/// Bounded exponential backoff for transient device faults.
 ///
-/// The engine wraps every backend fetch in this policy: an attempt that
-/// fails with a [transient] error (flaky I/O, or a checksum mismatch —
-/// a torn read re-fetches cleanly) sleeps and retries until the attempt
-/// budget runs out, at which point the last error is surfaced (wrapped
-/// in `RetriesExhausted` for I/O faults, so the cause chain survives).
+/// The engine wraps every backend call in this one policy — fetches and
+/// mutations alike (WAL appends, staged puts, rename-commits, deletes):
+/// an attempt that fails with a [transient] error (flaky I/O, or a
+/// checksum mismatch — a torn read re-fetches cleanly) sleeps and
+/// retries until the attempt budget runs out, at which point the last
+/// error is surfaced (wrapped in `RetriesExhausted` for I/O faults, so
+/// the cause chain survives).
 ///
 /// Each sleep is capped at [`MAX_BACKOFF`] and shortened by a jitter of
 /// up to [`JITTER_PCT`]% so concurrent retries decorrelate. Jitter is
@@ -151,13 +153,20 @@ impl ReorgProfile {
     }
 }
 
+/// Buffered value bytes at which the write buffer group-commits, beside
+/// [`IngestConfig::flush_points`]. With 8-byte records the point
+/// threshold's default (4 096 points, 32 KiB) trips long before this;
+/// it bounds the buffer's memory when records are wide.
+pub const FLUSH_BYTES: usize = 1 << 20;
+
 /// Thresholds for the streaming-ingest write buffer and its group
 /// commits, plus the admission-control caps that bound them.
 ///
 /// Ingested points accumulate in the in-memory write buffer (durably
-/// mirrored in the WAL) until one of these thresholds trips, at which
-/// point the buffer is flushed — group-committed — into one ordinary
-/// fragment and the covering WAL records are retired. The `max_*` caps
+/// mirrored in the WAL) until one of these thresholds, or
+/// [`FLUSH_BYTES`], trips, at which point the buffer is flushed —
+/// group-committed — into one ordinary fragment and the covering WAL
+/// records are retired. The `max_*` caps
 /// are hard admission limits: a batch that would push buffered bytes or
 /// WAL backlog past its cap is rejected with a typed
 /// [`Backpressure`](crate::error::StorageError::Backpressure) error
@@ -173,8 +182,6 @@ pub struct IngestConfig {
     /// threshold bounds buffered *work* (WAL bytes, replay cost), not
     /// distinct addresses.
     pub flush_points: usize,
-    /// Flush when the buffered value payload reaches this many bytes.
-    pub flush_bytes: usize,
     /// Age (milliseconds) past which the background scheduler flushes a
     /// non-empty buffer even below the size thresholds, bounding how
     /// long an acked point stays WAL-only. Only the scheduler acts on
@@ -198,7 +205,6 @@ impl Default for IngestConfig {
     fn default() -> Self {
         IngestConfig {
             flush_points: 4096,
-            flush_bytes: 1 << 20,
             flush_interval_ms: 1000,
             max_buffered_bytes: 256 << 20,
             max_wal_backlog_bytes: 1 << 30,
@@ -264,13 +270,6 @@ pub struct SchedulerConfig {
     /// Rate limit: minimum milliseconds between two consolidation
     /// passes, regardless of how fragmented the store looks.
     pub min_consolidate_interval_ms: u64,
-    /// Upper bound, in milliseconds, on how long
-    /// [`IngestScheduler::shutdown`](crate::scheduler::IngestScheduler::shutdown)
-    /// waits for the worker thread. A thread stuck inside a backend call
-    /// (hung device, injected write latency) is detached instead of
-    /// blocking drop forever, and the timeout is surfaced as a
-    /// `scheduler_error`. `0` waits indefinitely.
-    pub shutdown_timeout_ms: u64,
 }
 
 impl Default for SchedulerConfig {
@@ -278,10 +277,12 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             tick_ms: 50,
             min_consolidate_interval_ms: 250,
-            shutdown_timeout_ms: 5_000,
         }
     }
 }
+
+/// Consecutive write failures before `Healthy` drops to `Degraded`.
+pub const DEGRADE_AFTER: u32 = 2;
 
 /// Thresholds of the engine's write-path health state machine
 /// (`Healthy → Degraded → ReadOnly`, see
@@ -297,11 +298,8 @@ impl Default for SchedulerConfig {
 /// [`EngineConfig`] keeps deriving `Eq`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthConfig {
-    /// Consecutive write failures before `Healthy` drops to `Degraded`.
-    pub degrade_after: u32,
-    /// Consecutive write failures before the engine enters `ReadOnly`
-    /// (must be ≥ [`degrade_after`](HealthConfig::degrade_after) to be
-    /// reachable).
+    /// Consecutive write failures before the engine enters `ReadOnly`.
+    /// At or below [`DEGRADE_AFTER`] the engine skips `Degraded`.
     pub read_only_after: u32,
     /// Minimum milliseconds between two recovery probes while the engine
     /// is `ReadOnly`. The background scheduler drives probes on its
@@ -315,7 +313,6 @@ pub struct HealthConfig {
 impl Default for HealthConfig {
     fn default() -> Self {
         HealthConfig {
-            degrade_after: 2,
             read_only_after: 5,
             probe_interval_ms: 500,
         }
@@ -345,17 +342,11 @@ pub struct EngineConfig {
     /// is bounded by it too, and decides by the same rule per pass
     /// (DESIGN.md §12).
     pub read_parallelism: usize,
-    /// Retry policy for backend fetches (see [`RetryPolicy`]).
+    /// Retry policy for every backend call, fetches and mutations (see
+    /// [`RetryPolicy`]). On the write side an exhausted budget surfaces
+    /// `RetriesExhausted` and counts as one write failure toward
+    /// [`health`](EngineConfig::health).
     pub retry: RetryPolicy,
-    /// Retry policy for backend mutations — WAL appends, staged puts,
-    /// rename-commits, and retire/consolidation deletes. Same transient
-    /// classification and deterministic jitter as [`retry`], applied on
-    /// the write side; an exhausted budget surfaces `RetriesExhausted`
-    /// and counts as one write failure toward [`health`].
-    ///
-    /// [`retry`]: EngineConfig::retry
-    /// [`health`]: EngineConfig::health
-    pub write_retry: RetryPolicy,
     /// Write-path health thresholds (see [`HealthConfig`]).
     pub health: HealthConfig,
     /// Fail-closed reads (the default): a fragment that exhausts retries
@@ -395,7 +386,6 @@ impl Default for EngineConfig {
             cache_capacity_bytes: 0,
             read_parallelism: 0,
             retry: RetryPolicy::default(),
-            write_retry: RetryPolicy::default(),
             health: HealthConfig::default(),
             strict_reads: true,
             adaptive_reorg: None,
@@ -454,12 +444,6 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style write-retry-policy override.
-    pub fn with_write_retry(mut self, policy: RetryPolicy) -> Self {
-        self.write_retry = policy;
-        self
-    }
-
     /// Builder-style health-threshold override.
     pub fn with_health(mut self, health: HealthConfig) -> Self {
         self.health = health;
@@ -503,23 +487,25 @@ mod tests {
         assert!(c.observability.is_none());
         assert_eq!(c.retry, RetryPolicy::default());
         assert_eq!(c.retry.max_attempts, 3);
-        assert_eq!(c.write_retry, RetryPolicy::default());
+        assert_eq!(c.retry.base_backoff, Duration::from_millis(1));
         assert_eq!(c.health, HealthConfig::default());
-        assert!(c.health.degrade_after < c.health.read_only_after);
+        assert!(DEGRADE_AFTER < c.health.read_only_after);
         assert!(c.strict_reads);
         assert!(c.adaptive_reorg.is_none());
         assert_eq!(c.ingest, IngestConfig::default());
         assert_eq!(c.ingest.flush_points, 4096);
         assert!(c.effective_parallelism() >= 1);
+        // Constants that were settings hold the values they defaulted to.
+        assert_eq!(FLUSH_BYTES, 1 << 20);
+        assert_eq!(DEGRADE_AFTER, 2);
+        assert_eq!(crate::scheduler::SHUTDOWN_TIMEOUT, Duration::from_secs(5));
 
         let c = EngineConfig::default()
             .with_cache_capacity(1 << 20)
             .with_read_parallelism(2)
             .with_observability(ObservabilityConfig::default())
             .with_retry(RetryPolicy::none())
-            .with_write_retry(RetryPolicy::none())
             .with_health(HealthConfig {
-                degrade_after: 1,
                 read_only_after: 2,
                 probe_interval_ms: 10,
             })
@@ -528,7 +514,6 @@ mod tests {
         assert_eq!(c.effective_parallelism(), 2);
         assert!(c.observability.is_some());
         assert_eq!(c.retry.attempts(), 1);
-        assert_eq!(c.write_retry.attempts(), 1);
         assert_eq!(c.health.read_only_after, 2);
         assert!(!c.strict_reads);
     }
@@ -586,14 +571,13 @@ mod tests {
     fn ingest_and_scheduler_defaults() {
         let i = IngestConfig {
             flush_points: 8,
-            flush_bytes: 64,
             flush_interval_ms: 5,
             ..Default::default()
         };
         let c = EngineConfig::default().with_ingest(i);
         assert_eq!(c.ingest, i);
         let d = IngestConfig::default();
-        assert!(d.max_buffered_bytes > d.flush_bytes, "caps sit above flush");
+        assert!(d.max_buffered_bytes > FLUSH_BYTES, "caps sit above flush");
         assert!(d.max_wal_backlog_bytes > 0);
         assert!(d.backpressure_resume_pct <= 100);
 

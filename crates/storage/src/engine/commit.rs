@@ -321,7 +321,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         {
             let _stage = Span::enter(self.plane.as_ref(), SpanKind::WriteStage);
             for (staged, frag) in staged.iter().zip(frags) {
-                self.retry_write(staged, || self.backend.put(staged, frag))?;
+                self.retry(staged, || self.backend.put(staged, frag))?;
             }
         }
         if let Some((tomb, body)) = tombstone {
@@ -329,7 +329,7 @@ impl<B: StorageBackend> StorageEngine<B> {
             // crash right after the last rename must still delete the
             // sources, or the store doubles its points.
             let _tomb = Span::enter(self.plane.as_ref(), SpanKind::ConsolidateTombstone);
-            self.retry_write(tomb, || self.backend.put_atomic(tomb, body.as_bytes()))?;
+            self.retry(tomb, || self.backend.put_atomic(tomb, body.as_bytes()))?;
         }
         let _commit = Span::enter(
             self.plane.as_ref(),
@@ -340,7 +340,7 @@ impl<B: StorageBackend> StorageEngine<B> {
             },
         );
         for (staged, name) in staged.iter().zip(names) {
-            self.retry_write(name, || self.backend.rename(staged, name))?;
+            self.retry(name, || self.backend.rename(staged, name))?;
             *renamed += 1;
         }
         Ok(())
@@ -357,7 +357,7 @@ impl<B: StorageBackend> StorageEngine<B> {
             // the source as vanished instead of failing on NotFound.
             self.catalog.remove(name);
             self.cache.invalidate(name);
-            self.retry_write(name, || delete_if_present(&self.backend, name))?;
+            self.retry(name, || delete_if_present(&self.backend, name))?;
         }
         // The deletions are done; the tombstone is spent. Best effort —
         // recovery replays a leftover as a no-op.
@@ -667,7 +667,7 @@ mod tests {
             FormatKind::Linear,
             Shape::new(vec![16, 16]).unwrap(),
             8,
-            EngineConfig::default().with_write_retry(RetryPolicy {
+            EngineConfig::default().with_retry(RetryPolicy {
                 max_attempts: 4,
                 base_backoff: Duration::ZERO,
             }),

@@ -17,7 +17,7 @@ use super::StorageEngine;
 use crate::backend::StorageBackend;
 use crate::buffer::{BufferStats, WriteBuffer};
 use crate::codec::Codec;
-use crate::config::{HealthConfig, IngestConfig};
+use crate::config::{HealthConfig, IngestConfig, DEGRADE_AFTER};
 use crate::error::{Result, StorageError};
 use artsparse_metrics::{current_trace_id, now_ns, ObservabilityPlane, Severity};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -172,7 +172,7 @@ impl Health {
             .saturating_add(1);
         let target = if failures >= thresholds.read_only_after.max(1) {
             HealthState::ReadOnly
-        } else if failures >= thresholds.degrade_after.max(1) {
+        } else if failures >= DEGRADE_AFTER {
             HealthState::Degraded
         } else {
             HealthState::Healthy
@@ -511,10 +511,9 @@ mod tests {
             Shape::new(vec![16, 16]).unwrap(),
             8,
             EngineConfig::default()
-                .with_write_retry(RetryPolicy::none())
+                .with_retry(RetryPolicy::none())
                 .with_health(HealthConfig {
-                    degrade_after: 1,
-                    read_only_after: 2,
+                    read_only_after: 3,
                     probe_interval_ms: 0,
                 })
                 .with_observability(crate::config::ObservabilityConfig::default()),
@@ -524,15 +523,18 @@ mod tests {
         e.ingest_points::<f64>(&coords(&[[1, 1]]), &[1.0]).unwrap();
 
         e.backend().fail_next_writes(u64::MAX);
-        // First failed WAL append: Healthy -> Degraded. The batch was
-        // never acked, so it must not be visible.
+        // A first failed WAL append stays Healthy; the second drops to
+        // Degraded (DEGRADE_AFTER). The batches were never acked, so
+        // they must not be visible.
+        assert!(e.ingest_points::<f64>(&coords(&[[2, 2]]), &[2.0]).is_err());
+        assert_eq!(e.health(), HealthState::Healthy);
         assert!(e.ingest_points::<f64>(&coords(&[[2, 2]]), &[2.0]).is_err());
         assert_eq!(e.health(), HealthState::Degraded);
         assert_eq!(
             e.read_values::<f64>(&coords(&[[2, 2]])).unwrap(),
             vec![None]
         );
-        // Second: Degraded -> ReadOnly.
+        // Third: Degraded -> ReadOnly.
         assert!(e.ingest_points::<f64>(&coords(&[[3, 3]]), &[3.0]).is_err());
         assert_eq!(e.health(), HealthState::ReadOnly);
 
@@ -586,22 +588,19 @@ mod tests {
 
     #[test]
     fn out_of_space_is_permanent_and_parks_the_engine_read_only() {
-        use crate::config::{HealthConfig, RetryPolicy};
+        use crate::config::HealthConfig;
         use crate::faults::FailingBackend;
         let e = StorageEngine::open_with(
             FailingBackend::new(MemBackend::new()),
             FormatKind::Linear,
             Shape::new(vec![16, 16]).unwrap(),
             8,
-            EngineConfig::default()
-                // A generous retry budget must NOT spin on ENOSPC: the
-                // fault is permanent, so each ingest fails in one attempt.
-                .with_write_retry(RetryPolicy::default())
-                .with_health(HealthConfig {
-                    degrade_after: 1,
-                    read_only_after: 2,
-                    probe_interval_ms: 0,
-                }),
+            // The default retry budget must NOT spin on ENOSPC: the
+            // fault is permanent, so each ingest fails in one attempt.
+            EngineConfig::default().with_health(HealthConfig {
+                read_only_after: 2,
+                probe_interval_ms: 0,
+            }),
         )
         .unwrap();
         e.backend().set_out_of_space(true);
@@ -623,7 +622,6 @@ mod tests {
             FormatKind::Linear,
             EngineConfig::default().with_ingest(IngestConfig {
                 flush_points: usize::MAX,
-                flush_bytes: usize::MAX,
                 max_buffered_bytes: 64, // eight f64 records
                 backpressure_resume_pct: 50,
                 ..Default::default()
@@ -674,7 +672,6 @@ mod tests {
             FormatKind::Linear,
             EngineConfig::default().with_ingest(IngestConfig {
                 flush_points: usize::MAX,
-                flush_bytes: usize::MAX,
                 max_wal_backlog_bytes: one_blob + one_blob / 2,
                 backpressure_resume_pct: 50,
                 ..Default::default()

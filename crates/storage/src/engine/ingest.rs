@@ -11,6 +11,7 @@ use super::commit::WriteReport;
 use super::names::{format_fragment_name, FragmentId};
 use super::{delete_if_present, StorageEngine};
 use crate::backend::StorageBackend;
+use crate::config::FLUSH_BYTES;
 use crate::error::{Result, StorageError};
 use artsparse_metrics::{charge, Span, SpanKind};
 use artsparse_tensor::sort::{last_per_address, sort_by_address};
@@ -110,9 +111,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         // health ladder, the next flush or scheduler tick retries, and
         // the buffer cap is the back-stop — so it cannot fail the ack.
         let stats = self.buffer.stats();
-        if stats.points >= self.config.ingest.flush_points
-            || stats.value_bytes >= self.config.ingest.flush_bytes
-        {
+        if stats.points >= self.config.ingest.flush_points || stats.value_bytes >= FLUSH_BYTES {
             let _ = self.flush();
         }
         Ok(n)
@@ -135,11 +134,11 @@ impl<B: StorageBackend> StorageEngine<B> {
         self.health
             .admit_wal(&self.config.ingest, &self.wal, &name, blob.len() as u64)?;
         // The ack point: the batch is durable once this atomic put
-        // lands (re-attempted through the write retry policy for
+        // lands (re-attempted through the retry policy for
         // transient device faults). A put that dies mid-write persists
         // nothing (or a torn prefix the CRC framing rejects at replay),
         // and the error propagates before anything reaches the buffer.
-        let ack = self.retry_write(&name, || self.backend.put_atomic(&name, &blob));
+        let ack = self.retry(&name, || self.backend.put_atomic(&name, &blob));
         self.health.note_write(&self.config.health, &ack);
         match ack {
             Ok(()) => {

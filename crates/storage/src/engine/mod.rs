@@ -57,7 +57,7 @@ use crate::backend::StorageBackend;
 use crate::cache::FragmentCache;
 use crate::catalog::{CatalogEntry, FragmentCatalog};
 use crate::codec::Codec;
-use crate::config::{EngineConfig, RetryPolicy};
+use crate::config::EngineConfig;
 use crate::error::{Result, StorageError};
 use crate::observe::RecordingBackend;
 use artsparse_core::FormatKind;
@@ -458,16 +458,44 @@ impl<B: StorageBackend> StorageEngine<B> {
         Ok(())
     }
 
-    /// Run one fragment-fetch unit under the read-side
-    /// [`RetryPolicy`] (`config.retry`), see [`retry`].
-    pub(super) fn retry_read<T>(&self, name: &str, op: impl FnMut() -> Result<T>) -> Result<T> {
-        retry(&self.config.retry, name, op)
-    }
-
-    /// Run a mutating backend call under the write-side [`RetryPolicy`]
-    /// (`config.write_retry`), see [`retry`].
-    pub(super) fn retry_write<T>(&self, name: &str, op: impl FnMut() -> Result<T>) -> Result<T> {
-        retry(&self.config.write_retry, name, op)
+    /// Run one backend call — a fragment fetch or a mutation — under
+    /// the engine's one [`RetryPolicy`](crate::config::RetryPolicy)
+    /// (`config.retry`): transient failures (flaky I/O, checksum
+    /// mismatches — a re-fetch gets fresh bytes) are retried with bounded
+    /// exponential backoff and deterministic jitter seeded by the blob
+    /// name, charging one `retries` tick per re-attempt. On exhaustion a
+    /// checksum mismatch surfaces as itself (the caller cares *what* is
+    /// damaged), while a transient I/O error is wrapped in
+    /// [`StorageError::RetriesExhausted`] with the final error as its
+    /// source. Permanent errors (NotFound, corruption, no space, …)
+    /// return immediately, so vanished-fragment detection and fail-fast
+    /// semantics are unchanged.
+    pub(super) fn retry<T>(&self, name: &str, mut op: impl FnMut() -> Result<T>) -> Result<T> {
+        let policy = &self.config.retry;
+        let attempts = policy.attempts();
+        let seed = fnv1a(name.as_bytes());
+        let mut attempt = 0u32;
+        loop {
+            match op() {
+                Ok(v) => return Ok(v),
+                Err(e) if attempt + 1 < attempts && e.is_transient() => {
+                    charge(|io| io.retries += 1);
+                    let pause = policy.backoff(attempt, seed);
+                    if !pause.is_zero() {
+                        std::thread::sleep(pause);
+                    }
+                    attempt += 1;
+                }
+                Err(e @ StorageError::ChecksumMismatch { .. }) => return Err(e),
+                Err(e) if attempt > 0 && e.is_transient() => {
+                    return Err(StorageError::RetriesExhausted {
+                        attempts: attempt + 1,
+                        source: Box::new(e),
+                    })
+                }
+                Err(e) => return Err(e),
+            }
+        }
     }
 
     /// The engine's one executor (DESIGN.md §12): run `work` over `items`
@@ -552,43 +580,6 @@ impl<B: StorageBackend> StorageEngine<B> {
             });
         }
         Ok(())
-    }
-}
-
-/// Run `op` under `policy`: transient failures (flaky I/O, checksum
-/// mismatches — a re-fetch gets fresh bytes) are retried with bounded
-/// exponential backoff and deterministic jitter seeded by the blob name,
-/// charging one `retries` tick per re-attempt. On exhaustion a checksum
-/// mismatch surfaces as itself (the caller cares *what* is damaged),
-/// while a transient I/O error is wrapped in
-/// [`StorageError::RetriesExhausted`] with the final error as its
-/// source. Permanent errors (NotFound, corruption, no space, …) return
-/// immediately, so vanished-fragment detection and fail-fast semantics
-/// are unchanged.
-fn retry<T>(policy: &RetryPolicy, name: &str, mut op: impl FnMut() -> Result<T>) -> Result<T> {
-    let attempts = policy.attempts();
-    let seed = fnv1a(name.as_bytes());
-    let mut attempt = 0u32;
-    loop {
-        match op() {
-            Ok(v) => return Ok(v),
-            Err(e) if attempt + 1 < attempts && e.is_transient() => {
-                charge(|io| io.retries += 1);
-                let pause = policy.backoff(attempt, seed);
-                if !pause.is_zero() {
-                    std::thread::sleep(pause);
-                }
-                attempt += 1;
-            }
-            Err(e @ StorageError::ChecksumMismatch { .. }) => return Err(e),
-            Err(e) if attempt > 0 && e.is_transient() => {
-                return Err(StorageError::RetriesExhausted {
-                    attempts: attempt + 1,
-                    source: Box::new(e),
-                })
-            }
-            Err(e) => return Err(e),
-        }
     }
 }
 
@@ -752,6 +743,44 @@ mod tests {
         );
         // The typed payload survives the wrapping.
         assert!(crate::faults::injected_fault(&err).is_some());
+    }
+
+    #[test]
+    fn one_retry_policy_governs_reads_and_writes() {
+        use crate::config::{ObservabilityConfig, RetryPolicy};
+        use crate::faults::FailingBackend;
+        let open = |retry: RetryPolicy| {
+            StorageEngine::open_with(
+                FailingBackend::new(MemBackend::new()),
+                FormatKind::Linear,
+                Shape::new(vec![16, 16]).unwrap(),
+                8,
+                EngineConfig::default()
+                    .with_observability(ObservabilityConfig::default())
+                    .with_retry(retry),
+            )
+            .unwrap()
+        };
+        let retries = |e: &StorageEngine<FailingBackend<MemBackend>>| {
+            e.telemetry_report().unwrap().totals.retries
+        };
+        // No retries: one transient fault on the WAL append surfaces.
+        let e = open(RetryPolicy::none());
+        e.backend().fail_next_writes(1);
+        let err = e
+            .ingest_points::<f64>(&coords(&[[1, 1]]), &[1.0])
+            .unwrap_err();
+        assert!(err.is_transient(), "{err}");
+        assert_eq!(retries(&e), 0);
+        // Two attempts: the same fault is absorbed by one retry.
+        let e = open(RetryPolicy {
+            max_attempts: 2,
+            base_backoff: Duration::ZERO,
+        });
+        e.backend().fail_next_writes(1);
+        e.ingest_points::<f64>(&coords(&[[1, 1]]), &[1.0]).unwrap();
+        assert_eq!(e.backend().write_faults_remaining(), 0);
+        assert_eq!(retries(&e), 1);
     }
 
     #[test]

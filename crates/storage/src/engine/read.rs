@@ -596,7 +596,7 @@ impl<B: StorageBackend> StorageEngine<B> {
             None => {
                 let _fetch = Span::enter(self.plane.as_ref(), SpanKind::ReadFetch);
                 let reader = self.reader(entry);
-                fetched_index = self.retry_read(name, || reader.index())?;
+                fetched_index = self.retry(name, || reader.index())?;
                 fetched_index.bytes()
             }
         };
@@ -656,7 +656,7 @@ impl<B: StorageBackend> StorageEngine<B> {
     }
 
     /// The reader of a cataloged fragment on this engine's device; each
-    /// of its calls runs under [`retry_read`](Self::retry_read).
+    /// of its calls runs under [`retry`](Self::retry).
     pub(super) fn reader<'a>(
         &'a self,
         entry: &'a CatalogEntry,
@@ -679,12 +679,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         let name = &entry.name;
         let meta = &entry.meta;
         let reader = self.reader(entry);
-        let whole = || {
-            Ok(vec![(
-                0,
-                self.retry_read(name, || reader.values())?.into_vec(),
-            )])
-        };
+        let whole = || Ok(vec![(0, self.retry(name, || reader.values())?.into_vec())]);
         if meta.value_codec != Codec::None {
             return whole();
         }
@@ -709,7 +704,7 @@ impl<B: StorageBackend> StorageEngine<B> {
             return whole();
         }
         (runs.into_iter())
-            .map(|(lo, hi)| Ok((lo, self.retry_read(name, || reader.value_run(lo, hi))?)))
+            .map(|(lo, hi)| Ok((lo, self.retry(name, || reader.value_run(lo, hi))?)))
             .collect()
     }
 
@@ -747,8 +742,8 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// Both sections of a fragment, fetched, verified and decoded.
     fn fetch_sections(&self, entry: &CatalogEntry) -> Result<(DecodedSection, DecodedSection)> {
         let reader = self.reader(entry);
-        let index = self.retry_read(&entry.name, || reader.index())?;
-        Ok((index, self.retry_read(&entry.name, || reader.values())?))
+        let index = self.retry(&entry.name, || reader.index())?;
+        Ok((index, self.retry(&entry.name, || reader.values())?))
     }
 }
 

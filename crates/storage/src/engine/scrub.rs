@@ -99,10 +99,10 @@ impl<B: StorageBackend> StorageEngine<B> {
     fn scrub_fragment(&self, entry: &CatalogEntry) -> Result<()> {
         let name = &entry.name;
         let reader = self.reader(entry);
-        self.retry_read(name, || reader.verify(FragmentSection::Header))?;
+        self.retry(name, || reader.verify(FragmentSection::Header))?;
         reader.check_size(self.backend.size(name)?)?;
         for section in [FragmentSection::Index, FragmentSection::Value] {
-            self.retry_read(name, || reader.verify(section))?;
+            self.retry(name, || reader.verify(section))?;
         }
         Ok(())
     }

@@ -12,7 +12,7 @@
 //! **Write faults** (the write-path fault-domain work):
 //! N-transient-errors-then-succeed across every mutating operation, a
 //! persistent `ENOSPC`-style no-space mode, and per-write latency — the
-//! primitives the write retry policy, backpressure, and health state
+//! primitives the retry policy, backpressure, and health state
 //! machine are tortured against. A **crash at an operation boundary**
 //! lets the next N write operations land and fails every later one, so a
 //! test can kill a multi-blob commit between any two of its steps.
@@ -257,8 +257,8 @@ impl<B: StorageBackend> FailingBackend<B> {
     /// Arm `n` transient write faults: the next `n` write operations
     /// (`put`/`put_atomic`/`put_exclusive`/`rename`/`delete`) fail with
     /// a retryable error and leave device state untouched, then writes
-    /// succeed again — the N-errors-then-succeed shape the write-side
-    /// retry policy is tested against.
+    /// succeed again — the N-errors-then-succeed shape the retry policy
+    /// is tested against on the write side.
     pub fn fail_next_writes(&self, n: u64) {
         self.write_faults_left.store(n, Ordering::SeqCst);
     }

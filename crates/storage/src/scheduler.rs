@@ -32,9 +32,9 @@
 //! [`IngestScheduler::shutdown`]
 //! (also run on drop) stops the thread cleanly: the current pass
 //! finishes, no new one starts, and the thread is joined — but the wait
-//! is bounded by [`SchedulerConfig::shutdown_timeout_ms`]: a worker
-//! stuck inside a hung backend call is detached and surfaced as a
-//! `scheduler_error` instead of blocking drop forever.
+//! is bounded by [`SHUTDOWN_TIMEOUT`]: a worker stuck inside a hung
+//! backend call is detached and surfaced as a `scheduler_error` instead
+//! of blocking drop forever.
 //!
 //! [`IngestConfig::flush_interval_ms`]: crate::config::IngestConfig::flush_interval_ms
 
@@ -50,6 +50,12 @@ use std::time::{Duration, Instant};
 /// Runs one log₂-size tier must hold before the scheduler consolidates.
 pub const TIER_RUNS: usize = 4;
 
+/// Upper bound on how long [`IngestScheduler::shutdown`] waits for the
+/// worker thread. A thread stuck inside a backend call (hung device,
+/// injected write latency) is detached instead of blocking drop
+/// forever, and the timeout is surfaced as a `scheduler_error`.
+pub const SHUTDOWN_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// What the handle and its thread share: the stop request, and the
 /// thread's "finished" flag the bounded shutdown waits on.
 #[derive(Default)]
@@ -60,11 +66,10 @@ struct Shared {
 
 /// Handle to the background scheduler thread. Dropping it shuts the
 /// thread down cleanly (current pass finishes, thread joined, wait
-/// bounded by [`SchedulerConfig::shutdown_timeout_ms`]).
+/// bounded by [`SHUTDOWN_TIMEOUT`]).
 pub struct IngestScheduler {
     shared: Arc<Shared>,
     handle: Option<std::thread::JoinHandle<()>>,
-    shutdown_timeout: Duration,
     note_error: Arc<dyn Fn(&StorageError) + Send + Sync>,
 }
 
@@ -80,7 +85,6 @@ impl IngestScheduler {
     {
         let shared = Arc::new(Shared::default());
         let worker = Arc::clone(&shared);
-        let shutdown_timeout = Duration::from_millis(config.shutdown_timeout_ms);
         // Weak: the handle must not keep the engine alive (callers
         // reclaim it with Arc::into_inner after shutdown).
         let note_engine = Arc::downgrade(&engine);
@@ -91,7 +95,6 @@ impl IngestScheduler {
         IngestScheduler {
             shared,
             handle: Some(handle),
-            shutdown_timeout,
             note_error: Arc::new(move |e| {
                 if let Some(engine) = note_engine.upgrade() {
                     engine.note_scheduler_error(e);
@@ -102,22 +105,18 @@ impl IngestScheduler {
 
     /// Stop the scheduler: no new pass starts, the in-flight pass (if
     /// any) completes, and the thread is joined before this returns —
-    /// waiting at most [`SchedulerConfig::shutdown_timeout_ms`]. A
-    /// worker stuck inside a hung backend call (a device that never
-    /// returns) is *detached* rather than joined, so drop never hangs;
-    /// the timeout is counted as a scheduler error and journaled as a
-    /// `scheduler_error` event. Idempotent; also runs on drop.
+    /// waiting at most [`SHUTDOWN_TIMEOUT`]. A worker stuck inside a hung
+    /// backend call (a device that never returns) is *detached* rather
+    /// than joined, so drop never hangs; the timeout is counted as a
+    /// scheduler error and journaled as a `scheduler_error` event.
+    /// Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
         let Some(handle) = self.handle.take() else {
             return;
         };
         handle.thread().unpark();
-        if self.shutdown_timeout.is_zero() {
-            let _ = handle.join();
-            return;
-        }
-        let deadline = Instant::now() + self.shutdown_timeout;
+        let deadline = Instant::now() + SHUTDOWN_TIMEOUT;
         while !self.shared.done.load(Ordering::SeqCst) {
             if Instant::now() >= deadline {
                 // The worker is wedged inside a backend call. Joining
@@ -128,7 +127,7 @@ impl IngestScheduler {
                     std::io::ErrorKind::TimedOut,
                     format!(
                         "scheduler shutdown timed out after {:?}; detaching the stuck                          worker thread",
-                        self.shutdown_timeout
+                        SHUTDOWN_TIMEOUT
                     ),
                 ));
                 (self.note_error)(&error);
@@ -307,7 +306,6 @@ mod tests {
             SchedulerConfig {
                 tick_ms: 1,
                 min_consolidate_interval_ms: 0,
-                ..Default::default()
             },
         );
         let deadline = Instant::now() + Duration::from_secs(10);
@@ -332,7 +330,6 @@ mod tests {
         let engine = shared_engine(IngestConfig {
             // Size thresholds far away; staleness is the only trigger.
             flush_points: 1_000_000,
-            flush_bytes: usize::MAX,
             flush_interval_ms: 1,
             ..Default::default()
         });
@@ -377,7 +374,6 @@ mod tests {
             SchedulerConfig {
                 tick_ms: 1,
                 min_consolidate_interval_ms: 0,
-                ..Default::default()
             },
         );
         let deadline = Instant::now() + Duration::from_secs(10);
@@ -410,7 +406,6 @@ mod tests {
                 EngineConfig::default()
                     .with_ingest(IngestConfig {
                         flush_points: 1_000_000,
-                        flush_bytes: usize::MAX,
                         flush_interval_ms: 0,
                         ..Default::default()
                     })
@@ -517,7 +512,6 @@ mod tests {
                 EngineConfig::default()
                     .with_ingest(IngestConfig {
                         flush_points: 1_000_000,
-                        flush_bytes: usize::MAX,
                         flush_interval_ms: 0, // every tick wants to flush
                         ..Default::default()
                     })
@@ -533,7 +527,6 @@ mod tests {
             Arc::clone(&engine),
             SchedulerConfig {
                 tick_ms: 1,
-                shutdown_timeout_ms: 100,
                 ..Default::default()
             },
         );
@@ -563,7 +556,6 @@ mod tests {
         // buffer either flushed whole or not at all.
         let engine = shared_engine(IngestConfig {
             flush_points: 1_000_000,
-            flush_bytes: usize::MAX,
             flush_interval_ms: 0,
             ..Default::default()
         });

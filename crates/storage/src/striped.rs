@@ -29,11 +29,6 @@ impl<B: StorageBackend> StripedBackend<B> {
         }
     }
 
-    /// Number of devices (the stripe count).
-    pub fn stripe_count(&self) -> usize {
-        self.devices.len()
-    }
-
     /// Access the inner devices (e.g. for per-OST statistics).
     pub fn devices(&self) -> &[B] {
         &self.devices

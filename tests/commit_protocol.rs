@@ -940,7 +940,6 @@ fn empty_buffer_flush_touches_nothing() {
 fn scheduler_shutdown_mid_flush_leaves_consistent_store() {
     let config = EngineConfig::default().with_ingest(IngestConfig {
         flush_points: 1_000_000,
-        flush_bytes: usize::MAX,
         flush_interval_ms: 0, // every tick wants to flush
         ..Default::default()
     });

@@ -356,12 +356,10 @@ fn chaos_write_faults_never_lose_acked_batches() {
             // Explicit flushes only — the schedule decides when groups
             // commit, so every fault window hits a known operation.
             flush_points: usize::MAX,
-            flush_bytes: usize::MAX,
             ..IngestConfig::default()
         })
-        .with_write_retry(instant_retries(3))
+        .with_retry(instant_retries(3))
         .with_health(HealthConfig {
-            degrade_after: 2,
             read_only_after: 4,
             probe_interval_ms: 0,
         });
