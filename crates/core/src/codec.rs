@@ -83,29 +83,24 @@ impl IndexEncoder {
 
     /// Append a length-prefixed section of u64 words.
     pub fn put_section(&mut self, words: &[u64]) {
-        self.buf.reserve(8 + words.len() * 8);
-        self.buf.put_u64_le(words.len() as u64);
-        for &w in words {
-            self.buf.put_u64_le(w);
-        }
+        self.put_section_from(words.len(), words.iter().copied());
     }
 
-    /// Append a length-prefixed section of `len` zero words, to be filled
-    /// in any order with [`set_word`](Self::set_word); returns where its
-    /// first word is.
-    pub fn put_zeroed_section(&mut self, len: usize) -> usize {
+    /// Append a length-prefixed section of the `len` words `words`
+    /// yields, written as they come: a builder that produces a section in
+    /// order needs no buffer of its own for it.
+    pub fn put_section_from(&mut self, len: usize, words: impl IntoIterator<Item = u64>) {
         self.buf.put_u64_le(len as u64);
-        let at = self.buf.len();
-        self.buf.resize(at + len * 8, 0);
-        at
-    }
-
-    /// Set word `i` of the section [`put_zeroed_section`] placed at `at`.
-    ///
-    /// [`put_zeroed_section`]: Self::put_zeroed_section
-    pub fn set_word(&mut self, at: usize, i: usize, word: u64) {
-        let at = at + i * 8;
-        self.buf[at..at + 8].copy_from_slice(&word.to_le_bytes());
+        let start = self.buf.len();
+        // Sized first, then overwritten in place: a store per word, where
+        // growing the buffer word by word checks its capacity each time.
+        self.buf.resize(start + len * 8, 0);
+        let mut written = 0;
+        for (slot, w) in self.buf[start..].chunks_exact_mut(8).zip(words) {
+            slot.copy_from_slice(&w.to_le_bytes());
+            written += 1;
+        }
+        debug_assert_eq!(written, len, "section length");
     }
 
     /// Finish, returning the encoded bytes.

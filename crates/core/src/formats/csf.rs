@@ -44,30 +44,54 @@ pub struct CsfTree {
     pub fptr: Vec<Vec<u64>>,
 }
 
+/// One pass over lexicographically sorted points: the level at which
+/// each opens its first node — where it diverges from its predecessor;
+/// every point opens a leaf, so exact duplicates still get their own (the
+/// paper sets nfibs[d-1] = number of points) — and the points' local
+/// boundary (Algorithm 2 line 5), `None` when there are none or it has no
+/// `u64` address space.
+fn scan_sorted(sorted: &CoordBuffer) -> (Vec<u32>, Option<Shape>) {
+    let d = sorted.ndim();
+    let internal = d.saturating_sub(1);
+    let mut opens = Vec::with_capacity(sorted.len());
+    let mut corner = vec![0u64; d];
+    let mut prev: &[u64] = &[];
+    for p in sorted.iter() {
+        let same = prev.iter().zip(&p[..internal]);
+        opens.push(same.take_while(|(a, b)| a == b).count() as u32);
+        corner
+            .iter_mut()
+            .zip(p)
+            .for_each(|(c, &x)| *c = (*c).max(x));
+        prev = p;
+    }
+    let dims: Option<Vec<u64>> = corner.iter().map(|c| c.checked_add(1)).collect();
+    let bounds = dims.filter(|_| !sorted.is_empty());
+    (opens, bounds.and_then(|dims| Shape::new(dims).ok()))
+}
+
 /// Build and serialize the tree of lexicographically sorted,
 /// dimension-permuted points (Algorithm 2 lines 8–19) straight into its
 /// index — shared by the sorting build and the presorted one, which skips
-/// the sort. One pass counts each level's nodes, a second writes every
-/// node where it goes, so the index is the build's one large allocation.
-/// Returns it with its payload word count (what `Emit` charges).
-fn encode_sorted(shape: &Shape, order: &[usize], sorted: &CoordBuffer) -> (Vec<u8>, u64) {
+/// the sort. `opens` is [`scan_sorted`]'s; every section is one pass over
+/// it, written in index order, so the index is the build's one large
+/// allocation. Returns it with its payload word count (what `Emit`
+/// charges).
+fn encode_sorted(
+    shape: &Shape,
+    order: &[usize],
+    sorted: &CoordBuffer,
+    opens: &[u32],
+) -> (Vec<u8>, u64) {
     let d = shape.ndim();
-    let internal = d.saturating_sub(1);
-    // The first level at which point `j` opens a node: where it diverges
-    // from its predecessor. Exact duplicates still get their own leaf
-    // (the paper sets nfibs[d-1] = number of points).
-    let first_new = |j: usize| -> usize {
-        let Some(prev) = j.checked_sub(1).map(|i| sorted.point(i)) else {
-            return 0;
-        };
-        let p = sorted.point(j);
-        (0..d).find(|&k| p[k] != prev[k]).unwrap_or(d).min(internal)
-    };
+    let internal = d - 1;
+    let points = sorted.as_flat();
     let mut nfibs = vec![0u64; d];
-    for j in 0..sorted.len() {
-        nfibs[first_new(j)..]
-            .iter_mut()
-            .for_each(|count| *count += 1);
+    for &lvl in opens {
+        nfibs[lvl as usize] += 1;
+    }
+    for lvl in 1..d {
+        nfibs[lvl] += nfibs[lvl - 1];
     }
     let order_words: Vec<u64> = order.iter().map(|&o| o as u64).collect();
     let nodes: u64 = nfibs.iter().sum();
@@ -81,31 +105,30 @@ fn encode_sorted(shape: &Shape, order: &[usize], sorted: &CoordBuffer) -> (Vec<u
     );
     enc.put_section(&order_words);
     enc.put_section(&nfibs);
-    // Where each level's fids start, then each internal level's fptr.
-    let fids_at: Vec<usize> = (nfibs.iter())
-        .map(|&f| enc.put_zeroed_section(f as usize))
-        .collect();
-    let fptr_at: Vec<usize> = nfibs[..internal]
-        .iter()
-        .map(|&f| enc.put_zeroed_section(f as usize + 1))
-        .collect();
-    // Nodes written so far per level.
-    let mut nodes_at = vec![0usize; d];
-    for j in 0..sorted.len() {
-        let p = sorted.point(j);
-        for lvl in first_new(j)..d {
-            if lvl < internal {
-                // This node's children begin at the current end of the
-                // next level (its first child is written right after).
-                enc.set_word(fptr_at[lvl], nodes_at[lvl], nodes_at[lvl + 1] as u64);
-            }
-            enc.set_word(fids_at[lvl], nodes_at[lvl], p[lvl]);
-            nodes_at[lvl] += 1;
-        }
+    // fids[lvl]: the coordinate of every point that opens a node there
+    // (at the leaf level, every point).
+    for (lvl, &count) in nfibs[..internal].iter().enumerate() {
+        let opening = opens.iter().zip(points.chunks_exact(d));
+        let fids = opening
+            .filter(|(&at, _)| at as usize <= lvl)
+            .map(|(_, p)| p[lvl]);
+        enc.put_section_from(count as usize, fids);
     }
-    // Close the last open node at every internal level.
+    let leaves = points.chunks_exact(d).map(|p| p[internal]);
+    enc.put_section_from(sorted.len(), leaves);
+    // fptr[lvl]: a node's children begin at the number of level-(lvl+1)
+    // nodes opened before the point that opened it; the last entry closes
+    // the last node.
     for lvl in 0..internal {
-        enc.set_word(fptr_at[lvl], nodes_at[lvl], nodes_at[lvl + 1] as u64);
+        let mut below = 0u64;
+        let starts = opens.iter().filter_map(|&at| {
+            let at = at as usize;
+            let start = (at <= lvl).then_some(below);
+            below += u64::from(at <= lvl + 1);
+            start
+        });
+        let fptr = starts.chain(std::iter::once(nfibs[lvl + 1]));
+        enc.put_section_from(nfibs[lvl] as usize + 1, fptr);
     }
     (enc.finish(), payload)
 }
@@ -297,6 +320,31 @@ fn binary_search_counted(seg: Words<'_>, target: u64) -> (Option<usize>, u64) {
     (None, compares)
 }
 
+/// `bounds`, the points' local boundary (Algorithm 2 line 5), checked
+/// against `shape`: every point lies in `shape` exactly when the boundary
+/// does, so only a buffer that fails pays for
+/// [`CoordBuffer::check_against`]'s point-by-point error. Points without
+/// a boundary have `shape`'s.
+fn checked_boundary(coords: &CoordBuffer, shape: &Shape, bounds: Option<Shape>) -> Result<Shape> {
+    match bounds {
+        Some(s_l)
+            if s_l.ndim() == shape.ndim()
+                && s_l.dims().iter().zip(shape.dims()).all(|(l, m)| l <= m) =>
+        {
+            Ok(s_l)
+        }
+        _ => {
+            coords.check_against(shape)?;
+            if coords.is_empty() {
+                return Ok(shape.clone());
+            }
+            Err(FormatError::corrupt(
+                "local boundary exceeds a shape that holds every point",
+            ))
+        }
+    }
+}
+
 /// Build CSF from points already lexicographically sorted in *original*
 /// dimension order — the presorted entry used by [`crate::convert`].
 ///
@@ -311,11 +359,9 @@ pub(crate) fn build_csf_presorted(
     shape: &Shape,
     counter: &OpCounter,
 ) -> Result<Option<BuildOutput>> {
-    coords.check_against(shape)?;
     let n = coords.len();
-    let s_l = coords
-        .local_boundary_shape()
-        .unwrap_or_else(|| shape.clone());
+    let (opens, bounds) = scan_sorted(coords);
+    let s_l = checked_boundary(coords, shape, bounds)?;
     let order = s_l.ascending_dim_order();
     if order.iter().enumerate().any(|(i, &o)| i != o) {
         return Ok(None);
@@ -324,7 +370,7 @@ pub(crate) fn build_csf_presorted(
         (1..n).all(|j| coords.point(j - 1) <= coords.point(j)),
         "input not lexicographically sorted"
     );
-    let (index, payload_words) = encode_sorted(&s_l, &order, coords);
+    let (index, payload_words) = encode_sorted(&s_l, &order, coords, &opens);
     counter.add(OpKind::Transform, (n * s_l.ndim()) as u64);
     counter.add(OpKind::Emit, payload_words);
     Ok(Some(BuildOutput {
@@ -345,12 +391,9 @@ impl Organization for Csf {
         shape: &Shape,
         counter: &OpCounter,
     ) -> Result<BuildOutput> {
-        coords.check_against(shape)?;
         let n = coords.len();
         // Line 5: local boundary; line 6: sort dimensions ascending.
-        let s_l = coords
-            .local_boundary_shape()
-            .unwrap_or_else(|| shape.clone());
+        let s_l = checked_boundary(coords, shape, coords.local_boundary_shape())?;
         let order = s_l.ascending_dim_order();
         let permuted = coords.permute_dims(&order)?;
         // Line 7: sort the buffer in the permuted dimension order.
@@ -363,7 +406,8 @@ impl Organization for Csf {
             approx_sort_compares(n),
         );
         // Lines 8–18: build the tree level by level.
-        let (index, payload_words) = encode_sorted(&s_l, &order, &sorted.coords);
+        let (opens, _) = scan_sorted(&sorted.coords);
+        let (index, payload_words) = encode_sorted(&s_l, &order, &sorted.coords, &opens);
         counter.add(OpKind::Transform, (n * s_l.ndim()) as u64);
         counter.add(OpKind::Emit, payload_words);
         Ok(BuildOutput {
@@ -427,30 +471,34 @@ impl Organization for Csf {
         let d = tree.shape.ndim();
         let n =
             usize::try_from(tree.n).map_err(|_| FormatError::corrupt("point count too large"))?;
-        // The levels were built from lexicographically sorted points, so
-        // leaves come out in slot order, and the node holding leaf `j` at
-        // every level above it only ever moves forward: one cursor per
-        // level, advanced past every node whose child range ends at or
-        // before the level below's node. Decoding validated each `fptr`
-        // (0 first, monotone, the next level's node count last), so no
-        // cursor passes its level's last node.
-        let mut coords = CoordBuffer::with_capacity(d, n);
-        let mut node = vec![0usize; d];
-        let mut point = vec![0u64; d];
-        for leaf in 0..n {
-            node[d - 1] = leaf;
-            for lvl in (0..d - 1).rev() {
-                while tree.fptr[lvl].get(node[lvl] + 1) as usize <= node[lvl + 1] {
-                    node[lvl] += 1;
-                }
+        // Level at a time, from the leaves up. Leaf `j` is point `j`, so
+        // the last level is one coordinate column. Above it, `first[i]`
+        // is the first leaf under node `i` of the current level (and
+        // `first[nodes]` is `n`), so node `i`'s coordinate fills leaves
+        // `first[i]..first[i + 1]`: a node's first leaf is its first
+        // child's, and a child of the last internal level is a leaf.
+        // Decoding validated each `fptr` (0 first, monotone, the next
+        // level's node count last), so every lookup is in range, and a
+        // node without children covers no leaf.
+        let mut points = vec![0u64; n * d];
+        let leaves = points.chunks_exact_mut(d).zip(tree.fids[d - 1].iter());
+        leaves.for_each(|(p, c)| p[tree.order[d - 1]] = c);
+        let mut first: Vec<usize> = Vec::new();
+        for lvl in (0..d - 1).rev() {
+            let children = tree.fptr[lvl].iter().map(|c| c as usize);
+            first = if lvl == d - 2 {
+                children.collect()
+            } else {
+                children.map(|c| first[c]).collect()
+            };
+            let dim = tree.order[lvl];
+            for (i, c) in tree.fids[lvl].iter().enumerate() {
+                let leaves = &mut points[first[i] * d..first[i + 1] * d];
+                leaves.chunks_exact_mut(d).for_each(|p| p[dim] = c);
             }
-            for (lvl, &dim) in tree.order.iter().enumerate() {
-                point[dim] = tree.fids[lvl].get(node[lvl]);
-            }
-            coords.push(&point)?;
         }
         counter.add(OpKind::NodeVisit, tree.nfibs.iter().sum());
-        Ok(coords)
+        Ok(CoordBuffer::from_flat(d, points)?)
     }
 
     fn predicted_index_words(&self, n: u64, shape: &Shape) -> u64 {
@@ -473,7 +521,158 @@ fn approx_sort_compares(n: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::convert::build_from_address_sorted;
     use crate::formats::testutil::{check_against_oracle, fig1};
+    use artsparse_tensor::permute::argsort_by;
+    use artsparse_tensor::sort::sort_by_linear;
+    use proptest::prelude::*;
+
+    /// The per-point kernels the level-at-a-time loops replaced, kept as
+    /// the reference they must equal word for word.
+    mod reference {
+        use super::*;
+
+        pub fn encode_sorted(shape: &Shape, order: &[usize], sorted: &CoordBuffer) -> Vec<u8> {
+            let d = shape.ndim();
+            let internal = d.saturating_sub(1);
+            let first_new = |j: usize| -> usize {
+                let Some(prev) = j.checked_sub(1).map(|i| sorted.point(i)) else {
+                    return 0;
+                };
+                let p = sorted.point(j);
+                (0..d).find(|&k| p[k] != prev[k]).unwrap_or(d).min(internal)
+            };
+            let mut nfibs = vec![0u64; d];
+            for j in 0..sorted.len() {
+                nfibs[first_new(j)..].iter_mut().for_each(|c| *c += 1);
+            }
+            let mut fids: Vec<Vec<u64>> = nfibs.iter().map(|&f| vec![0; f as usize]).collect();
+            let mut fptr: Vec<Vec<u64>> = (nfibs[..internal].iter())
+                .map(|&f| vec![0; f as usize + 1])
+                .collect();
+            let mut nodes_at = vec![0usize; d];
+            for j in 0..sorted.len() {
+                let p = sorted.point(j);
+                for lvl in first_new(j)..d {
+                    if lvl < internal {
+                        fptr[lvl][nodes_at[lvl]] = nodes_at[lvl + 1] as u64;
+                    }
+                    fids[lvl][nodes_at[lvl]] = p[lvl];
+                    nodes_at[lvl] += 1;
+                }
+            }
+            for lvl in 0..internal {
+                fptr[lvl][nodes_at[lvl]] = nodes_at[lvl + 1] as u64;
+            }
+            let order_words: Vec<u64> = order.iter().map(|&o| o as u64).collect();
+            let mut sections: Vec<&[u64]> = vec![&order_words, &nfibs];
+            sections.extend(fids.iter().map(Vec::as_slice));
+            sections.extend(fptr.iter().map(Vec::as_slice));
+            let n = sorted.len() as u64;
+            IndexEncoder::encode(FormatKind::Csf.id(), shape, n, &sections)
+        }
+
+        /// The sorting build: permute, compare-sort, encode.
+        pub fn build(coords: &CoordBuffer) -> (Vec<u8>, Vec<usize>) {
+            let s_l = coords.local_boundary_shape().unwrap();
+            let order = s_l.ascending_dim_order();
+            let permuted = coords.permute_dims(&order).unwrap();
+            let perm = argsort_by(permuted.len(), |a, b| {
+                permuted.point(a).cmp(permuted.point(b))
+            });
+            let sorted = permuted.gather(&perm);
+            let mut map = vec![0; perm.len()];
+            for (j, &i) in perm.iter().enumerate() {
+                map[i] = j;
+            }
+            (encode_sorted(&s_l, &order, &sorted), map)
+        }
+
+        pub fn enumerate(index: &[u8]) -> CoordBuffer {
+            let (tree, n) = CsfTree::decode(index).unwrap();
+            let d = tree.shape.ndim();
+            let mut coords = CoordBuffer::with_capacity(d, n as usize);
+            let mut node = vec![0usize; d];
+            let mut point = vec![0u64; d];
+            for leaf in 0..n as usize {
+                node[d - 1] = leaf;
+                for lvl in (0..d - 1).rev() {
+                    while tree.fptr[lvl][node[lvl] + 1] as usize <= node[lvl + 1] {
+                        node[lvl] += 1;
+                    }
+                }
+                for (lvl, &dim) in tree.order.iter().enumerate() {
+                    point[dim] = tree.fids[lvl][node[lvl]];
+                }
+                coords.push(&point).unwrap();
+            }
+            coords
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random points in 1- to 4-D shapes small enough that duplicates
+        /// and shared prefixes are common: the sorting build, the
+        /// presorted build (direct exactly when the boundary's ascending
+        /// dimension order is the identity, the sorting build otherwise)
+        /// and enumerate equal the per-point kernels, with the same
+        /// `Emit` and `NodeVisit` charges.
+        #[test]
+        fn kernels_match_the_per_point_reference(
+            dims in prop::collection::vec(1u64..6, 1..5),
+            raw in prop::collection::vec(prop::collection::vec(any::<u64>(), 4), 1..48),
+        ) {
+            let shape = Shape::new(dims.clone()).unwrap();
+            let d = dims.len();
+            let points: Vec<Vec<u64>> = (raw.iter())
+                .map(|r| (0..d).map(|k| r[k] % dims[k]).collect())
+                .collect();
+            let coords = CoordBuffer::from_points(d, &points).unwrap();
+            let (want, want_map) = reference::build(&coords);
+
+            let c = OpCounter::new();
+            let built = Csf.build(&coords, &shape, &c).unwrap();
+            prop_assert_eq!(&built.index, &want);
+            prop_assert_eq!(built.map.as_ref(), Some(&want_map));
+
+            let sorted = sort_by_linear(&coords, &shape).coords;
+            let s_l = sorted.local_boundary_shape().unwrap();
+            let identity = (s_l.ascending_dim_order().iter().enumerate()).all(|(i, &o)| i == o);
+            let c = OpCounter::new();
+            let (presorted, direct) =
+                build_from_address_sorted(FormatKind::Csf, &sorted, &shape, &c).unwrap();
+            prop_assert_eq!(direct, identity);
+            prop_assert_eq!(&presorted.index, &reference::build(&sorted).0);
+            let (tree, _) = CsfTree::decode(&presorted.index).unwrap();
+            prop_assert_eq!(c.snapshot().emits, tree.payload_words());
+            prop_assert_eq!(c.snapshot().transforms, (sorted.len() * d) as u64);
+
+            let c = OpCounter::new();
+            let listed = Csf.enumerate(&built.index, &c).unwrap();
+            prop_assert_eq!(&listed, &reference::enumerate(&built.index));
+            let (tree, _) = CsfTree::decode(&built.index).unwrap();
+            prop_assert_eq!(c.snapshot().node_visits, tree.nfibs.iter().sum::<u64>());
+        }
+    }
+
+    #[test]
+    fn enumerate_skips_a_childless_node_like_the_reference() {
+        // Valid to decode (fptr starts at 0, is monotone, ends at the
+        // leaf count) but node 0 of level 0 has no children.
+        let shape = Shape::new(vec![4, 2]).unwrap();
+        let index = IndexEncoder::encode(
+            FormatKind::Csf.id(),
+            &shape,
+            2,
+            &[&[0, 1], &[2, 2], &[1, 3], &[0, 1], &[0, 0, 2]],
+        );
+        let c = OpCounter::new();
+        let listed = Csf.enumerate(&index, &c).unwrap();
+        assert_eq!(listed, reference::enumerate(&index));
+        assert_eq!(listed.as_flat(), [3, 0, 3, 1]);
+    }
 
     #[test]
     fn fig1_roundtrip_against_oracle() {

@@ -38,7 +38,10 @@ use serde::{Deserialize, Serialize};
 /// are single-threaded, so there is nothing to count. Version 8 added
 /// `engine.write.build` and `engine.write.reorg`, the spans Table III's
 /// Build and Reorg. rows are read from; v7 documents still validate.
-pub const TELEMETRY_VERSION: u32 = 8;
+/// Version 9 added `engine.read.buffer`, the read's write-buffer overlay,
+/// and the `buffer_points_sorted` counter it charges; v8 documents still
+/// validate.
+pub const TELEMETRY_VERSION: u32 = 9;
 
 /// The spans of Table III's Write row: the device work of a publish —
 /// staging the fragment bytes, the consolidation tombstone, and the
@@ -341,7 +344,7 @@ mod tests {
         let report = sample_report();
         let v = serde_json::to_value(&report).unwrap();
         assert_eq!(v["version"].as_u64(), Some(u64::from(TELEMETRY_VERSION)));
-        assert_eq!(TELEMETRY_VERSION, 8);
+        assert_eq!(TELEMETRY_VERSION, 9);
         let events = v["events"].as_array().unwrap();
         assert!(events.iter().all(|e| e["trace_id"].as_u64().is_some()));
         let spans = v["spans"].as_array().unwrap();

@@ -68,6 +68,10 @@ pub enum SpanKind {
     ReadFetch,
     ReadDecode,
     ReadMerge,
+    /// The read's write-buffer overlay (a child of `engine.read.merge`):
+    /// the asked cells the buffer snapshot holds replace the fragments'
+    /// hits, sorting any batch no earlier lookup sorted.
+    ReadBuffer,
     Consolidate,
     ConsolidateSnapshot,
     ConsolidateMerge,
@@ -113,6 +117,7 @@ impl SpanKind {
             SpanKind::ReadFetch => "engine.read.fetch",
             SpanKind::ReadDecode => "engine.read.decode",
             SpanKind::ReadMerge => "engine.read.merge",
+            SpanKind::ReadBuffer => "engine.read.buffer",
             SpanKind::Consolidate => "engine.consolidate",
             SpanKind::ConsolidateSnapshot => "engine.consolidate.snapshot",
             SpanKind::ConsolidateMerge => "engine.consolidate.merge",
@@ -146,6 +151,7 @@ impl SpanKind {
             SpanKind::ReadFetch,
             SpanKind::ReadDecode,
             SpanKind::ReadMerge,
+            SpanKind::ReadBuffer,
             SpanKind::Consolidate,
             SpanKind::ConsolidateSnapshot,
             SpanKind::ConsolidateMerge,
@@ -227,6 +233,9 @@ pub struct IoStats {
     pub group_commits: u64,
     /// Background consolidation-scheduler passes executed.
     pub scheduler_runs: u64,
+    /// Write-buffer points sorted to serve a snapshot lookup: each
+    /// buffered batch is charged once, by the lookup that sorts it.
+    pub buffer_points_sorted: u64,
 }
 
 impl IoStats {
@@ -272,6 +281,9 @@ impl IoStats {
         self.wal_bytes = self.wal_bytes.saturating_add(other.wal_bytes);
         self.group_commits = self.group_commits.saturating_add(other.group_commits);
         self.scheduler_runs = self.scheduler_runs.saturating_add(other.scheduler_runs);
+        self.buffer_points_sorted = self
+            .buffer_points_sorted
+            .saturating_add(other.buffer_points_sorted);
     }
 
     /// Whether every counter is zero.
@@ -653,6 +665,6 @@ mod tests {
             assert!(k.name().starts_with("engine."), "{}", k.name());
             assert!(seen.insert(k.name()), "duplicate name {}", k.name());
         }
-        assert_eq!(seen.len(), 27);
+        assert_eq!(seen.len(), 28);
     }
 }

@@ -5,7 +5,8 @@
 //! # Architecture
 //!
 //! - **Registry** — every open dataset, an
-//!   [`artsparse_storage::StorageEngine`] behind an `Arc`, placed on one
+//!   [`artsparse_storage::StorageEngine`] storing
+//!   [`SERVED_ORGANIZATION`] fragments behind an `Arc`, placed on one
 //!   of `N` shards (stripes of `RwLock`ed maps) by FNV-1a of its
 //!   tenant-qualified name. A request locks its shard only to find its
 //!   dataset.
@@ -84,3 +85,4 @@ mod shard;
 pub use server::{
     BackendFactory, DrainReport, FsFactory, MemFactory, Server, ServerConfig, ServerHandle,
 };
+pub use shard::SERVED_ORGANIZATION;

@@ -21,6 +21,13 @@ use artsparse_tensor::{CoordBuffer, Region, Shape};
 use std::collections::HashMap;
 use std::sync::{Arc, PoisonError, RwLock};
 
+/// The organization every served dataset stores its fragments in: CSF's
+/// tree answers a `GET` by descending a compact index and a `SCAN` by
+/// visiting only the nodes inside the box (§II.E). Each fragment records
+/// its own organization, so a store written under another one reads as
+/// it is, and the next consolidation that merges it writes CSF.
+pub const SERVED_ORGANIZATION: FormatKind = FormatKind::Csf;
+
 /// FNV-1a 64-bit hash of a namespaced dataset key.
 fn fnv1a(key: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -229,7 +236,7 @@ impl<F: BackendFactory> Registry<F> {
         let shape = Shape::new(dims.to_vec())?;
         let engine = Arc::new(StorageEngine::open_with(
             self.factory.open(&key)?,
-            FormatKind::Coo,
+            SERVED_ORGANIZATION,
             shape.clone(),
             8,
             self.engine_config.clone(),

@@ -5,7 +5,9 @@
 use artsparse_core::FormatKind;
 use artsparse_server::protocol::{ErrorCode, COMMANDS};
 use artsparse_server::quota::Quota;
-use artsparse_server::{BackendFactory, FsFactory, MemFactory, Server, ServerConfig};
+use artsparse_server::{
+    BackendFactory, FsFactory, MemFactory, Server, ServerConfig, SERVED_ORGANIZATION,
+};
 use artsparse_storage::{
     EngineConfig, FailingBackend, FsBackend, HealthConfig, IngestConfig, MemBackend, RetryPolicy,
     SchedulerConfig, StorageEngine, StorageError, JOURNAL_JSONL, METRICS_JSONL, METRICS_PROM,
@@ -239,7 +241,8 @@ fn backpressure_surfaces_as_a_typed_protocol_error() {
 
 /// One whole `STATS` reply, pinned field by field: a committed fragment,
 /// points acked into the write buffer (each batch one WAL blob) and one
-/// batch shed by admission control.
+/// batch shed by admission control. The fragment is a 2-point CSF tree:
+/// 284 bytes, where the same points stored as COO took 212.
 #[test]
 fn stats_reports_buffered_points_and_shed_batches() {
     let ingest = IngestConfig {
@@ -266,7 +269,7 @@ fn stats_reports_buffered_points_and_shed_batches() {
         c.payload(2),
         [
             "tenant=t points=5 point_limit=0 bytes=40 byte_limit=0",
-            "dataset=d shard=0 shape=16x16 fragments=1 points=2 bytes=212 health=healthy \
+            "dataset=d shard=0 shape=16x16 fragments=1 points=2 bytes=284 health=healthy \
              buffered_points=3 buffered_bytes=24 wal_backlog_bytes=128 backpressure_rejections=1",
         ]
     );
@@ -341,7 +344,7 @@ fn graceful_drain_persists_acked_ingest_to_disk() {
     let backend = FsBackend::new(dir.path().join("t/d")).unwrap();
     let engine = StorageEngine::open_with(
         backend,
-        FormatKind::Coo,
+        SERVED_ORGANIZATION,
         Shape::new(vec![16, 16]).unwrap(),
         8,
         EngineConfig::default(),
@@ -372,6 +375,73 @@ fn graceful_drain_persists_acked_ingest_to_disk() {
     assert_eq!(c.send("GET d 2 2"), "OK found=true value=20");
     drop(c);
     handle.shutdown();
+}
+
+/// A store whose fragments an earlier process wrote as COO reopens under
+/// the served organization: each fragment reads as the organization it
+/// records, `GET` and `SCAN` answer from the mixed catalog (and the write
+/// buffer over it), and `CONSOLIDATE` leaves only CSF fragments.
+#[test]
+fn a_coo_store_serves_as_a_mixed_catalog_and_consolidates_to_csf() {
+    let dir = tempfile::tempdir().unwrap();
+    let open = |kind: FormatKind| {
+        let backend = FsBackend::new(dir.path().join("t/d")).unwrap();
+        let shape = Shape::new(vec![16, 16]).unwrap();
+        StorageEngine::open_with(backend, kind, shape, 8, EngineConfig::default()).unwrap()
+    };
+    let by_format = |engine: &StorageEngine<FsBackend>| {
+        let formats = engine.stats().unwrap().by_format;
+        formats.into_iter().collect::<Vec<_>>()
+    };
+    let coo = open(FormatKind::Coo);
+    for batch in [
+        [([1u64, 1], 10.0f64), ([2, 2], 20.0)],
+        [([2, 2], 25.0), ([3, 3], 30.0)],
+    ] {
+        let mut coords = CoordBuffer::new(2);
+        let mut values = Vec::new();
+        for (coord, value) in batch {
+            coords.push(&coord).unwrap();
+            values.extend_from_slice(&value.to_le_bytes());
+        }
+        coo.write(&coords, &values).unwrap();
+    }
+    assert_eq!(by_format(&coo), [("COO".to_string(), 2)]);
+    drop(coo);
+
+    let config = ServerConfig {
+        scheduler: None,
+        ..tcp_config()
+    };
+    let mut handle = Server::start(config, FsFactory::new(dir.path())).unwrap();
+    let mut c = Client::tcp(handle.tcp_addr().unwrap());
+    c.send("HELLO t");
+    assert_eq!(c.send("CREATE d 16x16"), "OK created=d existed=true");
+    assert!(c
+        .send("PUT d 1\n3 3 35")
+        .starts_with("OK acked=1 fragment="));
+    assert_eq!(c.send("INGEST d 1\n4 4 40"), "OK acked=1");
+    for (get, want) in [
+        ("GET d 1 1", "OK found=true value=10"),
+        ("GET d 2 2", "OK found=true value=25"),
+        ("GET d 3 3", "OK found=true value=35"),
+        ("GET d 4 4", "OK found=true value=40"),
+        ("GET d 5 5", "OK found=false"),
+    ] {
+        assert_eq!(c.send(get), want, "{get}");
+    }
+    let rows = ["1 1 10", "2 2 25", "3 3 35", "4 4 40"];
+    assert_eq!(c.send("SCAN d 0:15 0:15"), "OK points=4 truncated=false");
+    assert_eq!(c.payload(4), rows);
+    assert_eq!(c.send("CONSOLIDATE d"), "OK merged=4 points=4");
+    assert_eq!(c.send("SCAN d 0:15 0:15"), "OK points=4 truncated=false");
+    assert_eq!(c.payload(4), rows);
+    drop(c);
+    handle.shutdown();
+
+    let engine = open(SERVED_ORGANIZATION);
+    assert_eq!(by_format(&engine), [("CSF".to_string(), 1)]);
+    assert_eq!(engine.stats().unwrap().total_points, 4);
 }
 
 #[test]

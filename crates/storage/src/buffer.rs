@@ -5,31 +5,38 @@
 //! precedence — until a group commit flushes them into one ordinary
 //! fragment. The buffer keeps batches in append order under a mutex and
 //! exposes reads through an atomically swappable [`BufferSnapshot`]: an
-//! `Arc`'d address-ordered view rebuilt lazily after appends, so readers
-//! never hold the append lock while they merge (the double-buffer idiom —
-//! writers mutate the live side, readers clone an immutable snapshot).
+//! `Arc`'d list of the buffered batches, so readers never hold the append
+//! lock while they merge (the double-buffer idiom — writers mutate the
+//! live side, readers clone an immutable snapshot).
 //!
-//! The snapshot is three flat arrays sorted by address (addresses,
-//! coordinates, value records): three allocations to build and three
-//! frees to drop, however many points it holds. That matters because the
-//! *drop* happens inside [`WriteBuffer::append`], under the lock — every
-//! append invalidates the cached snapshot — so a snapshot that owned two
-//! heap vectors per point made each ingest after a read pay for freeing
-//! the whole buffer. `append` itself keeps no index: it pushes the batch
-//! and clears the cache, O(1); ordering and last-write-wins are settled
-//! once per rebuild by a sort, only when a reader asks.
+//! `append` keeps no index: it pushes the batch and drops the cached
+//! snapshot, O(1). The next snapshot is the same `Arc`'d batches plus the
+//! new one, so a served store that appends between every two reads pays
+//! nothing for the batches it has already seen. Each batch sorts once,
+//! into a permutation of its own positions (the latest append per
+//! address kept; coordinates and values are not copied), the first time
+//! a snapshot lookup needs it. A point lookup binary-searches the batches
+//! newest first; a box walks each batch's address range between the
+//! box's corners, keeping the newest batch's point per address.
+//!
+//! Only a group commit needs one flat, deduplicated, address-ordered
+//! array set; a snapshot builds it lazily, once, by one radix sort over
+//! the raw points of its batches.
 //!
 //! Draining is batch-aligned: a flush captures a snapshot, encodes it as
 //! a fragment, and then retires exactly the batches the snapshot covered
 //! (returning their WAL names for deletion) — batches acked during the
 //! flush stay buffered for the next group commit.
 
+use artsparse_metrics::charge;
 use artsparse_tensor::sort::{last_per_address, sort_by_address};
+use artsparse_tensor::{Region, Shape};
 use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-/// One acked ingest batch held in the buffer.
+/// One acked ingest batch held in the buffer, shared by every snapshot
+/// that covers it.
 #[derive(Debug)]
 struct Batch {
     /// Linear addresses, one per point (precomputed by the engine, which
@@ -41,6 +48,31 @@ struct Batch {
     values: Vec<u8>,
     /// The WAL blob covering this batch, if ingest was WAL-protected.
     wal: Option<String>,
+    /// Positions in ascending address order, the latest append of each
+    /// address only; sorted by the first lookup that needs it.
+    by_address: OnceLock<Vec<usize>>,
+}
+
+impl Batch {
+    fn by_address(&self) -> &[usize] {
+        self.by_address.get_or_init(|| {
+            charge(|io| io.buffer_points_sorted += self.addrs.len() as u64);
+            let mut order: Vec<(u64, usize)> = self.addrs.iter().copied().zip(0..).collect();
+            // Stable: of equal addresses the later position stays last.
+            order.sort_by_key(|&(addr, _)| addr);
+            last_per_address(&order).map(|&(_, i)| i).collect()
+        })
+    }
+
+    /// Coordinate and value record of position `i`.
+    fn point(&self, i: usize) -> (&[u64], &[u8]) {
+        let ndim = self.coords.len() / self.addrs.len();
+        let elem = self.values.len() / self.addrs.len();
+        (
+            &self.coords[i * ndim..(i + 1) * ndim],
+            &self.values[i * elem..(i + 1) * elem],
+        )
+    }
 }
 
 /// Address-ordered, deduplicated view of the buffered points at one
@@ -49,10 +81,30 @@ struct Batch {
 /// remembers how many raw (pre-dedup) points the view covers so a flush
 /// can drain exactly them.
 ///
-/// Stored as parallel arrays sorted by address: point `i` has address
-/// `addrs[i]`, coordinate `coords[i·ndim..]` and record `values[i·elem..]`.
+/// Held as the covered batches, oldest first. Lookups ([`get`],
+/// [`in_box`]) search the batches; the flat arrays ([`iter`],
+/// [`flat_coords`], [`flat_values`], [`len`]) are merged on first use.
+///
+/// [`get`]: BufferSnapshot::get
+/// [`in_box`]: BufferSnapshot::in_box
+/// [`iter`]: BufferSnapshot::iter
+/// [`flat_coords`]: BufferSnapshot::flat_coords
+/// [`flat_values`]: BufferSnapshot::flat_values
+/// [`len`]: BufferSnapshot::len
 #[derive(Debug, Default)]
 pub struct BufferSnapshot {
+    batches: Vec<Arc<Batch>>,
+    /// The batches' points merged into flat arrays.
+    merged: OnceLock<Merged>,
+    /// Raw appended points (duplicates included) this snapshot covers.
+    pub raw_points: usize,
+}
+
+/// Parallel arrays sorted by address: point `i` has address `addrs[i]`,
+/// coordinate `coords[i·ndim..]` and record `values[i·elem..]` — three
+/// allocations however many points they hold.
+#[derive(Debug, Default)]
+struct Merged {
     /// Distinct linear addresses, ascending.
     addrs: Vec<u64>,
     /// Flattened coordinates, `ndim` per point.
@@ -61,16 +113,14 @@ pub struct BufferSnapshot {
     values: Vec<u8>,
     ndim: usize,
     elem: usize,
-    /// Raw appended points (duplicates included) this snapshot covers.
-    pub raw_points: usize,
 }
 
-impl BufferSnapshot {
+impl Merged {
     /// Sort the batches' points by address, keep the latest append of
     /// each, and lay the survivors out flat.
-    fn build(batches: &[Batch]) -> BufferSnapshot {
+    fn build(batches: &[Arc<Batch>]) -> Merged {
         let Some(first) = batches.first() else {
-            return BufferSnapshot::default();
+            return Merged::default();
         };
         let (ndim, elem) = (
             first.coords.len() / first.addrs.len(),
@@ -98,65 +148,100 @@ impl BufferSnapshot {
         }
         let raw_points = order.len();
         sort_by_address(&mut order);
-        let mut snap = BufferSnapshot {
+        let mut merged = Merged {
             addrs: Vec::with_capacity(raw_points),
             coords: Vec::with_capacity(raw_points * ndim),
             values: Vec::with_capacity(raw_points * elem),
             ndim,
             elem,
-            raw_points,
         };
         for &(addr, (b, i)) in last_per_address(&order) {
-            let batch = &batches[b];
-            snap.addrs.push(addr);
-            snap.coords
-                .extend_from_slice(&batch.coords[i * ndim..(i + 1) * ndim]);
-            snap.values
-                .extend_from_slice(&batch.values[i * elem..(i + 1) * elem]);
+            let (coord, record) = batches[b].point(i);
+            merged.addrs.push(addr);
+            merged.coords.extend_from_slice(coord);
+            merged.values.extend_from_slice(record);
         }
-        snap
+        merged
+    }
+}
+
+impl BufferSnapshot {
+    fn merged(&self) -> &Merged {
+        self.merged.get_or_init(|| Merged::build(&self.batches))
     }
 
     /// Number of distinct buffered points.
     pub fn len(&self) -> usize {
-        self.addrs.len()
+        self.merged().addrs.len()
     }
 
     /// Whether the snapshot holds no points.
     pub fn is_empty(&self) -> bool {
-        self.addrs.is_empty()
+        self.raw_points == 0
     }
 
-    /// Point `i` in address order.
-    fn point(&self, i: usize) -> (&[u64], &[u8]) {
-        (
-            &self.coords[i * self.ndim..(i + 1) * self.ndim],
-            &self.values[i * self.elem..(i + 1) * self.elem],
-        )
-    }
-
-    /// The coordinate and value record buffered at `addr`, if any.
+    /// The coordinate and value record buffered at `addr`, if any: the
+    /// newest batch that holds it answers.
     pub fn get(&self, addr: u64) -> Option<(&[u64], &[u8])> {
-        self.addrs.binary_search(&addr).ok().map(|i| self.point(i))
+        self.batches.iter().rev().find_map(|batch| {
+            let sorted = batch.by_address();
+            let at = sorted.binary_search_by_key(&addr, |&i| batch.addrs[i]);
+            at.ok().map(|k| batch.point(sorted[k]))
+        })
+    }
+
+    /// Every buffered point inside `inside`, a box within `shape`, as
+    /// `(address, coordinate, value record)` in ascending address order.
+    /// Each batch is searched between the box corners' addresses only.
+    pub fn in_box(&self, inside: &Region, shape: &Shape) -> Vec<(u64, &[u64], &[u8])> {
+        let (Ok(lo), Ok(hi)) = (shape.linearize(inside.lo()), shape.linearize(inside.hi())) else {
+            return Vec::new();
+        };
+        // (address, batch counted from the newest, position).
+        let mut found: Vec<(u64, usize, usize)> = Vec::new();
+        for (age, batch) in self.batches.iter().rev().enumerate() {
+            let sorted = batch.by_address();
+            let from = sorted.partition_point(|&i| batch.addrs[i] < lo);
+            let to = sorted.partition_point(|&i| batch.addrs[i] <= hi);
+            for &i in &sorted[from..to] {
+                if inside.contains(batch.point(i).0) {
+                    found.push((batch.addrs[i], age, i));
+                }
+            }
+        }
+        // The newest batch's point first in each run, and it stays.
+        found.sort_unstable_by_key(|&(addr, age, _)| (addr, age));
+        found.dedup_by_key(|&mut (addr, ..)| addr);
+        let newest = self.batches.len().saturating_sub(1);
+        (found.into_iter())
+            .map(|(addr, age, i)| {
+                let (coord, record) = self.batches[newest - age].point(i);
+                (addr, coord, record)
+            })
+            .collect()
     }
 
     /// Every point as `(address, coordinate, value record)`, in ascending
     /// address order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &[u64], &[u8])> {
-        self.addrs.iter().enumerate().map(|(i, &addr)| {
-            let (coord, record) = self.point(i);
-            (addr, coord, record)
+        let m = self.merged();
+        m.addrs.iter().enumerate().map(move |(i, &addr)| {
+            (
+                addr,
+                &m.coords[i * m.ndim..(i + 1) * m.ndim],
+                &m.values[i * m.elem..(i + 1) * m.elem],
+            )
         })
     }
 
     /// All coordinates, flattened, in address order.
     pub fn flat_coords(&self) -> &[u64] {
-        &self.coords
+        &self.merged().coords
     }
 
     /// All value records, concatenated, in address order.
     pub fn flat_values(&self) -> &[u8] {
-        &self.values
+        &self.merged().values
     }
 }
 
@@ -173,7 +258,7 @@ pub struct BufferStats {
 
 #[derive(Default)]
 struct Inner {
-    batches: Vec<Batch>,
+    batches: Vec<Arc<Batch>>,
     points: usize,
     value_bytes: usize,
     /// Value bytes admitted (reserved) but not yet appended — in flight
@@ -226,12 +311,13 @@ impl WriteBuffer {
         inner.reserved_bytes = inner.reserved_bytes.saturating_sub(values.len());
         inner.first_append.get_or_insert_with(Instant::now);
         inner.snapshot = None;
-        inner.batches.push(Batch {
+        inner.batches.push(Arc::new(Batch {
             addrs,
             coords,
             values,
             wal,
-        });
+            by_address: OnceLock::new(),
+        }));
     }
 
     /// Atomically admit `bytes` of incoming value payload against `cap`:
@@ -283,15 +369,19 @@ impl WriteBuffer {
         self.inner.lock().first_append.map(|t| t.elapsed())
     }
 
-    /// The current read snapshot. Rebuilt (and cached) only when appends
-    /// or drains invalidated the previous one; otherwise this is one
-    /// `Arc` clone under a short lock hold.
+    /// The current read snapshot: one `Arc` clone per buffered batch
+    /// (and cached until the next append or drain) under a short lock
+    /// hold. No point is sorted or copied here.
     pub fn snapshot(&self) -> Arc<BufferSnapshot> {
         let mut inner = self.inner.lock();
         if let Some(snap) = &inner.snapshot {
             return Arc::clone(snap);
         }
-        let snap = Arc::new(BufferSnapshot::build(&inner.batches));
+        let snap = Arc::new(BufferSnapshot {
+            batches: inner.batches.clone(),
+            merged: OnceLock::new(),
+            raw_points: inner.points,
+        });
         inner.snapshot = Some(Arc::clone(&snap));
         snap
     }
@@ -322,12 +412,12 @@ impl WriteBuffer {
         }
         assert_eq!(remaining, 0, "drain of {raw_points} points exceeds buffer");
         let mut wals = Vec::new();
-        let drained: Vec<Batch> = inner.batches.drain(..covered).collect();
+        let drained: Vec<Arc<Batch>> = inner.batches.drain(..covered).collect();
         for batch in drained {
             inner.points -= batch.addrs.len();
             inner.value_bytes -= batch.values.len();
-            if let Some(w) = batch.wal {
-                wals.push(w);
+            if let Some(w) = &batch.wal {
+                wals.push(w.clone());
             }
         }
         if inner.batches.is_empty() {
@@ -430,6 +520,51 @@ mod tests {
                 }
                 prop_assert_eq!(snap.flat_coords().len(), 2 * snap.len());
                 prop_assert_eq!(snap.flat_values().len(), 2 * snap.len());
+            }
+        }
+
+        /// Batches of points in an 8×8 grid, duplicates within and across
+        /// batches: every box (corners in any order, some past the grid)
+        /// answers the model's points inside it, in address order, the
+        /// latest append winning.
+        #[test]
+        fn in_box_matches_the_fold_inside_the_box(
+            batches in prop::collection::vec(
+                prop::collection::vec((0u64..8, 0u64..8, any::<u8>()), 1..12),
+                1..8,
+            ),
+            boxes in prop::collection::vec((0u64..10, 0u64..10, 0u64..10, 0u64..10), 1..8),
+        ) {
+            let shape = Shape::new(vec![8, 8]).unwrap();
+            let buf = WriteBuffer::new();
+            let mut model = Model::new();
+            for (b, batch) in batches.iter().enumerate() {
+                for &(r, c, v) in batch {
+                    model.insert(r * 8 + c, (vec![r, c], vec![v, b as u8]));
+                }
+                buf.append(
+                    batch.iter().map(|&(r, c, _)| r * 8 + c).collect(),
+                    batch.iter().flat_map(|&(r, c, _)| [r, c]).collect(),
+                    batch.iter().flat_map(|&(_, _, v)| [v, b as u8]).collect(),
+                    None,
+                );
+            }
+            let snap = buf.snapshot();
+            for (r0, c0, r1, c1) in boxes {
+                let region =
+                    Region::from_corners(&[r0.min(r1), c0.min(c1)], &[r0.max(r1), c0.max(c1)])
+                        .unwrap();
+                let Some(inside) = region.within(&shape) else {
+                    continue;
+                };
+                let got: Vec<Point> = (snap.in_box(&inside, &shape).into_iter())
+                    .map(|(addr, coord, record)| (addr, coord.to_vec(), record.to_vec()))
+                    .collect();
+                let want: Vec<Point> = (model.iter())
+                    .filter(|(_, (coord, _))| inside.contains(coord))
+                    .map(|(addr, (coord, record))| (*addr, coord.clone(), record.clone()))
+                    .collect();
+                prop_assert_eq!(got, want);
             }
         }
     }

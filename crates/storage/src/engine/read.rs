@@ -190,8 +190,9 @@ impl<'a> Asked<'a> {
         }
     }
 
-    /// The asked cells the write buffer holds, as hits. A region walks
-    /// whichever is shorter, the snapshot or its own cells.
+    /// The asked cells the write buffer holds, as hits. A point is looked
+    /// up by address; a region walks the snapshot's points between its
+    /// corners' addresses.
     fn buffered_hits(&self, shape: &Shape, buffered: &BufferSnapshot) -> Vec<ReadHit> {
         let hit = |query_index: usize, addr: u64, coord: &[u64], record: &[u8]| ReadHit {
             query_index,
@@ -200,40 +201,23 @@ impl<'a> Asked<'a> {
             value: record.to_vec(),
             fragment: BUFFER_FRAGMENT.to_string(),
         };
-        // A cell outside the shape has no address and holds nothing.
-        let lookup = |query_index: usize, cell: &[u64]| {
-            let addr = shape
-                .contains(cell)
-                .then(|| shape.linearize_unchecked(cell))?;
-            let (coord, record) = buffered.get(addr)?;
-            Some(hit(query_index, addr, coord, record))
-        };
         match self {
             Asked::Points(queries) => {
-                let each = queries.iter().enumerate();
-                each.filter_map(|(qi, q)| lookup(qi, q)).collect()
+                // A cell outside the shape has no address and holds nothing.
+                let lookup = |(qi, q): (usize, &[u64])| {
+                    let addr = shape.contains(q).then(|| shape.linearize_unchecked(q))?;
+                    let (coord, record) = buffered.get(addr)?;
+                    Some(hit(qi, addr, coord, record))
+                };
+                queries.iter().enumerate().filter_map(lookup).collect()
             }
             Asked::Region { inside: None, .. } => Vec::new(),
             Asked::Region {
                 asked,
                 inside: Some(inside),
-            } => {
-                if (buffered.len() as u64) < inside.volume() {
-                    return (buffered.iter())
-                        .filter(|(_, coord, _)| inside.contains(coord))
-                        .map(|(addr, coord, record)| {
-                            hit(asked.rank(coord) as usize, addr, coord, record)
-                        })
-                        .collect();
-                }
-                let mut cell = vec![0u64; inside.ndim()];
-                (0..inside.volume())
-                    .filter_map(|rank| {
-                        inside.cell_into(rank, &mut cell);
-                        lookup(asked.rank(&cell) as usize, &cell)
-                    })
-                    .collect()
-            }
+            } => (buffered.in_box(inside, shape).into_iter())
+                .map(|(addr, coord, record)| hit(asked.rank(coord) as usize, addr, coord, record))
+                .collect(),
         }
     }
 }
@@ -500,12 +484,18 @@ impl<B: StorageBackend> StorageEngine<B> {
             // than every committed fragment at that instant (a plain
             // write group-commits the buffer first), so on a shared
             // address the buffer's record replaces the fragments' hits.
-            // (Every hit's cell was asked for, so a hit is shadowed
-            // exactly when the snapshot holds its address.)
+            // Every hit's cell was asked for, so a hit is shadowed
+            // exactly when the snapshot holds its address: when the
+            // overlay does.
             if !buffered.is_empty() {
+                let _buffer_span = Span::enter(self.plane.as_ref(), SpanKind::ReadBuffer);
                 let overlay = asked.buffered_hits(&self.shape, &buffered);
                 if !overlay.is_empty() {
-                    result.hits.retain(|h| buffered.get(h.addr).is_none());
+                    let mut shadowed: Vec<u64> = overlay.iter().map(|h| h.addr).collect();
+                    shadowed.sort_unstable();
+                    result
+                        .hits
+                        .retain(|h| shadowed.binary_search(&h.addr).is_err());
                     result.hits.extend(overlay);
                 }
             }
@@ -1247,6 +1237,7 @@ mod tests {
                     | SpanKind::ReadFetch
                     | SpanKind::ReadDecode
                     | SpanKind::ReadMerge
+                    | SpanKind::ReadBuffer
             )
         };
         let mut traces: Vec<u64> = parallel

@@ -152,10 +152,12 @@ impl CoordBuffer {
     /// GCSR++/GCSC++/CSF builds extract this "local boundary size" before
     /// remapping; anchoring at the origin matches the paper's use of the
     /// boundary purely as dimension *sizes* for the transform.
+    /// `None` when the buffer is empty or the boundary has no `u64`
+    /// address space.
     pub fn local_boundary_shape(&self) -> Option<Shape> {
-        let mut dims = self.corner(u64::max)?;
-        dims.iter_mut().for_each(|h| *h += 1);
-        Shape::new(dims).ok()
+        let corner = self.corner(u64::max)?;
+        let dims: Option<Vec<u64>> = corner.iter().map(|h| h.checked_add(1)).collect();
+        Shape::new(dims?).ok()
     }
 
     /// Linearize every point against `shape` (row-major).

@@ -158,11 +158,13 @@ impl Shape {
     pub fn delinearize_into(&self, mut addr: u64, out: &mut [u64]) {
         debug_assert!(addr < self.volume());
         debug_assert_eq!(out.len(), self.ndim());
-        for i in (0..self.ndim()).rev() {
+        for i in (1..self.ndim()).rev() {
             let m = self.dims[i];
             out[i] = addr % m;
             addr /= m;
         }
+        // What is left is below dimension 0's size: no division.
+        out[0] = addr;
     }
 
     /// The density of `n` points inside this shape, as a fraction in `[0,1]`.

@@ -3,8 +3,7 @@
 //! All sorting builds in the paper (GCSR++ line 12, CSF line 7) both sort
 //! the coordinate buffer *and* return a `map` recording where each original
 //! point went, so values can be reorganized to match. These helpers provide
-//! that pattern over [`CoordBuffer`], each as one stable
-//! [`argsort_by`].
+//! that pattern over [`CoordBuffer`], each as one stable sort.
 //!
 //! [`sort_by_address`] is the one address sort of the storage engine's
 //! last-write-wins merges (the write buffer's snapshot and consolidation):
@@ -40,9 +39,24 @@ fn finish(coords: &CoordBuffer, perm: Vec<usize>) -> SortedCoords {
 /// Stable lexicographic sort of points (dimension 0 most significant).
 ///
 /// CSF's build (Algorithm 2 line 7) sorts the buffer this way after
-/// permuting dimensions into ascending-size order.
+/// permuting dimensions into ascending-size order. Lexicographic order is
+/// row-major address order in any shape that holds the points, so the
+/// points' local boundary turns the sort into one [`sort_by_address`]
+/// (the same stable order, at a radix sort's cost); only points whose
+/// boundary has no `u64` address space are compared coordinate by
+/// coordinate.
 pub fn sort_lexicographic(coords: &CoordBuffer) -> SortedCoords {
-    let perm = argsort_by(coords.len(), |a, b| coords.point(a).cmp(coords.point(b)));
+    let perm = match coords.local_boundary_shape() {
+        Some(bounds) => {
+            let each = coords.iter().enumerate();
+            let mut records: Vec<(u64, usize)> = each
+                .map(|(i, p)| (bounds.linearize_unchecked(p), i))
+                .collect();
+            sort_by_address(&mut records);
+            records.into_iter().map(|(_, i)| i).collect()
+        }
+        None => argsort_by(coords.len(), |a, b| coords.point(a).cmp(coords.point(b))),
+    };
     finish(coords, perm)
 }
 
@@ -226,6 +240,26 @@ mod tests {
         let a = sort_by_linear(&sample(), &shape);
         let b = sort_lexicographic(&sample());
         assert_eq!(a.coords, b.coords);
+    }
+
+    #[test]
+    fn lexicographic_sort_is_the_stable_comparison_sort() {
+        // Duplicates keep their input order; the last two buffers' local
+        // boundaries have no u64 address space (≈ 2^39 × 2^39 cells), so
+        // they take the comparison path.
+        let dup = [[1u64, 2], [0, 5], [1, 2], [0, 5], [1, 0]];
+        let wide = [[1u64 << 39, 3], [5, 1 << 39], [5, 1 << 39], [0, 0]];
+        let cases = [
+            CoordBuffer::from_points(2, &dup).unwrap(),
+            CoordBuffer::from_points(2, &wide).unwrap(),
+            CoordBuffer::from_points(2, &[[u64::MAX, u64::MAX], [0, u64::MAX]]).unwrap(),
+        ];
+        assert!(cases[0].local_boundary_shape().is_some());
+        assert!(cases[1].local_boundary_shape().is_none());
+        for coords in &cases {
+            let want = argsort_by(coords.len(), |a, b| coords.point(a).cmp(coords.point(b)));
+            assert_eq!(sort_lexicographic(coords).perm, want, "{coords:?}");
+        }
     }
 
     #[test]

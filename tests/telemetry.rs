@@ -8,8 +8,8 @@
 
 use artsparse::metrics::SpanKind;
 use artsparse::storage::{
-    EngineConfig, FailingBackend, MemBackend, ObservabilityConfig, RetryPolicy, SimulatedDisk,
-    StorageEngine,
+    EngineConfig, FailingBackend, IngestConfig, MemBackend, ObservabilityConfig, RetryPolicy,
+    SimulatedDisk, StorageBackend, StorageEngine,
 };
 use artsparse::{CoordBuffer, FormatKind, Region, Shape};
 use std::time::Duration;
@@ -268,6 +268,77 @@ fn write_breakdown_is_a_view_of_the_write_spans() {
     let report = coo.telemetry_report().unwrap();
     assert!(report.span(SpanKind::WriteReorg).is_none());
     assert_eq!(sums_to_the_write_span(&coo).reorg, 0.0);
+}
+
+/// A read's buffer overlay sorts only the batches no earlier lookup
+/// sorted: once the buffer has been read, the next read after one more
+/// append sorts that batch's points, not the buffer's. A group commit
+/// writes the same fragment whether or not reads sorted its batches.
+#[test]
+fn a_read_sorts_only_the_batches_appended_since_the_last() {
+    let open = || {
+        let ingest = IngestConfig {
+            flush_points: 1 << 30,
+            ..IngestConfig::default()
+        };
+        let config = EngineConfig::default()
+            .with_ingest(ingest)
+            .with_observability(ObservabilityConfig::default());
+        let shape = Shape::new(vec![64, 64]).unwrap();
+        StorageEngine::open_with(MemBackend::new(), FormatKind::Csf, shape, 8, config).unwrap()
+    };
+    // Row `r`, columns descending with one repeat: 16 raw points, 15
+    // addresses.
+    let batch = |r: u64| {
+        let coords: Vec<[u64; 2]> = (0..16).map(|k| [r, (15 - k).max(1)]).collect();
+        let values: Vec<f64> = (0..16).map(|k| (r * 100 + k) as f64).collect();
+        (pts(&coords), values)
+    };
+    let sorted = |engine: &StorageEngine<MemBackend>| {
+        let report = engine.telemetry_report().unwrap();
+        let buffer = report.spans.iter().find(|s| s.kind == SpanKind::ReadBuffer);
+        assert_eq!(
+            buffer.map_or(0, |s| s.io.buffer_points_sorted),
+            report.totals.buffer_points_sorted,
+            "only the overlay sorts batches"
+        );
+        report.totals.buffer_points_sorted
+    };
+    let missing = pts(&[[63, 63]]);
+
+    let read = open();
+    let unread = open();
+    for r in 0..4 {
+        let (coords, values) = batch(r);
+        read.ingest_points::<f64>(&coords, &values).unwrap();
+        unread.ingest_points::<f64>(&coords, &values).unwrap();
+    }
+    read.read(&missing).unwrap();
+    assert_eq!(sorted(&read), 4 * 16);
+    let (coords, values) = batch(9);
+    read.ingest_points::<f64>(&coords, &values).unwrap();
+    unread.ingest_points::<f64>(&coords, &values).unwrap();
+    read.read(&missing).unwrap();
+    assert_eq!(
+        sorted(&read),
+        5 * 16,
+        "the next read sorts the new batch only"
+    );
+    let whole = Region::from_corners(&[0, 0], &[63, 63]).unwrap();
+    let rows = read.read_region(&whole).unwrap();
+    assert_eq!(rows.hits.len(), 5 * 15);
+    assert_eq!(sorted(&read), 5 * 16, "every batch is sorted once");
+
+    read.flush().unwrap();
+    unread.flush().unwrap();
+    assert_eq!(sorted(&unread), 0);
+    let blobs = |engine: &StorageEngine<MemBackend>| {
+        let names = engine.fragments().unwrap();
+        let backend = engine.backend();
+        let bytes: Vec<Vec<u8>> = names.iter().map(|n| backend.get(n).unwrap()).collect();
+        (names, bytes)
+    };
+    assert_eq!(blobs(&read), blobs(&unread));
 }
 
 #[test]
