@@ -5,9 +5,9 @@
 //! summaries (count, latency percentiles, I/O totals), per-backend
 //! operation timings, the grand I/O total, and the retained raw events.
 //! It serializes to the JSON document the harness writes per matrix cell
-//! (validated by `schemas/telemetry.schema.json` in CI) and renders to
-//! CSV via the shared [`Table`] so telemetry lands in the same formats as
-//! the paper tables. [`TelemetryReport::write_breakdown`] reads Table
+//! (validated by `schemas/telemetry.schema.json` in CI) and renders an
+//! ASCII digest via the shared [`Table`], like the paper tables.
+//! [`TelemetryReport::write_breakdown`] reads Table
 //! III's Build / Reorg. / Write / Others row off the `engine.write` span
 //! tree.
 
@@ -229,67 +229,6 @@ impl TelemetryReport {
         serde_json::to_string_pretty(self).expect("telemetry serializes infallibly")
     }
 
-    /// CSV rendering: a span table and a backend-op table separated by a
-    /// blank line.
-    pub fn to_csv(&self) -> String {
-        let mut spans = Table::new(
-            "",
-            &[
-                "span",
-                "count",
-                "total_ns",
-                "mean_ns",
-                "p50_ns",
-                "p95_ns",
-                "p99_ns",
-                "bytes_requested",
-                "bytes_fetched",
-                "bytes_written",
-                "requests",
-                "cache_hits",
-                "cache_misses",
-            ],
-        );
-        for s in &self.spans {
-            spans.push_row(vec![
-                s.kind.name().to_string(),
-                s.count.to_string(),
-                s.total_ns.to_string(),
-                s.mean_ns.to_string(),
-                s.p50_ns.to_string(),
-                s.p95_ns.to_string(),
-                s.p99_ns.to_string(),
-                s.io.bytes_requested.to_string(),
-                s.io.bytes_fetched.to_string(),
-                s.io.bytes_written.to_string(),
-                s.io.requests.to_string(),
-                s.io.cache_hits.to_string(),
-                s.io.cache_misses.to_string(),
-            ]);
-        }
-        let mut ops = Table::new(
-            "",
-            &[
-                "backend", "op", "count", "total_ns", "mean_ns", "p50_ns", "p95_ns", "p99_ns",
-                "bytes",
-            ],
-        );
-        for b in &self.backend_ops {
-            ops.push_row(vec![
-                b.backend.clone(),
-                b.op.clone(),
-                b.count.to_string(),
-                b.total_ns.to_string(),
-                b.mean_ns.to_string(),
-                b.p50_ns.to_string(),
-                b.p95_ns.to_string(),
-                b.p99_ns.to_string(),
-                b.bytes.to_string(),
-            ]);
-        }
-        format!("{}\n{}", spans.to_csv(), ops.to_csv())
-    }
-
     /// A short human-readable digest (for harness stdout).
     pub fn to_ascii(&self) -> String {
         let mut t = Table::new(
@@ -358,15 +297,6 @@ mod tests {
         assert_eq!(ops[0]["backend"].as_str(), Some("sim"));
         assert_eq!(ops[0]["bytes"].as_u64(), Some(256));
         assert!(!v["events"].as_array().unwrap().is_empty());
-    }
-
-    #[test]
-    fn csv_contains_both_tables() {
-        let csv = sample_report().to_csv();
-        assert!(csv.starts_with("span,count,"));
-        assert!(csv.contains("engine.read.fetch"));
-        assert!(csv.contains("backend,op,"));
-        assert!(csv.contains("sim,get_range"));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! * [`report`] — aligned ASCII tables plus CSV emission;
 //! * [`span`] / [`histogram`] / [`export`] — runtime tracing, the one
 //!   timing primitive: thread-local spans with per-span I/O accounting,
-//!   log₂ latency histograms, and JSON/CSV export of the aggregated
+//!   log₂ latency histograms, and JSON export of the aggregated
 //!   report, whose [`TelemetryReport::write_breakdown`] is Table III's
 //!   Build / Reorg. / Write / Others view;
 //! * [`plane`] / [`registry`] / [`journal`] / [`exposition`] — the

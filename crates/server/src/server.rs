@@ -1,20 +1,20 @@
 //! The server: the dataset registry, socket listeners, session threads,
 //! the quota book, and the metrics publisher, assembled behind one handle.
 //!
-//! Topology: one accept thread per listener (TCP, Unix) turns connections
+//! Topology: one accept loop per listener (TCP, Unix) turns connections
 //! into session threads, and a session calls the engine of the dataset it
 //! names itself, found in the registry (datasets are placed on its `N`
 //! stripes by tenant-qualified name); each dataset may run a background
-//! scheduler thread; an optional publisher thread mirrors the server's
-//! metrics into an exporter-compatible directory (`metrics.prom`,
-//! `metrics.jsonl`, `journal.jsonl`) so `artsparse-bench watch` works on
-//! a live server unchanged.
+//! scheduler; an optional publisher mirrors the server's metrics into an
+//! exporter-compatible directory (`metrics.prom`, `metrics.jsonl`,
+//! `journal.jsonl`) so `artsparse-bench watch` works on a live server
+//! unchanged. The accept loops and the publisher are [`Periodic`] loops.
 //!
 //! Shutdown ordering (see [`ServerHandle::shutdown`]): stop accepting →
 //! join sessions → per dataset, stop its scheduler and drain its engine
-//! through `StorageEngine::shutdown` → final metrics publish. Acked
-//! ingest survives because drain group-commits the write buffers before
-//! the process lets go of the engines.
+//! through `StorageEngine::shutdown` → journal the stop → final metrics
+//! publish. Acked ingest survives because drain group-commits the write
+//! buffers before the process lets go of the engines.
 
 use crate::metrics::ServerMetrics;
 use crate::quota::{Quota, QuotaBook};
@@ -22,9 +22,9 @@ use crate::session::{run_session, Limits, SessionCtx};
 use crate::shard::{Drain, Registry};
 use artsparse_storage::exporter::publish;
 use artsparse_storage::{
-    EngineConfig, FsBackend, MemBackend, SchedulerConfig, StorageBackend, StorageError,
+    EngineConfig, FsBackend, MemBackend, Periodic, SchedulerConfig, StorageBackend, StorageError,
 };
-use std::io::BufReader;
+use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -162,7 +162,7 @@ impl Server {
         let mut handle = ServerHandle {
             stop: Arc::new(AtomicBool::new(false)),
             registry: Arc::clone(&registry) as Arc<dyn Drain>,
-            accept_handles: Vec::new(),
+            acceptors: Vec::new(),
             session_handles: Arc::default(),
             publisher: None,
             tcp_addr: None,
@@ -192,11 +192,20 @@ impl Server {
             handle.tcp_addr = Some(listener.local_addr()?);
             listener.set_nonblocking(true)?;
             let ctx = Arc::clone(&accept);
-            handle.accept_handles.push(
-                std::thread::Builder::new()
-                    .name("artsparse-accept-tcp".into())
-                    .spawn(move || tcp_accept_loop(&listener, &ctx))?,
-            );
+            let pass = move |stopping| {
+                while ctx.accepting(stopping) {
+                    let Ok((stream, peer)) = listener.accept() else {
+                        return;
+                    };
+                    // Each reply is one write, sent at once rather than held
+                    // back by Nagle. Best effort: a refusing socket still serves.
+                    let _ = stream.set_nodelay(true);
+                    ctx.start_session(stream, Some(peer));
+                }
+            };
+            handle
+                .acceptors
+                .push(Periodic::spawn("artsparse-accept-tcp", ACCEPT_POLL, pass)?);
         }
 
         #[cfg(unix)]
@@ -210,11 +219,17 @@ impl Server {
             handle.unix_path = Some(path.clone());
             listener.set_nonblocking(true)?;
             let ctx = Arc::clone(&accept);
-            handle.accept_handles.push(
-                std::thread::Builder::new()
-                    .name("artsparse-accept-unix".into())
-                    .spawn(move || unix_accept_loop(&listener, &ctx))?,
-            );
+            let pass = move |stopping| {
+                while ctx.accepting(stopping) {
+                    let Ok((stream, _)) = listener.accept() else {
+                        return;
+                    };
+                    ctx.start_session(stream, None);
+                }
+            };
+            handle
+                .acceptors
+                .push(Periodic::spawn("artsparse-accept-unix", ACCEPT_POLL, pass)?);
         }
         #[cfg(not(unix))]
         if config.unix.is_some() {
@@ -226,20 +241,11 @@ impl Server {
         if let Some(dir) = &config.metrics_out {
             std::fs::create_dir_all(dir)?;
             let dir = dir.clone();
-            let stop = Arc::clone(&handle.stop);
-            let interval = Duration::from_millis(config.export_interval_ms.max(10));
-            handle.publisher = Some(
-                std::thread::Builder::new()
-                    .name("artsparse-publisher".into())
-                    .spawn(move || loop {
-                        let stopping = stop.load(Ordering::SeqCst);
-                        let _ = publish(&dir, &metrics.snapshot(&quotas), &metrics.journal);
-                        if stopping {
-                            return;
-                        }
-                        std::thread::park_timeout(interval);
-                    })?,
-            );
+            let interval = Duration::from_millis(config.export_interval_ms);
+            let pass = move |_| {
+                let _ = publish(&dir, &metrics.snapshot(&quotas), &metrics.journal);
+            };
+            handle.publisher = Some(Periodic::spawn("artsparse-publisher", interval, pass)?);
         }
         Ok(handle)
     }
@@ -258,27 +264,38 @@ struct AcceptCtx<F: BackendFactory> {
 }
 
 impl<F: BackendFactory + Send + Sync + 'static> AcceptCtx<F> {
-    fn session_ctx(&self, peer: String) -> SessionCtx<F> {
-        SessionCtx {
+    /// Whether an accept pass takes connections: not on a stopping pass,
+    /// nor once the server drains.
+    fn accepting(&self, stopping: bool) -> bool {
+        !stopping && !self.stop.load(Ordering::SeqCst)
+    }
+
+    /// Run a session over `stream` on a new thread. The peer is labelled
+    /// by its TCP address, or as `unix:<session id>`. A thread that
+    /// cannot start is journaled, and its connection dropped.
+    fn start_session<S: Socket>(&self, stream: S, tcp_peer: Option<SocketAddr>) {
+        let id = self.session_ids.fetch_add(1, Ordering::Relaxed) + 1;
+        let ctx = SessionCtx {
             registry: Arc::clone(&self.registry),
             quotas: self.quotas.clone(),
             metrics: Arc::clone(&self.metrics),
             stop: Arc::clone(&self.stop),
             shutdown: self.shutdown.clone(),
             limits: self.limits,
-            peer,
-            session_id: self.session_ids.fetch_add(1, Ordering::Relaxed) + 1,
-        }
-    }
-
-    /// Run `run` on a new session thread. A thread that cannot start is
-    /// journaled, and its connection, moved into `run`, is dropped.
-    fn spawn_session(&self, ctx: SessionCtx<F>, run: impl FnOnce(SessionCtx<F>) + Send + 'static) {
-        let id = ctx.session_id;
-        match std::thread::Builder::new()
+            peer: match tcp_peer {
+                Some(addr) => format!("tcp:{addr}"),
+                None => format!("unix:{id}"),
+            },
+            session_id: id,
+        };
+        let spawned = std::thread::Builder::new()
             .name(format!("artsparse-session-{id}"))
-            .spawn(move || run(ctx))
-        {
+            .spawn(move || {
+                if let Ok(read_half) = stream.read_half() {
+                    run_session(ctx, BufReader::new(read_half), stream);
+                }
+            });
+        match spawned {
             Ok(handle) => self
                 .sessions
                 .lock()
@@ -293,75 +310,35 @@ impl<F: BackendFactory + Send + Sync + 'static> AcceptCtx<F> {
     }
 }
 
+/// A connected socket a session runs on: a TCP or a Unix stream.
+trait Socket: Read + Write + Send + Sized + 'static {
+    /// Switch to blocking reads under [`SESSION_READ_TIMEOUT`] and return
+    /// a second handle to read through.
+    fn read_half(&self) -> io::Result<Self>;
+}
+
+macro_rules! impl_socket {
+    ($stream:ty) => {
+        impl Socket for $stream {
+            fn read_half(&self) -> io::Result<Self> {
+                self.set_nonblocking(false)?;
+                self.set_read_timeout(Some(SESSION_READ_TIMEOUT))?;
+                self.try_clone()
+            }
+        }
+    };
+}
+
+impl_socket!(TcpStream);
+#[cfg(unix)]
+impl_socket!(std::os::unix::net::UnixStream);
+
+/// Cadence of an accept loop; a pass accepts until the listener blocks.
 const ACCEPT_POLL: Duration = Duration::from_millis(25);
 
 /// Socket read timeout of a session — the cadence at which it polls the
 /// drain flag between requests.
 const SESSION_READ_TIMEOUT: Duration = Duration::from_millis(250);
-
-fn tcp_accept_loop<F: BackendFactory + Send + Sync + 'static>(
-    listener: &TcpListener,
-    ctx: &AcceptCtx<F>,
-) {
-    while !ctx.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                let session_ctx = ctx.session_ctx(format!("tcp:{peer}"));
-                ctx.spawn_session(session_ctx, move |sctx| serve_tcp(stream, sctx));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
-    }
-}
-
-fn serve_tcp<F: BackendFactory>(stream: TcpStream, ctx: SessionCtx<F>) {
-    if stream.set_nonblocking(false).is_err()
-        || stream.set_read_timeout(Some(SESSION_READ_TIMEOUT)).is_err()
-    {
-        return;
-    }
-    // Each reply is one write: sent at once rather than held back by
-    // Nagle until the client's delayed ACK for the previous one. Best
-    // effort — a socket that refuses still serves, only slower.
-    let _ = stream.set_nodelay(true);
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    run_session(ctx, BufReader::new(read_half), stream);
-}
-
-#[cfg(unix)]
-fn unix_accept_loop<F: BackendFactory + Send + Sync + 'static>(
-    listener: &std::os::unix::net::UnixListener,
-    ctx: &AcceptCtx<F>,
-) {
-    while !ctx.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let id = ctx.session_ids.load(Ordering::Relaxed) + 1;
-                let session_ctx = ctx.session_ctx(format!("unix:{id}"));
-                ctx.spawn_session(session_ctx, move |sctx| {
-                    if stream.set_nonblocking(false).is_err()
-                        || stream.set_read_timeout(Some(SESSION_READ_TIMEOUT)).is_err()
-                    {
-                        return;
-                    }
-                    let Ok(read_half) = stream.try_clone() else {
-                        return;
-                    };
-                    run_session(sctx, BufReader::new(read_half), stream);
-                });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
-    }
-}
 
 /// A running server. Dropping the handle drains and stops everything;
 /// call [`ServerHandle::shutdown`] to do it explicitly and observe
@@ -370,9 +347,9 @@ fn unix_accept_loop<F: BackendFactory + Send + Sync + 'static>(
 pub struct ServerHandle {
     stop: Arc<AtomicBool>,
     registry: Arc<dyn Drain>,
-    accept_handles: Vec<std::thread::JoinHandle<()>>,
+    acceptors: Vec<Periodic>,
     session_handles: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-    publisher: Option<std::thread::JoinHandle<()>>,
+    publisher: Option<Periodic>,
     tcp_addr: Option<SocketAddr>,
     unix_path: Option<PathBuf>,
     shutdown_rx: Receiver<()>,
@@ -413,8 +390,8 @@ impl ServerHandle {
     }
 
     /// Gracefully stop: refuse new connections, let sessions finish,
-    /// drain every dataset through `StorageEngine::shutdown`, publish one
-    /// final metrics tick. Idempotent.
+    /// drain every dataset through `StorageEngine::shutdown`, journal the
+    /// stop, then publish one final metrics tick. Idempotent.
     pub fn shutdown(&mut self) -> DrainReport {
         if self.finished {
             return DrainReport {
@@ -424,8 +401,8 @@ impl ServerHandle {
         }
         self.finished = true;
         self.stop.store(true, Ordering::SeqCst);
-        for h in self.accept_handles.drain(..) {
-            let _ = h.join();
+        for acceptor in self.acceptors.drain(..) {
+            stop_loop(&self.metrics, acceptor);
         }
         let sessions: Vec<_> = {
             let mut guard = self
@@ -438,11 +415,6 @@ impl ServerHandle {
             let _ = h.join();
         }
         let report = self.registry.drain();
-
-        if let Some(h) = self.publisher.take() {
-            h.thread().unpark();
-            let _ = h.join();
-        }
         if report.errors > 0 {
             self.metrics.journal_warn(
                 "drain_errors",
@@ -455,11 +427,24 @@ impl ServerHandle {
             format!("drained {} dataset(s)", report.datasets),
             0,
         );
+        // Last: the publisher's stopping tick sees the drained server
+        // and the events above.
+        if let Some(publisher) = self.publisher.take() {
+            stop_loop(&self.metrics, publisher);
+        }
         #[cfg(unix)]
         if let Some(path) = &self.unix_path {
             let _ = std::fs::remove_file(path);
         }
         report
+    }
+}
+
+/// Stop one of the server's loops, journaling a stop that had to detach
+/// a stuck thread or found a panicked one.
+fn stop_loop(metrics: &ServerMetrics, mut worker: Periodic) {
+    if let Err(e) = worker.stop() {
+        metrics.journal_warn("loop_stop_failed", e.to_string(), 0);
     }
 }
 

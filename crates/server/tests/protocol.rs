@@ -715,6 +715,8 @@ fn metrics_out_mirrors_the_series_and_the_journal() {
             .any(|event| event.contains("\"session_open\"")),
         "{journal}"
     );
+    let last = journal.lines().last().unwrap_or_default();
+    assert!(last.contains("\"server_stopped\""), "{journal}");
 }
 
 /// PROTOCOL.md is the spec; [`COMMANDS`] and [`ErrorCode::ALL`] are the

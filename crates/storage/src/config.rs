@@ -498,7 +498,7 @@ mod tests {
         // Constants that were settings hold the values they defaulted to.
         assert_eq!(FLUSH_BYTES, 1 << 20);
         assert_eq!(DEGRADE_AFTER, 2);
-        assert_eq!(crate::scheduler::SHUTDOWN_TIMEOUT, Duration::from_secs(5));
+        assert_eq!(crate::periodic::SHUTDOWN_TIMEOUT, Duration::from_secs(5));
 
         let c = EngineConfig::default()
             .with_cache_capacity(1 << 20)

@@ -16,22 +16,22 @@
 //! 3. drains the journal's new events — each exactly once, via the
 //!    journal's cursor — appending them to `<dir>/journal.jsonl`.
 //!
-//! Like [`IngestScheduler`](crate::scheduler::IngestScheduler), the
-//! exporter owns one thread, parks between ticks so shutdown interrupts
-//! a long interval immediately, runs a final tick on shutdown (a
-//! short-lived process still publishes its last state), and stops
-//! cleanly on drop. Export failures (a full disk, a vanished directory)
-//! are counted and retried next tick — observability must never take
-//! the store down.
+//! The exporter is a [`Periodic`] loop at
+//! [`ObservabilityConfig::export_interval_ms`](crate::config::ObservabilityConfig::export_interval_ms):
+//! a shutdown wakes it at once, and it runs a final tick (a short-lived
+//! process still publishes its last state) before it is joined. Export
+//! failures (a full disk, a vanished directory) are counted and retried
+//! next tick — observability must never take the store down.
 
 use crate::backend::StorageBackend;
 use crate::engine::StorageEngine;
 use crate::error::{Result, StorageError};
+use crate::periodic::Periodic;
 use artsparse_metrics::{exposition, Journal, ObservabilityPlane, RegistrySnapshot};
 use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -47,22 +47,22 @@ pub const JOURNAL_JSONL: &str = "journal.jsonl";
 pub struct ExporterStats {
     /// Ticks that published successfully.
     pub ticks: u64,
-    /// Ticks that failed to write (retried next tick).
+    /// Ticks that failed to write (retried next tick), and a shutdown
+    /// that found the thread stuck (then detached) or panicked.
     pub errors: u64,
 }
 
 #[derive(Default)]
-struct Shared {
-    stop: AtomicBool,
+struct Counts {
     ticks: AtomicU64,
     errors: AtomicU64,
 }
 
-/// Handle to the background exporter thread. Dropping it shuts the
-/// thread down cleanly (one final tick, then joined).
+/// Handle to the background exporter thread. Dropping it stops the
+/// thread (one final tick, then joined).
 pub struct MetricsExporter {
-    shared: Arc<Shared>,
-    handle: Option<std::thread::JoinHandle<()>>,
+    counts: Arc<Counts>,
+    worker: Periodic,
 }
 
 impl MetricsExporter {
@@ -90,66 +90,36 @@ impl MetricsExporter {
         };
         std::fs::create_dir_all(&dir)?;
         let interval = Duration::from_millis(
-            (engine.config().observability).map_or(500, |oc| oc.export_interval_ms.max(1)),
+            (engine.config().observability).map_or(500, |oc| oc.export_interval_ms),
         );
-        let shared = Arc::new(Shared::default());
-        let worker = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name("artsparse-metrics-exporter".into())
-            .spawn(move || exporter_loop(&engine, &plane, &dir, interval, &worker))?;
-        Ok(MetricsExporter {
-            shared,
-            handle: Some(handle),
-        })
+        let counts = Arc::new(Counts::default());
+        let tally = Arc::clone(&counts);
+        let worker = Periodic::spawn("artsparse-metrics-exporter", interval, move |_| {
+            let counter = match export_tick(&engine, &plane, &dir) {
+                Ok(()) => &tally.ticks,
+                Err(_) => &tally.errors,
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+        })?;
+        Ok(MetricsExporter { counts, worker })
     }
 
     /// What the exporter has done so far.
     pub fn stats(&self) -> ExporterStats {
         ExporterStats {
-            ticks: self.shared.ticks.load(Ordering::Relaxed),
-            errors: self.shared.errors.load(Ordering::Relaxed),
+            ticks: self.counts.ticks.load(Ordering::Relaxed),
+            errors: self.counts.errors.load(Ordering::Relaxed),
         }
     }
 
-    /// Stop the exporter: the thread runs one final tick (publishing the
-    /// closing state), then exits and is joined. Idempotent; also runs
-    /// on drop.
+    /// Stop the exporter after one final tick (publishing the closing
+    /// state). A thread still stuck in a write after
+    /// [`SHUTDOWN_TIMEOUT`](crate::periodic::SHUTDOWN_TIMEOUT) is detached
+    /// and counted in [`ExporterStats::errors`]. Idempotent.
     pub fn shutdown(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.handle.take() {
-            handle.thread().unpark();
-            let _ = handle.join();
+        if self.worker.stop().is_err() {
+            self.counts.errors.fetch_add(1, Ordering::Relaxed);
         }
-    }
-}
-
-impl Drop for MetricsExporter {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn exporter_loop<B: StorageBackend + Send + Sync>(
-    engine: &StorageEngine<B>,
-    plane: &ObservabilityPlane,
-    dir: &Path,
-    interval: Duration,
-    shared: &Shared,
-) {
-    loop {
-        let stopping = shared.stop.load(Ordering::SeqCst);
-        match export_tick(engine, plane, dir) {
-            Ok(()) => {
-                shared.ticks.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                shared.errors.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        if stopping {
-            return;
-        }
-        std::thread::park_timeout(interval);
     }
 }
 

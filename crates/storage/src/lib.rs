@@ -34,10 +34,12 @@
 //!   streaming-ingest batches crash-durable before they reach a fragment;
 //! * [`buffer`] — the in-memory streaming-ingest write buffer with an
 //!   atomically swappable read snapshot;
-//! * [`scheduler`] — the background thread that flushes stale buffers and
+//! * [`periodic`] — the one background loop: a named thread that runs a
+//!   pass every interval, parks in between, and stops within a bound;
+//! * [`scheduler`] — the background loop that flushes stale buffers and
 //!   triggers size-tiered consolidation, rate-limited, with clean
 //!   shutdown;
-//! * [`exporter`] — the background thread of the live observability
+//! * [`exporter`] — the background loop of the live observability
 //!   plane: it samples the engine's gauges, publishes Prometheus-text
 //!   exposition (atomic rename) plus a JSONL snapshot series, and drains
 //!   the trace-correlated event journal to `journal.jsonl`.
@@ -57,6 +59,7 @@ pub mod faults;
 pub mod fragment;
 pub mod integrity;
 pub mod observe;
+pub mod periodic;
 pub mod scheduler;
 pub mod striped;
 pub mod wal;
@@ -80,6 +83,7 @@ pub use faults::{injected_fault, FailingBackend, InjectedFault};
 pub use fragment::FragmentChecksums;
 pub use integrity::{crc32c, Crc32c};
 pub use observe::RecordingBackend;
+pub use periodic::Periodic;
 pub use scheduler::IngestScheduler;
 pub use striped::StripedBackend;
 pub use wal::WalRecord;

@@ -29,12 +29,12 @@
 //! charges the `scheduler_runs` counter. The engine keeps the one record
 //! of what its scheduler did — passes, staleness flushes, consolidations
 //! and failures — and [`StorageEngine::stats`] reads it back.
-//! [`IngestScheduler::shutdown`]
-//! (also run on drop) stops the thread cleanly: the current pass
-//! finishes, no new one starts, and the thread is joined — but the wait
-//! is bounded by [`SHUTDOWN_TIMEOUT`]: a worker stuck inside a hung
-//! backend call is detached and surfaced as a `scheduler_error` instead
-//! of blocking drop forever.
+//!
+//! The thread is a [`Periodic`] loop at [`SchedulerConfig::tick_ms`]
+//! whose stopping pass is one parting WAL retirement. A stop that had to
+//! detach a stuck worker is noted as a scheduler error, and so is an OS
+//! that refuses the thread: ingest then still flushes inline at its
+//! thresholds.
 //!
 //! [`IngestConfig::flush_interval_ms`]: crate::config::IngestConfig::flush_interval_ms
 
@@ -42,35 +42,19 @@ use crate::backend::StorageBackend;
 use crate::config::SchedulerConfig;
 use crate::engine::StorageEngine;
 use crate::error::{Result, StorageError};
+use crate::periodic::Periodic;
 use artsparse_metrics::{charge, Span, SpanKind};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Runs one log₂-size tier must hold before the scheduler consolidates.
 pub const TIER_RUNS: usize = 4;
 
-/// Upper bound on how long [`IngestScheduler::shutdown`] waits for the
-/// worker thread. A thread stuck inside a backend call (hung device,
-/// injected write latency) is detached instead of blocking drop
-/// forever, and the timeout is surfaced as a `scheduler_error`.
-pub const SHUTDOWN_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// What the handle and its thread share: the stop request, and the
-/// thread's "finished" flag the bounded shutdown waits on.
-#[derive(Default)]
-struct Shared {
-    stop: AtomicBool,
-    done: AtomicBool,
-}
-
 /// Handle to the background scheduler thread. Dropping it shuts the
-/// thread down cleanly (current pass finishes, thread joined, wait
-/// bounded by [`SHUTDOWN_TIMEOUT`]).
+/// thread down (see [`IngestScheduler::shutdown`]).
 pub struct IngestScheduler {
-    shared: Arc<Shared>,
-    handle: Option<std::thread::JoinHandle<()>>,
-    note_error: Arc<dyn Fn(&StorageError) + Send + Sync>,
+    worker: Option<Periodic>,
+    note_error: Box<dyn Fn(&StorageError) + Send + Sync>,
 }
 
 impl IngestScheduler {
@@ -78,68 +62,57 @@ impl IngestScheduler {
     ///
     /// The engine must be shared (`Arc`) because the scheduler flushes
     /// and consolidates concurrently with the caller's ingests; both
-    /// paths are `&self` and internally synchronized.
+    /// paths are `&self` and internally synchronized. A thread the OS
+    /// refuses is noted as a scheduler error, and the handle holds none.
     pub fn spawn<B>(engine: Arc<StorageEngine<B>>, config: SchedulerConfig) -> IngestScheduler
     where
         B: StorageBackend + Send + Sync + 'static,
     {
-        let shared = Arc::new(Shared::default());
-        let worker = Arc::clone(&shared);
         // Weak: the handle must not keep the engine alive (callers
         // reclaim it with Arc::into_inner after shutdown).
         let note_engine = Arc::downgrade(&engine);
-        let handle = std::thread::Builder::new()
-            .name("artsparse-ingest-scheduler".into())
-            .spawn(move || scheduler_loop(&engine, &config, &worker))
-            .expect("spawning the scheduler thread");
-        IngestScheduler {
-            shared,
-            handle: Some(handle),
-            note_error: Arc::new(move |e| {
-                if let Some(engine) = note_engine.upgrade() {
-                    engine.note_scheduler_error(e);
-                }
-            }),
-        }
+        let note_error = Box::new(move |e: &StorageError| {
+            if let Some(engine) = note_engine.upgrade() {
+                engine.note_scheduler_error(e);
+            }
+        });
+        let min_gap = Duration::from_millis(config.min_consolidate_interval_ms);
+        let mut last_consolidate = None;
+        let pass_engine = Arc::clone(&engine);
+        let pass = move |stopping| {
+            if stopping {
+                // So an engine shut down right after a failed flush-time
+                // delete does not strand its orphans.
+                pass_engine.retire_pending_wals();
+            } else if let Err(e) = scheduler_pass(&pass_engine, &mut last_consolidate, min_gap) {
+                // Out of the ingest path, retried next tick, and surfaced:
+                // stats, gauges and a `scheduler_error` journal event.
+                pass_engine.note_scheduler_error(&e);
+            }
+        };
+        let tick = Duration::from_millis(config.tick_ms);
+        let worker = match Periodic::spawn("artsparse-ingest-scheduler", tick, pass) {
+            Ok(worker) => Some(worker),
+            Err(e) => {
+                engine.note_scheduler_error(&StorageError::Io(e));
+                None
+            }
+        };
+        IngestScheduler { worker, note_error }
     }
 
-    /// Stop the scheduler: no new pass starts, the in-flight pass (if
-    /// any) completes, and the thread is joined before this returns —
-    /// waiting at most [`SHUTDOWN_TIMEOUT`]. A worker stuck inside a hung
-    /// backend call (a device that never returns) is *detached* rather
-    /// than joined, so drop never hangs; the timeout is counted as a
-    /// scheduler error and journaled as a `scheduler_error` event.
-    /// Idempotent; also runs on drop.
+    /// Stop the scheduler: the in-flight pass completes and the thread is
+    /// joined, waiting at most
+    /// [`SHUTDOWN_TIMEOUT`](crate::periodic::SHUTDOWN_TIMEOUT); a worker
+    /// stuck in a hung backend call is detached and noted as a scheduler
+    /// error. Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        let Some(handle) = self.handle.take() else {
+        let Some(mut worker) = self.worker.take() else {
             return;
         };
-        handle.thread().unpark();
-        let deadline = Instant::now() + SHUTDOWN_TIMEOUT;
-        while !self.shared.done.load(Ordering::SeqCst) {
-            if Instant::now() >= deadline {
-                // The worker is wedged inside a backend call. Joining
-                // would inherit the hang; leak the thread instead (it
-                // holds only Arcs and exits on its own if the backend
-                // ever returns) and surface the timeout.
-                let error = StorageError::Io(std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    format!(
-                        "scheduler shutdown timed out after {:?}; detaching the stuck                          worker thread",
-                        SHUTDOWN_TIMEOUT
-                    ),
-                ));
-                (self.note_error)(&error);
-                drop(handle);
-                return;
-            }
-            handle.thread().unpark();
-            std::thread::sleep(Duration::from_millis(1));
+        if let Err(e) = worker.stop() {
+            (self.note_error)(&StorageError::Io(e));
         }
-        // `done` is set as the very last statement of the worker loop;
-        // this join is immediate.
-        let _ = handle.join();
     }
 }
 
@@ -165,38 +138,6 @@ fn tier_trigger(sizes: &[u64]) -> bool {
         }
     }
     false
-}
-
-fn scheduler_loop<B: StorageBackend + Send + Sync>(
-    engine: &StorageEngine<B>,
-    config: &SchedulerConfig,
-    shared: &Shared,
-) {
-    let tick = Duration::from_millis(config.tick_ms.max(1));
-    let min_gap = Duration::from_millis(config.min_consolidate_interval_ms);
-    let mut last_consolidate: Option<Instant> = None;
-    while !shared.stop.load(Ordering::SeqCst) {
-        match scheduler_pass(engine, &mut last_consolidate, min_gap) {
-            Ok(()) => {}
-            Err(e) => {
-                // Keep failures out of the ingest path; the next tick
-                // retries. The error is *surfaced*, not swallowed: the
-                // engine's record keeps its count and text (store stats,
-                // registry gauges, and a `scheduler_error` journal event
-                // when the plane is on).
-                engine.note_scheduler_error(&e);
-            }
-        }
-        // park_timeout instead of sleep so shutdown() can interrupt a
-        // long tick immediately via unpark.
-        if !shared.stop.load(Ordering::SeqCst) {
-            std::thread::park_timeout(tick);
-        }
-    }
-    // One parting retirement attempt, so an engine shut down right
-    // after a failed flush-time delete does not strand its orphans.
-    engine.retire_pending_wals();
-    shared.done.store(true, Ordering::SeqCst);
 }
 
 /// One scheduler pass: staleness flush, then the size-tiered
