@@ -3,8 +3,8 @@
 //! ```text
 //! artsparse-bench <experiment>... [options]
 //!
-//! experiments: table1 table2 table3 table4 fig2 fig3 fig4 fig5 ablate
-//!              compress sweep adaptive ingest observe torture all
+//! experiments: table1 table2 table3 table4 fig1 fig2 fig3 fig4 fig5 ablate
+//!              compress sweep io adaptive ingest observe torture all
 //! options:
 //!   --scale paper|medium|smoke   tensor sizes        (default: medium)
 //!   --backend mem|fs|sim         storage device      (default: sim)
@@ -13,6 +13,9 @@
 //!   --formats A,B,…              organizations       (default: paper five)
 //!   --telemetry                  print per-cell telemetry
 //!   --telemetry-out DIR          write per-cell telemetry JSON documents
+//!   --threads N                  read fan-out cap: the most threads one
+//!                                read spreads its planned fragment pages
+//!                                over (default: 0, the host's cores)
 //!   --adaptive                   advisor-driven re-organization at
 //!                                consolidation time
 //!   --profile balanced|write-heavy|read-heavy

@@ -1,4 +1,4 @@
-//! A bytes-bounded LRU cache of decoded fragments.
+//! A bytes-bounded LRU cache of decoded fragment pages.
 //!
 //! Region reads in the paper's workloads revisit the same fragments over
 //! and over (a dashboard refreshing one tile, an analysis sweeping a
@@ -245,6 +245,7 @@ mod tests {
                     value: 0,
                     header: 0,
                 },
+                continued: false,
             },
             index: vec![0; index_len],
             values: vec![0; value_len],

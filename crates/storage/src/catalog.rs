@@ -23,7 +23,7 @@
 use crate::backend::StorageBackend;
 use crate::engine::names::NameOrder;
 use crate::error::Result;
-use crate::fragment::{peek_meta, FragmentMeta};
+use crate::fragment::{pages, peek_meta, FragmentMeta};
 use artsparse_tensor::Region;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -33,54 +33,90 @@ use std::sync::Arc;
 /// listed fragment vanished before its header peek.
 const MAX_RELISTS: usize = 3;
 
-/// Everything the engine knows about one fragment without touching its
-/// payload sections.
+/// Everything the engine knows about one fragment blob without touching
+/// its payload sections.
 #[derive(Debug, Clone)]
 pub struct CatalogEntry {
     /// Blob name on the device.
     pub name: String,
-    /// Decoded header.
-    pub meta: FragmentMeta,
+    /// The blob's pages, in order: one, unless a consolidation cut its
+    /// output into more.
+    pub pages: Vec<Arc<PageEntry>>,
     /// Size of the blob on the device in bytes.
     pub size: u64,
 }
 
-/// The outcome of planning a read: which fragments were considered and
+/// One page of a blob: the unit a read plans, fetches, caches and
+/// quarantines, and a merge decodes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PageEntry {
+    /// The page's name: its blob's for a one-page blob, `<blob>#<i>` for
+    /// page `i` of more.
+    pub name: String,
+    /// Its blob's name on the device.
+    pub blob: String,
+    /// Byte offset of the page in its blob.
+    pub offset: u64,
+    /// Decoded header.
+    pub meta: FragmentMeta,
+}
+
+impl CatalogEntry {
+    /// The entry of blob `name`, `size` bytes long, from its pages'
+    /// offsets and headers.
+    pub fn new(name: String, pages: Vec<(u64, FragmentMeta)>, size: u64) -> Self {
+        let paged = pages.len() > 1;
+        let page = |(i, (offset, meta))| {
+            let blob = name.clone();
+            let name = if paged {
+                format!("{blob}#{i}")
+            } else {
+                blob.clone()
+            };
+            Arc::new(PageEntry {
+                name,
+                blob,
+                offset,
+                meta,
+            })
+        };
+        let pages = pages.into_iter().enumerate().map(page).collect();
+        CatalogEntry { name, pages, size }
+    }
+}
+
+/// The outcome of planning a read: how many pages were considered and
 /// which survive bounding-box pruning, in write order.
 #[derive(Debug, Clone, Default)]
 pub struct ReadPlan {
-    /// Fragments whose metadata was examined.
+    /// Pages whose metadata was examined.
     pub scanned: usize,
-    /// Fragments whose bounding box overlaps the query, in write order.
-    pub fragments: Vec<Arc<CatalogEntry>>,
-    /// Quarantined fragments whose bounding box overlaps the query —
-    /// data the plan *would* have read but cannot trust. A non-empty
-    /// list means any result built from this plan may be incomplete.
+    /// Pages whose bounding box overlaps the query, in write order.
+    pub pages: Vec<Arc<PageEntry>>,
+    /// Quarantined pages whose bounding box overlaps the query — data
+    /// the plan *would* have read but cannot trust. A non-empty list
+    /// means any result built from this plan may be incomplete.
     pub quarantined: Vec<String>,
 }
 
-/// Manifest of fragment metadata, keyed by the identity each name
-/// spells, so iteration order is write (precedence) order — also past
-/// the widths at which name strings stop sorting that way.
+/// Manifest of fragment metadata, one entry per blob, keyed by the
+/// identity each name spells, so iteration order is write (precedence)
+/// order — also past the widths at which name strings stop sorting that
+/// way.
 #[derive(Debug, Default)]
 pub struct FragmentCatalog {
     entries: RwLock<BTreeMap<NameOrder, Arc<CatalogEntry>>>,
-    /// Damaged fragments (name → why), excluded from planning and
-    /// consolidation but never deleted. Kept separate from `entries` so
-    /// a `reload` resyncing the manifest does not forget what was
-    /// already found to be damaged.
+    /// Damaged pages (name → why), excluded from planning — and their
+    /// blobs from consolidation — but never deleted. Kept separate from
+    /// `entries` so a `reload` resyncing the manifest does not forget
+    /// what was already found to be damaged.
     quarantined: RwLock<BTreeMap<String, String>>,
 }
 
 impl FragmentCatalog {
-    /// An empty catalog.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Build a catalog by listing the device and peeking every header
-    /// once. `ndim` sizes the header peek; `filter` keeps only blob names
-    /// that belong to the engine (fragment names). The engine's filter is
+    /// Build a catalog by listing the device and peeking every page
+    /// header once. `ndim` sizes the header peeks; `filter` keeps only
+    /// blob names that belong to the engine (fragment names). The engine's filter is
     /// strict fragment-name parsing, which is what keeps the commit
     /// protocol's auxiliary blobs — `.tmp` staging blobs, `tomb-*.tsn`
     /// tombstones, `epoch-*.lck` claim markers — invisible to discovery:
@@ -102,20 +138,23 @@ impl FragmentCatalog {
         }
     }
 
-    /// One listing of the device, and a peek at every fragment on it.
+    /// One listing of the device, and for every fragment on it its first
+    /// header, its size, then each further page's header.
     fn load_listed<B: StorageBackend>(
         backend: &B,
         ndim: usize,
         filter: impl Fn(&str) -> bool,
     ) -> Result<Self> {
-        let catalog = FragmentCatalog::new();
+        let catalog = FragmentCatalog::default();
         for name in backend.list()? {
             if !filter(&name) {
                 continue;
             }
-            let meta = peek_meta(&name, ndim, |len| backend.get_prefix(&name, len))?;
+            let first = peek_meta(&name, ndim, |len| backend.get_prefix(&name, len))?;
             let size = backend.size(&name)?;
-            catalog.insert(CatalogEntry { name, meta, size });
+            let peek = |offset, len| backend.get_range(&name, offset, len);
+            let pages = pages(&name, first, size, peek)?;
+            catalog.insert(CatalogEntry::new(name, pages, size));
         }
         Ok(catalog)
     }
@@ -140,16 +179,20 @@ impl FragmentCatalog {
     }
 
     /// Forget a fragment, returning its entry if it was known. Also
-    /// clears any quarantine record — the name may be reused by a
-    /// future epoch, which must start with a clean slate.
+    /// clears its pages' quarantine records — the name may be reused by
+    /// a future epoch, which must start with a clean slate.
     pub fn remove(&self, name: &str) -> Option<Arc<CatalogEntry>> {
-        self.quarantined.write().remove(name);
-        self.entries.write().remove(&NameOrder::of(name))
+        let entry = self.entries.write().remove(&NameOrder::of(name))?;
+        let mut quarantined = self.quarantined.write();
+        for page in &entry.pages {
+            quarantined.remove(&page.name);
+        }
+        Some(entry)
     }
 
-    /// Mark a fragment as damaged: excluded from planning and
-    /// consolidation, never deleted. Returns `true` if the fragment was
-    /// not already quarantined (so callers can count first observations
+    /// Mark a page as damaged: excluded from planning, its blob from
+    /// consolidation, never deleted. Returns `true` if the page was not
+    /// already quarantined (so callers can count first observations
     /// exactly once); the first diagnosis wins — re-quarantining keeps
     /// the original reason. The record survives [`reload`](Self::reload).
     pub fn quarantine(&self, name: impl Into<String>, reason: impl Into<String>) -> bool {
@@ -160,11 +203,6 @@ impl FragmentCatalog {
                 true
             }
         }
-    }
-
-    /// Whether a fragment is quarantined.
-    pub fn is_quarantined(&self, name: &str) -> bool {
-        self.quarantined.read().contains_key(name)
     }
 
     /// All quarantine records as `(name, reason)`, in name order.
@@ -181,16 +219,6 @@ impl FragmentCatalog {
         self.entries.read().get(&NameOrder::of(name)).cloned()
     }
 
-    /// Number of fragments.
-    pub fn len(&self) -> usize {
-        self.entries.read().len()
-    }
-
-    /// Whether the catalog is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.read().is_empty()
-    }
-
     /// Fragment names in write order.
     pub fn names(&self) -> Vec<String> {
         self.entries
@@ -200,37 +228,19 @@ impl FragmentCatalog {
             .collect()
     }
 
-    /// All healthy (non-quarantined) entries in write order — what
-    /// consolidation and other bulk readers may safely decode.
+    /// Every entry none of whose pages is quarantined, in write order —
+    /// what consolidation and other bulk readers may safely decode, and
+    /// retire whole.
     pub fn snapshot(&self) -> Vec<Arc<CatalogEntry>> {
         let quarantined = self.quarantined.read();
+        let healthy =
+            |e: &&Arc<CatalogEntry>| !e.pages.iter().any(|p| quarantined.contains_key(&p.name));
         self.entries
             .read()
             .values()
-            .filter(|e| !quarantined.contains_key(&e.name))
+            .filter(healthy)
             .cloned()
             .collect()
-    }
-
-    /// [`snapshot`](Self::snapshot), grouped into consolidation runs: the
-    /// parts one pass cut its output into (adjacent in write order) are
-    /// one run, and every other fragment is a run by itself.
-    pub fn runs(&self) -> Vec<Vec<Arc<CatalogEntry>>> {
-        let quarantined = self.quarantined.read();
-        let entries = self.entries.read();
-        let mut runs: Vec<Vec<Arc<CatalogEntry>>> = Vec::new();
-        let mut last: Option<&NameOrder> = None;
-        for (key, entry) in entries.iter() {
-            if quarantined.contains_key(&entry.name) {
-                continue;
-            }
-            match runs.last_mut() {
-                Some(run) if last.is_some_and(|prev| prev.same_run(key)) => run.push(entry.clone()),
-                _ => runs.push(vec![entry.clone()]),
-            }
-            last = Some(key);
-        }
-        runs
     }
 
     /// Every entry in write order, quarantined ones included — what
@@ -244,28 +254,25 @@ impl FragmentCatalog {
         self.entries.read().values().map(|e| e.size).sum()
     }
 
-    /// Bounding-box pruning against a query box — the in-memory version
-    /// of Algorithm 3's discovery loop. Empty fragments have no box and
-    /// never match.
+    /// Bounding-box pruning of every page against a query box — the
+    /// in-memory version of Algorithm 3's discovery loop. Empty pages have
+    /// no box and never match.
     pub fn plan(&self, query_bbox: &Region) -> ReadPlan {
         let entries = self.entries.read();
         let quarantined = self.quarantined.read();
-        let mut plan = ReadPlan {
-            scanned: entries.len(),
-            fragments: Vec::new(),
-            quarantined: Vec::new(),
-        };
-        for entry in entries.values() {
-            let overlaps = entry
+        let mut plan = ReadPlan::default();
+        for page in entries.values().flat_map(|entry| &entry.pages) {
+            plan.scanned += 1;
+            let overlaps = page
                 .meta
                 .bbox
                 .as_ref()
                 .is_some_and(|b| b.intersects(query_bbox));
             if overlaps {
-                if quarantined.contains_key(&entry.name) {
-                    plan.quarantined.push(entry.name.clone());
+                if quarantined.contains_key(&page.name) {
+                    plan.quarantined.push(page.name.clone());
                 } else {
-                    plan.fragments.push(entry.clone());
+                    plan.pages.push(page.clone());
                 }
             }
         }
@@ -278,26 +285,39 @@ mod tests {
     use super::*;
     use crate::backend::MemBackend;
     use crate::codec::Codec;
-    use crate::fragment::encode_fragment;
+    use crate::error::StorageError;
+    use crate::fragment::{encode_pages, PagePayload};
     use artsparse_core::FormatKind;
     use artsparse_tensor::Shape;
+    use std::borrow::Cow;
 
     fn put_fragment(backend: &MemBackend, name: &str, lo: [u64; 2], hi: [u64; 2]) -> usize {
+        put_pages(backend, name, &[(lo, hi)])
+    }
+
+    /// A blob of one one-point page per box.
+    fn put_pages(backend: &MemBackend, name: &str, boxes: &[([u64; 2], [u64; 2])]) -> usize {
         let shape = Shape::new(vec![32, 32]).unwrap();
-        let bbox = Region::from_corners(&lo, &hi).unwrap();
-        let bytes = encode_fragment(
-            FormatKind::Linear,
-            &shape,
-            1,
-            8,
-            Some(&bbox),
-            &[1, 2, 3, 4],
-            &[0u8; 8],
-            Codec::None,
-            Codec::None,
-        );
+        let page = |(lo, hi): &([u64; 2], [u64; 2])| PagePayload {
+            kind: FormatKind::Linear,
+            n: 1,
+            bbox: Some(Region::from_corners(lo, hi).unwrap()),
+            index: Cow::Borrowed(&[1, 2, 3, 4]),
+            values: Cow::Borrowed(&[0; 8]),
+        };
+        let codecs = (Codec::None, Codec::None);
+        let bytes = encode_pages(&shape, 8, codecs, boxes.iter().map(page).collect());
         backend.put(name, &bytes).unwrap();
         bytes.len()
+    }
+
+    /// The quarantined page names.
+    fn quarantined(catalog: &FragmentCatalog) -> Vec<String> {
+        catalog
+            .quarantined()
+            .into_iter()
+            .map(|(name, _)| name)
+            .collect()
     }
 
     #[test]
@@ -308,13 +328,12 @@ mod tests {
         backend.put("not-a-fragment.txt", &[1, 2, 3]).unwrap();
 
         let catalog = FragmentCatalog::load(&backend, 2, |n| n.starts_with("frag-")).unwrap();
-        assert_eq!(catalog.len(), 2);
         assert_eq!(
             catalog.names(),
             vec!["frag-00000001.asf", "frag-00000002.asf"]
         );
         assert_eq!(catalog.total_bytes(), (len_a + len_b) as u64);
-        assert_eq!(catalog.get("frag-00000001.asf").unwrap().meta.n, 1);
+        assert_eq!(catalog.get("frag-00000001.asf").unwrap().pages[0].meta.n, 1);
     }
 
     #[test]
@@ -355,7 +374,7 @@ mod tests {
         let catalog = FragmentCatalog::load(&backend, 2, |_| true).unwrap();
         assert_eq!(catalog.names(), [older, newer]);
         let plan = catalog.plan(&Region::from_corners(&[1, 1], &[1, 1]).unwrap());
-        let planned: Vec<&str> = plan.fragments.iter().map(|e| e.name.as_str()).collect();
+        let planned: Vec<&str> = plan.pages.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(planned, [older, newer]);
         let snapshot: Vec<String> = catalog.snapshot().iter().map(|e| e.name.clone()).collect();
         assert_eq!(snapshot, [older, newer]);
@@ -371,11 +390,11 @@ mod tests {
         let q = Region::from_corners(&[2, 2], &[5, 5]).unwrap();
         let plan = catalog.plan(&q);
         assert_eq!(plan.scanned, 2);
-        assert_eq!(plan.fragments.len(), 1);
-        assert_eq!(plan.fragments[0].name, "frag-00000001.asf");
+        assert_eq!(plan.pages.len(), 1);
+        assert_eq!(plan.pages[0].name, "frag-00000001.asf");
 
         let q = Region::from_corners(&[20, 20], &[30, 30]).unwrap();
-        assert!(catalog.plan(&q).fragments.is_empty());
+        assert!(catalog.plan(&q).pages.is_empty());
     }
 
     #[test]
@@ -391,13 +410,13 @@ mod tests {
             !catalog.quarantine("frag-00000001.asf", "again"),
             "already known"
         );
-        assert!(catalog.is_quarantined("frag-00000001.asf"));
+        assert_eq!(quarantined(&catalog), ["frag-00000001.asf"]);
 
         // Planning routes the damaged overlap into `quarantined`.
         let q = Region::from_corners(&[2, 2], &[3, 3]).unwrap();
         let plan = catalog.plan(&q);
-        assert_eq!(plan.fragments.len(), 1);
-        assert_eq!(plan.fragments[0].name, "frag-00000002.asf");
+        assert_eq!(plan.pages.len(), 1);
+        assert_eq!(plan.pages[0].name, "frag-00000002.asf");
         assert_eq!(plan.quarantined, vec!["frag-00000001.asf"]);
         // A query that misses the damaged bbox reports nothing.
         let q = Region::from_corners(&[5, 5], &[5, 5]).unwrap();
@@ -406,18 +425,17 @@ mod tests {
         // Healthy snapshots shrink; accounting and the full walk do not.
         assert_eq!(catalog.snapshot().len(), 1);
         assert_eq!(catalog.snapshot_all().len(), 2);
-        assert_eq!(catalog.len(), 2);
         assert_eq!(catalog.total_bytes(), all_bytes);
 
         // The record survives a reload (the manifest resyncs, the
         // damage verdict stands)…
         catalog.reload(&backend, 2, |_| true).unwrap();
-        assert!(catalog.is_quarantined("frag-00000001.asf"));
+        assert_eq!(quarantined(&catalog), ["frag-00000001.asf"]);
         assert_eq!(catalog.quarantined()[0].1, "checksum mismatch");
 
         // …but removal clears it: the name may be reused.
         catalog.remove("frag-00000001.asf");
-        assert!(!catalog.is_quarantined("frag-00000001.asf"));
+        assert!(catalog.quarantined().is_empty());
     }
 
     #[test]
@@ -427,12 +445,62 @@ mod tests {
         let catalog = FragmentCatalog::load(&backend, 2, |_| true).unwrap();
 
         catalog.remove("frag-00000001.asf").unwrap();
-        assert!(catalog.is_empty());
+        assert!(catalog.names().is_empty());
         assert_eq!(catalog.total_bytes(), 0);
 
         // The device changed behind the catalog's back; reload resyncs.
         put_fragment(&backend, "frag-00000002.asf", [4, 4], [6, 6]);
         catalog.reload(&backend, 2, |_| true).unwrap();
         assert_eq!(catalog.names().len(), 2);
+    }
+
+    #[test]
+    fn a_paged_blob_is_one_entry_whose_pages_plan_and_quarantine_alone() {
+        let backend = MemBackend::new();
+        let blob = "frag-00000002-00000001c000001.asf";
+        let boxes = [([0, 0], [3, 3]), ([4, 0], [7, 3]), ([8, 0], [9, 3])];
+        let size = put_pages(&backend, blob, &boxes) as u64;
+        put_fragment(&backend, "frag-00000003-00000001.asf", [0, 0], [9, 9]);
+        let catalog = FragmentCatalog::load(&backend, 2, |_| true).unwrap();
+        assert_eq!(catalog.names().len(), 2);
+        let entry = catalog.get(blob).unwrap();
+        assert_eq!(entry.size, size);
+        let offsets: Vec<u64> = entry.pages.iter().map(|p| p.offset).collect();
+        assert_eq!(offsets, [0, size / 3, 2 * size / 3]);
+        let page = |i: usize| format!("{blob}#{i}");
+        let names: Vec<&str> = entry.pages.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names, [page(0), page(1), page(2)]);
+
+        // Plans scan and yield pages, in write order.
+        let q = Region::from_corners(&[5, 1], &[8, 1]).unwrap();
+        let plan = catalog.plan(&q);
+        assert_eq!(plan.scanned, 4);
+        let planned: Vec<&str> = plan.pages.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(planned, [&page(1), &page(2), "frag-00000003-00000001.asf"]);
+
+        // A quarantined page leaves the plan alone; its blob leaves the
+        // snapshot whole, so a merge never retires the evidence.
+        assert!(catalog.quarantine(page(1), "checksum mismatch"));
+        let plan = catalog.plan(&q);
+        assert_eq!((plan.quarantined, plan.pages.len()), (vec![page(1)], 2));
+        let healthy: Vec<String> = catalog.snapshot().iter().map(|e| e.name.clone()).collect();
+        assert_eq!(healthy, ["frag-00000003-00000001.asf"]);
+        catalog.remove(blob);
+        assert!(catalog.quarantined().is_empty());
+    }
+
+    #[test]
+    fn a_blob_cut_at_a_page_boundary_fails_the_load() {
+        let backend = MemBackend::new();
+        let name = "frag-00000002-00000001c000001.asf";
+        let size = put_pages(&backend, name, &[([0, 0], [3, 3]), ([4, 0], [7, 3])]);
+        let whole = backend.get(name).unwrap();
+        backend.put(name, &whole[..size / 2]).unwrap();
+        let err = FragmentCatalog::load(&backend, 2, |_| true).unwrap_err();
+        assert!(
+            matches!(&err, StorageError::CorruptFragment { reason, .. }
+                if reason.contains("says another follows")),
+            "{err}"
+        );
     }
 }

@@ -255,14 +255,12 @@ impl Default for ObservabilityConfig {
 ///
 /// The scheduler ticks, flushes stale buffers (see
 /// [`IngestConfig::flush_interval_ms`]), and triggers a full
-/// consolidation pass under a size-tiered policy: runs — a fragment, or
-/// the ≤ [`PART_POINTS`](crate::PART_POINTS)-point parts one pass cut
-/// its output into, counted once at their summed size — are bucketed by
-/// the log₂ of their size, and when any tier holds at least
-/// [`TIER_RUNS`](crate::scheduler::TIER_RUNS) runs the store is deemed
-/// fragmented enough to merge — small fresh flushes accumulate
-/// into a tier and are folded together, while one big consolidated run
-/// sits alone in its tier and never re-triggers.
+/// consolidation pass under a size-tiered policy: fragments are bucketed
+/// by the log₂ of their size, and when any tier holds at least
+/// [`TIER_RUNS`](crate::scheduler::TIER_RUNS) of them the store is
+/// deemed fragmented enough to merge — small fresh flushes accumulate
+/// into a tier and are folded together, while one big consolidated
+/// fragment sits alone in its tier and never re-triggers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulerConfig {
     /// Poll interval between scheduler passes, in milliseconds.
@@ -429,10 +427,8 @@ impl EngineConfig {
 
     /// Threads a format build or a per-query loop runs on: always one.
     /// Kept only because the repo benchmark stamps its runs with
-    /// `EngineConfig::default().parallelism().threads` and may not change
-    /// in the PR that removed the compute-parallel layer; the next
-    /// `benchmark/` PR deletes the stamp field and this with it
-    /// (ROADMAP item 8(d)).
+    /// `EngineConfig::default().parallelism().threads`; the change that
+    /// next edits `benchmark/` deletes the stamp field and this with it.
     #[doc(hidden)]
     pub fn parallelism(&self) -> ComputeThreads {
         ComputeThreads { threads: 1 }

@@ -1,12 +1,12 @@
 //! WRITE and the fragment commit protocol (DESIGN.md §9).
 //!
 //! There is one way a fragment reaches the device: [`write_with`] builds
-//! and encodes it — or each part of it, for a consolidation output cut
-//! into a run of parts — and [`publish`] stages the bytes under invisible
-//! `.tmp` names, durably records the delete set when the output replaces
-//! other fragments, rename-commits (the last rename is the commit point),
-//! and inserts the catalog entries. Plain writes, group commits, WAL
-//! replay and consolidation (adaptive migration included) all go through
+//! and encodes it — one blob of one or more pages, a page for each cut of
+//! a consolidation output — and [`publish`] stages the blob under an
+//! invisible `.tmp` name, durably records the delete set when the output
+//! replaces other fragments, rename-commits, and inserts the catalog
+//! entry. Plain writes, group commits, WAL replay and consolidation
+//! (adaptive migration included) all go through
 //! them, and [`retire_sources`] is the one sweep that deletes what a
 //! committed output replaced. Recovery (tombstone replay or rollback,
 //! orphan sweep) and epoch claiming — the other half of the protocol —
@@ -24,8 +24,8 @@ use super::names::{
 use super::{delete_if_present, StorageEngine};
 use crate::backend::StorageBackend;
 use crate::catalog::CatalogEntry;
-use crate::error::{Result, StorageError};
-use crate::fragment::{decode_meta, encode_fragment};
+use crate::error::Result;
+use crate::fragment::{decode_pages, encode_pages, PagePayload};
 use artsparse_core::{build_from_address_sorted, FormatKind};
 use artsparse_metrics::{charge, OpCounter, Span, SpanKind};
 use artsparse_tensor::value::Element;
@@ -46,7 +46,7 @@ pub struct RecoveryReport {
     /// recorded deletions were replayed.
     pub tombstones_replayed: u64,
     /// Tombstones whose output never committed: the tombstone was
-    /// discarded, the sources and any parts that had landed kept.
+    /// discarded and the sources kept.
     pub tombstones_discarded: u64,
     /// Orphaned staging (`.tmp`) blobs swept.
     pub orphans_swept: u64,
@@ -113,11 +113,11 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// WRITE, optionally on behalf of a consolidation or WAL-replay pass:
     /// `kind` is the organization to encode (the engine's configured
     /// format for plain writes; adaptive consolidation passes the advised
-    /// one), `part_ends` cuts the points into the fragments of one run —
-    /// the end offset of each part, `[coords.len()]` for the one fragment
-    /// every other write is — and `workers` is how many threads build and
-    /// encode the parts ([`StorageEngine::fan_out`]; the stored bytes are
-    /// the same at every width). `identity` is the fragment identity
+    /// one), `page_ends` cuts the points into the pages of its blob — the
+    /// end offset of each page, `[coords.len()]` for the one page every
+    /// other write is — and `workers` is how many threads build and
+    /// reorganize the pages ([`StorageEngine::fan_out`]; the stored bytes
+    /// are the same at every width). `identity` is the fragment identity
     /// (consolidation derives it from the sources, replay reuses the
     /// WAL's own, flushes and plain writes draw the next id), `sources` names the
     /// fragments the output replaces (recorded in a tombstone before
@@ -125,17 +125,17 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// coordinates arrive in nondecreasing linear-address order — the
     /// order the consolidation merge scan and the buffer snapshot emit —
     /// so sorting builds route through [`build_from_address_sorted`] and
-    /// elide their sort. The report sums over the parts and names the
-    /// last one. Its time is the `engine.write` span's; Table III's
-    /// phases are its children (`TelemetryReport::write_breakdown`).
-    /// Publication is serial and in part order, whatever the width.
+    /// elide their sort. The pages are then laid into the blob in order,
+    /// each dropped as it is laid, so the write holds one copy of its
+    /// output. Its time is the `engine.write` span's; Table III's phases
+    /// are its children (`TelemetryReport::write_breakdown`).
     #[allow(clippy::too_many_arguments)]
     pub(super) fn write_with(
         &self,
         kind: FormatKind,
         coords: &CoordBuffer,
         values: &[u8],
-        part_ends: &[usize],
+        page_ends: &[usize],
         workers: usize,
         identity: FragmentId,
         sources: Option<&[String]>,
@@ -144,42 +144,43 @@ impl<B: StorageBackend> StorageEngine<B> {
         let _span = Span::enter(self.plane.as_ref(), SpanKind::Write);
         self.validate_batch(coords, values)?;
         let (ndim, elem) = (coords.ndim(), self.elem_size as usize);
-        let parts: Vec<(usize, usize)> = (part_ends.iter())
+        let pages: Vec<(usize, usize)> = (page_ends.iter())
             .scan(0, |start, &end| Some((std::mem::replace(start, end), end)))
             .collect();
-        let encoded = self.fan_out(parts, workers, |(start, end), counter| {
-            let part = if (start, end) == (0, coords.len()) {
+        let pages = self.fan_out(pages, workers, |(start, end), counter| {
+            let page = if (start, end) == (0, coords.len()) {
                 Cow::Borrowed(coords)
             } else {
                 let flat = coords.as_flat()[start * ndim..end * ndim].to_vec();
                 Cow::Owned(CoordBuffer::from_flat(ndim, flat)?)
             };
             let values = &values[start * elem..end * elem];
-            self.encode(kind, &part, values, presorted, counter)
+            self.build_page(kind, &page, values, presorted, counter)
         })?;
-        let index_bytes = encoded.iter().map(|(_, index_len)| index_len).sum();
-        let frags: Vec<Vec<u8>> = encoded.into_iter().map(|(frag, _)| frag).collect();
-        let fragment = self.publish(&frags, identity, sources)?;
+        let index_bytes = pages.iter().map(|page| page.index.len()).sum();
+        // -- Concatenate (and optionally compress) b_frag: the pages ----
+        let codecs = (self.index_codec, self.value_codec);
+        let blob = encode_pages(&self.shape, self.elem_size, codecs, pages);
+        let fragment = self.publish(&blob, identity, sources)?;
 
         Ok(WriteReport {
             fragment,
             index_bytes,
             value_bytes: values.len(),
-            total_bytes: frags.iter().map(Vec::len).sum(),
+            total_bytes: blob.len(),
             n_points: coords.len(),
         })
     }
 
-    /// Build, reorganize and encode one fragment of `coords`, charging
-    /// `counter`; returns its bytes and its index length.
-    fn encode(
+    /// Build and reorganize one page of `coords`, charging `counter`.
+    fn build_page<'a>(
         &self,
         kind: FormatKind,
         coords: &CoordBuffer,
-        values: &[u8],
+        values: &'a [u8],
         presorted: bool,
         counter: &OpCounter,
-    ) -> Result<(Vec<u8>, usize)> {
+    ) -> Result<PagePayload<'a>> {
         let _encode = Span::enter(self.plane.as_ref(), SpanKind::WriteEncode);
         let bbox = coords.bounding_box();
 
@@ -211,19 +212,13 @@ impl<B: StorageBackend> StorageEngine<B> {
             }
         };
 
-        // -- Concatenate (and optionally compress) b_frag ---------------
-        let frag = encode_fragment(
+        Ok(PagePayload {
             kind,
-            &self.shape,
-            coords.len() as u64,
-            self.elem_size,
-            bbox.as_ref(),
-            &built.index,
-            &values_reorg,
-            self.index_codec,
-            self.value_codec,
-        );
-        Ok((frag, built.index.len()))
+            n: coords.len() as u64,
+            bbox,
+            index: Cow::Owned(built.index),
+            values: values_reorg,
+        })
     }
 
     /// The next plain fragment id of this engine's epoch.
@@ -231,102 +226,59 @@ impl<B: StorageBackend> StorageEngine<B> {
         FragmentId::plain(self.next_id.fetch_add(1, Ordering::SeqCst), self.epoch)
     }
 
-    /// Publish one encoded run: commit `frags` under `id` (one fragment
-    /// takes it, more are its parts `1..=k`) and catalog them. Returns the
-    /// last committed name.
+    /// Publish one encoded blob: commit it under `id` and catalog it.
+    /// Returns the committed name.
     ///
-    /// The commit is two-phase: stage every fragment under a `.tmp` name
-    /// invisible to discovery, durably record the delete set — one
-    /// tombstone per run, keyed to its last fragment, listing the sources
-    /// — when the run replaces `sources`, then rename each part in. The
-    /// commit point is the *last* rename: until it lands, a crash leaves
-    /// staged blobs recovery sweeps and renamed parts it keeps (they hold
-    /// the sources' last-writer values and outrank them, so reads are
-    /// unchanged and the next pass folds them); after it, a crash leaves
-    /// a tombstone recovery replays. Table III's Write row is the spans
-    /// of this device work.
-    fn publish(
-        &self,
-        frags: &[Vec<u8>],
-        id: FragmentId,
-        sources: Option<&[String]>,
-    ) -> Result<String> {
-        let names: Vec<String> = id
-            .parts(frags.len())?
-            .into_iter()
-            .map(format_fragment_name)
-            .collect();
-        let last = names.last().ok_or_else(|| StorageError::Mismatch {
-            reason: "a publish needs at least one fragment".into(),
-        })?;
-        let tombstone = sources.map(|sources| (tombstone_name(last), sources.join("\n") + "\n"));
+    /// The commit is two-phase: stage the blob under a `.tmp` name
+    /// invisible to discovery, durably record the delete set in a
+    /// tombstone named after the output when it replaces `sources`, then
+    /// rename the blob in — the commit point. Before the rename, a crash
+    /// leaves a staged blob recovery sweeps and a tombstone it discards;
+    /// after it, a tombstone recovery replays. Table III's Write row is
+    /// the spans of this device work.
+    fn publish(&self, blob: &[u8], id: FragmentId, sources: Option<&[String]>) -> Result<String> {
+        let name = format_fragment_name(id);
+        let staged = staged_name(&name);
+        let tombstone = sources.map(|sources| (tombstone_name(&name), sources.join("\n") + "\n"));
 
-        // -- Write: persist the fragments (line 7) ----------------------
-        let staged: Vec<String> = names.iter().map(|name| staged_name(name)).collect();
-        let in_flight = || {
-            staged
-                .iter()
-                .chain(tombstone.as_ref().map(|(tomb, _)| tomb))
-        };
+        // -- Write: persist the fragment (line 7) ----------------------
+        let in_flight = || std::iter::once(&staged).chain(tombstone.as_ref().map(|(tomb, _)| tomb));
         self.inflight.lock().extend(in_flight().cloned());
-        let mut renamed = 0;
-        let commit =
-            self.stage_and_rename(frags, &staged, &names, tombstone.as_ref(), &mut renamed);
-        {
-            let mut inflight = self.inflight.lock();
-            for name in in_flight() {
-                inflight.remove(name);
-            }
-        }
+        let commit = self.stage_and_rename(blob, &staged, &name, tombstone.as_ref());
+        (self.inflight.lock()).retain(|held| !in_flight().any(|name| name == held));
         if commit.is_err() {
-            // Best effort: the parts that landed first, the tombstone
-            // last. Only the writer knows its run is dead, so only this
-            // path takes landed parts back; whatever it misses is a
-            // partial run recovery keeps, and staged orphans are swept.
-            for name in names[..renamed].iter().chain(&staged[renamed..]) {
-                let _ = self.backend.delete(name);
-            }
-            if let Some((tomb, _)) = &tombstone {
-                let _ = self.backend.delete(tomb);
-            }
+            // Best effort: whatever this misses, recovery sweeps (the
+            // staged blob) or discards (the tombstone of an output that
+            // never landed).
+            in_flight().for_each(|name| _ = self.backend.delete(name));
         }
         self.health.note_write(&self.config.health, &commit);
         commit?;
 
         // Catalog maintenance: decode the headers we just encoded (pure
         // memory) so discovery never needs to ask the device about them.
-        for (name, frag) in names.iter().zip(frags) {
-            let meta = decode_meta(name, frag)?;
-            self.catalog.insert(CatalogEntry {
-                name: name.clone(),
-                meta,
-                size: frag.len() as u64,
-            });
-        }
-        Ok(last.clone())
+        let pages = decode_pages(&name, blob)?;
+        (self.catalog).insert(CatalogEntry::new(name.clone(), pages, blob.len() as u64));
+        Ok(name)
     }
 
     /// The device work of [`publish`](Self::publish), Table III's Write
-    /// row: stage `frags` under `staged`, make the `tombstone` durable,
-    /// then rename each part to its name in `names`, counting the renames
-    /// that landed in `renamed`.
+    /// row: stage `blob` under `staged`, make the `tombstone` durable,
+    /// then rename it to `name`.
     fn stage_and_rename(
         &self,
-        frags: &[Vec<u8>],
-        staged: &[String],
-        names: &[String],
+        blob: &[u8],
+        staged: &str,
+        name: &str,
         tombstone: Option<&(String, String)>,
-        renamed: &mut usize,
     ) -> Result<()> {
         {
             let _stage = Span::enter(self.plane.as_ref(), SpanKind::WriteStage);
-            for (staged, frag) in staged.iter().zip(frags) {
-                self.retry(staged, || self.backend.put(staged, frag))?;
-            }
+            self.retry(staged, || self.backend.put(staged, blob))?;
         }
         if let Some((tomb, body)) = tombstone {
             // The delete set must be durable *before* the commit: a
-            // crash right after the last rename must still delete the
+            // crash right after the rename must still delete the
             // sources, or the store doubles its points.
             let _tomb = Span::enter(self.plane.as_ref(), SpanKind::ConsolidateTombstone);
             self.retry(tomb, || self.backend.put_atomic(tomb, body.as_bytes()))?;
@@ -339,15 +291,11 @@ impl<B: StorageBackend> StorageEngine<B> {
                 SpanKind::WriteCommit
             },
         );
-        for (staged, name) in staged.iter().zip(names) {
-            self.retry(name, || self.backend.rename(staged, name))?;
-            *renamed += 1;
-        }
-        Ok(())
+        self.retry(name, || self.backend.rename(staged, name))
     }
 
-    /// Delete the fragments that the run committed at `replacement` (its
-    /// last part) replaced. Its tombstone guarantees the deletions happen
+    /// Delete the fragments that the fragment committed as `replacement`
+    /// replaced. Its tombstone guarantees the deletions happen
     /// even if this process dies mid-loop (recovery replays them); a
     /// source already gone (racing deleter, replayed tombstone) is fine.
     pub(super) fn retire_sources(&self, sources: &[String], replacement: &str) -> Result<()> {
@@ -355,8 +303,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         for name in sources {
             // Catalog first: a read racing these deletions then treats
             // the source as vanished instead of failing on NotFound.
-            self.catalog.remove(name);
-            self.cache.invalidate(name);
+            self.forget(name);
             self.retry(name, || delete_if_present(&self.backend, name))?;
         }
         // The deletions are done; the tombstone is spent. Best effort —
@@ -370,15 +317,23 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// hits NotFound on the blob finds the catalog already updated and
     /// treats the fragment as vanished (skip/re-plan) instead of failing.
     pub fn delete_fragment(&self, name: &str) -> Result<()> {
-        let known = self.catalog.remove(name).is_some();
-        self.cache.invalidate(name);
-        if known {
+        if self.forget(name) {
             // Tolerate a blob already gone if we did know the fragment —
             // the racing deleter finished first; the outcome stands.
             delete_if_present(&self.backend, name)
         } else {
             self.backend.delete(name)
         }
+    }
+
+    /// Drop fragment `name` from the catalog and every page of it from
+    /// the cache; returns whether the catalog knew it.
+    fn forget(&self, name: &str) -> bool {
+        let entry = self.catalog.remove(name);
+        for page in entry.iter().flat_map(|entry| &entry.pages) {
+            self.cache.invalidate(&page.name);
+        }
+        entry.is_some()
     }
 
     /// Resynchronize the catalog with the device (after an external
@@ -426,14 +381,10 @@ pub(super) fn claim_epoch<B: StorageBackend>(backend: &B) -> Result<u64> {
 /// tombstones, then sweep orphaned staging blobs. Runs before the
 /// catalog is (re)built so recovered state is what gets cataloged.
 ///
-/// A tombstone is keyed to its run's last fragment. If that fragment
-/// exists the run committed, and the sources it lists are deleted;
-/// otherwise only the tombstone goes. The parts of an uncommitted run
-/// that did land are kept: each holds the merged last-writer values of
-/// its rows and outranks the sources (same highest `seq`, higher `cgen`),
-/// so reads do not change, and the sources plus a partial run are at
-/// least two runs the next pass folds. Either way the tombstone goes
-/// last, so a crash inside recovery is recovered again.
+/// A tombstone is keyed to its output. If the output exists it
+/// committed, and the sources it lists are deleted; otherwise only the
+/// tombstone goes. Either way the tombstone goes last, so a crash inside
+/// recovery is recovered again.
 ///
 /// `keep` names staging blobs and tombstones that belong to commits in
 /// flight *in this process* and must survive; at open there are none.
@@ -456,7 +407,7 @@ pub(super) fn recover_store<B: StorageBackend>(
             continue;
         }
         if backend.exists(target) {
-            // The run committed: finish the deletions it recorded.
+            // The output committed: finish the deletions it recorded.
             // Idempotent — already-deleted sources are fine.
             let content = backend.get(name)?;
             for src in String::from_utf8_lossy(&content)
@@ -467,9 +418,7 @@ pub(super) fn recover_store<B: StorageBackend>(
             }
             report.tombstones_replayed += 1;
         } else {
-            // The run never committed — or is committing in another
-            // engine, which nothing here can tell apart. Landed parts stay:
-            // deleting them could race the writer's last renames.
+            // The output never committed: the sources stand.
             report.tombstones_discarded += 1;
         }
         // Committed-and-replayed or never-committed: either way the
@@ -493,6 +442,7 @@ mod tests {
     use crate::config::EngineConfig;
     use crate::engine::test_support::{coords, engine};
     use crate::engine::HealthState;
+    use crate::error::StorageError;
     use artsparse_tensor::Shape;
     use std::time::Duration;
 
@@ -582,50 +532,6 @@ mod tests {
         let keep: std::collections::HashSet<String> = [inflight.clone()].into();
         recover_store(&backend, Some(&keep)).unwrap();
         assert!(backend.exists(&inflight));
-    }
-
-    #[test]
-    fn recovery_keeps_the_landed_parts_of_an_uncommitted_run() {
-        let backend = MemBackend::new();
-        let source = "frag-00000001-00000001.asf";
-        let parts = [
-            "frag-00000001-00000002c000001p0001.asf",
-            "frag-00000001-00000002c000001p0002.asf",
-            "frag-00000001-00000002c000001p0003.asf",
-        ];
-        let tomb = tombstone_name(parts[2]);
-        let body = format!("{source}\n");
-        backend.put(source, &[1]).unwrap();
-        // Killed after the first rename: one part landed, two staged.
-        backend.put(parts[0], &[2]).unwrap();
-        backend.put(&staged_name(parts[1]), &[3]).unwrap();
-        backend.put(&staged_name(parts[2]), &[4]).unwrap();
-        backend.put(&tomb, body.as_bytes()).unwrap();
-
-        // A commit in flight in this process keeps its tombstone.
-        let keep: HashSet<String> =
-            [tomb.clone(), staged_name(parts[1]), staged_name(parts[2])].into();
-        recover_store(&backend, Some(&keep)).unwrap();
-        assert_eq!(
-            backend.list().unwrap().len(),
-            5,
-            "nothing of the live commit reaped"
-        );
-
-        // Not committed: the tombstone and the staged parts go; the
-        // sources and the part that landed stay.
-        let report = recover_store(&backend, None).unwrap();
-        assert_eq!((report.tombstones_discarded, report.orphans_swept), (1, 2));
-        assert_eq!(backend.list().unwrap(), [source, parts[0]]);
-
-        // Committed: the last part landed, so the sources go.
-        for part in parts {
-            backend.put(part, &[2]).unwrap();
-        }
-        backend.put(&tomb, body.as_bytes()).unwrap();
-        let report = recover_store(&backend, None).unwrap();
-        assert_eq!(report.tombstones_replayed, 1);
-        assert_eq!(backend.list().unwrap(), parts, "the parts alone");
     }
 
     #[test]

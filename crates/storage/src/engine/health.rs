@@ -302,13 +302,14 @@ impl Health {
 pub struct StoreStats {
     /// Number of fragments on the device, quarantined ones included.
     pub fragments: usize,
-    /// Fragments reads and consolidation see (not quarantined).
+    /// Fragments none of whose pages is quarantined.
     pub live_fragments: usize,
     /// Total stored points (before cross-fragment dedup).
     pub total_points: u64,
     /// Total bytes on the device.
     pub total_bytes: u64,
-    /// Fragments per organization name.
+    /// Fragments per organization name (all pages of a fragment share
+    /// one).
     pub by_format: std::collections::BTreeMap<String, usize>,
     /// Fragments with a compression codec on either payload.
     pub compressed_fragments: usize,
@@ -326,9 +327,9 @@ pub struct StoreStats {
     pub tombstones_discarded: u64,
     /// Orphaned `.tmp` staging blobs the last recovery swept.
     pub orphans_swept: u64,
-    /// Fragments currently quarantined (counted in `fragments` and
-    /// `total_bytes` — their blobs are retained for forensics — but
-    /// excluded from reads and consolidation).
+    /// Fragment pages currently quarantined (their blobs are counted in
+    /// `fragments` and `total_bytes` — retained for forensics — but the
+    /// pages are excluded from reads and the blobs from consolidation).
     pub quarantined_fragments: usize,
     /// Occupancy of the streaming-ingest write buffer.
     pub buffer: BufferStats,
@@ -465,18 +466,11 @@ impl<B: StorageBackend> StorageEngine<B> {
             scheduler_last_error_at_ms,
             ..StoreStats::default()
         };
-        let quarantined = self.catalog.quarantined();
-        stats.quarantined_fragments = quarantined.len();
+        stats.quarantined_fragments = self.catalog.quarantined().len();
+        stats.live_fragments = self.catalog.snapshot().len();
         for entry in self.catalog.snapshot_all() {
-            let meta = &entry.meta;
+            let meta = &entry.pages[0].meta;
             stats.fragments += 1;
-            if quarantined
-                .binary_search_by(|(name, _)| name.cmp(&entry.name))
-                .is_err()
-            {
-                stats.live_fragments += 1;
-            }
-            stats.total_points += meta.n;
             stats.total_bytes += entry.size;
             *stats
                 .by_format
@@ -485,8 +479,11 @@ impl<B: StorageBackend> StorageEngine<B> {
             if meta.index_codec != Codec::None || meta.value_codec != Codec::None {
                 stats.compressed_fragments += 1;
             }
-            stats.index_bytes += meta.index_len;
-            stats.index_raw_bytes += meta.index_raw_len;
+            for page in &entry.pages {
+                stats.total_points += page.meta.n;
+                stats.index_bytes += page.meta.index_len;
+                stats.index_raw_bytes += page.meta.index_raw_len;
+            }
         }
         Ok(stats)
     }

@@ -31,7 +31,7 @@
 //! The engine is one type cut along the seams DESIGN.md names; each
 //! module owns the state and the decisions of its section:
 //!
-//! * `names` — blob naming and the `(seq, epoch, cgen, part)` order (§9);
+//! * `names` — blob naming and the `(seq, epoch, cgen)` order (§9);
 //! * `commit` — WRITE, the one `publish` routine, recovery, epochs (§9);
 //! * `ingest` — buffer → WAL → group commit → replay (§14);
 //! * `read` — plan → fetch → decode → merge (§8);
@@ -50,12 +50,12 @@ mod scrub;
 pub use commit::{RecoveryReport, WriteReport};
 pub use health::{HealthState, StoreStats};
 pub use read::{ReadHit, ReadOutcome, ReadResult, BUFFER_FRAGMENT};
-pub use reorg::{ConsolidateReport, PART_POINTS};
+pub use reorg::{ConsolidateReport, PAGE_POINTS};
 pub use scrub::{ScrubFinding, ScrubReport};
 
 use crate::backend::StorageBackend;
 use crate::cache::FragmentCache;
-use crate::catalog::{CatalogEntry, FragmentCatalog};
+use crate::catalog::{FragmentCatalog, PageEntry};
 use crate::codec::Codec;
 use crate::config::EngineConfig;
 use crate::error::{Result, StorageError};
@@ -411,19 +411,10 @@ impl<B: StorageBackend> StorageEngine<B> {
         Ok(self.catalog.total_bytes())
     }
 
-    /// Sizes of all live fragments, served from the catalog.
+    /// Sizes of all live fragments, served from the catalog: the tier
+    /// trigger's input and the `artsparse_fragment_bytes` histogram.
     pub fn fragment_sizes(&self) -> Vec<u64> {
         self.catalog.snapshot().iter().map(|e| e.size).collect()
-    }
-
-    /// Summed sizes of the live consolidation runs, served from the
-    /// catalog — the input to the scheduler's size-tiered trigger. The
-    /// parts of one pass are one run, so a consolidated store sits alone
-    /// in its tier however many parts it was cut into.
-    pub fn run_sizes(&self) -> Vec<u64> {
-        (self.catalog.runs().iter())
-            .map(|run| run.iter().map(|e| e.size).sum())
-            .collect()
     }
 
     /// Reject a typed call whose element size disagrees with the record
@@ -503,8 +494,8 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// ones, all draining one queue — and return each item's result in
     /// item order. Errors surface deterministically: the first failed
     /// item in order wins regardless of thread timing. A read runs its
-    /// planned fragments through it; a consolidation its sources, its
-    /// address ranges and its output parts.
+    /// planned pages through it; a consolidation its source pages, its
+    /// address ranges and its output pages.
     ///
     /// `work` charges the [`OpCounter`] it is handed: the engine's own on
     /// the calling thread, a private one on each spawned worker, folded
@@ -568,9 +559,9 @@ impl<B: StorageBackend> StorageEngine<B> {
         done.into_iter().map(|(_, result)| result).collect()
     }
 
-    /// Every scanned fragment must store the same tensor: same shape
-    /// (which implies same dimensionality) as this engine.
-    pub(super) fn check_entry_shape(&self, entry: &CatalogEntry) -> Result<()> {
+    /// Every scanned page must store the same tensor: same shape (which
+    /// implies same dimensionality) as this engine.
+    pub(super) fn check_entry_shape(&self, entry: &PageEntry) -> Result<()> {
         if entry.meta.shape != self.shape {
             return Err(StorageError::Mismatch {
                 reason: format!(

@@ -4,7 +4,7 @@
 //! Every blob the commit protocol creates is named here: committed
 //! fragments, their staged (`.tmp`) and tombstone (`tomb-*.tsn`)
 //! companions, epoch claim markers, and the health probe. Nothing else
-//! formats or parses these names, so the `(seq, epoch, cgen, part)`
+//! formats or parses these names, so the `(seq, epoch, cgen)`
 //! precedence order and the "auxiliary blobs never parse as fragments"
 //! invariant have a single definition.
 
@@ -20,10 +20,9 @@ const FRAG_SUFFIX: &str = ".asf";
 const STAGING_SUFFIX: &str = ".tmp";
 
 /// Prefix + suffix of consolidation tombstones: a durable record of the
-/// delete set, one per pass and named after its output's last part,
-/// written before that part commits so a crash mid-consolidation is
-/// replayed (sources deleted) or discarded (tombstone deleted, landed
-/// parts kept) at the next open/refresh.
+/// delete set, one per pass and named after its output, written before
+/// the output commits so a crash mid-consolidation is replayed (sources
+/// deleted) or discarded (tombstone deleted) at the next open/refresh.
 const TOMB_PREFIX: &str = "tomb-";
 const TOMB_SUFFIX: &str = ".tsn";
 
@@ -36,7 +35,7 @@ const EPOCH_SUFFIX: &str = ".lck";
 
 /// Identity of a fragment, encoded in (and recovered from) its name.
 ///
-/// The derived `Ord` — `(seq, epoch, cgen, part)` — is the engine's
+/// The derived `Ord` — `(seq, epoch, cgen)` — is the engine's
 /// cross-fragment precedence, and the catalog iterates in it
 /// ([`NameOrder`]). The names are fixed-width decimal only up to 10⁸
 /// sequence numbers and 10⁶ generations; past those a wider field sorts
@@ -51,17 +50,12 @@ const EPOCH_SUFFIX: &str = ".lck";
 ///   newer data than that), with `cgen` breaking the tie just above
 ///   them. A fragment written while consolidation was running gets a
 ///   higher `seq` and so keeps precedence over the merged output —
-///   the TileDB-style rule that makes consolidation safe to race;
-/// * `part` numbers the parts of a consolidation output cut in more than
-///   one (from 1; 0 is an uncut fragment). The parts of one pass share
-///   `(seq, epoch, cgen)` — one *run* — and hold disjoint points, so
-///   their order among themselves decides nothing.
+///   the TileDB-style rule that makes consolidation safe to race.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct FragmentId {
     pub seq: u64,
     pub epoch: u64,
     pub cgen: u32,
-    pub part: u32,
 }
 
 impl FragmentId {
@@ -71,11 +65,10 @@ impl FragmentId {
             seq,
             epoch,
             cgen: 0,
-            part: 0,
         }
     }
 
-    /// The identity of the run that replaces `sources`, written by the
+    /// The identity of the fragment that replaces `sources`, written by the
     /// engine holding `epoch`: the highest source `seq` (the output holds
     /// nothing newer), one consolidation generation above the highest
     /// source's. A source already at the last generation `u32` counts is
@@ -102,18 +95,6 @@ impl FragmentId {
         })?;
         Ok(id)
     }
-
-    /// The identities a run of `k` parts is published under: this one
-    /// itself when the output is not cut, else parts `1..=k` of it.
-    pub fn parts(self, k: usize) -> Result<Vec<FragmentId>> {
-        if k == 1 {
-            return Ok(vec![self]);
-        }
-        let last = u32::try_from(k).map_err(|_| StorageError::Mismatch {
-            reason: format!("{k} parts do not fit a fragment name's 32-bit part field"),
-        })?;
-        Ok((1..=last).map(|part| FragmentId { part, ..self }).collect())
-    }
 }
 
 /// The catalog's order on blob names: a fragment's parsed [`FragmentId`],
@@ -132,30 +113,13 @@ impl NameOrder {
             None => NameOrder::Other(name.to_owned()),
         }
     }
-
-    /// Whether two cataloged fragments are parts of one consolidation
-    /// run: cut parts sharing `(seq, epoch, cgen)`.
-    pub fn same_run(&self, other: &NameOrder) -> bool {
-        match (self, other) {
-            (NameOrder::Fragment(a), NameOrder::Fragment(b)) => {
-                a.part > 0 && b.part > 0 && (a.seq, a.epoch, a.cgen) == (b.seq, b.epoch, b.cgen)
-            }
-            _ => false,
-        }
-    }
 }
 
 pub(super) fn format_fragment_name(id: FragmentId) -> String {
-    let FragmentId {
-        seq,
-        epoch,
-        cgen,
-        part,
-    } = id;
-    match (cgen, part) {
-        (0, _) => format!("{FRAG_PREFIX}{seq:08}-{epoch:08}{FRAG_SUFFIX}"),
-        (_, 0) => format!("{FRAG_PREFIX}{seq:08}-{epoch:08}c{cgen:06}{FRAG_SUFFIX}"),
-        _ => format!("{FRAG_PREFIX}{seq:08}-{epoch:08}c{cgen:06}p{part:04}{FRAG_SUFFIX}"),
+    let FragmentId { seq, epoch, cgen } = id;
+    match cgen {
+        0 => format!("{FRAG_PREFIX}{seq:08}-{epoch:08}{FRAG_SUFFIX}"),
+        _ => format!("{FRAG_PREFIX}{seq:08}-{epoch:08}c{cgen:06}{FRAG_SUFFIX}"),
     }
 }
 
@@ -175,13 +139,8 @@ pub(crate) fn parse_fragment_name(name: &str) -> Option<FragmentId> {
     let body = name.strip_prefix(FRAG_PREFIX)?.strip_suffix(FRAG_SUFFIX)?;
     let (seq, rest) = body.split_once('-')?;
     let seq = parse_decimal(seq, 8)?;
-    let Some((epoch, generation)) = rest.split_once('c') else {
+    let Some((epoch, cgen)) = rest.split_once('c') else {
         return Some(FragmentId::plain(seq, parse_decimal(rest, 8)?));
-    };
-    let (cgen, part) = match generation.split_once('p') {
-        None => (generation, 0),
-        // `p0000` would alias the uncut name; reject it.
-        Some((cgen, part)) => (cgen, parse_decimal(part, 4).filter(|&p| p > 0)?),
     };
     // `c000000` would alias the plain name; reject it.
     let cgen = parse_decimal(cgen, 6).filter(|&c| c > 0)?;
@@ -189,7 +148,6 @@ pub(crate) fn parse_fragment_name(name: &str) -> Option<FragmentId> {
         seq,
         epoch: parse_decimal(epoch, 8)?,
         cgen: u32::try_from(cgen).ok()?,
-        part: u32::try_from(part).ok()?,
     })
 }
 
@@ -253,30 +211,19 @@ pub(super) fn probe_name(epoch: u64) -> String {
 mod tests {
     use super::*;
 
-    fn id(seq: u64, epoch: u64, cgen: u32, part: u32) -> FragmentId {
-        FragmentId {
-            seq,
-            epoch,
-            cgen,
-            part,
-        }
+    fn id(seq: u64, epoch: u64, cgen: u32) -> FragmentId {
+        FragmentId { seq, epoch, cgen }
     }
 
     #[test]
     fn fragment_names_roundtrip() {
-        for id in [
-            id(42, 7, 0, 0),
-            id(42, 7, 3, 0),
-            id(42, 7, 3, 12),
-            id(u64::MAX, u64::MAX, u32::MAX, 0),
-            id(u64::MAX, u64::MAX, u32::MAX, u32::MAX),
-        ] {
+        for id in [id(42, 7, 0), id(42, 7, 3), id(u64::MAX, u64::MAX, u32::MAX)] {
             let n = format_fragment_name(id);
             assert_eq!(parse_fragment_name(&n), Some(id), "{n}");
         }
         assert_eq!(
-            format_fragment_name(id(4, 2, 1, 3)),
-            "frag-00000004-00000002c000001p0003.asf"
+            format_fragment_name(id(4, 2, 1)),
+            "frag-00000004-00000002c000001.asf"
         );
         // Pre-epoch names no store was ever written with do not parse.
         assert_eq!(parse_fragment_name("frag-00000042.asf"), None);
@@ -285,19 +232,18 @@ mod tests {
             "frag-xx.asf",
             "frag-00000001-xx.asf",
             "frag-00000001-00000001c000000.asf", // cgen 0 aliases the plain name
-            "frag-00000001-00000001c000001p0000.asf", // part 0 aliases the uncut name
+            // A consolidation's output is one blob under one name: a
+            // `p`-numbered suffix does not parse.
+            "frag-00000001-00000001c000001p0001.asf",
             "frag-00000001-00000001c000001p.asf",
-            "frag-00000001-00000001p0001.asf", // parts are consolidation output
             "frag-00000001-00000001cxx.asf",
             // One spelling per id: no field narrower than its width, and
             // no zero padding past it.
             "frag-1-1.asf",
             "frag-00000001-1.asf",
             "frag-00000001-00000001c1.asf",
-            "frag-00000001-00000001c000001p1.asf",
             "frag-000000001-00000001.asf",
             "frag-00000001-00000001c0000001.asf",
-            "frag-00000001-00000001c000001p00001.asf",
             "frag--1.asf",
             "frag-+1.asf",
             "frag-00000001-00000001.asf.tmp", // staged: invisible
@@ -310,22 +256,20 @@ mod tests {
 
     #[test]
     fn name_order_is_precedence_order() {
-        // The catalog's order on names must equal (seq, epoch, cgen, part)
+        // The catalog's order on names must equal (seq, epoch, cgen)
         // order — it is what cross-fragment last-writer-wins precedence
         // runs on — including where a field outgrows its fixed width.
         let ids = [
-            id(1, 2, 0, 0),
-            id(1, 2, 1, 0),
-            id(1, 3, 0, 0),
-            id(2, 1, 0, 0),
-            id(100, 1, 0, 0),
-            id(100, 1, 999_999, 0),
-            id(100, 1, 1_000_000, 1),
-            id(100, 1, 1_000_000, 2),
-            id(100, 1, 1_000_000, 10_000),
-            id(99_999_999, 1, 0, 0),
-            id(100_000_000, 1, 0, 0),
-            id(100_000_000, 100_000_000, 0, 0),
+            id(1, 2, 0),
+            id(1, 2, 1),
+            id(1, 3, 0),
+            id(2, 1, 0),
+            id(100, 1, 0),
+            id(100, 1, 999_999),
+            id(100, 1, 1_000_000),
+            id(99_999_999, 1, 0),
+            id(100_000_000, 1, 0),
+            id(100_000_000, 100_000_000, 0),
         ];
         let names: Vec<String> = ids.iter().map(|&id| format_fragment_name(id)).collect();
         let mut sorted = names.clone();
@@ -333,44 +277,27 @@ mod tests {
         assert_eq!(names, sorted);
         // As strings, the wider field sorts first: the catalog must not
         // order by name.
-        assert!(names[10] < names[9], "{} vs {}", names[10], names[9]);
+        assert!(names[8] < names[7], "{} vs {}", names[8], names[7]);
         assert!(names[6] < names[5], "{} vs {}", names[6], names[5]);
         // Names that are not fragments order before every fragment.
         assert!(NameOrder::of("frag-junk.asf") < NameOrder::of(&names[0]));
     }
 
     #[test]
-    fn runs_share_seq_epoch_and_generation() {
-        let run = id(9, 2, 4, 0);
-        let parts = run.parts(3).unwrap();
-        assert_eq!(parts, [id(9, 2, 4, 1), id(9, 2, 4, 2), id(9, 2, 4, 3)]);
-        assert_eq!(run.parts(1).unwrap(), [run], "one part is the uncut name");
-        let key = |id| NameOrder::of(&format_fragment_name(id));
-        let [a, b, c] = [0, 1, 2].map(|i| key(parts[i]));
-        assert!(a.same_run(&b) && b.same_run(&c));
-        let other = key(id(9, 2, 5, 1));
-        assert!(!c.same_run(&other), "the next pass is the next run");
-        let uncut = key(run);
-        assert!(!uncut.same_run(&uncut), "an uncut fragment is a run alone");
-        let junk = NameOrder::of("frag-junk.asf");
-        assert!(!junk.same_run(&junk));
-    }
-
-    #[test]
     fn the_last_generation_is_a_typed_error() {
         let sources = [
-            format_fragment_name(id(3, 1, 0, 0)),
-            format_fragment_name(id(2, 1, u32::MAX, 0)),
+            format_fragment_name(id(3, 1, 0)),
+            format_fragment_name(id(2, 1, u32::MAX)),
         ];
         let err = FragmentId::replacing(&sources, 5).unwrap_err();
         assert!(
             matches!(&err, StorageError::CorruptFragment { name, .. } if *name == sources[1]),
             "{err}"
         );
-        let below = [format_fragment_name(id(2, 1, u32::MAX - 1, 7))];
+        let below = [format_fragment_name(id(2, 1, u32::MAX - 1))];
         assert_eq!(
             FragmentId::replacing(&below, 5).unwrap(),
-            id(2, 5, u32::MAX, 0)
+            id(2, 5, u32::MAX)
         );
     }
 

@@ -19,7 +19,7 @@ use super::StorageEngine;
 use crate::backend::StorageBackend;
 use crate::buffer::BufferSnapshot;
 use crate::cache::DecodedFragment;
-use crate::catalog::CatalogEntry;
+use crate::catalog::PageEntry;
 use crate::codec::Codec;
 use crate::error::{Result, StorageError};
 use crate::fragment::{DecodedSection, FragmentReader};
@@ -408,11 +408,14 @@ impl<B: StorageBackend> StorageEngine<B> {
             let plan = {
                 let _plan_span = Span::enter(self.plane.as_ref(), SpanKind::ReadPlan);
                 for entry in self.catalog.snapshot() {
-                    self.check_entry_shape(&entry)?;
+                    entry
+                        .pages
+                        .iter()
+                        .try_for_each(|p| self.check_entry_shape(p))?;
                 }
                 let plan = self.catalog.plan(&qbbox);
                 charge(|io| {
-                    io.fragments_skipped_bbox += (plan.scanned - plan.fragments.len()) as u64;
+                    io.fragments_skipped_bbox += (plan.scanned - plan.pages.len()) as u64;
                 });
                 plan
             };
@@ -436,17 +439,16 @@ impl<B: StorageBackend> StorageEngine<B> {
                 }
             }
 
-            // Fetch → decode → per-fragment read, on as many threads as
-            // the plan can pay for; outcomes come back in fragment
-            // (write) order.
+            // Fetch → decode → per-page read, on as many threads as the
+            // plan can pay for; outcomes come back in page (write) order.
             let workers = forced_width.unwrap_or_else(|| {
                 planned_workers(
                     self.config.effective_parallelism(),
-                    plan.fragments.iter().map(|entry| entry.meta.index_len),
+                    plan.pages.iter().map(|entry| entry.meta.index_len),
                     asked.passes(),
                 )
             });
-            let per_fragment = self.fan_out(plan.fragments.iter(), workers, |entry, counter| {
+            let per_fragment = self.fan_out(plan.pages.iter(), workers, |entry, counter| {
                 self.read_fragment_or_skip(entry, asked, counter)
             })?;
             let vanished = per_fragment
@@ -460,7 +462,7 @@ impl<B: StorageBackend> StorageEngine<B> {
                 continue;
             }
             result.fragments_scanned = plan.scanned;
-            result.fragments_matched = plan.fragments.len();
+            result.fragments_matched = plan.pages.len();
 
             // Merge: sort by linear address (stable: fragment order on
             // ties).
@@ -528,13 +530,13 @@ impl<B: StorageBackend> StorageEngine<B> {
     ///   [`ReadOutcome`].
     fn read_fragment_or_skip(
         &self,
-        entry: &CatalogEntry,
+        entry: &PageEntry,
         asked: &Asked<'_>,
         counter: &OpCounter,
     ) -> Result<FragmentOutcome> {
         match self.read_fragment(entry, asked, counter) {
             Ok(hits) => Ok(FragmentOutcome::Hits(hits)),
-            Err(e) if e.is_not_found() && self.catalog.get(&entry.name).is_none() => {
+            Err(e) if e.is_not_found() && self.catalog.get(&entry.blob).is_none() => {
                 Ok(FragmentOutcome::Vanished)
             }
             Err(e) if !self.config.strict_reads && quarantines(&e) => {
@@ -559,12 +561,12 @@ impl<B: StorageBackend> StorageEngine<B> {
         newly
     }
 
-    /// Fetch, decode, and query one fragment, its sections resident in
-    /// the cache, filled into it (caching on), or fetched: header and
-    /// index in one request, then only the value records the index matched.
+    /// Fetch, decode, and query one page, its sections resident in the
+    /// cache, filled into it (caching on), or fetched: header and index in
+    /// one request, then only the value records the index matched.
     fn read_fragment(
         &self,
-        entry: &CatalogEntry,
+        entry: &PageEntry,
         asked: &Asked<'_>,
         counter: &OpCounter,
     ) -> Result<Vec<ReadHit>> {
@@ -645,15 +647,15 @@ impl<B: StorageBackend> StorageEngine<B> {
             .collect()
     }
 
-    /// The reader of a cataloged fragment on this engine's device; each
-    /// of its calls runs under [`retry`](Self::retry).
+    /// The reader of a cataloged page on this engine's device, over its
+    /// blob from the page's offset on; each of its calls runs under
+    /// [`retry`](Self::retry).
     pub(super) fn reader<'a>(
         &'a self,
-        entry: &'a CatalogEntry,
+        entry: &'a PageEntry,
     ) -> FragmentReader<'a, impl Fn(u64, usize) -> Result<Vec<u8>> + 'a> {
-        let name = &entry.name;
-        FragmentReader::new(name, &entry.meta, move |offset, len| {
-            self.backend.get_range(name, offset, len)
+        FragmentReader::new(&entry.name, &entry.meta, move |offset, len| {
+            (self.backend).get_range(&entry.blob, entry.offset + offset, len)
         })
     }
 
@@ -663,7 +665,7 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// the runs would be many or cover most of it. Each request retries alone.
     fn fetch_value_runs(
         &self,
-        entry: &CatalogEntry,
+        entry: &PageEntry,
         matched: &[(usize, u64)],
     ) -> Result<Vec<(u64, Vec<u8>)>> {
         let name = &entry.name;
@@ -702,7 +704,7 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// one, else both sections fetched and decoded — and not inserted. A
     /// merge reads every fragment once, most of them to retire them, so
     /// filling the cache would only evict the reads' working set.
-    pub(super) fn fetch_for_merge(&self, entry: &CatalogEntry) -> Result<Sections> {
+    pub(super) fn fetch_for_merge(&self, entry: &PageEntry) -> Result<Sections> {
         Ok(match self.cache.get(&entry.name) {
             Some(decoded) => Sections::Resident(decoded),
             None => {
@@ -714,23 +716,23 @@ impl<B: StorageBackend> StorageEngine<B> {
 
     /// The cache fill of a read that already probed the cache: fetch and
     /// decode both sections, then insert — unless the catalog no longer
-    /// lists the fragment (a delete or a consolidation retired it while
-    /// the sections were in flight), whose entry would only hold budget
-    /// until the LRU evicted it.
-    fn fetch_into_cache(&self, entry: &CatalogEntry) -> Result<Arc<DecodedFragment>> {
+    /// lists the blob (a delete or a consolidation retired it while the
+    /// sections were in flight), whose entry would only hold budget until
+    /// the LRU evicted it.
+    fn fetch_into_cache(&self, entry: &PageEntry) -> Result<Arc<DecodedFragment>> {
         let (index, values) = self.fetch_sections(entry)?;
         let decoded = Arc::new(DecodedFragment {
             index: index.into_vec(),
             values: values.into_vec(),
             meta: entry.meta.clone(),
         });
-        let listed = || self.catalog.get(&entry.name).is_some();
+        let listed = || self.catalog.get(&entry.blob).is_some();
         self.cache.insert_if(&entry.name, decoded.clone(), listed);
         Ok(decoded)
     }
 
     /// Both sections of a fragment, fetched, verified and decoded.
-    fn fetch_sections(&self, entry: &CatalogEntry) -> Result<(DecodedSection, DecodedSection)> {
+    fn fetch_sections(&self, entry: &PageEntry) -> Result<(DecodedSection, DecodedSection)> {
         let reader = self.reader(entry);
         let index = self.retry(&entry.name, || reader.index())?;
         Ok((index, self.retry(&entry.name, || reader.values())?))
@@ -944,7 +946,7 @@ mod tests {
         );
         // The value section is 512 bytes; a single 8-byte record must not
         // drag in more than the header + index section + one coalesced run.
-        let meta = &e.catalog.get(&e.fragments().unwrap()[0]).unwrap().meta;
+        let meta = &e.catalog.get(&e.fragments().unwrap()[0]).unwrap().pages[0].meta;
         assert!(
             transferred <= meta.index_offset() + meta.index_len + 8 + RUN_COALESCE_GAP_BYTES,
             "transferred {transferred}, header+index {}",
@@ -1097,7 +1099,8 @@ mod tests {
             writer.write_points::<f64>(&points, &[0.5; 64]).unwrap();
         }
         let cost: Vec<usize> = (writer.catalog.snapshot().iter())
-            .map(|entry| (entry.meta.index_raw_len + entry.meta.value_raw_len) as usize)
+            .map(|entry| &entry.pages[0].meta)
+            .map(|meta| (meta.index_raw_len + meta.value_raw_len) as usize)
             .collect();
         let capacity = cost[1..].iter().sum::<usize>() + cost[0] - 1;
         let e = cached(writer.into_backend(), capacity);

@@ -5,7 +5,7 @@ use super::names::FragmentId;
 use super::read::planned_workers;
 use super::StorageEngine;
 use crate::backend::StorageBackend;
-use crate::catalog::CatalogEntry;
+use crate::catalog::{CatalogEntry, PageEntry};
 use crate::error::{Result, StorageError};
 use artsparse_core::advisor::recommend_from_stats;
 use artsparse_core::stats::SparsityStatsBuilder;
@@ -14,51 +14,49 @@ use artsparse_tensor::sort::{last_per_address, sort_by_address};
 use artsparse_tensor::CoordBuffer;
 use std::sync::Arc;
 
-/// The most points a consolidation part holds, unless one dim-0 slice
+/// The most points a consolidation page holds, unless one dim-0 slice
 /// alone is larger. It equals [`IngestConfig::flush_points`]' default, so
-/// a consolidated part is no bigger than a group commit, and a point read
-/// fetches one part's index per run instead of the whole store's.
+/// a consolidated page is no bigger than a group commit, and a point read
+/// fetches one page's index instead of the whole output's.
 ///
 /// [`IngestConfig::flush_points`]: crate::config::IngestConfig::flush_points
-pub const PART_POINTS: usize = 4096;
+pub const PAGE_POINTS: usize = 4096;
 
 /// Outcome of a consolidation pass.
 #[derive(Debug, Clone)]
 pub struct ConsolidateReport {
-    /// Source runs merged (and deleted). A run is one fragment, or the
-    /// parts of one earlier pass; a store that is one run is already
-    /// consolidated.
+    /// Source fragments merged (and deleted); a store of one fragment is
+    /// already consolidated.
     pub merged_fragments: usize,
-    /// Points in the output, over all its parts (after dedup).
+    /// Points in the output, over all its pages (after dedup).
     pub n_points: usize,
-    /// Parts the output was cut into (0 when nothing was written).
-    pub parts: usize,
+    /// Pages the output was cut into (0 when nothing was written).
+    pub pages: usize,
     /// Store size before.
     pub before_bytes: u64,
     /// Store size after.
     pub after_bytes: u64,
-    /// Name of the output's last part, its commit point (`None` if
-    /// nothing needed merging).
+    /// Name of the output (`None` if nothing needed merging).
     pub fragment: Option<String>,
 }
 
-/// Where the address-sorted `coords` are cut into consolidation parts:
-/// the end offset of each. A cut falls only where coordinate 0 changes,
-/// so the parts are disjoint on dim 0 and a point query meets one of
-/// them; each holds at most [`PART_POINTS`] points, except a dim-0 slice
-/// larger than that, which stays whole as one part.
-fn part_ends(coords: &CoordBuffer) -> Vec<usize> {
+/// Where the address-sorted `coords` are cut into the pages of a
+/// consolidation output: the end offset of each. A cut falls only where
+/// coordinate 0 changes, so the pages are disjoint on dim 0 and a point
+/// query meets one of them; each holds at most [`PAGE_POINTS`] points,
+/// except a dim-0 slice larger than that, which stays whole as one page.
+fn page_ends(coords: &CoordBuffer) -> Vec<usize> {
     let row = |i: usize| coords.point(i).first().copied();
-    let (mut ends, mut part, mut slice) = (Vec::new(), 0, 0);
+    let (mut ends, mut page, mut slice) = (Vec::new(), 0, 0);
     for i in 1..=coords.len() {
         if i < coords.len() && row(i) == row(i - 1) {
             continue;
         }
-        // `slice..i` is one dim-0 slice; close the part before it if the
-        // part cannot take it.
-        if i - part > PART_POINTS && slice > part {
+        // `slice..i` is one dim-0 slice; close the page before it if the
+        // page cannot take it.
+        if i - page > PAGE_POINTS && slice > page {
             ends.push(slice);
-            part = slice;
+            page = slice;
         }
         slice = i;
     }
@@ -77,12 +75,12 @@ fn record_field(n: usize, what: &str) -> Result<u32> {
 }
 
 /// How many times a consolidation pass fans out, each a spawn and a join
-/// of its workers: the merge's sources, its ranges' sorts, its ranges'
-/// gathers, and the re-encode's parts.
+/// of its workers: the merge's source pages, its ranges' sorts, its
+/// ranges' gathers, and the re-encode's pages.
 const MERGE_ROUNDS: u64 = 4;
 
 /// One merge record: a point's linear address, then where it came from —
-/// the source's position in the merge and the point's slot in it.
+/// the source page's position in the merge and the point's slot in it.
 type Record = (u64, (u32, u32));
 
 /// Cut the addresses of `records` (none above `top`) into at most `ranges`
@@ -120,41 +118,42 @@ fn address_ranges(
 }
 
 impl<B: StorageBackend> StorageEngine<B> {
-    /// A fragment about to be rewritten must store this engine's tensor:
+    /// A page about to be rewritten must store this engine's tensor:
     /// same shape, same record size.
-    fn check_rewritable(&self, entry: &CatalogEntry) -> Result<()> {
-        self.check_entry_shape(entry)?;
-        if entry.meta.elem_size != self.elem_size {
+    fn check_rewritable(&self, page: &PageEntry) -> Result<()> {
+        self.check_entry_shape(page)?;
+        if page.meta.elem_size != self.elem_size {
             return Err(StorageError::Mismatch {
                 reason: format!(
                     "fragment {} stores {}-byte records, engine {}",
-                    entry.name, entry.meta.elem_size, self.elem_size
+                    page.name, page.meta.elem_size, self.elem_size
                 ),
             });
         }
         Ok(())
     }
 
-    /// How many threads a merge of `entries` runs on: the read path's
-    /// rule ([`planned_workers`]) over the bytes each source's fetch
-    /// moves — both sections, one enumerating pass — with every worker
-    /// paid for once per fan-out round of the pass ([`MERGE_ROUNDS`]),
-    /// unless a test forces the width.
-    fn merge_width(&self, entries: &[Arc<CatalogEntry>], forced: Option<usize>) -> usize {
+    /// How many threads a merge of `blobs` runs on: the read path's rule
+    /// ([`planned_workers`]) over the bytes each page's fetch moves —
+    /// both sections, one enumerating pass — with every worker paid for
+    /// once per fan-out round of the pass ([`MERGE_ROUNDS`]), unless a
+    /// test forces the width.
+    fn merge_width(&self, blobs: &[Arc<CatalogEntry>], forced: Option<usize>) -> usize {
         forced.unwrap_or_else(|| {
-            let per_round = |entry: &Arc<CatalogEntry>| {
-                entry.meta.index_len.saturating_add(entry.meta.value_len) / MERGE_ROUNDS
+            let per_round = |page: &Arc<PageEntry>| {
+                let meta = &page.meta;
+                meta.index_len.saturating_add(meta.value_len) / MERGE_ROUNDS
             };
             planned_workers(
                 self.config.effective_parallelism(),
-                entries.iter().map(per_round),
+                blobs.iter().flat_map(|blob| &blob.pages).map(per_round),
                 1,
             )
         })
     }
 
-    /// The shared fragment-scan layer: decode every cataloged fragment
-    /// (a resident decode if the cache holds one; a merge never fills it)
+    /// The shared fragment-scan layer: decode every page of `blobs` (a
+    /// resident decode if the cache holds one; a merge never fills it)
     /// and merge its points with the engine's exact read precedence —
     /// within a fragment the *lowest* slot wins (every format's read
     /// scans/searches to the first matching record); across fragments the
@@ -168,8 +167,8 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// pass runs on `workers` threads ([`StorageEngine::fan_out`]) in two
     /// stages, each writing into buffers this thread sized and allocated:
     ///
-    /// 1. **per source** — fetch, verify, decode, enumerate, linearize
-    ///    into the source's own slice of one record vector and copy its
+    /// 1. **per source page** — fetch, verify, decode, enumerate,
+    ///    linearize into the page's own slice of one record vector and copy its
     ///    value records into its slice of one flat array, both sized from
     ///    the catalog's point counts;
     /// 2. **per address range** — contiguous ranges cut from a histogram
@@ -183,16 +182,17 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// one-range output at every width.
     fn merged_points_from(
         &self,
-        entries: &[Arc<CatalogEntry>],
+        blobs: &[Arc<CatalogEntry>],
         workers: usize,
     ) -> Result<(CoordBuffer, Vec<u8>)> {
         let (ndim, elem) = (self.shape.ndim(), self.elem_size as usize);
-        // Stage 1: per source, each into its slices of one record vector
-        // and one flat copy of every source's value records.
-        record_field(entries.len().saturating_sub(1), "merged fragment index")?;
-        let total = (entries.iter())
-            .try_fold(0usize, |sum, entry| {
-                sum.checked_add(usize::try_from(entry.meta.n).ok()?)
+        let pages: Vec<&PageEntry> = blobs.iter().flat_map(|b| &b.pages).map(|p| &**p).collect();
+        // Stage 1: per source page, each into its slices of one record
+        // vector and one flat copy of every page's value records.
+        record_field(pages.len().saturating_sub(1), "merged fragment index")?;
+        let total = (pages.iter())
+            .try_fold(0usize, |sum, page| {
+                sum.checked_add(usize::try_from(page.meta.n).ok()?)
             })
             .filter(|total| total.checked_mul(ndim.max(elem)).is_some())
             .ok_or_else(|| StorageError::Mismatch {
@@ -201,16 +201,16 @@ impl<B: StorageBackend> StorageEngine<B> {
         let mut order: Vec<Record> = vec![(0, (0, 0)); total];
         let mut records = vec![0u8; total * elem];
         let mut rest = (&mut order[..], &mut records[..], 0);
-        let jobs = entries.iter().enumerate().map(|(f, entry)| {
-            let n = entry.meta.n as usize;
+        let jobs = pages.iter().enumerate().map(|(f, page)| {
+            let n = page.meta.n as usize;
             let (order, records, start) = std::mem::take(&mut rest);
             let (o, o_tail) = order.split_at_mut(n);
             let (v, v_tail) = records.split_at_mut(n * elem);
             rest = (o_tail, v_tail, start + n);
-            (f as u32, &**entry, o, v, start)
+            (f as u32, *page, o, v, start)
         });
-        let sources = self.fan_out(jobs, workers, |(f, entry, o, v, start), counter| {
-            let top = self.linearize_source(f, entry, o, v, counter)?;
+        let sources = self.fan_out(jobs, workers, |(f, page, o, v, start), counter| {
+            let top = self.linearize_source(f, page, o, v, counter)?;
             Ok((start, top))
         })?;
 
@@ -260,34 +260,34 @@ impl<B: StorageBackend> StorageEngine<B> {
         Ok((CoordBuffer::from_flat(ndim, coords)?, payload))
     }
 
-    /// Stage 1 of a merge for one source, the `f`-th: fetch and decode
-    /// it, enumerate its points, and fill the two slices this source was
-    /// given, both sized from the catalog's point count: `order` with one
-    /// record per point, slots high to low, and `records` with a copy of
-    /// its value records. What it fetched is dropped here, so a worker
-    /// keeps nothing past its source. Returns the largest address.
+    /// Stage 1 of a merge for one source page, the `f`-th: fetch and
+    /// decode it, enumerate its points, and fill the two slices this page
+    /// was given, both sized from the catalog's point count: `order` with
+    /// one record per point, slots high to low, and `records` with a copy
+    /// of its value records. What it fetched is dropped here, so a worker
+    /// keeps nothing past its page. Returns the largest address.
     fn linearize_source(
         &self,
         f: u32,
-        entry: &CatalogEntry,
+        page: &PageEntry,
         order: &mut [Record],
         records: &mut [u8],
         counter: &OpCounter,
     ) -> Result<u64> {
-        self.check_rewritable(entry)?;
-        let sections = self.fetch_for_merge(entry)?;
-        let coords = (entry.meta.kind.create()).enumerate(sections.index(), counter)?;
+        self.check_rewritable(page)?;
+        let sections = self.fetch_for_merge(page)?;
+        let coords = (page.meta.kind.create()).enumerate(sections.index(), counter)?;
         if coords.len() != order.len() {
             let reason = format!(
                 "enumerated {} points, the header says {}",
                 coords.len(),
                 order.len()
             );
-            return Err(StorageError::corrupt(&entry.name, reason));
+            return Err(StorageError::corrupt(&page.name, reason));
         }
         let Some(values) = sections.values().get(..records.len()) else {
             return Err(StorageError::corrupt(
-                &entry.name,
+                &page.name,
                 "enumerated more slots than records",
             ));
         };
@@ -302,18 +302,16 @@ impl<B: StorageBackend> StorageEngine<B> {
         Ok(top)
     }
 
-    /// Merge every fragment into one run (TileDB-style consolidation).
+    /// Merge every fragment into one (TileDB-style consolidation).
     ///
     /// Runs over the same scan layer as [`StorageEngine::export`]: each
     /// fragment's index is enumerated back into coordinates, values are
     /// deduplicated with the same last-writer-wins rule as
     /// [`StorageEngine::read`], and the output is written under the
-    /// engine's current organization and codecs, cut into parts of at
-    /// most [`PART_POINTS`] points that are disjoint on dim 0 (one part,
-    /// named as an uncut fragment, when it fits); the source fragments
-    /// are deleted (and their cache entries invalidated). A store that is
-    /// already one run — one fragment, or the parts of one pass — is left
-    /// alone.
+    /// engine's current organization and codecs as one fragment, cut into
+    /// pages of at most [`PAGE_POINTS`] points that are disjoint on dim 0;
+    /// the source fragments are deleted (and their cache entries
+    /// invalidated). A store that is already one fragment is left alone.
     ///
     /// With [`EngineConfig::adaptive_reorg`](crate::config::EngineConfig)
     /// set, the pass additionally characterizes the merged region's
@@ -321,14 +319,14 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// runs the advisor's cost model over the measured statistics, and
     /// encodes the output in the winning organization instead of the
     /// engine's configured one. A store already consolidated down to a
-    /// single run takes the same path — merged, characterized, advised —
+    /// single fragment takes the same path — merged, characterized, advised —
     /// and is rewritten only when the advice differs from its current
     /// organization, so repeated passes converge to a no-op.
     ///
     /// The pass is transactional: one catalog snapshot drives both the
     /// merge and the delete set; the delete set is recorded in one
-    /// tombstone that commits (atomically) before the run's last part
-    /// does, so a crash in any window either discards the whole pass or
+    /// tombstone that commits (atomically) before the output does, so a
+    /// crash in any window either discards the whole pass or
     /// replays the deletions at the next open/refresh — never a store
     /// with both the merged output and a partial set of its sources
     /// counted twice. The output takes the *highest source* sequence
@@ -355,26 +353,24 @@ impl<B: StorageBackend> StorageEngine<B> {
         // when the buffer is empty).
         self.flush()?;
         let _guard = self.consolidate_lock.lock();
-        // ONE snapshot drives everything below: the merge input, the new
-        // run's identity, and the delete set. Fragments written after
+        // ONE snapshot drives everything below: the merge input, the
+        // output's identity, and the delete set. Fragments written after
         // this point are untouched and outrank the merged output.
         let snapshot_span = Span::enter(self.plane.as_ref(), SpanKind::ConsolidateSnapshot);
-        let runs = self.catalog.runs();
-        let snapshot = runs.concat();
-        let runs = runs.len();
+        let snapshot = self.catalog.snapshot();
         let before_bytes: u64 = snapshot.iter().map(|e| e.size).sum();
         let adaptive = self.config.adaptive_reorg;
         let unchanged = ConsolidateReport {
-            merged_fragments: runs,
+            merged_fragments: snapshot.len(),
             n_points: 0,
-            parts: 0,
+            pages: 0,
             before_bytes,
             after_bytes: before_bytes,
             fragment: None,
         };
         // Nothing to merge and nothing to re-organize: no fragments, or
-        // one run without an adaptive policy.
-        if runs == 0 || (runs == 1 && adaptive.is_none()) {
+        // one without an adaptive policy.
+        if snapshot.is_empty() || (snapshot.len() == 1 && adaptive.is_none()) {
             return Ok(unchanged);
         }
         let sources: Vec<String> = snapshot.iter().map(|e| e.name.clone()).collect();
@@ -395,12 +391,13 @@ impl<B: StorageBackend> StorageEngine<B> {
                 coords.iter().for_each(|p| stats.push(p));
                 let target =
                     recommend_from_stats(&stats.finish(), &profile.access_profile()).best();
-                // A lone run already in the advised organization has
+                // A lone fragment already in the advised organization has
                 // converged: rewriting it would only fold duplicates.
-                if runs == 1 && snapshot.iter().all(|e| e.meta.kind == target) {
+                let kinds = || snapshot.iter().flat_map(|e| &e.pages).map(|p| p.meta.kind);
+                if snapshot.len() == 1 && kinds().all(|kind| kind == target) {
                     return Ok(unchanged);
                 }
-                let migrating = snapshot.iter().filter(|e| e.meta.kind != target).count() as u64;
+                let migrating = kinds().filter(|&kind| kind != target).count() as u64;
                 charge(|io| io.fragments_migrated += migrating);
                 target
             }
@@ -411,7 +408,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         // goes through the presorted builders (sorts elided).
         let convert_span =
             adaptive.map(|_| Span::enter(self.plane.as_ref(), SpanKind::ConsolidateConvert));
-        let ends = part_ends(&coords);
+        let ends = page_ends(&coords);
         let report = self.write_with(
             target,
             &coords,
@@ -426,9 +423,9 @@ impl<B: StorageBackend> StorageEngine<B> {
 
         self.retire_sources(&sources, &report.fragment)?;
         Ok(ConsolidateReport {
-            merged_fragments: runs,
+            merged_fragments: snapshot.len(),
             n_points: coords.len(),
-            parts: ends.len(),
+            pages: ends.len(),
             before_bytes,
             after_bytes: self.catalog.total_bytes(),
             fragment: Some(report.fragment),
@@ -508,24 +505,24 @@ mod tests {
     }
 
     #[test]
-    fn parts_hold_whole_rows_up_to_the_cap() {
+    fn pages_hold_whole_rows_up_to_the_cap() {
         assert_eq!(
-            part_ends(&CoordBuffer::new(2)),
+            page_ends(&CoordBuffer::new(2)),
             [0],
-            "an empty output is one part"
+            "an empty output is one page"
         );
-        assert_eq!(part_ends(&rows(&[4096])), [4096]);
-        assert_eq!(part_ends(&rows(&[4096, 1])), [4096, 4097]);
-        // 3 000 + 1 000 + 96 fill a part exactly; 5 000 is over the cap
+        assert_eq!(page_ends(&rows(&[4096])), [4096]);
+        assert_eq!(page_ends(&rows(&[4096, 1])), [4096, 4097]);
+        // 3 000 + 1 000 + 96 fill a page exactly; 5 000 is over the cap
         // and stays whole; 10 + 4 096 would be over it.
         assert_eq!(
-            part_ends(&rows(&[3000, 1000, 96, 5000, 10, 4096])),
+            page_ends(&rows(&[3000, 1000, 96, 5000, 10, 4096])),
             [4096, 9096, 9106, 13202]
         );
     }
 
     #[test]
-    fn an_oversized_row_is_stored_as_one_part() {
+    fn an_oversized_row_is_stored_as_one_page() {
         let e = StorageEngine::open(
             MemBackend::new(),
             FormatKind::Coo,
@@ -542,12 +539,15 @@ mod tests {
             e.write_points::<f64>(&coords, values).unwrap();
         }
         let report = e.consolidate().unwrap();
-        assert_eq!((report.n_points, report.parts), (8392, 3));
-        let parts: Vec<(u64, Vec<u64>)> = (e.catalog.snapshot().iter())
+        assert_eq!((report.n_points, report.pages), (8392, 3));
+        let [blob] = &e.catalog.snapshot()[..] else {
+            panic!("the output is one blob");
+        };
+        let pages: Vec<(u64, Vec<u64>)> = (blob.pages.iter())
             .map(|p| (p.meta.n, p.meta.bbox.as_ref().unwrap().lo().to_vec()))
             .collect();
         assert_eq!(
-            parts,
+            pages,
             [(100, vec![0, 0]), (8192, vec![1, 0]), (100, vec![2, 0])]
         );
         assert_eq!(

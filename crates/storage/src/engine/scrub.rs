@@ -3,20 +3,21 @@
 
 use super::StorageEngine;
 use crate::backend::StorageBackend;
-use crate::catalog::CatalogEntry;
+use crate::catalog::PageEntry;
 use crate::error::{FragmentSection, Result, StorageError};
 use artsparse_metrics::{Span, SpanKind};
 
 /// Outcome of a scrub pass over the whole store.
 #[derive(Debug, Clone, Default)]
 pub struct ScrubReport {
-    /// Fragments examined (healthy + damaged; vanished ones excluded).
+    /// Fragment pages examined (healthy + damaged; vanished ones
+    /// excluded).
     pub fragments_checked: usize,
-    /// Fragments whose stored bytes verified clean.
+    /// Pages whose stored bytes verified clean.
     pub healthy: usize,
     /// Stored bytes whose integrity was confirmed.
     pub bytes_verified: u64,
-    /// The damaged fragments, one finding each.
+    /// The damaged pages, one finding each.
     pub findings: Vec<ScrubFinding>,
 }
 
@@ -27,10 +28,10 @@ impl ScrubReport {
     }
 }
 
-/// One damaged fragment a scrub pass found (and quarantined).
+/// One damaged page a scrub pass found (and quarantined).
 #[derive(Debug, Clone)]
 pub struct ScrubFinding {
-    /// The fragment's blob name.
+    /// The page's name (its blob's, for a one-page blob).
     pub fragment: String,
     /// Which section's checksum failed, when the damage was a checksum
     /// mismatch (`None` for structural damage: truncation, a header
@@ -43,7 +44,7 @@ pub struct ScrubFinding {
 }
 
 impl<B: StorageBackend> StorageEngine<B> {
-    /// Fragments currently quarantined, with the reason each was benched
+    /// Pages currently quarantined, with the reason each was benched
     /// (sorted by name).
     pub fn quarantined(&self) -> Vec<(String, String)> {
         self.catalog.quarantined()
@@ -54,9 +55,11 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// organization or decompressing any payload (checksums cover the
     /// *stored* bytes), so a scrub is pure sequential I/O plus CRC.
     ///
-    /// Damaged fragments are quarantined (regardless of `strict_reads`;
-    /// scrubbing is diagnosis, not serving) and reported as findings.
-    /// Already-quarantined fragments are re-checked too: a finding with
+    /// Each page of a blob is checked, and quarantined, on its own; the
+    /// blob's size is checked with its last page. Damaged pages are
+    /// quarantined (regardless of `strict_reads`; scrubbing is diagnosis,
+    /// not serving) and reported as findings. Already-quarantined pages
+    /// are re-checked too: a finding with
     /// `newly_quarantined == false` confirms known damage. Transient
     /// fetch failures retry under the engine's
     /// [`RetryPolicy`](crate::config::RetryPolicy) before a fragment is
@@ -65,25 +68,26 @@ impl<B: StorageBackend> StorageEngine<B> {
     pub fn scrub(&self) -> Result<ScrubReport> {
         let _span = Span::enter(self.plane.as_ref(), SpanKind::Scrub);
         let mut report = ScrubReport::default();
-        for entry in self.catalog.snapshot_all() {
+        let entries = self.catalog.snapshot_all();
+        for page in entries.iter().flat_map(|entry| &entry.pages) {
             let _frag = Span::enter(self.plane.as_ref(), SpanKind::ScrubFragment);
-            match self.scrub_fragment(&entry) {
+            match self.scrub_fragment(page) {
                 Ok(()) => {
                     report.fragments_checked += 1;
                     report.healthy += 1;
-                    report.bytes_verified += entry.size;
+                    report.bytes_verified += page.meta.total_len();
                 }
                 // Vanished under the scrub.
-                Err(e) if e.is_not_found() && self.catalog.get(&entry.name).is_none() => {}
+                Err(e) if e.is_not_found() && self.catalog.get(&page.blob).is_none() => {}
                 Err(e) => {
                     report.fragments_checked += 1;
                     let section = match &e {
                         StorageError::ChecksumMismatch { section, .. } => Some(*section),
                         _ => None,
                     };
-                    let newly = self.quarantine_fragment(&entry.name, &e);
+                    let newly = self.quarantine_fragment(&page.name, &e);
                     report.findings.push(ScrubFinding {
-                        fragment: entry.name.clone(),
+                        fragment: page.name.clone(),
                         section,
                         error: e.chain_string(),
                         newly_quarantined: newly,
@@ -94,13 +98,16 @@ impl<B: StorageBackend> StorageEngine<B> {
         Ok(report)
     }
 
-    /// Verify one fragment's header, exact size and section CRCs, each
-    /// fetch retried on its own.
-    fn scrub_fragment(&self, entry: &CatalogEntry) -> Result<()> {
-        let name = &entry.name;
-        let reader = self.reader(entry);
+    /// Verify one page's header, its blob's exact size if it is the last
+    /// page, and its section CRCs, each fetch retried on its own.
+    fn scrub_fragment(&self, page: &PageEntry) -> Result<()> {
+        let name = &page.name;
+        let reader = self.reader(page);
         self.retry(name, || reader.verify(FragmentSection::Header))?;
-        reader.check_size(self.backend.size(name)?)?;
+        if !page.meta.continued {
+            let size = self.backend.size(&page.blob)?;
+            reader.check_size(size.saturating_sub(page.offset))?;
+        }
         for section in [FragmentSection::Index, FragmentSection::Value] {
             self.retry(name, || reader.verify(section))?;
         }

@@ -10,6 +10,7 @@
 //! ndim        u16
 //! flags       u16 — bit 0: bounding box present (0 for empty tensors)
 //!                   bits 1–3: index codec id, bits 4–6: value codec id
+//!                   bit 7: another page follows this one in the blob
 //! n           u64 — number of points
 //! elem_size   u32 — bytes per value record
 //! index_len   u64 — stored (possibly compressed) index bytes
@@ -25,6 +26,10 @@
 //! index       index_len bytes (self-describing, see artsparse-core codec)
 //! values      value_len bytes (reorganized by the build's map)
 //! ```
+//!
+//! A blob is one or more such *pages* laid end to end, each with its own
+//! header and CRCs; all but the last set bit 7, so a blob cut at a page
+//! boundary is corrupt ([`decode_pages`]), never a shorter fragment.
 //!
 //! Compression is the paper's §II orthogonality point made concrete: the
 //! organization is chosen first, then a [`Codec`] optionally shrinks each
@@ -58,6 +63,7 @@ pub const FRAGMENT_MAGIC: u32 = u32::from_le_bytes(*b"ASFR");
 pub const FRAGMENT_VERSION: u16 = 3;
 
 const FLAG_HAS_BBOX: u16 = 1;
+const FLAG_CONTINUED: u16 = 1 << 7;
 const INDEX_CODEC_SHIFT: u16 = 1;
 const VALUE_CODEC_SHIFT: u16 = 4;
 const CODEC_MASK: u16 = 0b111;
@@ -104,6 +110,8 @@ pub struct FragmentMeta {
     pub value_codec: Codec,
     /// Section and header checksums.
     pub checksums: FragmentChecksums,
+    /// Whether another page follows this one in its blob.
+    pub continued: bool,
 }
 
 impl FragmentMeta {
@@ -156,14 +164,15 @@ fn check_crc(name: &str, section: FragmentSection, expected: u32, bytes: &[u8]) 
 /// | [`verify`](Self::verify) | one section: the header, or a stored payload | as above, with nothing decompressed |
 /// | [`check_size`](Self::check_size) | nothing: the caller's size of the blob | the blob ends where the header says |
 ///
-/// `get_range(offset, len)` returns up to `len` bytes at `offset`, fewer
-/// where the blob ends inside the window — the contract of
-/// [`StorageBackend::get_range`](crate::backend::StorageBackend::get_range).
+/// `get_range(offset, len)` returns up to `len` bytes at `offset` of the
+/// page (of its blob from the page on), fewer where the blob ends inside
+/// the window — the contract of [`StorageBackend::get_range`](crate::backend::StorageBackend::get_range).
 /// `meta` is what the caller already believes about the fragment (the
 /// catalog's entry); a header on the device that no longer equals it
 /// fails every call that fetches it — a blob mutated behind the engine's
 /// back must fail the read, not serve stale or garbage metadata.
-/// Discovery, which has no `meta` yet, peeks headers with [`peek_meta`].
+/// Discovery, which has no `meta` yet, peeks headers with [`peek_meta`]
+/// and walks a blob's further pages with `pages`.
 pub struct FragmentReader<'a, F> {
     name: &'a str,
     meta: &'a FragmentMeta,
@@ -282,7 +291,8 @@ where
         }
     }
 
-    /// A blob of `size` bytes must end exactly where the header says.
+    /// A blob of `size` bytes from the page on must end exactly where
+    /// the header says: the check of a blob's last page.
     pub fn check_size(&self, size: u64) -> Result<()> {
         let want = self.meta.total_len();
         if size != want {
@@ -326,6 +336,40 @@ pub fn peek_meta(
     decode_meta(name, &get_prefix(FragmentMeta::header_len(ndim))?)
 }
 
+/// Walk the pages of blob `name`, `size` bytes long, whose first header
+/// is `first`: each page starts where the one before it ends, and its
+/// header is `peek(offset, len)`, asked for exactly the header. Returns
+/// each page's offset and header. A page that says another follows where
+/// the blob ends is [`StorageError::CorruptFragment`].
+pub(crate) fn pages<T: AsRef<[u8]>>(
+    name: &str,
+    first: FragmentMeta,
+    size: u64,
+    peek: impl Fn(u64, usize) -> Result<T>,
+) -> Result<Vec<(u64, FragmentMeta)>> {
+    let header_len = FragmentMeta::header_len(first.shape.ndim());
+    let mut pages = vec![(0u64, first)];
+    while let Some(&(at, ref meta)) = pages.last().filter(|(_, meta)| meta.continued) {
+        let Some(offset) = (at.checked_add(meta.total_len())).filter(|&end| end < size) else {
+            let reason = format!("page at {at} says another follows; the blob ends at {size}");
+            return Err(StorageError::corrupt(name, reason));
+        };
+        let meta = decode_meta(name, peek(offset, header_len)?.as_ref())?;
+        pages.push((offset, meta));
+    }
+    Ok(pages)
+}
+
+/// The pages of an in-memory blob — each one's offset and header — walked
+/// as the catalog walks a device's: a page that says another follows
+/// where the blob ends is [`StorageError::CorruptFragment`].
+pub fn decode_pages(name: &str, blob: &[u8]) -> Result<Vec<(u64, FragmentMeta)>> {
+    let first = decode_meta(name, blob)?;
+    pages(name, first, blob.len() as u64, |at, _| {
+        Ok(&blob[at as usize..])
+    })
+}
+
 /// A payload as stored under `codec`: itself when no codec applies.
 fn stored(codec: Codec, payload: &[u8]) -> Cow<'_, [u8]> {
     match codec {
@@ -334,7 +378,86 @@ fn stored(codec: Codec, payload: &[u8]) -> Cow<'_, [u8]> {
     }
 }
 
-/// Assemble a fragment file, applying the codecs to the payloads.
+/// One page of a blob before it is encoded: the organization of its
+/// index, its number of points and their bounding box (`None` when
+/// empty), and its uncompressed index and (reorganized) value payloads.
+pub(crate) struct PagePayload<'a> {
+    pub kind: FormatKind,
+    pub n: u64,
+    pub bbox: Option<Region>,
+    pub index: Cow<'a, [u8]>,
+    pub values: Cow<'a, [u8]>,
+}
+
+/// Lay `pages` end to end into one blob of `shape`-shaped tensors of
+/// `elem_size`-byte records, each page's payloads stored under the
+/// `(index, value)` codecs and every page but the last marked continued.
+/// A page is dropped as soon as it is laid, so the pages and the blob
+/// together hold about one copy of the payloads.
+pub(crate) fn encode_pages(
+    shape: &Shape,
+    elem_size: u32,
+    (index_codec, value_codec): (Codec, Codec),
+    pages: Vec<PagePayload<'_>>,
+) -> Vec<u8> {
+    let ndim = shape.ndim();
+    let len = (pages.iter())
+        .map(|page| FragmentMeta::header_len(ndim) + page.index.len() + page.values.len())
+        .sum();
+    let mut buf = Vec::with_capacity(len);
+    let last = pages.len().saturating_sub(1);
+    for (i, page) in pages.into_iter().enumerate() {
+        let start = buf.len();
+        let stored_index = stored(index_codec, &page.index);
+        let stored_values = stored(value_codec, &page.values);
+        buf.put_u32_le(FRAGMENT_MAGIC);
+        buf.put_u16_le(FRAGMENT_VERSION);
+        buf.put_u16_le(page.kind.id());
+        buf.put_u16_le(ndim as u16);
+        let mut flags = 0u16;
+        if page.bbox.is_some() {
+            flags |= FLAG_HAS_BBOX;
+        }
+        if i < last {
+            flags |= FLAG_CONTINUED;
+        }
+        flags |= index_codec.id() << INDEX_CODEC_SHIFT;
+        flags |= value_codec.id() << VALUE_CODEC_SHIFT;
+        buf.put_u16_le(flags);
+        buf.put_u64_le(page.n);
+        buf.put_u32_le(elem_size);
+        buf.put_u64_le(stored_index.len() as u64);
+        buf.put_u64_le(stored_values.len() as u64);
+        buf.put_u64_le(page.index.len() as u64);
+        buf.put_u64_le(page.values.len() as u64);
+        for &m in shape.dims() {
+            buf.put_u64_le(m);
+        }
+        match &page.bbox {
+            Some(b) => {
+                for &v in b.lo().iter().chain(b.hi()) {
+                    buf.put_u64_le(v);
+                }
+            }
+            None => {
+                for _ in 0..2 * ndim {
+                    buf.put_u64_le(0);
+                }
+            }
+        }
+        buf.put_u32_le(crc32c(&stored_index));
+        buf.put_u32_le(crc32c(&stored_values));
+        // The header CRC is computed over everything written so far, section
+        // CRCs included, and appended last.
+        let header_crc = crc32c(&buf[start..]);
+        buf.put_u32_le(header_crc);
+        buf.extend_from_slice(&stored_index);
+        buf.extend_from_slice(&stored_values);
+    }
+    buf
+}
+
+/// Assemble a one-page fragment file, applying the codecs to the payloads.
 #[allow(clippy::too_many_arguments)]
 pub fn encode_fragment(
     kind: FormatKind,
@@ -347,56 +470,14 @@ pub fn encode_fragment(
     index_codec: Codec,
     value_codec: Codec,
 ) -> Vec<u8> {
-    let ndim = shape.ndim();
-    let stored_index = stored(index_codec, index);
-    let stored_values = stored(value_codec, values);
-    let mut buf = Vec::with_capacity(
-        FragmentMeta::header_len(ndim) + stored_index.len() + stored_values.len(),
-    );
-    buf.put_u32_le(FRAGMENT_MAGIC);
-    buf.put_u16_le(FRAGMENT_VERSION);
-    buf.put_u16_le(kind.id());
-    buf.put_u16_le(ndim as u16);
-    let mut flags = 0u16;
-    if bbox.is_some() {
-        flags |= FLAG_HAS_BBOX;
-    }
-    flags |= index_codec.id() << INDEX_CODEC_SHIFT;
-    flags |= value_codec.id() << VALUE_CODEC_SHIFT;
-    buf.put_u16_le(flags);
-    buf.put_u64_le(n);
-    buf.put_u32_le(elem_size);
-    buf.put_u64_le(stored_index.len() as u64);
-    buf.put_u64_le(stored_values.len() as u64);
-    buf.put_u64_le(index.len() as u64);
-    buf.put_u64_le(values.len() as u64);
-    for &m in shape.dims() {
-        buf.put_u64_le(m);
-    }
-    match bbox {
-        Some(b) => {
-            for &v in b.lo() {
-                buf.put_u64_le(v);
-            }
-            for &v in b.hi() {
-                buf.put_u64_le(v);
-            }
-        }
-        None => {
-            for _ in 0..2 * ndim {
-                buf.put_u64_le(0);
-            }
-        }
-    }
-    buf.put_u32_le(crc32c(&stored_index));
-    buf.put_u32_le(crc32c(&stored_values));
-    // The header CRC is computed over everything written so far, section
-    // CRCs included, and appended last.
-    let header_crc = crc32c(&buf);
-    buf.put_u32_le(header_crc);
-    buf.extend_from_slice(&stored_index);
-    buf.extend_from_slice(&stored_values);
-    buf
+    let page = PagePayload {
+        kind,
+        n,
+        bbox: bbox.cloned(),
+        index: Cow::Borrowed(index),
+        values: Cow::Borrowed(values),
+    };
+    encode_pages(shape, elem_size, (index_codec, value_codec), vec![page])
 }
 
 /// The little-endian `u32` at `bytes[at..at + 4]`, or `None` past the end.
@@ -489,6 +570,7 @@ pub fn decode_meta(name: &str, bytes: &[u8]) -> Result<FragmentMeta> {
         return Err(corrupt("uncompressed value lengths disagree"));
     }
     Ok(FragmentMeta {
+        continued: flags & FLAG_CONTINUED != 0,
         kind,
         shape,
         n,
@@ -504,11 +586,18 @@ pub fn decode_meta(name: &str, bytes: &[u8]) -> Result<FragmentMeta> {
     })
 }
 
-/// Decode a whole in-memory fragment into `(meta, index, values)`: its
-/// header, then both sections through a [`FragmentReader`], so they are
-/// verified as a device read verifies them.
+/// Decode a whole in-memory one-page fragment into `(meta, index,
+/// values)`: its header, then both sections through a [`FragmentReader`],
+/// so they are verified as a device read verifies them. A header that
+/// says another page follows is corrupt here.
 pub fn decode_fragment(name: &str, bytes: &[u8]) -> Result<(FragmentMeta, Vec<u8>, Vec<u8>)> {
     let meta = decode_meta(name, bytes)?;
+    if meta.continued {
+        return Err(StorageError::corrupt(
+            name,
+            "a page follows a one-page fragment",
+        ));
+    }
     let need = meta.total_len();
     if bytes.len() as u64 != need {
         let reason = format!("fragment is {} bytes, header says {need}", bytes.len());
@@ -880,5 +969,40 @@ mod tests {
                 other => panic!("byte {at}: expected checksum mismatch, got {other}"),
             }
         }
+    }
+
+    #[test]
+    fn pages_lay_end_to_end_and_walk_back() {
+        let shape = Shape::new(vec![8, 8]).unwrap();
+        let page = |row: u64| PagePayload {
+            kind: FormatKind::Linear,
+            n: 2,
+            bbox: Some(Region::from_corners(&[row, 0], &[row, 7]).unwrap()),
+            index: Cow::Owned(vec![row as u8; 4]),
+            values: Cow::Owned(vec![7u8; 16]),
+        };
+        let codecs = (Codec::DeltaVarint, Codec::Rle);
+        let blob = encode_pages(&shape, 8, codecs, vec![page(1), page(4)]);
+        let pages = decode_pages("t", &blob).unwrap();
+        let first = pages[0].1.total_len();
+        assert_eq!((pages.len(), pages[1].0), (2, first));
+        assert_eq!(first + pages[1].1.total_len(), blob.len() as u64);
+        assert!(pages[0].1.continued && !pages[1].1.continued);
+        // Each page is a fragment of its own; the first says one follows.
+        let (head, tail) = blob.split_at(first as usize);
+        let err = decode_fragment("t", head).unwrap_err();
+        assert!(err.to_string().contains("a page follows"), "{err}");
+        let (meta, index, values) = decode_fragment("t", tail).unwrap();
+        assert_eq!(
+            (&meta, index, values),
+            (&pages[1].1, vec![4; 4], vec![7; 16])
+        );
+        // Cut where the first page says another follows: corrupt.
+        let err = decode_pages("t", head).unwrap_err();
+        assert!(err.to_string().contains("says another follows"), "{err}");
+        // One page is the fragment `encode_fragment` writes.
+        let one = encode_pages(&shape, 8, codecs, vec![page(4)]);
+        assert_eq!(one, tail);
+        assert_eq!(decode_pages("t", &one).unwrap(), [(0, meta)]);
     }
 }

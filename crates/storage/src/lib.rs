@@ -67,7 +67,7 @@ pub mod wal;
 pub use backend::{FsBackend, MemBackend, SimulatedDisk, StorageBackend};
 pub use buffer::{BufferSnapshot, BufferStats, WriteBuffer};
 pub use cache::{CacheStats, DecodedFragment, FragmentCache};
-pub use catalog::{CatalogEntry, FragmentCatalog, ReadPlan};
+pub use catalog::{CatalogEntry, FragmentCatalog, PageEntry, ReadPlan};
 pub use codec::Codec;
 pub use config::{
     EngineConfig, HealthConfig, IngestConfig, ObservabilityConfig, ReorgProfile, RetryPolicy,
@@ -75,7 +75,7 @@ pub use config::{
 };
 pub use engine::{
     ConsolidateReport, HealthState, ReadHit, ReadOutcome, ReadResult, RecoveryReport, ScrubFinding,
-    ScrubReport, StorageEngine, StoreStats, WriteReport, BUFFER_FRAGMENT, PART_POINTS,
+    ScrubReport, StorageEngine, StoreStats, WriteReport, BUFFER_FRAGMENT, PAGE_POINTS,
 };
 pub use error::{FragmentSection, Result, StorageError};
 pub use exporter::{ExporterStats, MetricsExporter, JOURNAL_JSONL, METRICS_JSONL, METRICS_PROM};

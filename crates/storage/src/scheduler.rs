@@ -7,13 +7,12 @@
 //!    group-committed even below the size thresholds, bounding how long
 //!    an acked point stays WAL-only;
 //! 2. **triggers consolidation under a size-tiered policy** — live
-//!    consolidation runs (a fragment, or the parts one pass cut its
-//!    output into, counted once at their summed size) are bucketed by the
-//!    log₂ of their byte size, and when any tier accumulates
-//!    [`TIER_RUNS`] runs the store is fragmented enough to merge. Fresh flushes are all roughly
+//!    fragments are bucketed by the log₂ of their byte size, and when any
+//!    tier accumulates [`TIER_RUNS`] of them the store is fragmented
+//!    enough to merge. Fresh flushes are all roughly
 //!    flush-threshold-sized, so they pile into one tier and trip the
-//!    trigger; the consolidated run lands in a higher tier and sits
-//!    there alone — the run count plateaus instead of growing with
+//!    trigger; the consolidated fragment lands in a higher tier and sits
+//!    there alone — the fragment count plateaus instead of growing with
 //!    ingest time. Passes are rate-limited by
 //!    [`SchedulerConfig::min_consolidate_interval_ms`] regardless of how
 //!    fragmented the store looks.
@@ -47,7 +46,7 @@ use artsparse_metrics::{charge, Span, SpanKind};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Runs one log₂-size tier must hold before the scheduler consolidates.
+/// Fragments one log₂-size tier must hold before the scheduler consolidates.
 pub const TIER_RUNS: usize = 4;
 
 /// Handle to the background scheduler thread. Dropping it shuts the
@@ -127,7 +126,7 @@ fn tier_of(size: u64) -> u32 {
     64 - size.max(1).leading_zeros()
 }
 
-/// Whether any size tier holds at least [`TIER_RUNS`] runs.
+/// Whether any size tier holds at least [`TIER_RUNS`] fragments.
 fn tier_trigger(sizes: &[u64]) -> bool {
     let mut counts = std::collections::HashMap::new();
     for &size in sizes {
@@ -168,7 +167,7 @@ fn scheduler_pass<B: StorageBackend + Send + Sync>(
 
     let rate_limited = last_consolidate.is_some_and(|at| at.elapsed() < min_gap);
     if !rate_limited {
-        let sizes = engine.run_sizes();
+        let sizes = engine.fragment_sizes();
         if sizes.len() >= 2 && tier_trigger(&sizes) {
             engine.consolidate()?;
             engine.note_scheduler(|record| record.consolidations += 1);
@@ -212,16 +211,18 @@ mod tests {
     }
 
     #[test]
-    fn one_consolidated_run_never_retriggers() {
+    fn a_consolidated_paged_fragment_never_retriggers() {
+        use crate::config::ObservabilityConfig;
         use crate::faults::FailingBackend;
         // 256 full rows of 64: consolidation cuts 16 384 points into four
-        // equal 4 096-point parts — four fragments of one tier, one run.
+        // equal 4 096-point pages of one fragment.
         let engine = Arc::new(
-            StorageEngine::open(
+            StorageEngine::open_with(
                 FailingBackend::new(MemBackend::new()),
                 FormatKind::Coo,
                 Shape::new(vec![256, 64]).unwrap(),
                 8,
+                EngineConfig::default().with_observability(ObservabilityConfig::default()),
             )
             .unwrap(),
         );
@@ -232,12 +233,14 @@ mod tests {
                 .write_points::<f64>(&coords, &vec![1.0; cells.len()])
                 .unwrap();
         }
-        assert_eq!(engine.consolidate().unwrap().parts, 4);
-        assert!(
-            tier_trigger(&engine.fragment_sizes()),
-            "the parts share a tier"
-        );
-        assert_eq!(engine.run_sizes().len(), 1);
+        assert_eq!(engine.consolidate().unwrap().pages, 4);
+        // The trigger and the exported histogram read one size: the blob.
+        assert_eq!(engine.fragment_sizes().len(), 1);
+        assert!(!tier_trigger(&engine.fragment_sizes()));
+        engine.observe();
+        let snap = engine.observability().unwrap().registry().snapshot();
+        let tiers = snap.sample("artsparse_fragment_bytes").unwrap();
+        assert_eq!(tiers.histogram.as_ref().unwrap().count(), 1);
         let blobs = engine.backend().list().unwrap();
 
         // Any device write would now fail: the scheduler must not try one.
@@ -258,9 +261,9 @@ mod tests {
         let s = engine.stats().unwrap();
         let record = (s.scheduler_consolidations, s.scheduler_errors);
         assert_eq!(record, (0, 0), "{s:?}");
-        // An explicit pass finds one run and writes nothing either.
+        // An explicit pass finds one fragment and writes nothing either.
         let again = engine.consolidate().unwrap();
-        assert_eq!((again.merged_fragments, again.parts), (1, 0));
+        assert_eq!((again.merged_fragments, again.pages), (1, 0));
         assert_eq!(again.fragment, None);
         engine.backend().set_out_of_space(false);
         assert_eq!(engine.backend().list().unwrap(), blobs);

@@ -9,6 +9,7 @@
 
 use artsparse::core::advisor::{recommend_from_stats, AccessProfile};
 use artsparse::core::SparsityStats;
+use artsparse::storage::fragment::decode_pages;
 use artsparse::storage::{
     EngineConfig, FailingBackend, FsBackend, MemBackend, ObservabilityConfig, ReorgProfile,
     SimulatedDisk, StorageBackend, StorageEngine, StripedBackend,
@@ -175,9 +176,9 @@ fn consolidation_crash_after_commit_replays_deletions() {
 
 /// A 144×64 LINEAR store written as three overlapping row bands, the
 /// last overwriting part of the first two: 9 216 distinct points, which
-/// consolidation cuts into three parts (64, 64 and 16 rows). Returns the
-/// engine and the model of what reads must answer.
-fn three_part_store<B: StorageBackend>(backend: B) -> (StorageEngine<B>, BTreeMap<Vec<u64>, f64>) {
+/// consolidation cuts into three pages (64, 64 and 16 rows) of one blob.
+/// Returns the engine and the model of what reads must answer.
+fn three_page_store<B: StorageBackend>(backend: B) -> (StorageEngine<B>, BTreeMap<Vec<u64>, f64>) {
     let shape = Shape::new(vec![144, 64]).unwrap();
     let engine = StorageEngine::open(backend, FormatKind::Linear, shape, 8).unwrap();
     let mut model = BTreeMap::new();
@@ -204,36 +205,36 @@ fn everything<B: StorageBackend>(engine: &StorageEngine<B>) -> BTreeMap<Vec<u64>
         .collect()
 }
 
-/// A consolidation whose output is a run of three parts, killed before
-/// each of its write operations in turn — every staging put, the
-/// tombstone, every rename, every source deletion — then recovered by a
-/// reopen. The last rename is the commit point: before it the store
-/// recovers to its sources plus whichever parts had landed (recovery
-/// cannot tell a dead run from one still committing, so it keeps them),
-/// after it to the parts alone. Reads equal the model at every kill
-/// point, the pass writes one tombstone whatever it is cut into, and a
-/// later consolidation converges to one three-part run.
+/// A consolidation whose output is one blob of three pages, killed before
+/// each of its write operations in turn — the staging put, the tombstone,
+/// the rename, every source deletion, the tombstone's deletion — then
+/// recovered by a reopen. The rename is the commit point: before it the
+/// store recovers to its sources, after it to the output alone. Reads
+/// equal the model at every kill point, and a later consolidation ends at
+/// one three-page blob.
 #[test]
-fn a_kill_at_every_step_of_a_three_part_publish_recovers_and_converges() {
-    let (clean, model) = three_part_store(FailingBackend::new(MemBackend::new()));
+fn a_kill_at_every_step_of_a_three_page_publish_recovers_and_converges() {
+    let (clean, model) = three_page_store(FailingBackend::new(MemBackend::new()));
     let sources = clean.fragments().unwrap();
     let written = clean.stats().unwrap().total_points;
     let report = clean.consolidate().unwrap();
-    assert_eq!((report.parts, report.n_points), (3, model.len()));
+    assert_eq!((report.pages, report.n_points), (3, model.len()));
     assert_eq!(report.merged_fragments, sources.len());
-    let parts = clean.fragments().unwrap();
-    let part_points = [64 * 64, 64 * 64, 16 * 64];
-    assert_eq!(parts.len(), part_points.len());
-    assert_eq!(part_points.iter().sum::<u64>(), model.len() as u64);
+    let output = clean.fragments().unwrap();
+    assert_eq!(output.len(), 1);
+    let blob = clean.backend().get(&output[0]).unwrap();
+    let page_points: Vec<u64> = (decode_pages(&output[0], &blob).unwrap().iter())
+        .map(|(_, meta)| meta.n)
+        .collect();
+    assert_eq!(page_points, [64 * 64, 64 * 64, 16 * 64]);
     assert_eq!(everything(&clean), model);
-    // The pass's write operations: each part staged, one tombstone, each
-    // part renamed in (the last rename commits), each source deleted,
-    // the tombstone deleted.
-    let last_rename = 2 * parts.len() + 1;
-    let writes = last_rename + sources.len() + 1;
+    // The pass's write operations: the blob staged, the tombstone, the
+    // rename (the commit), each source deleted, the tombstone deleted.
+    let rename = 2;
+    let writes = rename + 1 + sources.len() + 1;
 
     for kill in 0..=writes {
-        let (engine, _) = three_part_store(FailingBackend::new(MemBackend::new()));
+        let (engine, _) = three_page_store(FailingBackend::new(MemBackend::new()));
         engine.backend().crash_after_writes(kill as u64);
         // The spent tombstone's delete is best effort: only a kill before
         // it fails the pass.
@@ -244,9 +245,9 @@ fn a_kill_at_every_step_of_a_three_part_publish_recovers_and_converges() {
             let names = b.list().unwrap();
             names.iter().filter(|n| n.ends_with(".tsn")).count()
         };
-        // One tombstone for the whole run: put after the parts are
-        // staged, deleted as the pass's last write.
-        let tombstone_landed = (parts.len() + 1..writes).contains(&kill);
+        // One tombstone, put after the blob is staged and deleted as the
+        // pass's last write.
+        let tombstone_landed = (rename..writes).contains(&kill);
         assert_eq!(
             tombstones(&backend),
             usize::from(tombstone_landed),
@@ -255,15 +256,10 @@ fn a_kill_at_every_step_of_a_three_part_publish_recovers_and_converges() {
         backend.disarm();
 
         let engine = open_linear(backend);
-        let (want, stored) = if kill < last_rename {
-            let landed = kill.saturating_sub(parts.len() + 1);
-            let landed_points: u64 = part_points[..landed].iter().sum();
-            (
-                [&sources[..], &parts[..landed]].concat(),
-                written + landed_points,
-            )
+        let (want, stored) = if kill <= rename {
+            (sources.clone(), written)
         } else {
-            (parts.clone(), model.len() as u64)
+            (output.clone(), model.len() as u64)
         };
         assert_eq!(engine.fragments().unwrap(), want, "kill {kill}");
         assert_eq!(engine.stats().unwrap().total_points, stored, "kill {kill}");
@@ -276,10 +272,10 @@ fn a_kill_at_every_step_of_a_three_part_publish_recovers_and_converges() {
             "kill {kill}: {names:?}"
         );
 
-        // Whatever the kill left, the next pass ends at one run of three
-        // parts, and the one after it has nothing to do.
+        // Whatever the kill left, the next pass ends at one three-page
+        // blob, and the one after it has nothing to do.
         engine.consolidate().unwrap();
-        assert_eq!(engine.fragments().unwrap().len(), 3, "kill {kill}");
+        assert_eq!(engine.fragments().unwrap().len(), 1, "kill {kill}");
         assert_eq!(
             engine.stats().unwrap().total_points,
             model.len() as u64,
@@ -287,7 +283,7 @@ fn a_kill_at_every_step_of_a_three_part_publish_recovers_and_converges() {
         );
         assert_eq!(everything(&engine), model, "kill {kill}");
         let again = engine.consolidate().unwrap();
-        assert_eq!((again.merged_fragments, again.parts), (1, 0), "kill {kill}");
+        assert_eq!((again.merged_fragments, again.pages), (1, 0), "kill {kill}");
     }
 }
 
@@ -385,84 +381,6 @@ fn an_open_racing_a_consolidation_relists_the_vanished_fragments() {
             .unwrap(),
         vec![Some(1.0), Some(20.0), Some(3.0)]
     );
-}
-
-/// A second engine refreshes while the first is parked between the first
-/// and second renames of a three-part publish. Its recovery finds the
-/// run's tombstone without the last part; while it decides, the first
-/// engine finishes its renames and retires its sources. Recovery must not
-/// take back the part that had landed: the first engine's commit stands,
-/// so its run must be whole on the device and in both engines' catalogs.
-#[test]
-fn a_refresh_between_two_renames_of_a_publish_keeps_the_landed_parts() {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Barrier;
-    let store = Arc::new(MemBackend::new());
-    // `parked`: the writer stopped before its second rename; `resume`:
-    // the recovery has checked for the last part; `committed`: the
-    // writer's pass returned.
-    let [parked, resume, committed] = [(); 3].map(|_| Arc::new(Barrier::new(2)));
-    let recovering = Arc::new(AtomicBool::new(false));
-
-    let writer_hook = {
-        let (parked, resume) = (parked.clone(), resume.clone());
-        move |op: &str, name: &str| {
-            if op == "rename" && name.ends_with("p0002.asf") {
-                parked.wait();
-                resume.wait();
-            }
-        }
-    };
-    let (engine, model) = three_part_store(Hooked {
-        inner: Arc::clone(&store),
-        hook: writer_hook,
-    });
-    let other_hook = {
-        let (recovering, resume, committed) =
-            (recovering.clone(), resume.clone(), committed.clone());
-        move |op: &str, name: &str| {
-            if op == "exists"
-                && name.ends_with("p0003.asf")
-                && recovering.swap(false, Ordering::SeqCst)
-            {
-                resume.wait();
-                committed.wait();
-            }
-        }
-    };
-    let other = open_linear(Hooked {
-        inner: Arc::clone(&store),
-        hook: other_hook,
-    });
-
-    let report = std::thread::scope(|s| {
-        let pass = s.spawn(|| {
-            let report = engine.consolidate();
-            committed.wait();
-            report
-        });
-        parked.wait();
-        recovering.store(true, Ordering::SeqCst);
-        other.refresh().unwrap();
-        pass.join().unwrap()
-    });
-    let report = report.unwrap();
-    assert_eq!(report.parts, 3);
-    assert!(
-        !recovering.load(Ordering::SeqCst),
-        "recovery met the tombstone"
-    );
-    assert_eq!(other.recovery_report().tombstones_discarded, 1);
-
-    let parts = engine.fragments().unwrap();
-    assert_eq!(parts.len(), 3);
-    for part in &parts {
-        assert!(store.exists(part), "{part} was deleted under its writer");
-    }
-    assert_eq!(everything(&engine), model);
-    other.refresh().unwrap();
-    assert_eq!(other.fragments().unwrap(), parts);
-    assert_eq!(everything(&other), model);
 }
 
 /// An adaptive re-organization killed between the advise step and the

@@ -193,8 +193,11 @@ fn consolidated_compressed_store_reads_back() {
     let report = engine.consolidate().unwrap();
     let after = engine.read_values::<f64>(&queries).unwrap();
     assert_eq!(before, after);
-    // 7 284 points are one run of two ≤ 4 096-point parts.
-    assert_eq!((report.n_points, report.parts), (ds.nnz(), 2));
-    assert_eq!(engine.fragments().unwrap().len(), 2);
-    assert!(engine.consolidate().unwrap().fragment.is_none(), "one run");
+    // 7 284 points are one fragment of two ≤ 4 096-point pages.
+    assert_eq!((report.n_points, report.pages), (ds.nnz(), 2));
+    assert_eq!(engine.fragments().unwrap().len(), 1);
+    assert!(
+        engine.consolidate().unwrap().fragment.is_none(),
+        "one fragment"
+    );
 }

@@ -6,7 +6,7 @@
 
 use artsparse::metrics::OpCounter;
 use artsparse::storage::engine::StorageEngine;
-use artsparse::storage::fragment::{encode_fragment, FragmentMeta};
+use artsparse::storage::fragment::{decode_pages, encode_fragment, FragmentMeta};
 use artsparse::storage::{
     crc32c, injected_fault, Codec, EngineConfig, FailingBackend, FragmentSection, FsBackend,
     MemBackend, ObservabilityConfig, RetryPolicy, StorageBackend, StorageError,
@@ -270,6 +270,102 @@ fn version_field_bit_flip_is_rejected_typed() {
         let r = e.read(&coords(&[[1, 1], [3, 3]])).unwrap();
         assert_eq!(r.outcome.quarantined, vec![victim]);
         assert_eq!(r.to_values::<f64>(2).unwrap(), vec![None, Some(3.0)]);
+    }
+}
+
+/// A 128×64 LINEAR store consolidated into one blob of two 4 096-point
+/// pages (rows 0–63 and 64–127, `(r, c)` holding `64 r + c`); returns the
+/// engine, the blob's name and the offset of its second page.
+fn two_page_store() -> (StorageEngine<MemBackend>, String, u64) {
+    let shape = Shape::new(vec![128, 64]).unwrap();
+    let e = StorageEngine::open(MemBackend::new(), FormatKind::Linear, shape, 8).unwrap();
+    for rows in [0..64u64, 64..128] {
+        let pts: Vec<[u64; 2]> = rows.flat_map(|r| (0..64).map(move |c| [r, c])).collect();
+        let vals: Vec<f64> = pts.iter().map(|&[r, c]| (64 * r + c) as f64).collect();
+        e.write_points::<f64>(&coords(&pts), &vals).unwrap();
+    }
+    assert_eq!(e.consolidate().unwrap().pages, 2);
+    let name = e.fragments().unwrap()[0].clone();
+    let pages = decode_pages(&name, &e.backend().get(&name).unwrap()).unwrap();
+    (e, name, pages[1].0)
+}
+
+/// A paged blob cut exactly after one of its pages is a complete
+/// fragment on its own, but its header says another page follows: a
+/// catalog load refuses it, and a scrub of a catalog that still lists
+/// the cut page finds it structurally damaged, typed, never a shorter
+/// fragment.
+#[test]
+fn a_blob_cut_at_a_page_boundary_is_corrupt() {
+    let (e, name, boundary) = two_page_store();
+    let blob = e.backend().get(&name).unwrap();
+    e.backend().put(&name, &blob[..boundary as usize]).unwrap();
+
+    let report = e.scrub().unwrap();
+    assert_eq!((report.fragments_checked, report.healthy), (2, 1));
+    let finding = &report.findings[0];
+    assert_eq!(finding.fragment, format!("{name}#1"));
+    assert_eq!(finding.section, None, "structural: {}", finding.error);
+    assert!(
+        finding.error.contains("header truncated"),
+        "{}",
+        finding.error
+    );
+    let err = e.read(&coords(&[[70, 3]])).unwrap_err();
+    assert!(
+        matches!(&err, StorageError::CorruptFragment { name: n, .. } if *n == format!("{name}#1")),
+        "{err}"
+    );
+    assert_eq!(
+        e.read_values::<f64>(&coords(&[[5, 5]])).unwrap(),
+        [Some(64.0 * 5.0 + 5.0)],
+        "the intact page still serves"
+    );
+
+    let backend = e.into_backend();
+    let err = match StorageEngine::open(
+        backend,
+        FormatKind::Linear,
+        Shape::new(vec![128, 64]).unwrap(),
+        8,
+    ) {
+        Err(err) => err,
+        Ok(_) => panic!("opened a blob cut at a page boundary"),
+    };
+    assert!(
+        matches!(&err, StorageError::CorruptFragment { name: n, reason }
+            if *n == name && reason.contains("says another follows")),
+        "{err}"
+    );
+}
+
+/// The "another page follows" marker is bit 7 of a page's flags, which
+/// the header CRC covers: clearing it on the first page (which would end
+/// the blob early) or setting it on the last fails the header checksum.
+#[test]
+fn a_flipped_page_marker_fails_the_header_checksum() {
+    for last in [false, true] {
+        let (e, name, boundary) = two_page_store();
+        let mut blob = e.backend().get(&name).unwrap();
+        let flags = if last { boundary as usize } else { 0 } + 10;
+        blob[flags] ^= 0x80;
+        e.backend().put(&name, &blob).unwrap();
+        let backend = e.into_backend();
+        let shape = Shape::new(vec![128, 64]).unwrap();
+        let err = match StorageEngine::open(backend, FormatKind::Linear, shape, 8) {
+            Err(err) => err,
+            Ok(_) => panic!("opened a blob with a flipped page marker (last page: {last})"),
+        };
+        assert!(
+            matches!(
+                &err,
+                StorageError::ChecksumMismatch {
+                    section: FragmentSection::Header,
+                    ..
+                }
+            ),
+            "last page: {last}: {err}"
+        );
     }
 }
 

@@ -11,10 +11,10 @@
 
 use artsparse::metrics::SpanKind;
 use artsparse::patterns::rng::SplitMix64;
-use artsparse::storage::fragment::{decode_meta, FragmentMeta};
+use artsparse::storage::fragment::{decode_meta, decode_pages, FragmentMeta};
 use artsparse::storage::{
     EngineConfig, FragmentCatalog, MemBackend, SimulatedDisk, StorageBackend, StorageEngine,
-    StorageError, PART_POINTS,
+    StorageError, PAGE_POINTS,
 };
 use artsparse::{CoordBuffer, FormatKind, Region, Shape};
 use proptest::prelude::*;
@@ -241,10 +241,10 @@ fn three_batch_store(kind: FormatKind) -> StorageEngine<MemBackend> {
     e
 }
 
-/// A store that consolidates into several parts, merged and re-encoded
+/// A store that consolidates into several pages, merged and re-encoded
 /// with every stage on one thread and on two: the export, the pass's
 /// report, the device's blobs and names, the op counts and the telemetry
-/// totals are identical for every organization, and every part's encode
+/// totals are identical for every organization, and every page's encode
 /// span — wherever it ran — carries the pass's trace id.
 #[test]
 fn consolidation_and_export_do_not_depend_on_the_width() {
@@ -261,11 +261,11 @@ fn consolidation_and_export_do_not_depend_on_the_width() {
             let encodes = (events.iter())
                 .filter(|ev| ev.kind == SpanKind::WriteEncode && ev.trace_id == pass)
                 .count();
-            assert_eq!(encodes, report.parts, "{kind} width {width}");
-            let summary = (report.n_points, report.parts, report.fragment);
+            assert_eq!(encodes, report.pages, "{kind} width {width}");
+            let summary = (report.n_points, report.pages, report.fragment);
             (exported, summary, left_behind_by(&e))
         });
-        assert!(one.1 .1 > 1, "{kind}: {} parts", one.1 .1);
+        assert!(one.1 .1 > 1, "{kind}: {} pages", one.1 .1);
         assert!(one == two, "{kind}: width 1 against 2");
     }
 }
@@ -443,41 +443,45 @@ fn band_read_transfers_pinned_bytes() {
 }
 
 /// A point read of a consolidated 512², 16 384-point COO store moves one
-/// part's header and index and the one record it matched — not the whole
-/// store's 262 144-byte index, which it fetched and checksummed while
-/// consolidation wrote one fragment.
+/// page's header and index and the one record it matched — not the whole
+/// output's 262 144-byte index, which it fetched and checksummed while
+/// consolidation wrote its output unpaged.
 #[test]
-fn a_point_read_of_a_consolidated_store_fetches_one_part() {
+fn a_point_read_of_a_consolidated_store_fetches_one_page() {
     let shape = Shape::new(vec![512, 512]).unwrap();
     let disk = SimulatedDisk::new(1e12, Duration::ZERO);
     let engine = StorageEngine::open(disk, FormatKind::Coo, shape, 8).unwrap();
     let mut rng = SplitMix64::new(13);
     let mut points = std::collections::BTreeSet::new();
-    while points.len() < 4 * PART_POINTS {
+    while points.len() < 4 * PAGE_POINTS {
         points.insert([rng.next_below(512), rng.next_below(512)]);
     }
     let points: Vec<[u64; 2]> = points.into_iter().collect();
-    for batch in points.chunks(PART_POINTS) {
+    for batch in points.chunks(PAGE_POINTS) {
         let coords = CoordBuffer::from_points(2, batch).unwrap();
         engine
             .write(&coords, &vec![0x5Au8; batch.len() * 8])
             .unwrap();
     }
     let report = engine.consolidate().unwrap();
-    assert_eq!(report.n_points, 4 * PART_POINTS);
-    assert!(report.parts >= 4, "{} parts", report.parts);
+    assert_eq!(report.n_points, 4 * PAGE_POINTS);
+    assert!(report.pages >= 4, "{} pages", report.pages);
 
     let stored = CoordBuffer::from_points(2, &[points[9_000]]).unwrap();
     let before = engine.backend().bytes_read();
     let read = engine.read(&stored).unwrap();
     let transferred = engine.backend().bytes_read() - before;
     assert_eq!((read.fragments_matched, read.hits.len()), (1, 1));
-    let part = &read.hits[0].fragment;
-    let meta = decode_meta(part, &engine.backend().get(part).unwrap()).unwrap();
-    assert!(meta.n as usize <= PART_POINTS);
+    let blob = &engine.fragments().unwrap()[0];
+    let pages = decode_pages(blob, &engine.backend().get(blob).unwrap()).unwrap();
+    assert_eq!(pages.len(), report.pages);
+    let (_, meta) = (pages.iter())
+        .find(|(_, meta)| meta.bbox.as_ref().unwrap().contains(&points[9_000]))
+        .unwrap();
+    assert!(meta.n as usize <= PAGE_POINTS);
     assert_eq!(transferred, meta.index_offset() + meta.index_len + 8);
     assert!(
-        transferred <= (PART_POINTS * 16 + 256) as u64,
+        transferred <= (PAGE_POINTS * 16 + 256) as u64,
         "{transferred} B"
     );
 }
@@ -500,7 +504,7 @@ fn point_get_fan_out_costs_nothing() {
             StorageEngine::open_with(MemBackend::new(), FormatKind::Coo, shape, 8, config).unwrap();
         let mut rng = SplitMix64::new(11);
         let mut commit = || {
-            let coords = random_coords(&mut rng, 512, PART_POINTS);
+            let coords = random_coords(&mut rng, 512, PAGE_POINTS);
             engine
                 .write(&coords, &vec![0x5Au8; coords.len() * 8])
                 .unwrap();
@@ -736,4 +740,91 @@ fn fragment_reads_make_exactly_the_pinned_backend_calls() {
         .during(|| cached.read_values::<f64>(&point).unwrap());
     assert_eq!(read, [Some(5.0)]);
     assert_eq!(calls, [], "cached hit");
+}
+
+/// The pinned calls of the paths above on a consolidated blob of two
+/// pages: its catalog load peeks the first header with the blob's size and
+/// then the second page's header; a point read fetches one page's header
+/// and index in one range at the page's offset, then its record; a scrub
+/// verifies each page's sections where they lie, and the blob's size with
+/// its last page.
+#[test]
+fn a_paged_fragment_makes_exactly_the_pinned_backend_calls() {
+    let shape = Shape::new(vec![128, 64]).unwrap();
+    let open = |backend: Recorder| {
+        let config = EngineConfig::default().with_read_parallelism(1);
+        StorageEngine::open_with(backend, FormatKind::Linear, shape.clone(), 8, config).unwrap()
+    };
+    // Two fragments of 64 full rows each, consolidated into one blob
+    // whose pages hold 4 096 points each; (r, c) holds 64 r + c.
+    let writer = open(Recorder::default());
+    for rows in [0..64u64, 64..128] {
+        let pts: Vec<[u64; 2]> = rows.flat_map(|r| (0..64).map(move |c| [r, c])).collect();
+        let vals: Vec<f64> = pts.iter().map(|&[r, c]| (64 * r + c) as f64).collect();
+        let coords = CoordBuffer::from_points(2, &pts).unwrap();
+        writer.write_points::<f64>(&coords, &vals).unwrap();
+    }
+    assert_eq!(writer.consolidate().unwrap().pages, 2);
+    let names = writer.fragments().unwrap();
+    assert_eq!(names.len(), 1);
+    let name = names[0].clone();
+    let backend = writer.into_backend();
+    let blob = backend.inner.get(&name).unwrap();
+    let pages = decode_pages(&name, &blob).unwrap();
+    assert_eq!(pages.len(), 2);
+    let range =
+        |offset: u64, len: u64| -> Call { ("get_range", name.clone(), offset, len as usize) };
+    let header = FragmentMeta::header_len(2);
+
+    let e = open(backend);
+    let (catalog, calls) = e
+        .backend()
+        .during(|| FragmentCatalog::load(e.backend(), 2, |n| n.starts_with("frag-")).unwrap());
+    let cataloged = &catalog.get(&name).unwrap().pages;
+    let cataloged: Vec<_> = cataloged
+        .iter()
+        .map(|p| (p.offset, p.meta.clone()))
+        .collect();
+    assert_eq!(cataloged, pages);
+    let load = [
+        ("list", String::new(), 0, 0),
+        ("get_prefix", name.clone(), 0, header),
+        ("size", name.clone(), 0, 0),
+        range(pages[1].0, header as u64),
+    ];
+    assert_eq!(calls, load, "catalog load");
+
+    for (p, [r, c]) in [(0, [5u64, 5]), (1, [70, 3])] {
+        let (offset, meta) = (pages[p].0, &pages[p].1);
+        let want = (64 * r + c) as f64;
+        let record = {
+            let at = (offset + meta.value_offset()) as usize;
+            let slot = (blob[at..].chunks_exact(8))
+                .position(|v| v == want.to_le_bytes())
+                .unwrap();
+            range((at + slot * 8) as u64, 8)
+        };
+        let point = CoordBuffer::from_points(2, &[[r, c]]).unwrap();
+        let (read, calls) = e.backend().during(|| e.read_values::<f64>(&point).unwrap());
+        assert_eq!(read, [Some(want)]);
+        let head = range(offset, meta.index_offset() + meta.index_len);
+        assert_eq!(calls, [head, record], "point read of page {p}");
+    }
+
+    let (report, calls) = e.backend().during(|| e.scrub().unwrap());
+    assert!(report.is_clean());
+    assert_eq!(report.fragments_checked, 2);
+    let mut scrub = Vec::new();
+    for (p, (offset, meta)) in pages.iter().enumerate() {
+        let offset = *offset;
+        scrub.push(range(offset, meta.index_offset()));
+        if p == 1 {
+            scrub.push(("size", name.clone(), 0, 0));
+        }
+        scrub.extend([
+            range(offset + meta.index_offset(), meta.index_len),
+            range(offset + meta.value_offset(), meta.value_len),
+        ]);
+    }
+    assert_eq!(calls, scrub, "scrub");
 }
