@@ -39,9 +39,11 @@ use serde::{Deserialize, Serialize};
 /// `engine.write.build` and `engine.write.reorg`, the spans Table III's
 /// Build and Reorg. rows are read from; v7 documents still validate.
 /// Version 9 added `engine.read.buffer`, the read's write-buffer overlay,
-/// and the `buffer_points_sorted` counter it charges; v8 documents still
-/// validate.
-pub const TELEMETRY_VERSION: u32 = 9;
+/// and a counter of the buffered points its lookups sorted; v8 documents
+/// still validate. Version 10 removed that counter again: buffer lookups
+/// scan the buffered batches and sort nothing. The schema keeps the
+/// property optional, so v9 documents still validate.
+pub const TELEMETRY_VERSION: u32 = 10;
 
 /// The spans of Table III's Write row: the device work of a publish —
 /// staging the fragment bytes, the consolidation tombstone, and the
@@ -283,7 +285,7 @@ mod tests {
         let report = sample_report();
         let v = serde_json::to_value(&report).unwrap();
         assert_eq!(v["version"].as_u64(), Some(u64::from(TELEMETRY_VERSION)));
-        assert_eq!(TELEMETRY_VERSION, 9);
+        assert_eq!(TELEMETRY_VERSION, 10);
         let events = v["events"].as_array().unwrap();
         assert!(events.iter().all(|e| e["trace_id"].as_u64().is_some()));
         let spans = v["spans"].as_array().unwrap();

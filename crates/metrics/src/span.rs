@@ -233,9 +233,6 @@ pub struct IoStats {
     pub group_commits: u64,
     /// Background consolidation-scheduler passes executed.
     pub scheduler_runs: u64,
-    /// Write-buffer points sorted to serve a snapshot lookup: each
-    /// buffered batch is charged once, by the lookup that sorts it.
-    pub buffer_points_sorted: u64,
 }
 
 impl IoStats {
@@ -281,9 +278,6 @@ impl IoStats {
         self.wal_bytes = self.wal_bytes.saturating_add(other.wal_bytes);
         self.group_commits = self.group_commits.saturating_add(other.group_commits);
         self.scheduler_runs = self.scheduler_runs.saturating_add(other.scheduler_runs);
-        self.buffer_points_sorted = self
-            .buffer_points_sorted
-            .saturating_add(other.buffer_points_sorted);
     }
 
     /// Whether every counter is zero.

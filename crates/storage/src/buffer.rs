@@ -12,12 +12,13 @@
 //! `append` keeps no index: it pushes the batch and drops the cached
 //! snapshot, O(1). The next snapshot is the same `Arc`'d batches plus the
 //! new one, so a served store that appends between every two reads pays
-//! nothing for the batches it has already seen. Each batch sorts once,
-//! into a permutation of its own positions (the latest append per
-//! address kept; coordinates and values are not copied), the first time
-//! a snapshot lookup needs it. A point lookup binary-searches the batches
-//! newest first; a box walks each batch's address range between the
-//! box's corners, keeping the newest batch's point per address.
+//! nothing for the batches it has already seen. Lookups sort nothing
+//! either: a point lookup scans each batch's addresses, newest batch
+//! first and last append first, and a box filters each batch's addresses
+//! by the box, keeping the newest append per address. Both cost
+//! O(buffered points), which the flush thresholds bound at
+//! [`IngestConfig::flush_points`](crate::config::IngestConfig::flush_points)
+//! plus one batch.
 //!
 //! Only a group commit needs one flat, deduplicated, address-ordered
 //! array set; a snapshot builds it lazily, once, by one radix sort over
@@ -28,7 +29,6 @@
 //! (returning their WAL names for deletion) — batches acked during the
 //! flush stay buffered for the next group commit.
 
-use artsparse_metrics::charge;
 use artsparse_tensor::sort::{last_per_address, sort_by_address};
 use artsparse_tensor::{Region, Shape};
 use parking_lot::Mutex;
@@ -48,22 +48,9 @@ struct Batch {
     values: Vec<u8>,
     /// The WAL blob covering this batch, if ingest was WAL-protected.
     wal: Option<String>,
-    /// Positions in ascending address order, the latest append of each
-    /// address only; sorted by the first lookup that needs it.
-    by_address: OnceLock<Vec<usize>>,
 }
 
 impl Batch {
-    fn by_address(&self) -> &[usize] {
-        self.by_address.get_or_init(|| {
-            charge(|io| io.buffer_points_sorted += self.addrs.len() as u64);
-            let mut order: Vec<(u64, usize)> = self.addrs.iter().copied().zip(0..).collect();
-            // Stable: of equal addresses the later position stays last.
-            order.sort_by_key(|&(addr, _)| addr);
-            last_per_address(&order).map(|&(_, i)| i).collect()
-        })
-    }
-
     /// Coordinate and value record of position `i`.
     fn point(&self, i: usize) -> (&[u64], &[u8]) {
         let ndim = self.coords.len() / self.addrs.len();
@@ -181,18 +168,18 @@ impl BufferSnapshot {
     }
 
     /// The coordinate and value record buffered at `addr`, if any: the
-    /// newest batch that holds it answers.
+    /// newest batch that holds it answers, with its last append of it.
     pub fn get(&self, addr: u64) -> Option<(&[u64], &[u8])> {
         self.batches.iter().rev().find_map(|batch| {
-            let sorted = batch.by_address();
-            let at = sorted.binary_search_by_key(&addr, |&i| batch.addrs[i]);
-            at.ok().map(|k| batch.point(sorted[k]))
+            let at = batch.addrs.iter().rposition(|&a| a == addr)?;
+            Some(batch.point(at))
         })
     }
 
     /// Every buffered point inside `inside`, a box within `shape`, as
     /// `(address, coordinate, value record)` in ascending address order.
-    /// Each batch is searched between the box corners' addresses only.
+    /// A point's address is checked against the box corners' before its
+    /// coordinate is checked against the box.
     pub fn in_box(&self, inside: &Region, shape: &Shape) -> Vec<(u64, &[u64], &[u8])> {
         let (Ok(lo), Ok(hi)) = (shape.linearize(inside.lo()), shape.linearize(inside.hi())) else {
             return Vec::new();
@@ -200,17 +187,14 @@ impl BufferSnapshot {
         // (address, batch counted from the newest, position).
         let mut found: Vec<(u64, usize, usize)> = Vec::new();
         for (age, batch) in self.batches.iter().rev().enumerate() {
-            let sorted = batch.by_address();
-            let from = sorted.partition_point(|&i| batch.addrs[i] < lo);
-            let to = sorted.partition_point(|&i| batch.addrs[i] <= hi);
-            for &i in &sorted[from..to] {
-                if inside.contains(batch.point(i).0) {
-                    found.push((batch.addrs[i], age, i));
+            for (i, &addr) in batch.addrs.iter().enumerate() {
+                if (lo..=hi).contains(&addr) && inside.contains(batch.point(i).0) {
+                    found.push((addr, age, i));
                 }
             }
         }
-        // The newest batch's point first in each run, and it stays.
-        found.sort_unstable_by_key(|&(addr, age, _)| (addr, age));
+        // The newest batch's last append first in each run, and it stays.
+        found.sort_unstable_by_key(|&(addr, age, i)| (addr, age, std::cmp::Reverse(i)));
         found.dedup_by_key(|&mut (addr, ..)| addr);
         let newest = self.batches.len().saturating_sub(1);
         (found.into_iter())
@@ -316,7 +300,6 @@ impl WriteBuffer {
             coords,
             values,
             wal,
-            by_address: OnceLock::new(),
         }));
     }
 
@@ -371,7 +354,7 @@ impl WriteBuffer {
 
     /// The current read snapshot: one `Arc` clone per buffered batch
     /// (and cached until the next append or drain) under a short lock
-    /// hold. No point is sorted or copied here.
+    /// hold. No point is sorted or copied here, nor by its lookups.
     pub fn snapshot(&self) -> Arc<BufferSnapshot> {
         let mut inner = self.inner.lock();
         if let Some(snap) = &inner.snapshot {
@@ -607,6 +590,53 @@ mod tests {
         assert_eq!(record, [7, 7, 7, 7]);
         assert_eq!(coord, [0, 3]);
         assert!(snap.get(4).is_none());
+    }
+
+    #[test]
+    fn a_repeated_address_answers_its_latest_append() {
+        let shape = Shape::new(vec![4, 4]).unwrap();
+        let buf = WriteBuffer::new();
+        // One-byte records: the batch's tag plus the point's position.
+        let append = |addrs: &[u64], tag: u8| {
+            buf.append(
+                addrs.to_vec(),
+                addrs.iter().flat_map(|&a| [a / 4, a % 4]).collect(),
+                (0..addrs.len()).map(|k| tag + k as u8).collect(),
+                None,
+            )
+        };
+        let get = |snap: &BufferSnapshot, addr| snap.get(addr).map(|(_, r)| r[0]);
+        let in_box = |snap: &BufferSnapshot, lo: [u64; 2], hi: [u64; 2]| {
+            let region = Region::from_corners(&lo, &hi).unwrap();
+            (snap.in_box(&region, &shape).into_iter())
+                .map(|(addr, coord, record)| (addr, coord.to_vec(), record[0]))
+                .collect::<Vec<_>>()
+        };
+        // Address 5, cell (1, 1), twice in one batch: its last append.
+        append(&[5, 9, 5], 10);
+        let snap = buf.snapshot();
+        assert_eq!((get(&snap, 5), get(&snap, 9)), (Some(12), Some(11)));
+        assert_eq!(
+            in_box(&snap, [0, 0], [3, 3]),
+            [(5, vec![1, 1], 12), (9, vec![2, 1], 11)]
+        );
+        // Then once more in a later batch, beside a new repeat of 6.
+        append(&[6, 5, 6], 20);
+        let snap = buf.snapshot();
+        let got = [5, 6, 9].map(|addr| get(&snap, addr));
+        assert_eq!(got, [Some(21), Some(22), Some(11)]);
+        assert_eq!(
+            in_box(&snap, [1, 1], [2, 2]),
+            [
+                (5, vec![1, 1], 21),
+                (6, vec![1, 2], 22),
+                (9, vec![2, 1], 11)
+            ]
+        );
+        assert_eq!(in_box(&snap, [1, 2], [1, 3]), [(6, vec![1, 2], 22)]);
+        // The group commit's merged arrays agree.
+        let merged: Vec<(u64, u8)> = snap.iter().map(|(addr, _, r)| (addr, r[0])).collect();
+        assert_eq!(merged, [(5, 21), (6, 22), (9, 11)]);
     }
 
     #[test]

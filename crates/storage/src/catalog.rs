@@ -24,9 +24,9 @@ use crate::backend::StorageBackend;
 use crate::engine::names::NameOrder;
 use crate::error::Result;
 use crate::fragment::{pages, peek_meta, FragmentMeta};
-use artsparse_tensor::Region;
+use artsparse_tensor::{Region, Shape};
 use parking_lot::RwLock;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// How many times [`FragmentCatalog::load`] lists the device again when a
@@ -99,6 +99,18 @@ pub struct ReadPlan {
     pub quarantined: Vec<String>,
 }
 
+/// Take `entry`'s pages out of a shape census that counted them.
+fn uncount(shapes: &mut HashMap<Shape, usize>, entry: &CatalogEntry) {
+    for page in &entry.pages {
+        if let Some(count) = shapes.get_mut(&page.meta.shape) {
+            *count -= 1;
+            if *count == 0 {
+                shapes.remove(&page.meta.shape);
+            }
+        }
+    }
+}
+
 /// Manifest of fragment metadata, one entry per blob, keyed by the
 /// identity each name spells, so iteration order is write (precedence)
 /// order — also past the widths at which name strings stop sorting that
@@ -106,6 +118,11 @@ pub struct ReadPlan {
 #[derive(Debug, Default)]
 pub struct FragmentCatalog {
     entries: RwLock<BTreeMap<NameOrder, Arc<CatalogEntry>>>,
+    /// How many pages of `entries` store each tensor shape, counted as
+    /// entries enter and leave (under `entries`' write lock), so
+    /// [`foreign_page`](Self::foreign_page) answers a store of one shape
+    /// without walking it.
+    shapes: RwLock<HashMap<Shape, usize>>,
     /// Damaged pages (name → why), excluded from planning — and their
     /// blobs from consolidation — but never deleted. Kept separate from
     /// `entries` so a `reload` resyncing the manifest does not forget
@@ -167,22 +184,33 @@ impl FragmentCatalog {
         filter: impl Fn(&str) -> bool,
     ) -> Result<()> {
         let fresh = Self::load(backend, ndim, filter)?;
-        *self.entries.write() = fresh.entries.into_inner();
+        let mut entries = self.entries.write();
+        *entries = fresh.entries.into_inner();
+        *self.shapes.write() = fresh.shapes.into_inner();
         Ok(())
     }
 
     /// Record a fragment (newly written or externally discovered).
     pub fn insert(&self, entry: CatalogEntry) {
-        self.entries
-            .write()
-            .insert(NameOrder::of(&entry.name), Arc::new(entry));
+        let mut entries = self.entries.write();
+        let mut shapes = self.shapes.write();
+        for page in &entry.pages {
+            *shapes.entry(page.meta.shape.clone()).or_default() += 1;
+        }
+        let replaced = entries.insert(NameOrder::of(&entry.name), Arc::new(entry));
+        if let Some(old) = replaced {
+            uncount(&mut shapes, &old);
+        }
     }
 
     /// Forget a fragment, returning its entry if it was known. Also
     /// clears its pages' quarantine records — the name may be reused by
     /// a future epoch, which must start with a clean slate.
     pub fn remove(&self, name: &str) -> Option<Arc<CatalogEntry>> {
-        let entry = self.entries.write().remove(&NameOrder::of(name))?;
+        let mut entries = self.entries.write();
+        let entry = entries.remove(&NameOrder::of(name))?;
+        uncount(&mut self.shapes.write(), &entry);
+        drop(entries);
         let mut quarantined = self.quarantined.write();
         for page in &entry.pages {
             quarantined.remove(&page.name);
@@ -243,6 +271,20 @@ impl FragmentCatalog {
             .collect()
     }
 
+    /// The first page, in write order, of a [`snapshot`](Self::snapshot)
+    /// entry that stores a tensor of another shape than `shape` — what a
+    /// read refuses to plan over. When every page stores `shape`, the
+    /// census kept at insert says so without walking the manifest.
+    pub(crate) fn foreign_page(&self, shape: &Shape) -> Option<Arc<PageEntry>> {
+        if self.shapes.read().keys().all(|s| s == shape) {
+            return None;
+        }
+        (self.snapshot().iter())
+            .flat_map(|entry| &entry.pages)
+            .find(|page| page.meta.shape != *shape)
+            .cloned()
+    }
+
     /// Every entry in write order, quarantined ones included — what
     /// accounting and scrubbing walk.
     pub fn snapshot_all(&self) -> Vec<Arc<CatalogEntry>> {
@@ -288,7 +330,6 @@ mod tests {
     use crate::error::StorageError;
     use crate::fragment::{encode_pages, PagePayload};
     use artsparse_core::FormatKind;
-    use artsparse_tensor::Shape;
     use std::borrow::Cow;
 
     fn put_fragment(backend: &MemBackend, name: &str, lo: [u64; 2], hi: [u64; 2]) -> usize {
@@ -502,5 +543,41 @@ mod tests {
                 if reason.contains("says another follows")),
             "{err}"
         );
+    }
+
+    #[test]
+    fn the_shape_census_finds_a_foreign_page_until_it_leaves() {
+        let backend = MemBackend::new();
+        put_fragment(&backend, "frag-00000001.asf", [0, 0], [3, 3]);
+        let catalog = FragmentCatalog::load(&backend, 2, |_| true).unwrap();
+        let ours = Shape::new(vec![32, 32]).unwrap();
+        assert!(catalog.foreign_page(&ours).is_none());
+        let wider = Shape::new(vec![32, 64]).unwrap();
+        let found = catalog.foreign_page(&wider).unwrap();
+        assert_eq!(found.name, "frag-00000001.asf");
+
+        // A blob of another tensor enters by a reload…
+        let page = PagePayload {
+            kind: FormatKind::Linear,
+            n: 1,
+            bbox: Some(Region::from_corners(&[1, 1], &[1, 1]).unwrap()),
+            index: Cow::Borrowed(&[1, 2, 3, 4]),
+            values: Cow::Borrowed(&[0; 8]),
+        };
+        let codecs = (Codec::None, Codec::None);
+        let foreign = encode_pages(&Shape::new(vec![16, 16]).unwrap(), 8, codecs, vec![page]);
+        backend.put("frag-00000002.asf", &foreign).unwrap();
+        catalog.reload(&backend, 2, |_| true).unwrap();
+        let found = catalog.foreign_page(&ours).unwrap();
+        assert_eq!(found.name, "frag-00000002.asf");
+        // …re-inserting it counts it once…
+        catalog.insert(CatalogEntry::clone(&catalog.get(&found.blob).unwrap()));
+        // …a quarantined one is not planned, so it is not refused…
+        assert!(catalog.quarantine(found.name.clone(), "checksum mismatch"));
+        assert!(catalog.foreign_page(&ours).is_none());
+        // …and once removed the store is of one shape again.
+        catalog.remove("frag-00000002.asf").unwrap();
+        assert_eq!(*catalog.shapes.read(), HashMap::from([(ours.clone(), 1)]));
+        assert!(catalog.foreign_page(&ours).is_none());
     }
 }

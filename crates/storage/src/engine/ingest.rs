@@ -9,6 +9,7 @@
 
 use super::commit::WriteReport;
 use super::names::{format_fragment_name, FragmentId};
+use super::reorg::{page_ends, COMMIT_PAGE_POINTS};
 use super::{delete_if_present, StorageEngine};
 use crate::backend::StorageBackend;
 use crate::config::FLUSH_BYTES;
@@ -158,8 +159,9 @@ impl<B: StorageBackend> StorageEngine<B> {
         self.ingest(coords, &artsparse_tensor::value::pack(values))
     }
 
-    /// Group commit: flush the write buffer into one ordinary fragment
-    /// and retire the WAL blobs it covered. Batches acked while the flush
+    /// Group commit: flush the write buffer into one ordinary fragment,
+    /// cut into pages of at most [`COMMIT_PAGE_POINTS`] points, and
+    /// retire the WAL blobs it covered. Batches acked while the flush
     /// runs stay buffered for the next one. An empty buffer returns
     /// `Ok(None)` without touching the device.
     pub fn flush(&self) -> Result<Option<WriteReport>> {
@@ -193,19 +195,12 @@ impl<B: StorageBackend> StorageEngine<B> {
         // The snapshot is deduplicated (the latest append per address
         // survives) and laid out in address order — exactly what the
         // within-fragment precedence rule needs (reads take the first
-        // matching slot) and what the sort-eliding builders accept.
+        // matching slot) and what the sort-eliding builders accept — and
+        // is cut into dim-0-disjoint pages a point read fetches one of.
         let coords = CoordBuffer::from_flat(self.shape.ndim(), snapshot.flat_coords().to_vec())?;
         let payload = snapshot.flat_values();
-        let report = self.write_with(
-            self.kind,
-            &coords,
-            payload,
-            &[coords.len()],
-            1,
-            id,
-            None,
-            true,
-        )?;
+        let ends = page_ends(&coords, COMMIT_PAGE_POINTS);
+        let report = self.write_with(self.kind, &coords, payload, &ends, 1, id, None, true)?;
         // The fragment is committed: retire the covered batches and their
         // WAL blobs. Retirement is cleanup, not correctness — a blob that
         // survives (crash, or a delete failure queued for retry) replays
@@ -337,8 +332,9 @@ impl<B: StorageBackend> StorageEngine<B> {
             // and WAL deletion left the fragment behind under this very
             // name — nothing to re-commit, just finish the retirement.
             if self.catalog.get(&format_fragment_name(id)).is_none() && !rec.is_empty() {
-                // Dedup within the batch (last append wins) and emit in
-                // address order, matching a group commit's snapshot.
+                // Dedup within the batch (last append wins), emit in
+                // address order and cut into pages, as a group commit
+                // does its snapshot.
                 let mut order = rec
                     .coords
                     .chunks_exact(rec.ndim)
@@ -353,8 +349,8 @@ impl<B: StorageBackend> StorageEngine<B> {
                     payload
                         .extend_from_slice(&rec.values[i * rec.elem_size..(i + 1) * rec.elem_size]);
                 }
-                let whole = [coords.len()];
-                self.write_with(self.kind, &coords, &payload, &whole, 1, id, None, true)?;
+                let ends = page_ends(&coords, COMMIT_PAGE_POINTS);
+                self.write_with(self.kind, &coords, &payload, &ends, 1, id, None, true)?;
             }
             delete_if_present(&self.backend, name)?;
         }

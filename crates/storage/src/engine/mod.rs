@@ -50,7 +50,7 @@ mod scrub;
 pub use commit::{RecoveryReport, WriteReport};
 pub use health::{HealthState, StoreStats};
 pub use read::{ReadHit, ReadOutcome, ReadResult, BUFFER_FRAGMENT};
-pub use reorg::{ConsolidateReport, PAGE_POINTS};
+pub use reorg::{ConsolidateReport, COMMIT_PAGE_POINTS, PAGE_POINTS};
 pub use scrub::{ScrubFinding, ScrubReport};
 
 use crate::backend::StorageBackend;
@@ -890,5 +890,34 @@ mod tests {
         .unwrap();
         let err = e2.read(&coords(&[[1, 1]])).unwrap_err();
         assert!(matches!(err, StorageError::Mismatch { .. }), "{err}");
+        let foreign = e2.fragments().unwrap().remove(0);
+        let bytes = e2.backend().get(&foreign).unwrap();
+
+        // A foreign blob that enters by a refresh fails reads alike, and
+        // once deleted the store reads again.
+        let e3 = StorageEngine::open(
+            MemBackend::new(),
+            FormatKind::Linear,
+            Shape::new(vec![16, 32]).unwrap(),
+            8,
+        )
+        .unwrap();
+        e3.write_points::<f64>(&coords(&[[1, 1]]), &[2.0]).unwrap();
+        e3.backend()
+            .put("frag-00000099-00000009.asf", &bytes)
+            .unwrap();
+        e3.refresh().unwrap();
+        let whole = artsparse_tensor::Region::from_corners(&[0, 0], &[15, 31]).unwrap();
+        let err = e3.read_region(&whole).unwrap_err();
+        assert!(
+            matches!(&err, StorageError::Mismatch { reason }
+                if reason.contains("frag-00000099-00000009.asf has shape")),
+            "{err}"
+        );
+        e3.delete_fragment("frag-00000099-00000009.asf").unwrap();
+        assert_eq!(
+            e3.read_values::<f64>(&coords(&[[1, 1]])).unwrap(),
+            [Some(2.0)]
+        );
     }
 }

@@ -75,7 +75,8 @@ pub use config::{
 };
 pub use engine::{
     ConsolidateReport, HealthState, ReadHit, ReadOutcome, ReadResult, RecoveryReport, ScrubFinding,
-    ScrubReport, StorageEngine, StoreStats, WriteReport, BUFFER_FRAGMENT, PAGE_POINTS,
+    ScrubReport, StorageEngine, StoreStats, WriteReport, BUFFER_FRAGMENT, COMMIT_PAGE_POINTS,
+    PAGE_POINTS,
 };
 pub use error::{FragmentSection, Result, StorageError};
 pub use exporter::{ExporterStats, MetricsExporter, JOURNAL_JSONL, METRICS_JSONL, METRICS_PROM};

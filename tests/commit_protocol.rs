@@ -836,6 +836,75 @@ fn group_commit_crash_at_every_offset_never_loses_acked_points() {
     }
 }
 
+/// A group commit of two pages, killed before each of its write
+/// operations in turn — the staging put, the rename (the commit), each
+/// covered WAL blob's delete — then reopened: every acked batch reads
+/// back, from the committed blob, from WAL replay below it, or both.
+/// Replay cuts a batch into pages as the group commit cuts its snapshot,
+/// so the 1 280-point batches replay as two pages each.
+#[test]
+fn a_kill_at_every_step_of_a_paged_group_commit_keeps_every_acked_batch() {
+    // Whole rows of 64 cells; the second batch rewrites rows 10..20.
+    let batches = [0..20u64, 10..30, 40..42];
+    let acked = |engine: &StorageEngine<FailingBackend<MemBackend>>| {
+        let mut model = BTreeMap::new();
+        for (b, rows) in (0u64..).zip(batches.clone()) {
+            let cells: Vec<[u64; 2]> = rows.flat_map(|r| (0..64).map(move |c| [r, c])).collect();
+            let values: Vec<f64> = (cells.iter())
+                .map(|&[r, c]| (b * 10_000 + r * 64 + c) as f64)
+                .collect();
+            engine.ingest_points::<f64>(&pts(&cells), &values).unwrap();
+            model.extend(cells.iter().map(|p| p.to_vec()).zip(values));
+        }
+        model
+    };
+    let pages = |engine: &StorageEngine<FailingBackend<MemBackend>>| -> Vec<Vec<u64>> {
+        (engine.fragments().unwrap().iter())
+            .map(|name| {
+                let blob = engine.backend().get(name).unwrap();
+                let pages = decode_pages(name, &blob).unwrap();
+                pages.iter().map(|(_, meta)| meta.n).collect()
+            })
+            .collect()
+    };
+    // 32 distinct rows: two pages of 16 rows.
+    let commit = vec![1024, 1024];
+    let replayed = [vec![1024, 256], vec![1024, 256], vec![128]];
+    // The staging put, the rename, one delete per batch.
+    let rename = 1;
+    let writes = rename + 1 + batches.len();
+
+    for kill in 0..=writes {
+        let engine = open(FailingBackend::new(MemBackend::new()));
+        let model = acked(&engine);
+        engine.backend().crash_after_writes(kill as u64);
+        // A WAL delete that fails is retried later, not the flush's error.
+        assert_eq!(engine.flush().is_ok(), kill > rename, "kill {kill}");
+        let backend = engine.into_backend();
+        backend.disarm();
+
+        let engine = open(backend);
+        assert_eq!(everything(&engine), model, "kill {kill}");
+        // Batches whose WAL blob survived replay below the commit.
+        let want: Vec<Vec<u64>> = if kill > rename {
+            let deleted = kill - rename - 1;
+            (replayed[deleted..].iter().cloned())
+                .chain([commit.clone()])
+                .collect()
+        } else {
+            replayed.to_vec()
+        };
+        assert_eq!(pages(&engine), want, "kill {kill}");
+        let names = engine.backend().list().unwrap();
+        assert!(
+            names
+                .iter()
+                .all(|n| !n.ends_with(".tmp") && !n.starts_with("wal-")),
+            "kill {kill}: {names:?}"
+        );
+    }
+}
+
 /// An empty-buffer flush is a complete no-op: no fragment, no device
 /// writes, nothing for a reopen to find.
 #[test]

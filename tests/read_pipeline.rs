@@ -13,8 +13,8 @@ use artsparse::metrics::SpanKind;
 use artsparse::patterns::rng::SplitMix64;
 use artsparse::storage::fragment::{decode_meta, decode_pages, FragmentMeta};
 use artsparse::storage::{
-    EngineConfig, FragmentCatalog, MemBackend, SimulatedDisk, StorageBackend, StorageEngine,
-    StorageError, PAGE_POINTS,
+    EngineConfig, FragmentCatalog, IngestConfig, MemBackend, SimulatedDisk, StorageBackend,
+    StorageEngine, StorageError, COMMIT_PAGE_POINTS, PAGE_POINTS,
 };
 use artsparse::{CoordBuffer, FormatKind, Region, Shape};
 use proptest::prelude::*;
@@ -484,6 +484,101 @@ fn a_point_read_of_a_consolidated_store_fetches_one_page() {
         transferred <= (PAGE_POINTS * 16 + 256) as u64,
         "{transferred} B"
     );
+}
+
+/// A point read of a 4 096-point group commit of random ingest fetches
+/// one of its pages, call by call: that page's header and index in one
+/// range at its offset, then the one record it matched. Before group
+/// commits were cut into pages the same read fetched the header and the
+/// whole commit's index — what the same points written by `write()`, one
+/// page, still cost — so the read moves the cap's share of that index's
+/// per-point bytes, plus one header, its fixed fields and one record.
+#[test]
+fn a_point_read_of_a_group_commit_fetches_one_of_its_pages() {
+    let shape = Shape::new(vec![64, 64]).unwrap();
+    let open = |backend: Recorder| {
+        let ingest = IngestConfig {
+            flush_points: 1 << 30,
+            ..IngestConfig::default()
+        };
+        let config = (EngineConfig::default())
+            .with_read_parallelism(1)
+            .with_ingest(ingest);
+        StorageEngine::open_with(backend, FormatKind::Linear, shape.clone(), 8, config).unwrap()
+    };
+    // Every cell of 64 × 64 once, shuffled, in 64-point batches, so each
+    // batch spans the tensor; (r, c) holds 64 r + c.
+    let mut cells: Vec<[u64; 2]> = (0..64).flat_map(|r| (0..64).map(move |c| [r, c])).collect();
+    let mut rng = SplitMix64::new(45);
+    for i in (1..cells.len()).rev() {
+        cells.swap(i, rng.next_below(i as u64 + 1) as usize);
+    }
+    let value = |&[r, c]: &[u64; 2]| (64 * r + c) as f64;
+    let e = open(Recorder::default());
+    for batch in cells.chunks(64) {
+        let values: Vec<f64> = batch.iter().map(value).collect();
+        let coords = CoordBuffer::from_points(2, batch).unwrap();
+        e.ingest_points::<f64>(&coords, &values).unwrap();
+    }
+    let name = e.flush().unwrap().unwrap().fragment;
+    let blob = e.backend().inner.get(&name).unwrap();
+    let pages = decode_pages(&name, &blob).unwrap();
+    // Whole rows, 16 to a page.
+    let rows_per_page = (COMMIT_PAGE_POINTS / 64) as u64;
+    assert_eq!(pages.len(), 4096 / COMMIT_PAGE_POINTS);
+    for (p, (_, meta)) in (0u64..).zip(&pages) {
+        let bbox = meta.bbox.as_ref().unwrap();
+        assert_eq!(meta.n as usize, COMMIT_PAGE_POINTS);
+        assert_eq!(bbox.lo(), [p * rows_per_page, 0]);
+        assert_eq!(bbox.hi(), [(p + 1) * rows_per_page - 1, 63]);
+    }
+    let unpaged = {
+        let writer = open(Recorder::default());
+        let values: Vec<f64> = cells.iter().map(value).collect();
+        let coords = CoordBuffer::from_points(2, &cells).unwrap();
+        let name = writer
+            .write_points::<f64>(&coords, &values)
+            .unwrap()
+            .fragment;
+        let blob = writer.backend().inner.get(&name).unwrap();
+        let [(_, meta)] = &decode_pages(&name, &blob).unwrap()[..] else {
+            panic!("a plain write is one page");
+        };
+        meta.clone()
+    };
+    let range =
+        |offset: u64, len: u64| -> Call { ("get_range", name.clone(), offset, len as usize) };
+
+    let [r, c] = [37u64, 5];
+    let (offset, meta) = &pages[(r / rows_per_page) as usize];
+    let want = value(&[r, c]);
+    let record = {
+        let at = (offset + meta.value_offset()) as usize;
+        let slot = (blob[at..].chunks_exact(8))
+            .position(|v| v == want.to_le_bytes())
+            .unwrap();
+        range((at + slot * 8) as u64, 8)
+    };
+    let point = CoordBuffer::from_points(2, &[[r, c]]).unwrap();
+    let (read, calls) = e.backend().during(|| e.read_values::<f64>(&point).unwrap());
+    assert_eq!(read, [Some(want)]);
+    let head = range(*offset, meta.index_offset() + meta.index_len);
+    assert_eq!(calls, [head, record]);
+
+    // LINEAR's index is 8 B a point plus fixed fields, so the read moves
+    // the cap's share of the unpaged index's per-point bytes, plus one
+    // header, the fixed fields and one record.
+    let fetched: u64 = calls.iter().map(|call| call.3 as u64).sum();
+    let header = FragmentMeta::header_len(2) as u64;
+    let fixed = meta.index_len - 8 * meta.n;
+    assert_eq!(unpaged.index_len, fixed + 8 * 4096);
+    let cap = COMMIT_PAGE_POINTS as u64;
+    assert_eq!(fetched, header + fixed + 8 * cap + 8);
+    // One read of each page moves what the unpaged read did, plus a
+    // header, the fixed fields and a record for every page past one.
+    let before = header + unpaged.index_len + 8;
+    let pages = 4096 / cap;
+    assert_eq!(fetched * pages, before + (pages - 1) * (header + fixed + 8));
 }
 
 /// A one-cell read over one consolidated part and three group commits,
